@@ -140,8 +140,8 @@ fn run_injector(threads: usize, ops: u64) -> RunOut {
     }
 }
 
-/// The locked design the injector replaced, verbatim: the
-/// crossbeam-deque shim's `Mutex<VecDeque>` (blocking `lock` + poison
+/// The locked design the injector replaced, verbatim: a
+/// `Mutex<VecDeque>` injector (blocking `lock` + poison
 /// branch on push, `try_lock` surfacing `Retry` on steal) driven the way
 /// the old engines drove it — every publish was preceded by an
 /// occupancy probe under the lock (`if injector.is_empty() { publish }

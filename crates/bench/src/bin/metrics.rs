@@ -17,11 +17,11 @@
 //!    engine's own attribution to 1e-9, that the per-cause stall cycles
 //!    sum to the loop-cycle counter (fractions sum to 1), and that the
 //!    engine-seconds histogram count equals the runs counter.
-//! 2. **Harness consistency** — drive the runtime schedulers, a
-//!    resilient sweep, and the workload cache, then verify every chunk
-//!    histogram's count equals its chunk counter, the sweep/cache
-//!    counters tick as expected, and the snapshot passes its own
-//!    self-check.
+//! 2. **Harness consistency** — drive the runtime schedulers and a
+//!    resilient sweep, then verify every chunk histogram's count equals
+//!    its chunk counter, the sweep counter ticks as expected, and the
+//!    snapshot passes its own self-check. (The workload cache's store-tier
+//!    counters are pinned by `crates/core/tests/cache_stress.rs`.)
 
 use mic_bench::cli::Cli;
 use mic_eval::graph::stats::LocalityWindows;
@@ -30,7 +30,7 @@ use mic_eval::metrics;
 use mic_eval::runtime::{
     cilk_for, parallel_for_chunks, tbb_parallel_for, Partitioner, Schedule, ThreadPool,
 };
-use mic_eval::sim::{simulate_region_telemetry, Machine, Policy, Region, StallCause, Work};
+use mic_eval::sim::{simulate_region_telemetry, Machine, Policy, Region, StallCause};
 use mic_eval::sweep::{try_map_cfg, SweepCfg};
 use mic_eval::workload_cache::{self, OrderTag};
 use std::path::PathBuf;
@@ -131,7 +131,7 @@ fn main() {
     }
 
     // Phase 2: harness-wide counters on one fresh registry.
-    println!("phase 2: runtime / sweep / cache consistency");
+    println!("phase 2: runtime / sweep consistency");
     metrics::reset();
     metrics::set_enabled(true);
 
@@ -162,21 +162,6 @@ fn main() {
     };
     let report = try_map_cfg(&cfg, &sweep_items, |_, &x| x * 2);
     assert!(report.is_complete());
-
-    // One cache store + hit + shape-mismatch miss in a scratch directory.
-    let dir = std::env::temp_dir().join(format!("mic-metrics-bin-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let file = dir.join("wl1-metrics-selftest.bin");
-    let arr: Vec<Work> = (0..16)
-        .map(|i| Work {
-            issue: i as f64,
-            ..Default::default()
-        })
-        .collect();
-    workload_cache::store_arrays(&file, &[1], &[&arr]);
-    let hit = workload_cache::load_arrays(&file, 1, 1).is_some();
-    let miss = workload_cache::load_arrays(&file, 5, 1).is_none();
-    let _ = std::fs::remove_dir_all(&dir);
 
     // And one sim run so the snapshot spans all three layers.
     let w = workload_cache::coloring(PaperGraph::Hood, scale, OrderTag::Natural, win);
@@ -219,26 +204,6 @@ fn main() {
                 "expected {}, got {:?}",
                 sweep_items.len(),
                 snap.value("mic_sweep_jobs_total", &[])
-            )
-        },
-    );
-    checks.ok(
-        "cache hit recorded",
-        hit && snap.value("mic_cache_hits_total", &[]) >= Some(1.0),
-        || {
-            format!(
-                "hit={hit}, counter {:?}",
-                snap.value("mic_cache_hits_total", &[])
-            )
-        },
-    );
-    checks.ok(
-        "cache miss recorded",
-        miss && snap.value("mic_cache_misses_total", &[]) >= Some(1.0),
-        || {
-            format!(
-                "miss={miss}, counter {:?}",
-                snap.value("mic_cache_misses_total", &[])
             )
         },
     );

@@ -2,7 +2,7 @@
 //!
 //! Historically each layer read its own environment variables at point of
 //! use (`MIC_SWEEP_THREADS` in the sweep harness, `MIC_BASELINE` in the
-//! gate, `MIC_SUITE_CACHE` in the workload cache, ...). That worked for
+//! gate, `MIC_STORE` in the workload cache, ...). That worked for
 //! one-shot bins but made the knobs impossible to audit, to override
 //! programmatically (the serve layer takes requests, not env vars), or to
 //! test without process-global races. `SuiteConfig` replaces the ad-hoc
@@ -24,7 +24,6 @@
 //! | `sweep_threads` | `MIC_SWEEP_THREADS` | available parallelism, ≤ 16 |
 //! | `sweep_retries` | `MIC_SWEEP_RETRIES` | 2 |
 //! | `sweep_deadline_ms` | `MIC_SWEEP_DEADLINE_MS` | none |
-//! | `cache_dir` | `MIC_SUITE_CACHE` | off |
 //! | `fault` | `MIC_FAULT` | none |
 //! | `metrics` | `MIC_METRICS` | off |
 //! | `baseline` | `MIC_BASELINE` | none |
@@ -178,8 +177,6 @@ pub struct SuiteConfig {
     pub sweep_retries: u32,
     /// Cooperative per-attempt deadline; `None`/0 = none.
     pub sweep_deadline_ms: Option<u64>,
-    /// On-disk workload cache directory; `None` = in-memory only.
-    pub cache_dir: Option<PathBuf>,
     /// Default fault-injection plan (a `with_plan` session still wins).
     pub fault: Option<FaultPlan>,
     /// Metrics policy.
@@ -210,8 +207,8 @@ pub struct SuiteConfig {
     /// Concurrent connection cap; connects past it are refused with a
     /// `shed` response instead of an unbounded thread spawn.
     pub serve_conn_cap: usize,
-    /// Crash-safe paged store file backing the wl2 cache and the serve
-    /// result spill tier; `None` = durable tier off.
+    /// Crash-safe paged store file persisting suite graphs, workloads and
+    /// serve results; `None` = durable tier off. One process per file.
     pub store_path: Option<PathBuf>,
     /// Store page size in bytes (fixed at file creation).
     pub store_page: usize,
@@ -236,7 +233,6 @@ impl Default for SuiteConfig {
             sweep_threads: None,
             sweep_retries: 2,
             sweep_deadline_ms: None,
-            cache_dir: None,
             fault: None,
             metrics: MetricsMode::Off,
             baseline: None,
@@ -266,13 +262,23 @@ impl SuiteConfig {
     /// environment variables; set-but-unusable values warn once and fall
     /// back (the [`crate::env`] discipline).
     pub fn from_env() -> SuiteConfig {
+        // Removed knob: warn once rather than silently persist nothing.
+        const REMOVED: &str = "MIC_SUITE_CACHE";
+        if crate::env::path(REMOVED).is_some() {
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "mic-eval: ignoring {REMOVED} (the file cache is gone); \
+                     set MIC_STORE=<file> to persist graphs and workloads"
+                );
+            });
+        }
         let defaults = SuiteConfig::default();
         SuiteConfig {
             sweep_threads: crate::env::positive_usize("MIC_SWEEP_THREADS"),
             sweep_retries: crate::env::nonneg_u64("MIC_SWEEP_RETRIES")
                 .map_or(defaults.sweep_retries, |v| v.min(100) as u32),
             sweep_deadline_ms: crate::env::nonneg_u64("MIC_SWEEP_DEADLINE_MS").filter(|v| *v > 0),
-            cache_dir: crate::env::path("MIC_SUITE_CACHE"),
             fault: parse_env_fault(),
             metrics: MetricsMode::parse(crate::env::raw("MIC_METRICS")),
             baseline: crate::env::path("MIC_BASELINE"),
@@ -321,11 +327,6 @@ impl SuiteConfig {
 
     pub fn sweep_deadline_ms(mut self, deadline_ms: Option<u64>) -> Self {
         self.sweep_deadline_ms = deadline_ms.filter(|v| *v > 0);
-        self
-    }
-
-    pub fn cache_dir(mut self, dir: Option<PathBuf>) -> Self {
-        self.cache_dir = dir;
         self
     }
 
@@ -523,7 +524,7 @@ mod tests {
         assert_eq!(c.sweep_threads, None);
         assert_eq!(c.sweep_retries, 2);
         assert_eq!(c.sweep_deadline_ms, None);
-        assert!(c.cache_dir.is_none() && c.fault.is_none());
+        assert!(c.fault.is_none());
         assert_eq!(c.metrics, MetricsMode::Off);
         assert!(c.baseline.is_none());
         assert_eq!(c.baseline_tol, crate::baseline::DEFAULT_TOL);

@@ -13,7 +13,6 @@
 //! rule      = class ("@" rate | "#" index) [":" millis]
 //! class     = "job-panic" | "job-stall" | "job-slow"
 //!           | "worker-panic" | "worker-stall" | "worker-slow" | "worker-die"
-//!           | "cache-short-read" | "cache-enospc"
 //!           | "io-short-write" | "io-torn-page" | "io-fsync-fail" | "io-open-fail"
 //! ```
 //!
@@ -27,10 +26,10 @@
 //! strict `map` used for workload construction never injects. `worker-*`
 //! faults hit the runtime layer through [`mic_runtime::fault`] (site = the
 //! chunk's first iteration index, or the region epoch for `worker-die`).
-//! `cache-*` faults hit wl1 cache I/O (site = a hash of the file name).
 //! `io-*` faults hit the paged store's file boundaries through
 //! [`mic_store::fault`] (site = page id for writes, committing epoch for
-//! fsyncs, file-name hash for opens). An *unknown* `io-` subclass is
+//! fsyncs, file-name hash for opens) — the only disk I/O the graph and
+//! workload cache does. An *unknown* `io-` subclass is
 //! skipped with a warning instead of rejecting the whole spec — the io
 //! family is expected to grow, and a chaos sweep with one newer rule
 //! should still run its known rules (any other unknown class stays a
@@ -60,10 +59,6 @@ pub enum FaultClass {
     WorkerSlow,
     /// A pool worker thread exits at region entry (the pool respawns it).
     WorkerDie,
-    /// A wl1 cache load observes a truncated file.
-    CacheShortRead,
-    /// A wl1 cache store fails as if the disk were full.
-    CacheEnospc,
     /// A store page write lands half its bytes, then errors (torn prefix
     /// on disk — what a killed writer leaves).
     IoShortWrite,
@@ -77,7 +72,7 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    const ALL: [(FaultClass, &'static str); 13] = [
+    const ALL: [(FaultClass, &'static str); 11] = [
         (FaultClass::JobPanic, "job-panic"),
         (FaultClass::JobStall, "job-stall"),
         (FaultClass::JobSlow, "job-slow"),
@@ -85,8 +80,6 @@ impl FaultClass {
         (FaultClass::WorkerStall, "worker-stall"),
         (FaultClass::WorkerSlow, "worker-slow"),
         (FaultClass::WorkerDie, "worker-die"),
-        (FaultClass::CacheShortRead, "cache-short-read"),
-        (FaultClass::CacheEnospc, "cache-enospc"),
         (FaultClass::IoShortWrite, "io-short-write"),
         (FaultClass::IoTornPage, "io-torn-page"),
         (FaultClass::IoFsyncFail, "io-fsync-fail"),
@@ -315,11 +308,9 @@ impl FaultPlan {
                 | FaultClass::JobSlow
                 | FaultClass::WorkerStall
                 | FaultClass::WorkerSlow => Fault::SleepMs(ms),
-                // Cache and io classes are yes/no decisions; the I/O
-                // layer interprets them.
-                FaultClass::CacheShortRead
-                | FaultClass::CacheEnospc
-                | FaultClass::IoShortWrite
+                // Io classes are yes/no decisions; the store layer
+                // interprets them.
+                FaultClass::IoShortWrite
                 | FaultClass::IoTornPage
                 | FaultClass::IoFsyncFail
                 | FaultClass::IoOpenFail => Fault::Panic,
@@ -443,25 +434,6 @@ pub fn clear() {
     store_fault::clear();
 }
 
-/// FNV-1a of a file name — the stable site id of cache-class faults.
-pub fn site_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Whether a cache-class fault fires at `site` under the active plan.
-pub fn cache_fault(class: FaultClass, site: u64) -> bool {
-    let fired = active().is_some_and(|p| p.decide(class, site, 0).is_some());
-    if fired {
-        count_injection_at(class, site);
-    }
-    fired
-}
-
 /// Record a fired injection: the metrics counter (no-op when metrics are
 /// off) plus a flight-recorder event, and — once per fault class per
 /// process — a flight-recorder dump, so a chaos run ships a post-mortem
@@ -536,14 +508,14 @@ mod tests {
     #[test]
     fn parses_the_full_grammar() {
         let plan =
-            FaultPlan::parse("42:job-panic@0.25,worker-stall@0.1:75,cache-enospc#9").unwrap();
+            FaultPlan::parse("42:job-panic@0.25,worker-stall@0.1:75,io-open-fail#9").unwrap();
         assert_eq!(plan.seed(), 42);
         assert_eq!(plan.rules.len(), 3);
         assert_eq!(plan.rules[0].class, FaultClass::JobPanic);
         assert_eq!(plan.rules[0].trigger, Trigger::Rate(0.25));
         assert_eq!(plan.rules[1].millis, Some(75));
         assert_eq!(plan.rules[2].trigger, Trigger::Index(9));
-        assert!(plan.targets(FaultClass::CacheEnospc));
+        assert!(plan.targets(FaultClass::IoOpenFail));
         assert!(!plan.targets(FaultClass::JobStall));
     }
 

@@ -1,33 +1,32 @@
 //! Instrumented-workload cache for the experiment drivers.
 //!
-//! Regenerating every figure used to rebuild each suite graph and re-run
-//! each instrumentation pass once *per figure*; with this module, a
-//! process instruments each distinct (graph, scale, ordering, locality
+//! A process instruments each distinct (graph, scale, ordering, locality
 //! windows[, kernel knob]) combination exactly once, no matter how many
-//! figures — or parallel sweep jobs — ask for it.
-//!
-//! Two layers:
+//! figures — or parallel sweep jobs — ask for it. Two layers:
 //!
 //! - **In-memory** (always on): process-global maps from key to
 //!   `Arc`-shared graph or workload. Entries are built inside a per-key
 //!   `OnceLock`, so concurrent sweep jobs that race on the same key block
 //!   on one build instead of duplicating it, while distinct keys build in
 //!   parallel.
-//! - **On-disk** (opt-in): when `MIC_SUITE_CACHE` is set, workload arrays
-//!   are persisted as `wl1-*.bin` files next to the binary-CSR graph
-//!   cache, so *separate* full-scale runs skip instrumentation too.
-//!   Corrupt or truncated files are ignored and rewritten. The `wl1`
-//!   prefix is the format version: bump it when instrumentation changes
-//!   meaning, or delete the cache directory to invalidate by hand.
+//! - **Durable** (opt-in): when `MIC_STORE` names a mic-store file, suite
+//!   graphs (`csr1-<graph>-<scale>` keys, `MICCSR01` bytes) and workload
+//!   arrays (`wl1-<kind>-…` keys, `MICWL2` containers) persist in it, so
+//!   *separate* runs skip generation and instrumentation too. The store
+//!   hands back the exact bytes that were put or a miss; every value is
+//!   still re-validated here before use. `wl1` / `csr1` are the semantic
+//!   versions of the data: bump them when instrumentation or generation
+//!   changes meaning, or delete the store file.
 
 use mic_bfs::components::{instrument_components, ComponentsWorkload};
 use mic_bfs::direction::{instrument_hybrid, Direction, Hybrid, HybridWorkload};
 use mic_bfs::instrument::{instrument as bfs_instrument, BfsWorkload, SimVariant};
 use mic_bfs::seq::table1_source;
 use mic_coloring::instrument::{instrument as coloring_instrument, ColoringWorkload};
+use mic_graph::io::{read_csr_bin, write_csr_bin};
 use mic_graph::ordering::{apply, Ordering};
 use mic_graph::stats::LocalityWindows;
-use mic_graph::suite::{build, build_cached, PaperGraph, Scale};
+use mic_graph::suite::{build, PaperGraph, Scale};
 use mic_graph::Csr;
 use mic_irregular::instrument::{
     instrument as irregular_instrument, instrument_pagerank, IrregularWorkload, PagerankWorkload,
@@ -35,9 +34,11 @@ use mic_irregular::instrument::{
 use mic_sim::Work;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
+
+mod tier;
+use tier::{encode_container, persisted, verify_container};
+pub use tier::{load_arrays, store_arrays, StoredArrays};
 
 /// Vertex ordering applied to a suite graph before instrumentation — the
 /// hashable subset of [`Ordering`] the experiments use.
@@ -46,50 +47,6 @@ pub enum OrderTag {
     Natural,
     Random { seed: u64 },
     CuthillMcKee { source: u32 },
-}
-
-impl OrderTag {
-    fn ordering(self) -> Option<Ordering> {
-        match self {
-            OrderTag::Natural => None,
-            OrderTag::Random { seed } => Some(Ordering::Random { seed }),
-            OrderTag::CuthillMcKee { source } => Some(Ordering::CuthillMcKee { source }),
-        }
-    }
-
-    /// Stable, filename-safe code for the on-disk cache.
-    fn file_code(self) -> String {
-        match self {
-            OrderTag::Natural => "nat".into(),
-            OrderTag::Random { seed } => format!("rnd{seed:x}"),
-            OrderTag::CuthillMcKee { source } => format!("cm{source}"),
-        }
-    }
-}
-
-fn scale_code(scale: Scale) -> String {
-    match scale {
-        Scale::Full => "full".into(),
-        Scale::Fraction(k) => format!("f{k}"),
-        Scale::Vertices(n) => format!("v{n}"),
-    }
-}
-
-fn variant_code(v: SimVariant) -> String {
-    match v {
-        SimVariant::Block { block, relaxed } => {
-            format!("blk{block}{}", if relaxed { "r" } else { "l" })
-        }
-        SimVariant::Bag { grain } => format!("bag{grain}"),
-        SimVariant::Tls => "tls".into(),
-    }
-}
-
-/// Locality windows as a hashable key.
-type WinKey = (usize, usize);
-
-fn win_key(w: LocalityWindows) -> WinKey {
-    (w.l1_gap, w.l2_gap)
 }
 
 /// A process-global key→value cache where each entry is built exactly
@@ -103,39 +60,32 @@ impl<K: Eq + Hash, V: Clone> Cache<K, V> {
         Cache(OnceLock::new())
     }
 
+    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<K, Arc<OnceLock<V>>>> {
+        let map = self.0.get_or_init(|| Mutex::new(HashMap::new()));
+        map.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> V {
-        let cell = {
-            let mut map = self
-                .0
-                .get_or_init(|| Mutex::new(HashMap::new()))
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            Arc::clone(map.entry(key).or_default())
-        };
+        let cell = Arc::clone(self.map().entry(key).or_default());
         cell.get_or_init(build).clone()
     }
 }
 
-type GraphKey = (PaperGraph, Scale, OrderTag);
-static GRAPHS: Cache<GraphKey, Arc<Csr>> = Cache::new();
+static GRAPHS: Cache<(PaperGraph, Scale, OrderTag), Arc<Csr>> = Cache::new();
 
-type ColoringKey = (PaperGraph, Scale, OrderTag, WinKey);
-static COLORING: Cache<ColoringKey, Arc<ColoringWorkload>> = Cache::new();
+/// The inputs every workload key shares: graph, scale, ordering, and the
+/// locality windows as a hashable `(l1_gap, l2_gap)` pair.
+type Site = (PaperGraph, Scale, OrderTag, (usize, usize));
 
-type IrregularKey = (PaperGraph, Scale, OrderTag, WinKey, usize);
-static IRREGULAR: Cache<IrregularKey, Arc<IrregularWorkload>> = Cache::new();
+/// Workloads of type `W`, keyed by site plus the kernel's own knob.
+type Workloads<W> = Cache<(Site, <W as Stored>::Knob), Arc<W>>;
 
-type BfsKey = (PaperGraph, Scale, OrderTag, WinKey, SimVariant);
-static BFS: Cache<BfsKey, Arc<BfsWorkload>> = Cache::new();
-
-type PagerankKey = (PaperGraph, Scale, OrderTag, WinKey);
-static PAGERANK: Cache<PagerankKey, Arc<PagerankWorkload>> = Cache::new();
-
-type ComponentsKey = (PaperGraph, Scale, OrderTag, WinKey);
-static COMPONENTS: Cache<ComponentsKey, Arc<ComponentsWorkload>> = Cache::new();
-
-type HybridKey = (PaperGraph, Scale, OrderTag, WinKey);
-static HYBRID: Cache<HybridKey, Arc<HybridWorkload>> = Cache::new();
+static COLORING: Workloads<ColoringWorkload> = Cache::new();
+static IRREGULAR: Workloads<IrregularWorkload> = Cache::new();
+static BFS: Workloads<BfsWorkload> = Cache::new();
+static PAGERANK: Workloads<PagerankWorkload> = Cache::new();
+static COMPONENTS: Workloads<ComponentsWorkload> = Cache::new();
+static HYBRID: Workloads<HybridWorkload> = Cache::new();
 
 /// PageRank convergence parameters used by every exhibit and serve job:
 /// the standard damping factor, an L1 tolerance tight enough that the
@@ -146,18 +96,27 @@ pub const PAGERANK_TOL: f64 = 1e-8;
 pub const PAGERANK_MAX_ITERS: usize = 100;
 
 /// One suite graph at `scale` under `order`, built (or read from the
-/// `MIC_SUITE_CACHE` CSR cache) once per process. Ordered variants are
-/// derived from the cached natural graph.
+/// `MIC_STORE` tier) once per process. Ordered variants are derived from
+/// the cached natural graph.
 pub fn graph(pg: PaperGraph, scale: Scale, order: OrderTag) -> Arc<Csr> {
-    GRAPHS.get_or_build((pg, scale, order), || match order.ordering() {
-        None => Arc::new(match crate::config::current().cache_dir.clone() {
-            Some(dir) => build_cached(pg, scale, dir),
-            None => build(pg, scale),
-        }),
-        Some(o) => {
-            let base = graph(pg, scale, OrderTag::Natural);
-            Arc::new(apply(&base, o).0)
-        }
+    GRAPHS.get_or_build((pg, scale, order), || {
+        let ordering = match order {
+            OrderTag::Natural => {
+                return Arc::new(persisted(
+                    || format!("csr1-{}-{scale:?}", pg.name()),
+                    |bytes| read_csr_bin(bytes).map_err(|e| e.to_string()),
+                    |g| {
+                        let mut bytes = Vec::new();
+                        write_csr_bin(g, &mut bytes).expect("writing to a Vec cannot fail");
+                        bytes
+                    },
+                    || build(pg, scale),
+                ))
+            }
+            OrderTag::Random { seed } => Ordering::Random { seed },
+            OrderTag::CuthillMcKee { source } => Ordering::CuthillMcKee { source },
+        };
+        Arc::new(apply(&graph(pg, scale, OrderTag::Natural), ordering).0)
     })
 }
 
@@ -170,6 +129,47 @@ pub fn suite(scale: Scale) -> Vec<(PaperGraph, Arc<Csr>)> {
         .collect()
 }
 
+/// A workload type the cache can build and persist: which kernel knob
+/// completes its key, how to instrument it, and its `MICWL2` form.
+trait Stored: Sized {
+    /// Key component beyond the shared [`Site`]; `()` when there is none.
+    type Knob: Copy + Eq + Hash + std::fmt::Debug;
+    /// The `<kind>` of the `wl1-<kind>-…` store key.
+    const KIND: &'static str;
+    fn instrument(g: &Csr, windows: LocalityWindows, knob: Self::Knob) -> Self;
+    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>);
+    /// `None` when the container's shape cannot be this type.
+    fn from_parts(parts: StoredArrays) -> Option<Self>;
+}
+
+/// The one keyed body behind every workload function: the in-memory
+/// entry, else (with `MIC_STORE` on) the stored container, else instrument
+/// the graph and store the result.
+fn get_or_build<W: Stored>(
+    cache: &Workloads<W>,
+    pg: PaperGraph,
+    scale: Scale,
+    order: OrderTag,
+    windows: LocalityWindows,
+    knob: W::Knob,
+) -> Arc<W> {
+    let (l1, l2) = (windows.l1_gap, windows.l2_gap);
+    cache.get_or_build(((pg, scale, order, (l1, l2)), knob), || {
+        // Store keys only have to be injective, so the key types' derived
+        // `Debug` text serves: it tracks their shape with no code to keep.
+        let (kind, name) = (W::KIND, pg.name());
+        Arc::new(persisted(
+            || format!("wl1-{kind}-{name}-{scale:?}-{order:?}-{l1}-{l2}-{knob:?}"),
+            |bytes| W::from_parts(verify_container(bytes)?).ok_or_else(|| "wrong shape".into()),
+            |w| {
+                let (meta, arrays) = w.to_parts();
+                encode_container(&meta, &arrays)
+            },
+            || W::instrument(&graph(pg, scale, order), windows, knob),
+        ))
+    })
+}
+
 /// The coloring workload of a suite graph (Figures 1–2, ablations).
 pub fn coloring(
     pg: PaperGraph,
@@ -177,33 +177,7 @@ pub fn coloring(
     order: OrderTag,
     windows: LocalityWindows,
 ) -> Arc<ColoringWorkload> {
-    COLORING.get_or_build((pg, scale, order, win_key(windows)), || {
-        let file = disk_path("coloring", pg, scale, order, windows, "");
-        if let Some((_, arrays)) = file.as_deref().and_then(|p| load_arrays(p, 4, 0)) {
-            let mut it = arrays.into_iter();
-            return Arc::new(ColoringWorkload {
-                tentative: it.next().unwrap(),
-                detect: it.next().unwrap(),
-                conflict_tentative: it.next().unwrap(),
-                conflict_detect: it.next().unwrap(),
-            });
-        }
-        let g = graph(pg, scale, order);
-        let w = Arc::new(coloring_instrument(&g, windows));
-        if let Some(p) = file {
-            store_arrays(
-                &p,
-                &[],
-                &[
-                    &w.tentative,
-                    &w.detect,
-                    &w.conflict_tentative,
-                    &w.conflict_detect,
-                ],
-            );
-        }
-        w
-    })
+    get_or_build(&COLORING, pg, scale, order, windows, ())
 }
 
 /// The irregular-microbenchmark workload at `iter` repetitions (Figure 3,
@@ -215,23 +189,7 @@ pub fn irregular(
     windows: LocalityWindows,
     iter: usize,
 ) -> Arc<IrregularWorkload> {
-    IRREGULAR.get_or_build((pg, scale, order, win_key(windows), iter), || {
-        let file = disk_path("irregular", pg, scale, order, windows, &format!("-i{iter}"));
-        if let Some((meta, arrays)) = file.as_deref().and_then(|p| load_arrays(p, 1, 1)) {
-            if meta[0] as usize == iter {
-                return Arc::new(IrregularWorkload {
-                    iter_work: arrays.into_iter().next().unwrap(),
-                    iter,
-                });
-            }
-        }
-        let g = graph(pg, scale, order);
-        let w = Arc::new(irregular_instrument(&g, windows, iter));
-        if let Some(p) = file {
-            store_arrays(&p, &[iter as u64], &[&w.iter_work]);
-        }
-        w
-    })
+    get_or_build(&IRREGULAR, pg, scale, order, windows, iter)
 }
 
 /// The BFS workload of a suite graph under `variant`, from the paper's
@@ -243,33 +201,7 @@ pub fn bfs(
     windows: LocalityWindows,
     variant: SimVariant,
 ) -> Arc<BfsWorkload> {
-    BFS.get_or_build((pg, scale, order, win_key(windows), variant), || {
-        let file = disk_path(
-            "bfs",
-            pg,
-            scale,
-            order,
-            windows,
-            &format!("-{}", variant_code(variant)),
-        );
-        // Level count is data-dependent: 0 means "any".
-        if let Some((meta, arrays)) = file.as_deref().and_then(|p| load_arrays(p, 0, 0)) {
-            if meta.len() == arrays.len() {
-                return Arc::new(BfsWorkload {
-                    level_work: arrays,
-                    widths: meta.into_iter().map(|w| w as usize).collect(),
-                });
-            }
-        }
-        let g = graph(pg, scale, order);
-        let w = Arc::new(bfs_instrument(&g, table1_source(&g), windows, variant));
-        if let Some(p) = file {
-            let meta: Vec<u64> = w.widths.iter().map(|&x| x as u64).collect();
-            let arrays: Vec<&[Work]> = w.level_work.iter().map(|a| a.as_slice()).collect();
-            store_arrays(&p, &meta, &arrays);
-        }
-        w
-    })
+    get_or_build(&BFS, pg, scale, order, windows, variant)
 }
 
 /// The PageRank workload of a suite graph (scale-free exhibits, serve).
@@ -282,27 +214,7 @@ pub fn pagerank(
     order: OrderTag,
     windows: LocalityWindows,
 ) -> Arc<PagerankWorkload> {
-    PAGERANK.get_or_build((pg, scale, order, win_key(windows)), || {
-        let file = disk_path("pagerank", pg, scale, order, windows, "");
-        if let Some((meta, arrays)) = file.as_deref().and_then(|p| load_arrays(p, 1, 1)) {
-            return Arc::new(PagerankWorkload {
-                vertex_work: arrays.into_iter().next().unwrap(),
-                iters: meta[0] as usize,
-            });
-        }
-        let g = graph(pg, scale, order);
-        let w = Arc::new(instrument_pagerank(
-            &g,
-            windows,
-            PAGERANK_DAMPING,
-            PAGERANK_TOL,
-            PAGERANK_MAX_ITERS,
-        ));
-        if let Some(p) = file {
-            store_arrays(&p, &[w.iters as u64], &[&w.vertex_work]);
-        }
-        w
-    })
+    get_or_build(&PAGERANK, pg, scale, order, windows, ())
 }
 
 /// The label-propagation components workload of a suite graph.
@@ -312,76 +224,21 @@ pub fn components(
     order: OrderTag,
     windows: LocalityWindows,
 ) -> Arc<ComponentsWorkload> {
-    COMPONENTS.get_or_build((pg, scale, order, win_key(windows)), || {
-        let file = disk_path("components", pg, scale, order, windows, "");
-        if let Some((meta, arrays)) = file.as_deref().and_then(|p| load_arrays(p, 1, 1)) {
-            return Arc::new(ComponentsWorkload {
-                round_work: arrays.into_iter().next().unwrap(),
-                rounds: meta[0] as usize,
-            });
-        }
-        let g = graph(pg, scale, order);
-        let w = Arc::new(instrument_components(&g, windows));
-        if let Some(p) = file {
-            store_arrays(&p, &[w.rounds as u64], &[&w.round_work]);
-        }
-        w
-    })
+    get_or_build(&COMPONENTS, pg, scale, order, windows, ())
 }
 
 /// The direction-optimizing (hybrid) BFS workload of a suite graph, from
-/// the Table-1 source under Beamer's default switch parameters. Each build
-/// — cached or fresh — reports the native run's direction switches on the
-/// `mic_bfs_direction_switches_total` counter, the observable evidence
-/// that the heuristic actually fired.
+/// the Table-1 source under Beamer's default switch parameters. Each
+/// request — cached or fresh — reports the native run's direction switches
+/// on the `mic_bfs_direction_switches_total` counter, the observable
+/// evidence that the heuristic actually fired.
 pub fn hybrid_bfs(
     pg: PaperGraph,
     scale: Scale,
     order: OrderTag,
     windows: LocalityWindows,
 ) -> Arc<HybridWorkload> {
-    let w = HYBRID.get_or_build((pg, scale, order, win_key(windows)), || {
-        let file = disk_path("hybrid", pg, scale, order, windows, "");
-        // meta: [switches, then per region width*2 + direction bit].
-        if let Some((meta, arrays)) = file.as_deref().and_then(|p| load_arrays(p, 0, 0)) {
-            if !meta.is_empty() && meta.len() == arrays.len() + 1 {
-                let switches = meta[0] as usize;
-                let mut widths = Vec::with_capacity(arrays.len());
-                let mut directions = Vec::with_capacity(arrays.len());
-                for &m in &meta[1..] {
-                    widths.push((m >> 1) as usize);
-                    directions.push(if m & 1 == 1 {
-                        Direction::BottomUp
-                    } else {
-                        Direction::TopDown
-                    });
-                }
-                return Arc::new(HybridWorkload {
-                    level_work: arrays,
-                    widths,
-                    directions,
-                    switches,
-                });
-            }
-        }
-        let g = graph(pg, scale, order);
-        let w = Arc::new(instrument_hybrid(
-            &g,
-            table1_source(&g),
-            windows,
-            Hybrid::default(),
-        ));
-        if let Some(p) = file {
-            let mut meta = Vec::with_capacity(w.widths.len() + 1);
-            meta.push(w.switches as u64);
-            for (&width, &dir) in w.widths.iter().zip(&w.directions) {
-                meta.push((width as u64) << 1 | u64::from(dir == Direction::BottomUp));
-            }
-            let arrays: Vec<&[Work]> = w.level_work.iter().map(|a| a.as_slice()).collect();
-            store_arrays(&p, &meta, &arrays);
-        }
-        w
-    });
+    let w = get_or_build(&HYBRID, pg, scale, order, windows, ());
     if w.switches > 0 {
         crate::metrics::counter(
             "mic_bfs_direction_switches_total",
@@ -393,412 +250,149 @@ pub fn hybrid_bfs(
     w
 }
 
-// ---------------------------------------------------------------------------
-// On-disk workload files: `wl1-<kind>-<graph>-<scale>-<order>-<l1>-<l2><extra>.bin`
-// next to the binary-CSR cache. Layout (all little-endian):
-//
-//   magic  b"MICWL2\0\0"
-//   u64    number of meta words          u64    number of arrays
-//   meta   u64 × n_meta
-//   per array: u64 length, then length × 6 f64 (issue,l1,l2,dram,flops,atomics)
-//   u64    XXH64 of every preceding byte (seed 0)
-//
-// The `wl1` filename prefix is the *semantic* version of the instrumented
-// data; `MICWL2` is the *container* version (v2 added the trailing content
-// checksum). A v1 file (no checksum) reads as a plain miss and is
-// transparently recomputed and rewritten in v2 form. A file whose checksum
-// or structure is wrong is quarantined to `<name>.corrupt` and recomputed
-// — a flipped payload byte is never loaded, and the evidence is kept for
-// post-mortems instead of being overwritten.
-// ---------------------------------------------------------------------------
-
-const MAGIC: &[u8; 8] = b"MICWL2\0\0";
-const MAGIC_V1: &[u8; 8] = b"MICWL1\0\0";
-
-// The canonical XXH64 implementation moved into `mic-store` (whose page
-// format seals every page with it); re-exported here so existing callers
-// and cache-maintenance tools keep their import path.
-pub use mic_store::xxh64;
-
-fn disk_path(
-    kind: &str,
-    pg: PaperGraph,
-    scale: Scale,
-    order: OrderTag,
-    windows: LocalityWindows,
-    extra: &str,
-) -> Option<PathBuf> {
-    let dir = crate::config::current().cache_dir.clone()?;
-    Some(dir.join(format!(
-        "wl1-{kind}-{}-{}-{}-{}-{}{extra}.bin",
-        pg.name(),
-        scale_code(scale),
-        order.file_code(),
-        windows.l1_gap,
-        windows.l2_gap,
-    )))
-}
-
-fn file_site(path: &Path) -> u64 {
-    crate::fault::site_hash(path.file_name().and_then(|n| n.to_str()).unwrap_or(""))
-}
-
-/// Serialize meta + arrays into the `MICWL2` container (checksum sealed).
-fn encode_container(meta: &[u64], arrays: &[&[Work]]) -> Vec<u8> {
-    let mut buf: Vec<u8> = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&(arrays.len() as u64).to_le_bytes());
-    for m in meta {
-        buf.extend_from_slice(&m.to_le_bytes());
+impl Stored for ColoringWorkload {
+    type Knob = ();
+    const KIND: &'static str = "coloring";
+    fn instrument(g: &Csr, windows: LocalityWindows, _: ()) -> Self {
+        coloring_instrument(g, windows)
     }
-    for arr in arrays {
-        buf.extend_from_slice(&(arr.len() as u64).to_le_bytes());
-        for w in arr.iter() {
-            for v in [w.issue, w.l1, w.l2, w.dram, w.flops, w.atomics] {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
+        let arrays: [&[Work]; 4] = [
+            &self.tentative,
+            &self.detect,
+            &self.conflict_tentative,
+            &self.conflict_detect,
+        ];
+        (Vec::new(), arrays.to_vec())
     }
-    let checksum = xxh64(&buf, 0);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
-/// The durable spill tier under the wl2 cache: one crash-safe paged
-/// store shared process-wide (and with mic-serve's result spill when
-/// both point `MIC_STORE` at the same file). `None` when the knob is
-/// off or the store cannot be opened — opening failures warn once and
-/// the cache falls back to plain files.
-fn store_tier() -> Option<std::sync::Arc<mic_store::Store>> {
-    let cfg = crate::config::current();
-    let path = cfg.store_path.clone()?;
-    let opts = mic_store::StoreOpts {
-        page_size: cfg.store_page,
-        pool_frames: cfg.store_pool,
-        sync_every: cfg.store_sync,
-    };
-    match mic_store::Store::open_shared(&path, opts) {
-        Ok(store) => Some(store),
-        Err(e) => {
-            static WARNED: OnceLock<()> = OnceLock::new();
-            WARNED.get_or_init(|| {
-                eprintln!(
-                    "mic-eval: MIC_STORE={} could not be opened ({e}); \
-                     continuing without the durable cache tier",
-                    path.display()
-                );
-            });
-            None
-        }
-    }
-}
-
-/// The store-tier key of a cache file: its (format-versioned) file name.
-fn store_key(path: &Path) -> Option<Vec<u8>> {
-    path.file_name().map(|n| n.as_encoded_bytes().to_vec())
-}
-
-/// Best-effort write; failure just means no cache hit next run.
-///
-/// Public for stress tests and cache-maintenance tools; the experiment
-/// drivers go through the keyed cache functions above.
-pub fn store_arrays(path: &Path, meta: &[u64], arrays: &[&[Work]]) {
-    crate::fault::init_from_env();
-    crate::metrics::init_from_env();
-    let buf = encode_container(meta, arrays);
-    let write = || -> std::io::Result<()> {
-        if crate::fault::cache_fault(crate::fault::FaultClass::CacheEnospc, file_site(path)) {
-            return Err(std::io::Error::other("mic-fault: injected ENOSPC"));
-        }
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-            cleanup_orphan_tmps(dir);
-        }
-        // Write-then-rename so a crashed run never leaves a torn file
-        // under the final name. The tmp name must be unique per writer:
-        // concurrent processes sharing MIC_SUITE_CACHE (and concurrent
-        // sweep jobs in one process) race on the same key, and a shared
-        // `.bin.tmp` name let one writer rename a file another was still
-        // filling — a torn cache entry under the *final* name, defeating
-        // the whole point of the rename.
-        static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = path.with_extension(format!(
-            "bin.tmp.{}.{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        std::fs::File::create(&tmp)?.write_all(&buf)?;
-        std::fs::rename(&tmp, path).inspect_err(|_| {
-            if crate::metrics::enabled() {
-                cache_counter(
-                    "mic_cache_write_races_total",
-                    "Cache stores whose final rename lost (another writer or an fs error).",
-                )
-                .inc();
-            }
-            let _ = std::fs::remove_file(&tmp);
+    fn from_parts((_, arrays): StoredArrays) -> Option<Self> {
+        let [tentative, detect, conflict_tentative, conflict_detect]: [_; 4] =
+            arrays.try_into().ok()?;
+        Some(ColoringWorkload {
+            tentative,
+            detect,
+            conflict_tentative,
+            conflict_detect,
         })
-    };
-    let _ = write();
-    // Mirror into the durable store tier. wl2 writes are rare and large,
-    // so each one persists immediately: the entry survives `kill -9` the
-    // moment store_arrays returns. Best-effort like the file write.
-    if let (Some(store), Some(key)) = (store_tier(), store_key(path)) {
-        if store.put(&key, &buf).is_ok() {
-            let _ = store.persist();
-        }
     }
 }
 
-/// Remove stale `*.tmp.*` files a crashed writer may have left behind.
-/// Runs at most once per process per cache directory use; only files not
-/// modified for 15 minutes are touched, so live writers (which hold their
-/// unique tmp for milliseconds) are never affected. Best-effort: any
-/// error just leaves the orphan for a later run.
-fn cleanup_orphan_tmps(dir: &Path) {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
+/// The `(count, array)` of a one-meta-word, one-array container.
+fn counted_array((meta, arrays): StoredArrays) -> Option<(usize, Arc<Vec<Work>>)> {
+    match (&meta[..], &arrays[..]) {
+        ([count], [array]) => Some((*count as usize, Arc::clone(array))),
+        _ => None,
+    }
+}
+
+impl Stored for IrregularWorkload {
+    type Knob = usize;
+    const KIND: &'static str = "irregular";
+    fn instrument(g: &Csr, windows: LocalityWindows, iter: usize) -> Self {
+        irregular_instrument(g, windows, iter)
+    }
+    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
+        (vec![self.iter as u64], vec![&self.iter_work])
+    }
+    fn from_parts(parts: StoredArrays) -> Option<Self> {
+        let (iter, iter_work) = counted_array(parts)?;
+        Some(IrregularWorkload { iter_work, iter })
+    }
+}
+
+impl Stored for PagerankWorkload {
+    type Knob = ();
+    const KIND: &'static str = "pagerank";
+    fn instrument(g: &Csr, windows: LocalityWindows, _: ()) -> Self {
+        let (damping, tol, cap) = (PAGERANK_DAMPING, PAGERANK_TOL, PAGERANK_MAX_ITERS);
+        instrument_pagerank(g, windows, damping, tol, cap)
+    }
+    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
+        (vec![self.iters as u64], vec![&self.vertex_work])
+    }
+    fn from_parts(parts: StoredArrays) -> Option<Self> {
+        let (iters, vertex_work) = counted_array(parts)?;
+        Some(PagerankWorkload { vertex_work, iters })
+    }
+}
+
+impl Stored for ComponentsWorkload {
+    type Knob = ();
+    const KIND: &'static str = "components";
+    fn instrument(g: &Csr, windows: LocalityWindows, _: ()) -> Self {
+        instrument_components(g, windows)
+    }
+    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
+        (vec![self.rounds as u64], vec![&self.round_work])
+    }
+    fn from_parts(parts: StoredArrays) -> Option<Self> {
+        let (rounds, round_work) = counted_array(parts)?;
+        Some(ComponentsWorkload { round_work, rounds })
+    }
+}
+
+/// One meta word per level (its width); the level count is data-dependent.
+impl Stored for BfsWorkload {
+    type Knob = SimVariant;
+    const KIND: &'static str = "bfs";
+    fn instrument(g: &Csr, windows: LocalityWindows, variant: SimVariant) -> Self {
+        bfs_instrument(g, table1_source(g), windows, variant)
+    }
+    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
+        let meta = self.widths.iter().map(|&w| w as u64).collect();
+        (meta, self.level_work.iter().map(|a| a.as_slice()).collect())
+    }
+    fn from_parts((meta, arrays): StoredArrays) -> Option<Self> {
+        (meta.len() == arrays.len()).then(|| BfsWorkload {
+            level_work: arrays,
+            widths: meta.into_iter().map(|w| w as usize).collect(),
+        })
+    }
+}
+
+/// Meta: `[switches, then per region width * 2 + direction bit]`.
+impl Stored for HybridWorkload {
+    type Knob = ();
+    const KIND: &'static str = "hybrid";
+    fn instrument(g: &Csr, windows: LocalityWindows, _: ()) -> Self {
+        instrument_hybrid(g, table1_source(g), windows, Hybrid::default())
+    }
+    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
+        let regions = self.widths.iter().zip(&self.directions);
+        let word = |(&width, &dir)| (width as u64) << 1 | u64::from(dir == Direction::BottomUp);
+        let meta = std::iter::once(self.switches as u64).chain(regions.map(word));
+        let arrays = self.level_work.iter().map(|a| a.as_slice());
+        (meta.collect(), arrays.collect())
+    }
+    fn from_parts((meta, arrays): StoredArrays) -> Option<Self> {
+        let (&switches, regions) = meta.split_first()?;
+        let direction = |m: &u64| match m & 1 {
+            1 => Direction::BottomUp,
+            _ => Direction::TopDown,
         };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let is_tmp = name.to_str().is_some_and(|n| n.contains(".bin.tmp"));
-            if !is_tmp {
-                continue;
-            }
-            let stale = entry
-                .metadata()
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| t.elapsed().ok())
-                .is_some_and(|age| age.as_secs() > 15 * 60);
-            if stale {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    });
-}
-
-/// Meta words + work arrays, as stored in one workload file.
-pub type StoredArrays = (Vec<u64>, Vec<Arc<Vec<Work>>>);
-
-/// Move a corrupt cache file aside as `<name>.corrupt[.N]` so the caller
-/// can recompute while the evidence survives for post-mortems. The
-/// destination carries a unique numeric suffix: repeated corruption of
-/// the same file used to clobber the earlier `.corrupt` (rename replaces
-/// on unix), destroying exactly the evidence a recurring-corruption
-/// post-mortem needs most. `hard_link` + `remove_file` claims each
-/// candidate name atomically — `AlreadyExists` moves to the next suffix.
-/// Falls back to deletion only if no candidate can be claimed — loudly,
-/// since that destroys the evidence.
-fn quarantine(path: &Path, why: &str) {
-    if crate::metrics::enabled() {
-        cache_counter(
-            "mic_cache_quarantines_total",
-            "Corrupt workload-cache files moved aside (or deleted).",
-        )
-        .inc();
-    }
-    for i in 0..100u32 {
-        let dest = if i == 0 {
-            PathBuf::from(format!("{}.corrupt", path.display()))
-        } else {
-            PathBuf::from(format!("{}.corrupt.{i}", path.display()))
-        };
-        match std::fs::hard_link(path, &dest) {
-            Ok(()) => {
-                eprintln!(
-                    "mic-eval: workload cache file {} is corrupt ({why}); \
-                     quarantining to {} and recomputing",
-                    path.display(),
-                    dest.display(),
-                );
-                let _ = std::fs::remove_file(path);
-                return;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-            Err(_) => break,
-        }
-    }
-    eprintln!(
-        "mic-eval: could not quarantine {} ({why}); deleting the corrupt file instead",
-        path.display(),
-    );
-    let _ = std::fs::remove_file(path);
-}
-
-/// Unlabeled cache counter; every `mic_cache_*` family is label-free.
-fn cache_counter(name: &str, help: &'static str) -> Arc<mic_metrics::Counter> {
-    crate::metrics::counter(name, help, &[])
-}
-
-/// Read a workload file; `None` means "cache miss — recompute". Three
-/// distinct miss flavours:
-///
-/// - missing file, or a v1 (`MICWL1`, pre-checksum) file: plain miss, the
-///   file (if any) is left alone and will be overwritten in v2 form;
-/// - verified file whose shape disagrees with `expect_arrays` /
-///   `expect_meta` (0 accepts any count): plain miss — the file is *valid*,
-///   just not what this caller wants;
-/// - bad checksum, unparseable structure, or non-finite payload: the file
-///   is quarantined to `<name>.corrupt` before returning `None`.
-///
-/// Public for stress tests and cache-maintenance tools.
-pub fn load_arrays(path: &Path, expect_arrays: usize, expect_meta: usize) -> Option<StoredArrays> {
-    crate::fault::init_from_env();
-    crate::metrics::init_from_env();
-    let result = load_arrays_impl(path, expect_arrays, expect_meta);
-    if crate::metrics::enabled() {
-        if result.is_some() {
-            cache_counter("mic_cache_hits_total", "Workload-cache files loaded.").inc();
-        } else {
-            cache_counter(
-                "mic_cache_misses_total",
-                "Workload-cache lookups that fell back to recomputation.",
-            )
-            .inc();
-        }
-    }
-    result
-}
-
-fn load_arrays_impl(path: &Path, expect_arrays: usize, expect_meta: usize) -> Option<StoredArrays> {
-    // Durable store tier first: a hit skips file IO entirely, and the
-    // store already verified the bytes page-by-page. The container is
-    // still re-verified below the same way a file read would be, so a
-    // buggy writer cannot smuggle malformed arrays through either tier.
-    if let (Some(store), Some(key)) = (store_tier(), store_key(path)) {
-        if let Some(bytes) = store.get(&key) {
-            match verify_container(&bytes, expect_arrays, expect_meta) {
-                Verified::Ok(stored) => return Some(stored),
-                Verified::ShapeMismatch => return None,
-                Verified::Corrupt(why) => {
-                    // The store's checksums passed but the container is
-                    // malformed: writer bug. Drop the entry and fall
-                    // through to the file path.
-                    eprintln!(
-                        "mic-eval: store-tier entry for {} is corrupt ({why}); dropping it",
-                        path.display()
-                    );
-                    store.remove(&key);
-                }
-            }
-        }
-    }
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .ok()?
-        .read_to_end(&mut bytes)
-        .ok()?;
-    if crate::fault::cache_fault(crate::fault::FaultClass::CacheShortRead, file_site(path)) {
-        // Simulate a reader racing a torn write: drop the tail, which is
-        // exactly what a killed writer without write-then-rename produces.
-        bytes.truncate(bytes.len().saturating_sub(9));
-    }
-    if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 {
-        return None; // pre-checksum container: plain miss, recompute + rewrite
-    }
-    match verify_container(&bytes, expect_arrays, expect_meta) {
-        Verified::Ok(stored) => Some(stored),
-        Verified::ShapeMismatch => None,
-        Verified::Corrupt(why) => {
-            // Includes the valid-checksum-but-malformed-body case: the
-            // *writer* was broken, not the disk; still quarantine — the
-            // file can never load.
-            quarantine(path, why);
-            None
-        }
+        (regions.len() == arrays.len()).then(|| HybridWorkload {
+            level_work: arrays,
+            widths: regions.iter().map(|m| (m >> 1) as usize).collect(),
+            directions: regions.iter().map(direction).collect(),
+            switches: switches as usize,
+        })
     }
 }
 
-enum Verified {
-    Ok(StoredArrays),
-    ShapeMismatch,
-    Corrupt(&'static str),
-}
-
-/// Container-level verification shared by the file and store tiers:
-/// magic, trailing checksum, then structural parse.
-fn verify_container(bytes: &[u8], expect_arrays: usize, expect_meta: usize) -> Verified {
-    if bytes.len() < 32 || &bytes[..8] != MAGIC {
-        return Verified::Corrupt("unrecognized or truncated header");
-    }
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    let body = &bytes[..bytes.len() - 8];
-    if xxh64(body, 0) != stored {
-        return Verified::Corrupt("checksum mismatch");
-    }
-    parse_body(body, expect_arrays, expect_meta)
-}
-
-/// Decode header + meta + arrays from `body` (magic included, trailing
-/// checksum already stripped and verified).
-fn parse_body(bytes: &[u8], expect_arrays: usize, expect_meta: usize) -> Verified {
-    let mut off = 8usize; // magic, already checked
-    let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = bytes.get(*off..*off + n)?;
-        *off += n;
-        Some(s)
-    };
-    let read_u64 = |off: &mut usize| -> Option<u64> {
-        Some(u64::from_le_bytes(take(off, 8)?.try_into().ok()?))
-    };
-    let Some((n_meta, n_arrays)) = read_u64(&mut off)
-        .zip(read_u64(&mut off))
-        .map(|(m, a)| (m as usize, a as usize))
-    else {
-        return Verified::Corrupt("truncated counts");
-    };
-    if n_meta > bytes.len() || n_arrays > bytes.len() {
-        return Verified::Corrupt("implausible counts");
-    }
-    if (expect_meta != 0 && n_meta != expect_meta)
-        || (expect_arrays != 0 && n_arrays != expect_arrays)
-    {
-        return Verified::ShapeMismatch;
-    }
-    let mut meta = Vec::with_capacity(n_meta);
-    for _ in 0..n_meta {
-        match read_u64(&mut off) {
-            Some(m) => meta.push(m),
-            None => return Verified::Corrupt("truncated meta"),
-        }
-    }
-    let mut arrays = Vec::with_capacity(n_arrays);
-    for _ in 0..n_arrays {
-        let Some(len) = read_u64(&mut off).map(|l| l as usize) else {
-            return Verified::Corrupt("truncated array header");
-        };
-        if len.checked_mul(48).is_none_or(|b| off + b > bytes.len()) {
-            return Verified::Corrupt("array overruns file");
-        }
-        let mut arr = Vec::with_capacity(len);
-        for _ in 0..len {
-            let mut f = [0.0f64; 6];
-            for v in f.iter_mut() {
-                *v = f64::from_le_bytes(take(&mut off, 8).unwrap().try_into().unwrap());
-            }
-            let w = Work {
-                issue: f[0],
-                l1: f[1],
-                l2: f[2],
-                dram: f[3],
-                flops: f[4],
-                atomics: f[5],
-            };
-            if !w.is_valid() {
-                return Verified::Corrupt("non-finite work entry");
-            }
-            arr.push(w);
-        }
-        arrays.push(Arc::new(arr));
-    }
-    if off != bytes.len() {
-        return Verified::Corrupt("trailing bytes after last array");
-    }
-    Verified::Ok((meta, arrays))
+/// Drop the in-memory layer and the open store handle, so the next
+/// request for any key reopens the store file (or rebuilds). Entries
+/// already handed out stay valid. For tests that compare cold, warm and
+/// store-off runs in one process, and for long-lived embedders that want
+/// the memory back.
+pub fn clear_memory() {
+    tier::close();
+    GRAPHS.map().clear();
+    COLORING.map().clear();
+    IRREGULAR.map().clear();
+    BFS.map().clear();
+    PAGERANK.map().clear();
+    COMPONENTS.map().clear();
+    HYBRID.map().clear();
 }
 
 #[cfg(test)]
@@ -862,11 +456,10 @@ mod tests {
         }
     }
 
-    /// A fresh temp dir + two small arrays for the on-disk tests.
-    fn disk_fixture(tag: &str) -> (PathBuf, PathBuf, Vec<Work>, Vec<Work>) {
-        let dir = std::env::temp_dir().join(format!("micwl-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join(format!("wl1-selftest-{tag}.bin"));
+    /// Two small arrays and their container. (The store side of the
+    /// durable tier is exercised in `tests/cache_stress.rs`, which owns the
+    /// installed config; unit tests here share it with the whole crate.)
+    fn sample() -> (Vec<Work>, Vec<Work>, Vec<u8>) {
         let a: Vec<Work> = (0..10)
             .map(|i| Work {
                 issue: i as f64,
@@ -874,111 +467,33 @@ mod tests {
                 ..Default::default()
             })
             .collect();
-        let b: Vec<Work> = vec![
-            Work {
-                flops: 3.0,
-                ..Default::default()
-            };
-            3
-        ];
-        (dir, path, a, b)
+        let b = vec![Work::default(); 3];
+        let container = encode_container(&[7, 9], &[&a, &b]);
+        (a, b, container)
     }
 
     #[test]
     fn disk_roundtrip_preserves_arrays_and_rejects_corruption() {
-        let (dir, path, a, b) = disk_fixture("roundtrip");
-        store_arrays(&path, &[7, 9], &[&a, &b]);
-        let (meta, arrays) = load_arrays(&path, 2, 2).expect("roundtrip");
-        assert_eq!(meta, vec![7, 9]);
-        assert_eq!(arrays.len(), 2);
-        assert_eq!(arrays[0].len(), 10);
-        assert_eq!(arrays[0][4], a[4]);
-        assert_eq!(arrays[1].len(), 3);
-        // Wrong expected shape → plain miss, the (valid) file is untouched.
-        assert!(load_arrays(&path, 3, 2).is_none());
-        assert!(path.exists(), "shape mismatch must not quarantine");
-        assert!(load_arrays(&path, 2, 2).is_some());
-        // Truncation (torn write) → checksum fails → quarantined, not loaded.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(load_arrays(&path, 2, 2).is_none());
-        assert!(!path.exists(), "corrupt file must be moved aside");
-        let corrupt = PathBuf::from(format!("{}.corrupt", path.display()));
-        assert!(
-            corrupt.exists(),
-            "corrupt file must be preserved as evidence"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        let (a, b, container) = sample();
+        let (meta, arrays) = verify_container(&container).expect("roundtrip");
+        assert_eq!((meta, &*arrays[0], &*arrays[1]), (vec![7, 9], &a, &b));
+        // Every truncation (a torn write) fails the checksum or the parse.
+        for cut in 0..container.len() {
+            assert!(verify_container(&container[..cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]
     fn flipped_payload_byte_is_quarantined_and_recomputed() {
-        let (dir, path, a, b) = disk_fixture("bitflip");
-        store_arrays(&path, &[1], &[&a, &b]);
-        // Flip one bit in the middle of the payload; length and header stay
-        // plausible, so only the checksum can catch it.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(
-            load_arrays(&path, 2, 1).is_none(),
-            "a flipped payload byte must never be loaded"
-        );
-        assert!(!path.exists());
-        assert!(PathBuf::from(format!("{}.corrupt", path.display())).exists());
-        // The cache's contract after quarantine: recompute and store works.
-        store_arrays(&path, &[1], &[&a, &b]);
-        assert!(load_arrays(&path, 2, 1).is_some(), "recomputed entry loads");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_file_is_a_plain_miss_without_quarantine() {
-        let (dir, path, _, _) = disk_fixture("v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A minimal valid *v1* file: magic + zero meta + zero arrays, no
-        // trailing checksum. Pre-checksum files are not corrupt, just old.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load_arrays(&path, 0, 0).is_none(), "v1 is a miss");
-        assert!(path.exists(), "v1 file must not be quarantined");
-        assert!(!PathBuf::from(format!("{}.corrupt", path.display())).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn injected_enospc_suppresses_the_write() {
-        use crate::fault::{with_plan, FaultClass, FaultPlan};
-        let (dir, path, a, _) = disk_fixture("enospc");
-        with_plan(
-            FaultPlan::with_rate(11, FaultClass::CacheEnospc, 1.0),
-            || store_arrays(&path, &[], &[&a]),
-        );
-        assert!(!path.exists(), "injected ENOSPC must abort the write");
-        // Without the plan the same write succeeds.
-        store_arrays(&path, &[], &[&a]);
-        assert!(load_arrays(&path, 1, 0).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn injected_short_read_quarantines_and_recompute_recovers() {
-        use crate::fault::{with_plan, FaultClass, FaultPlan};
-        let (dir, path, a, b) = disk_fixture("shortread");
-        store_arrays(&path, &[4], &[&a, &b]);
-        let missed = with_plan(
-            FaultPlan::with_rate(23, FaultClass::CacheShortRead, 1.0),
-            || load_arrays(&path, 2, 1),
-        );
-        assert!(missed.is_none(), "a short read must not produce data");
-        assert!(!path.exists(), "the apparently-torn file is moved aside");
-        // Recompute path: store again, clean load.
-        store_arrays(&path, &[4], &[&a, &b]);
-        assert!(load_arrays(&path, 2, 1).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        let (a, b, container) = sample();
+        // Lengths and header stay plausible, so only the checksum can catch
+        // a flip — at every offset, trailing checksum included.
+        for at in 0..container.len() {
+            let mut flipped = container.clone();
+            flipped[at] ^= 0x10;
+            assert!(verify_container(&flipped).is_err(), "flip at {at} loaded");
+        }
+        // What the caller does next: recompute, re-encode, and that loads.
+        assert!(verify_container(&encode_container(&[7, 9], &[&a, &b])).is_ok());
     }
 }

@@ -1,27 +1,59 @@
-//! Concurrent on-disk workload-cache writes: many threads hammer one cache
-//! key while readers poll it. With the old shared `.bin.tmp` name, two
-//! racing writers could rename a half-written file into place and a reader
-//! would see a torn entry under the *final* name; with per-writer unique
-//! tmp names every observed file must be a complete, internally consistent
-//! snapshot from exactly one writer.
+//! The workload cache's durable tier under stress: concurrent same-key
+//! writers, malformed containers, crashes cut through the store file, an
+//! unopenable `MIC_STORE`, and whole-exhibit identity across store setups.
+//! Whatever happened to the file, a load hands back the exact arrays that
+//! were stored or a miss — and a miss is always followed by a working
+//! recompute-and-store.
 
+use mic_eval::config::SuiteConfig;
 use mic_eval::sim::Work;
-use mic_eval::workload_cache::{load_arrays, store_arrays};
+use mic_eval::workload_cache::{clear_memory, load_arrays, store_arrays};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Fault plans are process-global; serialize the tests in this file so the
-/// injected short-read schedule can never leak into the torn-file races.
+/// The installed config (and with it the store path) is process-global;
+/// serialize the tests in this file so each sees only its own store.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+/// A store file in a fresh scratch directory, installed as the `MIC_STORE`
+/// tier (512-byte pages, so small entries still span pages). Dropping it
+/// closes the store, restores the env-derived config and removes the
+/// directory.
+struct Tier {
+    file: PathBuf,
+    _serial: MutexGuard<'static, ()>,
 }
 
-/// A payload whose every Work value is derived from its tag, so a file
+fn install(file: &Path) {
+    let config = SuiteConfig::default().store_path(Some(file.to_path_buf()));
+    config.store_page(512).install();
+}
+
+fn tier(tag: &str) -> Tier {
+    let serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("mic-cache-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    clear_memory();
+    install(&dir.join("cache.pg"));
+    Tier {
+        file: dir.join("cache.pg"),
+        _serial: serial,
+    }
+}
+
+impl Drop for Tier {
+    fn drop(&mut self) {
+        clear_memory();
+        SuiteConfig::from_env().install();
+        let _ = std::fs::remove_dir_all(self.file.parent().unwrap());
+    }
+}
+
+/// A payload whose every Work value is derived from its tag, so an entry
 /// mixing bytes from two writers fails the consistency check even though
-/// all candidate payloads have identical lengths (same serialized size —
-/// the dangerous case for torn renames).
+/// all candidate payloads have identical lengths.
 fn payload(tag: u64) -> Vec<Work> {
     (0..64)
         .map(|i| Work {
@@ -33,158 +65,91 @@ fn payload(tag: u64) -> Vec<Work> {
         .collect()
 }
 
-fn check_consistent(meta: &[u64], arrays: &[std::sync::Arc<Vec<Work>>]) {
-    assert_eq!(meta.len(), 1);
-    assert_eq!(arrays.len(), 1);
-    let tag = meta[0];
-    let expect = payload(tag);
-    assert_eq!(arrays[0].len(), expect.len());
-    for (got, want) in arrays[0].iter().zip(&expect) {
-        assert_eq!(got, want, "file mixes bytes from different writers");
-    }
+fn store(key: &str, tag: u64) {
+    store_arrays(key, &[tag], &[&payload(tag)]);
 }
 
+/// The tag of the entry under `key`, checked to be one writer's complete
+/// snapshot; `None` on a miss.
+fn load(key: &str) -> Option<u64> {
+    let (meta, arrays) = load_arrays(key, 1, 1)?;
+    assert_eq!(*arrays[0], payload(meta[0]), "entry mixes two writers");
+    Some(meta[0])
+}
+
+/// Many threads hammer one key while a reader polls it: every observed
+/// entry is a complete snapshot from exactly one writer, and what the last
+/// persist left on disk parses after a reopen.
 #[test]
 fn concurrent_writers_never_leave_a_torn_file() {
-    let _guard = serial();
-    let dir = std::env::temp_dir().join(format!("mic-cache-stress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wl1-stress-key.bin");
-    let writers = 8;
-    let rounds = 30;
+    let _tier = tier("stress");
+    let key = "wl1-stress-key";
+    let (writers, rounds) = (8, 30);
     let first_store_done = AtomicBool::new(false);
-
     std::thread::scope(|s| {
         for w in 0..writers {
-            let path = &path;
             let first_store_done = &first_store_done;
             s.spawn(move || {
                 for r in 0..rounds {
-                    let tag = (w * rounds + r) as u64;
-                    let arr = payload(tag);
-                    store_arrays(path, &[tag], &[&arr]);
+                    store(key, w * rounds + r);
                     first_store_done.store(true, Ordering::Release);
-                    // Immediately read back: must always parse as a
-                    // complete file (some writer's snapshot, not
-                    // necessarily ours).
-                    let (meta, arrays) =
-                        load_arrays(path, 1, 1).expect("file must parse after any store");
-                    check_consistent(&meta, &arrays);
+                    // Some writer's snapshot, not necessarily ours.
+                    load(key).expect("entry must parse after any store");
                 }
             });
         }
-        // A dedicated reader polling while writers race.
         s.spawn(|| {
-            let mut seen = 0u32;
+            let mut seen = 0;
             while seen < 200 {
                 if first_store_done.load(Ordering::Acquire) {
-                    let (meta, arrays) =
-                        load_arrays(&path, 1, 1).expect("reader saw unparsable file");
-                    check_consistent(&meta, &arrays);
+                    load(key).expect("reader saw no entry");
                     seen += 1;
                 }
                 std::hint::spin_loop();
             }
         });
     });
-
-    // After the dust settles: the final file parses, and no tmp files
-    // were renamed over it or left holding a claim on the final name.
-    let (meta, arrays) = load_arrays(&path, 1, 1).expect("final file must parse");
-    check_consistent(&meta, &arrays);
-    let _ = std::fs::remove_dir_all(&dir);
+    clear_memory(); // close the handle: the next load recovers from disk
+    load(key).expect("final entry must parse");
 }
 
-/// A writer killed mid-write (simulated by truncating the file at every
-/// offset) must never hand the reader data: the checksum rejects every
-/// prefix, the file is quarantined, and a recompute-and-store round
-/// restores a loadable entry.
+/// A writer that bypassed the container discipline (simulated by putting
+/// every truncation of a good container straight into the store, behind
+/// valid page checksums) must never hand the reader data: the container
+/// checksum rejects every prefix, the entry is dropped, and a
+/// recompute-and-store round restores a loadable entry.
 #[test]
 fn killed_writer_truncations_all_quarantine_then_recompute_recovers() {
-    let _guard = serial();
-    let dir = std::env::temp_dir().join(format!("mic-cache-kill-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wl1-kill-key.bin");
-    let arr = payload(3);
-    store_arrays(&path, &[3], &[&arr]);
-    let good = std::fs::read(&path).unwrap();
-    // Every strict prefix is a possible kill point. Step 7 keeps the test
-    // fast while still hitting header, meta, payload, and checksum cuts.
+    let tier = tier("kill");
+    let key = "wl1-kill-key";
+    store(key, 3);
+    // The same handle the cache holds (the store shares one per path).
+    let raw = mic_eval::store::Store::open_shared(&tier.file, Default::default()).unwrap();
+    let good = raw.get(key.as_bytes()).expect("stored container");
+    // Step 7 keeps the test fast while still hitting header, meta,
+    // payload, and checksum cuts.
     for cut in (0..good.len()).step_by(7) {
-        std::fs::write(&path, &good[..cut]).unwrap();
-        assert!(
-            load_arrays(&path, 1, 1).is_none(),
-            "a {cut}-byte torn file must never load"
-        );
-        assert!(!path.exists(), "torn file (cut {cut}) must be quarantined");
-        // The recovery path every caller takes: recompute + store + load.
-        store_arrays(&path, &[3], &[&arr]);
-        let (meta, arrays) = load_arrays(&path, 1, 1).expect("recompute must recover");
-        check_consistent(&meta, &arrays);
+        raw.put(key.as_bytes(), &good[..cut]).unwrap();
+        assert_eq!(load(key), None, "a {cut}-byte torn container loaded");
+        assert!(raw.get(key.as_bytes()).is_none(), "cut {cut} not dropped");
+        store(key, 3);
+        assert_eq!(load(key), Some(3), "recompute must recover");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Repeated corruption of one cache key must preserve *every* piece of
-/// evidence: the second quarantine claims `.corrupt.1` instead of
-/// clobbering the `.corrupt` from the first event.
-#[test]
-fn repeated_quarantines_keep_distinct_evidence_files() {
-    let _guard = serial();
-    let dir = std::env::temp_dir().join(format!("mic-cache-evidence-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wl1-evidence-key.bin");
-    let arr = payload(21);
-    let mut evidence_bytes = Vec::new();
-    for round in 0..2u8 {
-        store_arrays(&path, &[21], &[&arr]);
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Distinct corruption per round, so the evidence files differ.
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10 + round;
-        std::fs::write(&path, &bytes).unwrap();
-        evidence_bytes.push(bytes);
-        assert!(load_arrays(&path, 1, 1).is_none());
-        assert!(!path.exists(), "round {round}: corrupt file moved aside");
-    }
-    let first = std::path::PathBuf::from(format!("{}.corrupt", path.display()));
-    let second = std::path::PathBuf::from(format!("{}.corrupt.1", path.display()));
-    assert!(first.exists(), "first evidence file must exist");
-    assert!(second.exists(), "second event must claim the next suffix");
-    assert_eq!(std::fs::read(&first).unwrap(), evidence_bytes[0]);
-    assert_eq!(std::fs::read(&second).unwrap(), evidence_bytes[1]);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// With `MIC_STORE` pointing at a spill file, a stored workload survives
-/// deletion of its `.bin` cache file: the durable store tier answers the
-/// load, bit-identical, across what amounts to a cold restart of the
-/// file cache.
+/// The store is the only durable tier: a workload stored in one config
+/// session is served, bit-identical, to a later session that opens the
+/// same file cold — and is a plain miss once the tier is switched off.
 #[test]
 fn store_tier_serves_workloads_after_file_cache_loss() {
-    let _guard = serial();
-    use mic_eval::config::SuiteConfig;
-    let dir = std::env::temp_dir().join(format!("mic-cache-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wl1-spill-key.bin");
-    SuiteConfig::default()
-        .store_path(Some(dir.join("spill.pg")))
-        .store_page(512)
-        .install();
-    let arr = payload(33);
-    store_arrays(&path, &[33], &[&arr]);
-    std::fs::remove_file(&path).expect("file-tier entry exists");
-    let (meta, arrays) =
-        load_arrays(&path, 1, 1).expect("store tier must answer after the cache file is gone");
-    check_consistent(&meta, &arrays);
-    // Restore the env-derived config so later tests see the default tiers.
-    SuiteConfig::from_env().install();
-    assert!(
-        load_arrays(&path, 1, 1).is_none(),
-        "with the store tier off and the file gone, the entry is a miss"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    let tier = tier("spill");
+    let key = "wl1-spill-key";
+    store(key, 33);
+    clear_memory();
+    install(&tier.file);
+    assert_eq!(load(key), Some(33), "a second session must hit the store");
+    SuiteConfig::default().install();
+    assert_eq!(load(key), None, "with the store tier off: a miss");
 }
 
 /// Crash-mid-persist matrix on the store file itself: truncate it at
@@ -193,72 +158,86 @@ fn store_tier_serves_workloads_after_file_cache_loss() {
 /// exact workload or a miss-and-recompute — never corrupt arrays.
 #[test]
 fn store_file_crash_matrix_recovers_or_misses_never_corrupts() {
-    let _guard = serial();
-    use mic_eval::config::SuiteConfig;
-    let dir = std::env::temp_dir().join(format!("mic-cache-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wl1-crash-key.bin");
-    let store_file = dir.join("spill.pg");
-    SuiteConfig::default()
-        .store_path(Some(store_file.clone()))
-        .store_page(512)
-        .install();
-    let arr = payload(44);
-    store_arrays(&path, &[44], &[&arr]);
-    let golden = std::fs::read(&store_file).unwrap();
+    let tier = tier("crash");
+    let key = "wl1-crash-key";
+    store(key, 44);
+    clear_memory();
+    let golden = std::fs::read(&tier.file).unwrap();
     // Page boundaries (pages start at 4096, 512-byte pages) + cuts through
     // header slot A (offset 0), slot B (offset 512), and mid-page.
     let mut cuts: Vec<usize> = (0..golden.len()).step_by(512).collect();
     cuts.extend([17, 300, 800, 4200, golden.len() - 1]);
     for cut in cuts {
-        let cut = cut.min(golden.len());
-        std::fs::write(&store_file, &golden[..cut]).unwrap();
-        // Force the load through the store tier alone.
-        let _ = std::fs::remove_file(&path);
-        if let Some((meta, arrays)) = load_arrays(&path, 1, 1) {
-            check_consistent(&meta, &arrays);
-            assert_eq!(meta[0], 44, "cut {cut}: wrong entry surfaced");
-        }
+        std::fs::write(&tier.file, &golden[..cut]).unwrap();
+        assert!(matches!(load(key), None | Some(44)), "cut {cut}");
         // The recovery path every caller takes: recompute, store, reload.
-        store_arrays(&path, &[44], &[&arr]);
-        let (meta, arrays) =
-            load_arrays(&path, 1, 1).unwrap_or_else(|| panic!("cut {cut}: recompute must recover"));
-        check_consistent(&meta, &arrays);
+        store(key, 44);
+        assert_eq!(load(key), Some(44), "cut {cut}: recompute must recover");
+        clear_memory(); // close the handle before the next "crash"
     }
-    SuiteConfig::from_env().install();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A reader that observes a short read (injected fault) while a stalled
-/// writer holds the file must quarantine and recompute rather than
-/// consume the truncated view; once the fault clears, the recomputed
-/// entry loads cleanly and later stores still work.
+/// A `MIC_STORE` that cannot be opened (its parent is a regular file)
+/// costs the durable tier, nothing else: keyed workloads still build and
+/// share in memory, stores are no-ops and loads are misses.
 #[test]
-fn stalled_writer_short_read_is_quarantined_and_recomputed() {
-    let _guard = serial();
-    use mic_eval::fault::{with_plan, FaultClass, FaultPlan};
-    let dir = std::env::temp_dir().join(format!("mic-cache-stall-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wl1-stall-key.bin");
-    let arr = payload(9);
-    store_arrays(&path, &[9], &[&arr]);
-    with_plan(
-        FaultPlan::with_rate(5, FaultClass::CacheShortRead, 1.0),
-        || {
-            assert!(
-                load_arrays(&path, 1, 1).is_none(),
-                "short read must be treated as corruption, not data"
-            );
-        },
-    );
-    assert!(!path.exists(), "short-read file is moved aside");
-    assert!(
-        std::path::PathBuf::from(format!("{}.corrupt", path.display())).exists(),
-        "evidence must be preserved"
-    );
-    store_arrays(&path, &[9], &[&arr]);
-    let (meta, arrays) = load_arrays(&path, 1, 1).expect("recompute after fault clears");
-    check_consistent(&meta, &arrays);
-    let _ = std::fs::remove_dir_all(&dir);
+fn unopenable_store_degrades_to_memory_only() {
+    use mic_eval::graph::suite::{PaperGraph, Scale};
+    use mic_eval::workload_cache::{coloring, OrderTag};
+    let tier = tier("unopenable");
+    let blocker = tier.file.with_file_name("not-a-dir");
+    std::fs::write(&blocker, b"x").unwrap();
+    install(&blocker.join("cache.pg"));
+    let build = || {
+        let (graph, scale) = (PaperGraph::Hood, Scale::Vertices(300));
+        coloring(graph, scale, OrderTag::Natural, Default::default())
+    };
+    let (a, b) = (build(), build());
+    assert!(std::sync::Arc::ptr_eq(&a, &b), "the in-memory tier shares");
+    assert!(!a.tentative.is_empty());
+    store("wl1-unopenable", 5);
+    assert_eq!(load("wl1-unopenable"), None);
+    assert_eq!(std::fs::read(&blocker).unwrap(), b"x");
+}
+
+/// One whole exhibit renders byte-identical text with no store, a cold
+/// store, a warm store read by a second session, and a warm store with a
+/// flipped byte: the tier changes where workloads come from, never what
+/// they are.
+#[test]
+fn exhibit_text_is_identical_across_store_setups() {
+    let tier = tier("fig2");
+    let fig2 = mic_eval::exhibit::registry().get("fig2").expect("fig2");
+    let scale = mic_eval::graph::suite::Scale::Vertices(1500);
+    // (text, store-tier hits, store-tier misses) of one cold-memory render.
+    let render = || {
+        clear_memory();
+        let (text, snap) = mic_eval::metrics::with_session(|| (fig2.run)(scale));
+        let count = |name: &str| snap.value(name, &[]).unwrap_or(0.0);
+        let (hits, misses) = ("mic_cache_hits_total", "mic_cache_misses_total");
+        (text, count(hits), count(misses))
+    };
+
+    SuiteConfig::default().install();
+    let (reference, hits, misses) = render();
+    assert_eq!((hits, misses), (0.0, 0.0), "no store, no store traffic");
+
+    install(&tier.file);
+    let (cold, hits, misses) = render();
+    assert_eq!(cold, reference, "cold store changed the exhibit");
+    assert!(hits == 0.0 && misses > 0.0, "a fresh store only misses");
+
+    install(&tier.file); // a second session on the same file
+    let (warm, hits, _) = render();
+    assert_eq!(warm, reference, "warm store changed the exhibit");
+    assert!(hits > 0.0, "the second session must read the store");
+
+    clear_memory();
+    let mut bytes = std::fs::read(&tier.file).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x04;
+    std::fs::write(&tier.file, &bytes).unwrap();
+    let (flipped, hits, _) = render();
+    assert_eq!(flipped, reference, "a flipped byte reached the exhibit");
+    assert!(hits > 0.0, "undamaged entries still hit");
 }

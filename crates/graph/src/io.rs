@@ -325,16 +325,6 @@ pub fn read_csr_bin<R: Read>(reader: R) -> Result<Csr, IoError> {
     Ok(Csr::from_parts(xadj, adj))
 }
 
-/// Path variants of the binary format.
-pub fn write_csr_bin_path(g: &Csr, path: impl AsRef<Path>) -> Result<(), IoError> {
-    write_csr_bin(g, std::fs::File::create(path)?)
-}
-
-/// Read a binary CSR file from a path.
-pub fn read_csr_bin_path(path: impl AsRef<Path>) -> Result<Csr, IoError> {
-    read_csr_bin(std::fs::File::open(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -322,29 +322,6 @@ pub fn build_all(scale: Scale) -> Vec<(PaperGraph, Csr)> {
         .collect()
 }
 
-/// Like [`build`], but cached as a binary CSR file under `dir` (created if
-/// missing). Generation of the paper-sized graphs costs seconds; reloading
-/// the cache costs milliseconds, which matters when regenerating many
-/// figures. Corrupt or stale cache files are silently regenerated.
-pub fn build_cached(g: PaperGraph, scale: Scale, dir: impl AsRef<std::path::Path>) -> Csr {
-    let dir = dir.as_ref();
-    let tag = match scale {
-        Scale::Full => "full".to_string(),
-        Scale::Fraction(k) => format!("f{k}"),
-        Scale::Vertices(n) => format!("v{n}"),
-    };
-    let path = dir.join(format!("{}-{}.csr", g.name(), tag));
-    if let Ok(cached) = crate::io::read_csr_bin_path(&path) {
-        return cached;
-    }
-    let graph = build(g, scale);
-    if std::fs::create_dir_all(dir).is_ok() {
-        // Best effort: a failed write just means no cache next time.
-        let _ = crate::io::write_csr_bin_path(&graph, &path);
-    }
-    graph
-}
-
 /// Degree-distribution summary for sanity-checking the scale-free family
 /// against the mesh family: RMAT graphs must be *skewed* (hub-dominated)
 /// and mostly connected, meshes must be flat.

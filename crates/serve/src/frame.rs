@@ -29,7 +29,7 @@
 //! answers a final `error` frame and drops the connection, counting the
 //! failure under `mic_serve_frame_errors_total{kind}`.
 
-use crate::protocol::{JobSpec, Kernel, Request, Response, SimMeta};
+use crate::protocol::{checked_threads, JobSpec, Kernel, Request, Response, SimMeta};
 use mic_eval::graph::suite::{PaperGraph, Scale};
 use mic_eval::obs::TraceCtx;
 use mic_eval::sim::Policy;
@@ -443,7 +443,7 @@ pub fn decode_request(tag: u8, payload: &[u8]) -> Result<Request, (String, Strin
     let ptag = c.u8("policy").map_err(&fail)?;
     let param = c.u64("policy param").map_err(&fail)?;
     let policy = policy_from_parts(ptag, param).map_err(&fail)?;
-    let threads = (c.u64("threads").map_err(&fail)? as usize).clamp(1, 1024);
+    let threads = checked_threads(c.u64("threads").map_err(&fail)?).map_err(&fail)?;
     let stag = c.u8("scale tag").map_err(&fail)?;
     let sval = c.u64("scale").map_err(&fail)?;
     let scale = match (stag, sval) {

@@ -15,9 +15,10 @@
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
-/// The canonical job-key hash, shared by the LRU shard selector and the
-/// router's shard selector so "same key → same home shard" holds across
-/// both layers.
+/// The canonical job-key hash. The router picks a dispatcher from its low
+/// half and each dispatcher's [`ShardedLru`] picks a sub-shard from its
+/// high half: every key a dispatcher sees shares the low-half residue, so
+/// reusing it would leave most sub-shards unreachable.
 pub fn hash_key(key: &str) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
@@ -108,7 +109,7 @@ impl ShardedLru {
     }
 
     fn shard(&self, key: &str) -> &parking_lot::Mutex<LruCache> {
-        &self.shards[(hash_key(key) as usize) % self.shards.len()]
+        &self.shards[(hash_key(key) >> 32) as usize % self.shards.len()]
     }
 
     /// Look up `key`, refreshing its recency within its shard.

@@ -190,6 +190,19 @@ fn field_u64(obj: &Value, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// A wire `threads` value as a count the engine accepts (0 reads as 1).
+/// `simulate` asserts on more than the simulated machine has, so that is
+/// refused here, on both wires: an `error` response, not a panicked job.
+pub(crate) fn checked_threads(raw: u64) -> Result<usize, String> {
+    let limit = Machine::knf().hw_threads();
+    if raw > limit as u64 {
+        return Err(format!(
+            "field \"threads\" must be at most {limit}, got {raw}"
+        ));
+    }
+    Ok((raw as usize).max(1))
+}
+
 fn field_str<'a>(obj: &'a Value, key: &str, default: &'a str) -> Result<&'a str, String> {
     match obj.get(key) {
         None | Some(Value::Null) => Ok(default),
@@ -300,7 +313,8 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
         other => return Err(fail(format!("unknown order {other:?}"))),
     };
     let policy = parse_policy(&doc).map_err(&fail)?;
-    let threads = (field_u64(&doc, "threads", 121).map_err(&fail)? as usize).clamp(1, 1024);
+    let threads =
+        checked_threads(field_u64(&doc, "threads", 121).map_err(&fail)?).map_err(&fail)?;
     let scale = match field_u64(&doc, "scale", 64).map_err(&fail)? {
         k if k <= 1 => Scale::Full,
         k => Scale::Fraction(k.min(u32::MAX as u64) as u32),

@@ -531,6 +531,27 @@ mod tests {
         );
     }
 
+    /// Regression (router shard and LRU sub-shard took the same
+    /// `hash % n`): keys that all route to one dispatcher must still reach
+    /// all of its LRU's sub-shards, or most of `lru_cap` is dead capacity.
+    #[test]
+    fn one_shards_keys_fill_its_result_lru() {
+        let opts = ServeOpts::default();
+        let router = Router::new(opts.clone());
+        let lru = lru::ShardedLru::new(opts.lru_cap);
+        (0u64..)
+            .map(|i| format!("job-{i}"))
+            .filter(|key| router.shard_for(key) == 0)
+            .take(opts.lru_cap)
+            .for_each(|key| lru.put(&key, 1.0));
+        assert!(
+            lru.len() * 4 >= opts.lru_cap * 3,
+            "{} of {} slots reachable from one router shard",
+            lru.len(),
+            opts.lru_cap
+        );
+    }
+
     #[test]
     fn kill_shard_marks_dead_once() {
         let router = Router::new(ServeOpts {

@@ -1,8 +1,10 @@
 //! Regression tests for the serve front end's resource-exhaustion fixes:
-//! capped request reads, the bounded + joined connection registry, and
-//! CAS-claimed admission tickets that neither overshoot nor misreport.
+//! capped request reads, the bounded + joined connection registry,
+//! CAS-claimed admission tickets that neither overshoot nor misreport, and
+//! thread counts past the simulated machine refused at decode.
 
-use mic_serve::protocol::{self, Response};
+use mic_serve::frame;
+use mic_serve::protocol::{self, Request, Response};
 use mic_serve::server::{Dispatcher, ServeOpts, ServeStats, Server, Submission};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -191,4 +193,51 @@ fn shed_reports_clamped_depth_and_tickets_never_overshoot() {
     assert_eq!(failed, 4, "exactly queue_cap submitters are admitted");
     assert_eq!(shed, 12, "the rest shed — no spurious extra sheds");
     assert_eq!(dispatcher.depth(), 0, "kill drained the queue");
+}
+
+/// Regression (wire clamp 1024 vs the engine's 124-thread assert): a
+/// well-formed request for more threads than the simulated machine has is
+/// answered with an `error` naming the limit, on both wires, and never
+/// reaches a job (where `simulate` would panic); the limit itself is served.
+#[test]
+fn threads_past_the_machine_limit_are_refused_at_decode_on_both_wires() {
+    let server = Server::start("127.0.0.1:0", ServeOpts::default()).expect("start server");
+    let connect = || {
+        let stream = TcpStream::connect(server.addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    };
+    let line = |threads: usize| {
+        format!(r#"{{"id":"t","kernel":"coloring","threads":{threads},"scale":512}}"#)
+    };
+    let assert_refused = |resp: Response| match resp {
+        Response::Error { detail, .. } => assert!(detail.contains("at most 124"), "{detail}"),
+        other => panic!("expected error, got {other:?}"),
+    };
+
+    let (mut reader, mut writer) = connect();
+    writeln!(writer, "{}", line(125)).unwrap();
+    let mut resp_line = String::new();
+    reader.read_line(&mut resp_line).unwrap();
+    assert_refused(protocol::parse_response(resp_line.trim_end()).unwrap());
+
+    // The binary encoder does not validate, so it can send what a foreign
+    // client could: the 124-thread request with the count bumped.
+    let (mut reader, mut writer) = connect();
+    let mut rpc = |threads: usize| {
+        let mut req = protocol::parse_request(&line(124)).unwrap();
+        if let Request::Simulate { spec, .. } = &mut req {
+            spec.threads = threads;
+        }
+        let (tag, payload) = frame::encode_request(&req);
+        frame::write_frame(&mut writer, tag, &payload).unwrap();
+        let (tag, payload) = frame::read_frame(&mut reader, 1 << 20).unwrap().unwrap();
+        frame::decode_response(tag, &payload).unwrap()
+    };
+    assert_refused(rpc(125));
+    assert_eq!(server.stats().executed.load(Ordering::Relaxed), 0);
+    let resp = rpc(124);
+    assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+    assert_eq!(server.stats().executed.load(Ordering::Relaxed), 1);
+    server.shutdown();
 }
