@@ -5,8 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mic_eval::coloring::instrument::instrument;
 use mic_eval::graph::stats::LocalityWindows;
 use mic_eval::graph::suite::{build, PaperGraph, Scale};
+use mic_eval::irregular::instrument::{instrument_pagerank, PagerankWorkload};
 use mic_eval::sim::{simulate, simulate_with_scratch, Machine, Policy, Region, SimScratch};
 use mic_eval::sweep;
+use mic_eval::workload_cache::{PAGERANK_DAMPING, PAGERANK_MAX_ITERS, PAGERANK_TOL};
 use std::hint::black_box;
 
 fn bench_sim(c: &mut Criterion) {
@@ -30,6 +32,25 @@ fn bench_sim(c: &mut Criterion) {
     let regions = w.regions(Policy::OmpDynamic { chunk: 100 });
     let mut scratch = SimScratch::default();
     group.bench_function("coloring_region_scratch/121", |b| {
+        b.iter(|| black_box(simulate_with_scratch(&machine, 121, &regions, &mut scratch).cycles))
+    });
+
+    // PageRank-shaped: 20 identical power-iteration regions over one work
+    // array (the count is pinned so the row does not move with the
+    // convergence test). The engine runs the first region and the other 19
+    // take its cycles.
+    let pagerank = PagerankWorkload {
+        iters: 20,
+        ..instrument_pagerank(
+            &g,
+            LocalityWindows::default(),
+            PAGERANK_DAMPING,
+            PAGERANK_TOL,
+            PAGERANK_MAX_ITERS,
+        )
+    };
+    let regions = pagerank.regions(Policy::OmpDynamic { chunk: 100 });
+    group.bench_function("pagerank_20_regions_scratch/121", |b| {
         b.iter(|| black_box(simulate_with_scratch(&machine, 121, &regions, &mut scratch).cycles))
     });
     group.finish();

@@ -14,12 +14,25 @@ use crate::series::{Figure, Series};
 use crate::workload_cache::{self, OrderTag};
 use mic_graph::stats::LocalityWindows;
 use mic_graph::suite::{PaperGraph, Scale};
-use mic_sim::{simulate, Machine, Policy, Region};
+use mic_sim::{simulate_with_scratch, Machine, Policy, Region, SimScratch};
 
-fn speedups(machine: &Machine, grid: &[usize], base: f64, regions: &[Region]) -> Vec<f64> {
+/// Cycles of `regions` at every point of `grid`. Thread grids start at one
+/// thread, so `cycles[0]` is the one-thread baseline: the engine is a pure
+/// function and needs no separate run for it.
+fn grid_cycles(
+    machine: &Machine,
+    grid: &[usize],
+    regions: &[Region],
+    scratch: &mut SimScratch,
+) -> Vec<f64> {
+    assert_eq!(grid.first(), Some(&1), "thread grids start at one thread");
     grid.iter()
-        .map(|&t| base / simulate(machine, t, regions).cycles)
+        .map(|&t| simulate_with_scratch(machine, t, regions, scratch).cycles)
         .collect()
+}
+
+fn speedups(base: f64, cycles: &[f64]) -> Vec<f64> {
+    cycles.iter().map(|c| base / c).collect()
 }
 
 /// The graphs the pagerank/components exhibits sweep: both RMAT
@@ -48,8 +61,8 @@ pub fn pagerank_fig(scale: Scale) -> Figure {
             |_, &pg| {
                 let w = workload_cache::pagerank(pg, scale, OrderTag::Natural, windows);
                 let regions = w.regions(policy);
-                let base = simulate(&machine, 1, &regions).cycles;
-                speedups(&machine, &grid, base, &regions)
+                let cycles = grid_cycles(&machine, &grid, &regions, &mut SimScratch::new());
+                speedups(cycles[0], &cycles)
             },
             |_, _| vec![f64::NAN; grid.len()],
         )
@@ -78,8 +91,8 @@ pub fn components_fig(scale: Scale) -> Figure {
             |_, &pg| {
                 let w = workload_cache::components(pg, scale, OrderTag::Natural, windows);
                 let regions = w.regions(policy);
-                let base = simulate(&machine, 1, &regions).cycles;
-                speedups(&machine, &grid, base, &regions)
+                let cycles = grid_cycles(&machine, &grid, &regions, &mut SimScratch::new());
+                speedups(cycles[0], &cycles)
             },
             |_, _| vec![f64::NAN; grid.len()],
         )
@@ -122,10 +135,12 @@ pub fn hybrid_bfs_fig(scale: Scale) -> Figure {
                 .regions(policy);
                 let hybrid = workload_cache::hybrid_bfs(pg, scale, OrderTag::Natural, windows)
                     .regions(policy);
-                let base = simulate(&machine, 1, &layered).cycles;
+                let mut scratch = SimScratch::new();
+                let layered = grid_cycles(&machine, &grid, &layered, &mut scratch);
+                let hybrid = grid_cycles(&machine, &grid, &hybrid, &mut scratch);
                 (
-                    speedups(&machine, &grid, base, &layered),
-                    speedups(&machine, &grid, base, &hybrid),
+                    speedups(layered[0], &layered),
+                    speedups(layered[0], &hybrid),
                 )
             },
             |_, _| (vec![f64::NAN; grid.len()], vec![f64::NAN; grid.len()]),

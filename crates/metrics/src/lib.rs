@@ -1121,11 +1121,15 @@ mod tests {
 
     #[test]
     fn disabled_flag_roundtrip() {
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
+        // Inside a session, whose lock keeps the other tests' sessions
+        // from flipping the flag meanwhile; a session starts enabled.
+        with_session(|| {
+            assert!(enabled());
+            set_enabled(false);
+            assert!(!enabled());
+            set_enabled(true);
+            assert!(enabled());
+        });
     }
 
     #[test]

@@ -10,6 +10,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// The fault hook is process-global: while one test holds it, it fires
+/// inside whichever other test's pool is running. Every test here takes
+/// this lock first, so they run one at a time.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn assert_pool_still_works(pool: &ThreadPool) {
     let hits = AtomicUsize::new(0);
     parallel_for(pool, 0..100, Schedule::Dynamic { chunk: 7 }, |_, _| {
@@ -24,6 +32,7 @@ fn assert_pool_still_works(pool: &ThreadPool) {
 
 #[test]
 fn panic_in_openmp_body_propagates() {
+    let _serial = serial();
     let pool = ThreadPool::new(4);
     for sched in [
         Schedule::Static { chunk: None },
@@ -45,6 +54,7 @@ fn panic_in_openmp_body_propagates() {
 
 #[test]
 fn panic_in_cilk_body_does_not_deadlock() {
+    let _serial = serial();
     let pool = ThreadPool::new(6);
     for _ in 0..3 {
         let r = catch_unwind(AssertUnwindSafe(|| {
@@ -61,6 +71,7 @@ fn panic_in_cilk_body_does_not_deadlock() {
 
 #[test]
 fn panic_in_tbb_bodies_does_not_deadlock() {
+    let _serial = serial();
     let pool = ThreadPool::new(6);
     for part in [
         Partitioner::Simple { grain: 8 },
@@ -81,6 +92,7 @@ fn panic_in_tbb_bodies_does_not_deadlock() {
 
 #[test]
 fn panic_in_pipeline_stage_propagates() {
+    let _serial = serial();
     let pool = ThreadPool::new(4);
     let mut produced = 0u64;
     let r = catch_unwind(AssertUnwindSafe(|| {
@@ -110,6 +122,7 @@ fn panic_in_pipeline_stage_propagates() {
 
 #[test]
 fn injected_chunk_panic_propagates_and_pool_survives() {
+    let _serial = serial();
     let pool = ThreadPool::new(4);
     fault::with_hook(
         Arc::new(|site: &FaultSite| {
@@ -128,6 +141,7 @@ fn injected_chunk_panic_propagates_and_pool_survives() {
 
 #[test]
 fn injected_chunk_stall_changes_nothing_but_timing() {
+    let _serial = serial();
     let pool = ThreadPool::new(4);
     let hits = AtomicUsize::new(0);
     fault::with_hook(
@@ -143,6 +157,7 @@ fn injected_chunk_stall_changes_nothing_but_timing() {
 
 #[test]
 fn dead_worker_is_reported_then_respawned() {
+    let _serial = serial();
     let pool = ThreadPool::new(4);
     let killed = Arc::new(AtomicUsize::new(0));
     // First region under the hook: worker 2 dies exactly once. `run` must
@@ -190,6 +205,7 @@ fn dead_worker_is_reported_then_respawned() {
 
 #[test]
 fn repeated_panics_do_not_poison_anything() {
+    let _serial = serial();
     // Hammer the pool with alternating panicking and clean regions.
     let pool = ThreadPool::new(4);
     for round in 0..10 {

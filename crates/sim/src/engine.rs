@@ -107,25 +107,70 @@ impl Bottleneck {
 
 const EPS: f64 = 1e-9;
 
-struct ThreadSim {
+/// A running thread: its chunk and what follows from it on dispatch.
+#[derive(Default)]
+struct Slot {
+    /// Software thread id; slots are kept in ascending `id` order.
+    id: usize,
     core: usize,
-    /// Remaining fraction of the current chunk, or `None` when idle.
-    frac: f64,
     comp: Priced,
-    running: bool,
+    /// Remaining fraction of the current chunk (`<= EPS` once retired).
+    frac: f64,
+    /// Nominal (uncontended) duration of the chunk.
+    t0: f64,
+    slow: f64,
+    /// Demand rates `comp.x / t0`: issue, fpu, dram, l2, atomic service.
+    rate: [f64; 5],
 }
+
+impl Slot {
+    /// Derive `t0` and the demand rates from `comp`; `solo`: alone on its core.
+    fn reprice(&mut self, m: &Machine, solo: bool) {
+        let (pen_i, pen_s) = if solo {
+            (m.single_thread_issue_penalty, m.single_thread_stall_penalty)
+        } else {
+            (1.0, 1.0)
+        };
+        // In-order pipeline: issue (possibly penalized) overlaps with
+        // FPU execution; stalls serialize.
+        let c = self.comp;
+        let t0 = ((c.issue * pen_i).max(c.fpu) + c.stall * pen_s).max(EPS);
+        self.t0 = t0;
+        self.rate = [
+            c.issue / t0,
+            c.fpu / t0,
+            c.dram / t0,
+            c.l2 / t0,
+            c.atomics * m.atomic_service / t0,
+        ];
+    }
+}
+
+/// Per-core state: running threads, their summed issue and FPU demand,
+/// and σ_core = max(issue_d, fpu_d, 1).
+#[derive(Clone, Default)]
+struct Core {
+    occ: usize,
+    issue_d: f64,
+    fpu_d: f64,
+    sigma: f64,
+}
+
+/// `slot_of` entry of a thread that is not running.
+const IDLE: usize = usize::MAX;
 
 /// Reusable buffers for the event loop. One `SimScratch`, passed to the
 /// `*_with_scratch` entry points, makes repeated simulations (thread-grid
 /// sweeps, figure regeneration) allocation-free after the first region.
 #[derive(Default)]
 pub struct SimScratch {
-    ts: Vec<ThreadSim>,
-    core_occ: Vec<usize>,
-    t0: Vec<f64>,
-    slow: Vec<f64>,
-    issue_d: Vec<f64>,
-    fpu_d: Vec<f64>,
+    /// The running threads only, densely, in ascending thread id.
+    slots: Vec<Slot>,
+    /// Hardware thread → its index in `slots`, or [`IDLE`].
+    slot_of: Vec<usize>,
+    cores: Vec<Core>,
+    /// Cores whose demand sums are stale: a thread on them took a new chunk.
+    touched: Vec<usize>,
 }
 
 impl SimScratch {
@@ -133,26 +178,29 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Size every buffer for `threads` software threads on `m`, restoring
-    /// the exact initial values a fresh allocation would have.
-    fn reset(&mut self, m: &Machine, threads: usize) {
-        self.ts.clear();
-        self.ts.extend((0..threads).map(|i| ThreadSim {
-            core: m.core_of(i),
-            frac: 0.0,
-            comp: Priced::default(),
-            running: false,
-        }));
-        self.core_occ.clear();
-        self.core_occ.resize(m.cores, 0);
-        self.t0.clear();
-        self.t0.resize(threads, 0.0);
-        self.slow.clear();
-        self.slow.resize(threads, 1.0);
-        self.issue_d.clear();
-        self.issue_d.resize(m.cores, 0.0);
-        self.fpu_d.clear();
-        self.fpu_d.resize(m.cores, 0.0);
+    /// Size every buffer for `m` with no thread running. `slot_of` and
+    /// `touched` are rewritten by the first event, which re-derives all.
+    fn reset(&mut self, m: &Machine) {
+        self.slots.clear();
+        self.slot_of.resize(m.hw_threads(), IDLE);
+        self.cores.clear();
+        self.cores.resize(m.cores, Core::default());
+    }
+
+    /// Re-add core `c`'s issue and FPU demand over its running threads, in
+    /// ascending thread id from `0.0`: the order the per-event sums over
+    /// all threads always had, so the totals keep their bits.
+    fn resum_core(&mut self, m: &Machine, c: usize) {
+        let (mut issue, mut fpu) = (0.0f64, 0.0f64);
+        for smt in 0..m.smt_per_core {
+            let k = self.slot_of[m.thread_at(c, smt)];
+            if k != IDLE {
+                issue += self.slots[k].rate[0];
+                fpu += self.slots[k].rate[1];
+            }
+        }
+        let core = &mut self.cores[c];
+        (core.issue_d, core.fpu_d, core.sigma) = (issue, fpu, issue.max(fpu).max(1.0));
     }
 }
 
@@ -272,13 +320,24 @@ pub fn simulate_region_traced<S: TraceSink>(
 }
 
 /// Per-thread chunk bookkeeping for the traced path; allocated only when a
-/// sink is attached, so the untraced fast path stays allocation-free.
+/// sink is attached (empty otherwise), so the untraced path allocates nothing.
 #[derive(Clone, Copy, Default)]
 struct ChunkTrack {
     start: f64,
     lo: usize,
     hi: usize,
     acc: [f64; 7],
+}
+
+impl ChunkTrack {
+    fn begin(start: f64, r: std::ops::Range<usize>) -> ChunkTrack {
+        ChunkTrack {
+            start,
+            lo: r.start,
+            hi: r.end,
+            acc: [0.0; 7],
+        }
+    }
 }
 
 fn simulate_region_impl<S: TraceSink>(
@@ -350,80 +409,62 @@ fn simulate_region_impl<S: TraceSink>(
     // Prefix sums for O(1) chunk aggregation, built once per work array
     // and cached on the region (shared by clones and policy variants).
     let prefix = std::sync::Arc::clone(region.prefix_sums());
-    let range_work = |lo: usize, hi: usize| -> Work { prefix[hi].sub(&prefix[lo]) };
+    let overhead = region.policy.chunk_overhead(m);
+    let price = |r: &std::ops::Range<usize>| -> Priced {
+        Priced::price(&prefix[r.end].sub(&prefix[r.start]).add(&overhead), m)
+    };
 
     let mut cursor = Cursor::new(region.policy, n, threads);
-    let overhead = region.policy.chunk_overhead(m);
     // Runtime background coherence traffic: a global slowdown floor that
     // grows with oversubscription (see `Policy::background_coeff`).
     let sigma_bg =
         1.0 + region.policy.background_coeff(m) * (threads * threads) as f64 / m.cores as f64;
 
-    scratch.reset(m, threads);
-    let SimScratch {
-        ts,
-        core_occ,
-        t0,
-        slow,
-        issue_d,
-        fpu_d,
-    } = scratch;
-
     // Initial dispatch.
-    let mut active = 0usize;
+    scratch.reset(m);
     for i in 0..threads {
         if let Some(r) = cursor.next(i) {
-            let w = range_work(r.start, r.end).add(&overhead);
-            ts[i].comp = Priced::price(&w, m);
-            ts[i].frac = 1.0;
-            ts[i].running = true;
-            core_occ[ts[i].core] += 1;
-            active += 1;
+            let core = m.core_of(i);
+            scratch.cores[core].occ += 1;
+            scratch.slots.push(Slot {
+                id: i,
+                core,
+                comp: price(&r),
+                frac: 1.0,
+                ..Slot::default()
+            });
             metric_chunks += 1;
-            if trace.is_some() {
-                tr_chunks[i] = ChunkTrack {
-                    start: 0.0,
-                    lo: r.start,
-                    hi: r.end,
-                    acc: [0.0; 7],
-                };
+            if let Some(tc) = tr_chunks.get_mut(i) {
+                *tc = ChunkTrack::begin(0.0, r);
             }
         }
     }
 
     let mut now = 0.0f64;
+    // A retire in the last event (or the first event): occupancy changed,
+    // lone-thread penalties may have flipped, so every slot and core is
+    // re-derived. Otherwise only cores that took a new chunk are re-added.
+    let mut retired = true;
 
-    while active > 0 {
-        // Nominal durations given current core occupancy.
-        for (i, t) in ts.iter().enumerate() {
-            if !t.running {
-                continue;
+    while !scratch.slots.is_empty() {
+        if std::mem::take(&mut retired) {
+            scratch.slot_of.fill(IDLE);
+            for (k, s) in scratch.slots.iter_mut().enumerate() {
+                scratch.slot_of[s.id] = k;
+                s.reprice(m, scratch.cores[s.core].occ == 1);
             }
-            let (pen_i, pen_s) = if core_occ[t.core] == 1 {
-                (m.single_thread_issue_penalty, m.single_thread_stall_penalty)
-            } else {
-                (1.0, 1.0)
-            };
-            // In-order pipeline: issue (possibly penalized) overlaps with
-            // FPU execution; stalls serialize.
-            let compute = (t.comp.issue * pen_i).max(t.comp.fpu);
-            t0[i] = (compute + t.comp.stall * pen_s).max(EPS);
+            scratch.touched.clear();
+            scratch.touched.extend(0..m.cores);
         }
-        // Shared-resource demands (per-core buffers zeroed in place).
-        issue_d.fill(0.0);
-        fpu_d.fill(0.0);
-        let mut dram_d = 0.0f64;
-        let mut l2_d = 0.0f64;
-        let mut atomic_d = 0.0f64;
-        for (i, t) in ts.iter().enumerate() {
-            if !t.running {
-                continue;
-            }
-            issue_d[t.core] += t.comp.issue / t0[i];
-            fpu_d[t.core] += t.comp.fpu / t0[i];
-            dram_d += t.comp.dram / t0[i];
-            l2_d += t.comp.l2 / t0[i];
-            atomic_d += t.comp.atomics * m.atomic_service / t0[i];
+        while let Some(c) = scratch.touched.pop() {
+            scratch.resum_core(m, c);
+        }
+        // Chip-wide shared-resource demands, summed in thread order.
+        let (mut dram_d, mut l2_d, mut atomic_d) = (0.0f64, 0.0f64, 0.0f64);
+        for s in scratch.slots.iter() {
+            dram_d += s.rate[2];
+            l2_d += s.rate[3];
+            atomic_d += s.rate[4];
         }
         let sigma_dram = dram_d / m.dram_lines_per_cycle;
         let sigma_l2 = l2_d / m.l2_lines_per_cycle;
@@ -434,34 +475,26 @@ fn simulate_region_impl<S: TraceSink>(
             .max(1.0);
         // Completion horizon per thread.
         let mut dt = f64::INFINITY;
-        for (i, t) in ts.iter().enumerate() {
-            if !t.running {
-                continue;
-            }
-            let sigma_core = issue_d[t.core].max(fpu_d[t.core]).max(1.0);
-            slow[i] = sigma_core.max(sigma_global);
-            dt = dt.min(t.frac * t0[i] * slow[i]);
+        for s in scratch.slots.iter_mut() {
+            s.slow = scratch.cores[s.core].sigma.max(sigma_global);
+            dt = dt.min(s.frac * s.t0 * s.slow);
         }
         debug_assert!(dt.is_finite() && dt >= 0.0);
         // Attribute this interval to each running thread's binding
         // constraint (argmax of its slowdown sources).
         if telemetry.is_some() || trace.is_some() || metrics_on {
-            // An interval with nothing active (or a degenerate horizon)
-            // carries no attributable time; guard the division so the
-            // telemetry can never go `inf`/`NaN`.
-            let w = if active > 0 && dt.is_finite() {
-                dt / active as f64
+            // A degenerate horizon carries no attributable time; guard the
+            // division so the telemetry can never go `inf`/`NaN`.
+            let w = if dt.is_finite() {
+                dt / scratch.slots.len() as f64
             } else {
                 0.0
             };
-            debug_assert!(w.is_finite(), "telemetry weight dt={dt} active={active}");
-            for (i, t) in ts.iter().enumerate() {
-                if !t.running {
-                    continue;
-                }
+            debug_assert!(w.is_finite(), "telemetry weight dt={dt}");
+            for s in scratch.slots.iter() {
                 let candidates = [
-                    (1usize, issue_d[t.core]),
-                    (2, fpu_d[t.core]),
+                    (1usize, scratch.cores[s.core].issue_d),
+                    (2, scratch.cores[s.core].fpu_d),
                     (3, sigma_l2),
                     (4, sigma_dram),
                     (5, atomic_d),
@@ -483,61 +516,58 @@ fn simulate_region_impl<S: TraceSink>(
                     metric_stalls[which] += w;
                 }
                 if trace.is_some() {
-                    tr_chunks[i].acc[which] += w;
-                    tr_cores[t.core].add(which, w);
+                    tr_chunks[s.id].acc[which] += w;
+                    tr_cores[s.core].add(which, w);
                 }
             }
         }
         now += dt;
         // Advance and redispatch finished threads.
-        for i in 0..threads {
-            if !ts[i].running {
+        for s in scratch.slots.iter_mut() {
+            s.frac -= dt / (s.t0 * s.slow);
+            if s.frac > EPS {
                 continue;
             }
-            ts[i].frac -= dt / (t0[i] * slow[i]);
-            if ts[i].frac <= EPS {
-                if let Some(sink) = trace.as_deref_mut() {
-                    let tc = &tr_chunks[i];
-                    let cause = tc
-                        .acc
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.total_cmp(b.1))
-                        .map(|(c, _)| StallCause::from_index(c))
-                        .unwrap_or(StallCause::Latency);
-                    sink.chunk(&ChunkEvent {
-                        thread: i,
-                        core: ts[i].core,
-                        smt_slot: m.slot_of(i),
-                        iter_start: tc.lo,
-                        iter_end: tc.hi,
-                        start: tc.start,
-                        end: now,
-                        cause,
-                    });
+            if let Some(sink) = trace.as_deref_mut() {
+                let tc = &tr_chunks[s.id];
+                let cause = tc
+                    .acc
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .map(|(c, _)| StallCause::from_index(c))
+                    .unwrap_or(StallCause::Latency);
+                sink.chunk(&ChunkEvent {
+                    thread: s.id,
+                    core: s.core,
+                    smt_slot: m.slot_of(s.id),
+                    iter_start: tc.lo,
+                    iter_end: tc.hi,
+                    start: tc.start,
+                    end: now,
+                    cause,
+                });
+            }
+            match cursor.next(s.id) {
+                Some(r) => {
+                    s.comp = price(&r);
+                    s.frac = 1.0;
+                    // (A core-mate retiring later in this pass redoes this.)
+                    s.reprice(m, scratch.cores[s.core].occ == 1);
+                    scratch.touched.push(s.core);
+                    metric_chunks += 1;
+                    if let Some(tc) = tr_chunks.get_mut(s.id) {
+                        *tc = ChunkTrack::begin(now, r);
+                    }
                 }
-                match cursor.next(i) {
-                    Some(r) => {
-                        let w = range_work(r.start, r.end).add(&overhead);
-                        ts[i].comp = Priced::price(&w, m);
-                        ts[i].frac = 1.0;
-                        metric_chunks += 1;
-                        if trace.is_some() {
-                            tr_chunks[i] = ChunkTrack {
-                                start: now,
-                                lo: r.start,
-                                hi: r.end,
-                                acc: [0.0; 7],
-                            };
-                        }
-                    }
-                    None => {
-                        ts[i].running = false;
-                        core_occ[ts[i].core] -= 1;
-                        active -= 1;
-                    }
+                None => {
+                    scratch.cores[s.core].occ -= 1;
+                    retired = true;
                 }
             }
+        }
+        if retired {
+            scratch.slots.retain(|s| s.frac > EPS);
         }
     }
 
@@ -632,16 +662,26 @@ pub fn simulate(m: &Machine, threads: usize, regions: &[Region]) -> SimReport {
 }
 
 /// Like [`simulate`], reusing caller-owned scratch across every region.
+///
+/// A region equal to the one just simulated (every PageRank iteration,
+/// every label-propagation round) takes that region's cycles: the engine is
+/// a pure function. With metrics capture on, every region is simulated.
 pub fn simulate_with_scratch(
     m: &Machine,
     threads: usize,
     regions: &[Region],
     scratch: &mut SimScratch,
 ) -> SimReport {
-    let region_cycles: Vec<f64> = regions
-        .iter()
-        .map(|r| simulate_region_impl::<NullSink>(m, threads, r, None, scratch, None))
-        .collect();
+    let mut region_cycles = Vec::with_capacity(regions.len());
+    let mut prev: Option<(&Region, f64)> = None;
+    for r in regions {
+        let cycles = match prev {
+            Some((p, cycles)) if r.same_as(p) && !mic_metrics::enabled() => cycles,
+            _ => simulate_region_impl::<NullSink>(m, threads, r, None, scratch, None),
+        };
+        prev = Some((r, cycles));
+        region_cycles.push(cycles);
+    }
     SimReport {
         cycles: region_cycles.iter().sum(),
         region_cycles,
@@ -672,6 +712,14 @@ pub fn simulate_traced<S: TraceSink>(
 mod tests {
     use super::*;
     use crate::sched::Policy;
+
+    /// Per-thread state of the reference loop below.
+    struct ThreadSim {
+        core: usize,
+        frac: f64,
+        comp: Priced,
+        running: bool,
+    }
 
     fn uniform_region(n: usize, w: Work, policy: Policy) -> Region {
         Region::new(vec![w; n], policy)
@@ -1174,6 +1222,42 @@ mod tests {
         cycles + now
     }
 
+    const ALL_POLICIES: [Policy; 9] = [
+        Policy::Serial,
+        Policy::OmpStatic { chunk: None },
+        Policy::OmpStatic { chunk: Some(16) },
+        Policy::OmpDynamic { chunk: 100 },
+        Policy::OmpGuided { min_chunk: 8 },
+        Policy::Cilk { grain: 100 },
+        Policy::TbbSimple { grain: 40 },
+        Policy::TbbAuto,
+        Policy::TbbAffinity,
+    ];
+
+    /// The fresh-scratch, reused-scratch and traced entry points must all
+    /// return *exactly* the reference loop's cycles for `(m, t, r)`.
+    fn assert_matches_reference(m: &Machine, t: usize, r: &Region, scratch: &mut SimScratch) {
+        let what = format!(
+            "{} {:?} {:?} n={} t={t}",
+            m.name,
+            m.placement,
+            r.policy,
+            r.len()
+        );
+        let expect = reference_simulate_region(m, t, r);
+        let fresh = simulate_region(m, t, r);
+        let reused = simulate_region_with_scratch(m, t, r, scratch);
+        let mut sink = crate::trace::RecordingSink::default();
+        let traced = simulate_region_traced(m, t, r, scratch, &mut sink);
+        for (path, got) in [("fresh", fresh), ("reused", reused), ("traced", traced)] {
+            assert_eq!(
+                expect.to_bits(),
+                got.to_bits(),
+                "{what}: {path}-scratch path diverged: {expect} vs {got}"
+            );
+        }
+    }
+
     #[test]
     fn cached_prefix_and_scratch_bit_identical_to_seed_path() {
         // Every policy × several thread counts × heterogeneous work: the
@@ -1191,45 +1275,96 @@ mod tests {
                 atomics: if i % 11 == 0 { 1.0 } else { 0.0 },
             });
         }
-        let policies = [
-            Policy::Serial,
-            Policy::OmpStatic { chunk: None },
-            Policy::OmpStatic { chunk: Some(16) },
-            Policy::OmpDynamic { chunk: 100 },
-            Policy::OmpGuided { min_chunk: 8 },
-            Policy::Cilk { grain: 100 },
-            Policy::TbbSimple { grain: 40 },
-            Policy::TbbAuto,
-            Policy::TbbAffinity,
-        ];
         let mut scratch = SimScratch::new();
-        for policy in policies {
+        for policy in ALL_POLICIES {
             let r = Region::new(iters.clone(), policy).with_serial_pre(Work {
                 issue: 20.0,
                 ..Default::default()
             });
             for t in [1usize, 2, 11, 31, 62, 121, 124] {
-                let expect = reference_simulate_region(&m, t, &r);
-                let fresh = simulate_region(&m, t, &r);
-                let reused = simulate_region_with_scratch(&m, t, &r, &mut scratch);
-                let mut sink = crate::trace::RecordingSink::default();
-                let traced = simulate_region_traced(&m, t, &r, &mut scratch, &mut sink);
-                assert_eq!(
-                    expect.to_bits(),
-                    fresh.to_bits(),
-                    "{policy:?} t={t}: fresh-scratch path diverged: {expect} vs {fresh}"
-                );
-                assert_eq!(
-                    expect.to_bits(),
-                    reused.to_bits(),
-                    "{policy:?} t={t}: reused-scratch path diverged: {expect} vs {reused}"
-                );
-                assert_eq!(
-                    expect.to_bits(),
-                    traced.to_bits(),
-                    "{policy:?} t={t}: traced path diverged: {expect} vs {traced}"
-                );
+                assert_matches_reference(&m, t, &r, &mut scratch);
             }
+        }
+    }
+
+    #[test]
+    fn core_bound_work_and_retiring_threads_bit_identical_to_seed_path() {
+        // The work above is stall-dominated: σ_core stays 1.0, so a wrong
+        // per-core demand sum goes unnoticed. Here issue- and flop-bound
+        // iterations make the per-core sums bind, and front-loaded work
+        // under cyclic static chunks makes threads run dry while their
+        // core-mates keep dispatching, on every machine and placement,
+        // with one scratch carried across all of them.
+        let iters: Vec<Work> = (0..3_000usize)
+            .map(|i| {
+                let w = match i % 3 {
+                    0 => issue_bound(),
+                    1 => flop_bound(),
+                    _ => mem_bound(),
+                };
+                let skew = if i < 300 { 8.0 } else { 1.0 };
+                w.scale(skew * (1.0 + (i % 5) as f64 / 4.0))
+            })
+            .collect();
+        let mut compact = Machine::knf();
+        compact.placement = crate::machine::Placement::Compact;
+        let machines: [(Machine, &[usize]); 4] = [
+            (Machine::knf(), &[1, 2, 32, 62, 63, 93, 121, 124]),
+            (compact, &[2, 4, 5, 16, 62, 123]),
+            (Machine::xeon_host(), &[1, 12, 13, 24]),
+            (Machine::knc_projection(), &[60, 61, 121, 240]),
+        ];
+        let policies = ALL_POLICIES
+            .into_iter()
+            .chain([Policy::OmpStatic { chunk: Some(7) }]);
+        let mut scratch = SimScratch::new();
+        for policy in policies {
+            let full = Region::new(iters.clone(), policy);
+            // Fewer iterations than threads: most threads never start.
+            let tiny = Region::new(iters[..40].to_vec(), policy);
+            for (m, grid) in &machines {
+                for &t in *grid {
+                    assert_matches_reference(m, t, &full, &mut scratch);
+                    assert_matches_reference(m, t, &tiny, &mut scratch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_regions_take_the_previous_cycles_exactly() {
+        // Consecutive identical regions take the first one's cycles; a
+        // neighbour differing in policy, serial prefix, fork flag or work
+        // array identity is simulated on its own. (Nothing in this test
+        // binary turns metrics on, so the reuse branch is what runs.)
+        let m = Machine::knf();
+        let r = uniform_region(3_000, flop_bound(), Policy::OmpDynamic { chunk: 64 });
+        let regions = [
+            r.clone(),
+            r.clone(),
+            r.with_policy(Policy::OmpGuided { min_chunk: 8 }),
+            r.clone().with_serial_pre(mem_bound()),
+            r.clone().persistent(),
+            r.clone(),
+            Region::new(r.iter_work.to_vec(), r.policy),
+            uniform_region(0, mem_bound(), r.policy),
+            uniform_region(0, mem_bound(), r.policy),
+        ];
+        let same: Vec<bool> = regions.windows(2).map(|w| w[1].same_as(&w[0])).collect();
+        assert_eq!(
+            same,
+            [true, false, false, false, false, false, false, false]
+        );
+        let mut scratch = SimScratch::new();
+        for t in [1usize, 62, 121] {
+            let rep = simulate_with_scratch(&m, t, &regions, &mut scratch);
+            assert_eq!(rep.region_cycles.len(), regions.len());
+            for (i, (r, c)) in regions.iter().zip(&rep.region_cycles).enumerate() {
+                let alone = reference_simulate_region(&m, t, r);
+                assert_eq!(alone.to_bits(), c.to_bits(), "t={t} region {i}");
+            }
+            let total: f64 = rep.region_cycles.iter().sum();
+            assert_eq!(total.to_bits(), rep.cycles.to_bits());
         }
     }
 

@@ -219,6 +219,15 @@ impl Machine {
         }
     }
 
+    /// The software thread on SMT slot `slot` of `core`: the inverse of
+    /// ([`Machine::core_of`], [`Machine::slot_of`]), ascending in `slot`.
+    pub(crate) fn thread_at(&self, core: usize, slot: usize) -> usize {
+        match self.placement {
+            Placement::Scatter => slot * self.cores + core,
+            Placement::Compact => core * self.smt_per_core + slot,
+        }
+    }
+
     /// Total hardware threads.
     pub fn hw_threads(&self) -> usize {
         self.cores * self.smt_per_core
@@ -333,6 +342,25 @@ mod tests {
         assert_eq!(m.core_of(0), 0);
         assert_eq!(m.core_of(3), 0); // compact fills SMT first
         assert_eq!(m.core_of(4), 1);
+    }
+
+    #[test]
+    fn thread_at_inverts_core_and_slot_in_ascending_order() {
+        let mut compact = Machine::knf();
+        compact.placement = Placement::Compact;
+        for m in [Machine::knf(), compact, Machine::xeon_host()] {
+            for i in 0..m.hw_threads() {
+                let (c, s) = (m.core_of(i), m.slot_of(i));
+                assert_eq!(m.thread_at(c, s), i, "{:?}", m.placement);
+            }
+            // The engine adds a core's demands slot by slot and relies on
+            // that being ascending thread order.
+            for c in 0..m.cores {
+                let ids: Vec<usize> = (0..m.smt_per_core).map(|s| m.thread_at(c, s)).collect();
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "core {c}: {ids:?}");
+                assert!(ids.iter().all(|&i| i < m.hw_threads() && m.core_of(i) == c));
+            }
+        }
     }
 
     #[test]

@@ -185,6 +185,16 @@ impl Region {
         })
     }
 
+    /// Whether `other` is this region again: the same work array (by
+    /// identity, not by value), policy, serial prefix and fork flag, so it
+    /// simulates to the same cycles on the same machine and thread count.
+    pub(crate) fn same_as(&self, other: &Region) -> bool {
+        std::sync::Arc::ptr_eq(&self.iter_work, &other.iter_work)
+            && self.policy == other.policy
+            && self.serial_pre == other.serial_pre
+            && self.fork == other.fork
+    }
+
     /// Mark this region as run by a persistent team (no fork cost).
     pub fn persistent(mut self) -> Region {
         self.fork = false;
@@ -259,6 +269,26 @@ mod tests {
         assert!((p.fpu - 4.0 * m.fpu_recip_throughput).abs() < 1e-9);
         let expected_stall = m.l1_latency + m.l2_latency + m.dram_latency + m.atomic_latency;
         assert!((p.stall - expected_stall).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_repeated_region_is_not_simulated_again() {
+        // Two regions over one work array, each with its own prefix cache
+        // (as every `PagerankWorkload::regions` call makes them): only the
+        // first is run, so only the first ever builds its prefix sums.
+        let work = std::sync::Arc::new(vec![Work::default().with_mem(8.0, 0.5, 0.3, 0.2); 64]);
+        let policy = Policy::OmpDynamic { chunk: 4 };
+        let regions = [
+            Region::shared(std::sync::Arc::clone(&work), policy),
+            Region::shared(work, policy),
+        ];
+        let rep = crate::simulate(&Machine::knf(), 8, &regions);
+        assert_eq!(
+            rep.region_cycles[0].to_bits(),
+            rep.region_cycles[1].to_bits()
+        );
+        assert!(regions[0].prefix.get().is_some());
+        assert!(regions[1].prefix.get().is_none());
     }
 
     #[test]

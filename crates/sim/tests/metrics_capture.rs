@@ -1,11 +1,12 @@
 //! Metrics capture in the engine: never perturbs the simulation, and the
 //! scraped stall-cycle counters reproduce the telemetry Bottleneck
 //! fractions. Lives in its own test binary because metrics enablement is
-//! process-global — every test here serializes through `with_session`.
+//! process-global — every engine run here happens inside `with_session`,
+//! which serializes the tests.
 
 use mic_sim::{
-    simulate_region, simulate_region_telemetry, simulate_region_traced, Machine, Policy,
-    RecordingSink, Region, SimScratch, StallCause, Work,
+    simulate, simulate_region, simulate_region_telemetry, simulate_region_traced, simulate_traced,
+    Machine, Policy, RecordingSink, Region, SimScratch, StallCause, Work,
 };
 
 fn mem_bound_region(n: usize) -> Region {
@@ -35,14 +36,19 @@ fn mixed_region(n: usize) -> Region {
 fn metrics_on_is_bit_identical_to_metrics_off() {
     let m = Machine::knf();
     let r = mixed_region(8_000);
-    let mut off = Vec::new();
-    for t in [1usize, 31, 61, 124] {
-        off.push(simulate_region(&m, t, &r).to_bits());
-    }
-    let (on, _snap) = mic_metrics::with_session(|| {
+    let run = || {
         [1usize, 31, 61, 124]
             .map(|t| simulate_region(&m, t, &r).to_bits())
             .to_vec()
+    };
+    // The "off" runs sit inside the session too, switched off by hand: an
+    // engine run outside every session would record into whichever other
+    // test's session happens to be open.
+    let ((off, on), _snap) = mic_metrics::with_session(|| {
+        mic_metrics::set_enabled(false);
+        let off = run();
+        mic_metrics::set_enabled(true);
+        (off, run())
     });
     assert_eq!(off, on, "metrics capture must not perturb the simulation");
 }
@@ -101,6 +107,57 @@ fn chunk_counter_agrees_with_trace_sink() {
             Some(traced_chunks),
             "metrics and TraceSink must count the same chunks"
         );
+
+        // Five identical regions. Unobserved, `simulate` runs the engine
+        // once and hands the cycles on; the result is what five separate
+        // runs return. (Switched off inside the session, whose lock keeps
+        // every other session out meanwhile.)
+        let regions = vec![r.clone(); 5];
+        mic_metrics::set_enabled(false);
+        let alone = simulate_region(&m, 31, &r).to_bits();
+        let rep = simulate(&m, 31, &regions);
+        mic_metrics::set_enabled(true);
+        let bits: Vec<u64> = rep.region_cycles.iter().map(|c| c.to_bits()).collect();
+        assert_eq!(bits, [alone; 5]);
+
+        // Observed, every region is a run of its own: each counter moves
+        // by the same delta, in the same order, five times over.
+        mic_metrics::reset();
+        simulate_region(&m, 31, &r);
+        let one = mic_metrics::snapshot();
+        mic_metrics::reset();
+        let observed = simulate(&m, 31, &regions);
+        let five = mic_metrics::snapshot();
+        assert_eq!(observed.cycles.to_bits(), rep.cycles.to_bits());
+        assert_eq!(five.value("mic_sim_runs_total", &[]), Some(5.0));
+        assert_eq!(
+            five.value("mic_sim_chunks_total", &[]),
+            Some(5.0 * traced_chunks)
+        );
+        let times_five = |name: &str, labels: &[(&str, &str)]| {
+            let v = one.value(name, labels).unwrap();
+            assert_eq!(
+                five.value(name, labels),
+                Some(v + v + v + v + v),
+                "{name} {labels:?}"
+            );
+        };
+        times_five("mic_sim_loop_cycles_total", &[]);
+        for c in StallCause::ALL {
+            times_five("mic_sim_stall_cycles_total", &[("cause", c.name())]);
+        }
+        assert_eq!(five.hist("mic_sim_engine_seconds", &[]).unwrap().count, 5);
+        assert!(five.self_check().is_empty(), "{:?}", five.self_check());
+
+        // A sink sees one start/end bracket, with all its chunks, per region.
+        let mut sink = RecordingSink::default();
+        let traced = simulate_traced(&m, 31, &regions, &mut scratch, &mut sink);
+        assert_eq!(traced.cycles.to_bits(), rep.cycles.to_bits());
+        assert_eq!(sink.regions.len(), 5);
+        for reg in &sink.regions {
+            assert_eq!(reg.chunks.len() as f64, traced_chunks);
+            assert_eq!(reg.region_cycles.to_bits(), alone);
+        }
     });
     assert!(snap.value("mic_sim_chunks_total", &[]).unwrap() > 0.0);
 }

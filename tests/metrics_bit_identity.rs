@@ -22,12 +22,15 @@ fn figure_bits(fig: &Figure) -> Vec<(String, Vec<u64>)> {
 #[test]
 fn figure_outputs_are_bit_identical_with_metrics_on_and_off() {
     let scale = Scale::Fraction(512);
-    assert!(
-        !mic_eval::metrics::enabled(),
-        "baseline leg must run with metrics off"
-    );
-    let off = figure_bits(&fig2(scale));
-    let (on, snap) = mic_eval::metrics::with_session(|| figure_bits(&fig2(scale)));
+    // The baseline leg runs inside the session too, switched off by hand:
+    // outside it, its sweep jobs and engine runs would be recorded by
+    // whichever other test's session happens to be open.
+    let ((off, on), snap) = mic_eval::metrics::with_session(|| {
+        mic_eval::metrics::set_enabled(false);
+        let off = figure_bits(&fig2(scale));
+        mic_eval::metrics::set_enabled(true);
+        (off, figure_bits(&fig2(scale)))
+    });
     assert_eq!(off, on, "metrics must not perturb figure values");
     // The instrumented leg really was instrumented: the sim layer ran.
     assert!(snap.family_total("mic_sim_runs_total") > 0.0);
@@ -39,12 +42,12 @@ fn figure_outputs_are_bit_identical_with_metrics_on_and_off() {
 fn sweep_results_are_bit_identical_under_metrics() {
     let items: Vec<u64> = (0..64).collect();
     let f = |i: usize, &x: &u64| (x as f64).sqrt() * 1e-3 + i as f64;
-    let off: Vec<u64> = sweep::map(&items, f).iter().map(|v| v.to_bits()).collect();
-    let (on, snap) = mic_eval::metrics::with_session(|| {
-        sweep::map(&items, f)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<u64>>()
+    let run = || -> Vec<u64> { sweep::map(&items, f).iter().map(|v| v.to_bits()).collect() };
+    let ((off, on), snap) = mic_eval::metrics::with_session(|| {
+        mic_eval::metrics::set_enabled(false);
+        let off = run();
+        mic_eval::metrics::set_enabled(true);
+        (off, run())
     });
     assert_eq!(off, on);
     assert_eq!(
