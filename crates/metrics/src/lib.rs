@@ -1121,15 +1121,14 @@ mod tests {
 
     #[test]
     fn disabled_flag_roundtrip() {
-        // Inside a session, whose lock keeps the other tests' sessions
-        // from flipping the flag meanwhile; a session starts enabled.
-        with_session(|| {
-            assert!(enabled());
-            set_enabled(false);
-            assert!(!enabled());
-            set_enabled(true);
-            assert!(enabled());
-        });
+        // Under the session lock, so no sibling test's session has the flag
+        // on meanwhile: outside every session the flag is off.
+        let _session = session_lock().lock().unwrap_or_else(|e| e.into_inner());
+        assert!(!enabled());
+        set_enabled(true);
+        assert!(enabled());
+        set_enabled(false);
+        assert!(!enabled());
     }
 
     #[test]

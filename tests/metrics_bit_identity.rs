@@ -5,12 +5,18 @@
 //!
 //! Own test binary: metrics enablement is process-global, so these tests
 //! must not share a process with tests that assume metrics are off.
-//! Everything serializes through `with_session`.
+//! The two tests take `serial()` first: a baseline leg runs outside every
+//! session, where another test's open session would record it.
 
 use mic_eval::experiments::fig2::fig2;
 use mic_eval::graph::suite::Scale;
 use mic_eval::series::Figure;
 use mic_eval::sweep;
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn figure_bits(fig: &Figure) -> Vec<(String, Vec<u64>)> {
     fig.series
@@ -21,16 +27,14 @@ fn figure_bits(fig: &Figure) -> Vec<(String, Vec<u64>)> {
 
 #[test]
 fn figure_outputs_are_bit_identical_with_metrics_on_and_off() {
+    let _serial = serial();
     let scale = Scale::Fraction(512);
-    // The baseline leg runs inside the session too, switched off by hand:
-    // outside it, its sweep jobs and engine runs would be recorded by
-    // whichever other test's session happens to be open.
-    let ((off, on), snap) = mic_eval::metrics::with_session(|| {
-        mic_eval::metrics::set_enabled(false);
-        let off = figure_bits(&fig2(scale));
-        mic_eval::metrics::set_enabled(true);
-        (off, figure_bits(&fig2(scale)))
-    });
+    assert!(
+        !mic_eval::metrics::enabled(),
+        "baseline leg must run with metrics off"
+    );
+    let off = figure_bits(&fig2(scale));
+    let (on, snap) = mic_eval::metrics::with_session(|| figure_bits(&fig2(scale)));
     assert_eq!(off, on, "metrics must not perturb figure values");
     // The instrumented leg really was instrumented: the sim layer ran.
     assert!(snap.family_total("mic_sim_runs_total") > 0.0);
@@ -40,14 +44,15 @@ fn figure_outputs_are_bit_identical_with_metrics_on_and_off() {
 
 #[test]
 fn sweep_results_are_bit_identical_under_metrics() {
+    let _serial = serial();
     let items: Vec<u64> = (0..64).collect();
     let f = |i: usize, &x: &u64| (x as f64).sqrt() * 1e-3 + i as f64;
-    let run = || -> Vec<u64> { sweep::map(&items, f).iter().map(|v| v.to_bits()).collect() };
-    let ((off, on), snap) = mic_eval::metrics::with_session(|| {
-        mic_eval::metrics::set_enabled(false);
-        let off = run();
-        mic_eval::metrics::set_enabled(true);
-        (off, run())
+    let off: Vec<u64> = sweep::map(&items, f).iter().map(|v| v.to_bits()).collect();
+    let (on, snap) = mic_eval::metrics::with_session(|| {
+        sweep::map(&items, f)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<u64>>()
     });
     assert_eq!(off, on);
     assert_eq!(
