@@ -34,7 +34,7 @@ use mic_eval::graph::suite::{PaperGraph, Scale};
 use mic_eval::obs::TraceCtx;
 use mic_eval::sim::Policy;
 use mic_eval::workload_cache::OrderTag;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, IoSlice, Read, Write};
 
 /// Frame magic; the first byte doubles as the wire-mode sniff.
 pub const MAGIC: [u8; 4] = *b"MICB";
@@ -106,16 +106,23 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Write one frame as a single buffered `write_all` (one syscall per
-/// frame under `TCP_NODELAY`, not one per header field).
+/// Write one frame, header and payload in one vectored write: a raw
+/// `TCP_NODELAY` socket sends it as one segment (one syscall per frame,
+/// not one per part), a buffered writer appends both parts to its buffer.
+/// Nothing is allocated.
 pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.push(WIRE_VERSION);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.push(tag);
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4] = WIRE_VERSION;
+    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[9] = tag;
+    let sent = match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
+        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
+        other => other?,
+    };
+    // A short (or interrupted) write is finished part by part.
+    w.write_all(&header[sent.min(HEADER_LEN)..])?;
+    w.write_all(&payload[sent.saturating_sub(HEADER_LEN)..])
 }
 
 /// Read one frame. `Ok(None)` is a clean EOF (connection closed between
@@ -123,6 +130,17 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> std::io::Resu
 /// The declared payload length is validated against `max` *before* any
 /// allocation, so a hostile header cannot balloon memory.
 pub fn read_frame(r: &mut impl BufRead, max: usize) -> Result<Option<(u8, Vec<u8>)>, FrameError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, max, &mut payload)?.map(|tag| (tag, payload)))
+}
+
+/// [`read_frame`] into a caller-owned payload buffer, returning the op
+/// tag: a connection handler reuses one buffer for every frame it reads.
+pub fn read_frame_into(
+    r: &mut impl BufRead,
+    max: usize,
+    payload: &mut Vec<u8>,
+) -> Result<Option<u8>, FrameError> {
     match r.fill_buf() {
         Ok([]) => return Ok(None),
         Ok(_) => {}
@@ -140,10 +158,10 @@ pub fn read_frame(r: &mut impl BufRead, max: usize) -> Result<Option<(u8, Vec<u8
     if len > max {
         return Err(FrameError::TooLarge { len, max });
     }
-    let tag = header[9];
-    let mut payload = vec![0u8; len];
-    read_exact_framed(r, &mut payload)?;
-    Ok(Some((tag, payload)))
+    payload.clear();
+    payload.resize(len, 0);
+    read_exact_framed(r, payload)?;
+    Ok(Some(header[9]))
 }
 
 fn read_exact_framed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {

@@ -652,6 +652,46 @@ mod tests {
         assert_ne!(a.key(), c.key());
     }
 
+    /// Key text is what persisted result stores and the benchmark's
+    /// stream goldens are indexed by: one literal per scale form.
+    #[test]
+    fn key_text_is_pinned() {
+        let spec = |scale, order, policy| JobSpec {
+            kernel: Kernel::Coloring,
+            graph: PaperGraph::Hood,
+            order,
+            policy,
+            threads: 61,
+            scale,
+            iter: 2,
+            delay_ms: 5,
+        };
+        let keys = [
+            spec(Scale::Full, OrderTag::Natural, Policy::TbbAuto).key(),
+            spec(
+                Scale::Fraction(64),
+                OrderTag::Random { seed: 7 },
+                Policy::OmpDynamic { chunk: 100 },
+            )
+            .key(),
+            spec(
+                Scale::Vertices(4096),
+                OrderTag::CuthillMcKee { source: 3 },
+                Policy::OmpStatic { chunk: None },
+            )
+            .key(),
+        ];
+        assert_eq!(
+            keys,
+            [
+                "coloring/hood/Natural/full/TbbAuto/t61/i2/d5",
+                "coloring/hood/Random { seed: 7 }/1/64/OmpDynamic { chunk: 100 }/t61/i2/d5",
+                "coloring/hood/CuthillMcKee { source: 3 }/Vertices(4096)/OmpStatic { chunk: None }\
+                 /t61/i2/d5",
+            ]
+        );
+    }
+
     #[test]
     fn response_cycles_round_trip_bit_exactly() {
         for bits in [

@@ -223,25 +223,27 @@ impl Router {
     /// while liveness is stable — coalescing and LRU locality survive a
     /// kill.
     pub fn submit_routed(&self, spec: &JobSpec) -> Submission {
-        self.submit_routed_traced(spec, None)
+        self.submit_routed_traced(spec, &spec.key(), None)
     }
 
-    /// [`submit_routed`](Self::submit_routed) with the request's trace
-    /// identity, threaded down to the shard dispatcher.
+    /// [`submit_routed`](Self::submit_routed) with the spec's key, which
+    /// the request path derives once and shares with the quota tier, and
+    /// the request's trace identity, both threaded down to the shard
+    /// dispatcher.
     pub fn submit_routed_traced(
         &self,
         spec: &JobSpec,
+        key: &str,
         req_trace: Option<(obs::TraceId, obs::SpanId)>,
     ) -> Submission {
-        let key = spec.key();
-        let home = self.shard_for(&key);
+        let home = self.shard_for(key);
         let n = self.shards.len();
         for probe in 0..n {
             let idx = (home + probe) % n;
             if !self.alive[idx].load(Ordering::Acquire) {
                 continue;
             }
-            match self.shards[idx].submit_traced(spec, req_trace) {
+            match self.shards[idx].submit_traced(spec, key, req_trace) {
                 Submission::Failed(msg) if msg == SHARD_DEAD => {
                     // The shard died under us (or was dead but not yet
                     // marked): record, mark, and try the next one.
@@ -417,9 +419,10 @@ impl Router {
         let concurrent = client.inflight.fetch_add(1, Ordering::AcqRel) + 1;
         let _guard = InflightGuard(&client.inflight);
         let quota = self.opts.quota.max(1);
+        let key = spec.key();
         let quota_tier = if concurrent > quota.saturating_mul(2) {
             Some("hard")
-        } else if concurrent > quota && self.target_pressured(&spec.key()) {
+        } else if concurrent > quota && self.target_pressured(&key) {
             Some("soft")
         } else {
             None
@@ -430,7 +433,7 @@ impl Router {
             }
             return self.quota_shed(id, tier, concurrent);
         }
-        let resp = match self.submit_routed_traced(spec, req_trace) {
+        let resp = match self.submit_routed_traced(spec, &key, req_trace) {
             Submission::Done { cycles, mut meta } => {
                 self.stats.ok.fetch_add(1, Ordering::Relaxed);
                 if let Some(c) = ctx {

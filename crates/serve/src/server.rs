@@ -8,7 +8,8 @@
 //!    thread spawn) and the handler sniffs the wire mode from the first
 //!    byte — binary frames ([`crate::frame`]) or newline-JSON compat
 //!    ([`crate::protocol`]); both reads are capped at
-//!    [`ServeOpts::max_request`] bytes;
+//!    [`ServeOpts::max_request`] bytes. Requests are served one at a
+//!    time in arrival order, so responses leave in request order;
 //! 2. the [`crate::router::Router`] attributes the request to its client
 //!    (peer IP), applies the quota tiers, and routes `simulate` jobs to a
 //!    shard by job-key hash;
@@ -24,7 +25,11 @@
 //!    answers `status:"error"` while everything else survives;
 //! 5. completion publishes each outcome through a one-shot
 //!    [`ResultCell`](crate::cell::ResultCell), waking the admitting
-//!    request plus all coalesced ones, and feeds the shard's LRU.
+//!    request plus all coalesced ones, and feeds the shard's LRU. The
+//!    handler encodes the response into the connection's write buffer,
+//!    which is flushed no later than its next read that reaches the
+//!    socket: one write per batch of pipelined requests, and for a
+//!    client that waits for each answer, one per response.
 //!
 //! No mutex sits on the request hot path: the queue is a
 //! [`BoundedQueue`] ring, the depth bound is a CAS-claimed atomic ticket
@@ -39,7 +44,7 @@ use crate::cell::ResultCell;
 use crate::frame::{self, LineRead};
 use crate::lru::ShardedLru;
 use crate::protocol::{JobSpec, Response, SimMeta};
-use crate::router::Router;
+use crate::router::{ClientState, Router};
 use mic_eval::config::SuiteConfig;
 use mic_eval::obs::{self, flight, span};
 use mic_eval::runtime::trace as rt_trace;
@@ -47,7 +52,7 @@ use mic_eval::runtime::{BoundedQueue, EventCount, ThreadPool};
 use mic_eval::sweep::{self, SweepCfg};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -322,23 +327,26 @@ impl Dispatcher {
 
     /// Admit one job and block until it resolves (or is shed).
     pub fn submit(&self, spec: &JobSpec) -> Submission {
-        self.submit_traced(spec, None)
+        self.submit_traced(spec, &spec.key(), None)
     }
 
-    /// [`submit`](Self::submit) with the admitting request's trace
+    /// [`submit`](Self::submit) for a caller that already holds the
+    /// spec's [`key`](JobSpec::key) (the router derives it once per
+    /// request, to pick the shard), with the admitting request's trace
     /// identity (trace id + pre-minted root span id), so every stage the
     /// job passes through records a span under that root.
     pub fn submit_traced(
         &self,
         spec: &JobSpec,
+        key: &str,
         req_trace: Option<(obs::TraceId, obs::SpanId)>,
     ) -> Submission {
+        debug_assert_eq!(key, spec.key());
         if self.is_dead() {
             return Submission::Failed(SHARD_DEAD.to_string());
         }
         let t0 = Instant::now();
-        let key = spec.key();
-        if let Some(cycles) = self.lru.get(&key) {
+        if let Some(cycles) = self.lru.get(key) {
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             if mic_metrics::enabled() {
                 scounter(
@@ -358,7 +366,7 @@ impl Dispatcher {
         let probe_start = req_trace
             .filter(|_| self.store.is_some())
             .map(|_| obs::now_us());
-        let store_cycles = self.store_get(&key);
+        let store_cycles = self.store_get(key);
         if let (Some((trace, root)), Some(start_us)) = (req_trace, probe_start) {
             span::record_new(
                 trace,
@@ -371,7 +379,7 @@ impl Dispatcher {
         }
         if let Some(cycles) = store_cycles {
             // Warm the LRU so the next repeat skips even the store read.
-            self.lru.put(&key, cycles);
+            self.lru.put(key, cycles);
             self.stats.store_hits.fetch_add(1, Ordering::Relaxed);
             if mic_metrics::enabled() {
                 scounter(
@@ -390,7 +398,7 @@ impl Dispatcher {
         }
         let (job, coalesced) = {
             let mut inflight = self.inflight.lock();
-            if let Some(job) = inflight.get(&key) {
+            if let Some(job) = inflight.get(key) {
                 self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
                 if mic_metrics::enabled() {
                     scounter(
@@ -460,7 +468,7 @@ impl Dispatcher {
                 }
                 let job = Arc::new(Job {
                     spec: spec.clone(),
-                    key: key.clone(),
+                    key: key.to_string(),
                     done: ResultCell::new(),
                     trace: req_trace.map(|(trace, root)| JobTrace {
                         trace,
@@ -468,7 +476,7 @@ impl Dispatcher {
                         enqueued_us: obs::now_us(),
                     }),
                 });
-                inflight.insert(key, Arc::clone(&job));
+                inflight.insert(key.to_string(), Arc::clone(&job));
                 drop(inflight);
                 if self.queue.push(Arc::clone(&job)).is_err() {
                     unreachable!("admission ring sized above queue_cap tickets");
@@ -938,8 +946,10 @@ fn serialize_span_start(resp: &Response) -> Option<(obs::TraceId, obs::SpanId, f
     }
 }
 
-/// Close the serialize span opened by [`serialize_span_start`] after the
-/// response bytes hit the socket.
+/// Close the serialize span opened by [`serialize_span_start`] once the
+/// response is encoded and appended to the connection's write buffer. The
+/// socket write that delivers it is shared with the rest of the read
+/// batch, so it belongs to no single request's span tree.
 fn record_serialize_span(start: Option<(obs::TraceId, obs::SpanId, f64)>) {
     if let Some((trace, root, start_us)) = start {
         span::record_new(
@@ -953,9 +963,35 @@ fn record_serialize_span(start: Option<(obs::TraceId, obs::SpanId, f64)>) {
     }
 }
 
-/// Serve one connection until EOF, a wire error, or shutdown. The first
-/// byte selects the wire mode: the frame magic means binary framing for
-/// the rest of the connection, anything else is newline-JSON compat.
+/// Response bytes a connection buffers before writing without waiting for
+/// its next read: bounds a pipelining client's memory on the server.
+const WRITE_BUF: usize = 16 * 1024;
+
+/// The two halves of a connection behind one [`Read`]: a read that
+/// reaches the transport first flushes every buffered response. The
+/// handler therefore pays one write per read batch rather than one per
+/// response, and never blocks in a read while a response it owes is
+/// still buffered — a depth-1 client sees each answer as promptly as
+/// from an unbuffered writer.
+struct FlushThenRead<R, W: Write> {
+    read: R,
+    write: BufWriter<W>,
+    /// The last `read` failed in its flush, not in the transport read.
+    flush_failed: bool,
+}
+
+impl<R: Read, W: Write> Read for FlushThenRead<R, W> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Err(e) = self.write.flush() {
+            self.flush_failed = true;
+            return Err(e);
+        }
+        self.read.read(buf)
+    }
+}
+
+/// Serve one accepted socket; the request loop itself is
+/// [`serve_stream`], which knows nothing about TCP.
 fn handle_connection(stream: TcpStream, router: &Router) {
     // One short request per response round trip: Nagle + delayed ACK
     // would add ~40 ms to every exchange.
@@ -968,70 +1004,414 @@ fn handle_connection(stream: TcpStream, router: &Router) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let binary = match std::io::BufRead::fill_buf(&mut reader) {
+    serve_stream(read_half, stream, router, &client);
+}
+
+/// Serve one request stream until EOF, a wire error, a failed write, or
+/// shutdown. The first byte selects the wire mode: the frame magic means
+/// binary framing for the rest of the stream, anything else is
+/// newline-JSON compat. Responses leave in request order, each no later
+/// than the next read that reaches `read` (see [`FlushThenRead`]), and
+/// all of them before this returns.
+fn serve_stream<R: Read, W: Write>(read: R, write: W, router: &Router, client: &ClientState) {
+    let mut reader = BufReader::new(FlushThenRead {
+        read,
+        write: BufWriter::with_capacity(WRITE_BUF, write),
+        flush_failed: false,
+    });
+    let binary = match reader.fill_buf() {
         Ok([]) | Err(_) => return, // EOF or failure before the first byte
         Ok(buf) => buf[0] == frame::MAGIC[0],
     };
     let max = router.opts().max_request.max(256);
-    if binary {
-        loop {
-            match frame::read_frame(&mut reader, max) {
+    // A wire-level failure poisons the stream framing (and an endless
+    // line must not be buffered forever): count it, answer one final
+    // error, and drop the connection.
+    let wire_error = |kind: &'static str, what: String| {
+        router.count_wire_error(kind);
+        Response::Error {
+            id: String::new(),
+            detail: format!("{what}; closing connection"),
+        }
+    };
+    let mut payload = Vec::new();
+    loop {
+        let (resp, last) = if binary {
+            match frame::read_frame_into(&mut reader, max, &mut payload) {
                 Ok(None) => break, // clean EOF between frames
-                Ok(Some((tag, payload))) => {
-                    let resp = router.handle_frame(tag, &payload, &client);
-                    let ser_start = serialize_span_start(&resp);
-                    let (rtag, rpayload) = frame::encode_response(&resp);
-                    let write_ok = frame::write_frame(&mut writer, rtag, &rpayload).is_ok();
-                    record_serialize_span(ser_start);
-                    if !write_ok {
-                        break;
+                Ok(Some(tag)) => (router.handle_frame(tag, &payload, client), false),
+                // The responses could not be delivered: the connection
+                // ends as on a failed write, not as a client wire error.
+                Err(frame::FrameError::Io(_)) if reader.get_ref().flush_failed => break,
+                Err(e) => (wire_error(e.kind(), e.to_string()), true),
+            }
+        } else {
+            match frame::read_line_capped(&mut reader, max) {
+                Ok(LineRead::Eof) | Err(_) => break,
+                Ok(LineRead::Line(line)) if line.trim().is_empty() => continue,
+                Ok(LineRead::Line(line)) => (router.handle_line(&line, client), false),
+                Ok(LineRead::Overflow) => (
+                    wire_error(
+                        "line_overflow",
+                        format!("request exceeds the {max}-byte limit"),
+                    ),
+                    true,
+                ),
+            }
+        };
+        let ser_start = serialize_span_start(&resp);
+        let writer = &mut reader.get_mut().write;
+        let written = if binary {
+            let (rtag, rpayload) = frame::encode_response(&resp);
+            frame::write_frame(writer, rtag, &rpayload)
+        } else {
+            writeln!(writer, "{}", resp.render())
+        };
+        record_serialize_span(ser_start);
+        if written.is_err() || last {
+            break;
+        }
+    }
+    let _ = reader.get_mut().write.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{parse_request, Request};
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+
+    /// The transport's write side: the bytes that reached it, one count
+    /// per `write` call (a syscall on a socket), and a switch that makes
+    /// every write fail.
+    #[derive(Default)]
+    struct Wire {
+        bytes: Vec<u8>,
+        writes: usize,
+        broken: bool,
+    }
+
+    #[derive(Clone, Default)]
+    struct Sink(Rc<RefCell<Wire>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut wire = self.0.borrow_mut();
+            if wire.broken {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            wire.writes += 1;
+            wire.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The transport's read side: one scripted chunk per `read`, then
+    /// EOF. A read is where a real handler blocks, so before each one it
+    /// asserts that the response to every request delivered in full so
+    /// far has reached the wire, and nothing else has.
+    struct Script {
+        chunks: VecDeque<Vec<u8>>,
+        delivered: usize,
+        /// Per request: where it ends in the request stream, and where
+        /// its response ends in the response stream.
+        ends: Vec<(usize, usize)>,
+        responses: Vec<u8>,
+        sink: Sink,
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let wire = self.sink.0.borrow();
+            if !wire.broken {
+                let owed = self
+                    .ends
+                    .iter()
+                    .take_while(|(request_end, _)| *request_end <= self.delivered)
+                    .last()
+                    .map_or(0, |(_, response_end)| *response_end);
+                assert!(
+                    wire.bytes == self.responses[..owed],
+                    "blocking in a read after {} request bytes with {} of {owed} owed \
+                     response bytes on the wire",
+                    self.delivered,
+                    wire.bytes.len()
+                );
+            }
+            let Some(chunk) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.pop_front();
+            }
+            self.delivered += n;
+            Ok(n)
+        }
+    }
+
+    fn new_router(max_request: usize) -> Router {
+        Router::new(ServeOpts {
+            shards: 1,
+            max_request,
+            ..ServeOpts::default()
+        })
+    }
+
+    fn client(router: &Router) -> Arc<ClientState> {
+        router.client(IpAddr::V4(Ipv4Addr::LOCALHOST))
+    }
+
+    fn binary_bytes(resp: &Response) -> Vec<u8> {
+        let (tag, payload) = frame::encode_response(resp);
+        let mut bytes = Vec::new();
+        frame::write_frame(&mut bytes, tag, &payload).unwrap();
+        bytes
+    }
+
+    fn json_bytes(resp: &Response) -> Vec<u8> {
+        format!("{}\n", resp.render()).into_bytes()
+    }
+
+    /// Requests on one wire, and the bytes HEAD's one-write-per-response
+    /// handler answered each with: the response the router builds for it
+    /// alone, in the codec's encoding.
+    struct Case {
+        requests: Vec<Vec<u8>>,
+        responses: Vec<Vec<u8>>,
+    }
+
+    impl Case {
+        /// Pings whose ids are `ids`; every seventh request is one the
+        /// router refuses, and the JSON wire gets a blank line (which is
+        /// owed no response) after every fifth.
+        fn pings(binary: bool, ids: &[String]) -> Case {
+            let router = new_router(64 * 1024);
+            let client = client(&router);
+            let mut case = Case {
+                requests: Vec::new(),
+                responses: Vec::new(),
+            };
+            for (i, id) in ids.iter().enumerate() {
+                let refused = i % 7 == 6;
+                if binary {
+                    let (tag, payload) = frame::encode_request(&Request::Ping { id: id.clone() });
+                    let tag = if refused { 0x7f } else { tag };
+                    let mut bytes = Vec::new();
+                    frame::write_frame(&mut bytes, tag, &payload).unwrap();
+                    case.requests.push(bytes);
+                    case.responses
+                        .push(binary_bytes(&router.handle_frame(tag, &payload, &client)));
+                } else {
+                    let op = if refused { "nope" } else { "ping" };
+                    let line = format!(r#"{{"id":"{id}","op":"{op}"}}"#);
+                    case.responses
+                        .push(json_bytes(&router.handle_line(&line, &client)));
+                    case.requests.push(format!("{line}\n").into_bytes());
+                    if i % 5 == 4 {
+                        case.requests.push(b"  \n".to_vec());
+                        case.responses.push(Vec::new());
                     }
                 }
-                Err(e) => {
-                    // A wire-level failure poisons the stream framing:
-                    // answer one final error frame and drop.
-                    router.count_wire_error(e.kind());
-                    let resp = Response::Error {
-                        id: String::new(),
-                        detail: format!("{e}; closing connection"),
-                    };
-                    let (rtag, rpayload) = frame::encode_response(&resp);
-                    let _ = frame::write_frame(&mut writer, rtag, &rpayload);
-                    break;
-                }
+            }
+            case
+        }
+
+        fn numbered(binary: bool, n: usize) -> Case {
+            Case::pings(binary, &(0..n).map(|i| format!("p{i}")).collect::<Vec<_>>())
+        }
+
+        /// Serve the request stream cut into `chunks` (one per read),
+        /// answering into `sink`.
+        fn serve(&self, router: &Router, chunks: Vec<Vec<u8>>, sink: &Sink) {
+            let mut ends = Vec::new();
+            let (mut request_end, mut response_end) = (0, 0);
+            for (request, response) in self.requests.iter().zip(&self.responses) {
+                request_end += request.len();
+                response_end += response.len();
+                ends.push((request_end, response_end));
+            }
+            let script = Script {
+                chunks: chunks.into(),
+                delivered: 0,
+                ends,
+                responses: self.responses.concat(),
+                sink: sink.clone(),
+            };
+            serve_stream(script, sink.clone(), router, &client(router));
+        }
+
+        /// [`serve`](Self::serve) on a fresh router and a working wire;
+        /// the whole response stream must have arrived.
+        fn served(&self, chunks: Vec<Vec<u8>>) -> Wire {
+            let sink = Sink::default();
+            self.serve(&new_router(64 * 1024), chunks, &sink);
+            let wire = sink.0.take();
+            assert!(
+                wire.bytes == self.responses.concat(),
+                "response stream differs"
+            );
+            wire
+        }
+    }
+
+    #[test]
+    fn a_pipelined_batch_is_answered_in_order_in_at_most_two_writes() {
+        for binary in [true, false] {
+            let case = Case::numbered(binary, 200);
+            // One request per read, as a depth-1 client sends them: one
+            // write per response, each before the next read.
+            let one_per_read = case.served(case.requests.clone());
+            let answered = case.responses.iter().filter(|r| !r.is_empty()).count();
+            assert_eq!(one_per_read.writes, answered, "binary {binary}");
+            // All 200 in one read: the same bytes in the same order.
+            let batched = case.served(vec![case.requests.concat()]);
+            assert!(
+                batched.writes <= 2,
+                "binary {binary}: {} writes",
+                batched.writes
+            );
+        }
+    }
+
+    #[test]
+    fn every_owed_response_is_written_before_the_next_read() {
+        for binary in [true, false] {
+            let case = Case::numbered(binary, 2);
+            let (a, b) = (&case.requests[0], &case.requests[1]);
+            // The second request cut at every byte boundary, its head
+            // arriving alone or glued to the first request (1½ frames):
+            // `Script` asserts the first response is out before the
+            // handler blocks for the tail.
+            for cut in 1..b.len() {
+                case.served(vec![a.clone(), b[..cut].to_vec(), b[cut..].to_vec()]);
+                case.served(vec![[a, &b[..cut]].concat(), b[cut..].to_vec()]);
+            }
+            // And the first one cut everywhere, the sniffed byte included.
+            for cut in 1..a.len() {
+                case.served(vec![a[..cut].to_vec(), [&a[cut..], b].concat()]);
             }
         }
-    } else {
-        loop {
-            match frame::read_line_capped(&mut reader, max) {
-                Ok(LineRead::Eof) => break,
-                Ok(LineRead::Line(line)) => {
-                    if line.trim().is_empty() {
-                        continue;
+    }
+
+    #[test]
+    fn a_response_larger_than_the_write_buffer_passes_intact() {
+        for binary in [true, false] {
+            let ids = ["a".to_string(), "x".repeat(3 * WRITE_BUF), "b".to_string()];
+            let case = Case::pings(binary, &ids);
+            assert!(case.responses[1].len() > WRITE_BUF);
+            case.served(vec![case.requests.concat()]);
+            case.served(case.requests.clone());
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_ends_the_connection_without_a_wire_error() {
+        for binary in [true, false] {
+            let case = Case::numbered(binary, 3);
+            let sink = Sink::default();
+            sink.0.borrow_mut().broken = true;
+            let router = new_router(64 * 1024);
+            case.serve(&router, case.requests.clone(), &sink);
+            // The first response could not be flushed before the second
+            // read: the handler stopped there, as on a failed write.
+            assert_eq!(router.stats.received.load(Ordering::Relaxed), 1);
+            assert_eq!(router.stats.frame_errors.load(Ordering::Relaxed), 0);
+            assert_eq!(router.stats.errors.load(Ordering::Relaxed), 0);
+            assert!(sink.0.borrow().bytes.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_wire_error_delivers_every_earlier_response_then_one_error() {
+        let max = 1024;
+        let closing = |what: String| Response::Error {
+            id: String::new(),
+            detail: format!("{what}; closing connection"),
+        };
+        let mut oversize = Vec::from(frame::MAGIC);
+        oversize.push(frame::WIRE_VERSION);
+        oversize.extend_from_slice(&1_000_000u32.to_le_bytes());
+        oversize.push(frame::TAG_PING);
+        let truncated = Case::numbered(true, 1).requests.remove(0);
+        let endings = [
+            (
+                true,
+                oversize,
+                "oversize",
+                binary_bytes(&closing(
+                    frame::FrameError::TooLarge {
+                        len: 1_000_000,
+                        max,
                     }
-                    let resp = router.handle_line(&line, &client);
-                    let ser_start = serialize_span_start(&resp);
-                    let write_ok = writeln!(writer, "{}", resp.render()).is_ok();
-                    record_serialize_span(ser_start);
-                    if !write_ok {
-                        break;
-                    }
-                }
-                Ok(LineRead::Overflow) => {
-                    // The unbounded-line fix: answer an explicit error and
-                    // drop the connection instead of buffering forever.
-                    router.count_wire_error("line_overflow");
-                    let resp = Response::Error {
-                        id: String::new(),
-                        detail: format!("request exceeds the {max}-byte limit; closing connection"),
-                    };
-                    let _ = writeln!(writer, "{}", resp.render());
-                    break;
-                }
-                Err(_) => break,
+                    .to_string(),
+                )),
+            ),
+            (
+                true,
+                truncated,
+                "truncated",
+                binary_bytes(&closing(frame::FrameError::Truncated.to_string())),
+            ),
+            (
+                false,
+                vec![b'x'; 4 * max],
+                "line_overflow",
+                json_bytes(&closing(format!("request exceeds the {max}-byte limit"))),
+            ),
+        ];
+        for (binary, ending, kind, error) in endings {
+            let mut case = Case::numbered(binary, 5);
+            case.requests.push(ending);
+            case.responses.push(error);
+            let mut stream = case.requests.concat();
+            if kind == "truncated" {
+                // The stream ends one byte short of the last frame.
+                stream.pop();
+            } else {
+                // Bytes after the poisoned framing are never answered.
+                stream.extend_from_slice(&case.requests[0]);
             }
+            let (router, sink) = (new_router(max), Sink::default());
+            case.serve(&router, vec![stream], &sink);
+            assert!(
+                sink.0.borrow().bytes == case.responses.concat(),
+                "{kind}: five responses, then the error, then nothing"
+            );
+            assert_eq!(
+                router.stats.frame_errors.load(Ordering::Relaxed),
+                1,
+                "{kind}"
+            );
+            assert_eq!(router.stats.received.load(Ordering::Relaxed), 5, "{kind}");
+        }
+    }
+
+    #[test]
+    fn submit_derives_the_key_itself() {
+        let Ok(Request::Simulate { spec, .. }) =
+            parse_request(r#"{"id":"k","kernel":"coloring","threads":7,"scale":512}"#)
+        else {
+            panic!("expected simulate");
+        };
+        let d = Dispatcher::new(
+            0,
+            ServeOpts::default(),
+            Arc::new(ServeStats::default()),
+            None,
+        );
+        d.lru.put(&spec.key(), 42.0);
+        match d.submit(&spec) {
+            Submission::Done { cycles, meta } => assert!(cycles == 42.0 && meta.cached),
+            _ => panic!("a resident key must answer from the LRU"),
         }
     }
 }

@@ -211,3 +211,103 @@ fn binary_connection_serves_many_requests_including_ping_and_stats() {
     assert_eq!(shards, ServeOpts::default().shards as f64);
     server.shutdown();
 }
+
+#[test]
+fn pipelined_frames_answer_in_order_with_depth_one_bits() {
+    let server = Server::start("127.0.0.1:0", ServeOpts::default()).expect("start server");
+    let request = |i: usize| {
+        // Fifteen of every sixteen frames cycle specs the depth-1 pass
+        // below leaves resident; the sixteenth has a spec of its own, so
+        // misses sit in the pipeline among the hits.
+        let line = if i % 16 == 7 {
+            format!(
+                r#"{{"id":"q{i}","kernel":"coloring","order":"random","seed":{i},"threads":3,"scale":512}}"#
+            )
+        } else {
+            format!(
+                r#"{{"id":"q{i}","kernel":"coloring","threads":{},"scale":512}}"#,
+                2 + i % 16
+            )
+        };
+        protocol::parse_request(&line).unwrap()
+    };
+    let cycles_of = |resp: Response, i: usize| match resp {
+        Response::Ok { id, cycles, .. } => {
+            assert_eq!(id, format!("q{i}"), "responses arrive in request order");
+            cycles.to_bits()
+        }
+        other => panic!("frame {i}: expected ok, got {other:?}"),
+    };
+    let (mut reader, mut writer) = connect(server.addr);
+    let depth_one: Vec<u64> = (0..16)
+        .map(|i| {
+            writer.write_all(&binary_rpc_bytes(&request(i))).unwrap();
+            cycles_of(read_binary_response(&mut reader), i)
+        })
+        .collect();
+
+    let (mut reader, mut writer) = connect(server.addr);
+    let batch: Vec<u8> = (0..256)
+        .flat_map(|i| binary_rpc_bytes(&request(i)))
+        .collect();
+    writer.write_all(&batch).unwrap();
+    for i in 0..256 {
+        let bits = cycles_of(read_binary_response(&mut reader), i);
+        let want = if i % 16 == 7 {
+            let Request::Simulate { spec, .. } = request(i) else {
+                panic!()
+            };
+            spec.compute().to_bits()
+        } else {
+            depth_one[i % 16]
+        };
+        assert_eq!(bits, want, "frame {i}");
+    }
+    // Nothing is stuck in a buffer: the connection still answers a lone
+    // request.
+    writer.write_all(&binary_rpc_bytes(&request(0))).unwrap();
+    assert_eq!(
+        cycles_of(read_binary_response(&mut reader), 0),
+        depth_one[0]
+    );
+    server.shutdown();
+}
+
+#[test]
+fn good_frames_before_an_oversize_header_are_all_answered() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeOpts {
+            max_request: 1024,
+            ..ServeOpts::default()
+        },
+    )
+    .expect("start server");
+    let (mut reader, mut writer) = connect(server.addr);
+    let mut bytes: Vec<u8> = (0..40)
+        .flat_map(|i| {
+            binary_rpc_bytes(&Request::Ping {
+                id: format!("p{i}"),
+            })
+        })
+        .collect();
+    bytes.extend_from_slice(&MAGIC);
+    bytes.push(WIRE_VERSION);
+    bytes.extend_from_slice(&(1_000_000u32).to_le_bytes());
+    bytes.push(frame::TAG_SIMULATE);
+    writer.write_all(&bytes).unwrap();
+    for i in 0..40 {
+        match read_binary_response(&mut reader) {
+            Response::Pong { id } => assert_eq!(id, format!("p{i}")),
+            other => panic!("expected pong {i}, got {other:?}"),
+        }
+    }
+    match read_binary_response(&mut reader) {
+        Response::Error { detail, .. } => assert!(detail.contains("exceeds"), "{detail}"),
+        other => panic!("expected the final error frame, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "EOF after the final error frame");
+    server.shutdown();
+}

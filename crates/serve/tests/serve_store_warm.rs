@@ -105,3 +105,32 @@ fn unopenable_store_path_degrades_to_lru_only_serving() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A store file outlives the build that wrote it, so a result is found
+/// again only while [`JobSpec::key`](mic_serve::protocol::JobSpec::key)
+/// spells the same text. Here the file is written under `JOB`'s key as a
+/// literal — what every earlier build put there — and a router opened on
+/// it must answer from the store, with that value, running nothing.
+#[test]
+fn a_store_written_under_the_literal_key_text_still_answers() {
+    const JOB_KEY: &str = "coloring/hood/Natural/1/512/OmpDynamic { chunk: 100 }/t4/i1/d0";
+    let stored = f64::from_bits(0x4197_d784_0000_0001);
+    let dir = tmp_dir("literal-key");
+    let path = dir.join("results.pg");
+    {
+        let store = mic_store::Store::open(&path, mic_store::StoreOpts::default()).unwrap();
+        store
+            .put(JOB_KEY.as_bytes(), &stored.to_le_bytes())
+            .unwrap();
+        store.persist().unwrap();
+    }
+    let router = Router::new(ServeOpts {
+        store_path: Some(path),
+        ..ServeOpts::default()
+    });
+    let served = run_job(&router);
+    assert_eq!(served.to_bits(), stored.to_bits());
+    assert_eq!(router.stats.store_hits.load(Ordering::Relaxed), 1);
+    assert_eq!(router.stats.executed.load(Ordering::Relaxed), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
