@@ -89,12 +89,10 @@ fn write_json(
     for (i, r) in failures.iter().enumerate() {
         let comma = if i + 1 < failures.len() { "," } else { "" };
         body.push_str(&format!(
-            "    {{\"context\": \"{}\", \"point\": {}, \"cause\": \"{}\", \"detail\": \"{}\", \"attempts\": {}}}{comma}\n",
+            "    {{\"context\": \"{}\", \"point\": {}, \"cause\": \"panic\", \"detail\": \"{}\"}}{comma}\n",
             json_escape(&r.context),
             r.failure.point,
-            r.failure.cause.kind(),
-            json_escape(&r.failure.cause.to_string()),
-            r.failure.attempts,
+            json_escape(&format!("panic: {}", r.failure.message)),
         ));
     }
     body.push_str("  ]\n}\n");

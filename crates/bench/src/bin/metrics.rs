@@ -31,7 +31,7 @@ use mic_eval::runtime::{
     cilk_for, parallel_for_chunks, tbb_parallel_for, Partitioner, Schedule, ThreadPool,
 };
 use mic_eval::sim::{simulate_region_telemetry, Machine, Policy, Region, StallCause};
-use mic_eval::sweep::{try_map_cfg, SweepCfg};
+use mic_eval::sweep::try_map_with;
 use mic_eval::workload_cache::{self, OrderTag};
 use std::path::PathBuf;
 
@@ -155,12 +155,7 @@ fn main() {
     }
 
     let sweep_items: Vec<u64> = (0..8).collect();
-    let cfg = SweepCfg {
-        threads: 2,
-        retries: 0,
-        deadline_ms: None,
-    };
-    let report = try_map_cfg(&cfg, &sweep_items, |_, &x| x * 2);
+    let report = try_map_with(2, &sweep_items, |_, &x| x * 2);
     assert!(report.is_complete());
 
     // And one sim run so the snapshot spans all three layers.

@@ -22,8 +22,6 @@
 //! | knob | env var | default |
 //! |---|---|---|
 //! | `sweep_threads` | `MIC_SWEEP_THREADS` | available parallelism, ≤ 16 |
-//! | `sweep_retries` | `MIC_SWEEP_RETRIES` | 2 |
-//! | `sweep_deadline_ms` | `MIC_SWEEP_DEADLINE_MS` | none |
 //! | `fault` | `MIC_FAULT` | none |
 //! | `metrics` | `MIC_METRICS` | off |
 //! | `baseline` | `MIC_BASELINE` | none |
@@ -173,10 +171,6 @@ impl ServeWire {
 pub struct SuiteConfig {
     /// Sweep pool worker count; `None` = auto (available parallelism ≤ 16).
     pub sweep_threads: Option<usize>,
-    /// Re-runs after a failed resilient-sweep attempt.
-    pub sweep_retries: u32,
-    /// Cooperative per-attempt deadline; `None`/0 = none.
-    pub sweep_deadline_ms: Option<u64>,
     /// Default fault-injection plan (a `with_plan` session still wins).
     pub fault: Option<FaultPlan>,
     /// Metrics policy.
@@ -231,8 +225,6 @@ impl Default for SuiteConfig {
     fn default() -> SuiteConfig {
         SuiteConfig {
             sweep_threads: None,
-            sweep_retries: 2,
-            sweep_deadline_ms: None,
             fault: None,
             metrics: MetricsMode::Off,
             baseline: None,
@@ -262,23 +254,9 @@ impl SuiteConfig {
     /// environment variables; set-but-unusable values warn once and fall
     /// back (the [`crate::env`] discipline).
     pub fn from_env() -> SuiteConfig {
-        // Removed knob: warn once rather than silently persist nothing.
-        const REMOVED: &str = "MIC_SUITE_CACHE";
-        if crate::env::path(REMOVED).is_some() {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "mic-eval: ignoring {REMOVED} (the file cache is gone); \
-                     set MIC_STORE=<file> to persist graphs and workloads"
-                );
-            });
-        }
         let defaults = SuiteConfig::default();
         SuiteConfig {
             sweep_threads: crate::env::positive_usize("MIC_SWEEP_THREADS"),
-            sweep_retries: crate::env::nonneg_u64("MIC_SWEEP_RETRIES")
-                .map_or(defaults.sweep_retries, |v| v.min(100) as u32),
-            sweep_deadline_ms: crate::env::nonneg_u64("MIC_SWEEP_DEADLINE_MS").filter(|v| *v > 0),
             fault: parse_env_fault(),
             metrics: MetricsMode::parse(crate::env::raw("MIC_METRICS")),
             baseline: crate::env::path("MIC_BASELINE"),
@@ -317,16 +295,6 @@ impl SuiteConfig {
 
     pub fn sweep_threads(mut self, threads: usize) -> Self {
         self.sweep_threads = Some(threads);
-        self
-    }
-
-    pub fn sweep_retries(mut self, retries: u32) -> Self {
-        self.sweep_retries = retries;
-        self
-    }
-
-    pub fn sweep_deadline_ms(mut self, deadline_ms: Option<u64>) -> Self {
-        self.sweep_deadline_ms = deadline_ms.filter(|v| *v > 0);
         self
     }
 
@@ -522,8 +490,6 @@ mod tests {
     fn defaults_match_documented_values() {
         let c = SuiteConfig::default();
         assert_eq!(c.sweep_threads, None);
-        assert_eq!(c.sweep_retries, 2);
-        assert_eq!(c.sweep_deadline_ms, None);
         assert!(c.fault.is_none());
         assert_eq!(c.metrics, MetricsMode::Off);
         assert!(c.baseline.is_none());
@@ -603,24 +569,14 @@ mod tests {
     fn builder_overrides_win() {
         let c = SuiteConfig::default()
             .sweep_threads(3)
-            .sweep_retries(0)
-            .sweep_deadline_ms(Some(250))
             .baseline_tol(0.5)
             .bench_json(None)
             .metrics(MetricsMode::On);
         assert_eq!(c.sweep_threads, Some(3));
         assert_eq!(c.effective_sweep_threads(), 3);
-        assert_eq!(c.sweep_retries, 0);
-        assert_eq!(c.sweep_deadline_ms, Some(250));
         assert_eq!(c.baseline_tol, 0.5);
         assert_eq!(c.bench_json, None);
         assert!(c.metrics.is_on());
-    }
-
-    #[test]
-    fn zero_deadline_means_none() {
-        let c = SuiteConfig::default().sweep_deadline_ms(Some(0));
-        assert_eq!(c.sweep_deadline_ms, None);
     }
 
     #[test]

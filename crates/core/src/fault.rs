@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the whole harness.
 //!
 //! A [`FaultPlan`] is parsed from `MIC_FAULT=<seed>:<spec>` and decides,
-//! purely from hashes of `(seed, class, site, attempt)`, whether a fault
+//! purely from hashes of `(seed, class, site)`, whether a fault
 //! fires at a given site — so the same seed always yields the same fault
 //! schedule regardless of thread interleaving, and every failure CI finds
 //! is replayable locally with one environment variable.
@@ -10,22 +10,20 @@
 //!
 //! ```text
 //! MIC_FAULT = <seed> ":" rule ("," rule)*
-//! rule      = class ("@" rate | "#" index) [":" millis]
-//! class     = "job-panic" | "job-stall" | "job-slow"
-//!           | "worker-panic" | "worker-stall" | "worker-slow" | "worker-die"
+//! rule      = class ("@" rate | "#" index)
+//! class     = "job-panic"
 //!           | "io-short-write" | "io-torn-page" | "io-fsync-fail" | "io-open-fail"
 //! ```
 //!
-//! `@rate` fires probabilistically (per site *and attempt*, so retries can
-//! succeed); `#index` targets one exact site deterministically on every
-//! attempt (so retries exhaust and the failure is recorded). `:millis`
-//! overrides the sleep duration of the stall/slow classes.
+//! `@rate` fires probabilistically per site; `#index` targets one exact
+//! site. Every class models a fault production can produce: a bug that
+//! panics a job, or the store's file failing under it.
 //!
-//! Sites: `job-*` faults hit sweep jobs (site = job index) and are applied
-//! only on the *resilient* sweep paths (`try_map`/`map_degraded`) — the
-//! strict `map` used for workload construction never injects. `worker-*`
-//! faults hit the runtime layer through [`mic_runtime::fault`] (site = the
-//! chunk's first iteration index, or the region epoch for `worker-die`).
+//! Sites: `job-panic` hits sweep jobs (site = job index) and is applied
+//! only on the *isolated* sweep paths (`try_map_with` / `try_map_on` /
+//! `map_degraded`) — the strict `map` used for workload construction
+//! never injects. A body panicking inside a runtime construct needs no
+//! injector: a test raises it by panicking (`failure_injection.rs`).
 //! `io-*` faults hit the paged store's file boundaries through
 //! [`mic_store::fault`] (site = page id for writes, committing epoch for
 //! fsyncs, file-name hash for opens) — the only disk I/O the graph and
@@ -35,51 +33,32 @@
 //! should still run its known rules (any other unknown class stays a
 //! hard error).
 
-use mic_runtime::fault as rt_fault;
 use mic_store::fault as store_fault;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// Every fault class the injector knows.
+/// Every fault class the injector knows. The discriminants feed the
+/// decision hash (and the flight recorder's `Fault` events), so they are
+/// pinned: the committed chaos seeds keep firing at the same sites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultClass {
     /// A sweep job panics in place of running.
-    JobPanic,
-    /// A sweep job sleeps long enough to bust a configured deadline
-    /// (default 1000 ms).
-    JobStall,
-    /// A sweep job sleeps briefly before running (default 5 ms) — changes
-    /// timing, never values.
-    JobSlow,
-    /// A runtime worker panics at a chunk boundary.
-    WorkerPanic,
-    /// A runtime worker sleeps at a chunk boundary (default 50 ms).
-    WorkerStall,
-    /// A runtime worker sleeps briefly at a chunk boundary (default 2 ms).
-    WorkerSlow,
-    /// A pool worker thread exits at region entry (the pool respawns it).
-    WorkerDie,
+    JobPanic = 0,
     /// A store page write lands half its bytes, then errors (torn prefix
     /// on disk — what a killed writer leaves).
-    IoShortWrite,
+    IoShortWrite = 7,
     /// A store page write silently lands corrupted bytes and reports
     /// success; only checksums catch it later.
-    IoTornPage,
+    IoTornPage = 8,
     /// A store fsync fails (the commit must not be acknowledged).
-    IoFsyncFail,
+    IoFsyncFail = 9,
     /// Opening the store file fails.
-    IoOpenFail,
+    IoOpenFail = 10,
 }
 
 impl FaultClass {
-    const ALL: [(FaultClass, &'static str); 11] = [
+    const ALL: [(FaultClass, &'static str); 5] = [
         (FaultClass::JobPanic, "job-panic"),
-        (FaultClass::JobStall, "job-stall"),
-        (FaultClass::JobSlow, "job-slow"),
-        (FaultClass::WorkerPanic, "worker-panic"),
-        (FaultClass::WorkerStall, "worker-stall"),
-        (FaultClass::WorkerSlow, "worker-slow"),
-        (FaultClass::WorkerDie, "worker-die"),
         (FaultClass::IoShortWrite, "io-short-write"),
         (FaultClass::IoTornPage, "io-torn-page"),
         (FaultClass::IoFsyncFail, "io-fsync-fail"),
@@ -98,25 +77,14 @@ impl FaultClass {
     fn from_name(s: &str) -> Option<FaultClass> {
         Self::ALL.iter().find(|(_, n)| *n == s).map(|(c, _)| *c)
     }
-
-    /// Default sleep for the stall/slow classes, milliseconds.
-    fn default_ms(self) -> u64 {
-        match self {
-            FaultClass::JobStall => 1000,
-            FaultClass::JobSlow => 5,
-            FaultClass::WorkerStall => 50,
-            FaultClass::WorkerSlow => 2,
-            _ => 0,
-        }
-    }
 }
 
 /// When a rule fires.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Trigger {
-    /// Fire with this probability at every `(site, attempt)`.
+    /// Fire with this probability at every site.
     Rate(f64),
-    /// Fire at exactly this site, on every attempt.
+    /// Fire at exactly this site.
     Index(u64),
 }
 
@@ -125,18 +93,6 @@ enum Trigger {
 pub struct FaultRule {
     class: FaultClass,
     trigger: Trigger,
-    millis: Option<u64>,
-}
-
-/// What a fired fault does, as decided by the plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fault {
-    /// Panic at the site.
-    Panic,
-    /// Sleep this long at the site.
-    SleepMs(u64),
-    /// The worker thread exits (pool region entry only).
-    Die,
 }
 
 /// A seeded, deterministic fault schedule.
@@ -148,7 +104,7 @@ pub struct FaultPlan {
 
 /// splitmix64: a tiny, well-mixed stateless hash — the decision function
 /// depends only on its inputs, never on call order.
-fn splitmix64(mut x: u64) -> u64 {
+const fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -169,7 +125,6 @@ impl FaultPlan {
             vec![FaultRule {
                 class,
                 trigger: Trigger::Rate(rate),
-                millis: None,
             }],
         )
     }
@@ -181,17 +136,8 @@ impl FaultPlan {
             vec![FaultRule {
                 class,
                 trigger: Trigger::Index(index),
-                millis: None,
             }],
         )
-    }
-
-    /// Override the sleep duration of every stall/slow rule in the plan.
-    pub fn with_millis(mut self, millis: u64) -> FaultPlan {
-        for r in &mut self.rules {
-            r.millis = Some(millis);
-        }
-        self
     }
 
     /// Parse `<seed>:<rule>(,<rule>)*` (the `MIC_FAULT` value).
@@ -239,17 +185,7 @@ impl FaultPlan {
             }
             return Err(format!("unknown fault class {class_name:?}"));
         };
-        let rest = &raw[sep + 1..];
-        let (value_s, millis) = match rest.split_once(':') {
-            Some((v, ms)) => (
-                v,
-                Some(
-                    ms.parse::<u64>()
-                        .map_err(|_| format!("rule {raw:?}: bad millis {ms:?}"))?,
-                ),
-            ),
-            None => (rest, None),
-        };
+        let value_s = &raw[sep + 1..];
         let trigger = if raw.as_bytes()[sep] == b'@' {
             let rate: f64 = value_s
                 .parse()
@@ -265,11 +201,7 @@ impl FaultPlan {
                     .map_err(|_| format!("rule {raw:?}: bad index {value_s:?}"))?,
             )
         };
-        Ok(Some(FaultRule {
-            class,
-            trigger,
-            millis,
-        }))
+        Ok(Some(FaultRule { class, trigger }))
     }
 
     /// The seed (for reporting).
@@ -277,46 +209,28 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Decide whether `class` fires at `site` on `attempt`. Pure: the same
-    /// arguments always produce the same answer for a given plan.
-    pub fn decide(&self, class: FaultClass, site: u64, attempt: u64) -> Option<Fault> {
-        for (ri, rule) in self.rules.iter().enumerate() {
-            if rule.class != class {
-                continue;
-            }
-            let fires = match rule.trigger {
-                Trigger::Index(target) => site == target,
-                Trigger::Rate(rate) => {
-                    let h = splitmix64(
-                        self.seed
-                            ^ splitmix64((class as u64) << 32 | ri as u64)
-                            ^ splitmix64(site).rotate_left(17)
-                            ^ splitmix64(attempt).rotate_left(41),
-                    );
-                    // 53 high bits -> uniform in [0, 1).
-                    ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
+    /// Whether `class` fires at `site`. Pure: the same arguments always
+    /// produce the same answer for a given plan.
+    pub fn fires(&self, class: FaultClass, site: u64) -> bool {
+        // The hash once had a fourth input, a retry-attempt index; its
+        // attempt-0 term stays so every seed keeps its schedule.
+        const ATTEMPT0: u64 = splitmix64(0).rotate_left(41);
+        self.rules.iter().enumerate().any(|(ri, rule)| {
+            rule.class == class
+                && match rule.trigger {
+                    Trigger::Index(target) => site == target,
+                    Trigger::Rate(rate) => {
+                        let h = splitmix64(
+                            self.seed
+                                ^ splitmix64((class as u64) << 32 | ri as u64)
+                                ^ splitmix64(site).rotate_left(17)
+                                ^ ATTEMPT0,
+                        );
+                        // 53 high bits -> uniform in [0, 1).
+                        ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate
+                    }
                 }
-            };
-            if !fires {
-                continue;
-            }
-            let ms = rule.millis.unwrap_or_else(|| class.default_ms());
-            return Some(match class {
-                FaultClass::JobPanic | FaultClass::WorkerPanic => Fault::Panic,
-                FaultClass::WorkerDie => Fault::Die,
-                FaultClass::JobStall
-                | FaultClass::JobSlow
-                | FaultClass::WorkerStall
-                | FaultClass::WorkerSlow => Fault::SleepMs(ms),
-                // Io classes are yes/no decisions; the store layer
-                // interprets them.
-                FaultClass::IoShortWrite
-                | FaultClass::IoTornPage
-                | FaultClass::IoFsyncFail
-                | FaultClass::IoOpenFail => Fault::Panic,
-            });
-        }
-        None
+        })
     }
 
     /// Whether any rule targets `class`.
@@ -346,50 +260,10 @@ pub fn active() -> Option<Arc<FaultPlan>> {
         .clone()
 }
 
-/// Install `plan` process-wide. Worker-class rules are bridged into the
-/// runtime layer's fault hook so pool/chunk sites consult this plan too.
+/// Install `plan` process-wide. `io-*` rules are bridged into the store
+/// layer's fault hook so its file boundaries consult this plan too.
 pub fn install(plan: FaultPlan) {
     let plan = Arc::new(plan);
-    let worker_classes = [
-        FaultClass::WorkerPanic,
-        FaultClass::WorkerStall,
-        FaultClass::WorkerSlow,
-        FaultClass::WorkerDie,
-    ];
-    if worker_classes.iter().any(|c| plan.targets(*c)) {
-        let for_hook = Arc::clone(&plan);
-        rt_fault::install(Arc::new(move |site: &rt_fault::FaultSite| {
-            // `Die` only makes sense at pool region entry; the other
-            // classes apply to every runtime's chunk boundaries.
-            let die_ok = site.runtime == "pool";
-            for class in worker_classes {
-                if class == FaultClass::WorkerDie && !die_ok {
-                    continue;
-                }
-                let decision = for_hook.decide(class, site.index ^ (site.worker as u64) << 48, 0);
-                if decision.is_some() {
-                    count_injection_at(class, site.index);
-                }
-                match decision {
-                    Some(Fault::Panic) => {
-                        return Some(rt_fault::FaultAction::Panic(format!(
-                            "mic-fault: injected {} at {} site {} (worker {})",
-                            class.name(),
-                            site.runtime,
-                            site.index,
-                            site.worker
-                        )))
-                    }
-                    Some(Fault::SleepMs(ms)) => return Some(rt_fault::FaultAction::StallMs(ms)),
-                    Some(Fault::Die) => return Some(rt_fault::FaultAction::Die),
-                    None => {}
-                }
-            }
-            None
-        }));
-    } else {
-        rt_fault::clear();
-    }
     let io_classes = [
         FaultClass::IoShortWrite,
         FaultClass::IoTornPage,
@@ -412,7 +286,7 @@ pub fn install(plan: FaultPlan) {
                 }
             };
             for (class, fault) in candidates {
-                if for_hook.decide(*class, site.site, 0).is_some() {
+                if for_hook.fires(*class, site.site) {
                     count_injection_at(*class, site.site);
                     return Some(*fault);
                 }
@@ -426,11 +300,10 @@ pub fn install(plan: FaultPlan) {
     ACTIVE.store(true, Ordering::SeqCst);
 }
 
-/// Remove the active plan (and the runtime and store bridge hooks).
+/// Remove the active plan (and the store bridge hook).
 pub fn clear() {
     ACTIVE.store(false, Ordering::SeqCst);
     *plan_slot().write().unwrap_or_else(|e| e.into_inner()) = None;
-    rt_fault::clear();
     store_fault::clear();
 }
 
@@ -490,7 +363,7 @@ fn env_plan() -> Option<&'static Arc<FaultPlan>> {
 /// environment plan is a *default*, not an override: it never displaces a
 /// plan installed explicitly (so a [`with_plan`] session is injection-
 /// tight even when the process runs under `MIC_FAULT`), and because this
-/// is called at every resilient-sweep and cache-I/O entry point it is
+/// is called at every isolated-sweep and cache-I/O entry point it is
 /// re-installed once such a session restores the empty state.
 pub fn init_from_env() {
     if ACTIVE.load(Ordering::SeqCst) {
@@ -507,16 +380,15 @@ mod tests {
 
     #[test]
     fn parses_the_full_grammar() {
-        let plan =
-            FaultPlan::parse("42:job-panic@0.25,worker-stall@0.1:75,io-open-fail#9").unwrap();
+        let plan = FaultPlan::parse("42:job-panic@0.25,io-torn-page@0.1,io-open-fail#9").unwrap();
         assert_eq!(plan.seed(), 42);
         assert_eq!(plan.rules.len(), 3);
         assert_eq!(plan.rules[0].class, FaultClass::JobPanic);
         assert_eq!(plan.rules[0].trigger, Trigger::Rate(0.25));
-        assert_eq!(plan.rules[1].millis, Some(75));
+        assert_eq!(plan.rules[1].class, FaultClass::IoTornPage);
         assert_eq!(plan.rules[2].trigger, Trigger::Index(9));
         assert!(plan.targets(FaultClass::IoOpenFail));
-        assert!(!plan.targets(FaultClass::JobStall));
+        assert!(!plan.targets(FaultClass::IoFsyncFail));
     }
 
     #[test]
@@ -529,12 +401,30 @@ mod tests {
             "1:job-panic@1.5",
             "1:job-panic@x",
             "1:what-even@0.5",
-            "1:job-stall#x",
-            "1:job-stall@0.5:ms",
+            "1:job-panic#x",
             "7:",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    /// The timing-only and worker classes and the `:millis` suffix are
+    /// gone: naming one rejects the spec like any unknown class does.
+    #[test]
+    fn removed_classes_and_millis_suffix_are_rejected() {
+        for class in [
+            "job-stall",
+            "job-slow",
+            "worker-panic",
+            "worker-stall",
+            "worker-slow",
+            "worker-die",
+        ] {
+            let spec = format!("1:{class}@0.5,job-panic@0.5");
+            assert!(FaultPlan::parse(&spec).is_err(), "{spec:?}");
+        }
+        assert!(FaultPlan::parse("1:job-panic@0.5:75").is_err());
+        assert!(FaultPlan::parse("1:job-panic#3:75").is_err());
     }
 
     #[test]
@@ -544,7 +434,7 @@ mod tests {
         let c = FaultPlan::with_rate(2, FaultClass::JobPanic, 0.3);
         let schedule = |p: &FaultPlan| -> Vec<bool> {
             (0..256)
-                .map(|site| p.decide(FaultClass::JobPanic, site, 0).is_some())
+                .map(|site| p.fires(FaultClass::JobPanic, site))
                 .collect()
         };
         assert_eq!(schedule(&a), schedule(&b), "same seed, same schedule");
@@ -560,47 +450,34 @@ mod tests {
         );
     }
 
+    /// The committed chaos seeds fire where they always have: the hash
+    /// inputs (class discriminants included) are part of the contract.
     #[test]
-    fn rate_rules_vary_by_attempt_index_rules_do_not() {
-        let rate = FaultPlan::with_rate(11, FaultClass::JobPanic, 0.5);
-        let varies = (0..64).any(|site| {
-            (0..4)
-                .map(|att| rate.decide(FaultClass::JobPanic, site, att).is_some())
-                .collect::<Vec<_>>()
-                .windows(2)
-                .any(|w| w[0] != w[1])
-        });
-        assert!(varies, "rate decisions must depend on the attempt");
-        let targeted = FaultPlan::at_index(11, FaultClass::JobPanic, 5);
-        for att in 0..8 {
-            assert_eq!(
-                targeted.decide(FaultClass::JobPanic, 5, att),
-                Some(Fault::Panic),
-                "targeted rules fire on every attempt"
-            );
-            assert_eq!(targeted.decide(FaultClass::JobPanic, 6, att), None);
-        }
-    }
-
-    #[test]
-    fn class_maps_to_the_right_fault() {
-        let p = |c| FaultPlan::at_index(0, c, 0).decide(c, 0, 0).unwrap();
-        assert_eq!(p(FaultClass::JobPanic), Fault::Panic);
-        assert_eq!(p(FaultClass::WorkerDie), Fault::Die);
-        assert_eq!(p(FaultClass::JobStall), Fault::SleepMs(1000));
-        assert_eq!(p(FaultClass::JobSlow), Fault::SleepMs(5));
-        assert_eq!(p(FaultClass::WorkerStall), Fault::SleepMs(50));
-        let custom = FaultPlan::at_index(0, FaultClass::JobStall, 0).with_millis(7);
+    fn committed_seed_schedules_are_pinned() {
+        let fired = |seed, class, rate, sites: u64| -> Vec<u64> {
+            let plan = FaultPlan::with_rate(seed, class, rate);
+            (0..sites).filter(|s| plan.fires(class, *s)).collect()
+        };
+        assert_eq!(fired(1, FaultClass::JobPanic, 0.2, 24), [0, 12, 21]);
         assert_eq!(
-            custom.decide(FaultClass::JobStall, 0, 0),
-            Some(Fault::SleepMs(7))
+            fired(7, FaultClass::JobPanic, 0.2, 24),
+            [0, 5, 10, 12, 17, 23]
+        );
+        assert_eq!(fired(42, FaultClass::JobPanic, 0.2, 24), [3, 7, 8, 20]);
+        assert_eq!(
+            fired(7, FaultClass::IoTornPage, 0.25, 32),
+            [7, 13, 17, 20, 22, 23, 24, 25, 27, 31]
+        );
+        assert_eq!(
+            fired(42, FaultClass::IoFsyncFail, 0.25, 32),
+            [10, 13, 16, 17, 22, 26, 28]
         );
     }
 
     #[test]
     fn with_plan_installs_and_restores() {
         let before = active().map(|p| p.seed());
-        with_plan(FaultPlan::with_rate(3, FaultClass::JobSlow, 1.0), || {
+        with_plan(FaultPlan::with_rate(3, FaultClass::JobPanic, 1.0), || {
             let p = active().expect("plan active inside with_plan");
             assert_eq!(p.seed(), 3);
         });
@@ -662,50 +539,5 @@ mod tests {
             site: 2,
         })
         .is_none());
-    }
-
-    #[test]
-    fn worker_rules_bridge_to_runtime_hook() {
-        with_plan(
-            FaultPlan::with_rate(5, FaultClass::WorkerStall, 1.0).with_millis(1),
-            || {
-                let act = rt_fault::check(&rt_fault::FaultSite {
-                    runtime: "omp",
-                    worker: 0,
-                    index: 0,
-                });
-                assert!(
-                    matches!(act, Some(rt_fault::FaultAction::StallMs(1))),
-                    "{act:?}"
-                );
-            },
-        );
-        assert!(rt_fault::check(&rt_fault::FaultSite {
-            runtime: "omp",
-            worker: 0,
-            index: 0,
-        })
-        .is_none());
-    }
-
-    #[test]
-    fn die_rules_only_apply_at_pool_sites() {
-        with_plan(FaultPlan::with_rate(5, FaultClass::WorkerDie, 1.0), || {
-            let chunk = rt_fault::check(&rt_fault::FaultSite {
-                runtime: "omp",
-                worker: 1,
-                index: 10,
-            });
-            assert!(
-                chunk.is_none(),
-                "die must not fire at chunk sites: {chunk:?}"
-            );
-            let pool = rt_fault::check(&rt_fault::FaultSite {
-                runtime: "pool",
-                worker: 1,
-                index: 10,
-            });
-            assert!(matches!(pool, Some(rt_fault::FaultAction::Die)), "{pool:?}");
-        });
     }
 }

@@ -19,16 +19,14 @@
 //! - **Strict** ([`map`], [`map_with`]): a panicking job propagates to the
 //!   caller, as a plain `rayon`-style harness would. Used where a partial
 //!   result is useless (workload construction).
-//! - **Resilient** ([`try_map`], [`map_degraded`]): every job runs
-//!   panic-isolated with retry-with-backoff (`MIC_SWEEP_RETRIES`, default
-//!   2 retries) and an optional deadline (`MIC_SWEEP_DEADLINE_MS`); a job
-//!   that still fails is reported as a structured [`JobFailure`] — the
-//!   sweep completes every other point. The deadline is *cooperative*: a
-//!   wedged job is detected when it returns (its result is discarded and
-//!   the attempt counts as failed), not cancelled mid-flight. This path is
-//!   also the only one subject to `MIC_FAULT` injection (see
-//!   [`crate::fault`]), so figure sweeps degrade under chaos testing while
-//!   workload builders stay exact.
+//! - **Isolated** ([`try_map_with`], [`try_map_on`], [`map_degraded`]):
+//!   every job runs once under `catch_unwind`; a job that panics is
+//!   reported as a structured [`JobFailure`] — the sweep completes every
+//!   other point. Jobs are pure and deterministic, so a panic is a bug
+//!   that would panic again: nothing is retried. This path is also the
+//!   only one subject to `MIC_FAULT` injection (see [`crate::fault`]), so
+//!   figure sweeps degrade under chaos testing while workload builders
+//!   stay exact.
 //!
 //! Jobs may themselves run parallel regions on *other* pools (the native
 //! kernels in `experiments::extras` do); cross-pool nesting is supported
@@ -36,12 +34,11 @@
 //! it, but nested `sweep::map` calls are fine — each map drives its own
 //! pool.
 
-use crate::fault::{self, Fault, FaultClass, FaultPlan};
+use crate::fault::{self, FaultClass, FaultPlan};
 use mic_runtime::ThreadPool;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// Worker count for [`map`]: the installed [`crate::config`]'s
 /// `sweep_threads` (from `MIC_SWEEP_THREADS` or the builder), otherwise
@@ -56,60 +53,23 @@ pub fn default_threads() -> usize {
 // ---------------------------------------------------------------------------
 // Failure records.
 
-/// Why a sweep job ultimately failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FailureCause {
-    /// The job panicked; the payload message is kept.
-    Panic(String),
-    /// The job returned, but only after its cooperative deadline.
-    Deadline { limit_ms: u64 },
-}
-
-impl FailureCause {
-    /// Short machine-readable kind ("panic" / "deadline") for JSON output.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FailureCause::Panic(_) => "panic",
-            FailureCause::Deadline { .. } => "deadline",
-        }
-    }
-}
-
-impl std::fmt::Display for FailureCause {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailureCause::Panic(msg) => write!(f, "panic: {msg}"),
-            FailureCause::Deadline { limit_ms } => {
-                write!(f, "deadline: exceeded {limit_ms} ms")
-            }
-        }
-    }
-}
-
-/// One sweep point that failed every attempt.
+/// One sweep point lost to a panicking job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobFailure {
     /// Input index of the failed job.
     pub point: usize,
-    /// What went wrong on the final attempt.
-    pub cause: FailureCause,
-    /// Total attempts made (1 + retries).
-    pub attempts: u32,
+    /// The panic payload message.
+    pub message: String,
 }
 
 impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "point {}: {} after {} attempt(s)",
-            self.point, self.cause, self.attempts
-        )
+        write!(f, "point {}: panic: {}", self.point, self.message)
     }
 }
 
-/// Result of a resilient sweep: per-point values (`None` where the job
-/// failed every attempt) plus the structured failure records, in point
-/// order.
+/// Result of an isolated sweep: per-point values (`None` where the job
+/// panicked) plus the structured failure records, in point order.
 #[derive(Debug)]
 pub struct SweepReport<R> {
     pub results: Vec<Option<R>>,
@@ -129,37 +89,6 @@ impl<R> SweepReport<R> {
     /// All points succeeded.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
-    }
-}
-
-/// Knobs of the resilient path, normally read from the environment
-/// ([`SweepCfg::from_env`]) but injectable for tests so parallel test
-/// binaries never race on env vars.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepCfg {
-    /// Pool worker count.
-    pub threads: usize,
-    /// Re-runs after a failed first attempt (`MIC_SWEEP_RETRIES`).
-    pub retries: u32,
-    /// Cooperative per-attempt deadline (`MIC_SWEEP_DEADLINE_MS`; unset or
-    /// 0 = none).
-    pub deadline_ms: Option<u64>,
-}
-
-impl SweepCfg {
-    /// The installed [`crate::config`]'s sweep knobs (env-configured
-    /// unless a builder config was installed).
-    pub fn from_env() -> SweepCfg {
-        SweepCfg::from_config(&crate::config::current())
-    }
-
-    /// The sweep knobs of an explicit [`SuiteConfig`](crate::config::SuiteConfig).
-    pub fn from_config(cfg: &crate::config::SuiteConfig) -> SweepCfg {
-        SweepCfg {
-            threads: cfg.effective_sweep_threads(),
-            retries: cfg.sweep_retries,
-            deadline_ms: cfg.sweep_deadline_ms,
-        }
     }
 }
 
@@ -234,21 +163,14 @@ where
 /// making the output independent of the execution interleaving.
 ///
 /// Strict failure discipline: if any job panicked, this panics with a
-/// message naming the job and cause (a dropped-without-result slot is
-/// re-run serially first, so it can no longer abort the process with an
-/// anonymous `expect`).
+/// message naming the job and cause, once every other job has finished.
 pub fn map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let cfg = SweepCfg {
-        threads,
-        retries: 0,
-        deadline_ms: None,
-    };
-    let report = run_report(&cfg, None, None, items, &f);
+    let report = run_report(threads, None, None, items, &f);
     if let Some(failure) = report.failures.first() {
         panic!("sweep job failed ({failure})");
     }
@@ -260,57 +182,42 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Resilient maps.
+// Isolated maps.
 
-/// Resilient sweep with the environment configuration: every job runs
-/// panic-isolated with retry/backoff and the optional deadline; failed
-/// points come back as [`JobFailure`] records instead of aborting the
-/// sweep. Subject to `MIC_FAULT` injection.
-pub fn try_map<T, R, F>(items: &[T], f: F) -> SweepReport<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(usize, &T) -> R + Sync,
-{
+/// The plan the isolated entry points inject from: whatever is active,
+/// after giving the environment (`MIC_FAULT`, `MIC_METRICS`) its chance.
+fn active_plan() -> Option<Arc<FaultPlan>> {
     fault::init_from_env();
     crate::metrics::init_from_env();
-    try_map_cfg(&SweepCfg::from_env(), items, f)
+    fault::active()
 }
 
-/// [`try_map`] with an explicit configuration (tests use this to avoid
-/// racing on process-global environment variables).
-pub fn try_map_cfg<T, R, F>(cfg: &SweepCfg, items: &[T], f: F) -> SweepReport<R>
+/// Isolated sweep on `threads` pool workers: every job runs once,
+/// panic-isolated; lost points come back as [`JobFailure`] records instead
+/// of aborting the sweep. Subject to `MIC_FAULT` injection.
+pub fn try_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> SweepReport<R>
 where
     T: Sync,
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_report(cfg, fault::active(), None, items, &f)
+    run_report(threads, active_plan(), None, items, &f)
 }
 
-/// [`try_map_cfg`] fanned over a caller-owned [`ThreadPool`] instead of a
+/// [`try_map_with`] fanned over a caller-owned [`ThreadPool`] instead of a
 /// pool created per call. Long-lived consumers (the `mic-serve` batch
 /// executor) run every sweep on one shared pool, so requests share warm
 /// worker threads rather than paying a pool spawn per batch.
-/// `cfg.threads` is ignored for fan-out (the pool's worker count rules);
-/// retry/deadline semantics are identical to [`try_map_cfg`].
-pub fn try_map_shared<T, R, F>(
-    pool: &ThreadPool,
-    cfg: &SweepCfg,
-    items: &[T],
-    f: F,
-) -> SweepReport<R>
+pub fn try_map_on<T, R, F>(pool: &ThreadPool, items: &[T], f: F) -> SweepReport<R>
 where
     T: Sync,
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    fault::init_from_env();
-    crate::metrics::init_from_env();
-    run_report(cfg, fault::active(), Some(pool), items, &f)
+    run_report(pool.num_threads(), active_plan(), Some(pool), items, &f)
 }
 
-/// Resilient sweep for figure drivers: failed points degrade to
+/// Isolated sweep for figure drivers: failed points degrade to
 /// `fallback(index, item)` (typically NaN-shaped), the failures are
 /// recorded in the global registry under the current [`with_context`]
 /// label, and the sweep always returns a full-length vector.
@@ -321,7 +228,7 @@ where
     F: Fn(usize, &T) -> R + Sync,
     G: Fn(usize, &T) -> R,
 {
-    let report = try_map(items, f);
+    let report = try_map_with(default_threads(), items, f);
     if !report.failures.is_empty() {
         let context = current_context();
         let label = if context.is_empty() {
@@ -346,13 +253,12 @@ where
 
 type Slot<R> = OnceLock<Result<R, JobFailure>>;
 
-/// Run every job once (strict: `retries == 0`, no plan) or with the
-/// resilient attempt loop, fanned over a pool (`shared` if given, else a
-/// fresh pool sized by `cfg.threads`), then serially re-run any slot left
-/// empty (worker-level faults can abort a pool region before every job is
-/// claimed). The output is in input order either way.
+/// Run every job once, panic-isolated (and, given a `plan`, subject to
+/// `job-panic` injection), fanned over a pool (`shared` if given, else a
+/// fresh pool of `threads` workers) or, for one worker or one item, in a
+/// plain loop. The output is in input order either way.
 fn run_report<T, R, F>(
-    cfg: &SweepCfg,
+    threads: usize,
     plan: Option<Arc<FaultPlan>>,
     shared: Option<&ThreadPool>,
     items: &[T],
@@ -365,45 +271,35 @@ where
 {
     let plan = plan.as_deref();
     let slots: Vec<Slot<R>> = items.iter().map(|_| OnceLock::new()).collect();
-    let parallel = items.len() > 1 && (shared.is_some() || cfg.threads > 1);
-    if parallel {
+    let run_into_slot = |i: usize| {
+        if slots[i].set(run_job(plan, i, &items[i], f)).is_err() {
+            unreachable!("sweep slot {i} claimed twice");
+        }
+    };
+    if items.len() > 1 && threads > 1 {
         let fresh;
         let pool = match shared {
             Some(p) => p,
             None => {
-                fresh = ThreadPool::new(cfg.threads.min(items.len()));
+                fresh = ThreadPool::new(threads.min(items.len()));
                 &fresh
             }
         };
         let next = AtomicUsize::new(0);
-        // Worker-level faults (or a job panic on the strict path, where
-        // `run_attempts` does not retry but still isolates) may abort the
-        // region; the serial sweep below fills whatever was left.
-        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(|_ctx| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let outcome = run_attempts(cfg, plan, i, &items[i], f);
-                if slots[i].set(outcome).is_err() {
-                    unreachable!("sweep slot {i} claimed twice");
-                }
-            });
-        }));
-    }
-    // Serial pass: everything (single-threaded / tiny inputs), or only the
-    // gaps a faulted pool region left behind. No pool is involved, so
-    // worker faults cannot starve this pass — the sweep always completes.
-    for (i, slot) in slots.iter().enumerate() {
-        if slot.get().is_none() {
-            let _ = slot.set(run_attempts(cfg, plan, i, &items[i], f));
-        }
+        pool.run(|_ctx| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            run_into_slot(i);
+        });
+    } else {
+        (0..items.len()).for_each(run_into_slot);
     }
     let mut results = Vec::with_capacity(items.len());
     let mut failures = Vec::new();
     for slot in slots {
-        match slot.into_inner().expect("all slots filled above") {
+        match slot.into_inner().expect("every job ran") {
             Ok(v) => results.push(Some(v)),
             Err(failure) => {
                 failures.push(failure);
@@ -414,115 +310,35 @@ where
     SweepReport { results, failures }
 }
 
-/// One job through the attempt loop: injection, panic isolation, the
-/// cooperative deadline, and exponential backoff between attempts.
-fn run_attempts<T, R, F>(
-    cfg: &SweepCfg,
-    plan: Option<&FaultPlan>,
-    i: usize,
-    item: &T,
-    f: &F,
-) -> Result<R, JobFailure>
+/// One job, once: injection, then panic isolation.
+fn run_job<T, R, F>(plan: Option<&FaultPlan>, i: usize, item: &T, f: &F) -> Result<R, JobFailure>
 where
     F: Fn(usize, &T) -> R,
 {
     let metrics_on = crate::metrics::enabled();
     if metrics_on {
-        sweep_counter("mic_sweep_jobs_total", "Sweep jobs started.").inc();
+        crate::metrics::counter("mic_sweep_jobs_total", "Sweep jobs started.", &[]).inc();
     }
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        if metrics_on && attempts > 1 {
-            sweep_counter("mic_sweep_retries_total", "Sweep job re-attempts.").inc();
+    let outcome = if plan.is_some_and(|p| p.fires(FaultClass::JobPanic, i as u64)) {
+        fault::count_injection_at(FaultClass::JobPanic, i as u64);
+        Err(format!("mic-fault: injected job-panic at sweep point {i}"))
+    } else {
+        panic::catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|p| payload_message(&p))
+    };
+    outcome.map_err(|message| {
+        if metrics_on {
+            crate::metrics::counter(
+                "mic_sweep_failures_total",
+                "Sweep jobs lost to a panic.",
+                &[],
+            )
+            .inc();
         }
-        let injected = plan.and_then(|p| job_fault(p, i as u64, (attempts - 1) as u64));
-        if let Some((class, _)) = injected {
-            fault::count_injection_at(class, i as u64);
+        if mic_obs::enabled() {
+            mic_obs::flight::record(mic_obs::flight::EventKind::SweepFailure, i as u64, 0, 0);
         }
-        let injected = injected.map(|(_, fault)| fault);
-        let started = Instant::now();
-        let outcome: Result<R, Box<dyn std::any::Any + Send>> = match injected {
-            Some(Fault::Panic) => Err(Box::new(format!(
-                "mic-fault: injected job-panic at sweep point {i} (attempt {attempts})"
-            ))),
-            Some(Fault::SleepMs(ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                panic::catch_unwind(AssertUnwindSafe(|| f(i, item)))
-            }
-            Some(Fault::Die) | None => panic::catch_unwind(AssertUnwindSafe(|| f(i, item))),
-        };
-        let cause = match outcome {
-            Ok(value) => {
-                let elapsed_ms = started.elapsed().as_millis() as u64;
-                match cfg.deadline_ms {
-                    Some(limit_ms) if elapsed_ms > limit_ms => {
-                        // Cooperative deadline: the value arrived too late
-                        // to trust a live sweep with, so it is discarded
-                        // and the attempt counts as failed.
-                        if metrics_on {
-                            sweep_counter(
-                                "mic_sweep_deadline_hits_total",
-                                "Attempts whose result arrived after the cooperative deadline.",
-                            )
-                            .inc();
-                        }
-                        FailureCause::Deadline { limit_ms }
-                    }
-                    _ => return Ok(value),
-                }
-            }
-            Err(payload) => FailureCause::Panic(payload_message(&payload)),
-        };
-        if attempts > cfg.retries {
-            if metrics_on {
-                crate::metrics::counter(
-                    "mic_sweep_failures_total",
-                    "Sweep jobs that failed every attempt, by final cause.",
-                    &[("cause", cause.kind())],
-                )
-                .inc();
-            }
-            if mic_obs::enabled() {
-                mic_obs::flight::record(
-                    mic_obs::flight::EventKind::SweepFailure,
-                    i as u64,
-                    attempts as u64,
-                    0,
-                );
-            }
-            return Err(JobFailure {
-                point: i,
-                cause,
-                attempts,
-            });
-        }
-        // 10ms, 20ms, 40ms, ... capped — enough to ride out transient
-        // contention without stretching a chaos run into minutes.
-        let backoff_ms = (10u64 << (attempts - 1).min(4)).min(100);
-        std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-    }
-}
-
-/// Unlabeled sweep counter (all labeled families go through
-/// [`crate::metrics::counter`] directly).
-fn sweep_counter(name: &str, help: &'static str) -> std::sync::Arc<mic_metrics::Counter> {
-    crate::metrics::counter(name, help, &[])
-}
-
-/// The job-site fault decision: the first matching job class wins. The
-/// class rides along so the injection can be counted per class.
-fn job_fault(plan: &FaultPlan, site: u64, attempt: u64) -> Option<(FaultClass, Fault)> {
-    for class in [
-        FaultClass::JobPanic,
-        FaultClass::JobStall,
-        FaultClass::JobSlow,
-    ] {
-        if let Some(fault) = plan.decide(class, site, attempt) {
-            return Some((class, fault));
-        }
-    }
-    None
+        JobFailure { point: i, message }
+    })
 }
 
 fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
@@ -539,14 +355,6 @@ fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn cfg(threads: usize, retries: u32, deadline_ms: Option<u64>) -> SweepCfg {
-        SweepCfg {
-            threads,
-            retries,
-            deadline_ms,
-        }
-    }
 
     #[test]
     fn parallel_matches_serial_in_order() {
@@ -618,7 +426,7 @@ mod tests {
     fn try_map_isolates_panics_and_reports_once() {
         let items: Vec<usize> = (0..32).collect();
         for threads in [1, 4] {
-            let report = try_map_cfg(&cfg(threads, 0, None), &items, |_, &x| {
+            let report = try_map_with(threads, &items, |_, &x| {
                 if x == 5 || x == 20 {
                     panic!("bad point {x}");
                 }
@@ -628,8 +436,7 @@ mod tests {
             let failed: Vec<usize> = report.failures.iter().map(|f| f.point).collect();
             assert_eq!(failed, vec![5, 20], "threads={threads}");
             for f in &report.failures {
-                assert_eq!(f.attempts, 1);
-                assert!(matches!(&f.cause, FailureCause::Panic(m) if m.contains("bad point")));
+                assert!(f.message.contains("bad point"), "{f}");
             }
             for (i, v) in report.results.iter().enumerate() {
                 if i == 5 || i == 20 {
@@ -641,43 +448,32 @@ mod tests {
         }
     }
 
+    /// A pure job that panicked would panic again: it runs exactly once,
+    /// by worker count and on a caller's pool alike.
     #[test]
-    fn retries_retry_and_then_give_up() {
-        let tries = AtomicUsize::new(0);
-        let report = try_map_cfg(&cfg(1, 2, None), &[()], |_, _| {
-            // Fails twice, succeeds on the third attempt.
-            if tries.fetch_add(1, Ordering::SeqCst) < 2 {
-                panic!("transient");
+    fn a_panicking_job_is_executed_exactly_once() {
+        let items: Vec<usize> = (0..8).collect();
+        let runs: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let job = |i: usize, &x: &usize| -> usize {
+            runs[i].fetch_add(1, Ordering::SeqCst);
+            if x == 3 {
+                panic!("deterministic bug");
             }
-            7u32
-        });
-        assert!(report.is_complete());
-        assert_eq!(report.results, vec![Some(7)]);
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
-
-        let report = try_map_cfg(&cfg(1, 2, None), &[()], |_, _| -> u32 {
-            panic!("permanent")
-        });
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].attempts, 3, "1 attempt + 2 retries");
-    }
-
-    #[test]
-    fn deadline_discards_late_results() {
-        let report = try_map_cfg(&cfg(1, 0, Some(5)), &[30u64, 0], |_, &ms| {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            ms * 10
-        });
-        assert_eq!(report.results[0], None, "late result must be discarded");
-        assert_eq!(report.results[1], Some(0));
-        assert_eq!(
-            report.failures,
-            vec![JobFailure {
-                point: 0,
-                cause: FailureCause::Deadline { limit_ms: 5 },
-                attempts: 1
-            }]
-        );
+            x
+        };
+        let pool = ThreadPool::new(4);
+        let reports = [
+            try_map_with(1, &items, job),
+            try_map_with(4, &items, job),
+            try_map_on(&pool, &items, job),
+        ];
+        for report in &reports {
+            assert_eq!(report.failures.len(), 1);
+            assert_eq!(report.failures[0].point, 3);
+        }
+        for (i, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), reports.len(), "job {i}");
+        }
     }
 
     #[test]
@@ -700,10 +496,6 @@ mod tests {
         assert_eq!(recorded.len(), 1);
         assert_eq!(recorded[0].context, "unit-test");
         assert_eq!(recorded[0].failure.point, 3);
-        assert_eq!(
-            recorded[0].failure.attempts, 3,
-            "targeted faults exhaust retries"
-        );
         assert!(take_failures().is_empty(), "take drains the registry");
     }
 
@@ -714,14 +506,14 @@ mod tests {
         let f = |i: usize, &x: &u64| x * 3 + i as u64;
         let serial = map_serial(&items, f);
         for _ in 0..3 {
-            let report = try_map_shared(&pool, &cfg(1, 0, None), &items, f);
+            let report = try_map_on(&pool, &items, f);
             assert!(report.is_complete());
             let got: Vec<u64> = report.results.into_iter().map(|v| v.unwrap()).collect();
             assert_eq!(got, serial);
         }
         // Panic isolation holds on the shared pool too, and the pool
         // survives for the next batch.
-        let report = try_map_shared(&pool, &cfg(1, 0, None), &items, |_, &x| {
+        let report = try_map_on(&pool, &items, |_, &x| {
             if x == 13 {
                 panic!("bad point");
             }
@@ -729,7 +521,7 @@ mod tests {
         });
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].point, 13);
-        assert!(try_map_shared(&pool, &cfg(1, 0, None), &items, f).is_complete());
+        assert!(try_map_on(&pool, &items, f).is_complete());
     }
 
     #[test]
@@ -746,11 +538,7 @@ mod tests {
     fn injected_panics_hit_try_map_deterministically() {
         let items: Vec<usize> = (0..64).collect();
         let plan = FaultPlan::with_rate(77, crate::fault::FaultClass::JobPanic, 0.25);
-        let run = || {
-            crate::fault::with_plan(plan.clone(), || {
-                try_map_cfg(&cfg(4, 0, None), &items, |_, &x| x)
-            })
-        };
+        let run = || crate::fault::with_plan(plan.clone(), || try_map_with(4, &items, |_, &x| x));
         let a = run();
         let b = run();
         assert!(!a.failures.is_empty(), "rate 0.25 over 64 jobs must fire");

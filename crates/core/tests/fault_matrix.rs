@@ -1,10 +1,11 @@
-//! Chaos matrix for the resilient sweep: under every job-site fault class
-//! and several seeds, a sweep must still complete, report each lost point
+//! Chaos matrix for the isolated sweep: under `job-panic` injection and
+//! several seeds, a sweep must still complete, report each lost point
 //! exactly once, and leave every surviving point bit-identical to the
-//! fault-free run. This is the test CI drives under `MIC_FAULT` too.
+//! fault-free run. CI drives it under `MIC_FAULT` too: the environment's
+//! plan joins the matrix as one more input.
 
 use mic_eval::fault::{with_plan, FaultPlan};
-use mic_eval::sweep::{self, SweepCfg};
+use mic_eval::sweep;
 use std::sync::Mutex;
 
 /// Plans are process-global; serialize the whole file so the no-plan test
@@ -29,13 +30,7 @@ fn items() -> Vec<u64> {
     (1..=24u64).map(|v| v * 37 + 5).collect()
 }
 
-fn cfg() -> SweepCfg {
-    SweepCfg {
-        threads: 4,
-        retries: 2,
-        deadline_ms: None,
-    }
-}
+const THREADS: usize = 4;
 
 /// Fault-free reference, computed serially.
 fn baseline(items: &[u64]) -> Vec<f64> {
@@ -47,51 +42,56 @@ fn matrix_completes_and_successes_are_bit_identical() {
     let _guard = serial();
     let items = items();
     let base = baseline(&items);
-    // Stall/slow sleeps are shortened so the whole matrix stays fast.
-    let specs = [
-        "job-panic@0.3",
-        "job-stall@0.25:2",
-        "job-slow@0.6:1",
-        "job-panic@0.2,job-slow@0.3:1",
-    ];
+    let mut plans = Vec::new();
     for seed in [1u64, 7, 42] {
-        for spec in specs {
-            let plan = FaultPlan::parse(&format!("{seed}:{spec}")).expect("valid spec");
-            let report = with_plan(plan, || sweep::try_map_cfg(&cfg(), &items, job));
-            assert_eq!(
-                report.results.len(),
-                items.len(),
-                "seed {seed} spec {spec}: sweep must cover every point"
-            );
-            // Every lost point is reported exactly once; every reported
-            // point is actually lost.
-            let lost: Vec<usize> = report
-                .results
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.is_none().then_some(i))
-                .collect();
-            let mut reported: Vec<usize> = report.failures.iter().map(|f| f.point).collect();
-            reported.sort_unstable();
-            reported.dedup();
-            assert_eq!(
-                reported.len(),
-                report.failures.len(),
-                "seed {seed} spec {spec}: duplicate failure records"
-            );
-            assert_eq!(
-                lost, reported,
-                "seed {seed} spec {spec}: failures must match the None points"
-            );
-            // Survivors are bit-identical to the fault-free run.
-            for (i, r) in report.results.iter().enumerate() {
-                if let Some(v) = r {
-                    assert_eq!(
-                        v.to_bits(),
-                        base[i].to_bits(),
-                        "seed {seed} spec {spec}: point {i} drifted under faults"
-                    );
-                }
+        for spec in [
+            "job-panic@0.2",
+            "job-panic@0.3",
+            "job-panic@0.1,job-panic#5",
+        ] {
+            let spec = format!("{seed}:{spec}");
+            plans.push((FaultPlan::parse(&spec).expect("valid spec"), spec));
+        }
+    }
+    // The plan `MIC_FAULT` configured, if any (the CI chaos leg).
+    if let Some(env) = mic_eval::config::current().fault.clone() {
+        plans.push((env, "MIC_FAULT".to_string()));
+    }
+    for (plan, spec) in plans {
+        let report = with_plan(plan, || sweep::try_map_with(THREADS, &items, job));
+        assert_eq!(
+            report.results.len(),
+            items.len(),
+            "spec {spec}: sweep must cover every point"
+        );
+        // Every lost point is reported exactly once; every reported
+        // point is actually lost.
+        let lost: Vec<usize> = report
+            .results
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.is_none().then_some(i))
+            .collect();
+        let mut reported: Vec<usize> = report.failures.iter().map(|f| f.point).collect();
+        reported.sort_unstable();
+        reported.dedup();
+        assert_eq!(
+            reported.len(),
+            report.failures.len(),
+            "spec {spec}: duplicate failure records"
+        );
+        assert_eq!(
+            lost, reported,
+            "spec {spec}: failures must match the None points"
+        );
+        // Survivors are bit-identical to the fault-free run.
+        for (i, r) in report.results.iter().enumerate() {
+            if let Some(v) = r {
+                assert_eq!(
+                    v.to_bits(),
+                    base[i].to_bits(),
+                    "spec {spec}: point {i} drifted under faults"
+                );
             }
         }
     }
@@ -103,7 +103,7 @@ fn same_seed_reproduces_the_same_schedule() {
     let items = items();
     let run = || {
         let plan = FaultPlan::parse("42:job-panic@0.35").unwrap();
-        with_plan(plan, || sweep::try_map_cfg(&cfg(), &items, job))
+        with_plan(plan, || sweep::try_map_with(THREADS, &items, job))
     };
     let (a, b) = (run(), run());
     let pattern = |r: &sweep::SweepReport<f64>| -> Vec<Option<u64>> {
@@ -114,62 +114,42 @@ fn same_seed_reproduces_the_same_schedule() {
         pattern(&b),
         "same seed must fail the same points"
     );
-    let records = |r: &sweep::SweepReport<f64>| -> Vec<(usize, &'static str, u32)> {
-        r.failures
-            .iter()
-            .map(|f| (f.point, f.cause.kind(), f.attempts))
-            .collect()
-    };
-    assert_eq!(records(&a), records(&b));
+    assert_eq!(a.failures, b.failures);
     // And a different seed produces a different schedule (with 24 points
     // at 35% the chance of an identical pattern is negligible).
     let other = with_plan(FaultPlan::parse("43:job-panic@0.35").unwrap(), || {
-        sweep::try_map_cfg(&cfg(), &items, job)
+        sweep::try_map_with(THREADS, &items, job)
     });
     assert_ne!(pattern(&a), pattern(&other), "seed must matter");
 }
 
 /// The acceptance scenario from the failure-model spec: one point forced
-/// to panic on every attempt, one point forced over the deadline. The
-/// sweep completes the rest, retries per the configuration, and reports
-/// both losses as structured records.
+/// to panic. The sweep completes the rest and reports the loss as one
+/// structured record.
 #[test]
-fn forced_panic_and_deadline_point_degrade_cleanly() {
+fn forced_panic_point_degrades_cleanly() {
     let _guard = serial();
     let items = items();
     let base = baseline(&items);
-    let plan = FaultPlan::parse("7:job-panic#3,job-stall#9:80").unwrap();
-    let cfg = SweepCfg {
-        threads: 4,
-        retries: 2,
-        deadline_ms: Some(20),
-    };
-    let report = with_plan(plan, || sweep::try_map_cfg(&cfg, &items, job));
+    let plan = FaultPlan::parse("7:job-panic#3").unwrap();
+    let report = with_plan(plan, || sweep::try_map_with(THREADS, &items, job));
     assert_eq!(report.results.len(), items.len());
     for (i, r) in report.results.iter().enumerate() {
         match i {
-            3 | 9 => assert!(r.is_none(), "targeted point {i} must be lost"),
+            3 => assert!(r.is_none(), "targeted point {i} must be lost"),
             _ => assert_eq!(
                 r.expect("untargeted point must survive").to_bits(),
                 base[i].to_bits()
             ),
         }
     }
-    assert_eq!(report.failures.len(), 2);
-    let by_point = |p: usize| report.failures.iter().find(|f| f.point == p).unwrap();
-    let panic_rec = by_point(3);
-    assert_eq!(panic_rec.cause.kind(), "panic");
-    // Targeted rules fire on every attempt: 1 try + `retries` retries.
-    assert_eq!(panic_rec.attempts, cfg.retries + 1);
+    assert_eq!(report.failures.len(), 1);
+    let panic_rec = &report.failures[0];
+    assert_eq!(panic_rec.point, 3);
     assert!(
-        panic_rec.cause.to_string().contains("sweep point 3"),
-        "panic cause should carry the injected message, got {}",
-        panic_rec.cause
+        panic_rec.message.contains("sweep point 3"),
+        "the record should carry the injected message, got {panic_rec}"
     );
-    let deadline_rec = by_point(9);
-    assert_eq!(deadline_rec.cause.kind(), "deadline");
-    assert_eq!(deadline_rec.attempts, cfg.retries + 1);
-    assert!(deadline_rec.cause.to_string().contains("20"));
 }
 
 #[test]
@@ -181,7 +161,7 @@ fn no_plan_is_bit_identical_with_no_failures() {
     // environment provided (CI runs this binary under MIC_FAULT), so the
     // sweep below really does run fault-free.
     let never = FaultPlan::parse("1:job-panic@0.0").unwrap();
-    let report = with_plan(never, || sweep::try_map_cfg(&cfg(), &items, job));
+    let report = with_plan(never, || sweep::try_map_with(THREADS, &items, job));
     assert!(report.failures.is_empty());
     let got: Vec<u64> = report
         .results

@@ -50,20 +50,16 @@ pub enum EventKind {
     StoreRecovery = 10,
     /// An injected fault fired (`a` = class index, `b` = site).
     Fault = 11,
-    /// A pool worker died (`a` = worker id, `b` = region epoch).
-    WorkerDeath = 12,
-    /// A dead pool worker was respawned (`a` = worker id).
-    WorkerRespawn = 13,
     /// A request exceeded the slow threshold (`a` = latency µs).
     SlowRequest = 14,
     /// A request finished (`a` = latency µs, `b` = 1 if ok).
     RequestDone = 15,
-    /// A sweep job failed its final attempt (`a` = point, `b` = attempts).
+    /// A sweep job panicked and its point was lost (`a` = point).
     SweepFailure = 16,
 }
 
 impl EventKind {
-    const ALL: [EventKind; 16] = [
+    const ALL: [EventKind; 14] = [
         EventKind::Admit,
         EventKind::Shed,
         EventKind::QuotaShed,
@@ -75,8 +71,6 @@ impl EventKind {
         EventKind::StoreHit,
         EventKind::StoreRecovery,
         EventKind::Fault,
-        EventKind::WorkerDeath,
-        EventKind::WorkerRespawn,
         EventKind::SlowRequest,
         EventKind::RequestDone,
         EventKind::SweepFailure,
@@ -96,8 +90,6 @@ impl EventKind {
             EventKind::StoreHit => "store_hit",
             EventKind::StoreRecovery => "store_recovery",
             EventKind::Fault => "fault",
-            EventKind::WorkerDeath => "worker_death",
-            EventKind::WorkerRespawn => "worker_respawn",
             EventKind::SlowRequest => "slow_request",
             EventKind::RequestDone => "request_done",
             EventKind::SweepFailure => "sweep_failure",

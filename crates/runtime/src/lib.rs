@@ -33,7 +33,6 @@
 pub mod cilk;
 pub mod concurrent;
 pub mod deque;
-pub mod fault;
 pub mod injector;
 pub mod model;
 pub mod openmp;
@@ -48,7 +47,6 @@ pub mod trace;
 pub use cilk::cilk_for;
 pub use concurrent::{BlockCursor, BlockQueue, BlockWriter, ConcurrentPushVec};
 pub use deque::WsDeque;
-pub use fault::{FaultAction, FaultSite};
 pub use injector::{BoundedQueue, Injector, Steal};
 pub use model::RuntimeModel;
 pub use openmp::{parallel_for, parallel_for_chunks, parallel_reduce, Schedule};

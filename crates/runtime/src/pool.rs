@@ -15,16 +15,10 @@
 //! the `epoch` atomic with a `Release` store, and pings an
 //! [`EventCount`](crate::sync::EventCount) — no mutex is held while
 //! workers are woken, and idle workers spin `MIC_STEAL_SPIN` iterations
-//! before parking. The only mutex left guards the *cold* error path
-//! (first panic, dead-worker bookkeeping), which is touched at most once
-//! per fault, never per region. See DESIGN.md "Lock-free structures" for
+//! before parking. The only mutex left guards the *cold* error path (the
+//! first panic of a region), which is touched at most once per panicking
+//! worker, never per region. See DESIGN.md "Lock-free structures" for
 //! the publication argument.
-//!
-//! The pool is also a fault-injection site (see [`crate::fault`]): a hook
-//! may stall a worker at region entry, panic it, or kill it outright. A
-//! killed worker is bookkept in the cold state and transparently
-//! respawned at the start of the next region, so a poisoned pool recovers
-//! instead of deadlocking its next `run`.
 
 use crate::sync::EventCount;
 use parking_lot::Mutex;
@@ -87,16 +81,6 @@ type Job = *const (dyn Fn(WorkerCtx) + Sync);
 struct SendJob(Job);
 unsafe impl Send for SendJob {}
 
-/// Cold-path state: touched only on worker panics and injected deaths,
-/// never on the per-region hot path.
-#[derive(Default)]
-struct ColdState {
-    panic: Option<Box<dyn Any + Send>>,
-    /// Worker ids whose threads exited (injected `Die` faults). Joined and
-    /// respawned at the start of the next region.
-    dead: Vec<usize>,
-}
-
 struct Shared {
     /// Region sequence number. Advanced with a `Release` store *after*
     /// `job` and `remaining` are written; workers `Acquire`-load it, so
@@ -112,7 +96,9 @@ struct Shared {
     work: EventCount,
     /// The submitter parks here while a region drains.
     done: EventCount,
-    cold: Mutex<ColdState>,
+    /// Cold path: the first panic payload of the current region, touched
+    /// only when a worker's job panics, never on the per-region hot path.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 // SAFETY: `job` is the only non-atomic field. It is written by the
@@ -138,9 +124,7 @@ static POOL_IDS: AtomicUsize = AtomicUsize::new(0);
 /// Fixed-size worker pool. See the module docs.
 pub struct ThreadPool {
     shared: Arc<Shared>,
-    /// Slot per worker id; `None` only transiently while a dead worker is
-    /// being respawned. Behind a mutex so `run(&self)` can heal the pool.
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
+    handles: Vec<JoinHandle<()>>,
     /// Serializes concurrent `run` calls from different threads. Not part
     /// of the dispatch hot path: a single driver thread takes it
     /// uncontended (one CAS), and it is never held while workers are
@@ -148,9 +132,6 @@ pub struct ThreadPool {
     run_lock: Mutex<()>,
     num_threads: usize,
     id: usize,
-    /// Trace lane inherited from the creating thread (see
-    /// [`crate::trace::set_lane`]); respawned workers rejoin it.
-    lane: usize,
 }
 
 impl ThreadPool {
@@ -170,18 +151,17 @@ impl ThreadPool {
             shutdown: AtomicBool::new(false),
             work: EventCount::named("pool-work"),
             done: EventCount::named("pool-done"),
-            cold: Mutex::new(ColdState::default()),
+            panic: Mutex::new(None),
         });
         let handles = (0..num_threads)
-            .map(|id| Some(spawn_worker(id, num_threads, pool_id, lane, &shared, 0)))
+            .map(|id| spawn_worker(id, num_threads, pool_id, lane, &shared))
             .collect();
         ThreadPool {
             shared,
-            handles: Mutex::new(handles),
+            handles,
             run_lock: Mutex::new(()),
             num_threads,
             id: pool_id,
-            lane,
         }
     }
 
@@ -225,7 +205,6 @@ impl ThreadPool {
             }
         }
         let _serialize = self.run_lock.lock();
-        self.ensure_workers();
         if mic_metrics::enabled() {
             mic_metrics::counter(
                 "mic_pool_regions_total",
@@ -262,58 +241,11 @@ impl ThreadPool {
         // after its last use of the job pointer; the Acquire observation
         // of 0 above orders those uses before this write.
         unsafe { *self.shared.job.get() = None };
-        let panic = self.shared.cold.lock().panic.take();
+        let panic = self.shared.panic.lock().take();
         if let Some(p) = panic {
             panic::resume_unwind(p);
         }
         Ok(())
-    }
-
-    /// Join and respawn any workers that died (injected `Die` faults) since
-    /// the previous region. Called under `run_lock` before a region is
-    /// posted, so a pool poisoned by worker loss heals instead of hanging
-    /// its next `run` waiting on threads that no longer exist.
-    fn ensure_workers(&self) {
-        let dead: Vec<usize> = {
-            let mut cold = self.shared.cold.lock();
-            std::mem::take(&mut cold.dead)
-        };
-        if dead.is_empty() {
-            return;
-        }
-        let epoch = self.shared.epoch.load(Ordering::Relaxed);
-        let mut handles = self.handles.lock();
-        for id in dead {
-            if let Some(h) = handles[id].take() {
-                let _ = h.join();
-            }
-            if mic_metrics::enabled() {
-                mic_metrics::counter(
-                    "mic_pool_workers_respawned_total",
-                    "Dead pool workers replaced at region start",
-                    &[],
-                )
-                .inc();
-            }
-            // The replacement starts at the current epoch so it waits for
-            // the next region rather than chasing ones it never saw.
-            if mic_obs::enabled() {
-                mic_obs::flight::record(
-                    mic_obs::flight::EventKind::WorkerRespawn,
-                    id as u64,
-                    epoch,
-                    0,
-                );
-            }
-            handles[id] = Some(spawn_worker(
-                id,
-                self.num_threads,
-                self.id,
-                self.lane,
-                &self.shared,
-                epoch,
-            ));
-        }
     }
 }
 
@@ -321,10 +253,8 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.work.notify();
-        for h in self.handles.lock().iter_mut() {
-            if let Some(h) = h.take() {
-                let _ = h.join();
-            }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
         }
     }
 }
@@ -335,12 +265,11 @@ fn spawn_worker(
     pool_id: usize,
     lane: usize,
     shared: &Arc<Shared>,
-    start_epoch: u64,
 ) -> JoinHandle<()> {
     if mic_metrics::enabled() {
         mic_metrics::counter(
             "mic_pool_workers_spawned_total",
-            "Pool worker threads started (initial spawns and respawns)",
+            "Pool worker threads started",
             &[],
         )
         .inc();
@@ -350,7 +279,7 @@ fn spawn_worker(
         .name(format!("mic-worker-{id}"))
         .spawn(move || {
             crate::trace::set_lane(lane);
-            worker_loop(id, num_threads, pool_id, shared, start_epoch)
+            worker_loop(id, num_threads, pool_id, shared)
         })
         .expect("failed to spawn pool worker")
 }
@@ -363,8 +292,8 @@ fn finish_region(shared: &Shared) {
     }
 }
 
-fn worker_loop(id: usize, num_threads: usize, pool_id: usize, shared: Arc<Shared>, start: u64) {
-    let mut seen_epoch = start;
+fn worker_loop(id: usize, num_threads: usize, pool_id: usize, shared: Arc<Shared>) {
+    let mut seen_epoch = 0;
     loop {
         // Wait for a new region (or shutdown): spin, then park. The
         // Acquire epoch load pairs with the submitter's Release store and
@@ -381,64 +310,27 @@ fn worker_loop(id: usize, num_threads: usize, pool_id: usize, shared: Arc<Shared
         // Release store, which happens-after the job write; the slot is
         // not rewritten until this worker decrements `remaining`.
         let job = unsafe { *shared.job.get() }.expect("job published with region epoch");
-        // Region-entry fault site: an installed hook may stall this worker,
-        // panic it in place of the job, or kill the thread.
-        let fault = crate::fault::check(&crate::fault::FaultSite {
-            runtime: "pool",
-            worker: id,
-            index: seen_epoch,
-        });
-        if let Some(crate::fault::FaultAction::Die) = fault {
-            if mic_obs::enabled() {
-                mic_obs::flight::record(
-                    mic_obs::flight::EventKind::WorkerDeath,
-                    id as u64,
-                    seen_epoch,
-                    0,
-                );
-            }
-            {
-                let mut cold = shared.cold.lock();
-                if cold.panic.is_none() {
-                    cold.panic = Some(Box::new(format!(
-                        "mic-fault: pool worker {id} died at region epoch {seen_epoch}"
-                    )));
-                }
-                cold.dead.push(id);
-            }
-            finish_region(&shared);
-            return;
+        // SAFETY: `run` keeps the closure alive until `remaining` drops
+        // to zero, which happens strictly after this call returns.
+        let f = unsafe { &*job.0 };
+        let outer = IN_REGION.with(|flag| flag.replace(Some((pool_id, id))));
+        let trace_start = crate::trace::enabled().then(crate::trace::now_us);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| f(WorkerCtx { id, num_threads })));
+        if let Some(t0) = trace_start {
+            crate::trace::emit(crate::trace::NativeEvent {
+                runtime: "pool",
+                worker: id,
+                lane: crate::trace::current_lane(),
+                start_us: t0,
+                end_us: crate::trace::now_us(),
+                kind: crate::trace::NativeEventKind::Region { epoch: seen_epoch },
+            });
         }
-        if let Some(crate::fault::FaultAction::StallMs(ms)) = &fault {
-            std::thread::sleep(std::time::Duration::from_millis(*ms));
-        }
-        let result = if let Some(crate::fault::FaultAction::Panic(msg)) = fault {
-            // The injected panic replaces the job body for this worker.
-            Err(Box::new(msg) as Box<dyn Any + Send>)
-        } else {
-            // SAFETY: `run` keeps the closure alive until `remaining` drops
-            // to zero, which happens strictly after this call returns.
-            let f = unsafe { &*job.0 };
-            let outer = IN_REGION.with(|flag| flag.replace(Some((pool_id, id))));
-            let trace_start = crate::trace::enabled().then(crate::trace::now_us);
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(WorkerCtx { id, num_threads })));
-            if let Some(t0) = trace_start {
-                crate::trace::emit(crate::trace::NativeEvent {
-                    runtime: "pool",
-                    worker: id,
-                    lane: crate::trace::current_lane(),
-                    start_us: t0,
-                    end_us: crate::trace::now_us(),
-                    kind: crate::trace::NativeEventKind::Region { epoch: seen_epoch },
-                });
-            }
-            IN_REGION.with(|flag| flag.set(outer));
-            result
-        };
+        IN_REGION.with(|flag| flag.set(outer));
         if let Err(p) = result {
-            let mut cold = shared.cold.lock();
-            if cold.panic.is_none() {
-                cold.panic = Some(p);
+            let mut first = shared.panic.lock();
+            if first.is_none() {
+                *first = Some(p);
             }
         }
         finish_region(&shared);

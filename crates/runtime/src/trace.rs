@@ -135,12 +135,10 @@ fn chunk_seconds_buckets() -> Vec<f64> {
 }
 
 /// Wrap a chunk body so each invocation is timed and recorded when a
-/// capture session is active. This is also the chunk-boundary fault site:
-/// an installed [`crate::fault`] hook is consulted with the chunk's first
-/// iteration index before the body runs. `sched` names the scheduling
-/// discipline that produced the chunk ("static", "dynamic", "guided",
-/// "simple", "auto", "affinity") and labels the per-schedule chunk-latency
-/// histogram when metrics are enabled.
+/// capture session is active. `sched` names the scheduling discipline
+/// that produced the chunk ("static", "dynamic", "guided", "simple",
+/// "auto", "affinity") and labels the per-schedule chunk-latency histogram
+/// when metrics are enabled.
 pub(crate) fn timed_chunk<F>(
     runtime: &'static str,
     sched: &'static str,
@@ -150,7 +148,6 @@ where
     F: Fn(Range<usize>, crate::pool::WorkerCtx),
 {
     move |r, ctx| {
-        crate::fault::apply_chunk(runtime, ctx.id, r.start as u64);
         let trace_on = enabled();
         let metrics_on = mic_metrics::enabled();
         if !trace_on && !metrics_on {

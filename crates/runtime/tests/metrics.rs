@@ -18,12 +18,6 @@ fn pool_lifecycle_and_region_counters() {
     });
     assert_eq!(snap.value("mic_pool_workers_spawned_total", &[]), Some(4.0));
     assert_eq!(snap.value("mic_pool_regions_total", &[]), Some(3.0));
-    // No faults injected, so no respawns were recorded (the counter may
-    // not even exist — both spellings of zero are acceptable).
-    let respawns = snap
-        .value("mic_pool_workers_respawned_total", &[])
-        .unwrap_or(0.0);
-    assert_eq!(respawns, 0.0);
 }
 
 #[test]

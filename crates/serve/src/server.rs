@@ -19,9 +19,9 @@
 //!    CAS loop against the admission cap (full → **shed**) and pushes
 //!    onto a lock-free bounded ring;
 //! 4. the shard's executor thread drains up to `batch_max` queued jobs
-//!    and runs them as ONE resilient sweep invocation
-//!    ([`mic_eval::sweep::try_map_shared`]) on the shard's long-lived
-//!    pool — injected faults become per-job failures, so a poisoned job
+//!    and runs them as ONE isolated sweep invocation
+//!    ([`mic_eval::sweep::try_map_on`]) on the shard's long-lived pool —
+//!    a panicking job becomes a per-job failure, so a poisoned job
 //!    answers `status:"error"` while everything else survives;
 //! 5. completion publishes each outcome through a one-shot
 //!    [`ResultCell`](crate::cell::ResultCell), waking the admitting
@@ -49,7 +49,7 @@ use mic_eval::config::SuiteConfig;
 use mic_eval::obs::{self, flight, span};
 use mic_eval::runtime::trace as rt_trace;
 use mic_eval::runtime::{BoundedQueue, EventCount, ThreadPool};
-use mic_eval::sweep::{self, SweepCfg};
+use mic_eval::sweep;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -204,7 +204,7 @@ pub enum Submission {
     /// `queue_len` is clamped to the admission cap — it reports the
     /// bounded queue, not a transient ticket value.
     Shed { queue_len: usize },
-    /// The job ran and failed (e.g. an injected fault exhausted retries).
+    /// The job panicked (a bug, or an injected `job-panic`); it ran once.
     Failed(String),
 }
 
@@ -218,7 +218,6 @@ pub struct Dispatcher {
     shard: usize,
     shard_label: String,
     opts: ServeOpts,
-    cfg: SweepCfg,
     /// Lock-free admission ring. Capacity (next power of two ≥ `queue_cap`)
     /// can never be exceeded because `depth` tickets bound occupancy at
     /// `queue_cap`, so `push` cannot fail.
@@ -255,12 +254,9 @@ impl Dispatcher {
         stats: Arc<ServeStats>,
         store: Option<Arc<mic_store::Store>>,
     ) -> Dispatcher {
-        let mut cfg = SweepCfg::from_env();
-        cfg.threads = opts.pool_threads.max(1);
         Dispatcher {
             shard,
             shard_label: shard.to_string(),
-            cfg,
             queue: BoundedQueue::new(opts.queue_cap.max(1)),
             depth: AtomicUsize::new(0),
             inflight: Mutex::new(HashMap::new()),
@@ -550,7 +546,7 @@ impl Dispatcher {
         // it spawns) with the shard's trace lane, so the Chrome exporter
         // renders each shard on its own `shard-N/worker-M` timeline rows.
         rt_trace::set_lane(self.shard + 1);
-        let pool = ThreadPool::new(self.cfg.threads.max(1));
+        let pool = ThreadPool::new(self.opts.pool_threads.max(1));
         loop {
             self.wake.park_until(|| {
                 self.stop.load(Ordering::SeqCst)
@@ -619,7 +615,7 @@ impl Dispatcher {
                 .map(|j| j.trace.as_ref().map(|jt| (jt.trace, jt.root)))
                 .collect();
             let shard = self.shard;
-            let report = sweep::try_map_shared(&pool, &self.cfg, &specs, |i, s| {
+            let report = sweep::try_map_on(&pool, &specs, |i, s| {
                 match traces.get(i).copied().flatten() {
                     Some((trace, root)) if obs::enabled() => {
                         let start_us = obs::now_us();

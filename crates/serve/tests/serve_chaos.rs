@@ -1,10 +1,11 @@
 //! Chaos variant: the server under a deterministic fault plan. Own test
 //! binary because the installed plan is process-global.
 //!
-//! `job-panic#1` targets sweep-job site 1 on every attempt: in a batch of
-//! four jobs, exactly the job at batch position 1 exhausts its retries
-//! and panics — so one request gets a structured error response while the
-//! other three succeed, and the server (and its executor) survive.
+//! `job-panic#1` targets sweep-job site 1: in a batch of four jobs,
+//! exactly the job at batch position 1 panics — so one request gets a
+//! structured error response while the other three succeed, and the
+//! server (and its executor) survive. The poisoned job is attempted once:
+//! its batch mates' results are not held behind retries and backoff.
 
 use mic_eval::fault::{self, FaultPlan};
 use mic_serve::protocol::{self, Response};
@@ -27,7 +28,15 @@ fn rpc(addr: SocketAddr, line: &str) -> Response {
 #[test]
 fn injected_job_faults_become_error_responses_not_process_death() {
     let plan = FaultPlan::parse("42:job-panic#1").expect("plan parses");
-    fault::with_plan(plan, run_under_faults);
+    let ((), snap) = mic_eval::metrics::with_session(|| fault::with_plan(plan, run_under_faults));
+    // Every attempt at a poisoned site counts one injection, and the batch
+    // publishes only when its sweep returns: one injection means the three
+    // batch mates did not wait out re-runs of a job that cannot succeed.
+    assert_eq!(
+        snap.value("mic_fault_injections_total", &[("class", "job-panic")]),
+        Some(1.0),
+        "the poisoned job must be attempted exactly once"
+    );
 }
 
 fn run_under_faults() {

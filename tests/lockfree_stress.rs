@@ -1,31 +1,13 @@
-//! Seeded stress tests for the lock-free hot-path structures, plus a
-//! chaos run that reuses the `MIC_FAULT` worker-death rules against the
-//! lock-free pool dispatch.
+//! Seeded stress tests for the lock-free hot-path structures.
 //!
 //! The storms assert the one invariant every queue must keep under
 //! concurrency: each pushed item is consumed **exactly once** — no loss
 //! (a publish that no consumer ever observes), no duplication (two
 //! consumers winning the same slot). Interleavings are driven by a
 //! seeded splitmix64 stream so a failing seed reproduces.
-//!
-//! The chaos run installs a `worker-die` fault plan (the same rules
-//! `MIC_FAULT=<seed>:worker-die@<rate>` would install) while regions run,
-//! then proves the pool respawned the dead threads: the next region after
-//! the plan is cleared must see every worker participate and a stealing
-//! `cilk_for` over it must still cover every index exactly once.
 
-use mic_eval::fault::{with_plan, FaultClass, FaultPlan};
-use mic_eval::runtime::{cilk_for, BoundedQueue, Injector, Steal, ThreadPool, WsDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use mic_eval::runtime::{BoundedQueue, Injector, Steal, WsDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Fault plans are process-global; serialize the tests that install one.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// splitmix64: the seeded decision stream for interleavings.
 fn splitmix(state: &mut u64) -> u64 {
@@ -246,72 +228,5 @@ fn bounded_ring_storm_every_item_exactly_once() {
         });
         assert_exactly_once(&hits, seed, "bounded ring storm");
         assert!(q.is_empty());
-    }
-}
-
-/// Worker-death chaos against the lock-free pool dispatch: inject the
-/// `MIC_FAULT` `worker-die` rules while regions run, then prove the pool
-/// respawned every dead thread — the first region after the plan clears
-/// must see the full worker complement, and a stealing `cilk_for` must
-/// still cover its range exactly once.
-#[test]
-fn pool_respawns_workers_under_die_chaos() {
-    let _guard = serial();
-    for seed in [2u64, 13, 77] {
-        let threads = 4usize;
-        let pool = ThreadPool::new(threads);
-        // Same decision rules `MIC_FAULT=<seed>:worker-die@0.5` installs.
-        with_plan(
-            FaultPlan::with_rate(seed, FaultClass::WorkerDie, 0.5),
-            || {
-                for _ in 0..12 {
-                    let participants = AtomicUsize::new(0);
-                    // A died worker surfaces as the region's panic (the pool's
-                    // contract: loss is loud, then healed next region) — catch
-                    // it and check it is the injected death, nothing else.
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        pool.run(|_ctx| {
-                            participants.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }));
-                    if let Err(p) = run {
-                        let msg = p
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .unwrap_or_else(|| "non-string panic".into());
-                        assert!(
-                            msg.contains("died at region epoch"),
-                            "seed {seed}: unexpected region panic: {msg}"
-                        );
-                    }
-                    // Workers that die at region entry skip the body but may
-                    // not stall the region or corrupt the count.
-                    assert!(participants.load(Ordering::Relaxed) <= threads);
-                }
-            },
-        );
-        // Plan cleared: the next region must run with every worker alive
-        // again (respawn happens at region entry).
-        let participants = AtomicUsize::new(0);
-        pool.run(|_ctx| {
-            participants.fetch_add(1, Ordering::Relaxed);
-            // Linger so every worker (not just the fastest) is seen.
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        });
-        assert_eq!(
-            participants.load(Ordering::Relaxed),
-            threads,
-            "seed {seed}: pool did not respawn to full strength"
-        );
-        // And the stealing path over the healed pool still covers the
-        // iteration space exactly once.
-        let n = 10_000usize;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        cilk_for(&pool, 0..n, 64, |r, _ctx| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_exactly_once(&hits, seed, "post-chaos cilk_for");
     }
 }

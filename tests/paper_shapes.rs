@@ -1,5 +1,6 @@
-//! Paper-shape regressions at FULL paper scale. These take minutes, so they
-//! are `#[ignore]`d by default; run them with
+//! Paper-shape regressions at FULL paper scale. All six take about a minute
+//! in release (and gigabytes of memory), so they are `#[ignore]`d out of
+//! tier-1 and run as their own CI step:
 //! `cargo test --release --test paper_shapes -- --ignored`.
 //!
 //! Each test pins one headline claim of the paper against the calibrated
@@ -11,7 +12,7 @@ use mic_eval::graph::suite::Scale;
 const FULL: Scale = Scale::Full;
 
 #[test]
-#[ignore = "full-scale run (minutes); see EXPERIMENTS.md"]
+#[ignore = "full-scale run (about a minute for all six, own CI step); see EXPERIMENTS.md"]
 fn table1_matches_paper_within_tolerance() {
     for r in table1::table1(FULL) {
         assert_eq!(r.vertices, r.paper.vertices, "{}", r.name);
@@ -27,7 +28,7 @@ fn table1_matches_paper_within_tolerance() {
 }
 
 #[test]
-#[ignore = "full-scale run (minutes); see EXPERIMENTS.md"]
+#[ignore = "full-scale run (about a minute for all six, own CI step); see EXPERIMENTS.md"]
 fn fig1_openmp_dynamic_plateaus_near_72() {
     let fig = fig1::fig1(fig1::Panel::OpenMp, FULL);
     let dyn_ = fig.get("OpenMP-dynamic").unwrap();
@@ -40,7 +41,7 @@ fn fig1_openmp_dynamic_plateaus_near_72() {
 }
 
 #[test]
-#[ignore = "full-scale run (minutes); see EXPERIMENTS.md"]
+#[ignore = "full-scale run (about a minute for all six, own CI step); see EXPERIMENTS.md"]
 fn fig1_runtime_ordering_matches_paper() {
     let cilk = fig1::fig1(fig1::Panel::CilkPlus, FULL);
     let tbb = fig1::fig1(fig1::Panel::Tbb, FULL);
@@ -53,7 +54,7 @@ fn fig1_runtime_ordering_matches_paper() {
 }
 
 #[test]
-#[ignore = "full-scale run (minutes); see EXPERIMENTS.md"]
+#[ignore = "full-scale run (about a minute for all six, own CI step); see EXPERIMENTS.md"]
 fn fig2_shuffled_is_near_linear_and_ordered() {
     let fig = fig2::fig2(FULL);
     let last = fig.x.len() - 1;
@@ -67,7 +68,7 @@ fn fig2_shuffled_is_near_linear_and_ordered() {
 }
 
 #[test]
-#[ignore = "full-scale run (minutes); see EXPERIMENTS.md"]
+#[ignore = "full-scale run (about a minute for all six, own CI step); see EXPERIMENTS.md"]
 fn fig3_convergence_at_iter_10() {
     let values: Vec<f64> = [fig3::Panel::OpenMp, fig3::Panel::CilkPlus, fig3::Panel::Tbb]
         .into_iter()
@@ -90,7 +91,7 @@ fn fig3_convergence_at_iter_10() {
 }
 
 #[test]
-#[ignore = "full-scale run (minutes); see EXPERIMENTS.md"]
+#[ignore = "full-scale run (about a minute for all six, own CI step); see EXPERIMENTS.md"]
 fn fig4_block_beats_bag_and_tracks_model() {
     let fig = fig4::fig4(fig4::Panel::AllKnf, FULL);
     let last = fig.x.len() - 1;

@@ -84,7 +84,7 @@ fn figure_drivers_are_deterministic_across_repeated_parallel_runs() {
     );
 }
 
-/// The resilient sweep paths, with no fault plan installed, must be
+/// The isolated sweep paths, with no fault plan installed, must be
 /// invisible too: identical bits to the strict/serial reference, no
 /// failure records, no fallback invocations. This pins the `MIC_FAULT`-
 /// unset acceptance criterion at the API level (the figure drivers now
@@ -98,12 +98,7 @@ fn resilient_paths_without_faults_match_the_strict_reference() {
         .map(|v| v.to_bits())
         .collect();
 
-    let cfg = sweep::SweepCfg {
-        threads: 4,
-        retries: 2,
-        deadline_ms: None,
-    };
-    let report = sweep::try_map_cfg(&cfg, &items, f);
+    let report = sweep::try_map_with(4, &items, f);
     assert!(report.failures.is_empty(), "no plan, no failures");
     let got: Vec<u64> = report
         .results
