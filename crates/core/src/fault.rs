@@ -19,10 +19,11 @@
 //! site. Every class models a fault production can produce: a bug that
 //! panics a job, or the store's file failing under it.
 //!
-//! Sites: `job-panic` hits sweep jobs (site = job index) and is applied
-//! only on the *isolated* sweep paths (`try_map_with` / `try_map_on` /
-//! `map_degraded`) — the strict `map` used for workload construction
-//! never injects. A body panicking inside a runtime construct needs no
+//! Sites: `job-panic` hits sweep jobs and is applied only on the
+//! *isolated* sweep paths (`try_map_with` / `map_degraded`, site = job
+//! index; `try_run`, site = the caller's number — for `mic-serve`, the
+//! N-th job a shard starts) — the strict `map` used for workload
+//! construction never injects. A body panicking inside a runtime construct needs no
 //! injector: a test raises it by panicking (`failure_injection.rs`).
 //! `io-*` faults hit the paged store's file boundaries through
 //! [`mic_store::fault`] (site = page id for writes, committing epoch for

@@ -19,14 +19,14 @@
 //! - **Strict** ([`map`], [`map_with`]): a panicking job propagates to the
 //!   caller, as a plain `rayon`-style harness would. Used where a partial
 //!   result is useless (workload construction).
-//! - **Isolated** ([`try_map_with`], [`try_map_on`], [`map_degraded`]):
-//!   every job runs once under `catch_unwind`; a job that panics is
-//!   reported as a structured [`JobFailure`] — the sweep completes every
-//!   other point. Jobs are pure and deterministic, so a panic is a bug
-//!   that would panic again: nothing is retried. This path is also the
-//!   only one subject to `MIC_FAULT` injection (see [`crate::fault`]), so
-//!   figure sweeps degrade under chaos testing while workload builders
-//!   stay exact.
+//! - **Isolated** ([`try_map_with`], [`map_degraded`], and [`try_run`] for
+//!   one job on the calling thread): every job runs once under
+//!   `catch_unwind`; a job that panics is reported as a structured
+//!   [`JobFailure`] — the sweep completes every other point. Jobs are pure
+//!   and deterministic, so a panic is a bug that would panic again:
+//!   nothing is retried. This path is also the only one subject to
+//!   `MIC_FAULT` injection (see [`crate::fault`]), so figure sweeps degrade
+//!   under chaos testing while workload builders stay exact.
 //!
 //! Jobs may themselves run parallel regions on *other* pools (the native
 //! kernels in `experiments::extras` do); cross-pool nesting is supported
@@ -170,7 +170,7 @@ where
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let report = run_report(threads, None, None, items, &f);
+    let report = run_report(threads, None, items, &f);
     if let Some(failure) = report.failures.first() {
         panic!("sweep job failed ({failure})");
     }
@@ -201,20 +201,15 @@ where
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_report(threads, active_plan(), None, items, &f)
+    run_report(threads, active_plan(), items, &f)
 }
 
-/// [`try_map_with`] fanned over a caller-owned [`ThreadPool`] instead of a
-/// pool created per call. Long-lived consumers (the `mic-serve` batch
-/// executor) run every sweep on one shared pool, so requests share warm
-/// worker threads rather than paying a pool spawn per batch.
-pub fn try_map_on<T, R, F>(pool: &ThreadPool, items: &[T], f: F) -> SweepReport<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_report(pool.num_threads(), active_plan(), Some(pool), items, &f)
+/// One isolated job, run once on the calling thread: panic-isolated and
+/// subject to `job-panic` injection at `site`, which the caller numbers
+/// (`mic-serve` passes a shard's execution index). A lost job comes back
+/// as a [`JobFailure`] whose `point` is `site`.
+pub fn try_run<R>(site: usize, f: impl FnOnce() -> R) -> Result<R, JobFailure> {
+    run_job(active_plan().as_deref(), site, f)
 }
 
 /// Isolated sweep for figure drivers: failed points degrade to
@@ -254,13 +249,12 @@ where
 type Slot<R> = OnceLock<Result<R, JobFailure>>;
 
 /// Run every job once, panic-isolated (and, given a `plan`, subject to
-/// `job-panic` injection), fanned over a pool (`shared` if given, else a
-/// fresh pool of `threads` workers) or, for one worker or one item, in a
-/// plain loop. The output is in input order either way.
+/// `job-panic` injection), fanned over a fresh pool of `threads` workers
+/// or, for one worker or one item, in a plain loop. The output is in
+/// input order either way.
 fn run_report<T, R, F>(
     threads: usize,
     plan: Option<Arc<FaultPlan>>,
-    shared: Option<&ThreadPool>,
     items: &[T],
     f: &F,
 ) -> SweepReport<R>
@@ -272,19 +266,12 @@ where
     let plan = plan.as_deref();
     let slots: Vec<Slot<R>> = items.iter().map(|_| OnceLock::new()).collect();
     let run_into_slot = |i: usize| {
-        if slots[i].set(run_job(plan, i, &items[i], f)).is_err() {
+        if slots[i].set(run_job(plan, i, || f(i, &items[i]))).is_err() {
             unreachable!("sweep slot {i} claimed twice");
         }
     };
     if items.len() > 1 && threads > 1 {
-        let fresh;
-        let pool = match shared {
-            Some(p) => p,
-            None => {
-                fresh = ThreadPool::new(threads.min(items.len()));
-                &fresh
-            }
-        };
+        let pool = ThreadPool::new(threads.min(items.len()));
         let next = AtomicUsize::new(0);
         pool.run(|_ctx| loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -310,11 +297,8 @@ where
     SweepReport { results, failures }
 }
 
-/// One job, once: injection, then panic isolation.
-fn run_job<T, R, F>(plan: Option<&FaultPlan>, i: usize, item: &T, f: &F) -> Result<R, JobFailure>
-where
-    F: Fn(usize, &T) -> R,
-{
+/// One job, once: injection at site `i`, then panic isolation.
+fn run_job<R>(plan: Option<&FaultPlan>, i: usize, f: impl FnOnce() -> R) -> Result<R, JobFailure> {
     let metrics_on = crate::metrics::enabled();
     if metrics_on {
         crate::metrics::counter("mic_sweep_jobs_total", "Sweep jobs started.", &[]).inc();
@@ -323,7 +307,7 @@ where
         fault::count_injection_at(FaultClass::JobPanic, i as u64);
         Err(format!("mic-fault: injected job-panic at sweep point {i}"))
     } else {
-        panic::catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|p| payload_message(&p))
+        panic::catch_unwind(AssertUnwindSafe(f)).map_err(|p| payload_message(&p))
     };
     outcome.map_err(|message| {
         if metrics_on {
@@ -449,7 +433,7 @@ mod tests {
     }
 
     /// A pure job that panicked would panic again: it runs exactly once,
-    /// by worker count and on a caller's pool alike.
+    /// by worker count and as a lone [`try_run`] alike.
     #[test]
     fn a_panicking_job_is_executed_exactly_once() {
         let items: Vec<usize> = (0..8).collect();
@@ -461,18 +445,20 @@ mod tests {
             }
             x
         };
-        let pool = ThreadPool::new(4);
-        let reports = [
-            try_map_with(1, &items, job),
-            try_map_with(4, &items, job),
-            try_map_on(&pool, &items, job),
-        ];
+        let reports = [try_map_with(1, &items, job), try_map_with(4, &items, job)];
         for report in &reports {
             assert_eq!(report.failures.len(), 1);
             assert_eq!(report.failures[0].point, 3);
         }
+        let lone_failures: Vec<usize> = items
+            .iter()
+            .enumerate()
+            .filter_map(|(i, x)| try_run(i, || job(i, x)).err())
+            .map(|f| f.point)
+            .collect();
+        assert_eq!(lone_failures, [3]);
         for (i, n) in runs.iter().enumerate() {
-            assert_eq!(n.load(Ordering::SeqCst), reports.len(), "job {i}");
+            assert_eq!(n.load(Ordering::SeqCst), reports.len() + 1, "job {i}");
         }
     }
 
@@ -499,29 +485,45 @@ mod tests {
         assert!(take_failures().is_empty(), "take drains the registry");
     }
 
+    /// [`try_run`] on the calling thread gives the serial values, isolates a
+    /// panic to its own call, and injects at exactly the site it is given.
     #[test]
     fn shared_pool_matches_serial_and_is_reusable() {
-        let pool = ThreadPool::new(4);
         let items: Vec<u64> = (0..97).collect();
         let f = |i: usize, &x: &u64| x * 3 + i as u64;
         let serial = map_serial(&items, f);
+        let lone = |g: &dyn Fn(usize, &u64) -> u64| -> Vec<Result<u64, JobFailure>> {
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, x)| try_run(i, || g(i, x)))
+                .collect()
+        };
         for _ in 0..3 {
-            let report = try_map_on(&pool, &items, f);
-            assert!(report.is_complete());
-            let got: Vec<u64> = report.results.into_iter().map(|v| v.unwrap()).collect();
+            let got: Vec<u64> = lone(&f).into_iter().map(Result::unwrap).collect();
             assert_eq!(got, serial);
         }
-        // Panic isolation holds on the shared pool too, and the pool
-        // survives for the next batch.
-        let report = try_map_on(&pool, &items, |_, &x| {
+        // A panic fails its own call only, and the next calls run as before.
+        let results = lone(&|_, &x| {
             if x == 13 {
                 panic!("bad point");
             }
             x
         });
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].point, 13);
-        assert!(try_map_on(&pool, &items, f).is_complete());
+        let failures: Vec<&JobFailure> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].point, 13);
+        assert!(failures[0].message.contains("bad point"), "{}", failures[0]);
+        assert!(lone(&f).iter().all(Result::is_ok));
+        // The injection site is the caller's number, not a position.
+        let plan = FaultPlan::at_index(1, crate::fault::FaultClass::JobPanic, 40);
+        let injected = crate::fault::with_plan(plan, || lone(&f));
+        let hit: Vec<usize> = injected
+            .iter()
+            .filter_map(|r| r.as_ref().err())
+            .map(|f| f.point)
+            .collect();
+        assert_eq!(hit, [40]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Lock-free MPMC queues: the shared [`Injector`] behind the stealing
-//! runtimes and the bounded [`BoundedQueue`] ring behind mic-serve's
-//! admission control.
+//! runtimes and the bounded [`BoundedQueue`] ring that is its fast path.
 //!
 //! Both are built on the *guard-word* technique from the RustSpeak
 //! `conc_vec.rs` exemplar (SNIPPETS.md): a producer first reserves a slot
@@ -30,9 +29,8 @@
 //! [`BoundedQueue`] is a fixed-capacity ring with a per-slot sequence
 //! number (a generalized guard word that also encodes the lap), after
 //! Vyukov's bounded MPMC queue: full and empty are detected from the
-//! sequence lag without ever blocking, which is exactly the shape an
-//! admission queue wants — a full ring is an explicit `shed`, never a
-//! wait.
+//! sequence lag without ever blocking — a full ring hands the value back,
+//! never waits.
 
 use crossbeam_utils::CachePadded;
 use std::cell::UnsafeCell;
@@ -336,8 +334,8 @@ struct Cell<T> {
 }
 
 /// A bounded lock-free MPMC ring (Vyukov). `push` on a full ring fails
-/// immediately with the value back — the admission-control contract —
-/// and `pop` on an empty ring returns `None`.
+/// immediately with the value back, and `pop` on an empty ring returns
+/// `None`.
 pub struct BoundedQueue<T> {
     cells: Box<[Cell<T>]>,
     mask: usize,

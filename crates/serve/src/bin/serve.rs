@@ -3,8 +3,8 @@
 //!
 //! Usage: `serve <serve|client|bench|stats> [flags]`
 //!
-//! - `serve serve [--addr A] [--queue-cap N] [--batch-max N] [--lru N]
-//!   [--pool N] [--shards N] [--quota N] [--conn-cap N]
+//! - `serve serve [--addr A] [--queue-cap N] [--slots N] [--lru N]
+//!   [--shards N] [--quota N] [--conn-cap N]
 //!   [--max-request BYTES] [--store PATH] [--store-sync N]
 //!   [--duration S]` — run the TCP server (default `127.0.0.1:7171`;
 //!   `--duration` exits after S seconds, otherwise it runs until
@@ -47,7 +47,7 @@ use mic_serve::server::{ServeOpts, Server};
 use std::path::PathBuf;
 
 const USAGE: &str = "serve <serve|client|bench|stats|trace> [--addr HOST:PORT] [--queue-cap N] \
-                     [--batch-max N] [--lru N] [--pool N] [--shards N] [--quota N] \
+                     [--slots N] [--lru N] [--shards N] [--quota N] \
                      [--conn-cap N] [--max-request BYTES] [--store PATH] [--store-sync N] \
                      [--clients N] [--rps R] [--duration S] [--json] [--trace] \
                      [--trace-id HEX] [--out PATH] [--check]";
@@ -60,14 +60,11 @@ fn main() {
     if let Some(n) = cli.opt_parse::<usize>("--queue-cap", "a positive integer") {
         opts.queue_cap = n.max(1);
     }
-    if let Some(n) = cli.opt_parse::<usize>("--batch-max", "a positive integer") {
-        opts.batch_max = n.max(1);
+    if let Some(n) = cli.opt_parse::<usize>("--slots", "a positive integer") {
+        opts.slots = n.max(1);
     }
     if let Some(n) = cli.opt_parse::<usize>("--lru", "a cache capacity") {
         opts.lru_cap = n;
-    }
-    if let Some(n) = cli.opt_parse::<usize>("--pool", "a positive integer") {
-        opts.pool_threads = n.max(1);
     }
     if let Some(n) = cli.opt_parse::<usize>("--shards", "a positive integer") {
         opts.shards = n.clamp(1, 64);
@@ -200,12 +197,11 @@ fn run_serve(addr: &str, opts: ServeOpts, duration: Option<f64>) -> i32 {
     };
     println!("mic-serve listening on {}", server.addr);
     println!(
-        "  shards={} queue_cap={} batch_max={} lru={} pool={} quota={} conn_cap={} max_request={}",
+        "  shards={} queue_cap={} slots={} lru={} quota={} conn_cap={} max_request={}",
         opts.shards,
         opts.queue_cap,
-        opts.batch_max,
+        opts.slots,
         opts.lru_cap,
-        opts.pool_threads,
         opts.quota,
         opts.conn_cap,
         opts.max_request

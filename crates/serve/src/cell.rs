@@ -1,8 +1,9 @@
 //! A one-shot result cell: the lock-free replacement for the per-job
 //! `Mutex<Option<Result<..>>>` + `Condvar` pair.
 //!
-//! The executor writes the outcome exactly once; any number of waiters
-//! (the admitting request plus every coalesced one) block until it lands.
+//! The leader that computes a job writes the outcome exactly once; any
+//! number of waiters (every request coalesced onto it) block until it
+//! lands.
 //! Publication is a three-state guard word — `PENDING → WRITING → READY`
 //! — following the SNIPPETS guard-word discipline with the orderings done
 //! properly: the `Release` store of `READY` publishes the payload write,

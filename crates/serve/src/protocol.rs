@@ -21,7 +21,7 @@
 //! `sched` = `dynamic` (omp) / `simple` (tbb), `chunk`/`grain` = 100 (40
 //! for tbb), `threads` = 121, `scale` = 64, `iter` = 1. `delay_ms` makes
 //! the job sleep before simulating — a debug knob the tests use to hold
-//! the executor busy deterministically.
+//! a shard's compute slot busy deterministically.
 //!
 //! ## Responses
 //!
@@ -340,8 +340,8 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
 /// How a completed simulation was satisfied, echoed back to the client.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimMeta {
-    /// Jobs in the sweep batch that computed this result (0 = served from
-    /// the result cache, no batch ran for it).
+    /// 1 when a job was computed for this result (by this request or the
+    /// one it coalesced onto), 0 when it was served from a cache.
     pub batch: usize,
     /// This request attached to an identical in-flight job.
     pub coalesced: bool,

@@ -4,8 +4,8 @@
 //!
 //! ## Sharding
 //!
-//! Each shard is a complete [`Dispatcher`] — admission ring, batch
-//! executor, thread pool, result LRU — with no shared mutable state
+//! Each shard is a complete [`Dispatcher`] — admission bound, compute
+//! slots, coalescing table, result LRU — with no shared mutable state
 //! between shards (the discipline the paper's multi-core results
 //! motivate: per-worker state stays private, coordination happens at the
 //! edges). A job routes by the hash of its canonical
@@ -30,13 +30,13 @@
 //!
 //! ## Shard death and re-routing
 //!
-//! [`Router::kill_shard`] (the chaos hook, exercised by
-//! `tests/serve_shard_chaos.rs` alongside MIC_FAULT worker-death inside a
-//! shard's pool) marks a shard dead and fails its queued jobs with an
-//! internal marker. Every waiter — admitting or coalesced — observes the
-//! marker inside [`Router::submit_routed`] and retries on the next live
-//! shard in probe order, so an accepted request is re-routed, never lost;
-//! only when no live shard remains does the client see an error.
+//! [`Router::kill_shard`] (the chaos hook; only `tests/serve_shard_chaos.rs`
+//! and a unit test call it) marks a shard dead. Every leader waiting for
+//! one of its compute slots fails with an internal marker, and so does
+//! every request coalesced onto such a leader. Each observes the marker
+//! inside [`Router::submit_routed`] and retries on the next live shard in
+//! probe order, so an accepted request is re-routed, never lost; only when
+//! no live shard remains does the client see an error.
 
 use crate::protocol::{self, JobSpec, Request, Response};
 use crate::server::{Dispatcher, ServeOpts, ServeStats, Submission, SHARD_DEAD};
@@ -147,31 +147,9 @@ impl Router {
         &self.shards
     }
 
-    /// Spawn one executor thread per shard; the handles join cleanly
-    /// after [`shutdown`](Self::shutdown).
-    pub fn spawn_executors(&self) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let d = Arc::clone(d);
-                std::thread::Builder::new()
-                    .name(format!("serve-exec-{i}"))
-                    .spawn(move || d.executor_loop())
-            })
-            .collect()
-    }
-
-    /// Stop every shard executor (each drains its queue first).
-    pub fn shutdown(&self) {
-        for d in &self.shards {
-            d.request_stop();
-        }
-    }
-
     /// Flip the durable store's header so every spilled result survives
-    /// the restart. Call after the executors have drained (they are the
-    /// writers); best-effort — a failed persist costs warm hits only.
+    /// the restart. Call once no request is computing (the requests are
+    /// the writers); best-effort — a failed persist costs warm hits only.
     pub fn persist_store(&self) {
         if let Some(store) = &self.store {
             if let Err(e) = store.persist() {
@@ -202,9 +180,9 @@ impl Router {
             .count()
     }
 
-    /// Chaos hook: kill shard `idx` — its executor drains by *failing*
-    /// queued jobs with the re-route marker and exits; its pool threads
-    /// die with it. Returns false if `idx` was already dead.
+    /// Chaos hook: kill shard `idx` — every job waiting for one of its
+    /// compute slots fails with the re-route marker; a job already
+    /// computing finishes. Returns false if `idx` was already dead.
     pub fn kill_shard(&self, idx: usize) -> bool {
         let was_alive = self.alive[idx].swap(false, Ordering::AcqRel);
         if was_alive {

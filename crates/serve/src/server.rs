@@ -1,5 +1,5 @@
 //! The mic-serve server: per-shard admission control, coalescing, and
-//! batching behind a bounded TCP front end.
+//! bounded compute behind a bounded TCP front end.
 //!
 //! Life of a request:
 //!
@@ -14,31 +14,34 @@
 //!    (peer IP), applies the quota tiers, and routes `simulate` jobs to a
 //!    shard by job-key hash;
 //! 3. the shard's [`Dispatcher::submit`] consults its result LRU (hit →
-//!    immediate answer), then its in-flight table (identical job already
-//!    admitted → **coalesce**), then claims a depth ticket with a bounded
-//!    CAS loop against the admission cap (full → **shed**) and pushes
-//!    onto a lock-free bounded ring;
-//! 4. the shard's executor thread drains up to `batch_max` queued jobs
-//!    and runs them as ONE isolated sweep invocation
-//!    ([`mic_eval::sweep::try_map_on`]) on the shard's long-lived pool —
-//!    a panicking job becomes a per-job failure, so a poisoned job
-//!    answers `status:"error"` while everything else survives;
-//! 5. completion publishes each outcome through a one-shot
-//!    [`ResultCell`](crate::cell::ResultCell), waking the admitting
-//!    request plus all coalesced ones, and feeds the shard's LRU. The
-//!    handler encodes the response into the connection's write buffer,
-//!    which is flushed no later than its next read that reaches the
-//!    socket: one write per batch of pipelined requests, and for a
-//!    client that waits for each answer, one per response.
+//!    immediate answer), then the durable store, then its in-flight table
+//!    (identical job already admitted → **coalesce**: wait for the
+//!    leader's result), then claims a depth ticket with a bounded CAS loop
+//!    against the admission cap (full → **shed**);
+//! 4. the admitted leader claims one of the shard's
+//!    [`ServeOpts::slots`] compute slots with the same bounded CAS loop,
+//!    parking until one frees; the slot releases the depth ticket. It then
+//!    runs the job once, on its own connection thread, as an isolated
+//!    sweep job ([`mic_eval::sweep::try_run`]) whose `job-panic` site is
+//!    the shard's execution index — a panicking job answers
+//!    `status:"error"` while everything else survives;
+//! 5. the leader feeds the shard's LRU and the store, publishes the
+//!    outcome through a one-shot [`ResultCell`](crate::cell::ResultCell)
+//!    to every coalesced request, and frees its slot. The handler encodes
+//!    the response into the connection's write buffer, which is flushed
+//!    no later than its next read that reaches the socket: one write per
+//!    batch of pipelined requests, and for a client that waits for each
+//!    answer, one per response.
 //!
-//! No mutex sits on the request hot path: the queue is a
-//! [`BoundedQueue`] ring, the depth bound is a CAS-claimed atomic ticket
-//! (never transiently over the cap, so concurrent submitters can't shed
-//! each other spuriously), result hand-off is a guard-word cell, and each
-//! executor parks on an [`EventCount`]. Shutdown is complete: the accept
-//! loop, every live connection handler (their sockets are shut down to
-//! unblock reads) and every shard executor are joined before
-//! [`Server::shutdown`] returns — no handler can write after it.
+//! No mutex sits on the request hot path: the depth and slot bounds are
+//! CAS-claimed atomic tickets (never transiently over the cap, so
+//! concurrent submitters can't shed each other spuriously), result
+//! hand-off is a guard-word cell, and a leader waiting for a slot parks on
+//! the shard's [`EventCount`]. A miss costs no thread hand-off, and an
+//! idle server runs one thread: its accept loop. Shutdown is complete: the
+//! accept loop and every live connection handler (their sockets are shut
+//! down to unblock reads) are joined before [`Server::shutdown`] returns —
+//! no handler can write after it.
 
 use crate::cell::ResultCell;
 use crate::frame::{self, LineRead};
@@ -47,8 +50,7 @@ use crate::protocol::{JobSpec, Response, SimMeta};
 use crate::router::{ClientState, Router};
 use mic_eval::config::SuiteConfig;
 use mic_eval::obs::{self, flight, span};
-use mic_eval::runtime::trace as rt_trace;
-use mic_eval::runtime::{BoundedQueue, EventCount, ThreadPool};
+use mic_eval::runtime::EventCount;
 use mic_eval::sweep;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -63,16 +65,15 @@ use std::time::Instant;
 /// [`SuiteConfig`]'s `MIC_SERVE_*` (and `MIC_STORE*`) knobs.
 #[derive(Clone, Debug)]
 pub struct ServeOpts {
-    /// Per-shard admission bound: requests beyond this many *queued* jobs
-    /// on a shard are shed.
+    /// Per-shard admission bound: requests beyond this many jobs waiting
+    /// for a compute slot on a shard are shed.
     pub queue_cap: usize,
-    /// Most jobs folded into one sweep invocation.
-    pub batch_max: usize,
     /// Per-shard result-LRU capacity (0 disables result caching).
     pub lru_cap: usize,
-    /// Executor pool workers per shard.
-    pub pool_threads: usize,
-    /// Worker shards (each with its own queue, executor, pool and LRU).
+    /// Jobs a shard computes at once; further admitted jobs wait.
+    pub slots: usize,
+    /// Worker shards (each with its own admission bound, compute slots,
+    /// coalescing table and LRU).
     pub shards: usize,
     /// Per-client in-flight simulate quota (soft tier; hard tier at 2×).
     pub quota: usize,
@@ -94,9 +95,8 @@ impl Default for ServeOpts {
     fn default() -> ServeOpts {
         ServeOpts {
             queue_cap: 64,
-            batch_max: 8,
             lru_cap: 256,
-            pool_threads: 4,
+            slots: 4,
             shards: 4,
             quota: 256,
             conn_cap: 256,
@@ -136,7 +136,10 @@ pub struct ServeStats {
     /// Simulate requests answered from the durable result store (a warm
     /// restart shows these before any LRU hit is possible).
     pub store_hits: AtomicU64,
+    /// Job executions. Every job runs alone, so this equals `executed`;
+    /// the field stays for the readers that divide one by the other.
     pub batches: AtomicU64,
+    /// Jobs computed (cache and store hits and coalesced requests are not).
     pub executed: AtomicU64,
     /// Jobs re-routed off a dead shard (none lost).
     pub rerouted: AtomicU64,
@@ -174,27 +177,9 @@ impl ServeStats {
     }
 }
 
-/// Trace identity an admitted (leader) job carries into the executor so
-/// queue-wait / execute / store-write spans land under the admitting
-/// request's root. Coalesced followers do not get one — their stages ARE
-/// the leader's.
-#[derive(Clone, Copy)]
-struct JobTrace {
-    trace: obs::TraceId,
-    root: obs::SpanId,
-    /// When the job was pushed onto the admission ring ([`obs::now_us`]).
-    enqueued_us: f64,
-}
-
-/// One admitted job; waiters block on the one-shot `done` cell until it
-/// holds the outcome (`cycles` + the size of the batch that computed it).
-struct Job {
-    spec: JobSpec,
-    key: String,
-    done: ResultCell<Result<(f64, usize), String>>,
-    /// Leader's trace identity; `None` when the request was untraced.
-    trace: Option<JobTrace>,
-}
+/// One job's outcome, published once by the leader that computed it to
+/// every request coalesced onto it: the cycles, or why the job failed.
+type Outcome = ResultCell<Result<f64, String>>;
 
 /// How `submit` resolved.
 pub enum Submission {
@@ -212,24 +197,45 @@ pub enum Submission {
 /// job instead of failing the client. Never escapes to a response.
 pub(crate) const SHARD_DEAD: &str = "worker shard died; job re-routed";
 
-/// One worker shard: admission ring, coalescing table, batch executor,
-/// pool and result LRU. Shards never touch each other's state.
+/// Increment `counter` only while it is strictly below `cap`: a bounded
+/// CAS loop, so the counter is never transiently over the cap and
+/// concurrent claimants cannot refuse each other with overshoot tickets.
+/// `Err` carries the value that refused the claim.
+fn claim_below(counter: &AtomicUsize, cap: usize) -> Result<(), usize> {
+    let mut seen = counter.load(Ordering::Relaxed);
+    loop {
+        if seen >= cap {
+            return Err(seen);
+        }
+        match counter.compare_exchange_weak(seen, seen + 1, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => return Ok(()),
+            Err(cur) => seen = cur,
+        }
+    }
+}
+
+/// One worker shard: admission bound, compute slots, coalescing table and
+/// result LRU. A job is computed on the thread of the request that
+/// admitted it; the shard owns no thread. Shards never touch each other's
+/// state.
 pub struct Dispatcher {
     shard: usize,
     shard_label: String,
     opts: ServeOpts,
-    /// Lock-free admission ring. Capacity (next power of two ≥ `queue_cap`)
-    /// can never be exceeded because `depth` tickets bound occupancy at
-    /// `queue_cap`, so `push` cannot fail.
-    queue: BoundedQueue<Arc<Job>>,
-    /// Queued-job count, maintained at enqueue/dequeue. Admission claims
-    /// it with a bounded CAS loop, so it never exceeds `queue_cap` even
-    /// transiently — concurrent submitters cannot shed each other with
-    /// overshoot tickets.
+    /// Admitted leaders waiting for a compute slot, claimed with
+    /// [`claim_below`] against `queue_cap`.
     depth: AtomicUsize,
-    /// Coalescing table: key → in-flight job. The one remaining lock on
-    /// the submit path (atomic test-and-insert of the key).
-    inflight: Mutex<HashMap<String, Arc<Job>>>,
+    /// Compute slots in use, claimed with [`claim_below`] against `slots`.
+    running: AtomicUsize,
+    /// Jobs this shard has started: the next one's execution index, which
+    /// is its `job-panic` injection site.
+    started: AtomicUsize,
+    /// Coalescing table: key → the in-flight job's outcome. The one
+    /// remaining lock on the submit path (atomic test-and-insert of the
+    /// key).
+    inflight: Mutex<HashMap<String, Arc<Outcome>>>,
+    /// Parks leaders waiting for a slot; notified when a slot frees and
+    /// when the shard is killed.
     wake: EventCount,
     lru: ShardedLru,
     /// Optional durable spill tier below the LRU, shared across shards
@@ -237,9 +243,8 @@ pub struct Dispatcher {
     /// writer). Probed on LRU miss; fed after every computed result.
     store: Option<Arc<mic_store::Store>>,
     stats: Arc<ServeStats>,
-    stop: AtomicBool,
-    /// Chaos: a killed shard fails queued jobs with [`SHARD_DEAD`] so the
-    /// router re-routes them.
+    /// Chaos: a killed shard fails its slot waiters with [`SHARD_DEAD`] so
+    /// the router re-routes them.
     dead: AtomicBool,
 }
 
@@ -257,14 +262,14 @@ impl Dispatcher {
         Dispatcher {
             shard,
             shard_label: shard.to_string(),
-            queue: BoundedQueue::new(opts.queue_cap.max(1)),
             depth: AtomicUsize::new(0),
+            running: AtomicUsize::new(0),
+            started: AtomicUsize::new(0),
             inflight: Mutex::new(HashMap::new()),
-            wake: EventCount::named("serve-exec"),
+            wake: EventCount::named("serve-slot"),
             lru: ShardedLru::new(opts.lru_cap),
             store,
             stats,
-            stop: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             opts,
         }
@@ -278,7 +283,7 @@ impl Dispatcher {
         self.shard
     }
 
-    /// Queued (admitted, not yet executing) jobs on this shard.
+    /// Admitted jobs waiting for a compute slot on this shard.
     pub fn depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
     }
@@ -288,37 +293,17 @@ impl Dispatcher {
         self.inflight.lock().len()
     }
 
-    /// Ask the executor to stop once the queue is drained.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.wake.notify();
-    }
-
-    /// Chaos: mark the shard dead. Queued jobs are failed with the
-    /// re-route marker (by the executor, or by any submitter that races
-    /// past the executor's exit) — they are re-routed, not lost.
+    /// Chaos: mark the shard dead. Every leader waiting for a slot wakes
+    /// and fails with the re-route marker, and so does every request
+    /// coalesced onto it — they are re-routed, not lost. A job already
+    /// computing finishes.
     pub fn kill(&self) {
         self.dead.store(true, Ordering::SeqCst);
         self.wake.notify();
-        // The executor may already be gone (or mid-batch): drain here too
-        // so no queued job waits on a dead shard.
-        self.drain_dead();
     }
 
     pub fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
-    }
-
-    /// Fail every queued job with the re-route marker. Safe to call from
-    /// any thread, concurrently with the executor: the ring is MPMC and
-    /// the result cells are one-shot.
-    fn drain_dead(&self) {
-        while let Some(job) = self.queue.pop() {
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            self.inflight.lock().remove(&job.key);
-            let _ = job.done.set(Err(SHARD_DEAD.to_string()));
-        }
-        self.set_queue_gauge();
     }
 
     /// Admit one job and block until it resolves (or is shed).
@@ -392,9 +377,9 @@ impl Dispatcher {
                 meta: SimMeta::untraced(0, false, true, t0.elapsed().as_secs_f64() * 1e3),
             };
         }
-        let (job, coalesced) = {
+        let follow = {
             let mut inflight = self.inflight.lock();
-            if let Some(job) = inflight.get(key) {
+            if let Some(cell) = inflight.get(key) {
                 self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
                 if mic_metrics::enabled() {
                     scounter(
@@ -417,28 +402,9 @@ impl Dispatcher {
                     );
                     flight::record(flight::EventKind::Coalesce, self.shard as u64, 0, trace);
                 }
-                (Arc::clone(job), true)
+                Some(Arc::clone(cell))
             } else {
-                // Claim an admission ticket with a bounded CAS loop: the
-                // counter is only ever incremented while strictly under
-                // the cap, so it cannot overshoot and a burst of
-                // concurrent submitters cannot observe phantom depth.
-                let mut seen = self.depth.load(Ordering::Relaxed);
-                let admitted = loop {
-                    if seen >= self.opts.queue_cap {
-                        break false;
-                    }
-                    match self.depth.compare_exchange_weak(
-                        seen,
-                        seen + 1,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break true,
-                        Err(cur) => seen = cur,
-                    }
-                };
-                if !admitted {
+                if let Err(seen) = claim_below(&self.depth, self.opts.queue_cap) {
                     drop(inflight);
                     self.stats.shed.fetch_add(1, Ordering::Relaxed);
                     if mic_metrics::enabled() {
@@ -462,46 +428,107 @@ impl Dispatcher {
                         queue_len: seen.min(self.opts.queue_cap),
                     };
                 }
-                let job = Arc::new(Job {
-                    spec: spec.clone(),
-                    key: key.to_string(),
-                    done: ResultCell::new(),
-                    trace: req_trace.map(|(trace, root)| JobTrace {
-                        trace,
-                        root,
-                        enqueued_us: obs::now_us(),
-                    }),
-                });
-                inflight.insert(key.to_string(), Arc::clone(&job));
-                drop(inflight);
-                if self.queue.push(Arc::clone(&job)).is_err() {
-                    unreachable!("admission ring sized above queue_cap tickets");
-                }
-                self.set_queue_gauge();
-                self.wake.notify();
-                if let Some((trace, _)) = req_trace {
-                    flight::record(
-                        flight::EventKind::Admit,
-                        self.shard as u64,
-                        self.depth.load(Ordering::Relaxed) as u64,
-                        trace,
-                    );
-                }
-                if self.is_dead() {
-                    // Raced a kill: the executor may have drained and
-                    // exited before our push landed. Drain ourselves so
-                    // this job (and any neighbour) fails over promptly.
-                    self.drain_dead();
-                }
-                (job, false)
+                inflight.insert(key.to_string(), Arc::new(ResultCell::new()));
+                None
             }
         };
-        match job.done.wait() {
-            Ok((cycles, batch)) => Submission::Done {
+        let Some(cell) = follow else {
+            return self.lead(spec, key, req_trace, t0);
+        };
+        match cell.wait() {
+            Ok(cycles) => Submission::Done {
                 cycles: *cycles,
-                meta: SimMeta::untraced(*batch, coalesced, false, t0.elapsed().as_secs_f64() * 1e3),
+                meta: SimMeta::untraced(1, true, false, t0.elapsed().as_secs_f64() * 1e3),
             },
             Err(msg) => Submission::Failed(msg.clone()),
+        }
+    }
+
+    /// The leader's half of a miss, on the admitting request's own thread:
+    /// wait for a compute slot (the depth ticket it holds meanwhile is its
+    /// place in the shard's queue), run the job once, feed the LRU and the
+    /// store, publish the outcome to every coalesced request, and free the
+    /// slot.
+    fn lead(
+        &self,
+        spec: &JobSpec,
+        key: &str,
+        req_trace: Option<(obs::TraceId, obs::SpanId)>,
+        t0: Instant,
+    ) -> Submission {
+        self.set_queue_gauge();
+        let admitted_us = req_trace.map(|(trace, _)| {
+            flight::record(
+                flight::EventKind::Admit,
+                self.shard as u64,
+                self.depth() as u64,
+                trace,
+            );
+            obs::now_us()
+        });
+        let mut slot = false;
+        self.wake.park_until(|| {
+            slot = !self.is_dead() && claim_below(&self.running, self.opts.slots.max(1)).is_ok();
+            slot || self.is_dead()
+        });
+        self.depth.fetch_sub(1, Ordering::AcqRel);
+        self.set_queue_gauge();
+        if !slot {
+            // Killed while waiting: hand the job, and every request
+            // coalesced onto it, back to the router.
+            self.publish(key, Err(SHARD_DEAD.to_string()));
+            return Submission::Failed(SHARD_DEAD.to_string());
+        }
+        // Stage spans land under the leader's root; a stage is stamped
+        // only while the request is traced and observability is on.
+        let traced = req_trace.filter(|_| obs::enabled());
+        let stamp = || traced.map(|_| obs::now_us());
+        let record = |kind, start: Option<f64>| {
+            if let (Some((trace, root)), Some(start_us)) = (traced, start) {
+                span::record_new(trace, root, kind, Some(self.shard), start_us, obs::now_us());
+            }
+        };
+        record(span::SpanKind::QueueWait, admitted_us);
+        let site = self.started.fetch_add(1, Ordering::Relaxed);
+        self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        self.stats.executed.fetch_add(1, Ordering::Relaxed);
+        if mic_metrics::enabled() {
+            scounter(
+                "mic_serve_batches_total",
+                "Jobs computed by the shards (each runs alone).",
+            )
+            .inc();
+        }
+        let outcome = sweep::try_run(site, || {
+            let start = stamp();
+            let cycles = spec.compute();
+            record(span::SpanKind::Execute, start);
+            cycles
+        })
+        .map_err(|failure| failure.to_string());
+        if let Ok(cycles) = outcome {
+            self.lru.put(key, cycles);
+            let start = stamp().filter(|_| self.store.is_some());
+            self.store_put(key, cycles);
+            record(span::SpanKind::StoreWrite, start);
+        }
+        self.publish(key, outcome.clone());
+        self.running.fetch_sub(1, Ordering::AcqRel);
+        self.wake.notify();
+        match outcome {
+            Ok(cycles) => Submission::Done {
+                cycles,
+                meta: SimMeta::untraced(1, false, false, t0.elapsed().as_secs_f64() * 1e3),
+            },
+            Err(msg) => Submission::Failed(msg),
+        }
+    }
+
+    /// Retire a leader's in-flight entry and wake every request coalesced
+    /// onto it. A job is led once, so the one-shot `set` cannot lose.
+    fn publish(&self, key: &str, outcome: Result<f64, String>) {
+        if let Some(cell) = self.inflight.lock().remove(key) {
+            let _ = cell.set(outcome);
         }
     }
 
@@ -522,153 +549,17 @@ impl Dispatcher {
         }
     }
 
-    /// Export this shard's queue depth from its `AtomicUsize` — called at
-    /// enqueue and dequeue, never while holding any lock.
+    /// Export this shard's queue depth from its `AtomicUsize` — called
+    /// when a leader is admitted and when it leaves the queue, never while
+    /// holding any lock.
     fn set_queue_gauge(&self) {
         if mic_metrics::enabled() {
             mic_metrics::gauge(
                 "mic_serve_queue_depth",
-                "Jobs admitted and waiting for a shard's batch executor.",
+                "Jobs admitted and waiting for a shard's compute slot.",
                 &[("shard", &self.shard_label)],
             )
             .set(self.depth.load(Ordering::Relaxed) as f64);
-        }
-    }
-
-    /// The shard's batch executor: runs until [`request_stop`] with an
-    /// empty queue, or until [`kill`] (which fails queued jobs over to
-    /// other shards). One long-lived pool serves every batch.
-    ///
-    /// [`request_stop`]: Self::request_stop
-    /// [`kill`]: Self::kill
-    pub fn executor_loop(&self) {
-        // Tag this executor (and, via lane inheritance, every pool worker
-        // it spawns) with the shard's trace lane, so the Chrome exporter
-        // renders each shard on its own `shard-N/worker-M` timeline rows.
-        rt_trace::set_lane(self.shard + 1);
-        let pool = ThreadPool::new(self.opts.pool_threads.max(1));
-        loop {
-            self.wake.park_until(|| {
-                self.stop.load(Ordering::SeqCst)
-                    || self.dead.load(Ordering::SeqCst)
-                    || !self.queue.is_empty()
-            });
-            if self.is_dead() {
-                self.drain_dead();
-                return;
-            }
-            let mut batch: Vec<Arc<Job>> = Vec::new();
-            while batch.len() < self.opts.batch_max.max(1) {
-                match self.queue.pop() {
-                    Some(job) => {
-                        self.depth.fetch_sub(1, Ordering::AcqRel);
-                        batch.push(job);
-                    }
-                    None => break,
-                }
-            }
-            if batch.is_empty() {
-                if self.stop.load(Ordering::SeqCst) {
-                    return; // stopped and drained
-                }
-                continue; // raced another wakeup; park again
-            }
-            self.set_queue_gauge();
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .executed
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            if mic_metrics::enabled() {
-                scounter(
-                    "mic_serve_batches_total",
-                    "Sweep invocations issued by the batch executors.",
-                )
-                .inc();
-                mic_metrics::histogram(
-                    "mic_serve_batch_jobs",
-                    "Jobs folded into one sweep invocation.",
-                    &[],
-                    &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-                )
-                .observe(batch.len() as f64);
-            }
-            // The batch was popped: close each traced job's queue-wait
-            // span (push → pop) before the sweep starts.
-            if obs::enabled() {
-                let popped_us = obs::now_us();
-                for job in &batch {
-                    if let Some(jt) = &job.trace {
-                        span::record_new(
-                            jt.trace,
-                            jt.root,
-                            span::SpanKind::QueueWait,
-                            Some(self.shard),
-                            jt.enqueued_us,
-                            popped_us,
-                        );
-                    }
-                }
-            }
-            let specs: Vec<JobSpec> = batch.iter().map(|j| j.spec.clone()).collect();
-            let traces: Vec<Option<(obs::TraceId, obs::SpanId)>> = batch
-                .iter()
-                .map(|j| j.trace.as_ref().map(|jt| (jt.trace, jt.root)))
-                .collect();
-            let shard = self.shard;
-            let report = sweep::try_map_on(&pool, &specs, |i, s| {
-                match traces.get(i).copied().flatten() {
-                    Some((trace, root)) if obs::enabled() => {
-                        let start_us = obs::now_us();
-                        let cycles = s.compute();
-                        span::record_new(
-                            trace,
-                            root,
-                            span::SpanKind::Execute,
-                            Some(shard),
-                            start_us,
-                            obs::now_us(),
-                        );
-                        cycles
-                    }
-                    _ => s.compute(),
-                }
-            });
-            let mut fail_by_point: HashMap<usize, String> = report
-                .failures
-                .iter()
-                .map(|f| (f.point, f.to_string()))
-                .collect();
-            for (i, job) in batch.iter().enumerate() {
-                let outcome = match report.results.get(i).and_then(|r| r.as_ref()) {
-                    Some(cycles) => {
-                        self.lru.put(&job.key, *cycles);
-                        let write_start = job
-                            .trace
-                            .as_ref()
-                            .filter(|_| self.store.is_some() && obs::enabled())
-                            .map(|_| obs::now_us());
-                        self.store_put(&job.key, *cycles);
-                        if let (Some(jt), Some(start_us)) = (&job.trace, write_start) {
-                            span::record_new(
-                                jt.trace,
-                                jt.root,
-                                span::SpanKind::StoreWrite,
-                                Some(self.shard),
-                                start_us,
-                                obs::now_us(),
-                            );
-                        }
-                        Ok((*cycles, batch.len()))
-                    }
-                    None => Err(fail_by_point
-                        .remove(&i)
-                        .unwrap_or_else(|| "job failed".to_string())),
-                };
-                self.inflight.lock().remove(&job.key);
-                // One-shot publish wakes the admitting waiter and every
-                // coalesced one; a job runs once, so `set` cannot lose.
-                let _ = job.done.set(outcome);
-            }
         }
     }
 }
@@ -698,24 +589,10 @@ impl ConnRegistry {
         }
     }
 
-    /// Claim a connection slot with a bounded CAS loop (same discipline
-    /// as the admission ticket: no transient overshoot).
+    /// Claim a connection slot (same discipline as the admission ticket:
+    /// no transient overshoot).
     fn try_admit(&self) -> bool {
-        let mut seen = self.active.load(Ordering::Relaxed);
-        loop {
-            if seen >= self.cap {
-                return false;
-            }
-            match self.active.compare_exchange_weak(
-                seen,
-                seen + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(cur) => seen = cur,
-            }
-        }
+        claim_below(&self.active, self.cap).is_ok()
     }
 
     /// Register an admitted connection; the handle is attached once the
@@ -779,14 +656,14 @@ impl ConnRegistry {
 
 /// A running server bound to `addr`. Dropping (or calling
 /// [`shutdown`](Server::shutdown)) stops the accept loop, joins every
-/// live connection handler, and drains and joins every shard executor.
+/// live connection handler — the only threads that compute jobs — and
+/// persists the store.
 pub struct Server {
     pub addr: SocketAddr,
     router: Arc<Router>,
     registry: Arc<ConnRegistry>,
     stopping: Arc<AtomicBool>,
     accept: Option<std::thread::JoinHandle<()>>,
-    executors: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -798,7 +675,6 @@ impl Server {
         let router = Arc::new(Router::new(opts));
         let registry = Arc::new(ConnRegistry::new(conn_cap));
         let stopping = Arc::new(AtomicBool::new(false));
-        let executors = router.spawn_executors()?;
         let accept = {
             let router = Arc::clone(&router);
             let registry = Arc::clone(&registry);
@@ -840,7 +716,6 @@ impl Server {
             registry,
             stopping,
             accept: Some(accept),
-            executors,
         })
     }
 
@@ -853,8 +728,8 @@ impl Server {
         &self.router.stats
     }
 
-    /// Stop accepting, join live connection handlers, drain the shard
-    /// queues, and join the executors.
+    /// Stop accepting, join live connection handlers (each finishes the
+    /// job it is computing), and persist the store.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -866,17 +741,11 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // Join handlers BEFORE stopping executors: a handler blocked on a
-        // submitted job needs the executor alive to resolve its cell; its
-        // socket is shut down, so its next read (or response write)
-        // fails and the thread exits.
+        // A handler computing a job finishes it; its socket is shut down,
+        // so its next read (or response write) fails and the thread exits.
         self.registry.shutdown_all();
-        self.router.shutdown();
-        for h in self.executors.drain(..) {
-            let _ = h.join();
-        }
-        // Executors (the store writers) are gone: flip the header so every
-        // spilled result is durable for the next (warm) server.
+        // The handlers (the store writers) are gone: flip the header so
+        // every spilled result is durable for the next (warm) server.
         self.router.persist_store();
     }
 }

@@ -1,11 +1,12 @@
 //! Chaos variant: the server under a deterministic fault plan. Own test
 //! binary because the installed plan is process-global.
 //!
-//! `job-panic#1` targets sweep-job site 1: in a batch of four jobs,
-//! exactly the job at batch position 1 panics — so one request gets a
-//! structured error response while the other three succeed, and the
-//! server (and its executor) survive. The poisoned job is attempted once:
-//! its batch mates' results are not held behind retries and backoff.
+//! `job-panic#1` targets the shard's execution 1: a plug job is
+//! execution 0, so exactly one of the four jobs queued behind it — the
+//! first to get the shard's one compute slot — panics. That request gets
+//! a structured error response while the other three succeed, and the
+//! server survives. The poisoned job is attempted once: the jobs queued
+//! behind it are not held behind retries and backoff.
 
 use mic_eval::fault::{self, FaultPlan};
 use mic_serve::protocol::{self, Response};
@@ -29,9 +30,9 @@ fn rpc(addr: SocketAddr, line: &str) -> Response {
 fn injected_job_faults_become_error_responses_not_process_death() {
     let plan = FaultPlan::parse("42:job-panic#1").expect("plan parses");
     let ((), snap) = mic_eval::metrics::with_session(|| fault::with_plan(plan, run_under_faults));
-    // Every attempt at a poisoned site counts one injection, and the batch
-    // publishes only when its sweep returns: one injection means the three
-    // batch mates did not wait out re-runs of a job that cannot succeed.
+    // Every attempt at a poisoned site counts one injection: one means the
+    // three jobs behind it did not wait out re-runs of a job that cannot
+    // succeed.
     assert_eq!(
         snap.value("mic_fault_injections_total", &[("class", "job-panic")]),
         Some(1.0),
@@ -44,18 +45,17 @@ fn run_under_faults() {
         "127.0.0.1:0",
         ServeOpts {
             queue_cap: 16,
-            batch_max: 4,
+            slots: 1,
             lru_cap: 0,
-            pool_threads: 2,
-            shards: 1, // one executor so the batch positions are exact
+            shards: 1, // one shard so the execution indices are exact
             ..ServeOpts::default()
         },
     )
     .expect("start server");
     let addr = server.addr;
 
-    // Plug the executor so the next four distinct jobs form one batch.
-    // The plug runs alone (batch position 0), so the #1 rule misses it.
+    // Plug the one slot so the next four distinct jobs queue behind it.
+    // The plug is execution 0, so the #1 rule misses it.
     let plug = std::thread::spawn(move || {
         rpc(
             addr,
@@ -85,12 +85,12 @@ fn run_under_faults() {
             other => panic!("unexpected response {other:?}"),
         }
     }
-    assert_eq!(ok, 3, "three of the four batched jobs succeed");
-    assert_eq!(errors.len(), 1, "exactly batch position 1 is poisoned");
+    assert_eq!(ok, 3, "three of the four queued jobs succeed");
+    assert_eq!(errors.len(), 1, "exactly execution 1 is poisoned");
     assert!(errors[0].contains("panic"), "{}", errors[0]);
 
-    // The server keeps serving after the fault: a lone follow-up job is
-    // batch position 0, which the plan does not target.
+    // The server keeps serving after the fault: a follow-up job is
+    // execution 5, which the plan does not target.
     assert!(matches!(
         rpc(addr, r#"{"id":"p","op":"ping"}"#),
         Response::Pong { .. }
@@ -113,6 +113,6 @@ fn run_under_faults() {
             .unwrap()
     };
     assert_eq!(stat("errors"), 1.0);
-    assert_eq!(stat("executed"), 6.0, "plug + 4 batched + 1 follow-up");
+    assert_eq!(stat("executed"), 6.0, "plug + 4 queued + 1 follow-up");
     server.shutdown();
 }

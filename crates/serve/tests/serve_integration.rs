@@ -33,17 +33,16 @@ fn identical_concurrent_requests_coalesce_into_one_executed_job() {
         "127.0.0.1:0",
         ServeOpts {
             queue_cap: 8,
-            batch_max: 1,
+            slots: 1,
             lru_cap: 0, // no result cache: every request must queue or coalesce
-            pool_threads: 2,
-            shards: 1, // single queue: the coalescing counts are exact
+            shards: 1,  // single queue: the coalescing counts are exact
             ..ServeOpts::default()
         },
     )
     .expect("start server");
     let addr = server.addr;
 
-    // Occupy the executor so the identical requests pile up behind it.
+    // Occupy the one slot so the identical requests pile up behind it.
     let plug = std::thread::spawn(move || {
         rpc(
             addr,
@@ -100,9 +99,8 @@ fn queue_overflow_sheds_explicitly_and_recovers() {
         "127.0.0.1:0",
         ServeOpts {
             queue_cap: 1,
-            batch_max: 1,
+            slots: 1,
             lru_cap: 0,
-            pool_threads: 2,
             shards: 1, // one admission queue so "full" is deterministic
             ..ServeOpts::default()
         },
@@ -110,8 +108,8 @@ fn queue_overflow_sheds_explicitly_and_recovers() {
     .expect("start server");
     let addr = server.addr;
 
-    // One job executing (drained from the queue), one waiting in the
-    // queue: admission is now full.
+    // One job executing (holding the one slot), one waiting in the queue:
+    // admission is now full.
     let executing = std::thread::spawn(move || {
         rpc(
             addr,

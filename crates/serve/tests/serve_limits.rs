@@ -138,33 +138,42 @@ fn connection_cap_sheds_and_shutdown_joins_live_handlers() {
 fn shed_reports_clamped_depth_and_tickets_never_overshoot() {
     let opts = ServeOpts {
         queue_cap: 4,
+        slots: 1,
         lru_cap: 0,
         shards: 1,
         ..ServeOpts::default()
     };
-    // A dispatcher with NO executor: admitted jobs stay queued, so the
-    // queue is saturated deterministically.
     let dispatcher = Arc::new(Dispatcher::new(
         0,
         opts,
         Arc::new(ServeStats::default()),
         None,
     ));
+    let submit = |line: String| {
+        let d = Arc::clone(&dispatcher);
+        std::thread::spawn(move || {
+            let protocol::Request::Simulate { spec, .. } = protocol::parse_request(&line).unwrap()
+            else {
+                panic!()
+            };
+            d.submit(&spec)
+        })
+    };
+    // A slow job holds the one compute slot, so admitted jobs stay queued
+    // and the queue saturates deterministically.
+    let plug = submit(
+        r#"{"id":"plug","kernel":"coloring","threads":99,"scale":512,"delay_ms":1000}"#.into(),
+    );
+    // Admitted (in flight) and out of the queue: the plug holds the slot.
+    while dispatcher.inflight_len() < 1 || dispatcher.depth() > 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let submitters: Vec<_> = (0..16)
         .map(|i| {
-            let d = Arc::clone(&dispatcher);
-            std::thread::spawn(move || {
-                let line = format!(
-                    r#"{{"id":"t{i}","kernel":"coloring","threads":{},"scale":512}}"#,
-                    i + 1
-                );
-                let protocol::Request::Simulate { spec, .. } =
-                    protocol::parse_request(&line).unwrap()
-                else {
-                    panic!()
-                };
-                d.submit(&spec)
-            })
+            submit(format!(
+                r#"{{"id":"t{i}","kernel":"coloring","threads":{},"scale":512}}"#,
+                i + 1
+            ))
         })
         .collect();
     // Let every submitter resolve (shed) or block (admitted), then fail
@@ -187,12 +196,14 @@ fn shed_reports_clamped_depth_and_tickets_never_overshoot() {
                 );
             }
             Submission::Failed(_) => failed += 1, // admitted, then failed over
-            Submission::Done { .. } => panic!("no executor is running"),
+            Submission::Done { .. } => panic!("the slot is held until after the kill"),
         }
     }
     assert_eq!(failed, 4, "exactly queue_cap submitters are admitted");
     assert_eq!(shed, 12, "the rest shed — no spurious extra sheds");
     assert_eq!(dispatcher.depth(), 0, "kill drained the queue");
+    // The job that held the slot when the shard died still finishes.
+    assert!(matches!(plug.join().unwrap(), Submission::Done { .. }));
 }
 
 /// Regression (wire clamp 1024 vs the engine's 124-thread assert): a

@@ -21,15 +21,13 @@ fn rpc(addr: SocketAddr, line: &str) -> Response {
 
 #[test]
 fn request_latency_histogram_counts_equal_request_counters() {
-    let (received, snap) = mic_eval::metrics::with_session(|| {
+    let ((received, batches, executed), snap) = mic_eval::metrics::with_session(|| {
         let server = Server::start(
             "127.0.0.1:0",
             ServeOpts {
                 queue_cap: 8,
-                batch_max: 4,
                 lru_cap: 16,
-                pool_threads: 2,
-                shards: 1, // exact-count assertions need one executor
+                shards: 1, // exact-count assertions need one shard
                 ..ServeOpts::default()
             },
         )
@@ -48,12 +46,15 @@ fn request_latency_histogram_counts_equal_request_counters() {
             Response::Stats { .. }
         ));
         assert!(matches!(rpc(addr, "garbage"), Response::Error { .. }));
-        let received = server
-            .stats()
-            .received
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        let stats = server.stats();
+        let counts = (
+            count(&stats.received),
+            count(&stats.batches),
+            count(&stats.executed),
+        );
         server.shutdown();
-        received
+        counts
     });
 
     // Per-op: the latency histogram count equals the request counter.
@@ -101,11 +102,9 @@ fn request_latency_histogram_counts_equal_request_counters() {
 
     // The repeats hit the result LRU and were counted as such.
     assert_eq!(snap.value("mic_serve_cache_hits_total", &[]), Some(2.0));
+    // One job computed, alone: one execution in every count.
     assert_eq!(snap.value("mic_serve_batches_total", &[]), Some(1.0));
-    assert_eq!(
-        snap.hist("mic_serve_batch_jobs", &[]).map(|h| h.count),
-        Some(1)
-    );
+    assert_eq!((batches, executed), (1, 1));
 
     let problems = snap.self_check();
     assert!(problems.is_empty(), "snapshot self-check: {problems:?}");

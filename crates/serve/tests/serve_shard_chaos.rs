@@ -1,5 +1,5 @@
 //! Kill-a-shard chaos: with a shard murdered mid-load, the router fails
-//! its queued jobs over to live shards — every accepted request is
+//! the jobs waiting for its compute slots over to live shards — every accepted request is
 //! answered `ok`, none are lost, and the server keeps serving.
 
 use mic_serve::frame;
@@ -40,9 +40,8 @@ fn killing_a_shard_loses_no_accepted_request() {
         ServeOpts {
             shards: 4,
             queue_cap: 64,
-            batch_max: 2,
+            slots: 2,
             lru_cap: 0,
-            pool_threads: 2,
             ..ServeOpts::default()
         },
     )
@@ -50,7 +49,7 @@ fn killing_a_shard_loses_no_accepted_request() {
     let addr = server.addr;
 
     // 32 distinct slow jobs spread across the 4 shards by key hash; with
-    // batch_max=2 most sit queued when the shard dies.
+    // two slots per shard most wait for a slot when the shard dies.
     let workers: Vec<_> = (0..32)
         .map(|i| {
             std::thread::spawn(move || {
@@ -79,7 +78,7 @@ fn killing_a_shard_loses_no_accepted_request() {
     let rerouted = server.stats().rerouted.load(Ordering::Relaxed);
     assert!(
         rerouted > 0,
-        "the dead shard's queued jobs must have failed over"
+        "the jobs waiting on the dead shard must have failed over"
     );
 
     // The router keeps serving new work on the survivors, and the stats
@@ -105,6 +104,60 @@ fn killing_a_shard_loses_no_accepted_request() {
         ),
         Response::Ok { .. }
     ));
+    server.shutdown();
+}
+
+/// A request parked for a compute slot on a shard that dies is handed
+/// back and answered by a live shard, while the job that held the slot
+/// finishes where it was.
+#[test]
+fn a_request_parked_for_a_slot_on_a_killed_shard_is_rerouted() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeOpts {
+            shards: 2,
+            slots: 1,
+            lru_cap: 0,
+            ..ServeOpts::default()
+        },
+    )
+    .expect("start server");
+    let addr = server.addr;
+    let line = |id: &str, threads: usize, delay_ms: u64| {
+        format!(
+            r#"{{"id":"{id}","kernel":"coloring","threads":{threads},"scale":512,"delay_ms":{delay_ms}}}"#
+        )
+    };
+    let shard_of = |line: &str| match protocol::parse_request(line).unwrap() {
+        protocol::Request::Simulate { spec, .. } => server.router().shard_for(&spec.key()),
+        _ => unreachable!(),
+    };
+    let home = shard_of(&line("plug", 1, 600));
+    let threads = (2..124)
+        .find(|&t| shard_of(&line("parked", t, 0)) == home)
+        .expect("a second key on the plug's shard");
+    let shard = &server.router().shards()[home];
+
+    let plug_line = line("plug", 1, 600);
+    let plug = std::thread::spawn(move || rpc(addr, &plug_line, true));
+    // Admitted and out of the queue: the plug holds the shard's one slot.
+    while shard.inflight_len() < 1 || shard.depth() > 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let parked_line = line("parked", threads, 0);
+    let parked = std::thread::spawn(move || rpc(addr, &parked_line, false));
+    while shard.depth() < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(server.router().kill_shard(home));
+
+    let resp = parked.join().unwrap();
+    assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+    assert!(server.stats().rerouted.load(Ordering::Relaxed) >= 1);
+    let resp = plug.join().unwrap();
+    assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+    assert_eq!(shard.depth(), 0);
+    assert_eq!(server.stats().executed.load(Ordering::Relaxed), 2);
     server.shutdown();
 }
 

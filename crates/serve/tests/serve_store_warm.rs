@@ -22,25 +22,20 @@ const JOB: &str = r#"{"id":"w1","kernel":"coloring","threads":4,"scale":512}"#;
 
 /// Run one simulate request through a router and return its cycles.
 fn run_job(router: &Router) -> f64 {
-    let handles = router.spawn_executors().unwrap();
     let client = router.client(IpAddr::V4(Ipv4Addr::LOCALHOST));
     let resp = router.handle_line(JOB, &client);
     let cycles = match resp {
         Response::Ok { cycles, .. } => cycles,
         other => panic!("expected ok, got {other:?}"),
     };
-    router.shutdown();
-    for h in handles {
-        h.join().unwrap();
-    }
-    // Executors are the store writers; flip the header once they are done.
+    // The request wrote the store on its way out; flip the header.
     router.persist_store();
     cycles
 }
 
-/// The durability exhibit: teardown the whole router (executors, LRU,
-/// store handle), reopen on the same path, and the repeat job is answered
-/// from the store — counted as a store hit, bit-identical cycles.
+/// The durability exhibit: teardown the whole router (LRU, store
+/// handle), reopen on the same path, and the repeat job is answered from
+/// the store — counted as a store hit, bit-identical cycles.
 #[test]
 fn warm_router_restart_serves_results_from_the_store() {
     let dir = tmp_dir("restart");
@@ -92,17 +87,12 @@ fn unopenable_store_path_degrades_to_lru_only_serving() {
     assert!(cycles.is_finite());
     // A second identical request inside the same router comes from the
     // LRU, not the (absent) store.
-    let handles = router.spawn_executors().unwrap();
     let client = router.client(IpAddr::V4(Ipv4Addr::LOCALHOST));
     match router.handle_line(JOB, &client) {
         Response::Ok { meta, .. } => assert!(meta.cached, "LRU must still work"),
         other => panic!("expected ok, got {other:?}"),
     }
     assert_eq!(router.stats.store_hits.load(Ordering::Relaxed), 0);
-    router.shutdown();
-    for h in handles {
-        h.join().unwrap();
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -17,7 +17,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -200,9 +200,8 @@ fn coalesced_followers_keep_their_own_root_spans() {
         "127.0.0.1:0",
         ServeOpts {
             queue_cap: 8,
-            batch_max: 1,
+            slots: 1,
             lru_cap: 0, // no result cache: duplicates must coalesce
-            pool_threads: 2,
             shards: 1,
             ..ServeOpts::default()
         },
@@ -210,7 +209,7 @@ fn coalesced_followers_keep_their_own_root_spans() {
     .expect("start server");
     let addr = server.addr;
 
-    // Occupy the executor so the identical pair piles up behind it.
+    // Occupy the one slot so the identical pair piles up behind it.
     let plug = std::thread::spawn(move || {
         rpc(
             addr,
@@ -278,6 +277,62 @@ fn coalesced_followers_keep_their_own_root_spans() {
             .any(|s| s.kind == span::SpanKind::Execute),
         "the follower did not execute: {follower_spans:?}"
     );
+    server.shutdown();
+    teardown_obs(&dir);
+}
+
+/// A shard computes up to `slots` jobs at once, each on its own request's
+/// thread: two slow jobs on a two-slot shard run side by side, and a
+/// third waits for a slot — visibly, in its `queue_wait` span.
+#[test]
+fn a_shard_computes_one_job_per_slot_and_a_third_waits() {
+    let _g = obs_lock();
+    let dir = install_obs("slots", None);
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeOpts {
+            slots: 2,
+            lru_cap: 0,
+            shards: 1,
+            ..ServeOpts::default()
+        },
+    )
+    .expect("start server");
+    let addr = server.addr;
+    let ctxs = [TraceCtx::mint(), TraceCtx::mint(), TraceCtx::mint()];
+    let send = |i: usize| {
+        let hex = obs::trace_hex(ctxs[i].trace);
+        std::thread::spawn(move || {
+            rpc(
+                addr,
+                &format!(
+                    r#"{{"id":"s{i}","kernel":"coloring","threads":{},"scale":512,"delay_ms":300,"trace_id":"{hex}"}}"#,
+                    i + 2
+                ),
+            )
+        })
+    };
+    let first_sent = Instant::now();
+    let pair = [send(0), send(1)];
+    std::thread::sleep(Duration::from_millis(50));
+    let third = send(2);
+    for h in pair {
+        let resp = h.join().unwrap();
+        assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+        let done_ms = first_sent.elapsed().as_millis();
+        assert!(
+            done_ms < 450,
+            "two slots run two 300 ms jobs side by side; one finished after {done_ms} ms"
+        );
+    }
+    let resp = third.join().unwrap();
+    let Response::Ok { meta, .. } = resp else {
+        panic!("expected ok, got {resp:?}");
+    };
+    assert!(meta.queue_ms >= 200.0, "{meta:?}");
+    let summary = span::summarize(ctxs[2].trace);
+    assert!(field(&summary, "queue_wait_us") > 0.0, "{summary:?}");
+    assert_eq!(field(&summary, "execute_count"), 1.0, "{summary:?}");
     server.shutdown();
     teardown_obs(&dir);
 }
@@ -376,9 +431,8 @@ fn queue_depth_returns_to_zero_after_mixed_load() {
         "127.0.0.1:0",
         ServeOpts {
             queue_cap: 2, // tiny: the burst must shed some requests
-            batch_max: 1,
+            slots: 1,
             lru_cap: 0,
-            pool_threads: 2,
             shards: 1,
             ..ServeOpts::default()
         },
