@@ -314,31 +314,6 @@ pub fn chrome_trace_json_with_spans(
     if !native.is_empty() {
         let pid = parts.len() + 1;
         meta_event(&mut ev, "process_name", pid, 0, "native runtime");
-        // One timeline row per (lane, worker) pair. Lane 0 (the default)
-        // keeps the bare worker id; serve shard lanes land at
-        // `lane * 1024 + worker` and are named "shard-N/worker-M", so two
-        // shards' dispatcher pools never interleave on one row.
-        let mut rows: Vec<(usize, usize)> = native.iter().map(|e| (e.lane, e.worker)).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        for &(lane, worker) in &rows {
-            if lane > 0 {
-                meta_event(
-                    &mut ev,
-                    "thread_name",
-                    pid,
-                    lane * 1024 + worker,
-                    &format!("shard-{}/worker-{worker}", lane - 1),
-                );
-            }
-        }
-        let tid = |e: &NativeEvent| {
-            if e.lane > 0 {
-                e.lane * 1024 + e.worker
-            } else {
-                e.worker
-            }
-        };
         for e in native {
             match e.kind {
                 NativeEventKind::Chunk { lo, hi } => ev.push(format!(
@@ -346,20 +321,20 @@ pub fn chrome_trace_json_with_spans(
                     e.runtime,
                     num(e.start_us),
                     num(e.end_us - e.start_us),
-                    tid(e),
+                    e.worker,
                 )),
                 NativeEventKind::Region { epoch } => ev.push(format!(
                     "{{\"name\":\"region\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"epoch\":{epoch}}}}}",
                     e.runtime,
                     num(e.start_us),
                     num(e.end_us - e.start_us),
-                    tid(e),
+                    e.worker,
                 )),
                 NativeEventKind::Steal { victim } => ev.push(format!(
                     "{{\"name\":\"steal\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"victim\":{}}}}}",
                     e.runtime,
                     num(e.start_us),
-                    tid(e),
+                    e.worker,
                     if victim == usize::MAX { -1i64 } else { victim as i64 },
                 )),
             }
@@ -638,7 +613,6 @@ mod tests {
             NativeEvent {
                 runtime: "omp",
                 worker: 0,
-                lane: 0,
                 start_us: 1.0,
                 end_us: 2.5,
                 kind: NativeEventKind::Chunk { lo: 0, hi: 64 },
@@ -646,7 +620,6 @@ mod tests {
             NativeEvent {
                 runtime: "tbb",
                 worker: 1,
-                lane: 2,
                 start_us: 3.0,
                 end_us: 3.0,
                 kind: NativeEventKind::Steal { victim: 0 },
@@ -661,14 +634,12 @@ mod tests {
             "stall cycles",
             "\"steal\"",
             "native runtime",
-            // The lane-2 steal lands on a namespaced shard row...
-            "shard-1/worker-1",
-            "\"tid\":2049",
         ] {
             assert!(json.contains(needle), "missing {needle}");
         }
-        // ...while the lane-0 chunk keeps its bare worker tid.
+        // A native event's row is its bare worker id.
         assert!(json.contains("\"name\":\"chunk 0..64\",\"cat\":\"omp\",\"ph\":\"X\",\"ts\":1,\"dur\":1.5,\"pid\":2,\"tid\":0"));
+        assert!(json.contains("\"pid\":2,\"tid\":1,\"args\":{\"victim\":0}"));
         assert!(report.cycles > 0.0);
     }
 

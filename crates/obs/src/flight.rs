@@ -15,7 +15,7 @@
 //!
 //! Dumps ([`dump`]) serialize every ring to a small JSON artifact in the
 //! configured directory — fired on panic (hook in [`crate::install`]),
-//! fault injection, shard death, and slow requests. A global budget caps
+//! fault injection, and slow requests. A global budget caps
 //! dumps per process so a chaos storm cannot fill the disk.
 
 use crate::TraceId;
@@ -36,10 +36,6 @@ pub enum EventKind {
     QuotaShed = 3,
     /// Connection refused by the connection cap (`a` = active conns).
     ConnShed = 4,
-    /// Request rerouted off a dead home shard (`a` = home, `b` = target).
-    Reroute = 5,
-    /// A shard was marked dead (`a` = shard).
-    ShardDead = 6,
     /// Request coalesced onto an in-flight leader (`a` = shard).
     Coalesce = 7,
     /// Served from the in-memory LRU (`a` = shard).
@@ -59,13 +55,11 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    const ALL: [EventKind; 14] = [
+    const ALL: [EventKind; 12] = [
         EventKind::Admit,
         EventKind::Shed,
         EventKind::QuotaShed,
         EventKind::ConnShed,
-        EventKind::Reroute,
-        EventKind::ShardDead,
         EventKind::Coalesce,
         EventKind::CacheHit,
         EventKind::StoreHit,
@@ -83,8 +77,6 @@ impl EventKind {
             EventKind::Shed => "shed",
             EventKind::QuotaShed => "quota_shed",
             EventKind::ConnShed => "conn_shed",
-            EventKind::Reroute => "reroute",
-            EventKind::ShardDead => "shard_dead",
             EventKind::Coalesce => "coalesce",
             EventKind::CacheHit => "cache_hit",
             EventKind::StoreHit => "store_hit",
@@ -402,7 +394,7 @@ mod tests {
         record(EventKind::Admit, 1, 0, 0);
         record(EventKind::Shed, 2, 0, 0);
         let h = std::thread::spawn(|| {
-            record(EventKind::Reroute, 3, 4, 0);
+            record(EventKind::Coalesce, 3, 4, 0);
         });
         h.join().unwrap();
         let events = snapshot();
@@ -410,7 +402,7 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::Admit));
-        assert!(kinds.contains(&EventKind::Reroute));
+        assert!(kinds.contains(&EventKind::Coalesce));
         crate::disable();
         clear();
     }
@@ -482,5 +474,32 @@ mod tests {
         }
         assert_eq!(EventKind::from_u8(0), None);
         assert_eq!(EventKind::from_u8(200), None);
+    }
+
+    /// A slot stores its kind as a number: a retired kind leaves its
+    /// number unassigned rather than shifting the ones after it.
+    #[test]
+    fn discriminants_are_pinned() {
+        let pinned = [
+            (EventKind::Admit, 1),
+            (EventKind::Shed, 2),
+            (EventKind::QuotaShed, 3),
+            (EventKind::ConnShed, 4),
+            (EventKind::Coalesce, 7),
+            (EventKind::CacheHit, 8),
+            (EventKind::StoreHit, 9),
+            (EventKind::StoreRecovery, 10),
+            (EventKind::Fault, 11),
+            (EventKind::SlowRequest, 14),
+            (EventKind::RequestDone, 15),
+            (EventKind::SweepFailure, 16),
+        ];
+        assert_eq!(pinned.len(), EventKind::ALL.len());
+        for (kind, v) in pinned {
+            assert_eq!(kind as u8, v, "{}", kind.name());
+        }
+        for retired in [5, 6, 12, 13] {
+            assert_eq!(EventKind::from_u8(retired), None);
+        }
     }
 }

@@ -141,9 +141,6 @@ impl ThreadPool {
     pub fn new(num_threads: usize) -> Self {
         assert!(num_threads >= 1, "pool needs at least one worker");
         let pool_id = POOL_IDS.fetch_add(1, Ordering::Relaxed);
-        // Workers inherit the creating thread's trace lane so a pool built
-        // by a serve shard executor stays on that shard's timeline row.
-        let lane = crate::trace::current_lane();
         let shared = Arc::new(Shared {
             epoch: AtomicU64::new(0),
             job: UnsafeCell::new(None),
@@ -154,7 +151,7 @@ impl ThreadPool {
             panic: Mutex::new(None),
         });
         let handles = (0..num_threads)
-            .map(|id| spawn_worker(id, num_threads, pool_id, lane, &shared))
+            .map(|id| spawn_worker(id, num_threads, pool_id, &shared))
             .collect();
         ThreadPool {
             shared,
@@ -263,7 +260,6 @@ fn spawn_worker(
     id: usize,
     num_threads: usize,
     pool_id: usize,
-    lane: usize,
     shared: &Arc<Shared>,
 ) -> JoinHandle<()> {
     if mic_metrics::enabled() {
@@ -277,10 +273,7 @@ fn spawn_worker(
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("mic-worker-{id}"))
-        .spawn(move || {
-            crate::trace::set_lane(lane);
-            worker_loop(id, num_threads, pool_id, shared)
-        })
+        .spawn(move || worker_loop(id, num_threads, pool_id, shared))
         .expect("failed to spawn pool worker")
 }
 
@@ -320,7 +313,6 @@ fn worker_loop(id: usize, num_threads: usize, pool_id: usize, shared: Arc<Shared
             crate::trace::emit(crate::trace::NativeEvent {
                 runtime: "pool",
                 worker: id,
-                lane: crate::trace::current_lane(),
                 start_us: t0,
                 end_us: crate::trace::now_us(),
                 kind: crate::trace::NativeEventKind::Region { epoch: seen_epoch },

@@ -13,7 +13,6 @@
 //! (first come, first served) so parallel tests cannot interleave their
 //! event streams.
 
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -39,30 +38,9 @@ pub struct NativeEvent {
     pub runtime: &'static str,
     /// Worker id within the pool.
     pub worker: usize,
-    /// Trace lane of the emitting thread (see [`set_lane`]): 0 for the
-    /// default lane, `shard + 1` for serve shard executors. Exporters use
-    /// it to keep per-shard pools on separate timeline rows.
-    pub lane: usize,
     pub start_us: f64,
     pub end_us: f64,
     pub kind: NativeEventKind,
-}
-
-thread_local! {
-    static LANE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Assign the calling thread to a trace lane. Pools inherit the lane of
-/// the thread that creates (or respawns into) them, so a serve shard that
-/// builds its pool from its executor thread tags every event that pool
-/// emits. Lane 0 is the anonymous default.
-pub fn set_lane(lane: usize) {
-    LANE.with(|l| l.set(lane));
-}
-
-/// The calling thread's trace lane (0 unless [`set_lane`] was called).
-pub fn current_lane() -> usize {
-    LANE.with(|l| l.get())
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -122,7 +100,6 @@ pub fn emit_steal(runtime: &'static str, thief: usize, victim: usize) {
     emit(NativeEvent {
         runtime,
         worker: thief,
-        lane: current_lane(),
         start_us: t,
         end_us: t,
         kind: NativeEventKind::Steal { victim },
@@ -161,7 +138,6 @@ where
             emit(NativeEvent {
                 runtime,
                 worker: ctx.id,
-                lane: current_lane(),
                 start_us: t0,
                 end_us: t1,
                 kind: NativeEventKind::Chunk {

@@ -18,8 +18,7 @@
 //!   tag), plus the capped line reader the JSON compat mode uses;
 //! - [`protocol`] — request validation, the JSON compat encoding, and
 //!   the canonical [`protocol::JobSpec`] job identity;
-//! - [`router`] — client attribution, quota tiers, shard selection, and
-//!   dead-shard re-routing;
+//! - [`router`] — client attribution, quota tiers, and shard selection;
 //! - [`server`] — the per-shard dispatcher (admission, coalescing,
 //!   compute slots), the bounded connection registry, and the TCP front
 //!   end;

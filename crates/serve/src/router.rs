@@ -1,6 +1,5 @@
 //! The front-end router: shards `simulate` jobs across N independent
-//! dispatchers, enforces per-client quotas with tiered admission, and
-//! re-routes around killed shards.
+//! dispatchers and enforces per-client quotas with tiered admission.
 //!
 //! ## Sharding
 //!
@@ -27,19 +26,9 @@
 //!
 //! Under-quota clients are never quota-shed; they only see ordinary
 //! queue-full shedding.
-//!
-//! ## Shard death and re-routing
-//!
-//! [`Router::kill_shard`] (the chaos hook; only `tests/serve_shard_chaos.rs`
-//! and a unit test call it) marks a shard dead. Every leader waiting for
-//! one of its compute slots fails with an internal marker, and so does
-//! every request coalesced onto such a leader. Each observes the marker
-//! inside [`Router::submit_routed`] and retries on the next live shard in
-//! probe order, so an accepted request is re-routed, never lost; only when
-//! no live shard remains does the client see an error.
 
 use crate::protocol::{self, JobSpec, Request, Response};
-use crate::server::{Dispatcher, ServeOpts, ServeStats, Submission, SHARD_DEAD};
+use crate::server::{Dispatcher, ServeOpts, ServeStats, Submission};
 use crate::{frame, lru};
 use mic_eval::obs::{self, flight, span, TraceCtx};
 use mic_eval::runtime::trace as rt_trace;
@@ -47,7 +36,7 @@ use mic_eval::runtime::{NativeEvent, NativeEventKind};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,7 +67,6 @@ impl Drop for InflightGuard<'_> {
 pub struct Router {
     opts: ServeOpts,
     shards: Vec<Arc<Dispatcher>>,
-    alive: Vec<AtomicBool>,
     pub stats: Arc<ServeStats>,
     clients: Mutex<HashMap<IpAddr, Arc<ClientState>>>,
     span_epoch: AtomicU64,
@@ -86,10 +74,6 @@ pub struct Router {
     /// — the store is single-writer per file). `None` when `store_path`
     /// is unset or the file could not be opened.
     store: Option<Arc<mic_store::Store>>,
-}
-
-fn scounter(name: &'static str, help: &'static str) -> Arc<mic_metrics::Counter> {
-    mic_metrics::counter(name, help, &[])
 }
 
 impl Router {
@@ -127,11 +111,9 @@ impl Router {
                 ))
             })
             .collect();
-        let alive = shards.iter().map(|_| AtomicBool::new(true)).collect();
         Router {
             opts,
             shards,
-            alive,
             stats,
             clients: Mutex::new(HashMap::new()),
             span_epoch: AtomicU64::new(0),
@@ -167,101 +149,9 @@ impl Router {
         }))
     }
 
-    /// Which shard a key routes to before liveness probing.
+    /// Which shard a key routes to.
     pub fn shard_for(&self, key: &str) -> usize {
         (lru::hash_key(key) as usize) % self.shards.len()
-    }
-
-    /// Live shard count (the chaos test watches this drop).
-    pub fn shards_alive(&self) -> usize {
-        self.alive
-            .iter()
-            .filter(|a| a.load(Ordering::Acquire))
-            .count()
-    }
-
-    /// Chaos hook: kill shard `idx` — every job waiting for one of its
-    /// compute slots fails with the re-route marker; a job already
-    /// computing finishes. Returns false if `idx` was already dead.
-    pub fn kill_shard(&self, idx: usize) -> bool {
-        let was_alive = self.alive[idx].swap(false, Ordering::AcqRel);
-        if was_alive {
-            self.shards[idx].kill();
-            if obs::enabled() {
-                flight::record(flight::EventKind::ShardDead, idx as u64, 0, 0);
-                let _ = flight::dump("shard-death");
-            }
-        }
-        was_alive
-    }
-
-    /// Route a job to its shard, stepping over dead shards, and re-route
-    /// any job the dying shard handed back. The probe order is
-    /// deterministic (hash, then linear), so a key keeps one home shard
-    /// while liveness is stable — coalescing and LRU locality survive a
-    /// kill.
-    pub fn submit_routed(&self, spec: &JobSpec) -> Submission {
-        self.submit_routed_traced(spec, &spec.key(), None)
-    }
-
-    /// [`submit_routed`](Self::submit_routed) with the spec's key, which
-    /// the request path derives once and shares with the quota tier, and
-    /// the request's trace identity, both threaded down to the shard
-    /// dispatcher.
-    pub fn submit_routed_traced(
-        &self,
-        spec: &JobSpec,
-        key: &str,
-        req_trace: Option<(obs::TraceId, obs::SpanId)>,
-    ) -> Submission {
-        let home = self.shard_for(key);
-        let n = self.shards.len();
-        for probe in 0..n {
-            let idx = (home + probe) % n;
-            if !self.alive[idx].load(Ordering::Acquire) {
-                continue;
-            }
-            match self.shards[idx].submit_traced(spec, key, req_trace) {
-                Submission::Failed(msg) if msg == SHARD_DEAD => {
-                    // The shard died under us (or was dead but not yet
-                    // marked): record, mark, and try the next one.
-                    self.alive[idx].store(false, Ordering::Release);
-                    self.stats.rerouted.fetch_add(1, Ordering::Relaxed);
-                    if mic_metrics::enabled() {
-                        scounter(
-                            "mic_serve_reroutes_total",
-                            "Jobs re-routed off a dead worker shard.",
-                        )
-                        .inc();
-                    }
-                    if obs::enabled() {
-                        flight::record(
-                            flight::EventKind::Reroute,
-                            idx as u64,
-                            ((idx + 1) % n) as u64,
-                            req_trace.map_or(0, |(t, _)| t),
-                        );
-                    }
-                    continue;
-                }
-                other => return other,
-            }
-        }
-        Submission::Failed("no live worker shards; server is draining".to_string())
-    }
-
-    /// True when the shard a key would route to has a queue at least half
-    /// full — the pressure signal the soft quota tier keys off.
-    fn target_pressured(&self, key: &str) -> bool {
-        let home = self.shard_for(key);
-        let n = self.shards.len();
-        for probe in 0..n {
-            let idx = (home + probe) % n;
-            if self.alive[idx].load(Ordering::Acquire) {
-                return self.shards[idx].depth() * 2 >= self.opts.queue_cap.max(1);
-            }
-        }
-        true // nothing alive: maximally pressured
     }
 
     fn quota_shed(&self, id: String, tier: &'static str, concurrent: usize) -> Response {
@@ -317,7 +207,6 @@ impl Router {
                 let inflight: usize = self.shards.iter().map(|s| s.inflight_len()).sum();
                 let mut fields = self.stats.fields(queue_len, inflight);
                 fields.push(("shards".into(), self.shards.len() as f64));
-                fields.push(("shards_alive".into(), self.shards_alive() as f64));
                 if let Some(store) = &self.store {
                     for (name, value) in store.stats().fields() {
                         fields.push((name.into(), value as f64));
@@ -367,7 +256,6 @@ impl Router {
             rt_trace::emit(NativeEvent {
                 runtime: "serve",
                 worker: 0,
-                lane: rt_trace::current_lane(),
                 start_us,
                 end_us: rt_trace::now_us(),
                 kind: NativeEventKind::Region {
@@ -398,9 +286,11 @@ impl Router {
         let _guard = InflightGuard(&client.inflight);
         let quota = self.opts.quota.max(1);
         let key = spec.key();
+        let shard = &self.shards[self.shard_for(&key)];
         let quota_tier = if concurrent > quota.saturating_mul(2) {
             Some("hard")
-        } else if concurrent > quota && self.target_pressured(&key) {
+        } else if concurrent > quota && shard.depth() * 2 >= self.opts.queue_cap.max(1) {
+            // Soft tier: only while the target shard's queue is half full.
             Some("soft")
         } else {
             None
@@ -411,7 +301,7 @@ impl Router {
             }
             return self.quota_shed(id, tier, concurrent);
         }
-        let resp = match self.submit_routed_traced(spec, &key, req_trace) {
+        let resp = match shard.submit_traced(spec, &key, req_trace) {
             Submission::Done { cycles, mut meta } => {
                 self.stats.ok.fetch_add(1, Ordering::Relaxed);
                 if let Some(c) = ctx {
@@ -531,17 +421,5 @@ mod tests {
             lru.len(),
             opts.lru_cap
         );
-    }
-
-    #[test]
-    fn kill_shard_marks_dead_once() {
-        let router = Router::new(ServeOpts {
-            shards: 3,
-            ..ServeOpts::default()
-        });
-        assert_eq!(router.shards_alive(), 3);
-        assert!(router.kill_shard(1));
-        assert!(!router.kill_shard(1), "second kill is a no-op");
-        assert_eq!(router.shards_alive(), 2);
     }
 }

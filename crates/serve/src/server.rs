@@ -141,8 +141,6 @@ pub struct ServeStats {
     pub batches: AtomicU64,
     /// Jobs computed (cache and store hits and coalesced requests are not).
     pub executed: AtomicU64,
-    /// Jobs re-routed off a dead shard (none lost).
-    pub rerouted: AtomicU64,
     /// Requests shed by the per-client quota tiers.
     pub quota_shed: AtomicU64,
     /// Connections refused by the bounded connection registry.
@@ -167,7 +165,6 @@ impl ServeStats {
             ("store_result_hits".into(), g(&self.store_hits)),
             ("batches".into(), g(&self.batches)),
             ("executed".into(), g(&self.executed)),
-            ("rerouted".into(), g(&self.rerouted)),
             ("quota_shed".into(), g(&self.quota_shed)),
             ("conn_shed".into(), g(&self.conn_shed)),
             ("frame_errors".into(), g(&self.frame_errors)),
@@ -189,13 +186,11 @@ pub enum Submission {
     /// `queue_len` is clamped to the admission cap — it reports the
     /// bounded queue, not a transient ticket value.
     Shed { queue_len: usize },
-    /// The job panicked (a bug, or an injected `job-panic`); it ran once.
+    /// The job panicked (a bug, or an injected `job-panic`); it ran once,
+    /// and its leader and every request coalesced onto it carry the panic
+    /// message.
     Failed(String),
 }
-
-/// Internal marker a dying shard hands back so the router re-routes the
-/// job instead of failing the client. Never escapes to a response.
-pub(crate) const SHARD_DEAD: &str = "worker shard died; job re-routed";
 
 /// Increment `counter` only while it is strictly below `cap`: a bounded
 /// CAS loop, so the counter is never transiently over the cap and
@@ -234,8 +229,7 @@ pub struct Dispatcher {
     /// remaining lock on the submit path (atomic test-and-insert of the
     /// key).
     inflight: Mutex<HashMap<String, Arc<Outcome>>>,
-    /// Parks leaders waiting for a slot; notified when a slot frees and
-    /// when the shard is killed.
+    /// Parks leaders waiting for a slot; notified when a slot frees.
     wake: EventCount,
     lru: ShardedLru,
     /// Optional durable spill tier below the LRU, shared across shards
@@ -243,9 +237,6 @@ pub struct Dispatcher {
     /// writer). Probed on LRU miss; fed after every computed result.
     store: Option<Arc<mic_store::Store>>,
     stats: Arc<ServeStats>,
-    /// Chaos: a killed shard fails its slot waiters with [`SHARD_DEAD`] so
-    /// the router re-routes them.
-    dead: AtomicBool,
 }
 
 fn scounter(name: &'static str, help: &'static str) -> Arc<mic_metrics::Counter> {
@@ -270,7 +261,6 @@ impl Dispatcher {
             lru: ShardedLru::new(opts.lru_cap),
             store,
             stats,
-            dead: AtomicBool::new(false),
             opts,
         }
     }
@@ -293,19 +283,6 @@ impl Dispatcher {
         self.inflight.lock().len()
     }
 
-    /// Chaos: mark the shard dead. Every leader waiting for a slot wakes
-    /// and fails with the re-route marker, and so does every request
-    /// coalesced onto it — they are re-routed, not lost. A job already
-    /// computing finishes.
-    pub fn kill(&self) {
-        self.dead.store(true, Ordering::SeqCst);
-        self.wake.notify();
-    }
-
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::SeqCst)
-    }
-
     /// Admit one job and block until it resolves (or is shed).
     pub fn submit(&self, spec: &JobSpec) -> Submission {
         self.submit_traced(spec, &spec.key(), None)
@@ -323,9 +300,6 @@ impl Dispatcher {
         req_trace: Option<(obs::TraceId, obs::SpanId)>,
     ) -> Submission {
         debug_assert_eq!(key, spec.key());
-        if self.is_dead() {
-            return Submission::Failed(SHARD_DEAD.to_string());
-        }
         let t0 = Instant::now();
         if let Some(cycles) = self.lru.get(key) {
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -466,19 +440,10 @@ impl Dispatcher {
             );
             obs::now_us()
         });
-        let mut slot = false;
-        self.wake.park_until(|| {
-            slot = !self.is_dead() && claim_below(&self.running, self.opts.slots.max(1)).is_ok();
-            slot || self.is_dead()
-        });
+        self.wake
+            .park_until(|| claim_below(&self.running, self.opts.slots.max(1)).is_ok());
         self.depth.fetch_sub(1, Ordering::AcqRel);
         self.set_queue_gauge();
-        if !slot {
-            // Killed while waiting: hand the job, and every request
-            // coalesced onto it, back to the router.
-            self.publish(key, Err(SHARD_DEAD.to_string()));
-            return Submission::Failed(SHARD_DEAD.to_string());
-        }
         // Stage spans land under the leader's root; a stage is stamped
         // only while the request is traced and observability is on.
         let traced = req_trace.filter(|_| obs::enabled());

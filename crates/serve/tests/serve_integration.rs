@@ -1,18 +1,36 @@
 //! End-to-end tests of the serving layer over real TCP on ephemeral
-//! ports: coalescing, explicit shedding, and bit-identical results.
+//! ports: coalescing, explicit shedding, bit-identical results, and
+//! concurrent distinct load across several shards.
 
+use mic_serve::frame;
 use mic_serve::protocol::{self, Request, Response};
 use mic_serve::server::{ServeOpts, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// One request line, one response line, over a fresh connection.
 fn rpc(addr: SocketAddr, line: &str) -> Response {
+    rpc_on(addr, line, false)
+}
+
+/// One request and its response over a fresh connection, sent as a
+/// binary frame or as a JSON line.
+fn rpc_on(addr: SocketAddr, line: &str, binary: bool) -> Response {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
+    if binary {
+        let req = protocol::parse_request(line).expect("valid request");
+        let (tag, payload) = frame::encode_request(&req);
+        frame::write_frame(&mut writer, tag, &payload).expect("send frame");
+        let (tag, payload) = frame::read_frame(&mut reader, 1 << 20)
+            .expect("read frame")
+            .expect("response present");
+        return frame::decode_response(tag, &payload).expect("decode response");
+    }
     writeln!(writer, "{line}").expect("send");
     let mut resp = String::new();
     reader.read_line(&mut resp).expect("recv");
@@ -152,6 +170,54 @@ fn queue_overflow_sheds_explicitly_and_recovers() {
         panic!("expected stats");
     };
     assert_eq!(stat(&fields, "shed"), 1.0);
+    server.shutdown();
+}
+
+/// Distinct slow jobs from many connections at once, on both wires, spread
+/// over four shards by key hash: every one is answered `ok` and computed
+/// once, every shard's queue drains, and the server keeps serving.
+#[test]
+fn distinct_concurrent_jobs_across_shards_all_answer_ok() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeOpts {
+            shards: 4,
+            slots: 2,
+            lru_cap: 0,
+            ..ServeOpts::default()
+        },
+    )
+    .expect("start server");
+    let addr = server.addr;
+    let workers: Vec<_> = (0..32)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let line = format!(
+                    r#"{{"id":"c{i}","kernel":"coloring","threads":{},"scale":512,"delay_ms":100}}"#,
+                    i + 1
+                );
+                rpc_on(addr, &line, i % 2 == 0)
+            })
+        })
+        .collect();
+    for h in workers {
+        let resp = h.join().unwrap();
+        assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+    }
+    assert_eq!(server.stats().executed.load(Ordering::Relaxed), 32);
+    let Response::Stats { fields, .. } = rpc_on(addr, r#"{"id":"s","op":"stats"}"#, true) else {
+        panic!("expected stats");
+    };
+    assert_eq!(stat(&fields, "shards"), 4.0);
+    assert_eq!(stat(&fields, "executed"), 32.0);
+    for shard in server.router().shards() {
+        assert_eq!(shard.depth(), 0, "shard {} drained", shard.shard());
+    }
+    let after = rpc(
+        addr,
+        r#"{"id":"after","kernel":"coloring","threads":77,"scale":512}"#,
+    );
+    assert!(matches!(after, Response::Ok { .. }), "{after:?}");
     server.shutdown();
 }
 
