@@ -1,33 +1,26 @@
 //! Regenerate every exhibit of the paper in one run.
 //!
-//! Usage: `all [--scale K] [--strict] [--write-baseline PATH] [--list]`
+//! Usage: `all [--scale K] [--list]`
 //! — the EXPERIMENTS.md record uses the default (full paper-size) scale.
 //!
 //! This bin owns no exhibit list of its own: it iterates the
 //! [`mic_eval::exhibit`] registry (everything except the `extra` group),
-//! so registering a new exhibit there is all it takes to appear here, in
-//! `BENCH_sweep.json`, and under the baseline gate. `--list` prints the
-//! registry table (the README's exhibit table, diffed in CI) and exits.
+//! so registering a new exhibit there is all it takes to appear here and
+//! in `BENCH_sweep.json`. `--list` prints the registry table (the
+//! README's exhibit table, diffed in CI) and exits. Speed is judged by the
+//! `mic-perf` ledger (`benchmark/`), not by this bin.
 //!
 //! The tables/figures go to stdout exactly as before; a per-exhibit wall
 //! time footer goes to stderr, and a machine-readable copy is written to
 //! `BENCH_sweep.json` in the working directory (disable with
 //! `MIC_BENCH_JSON=0`, or point it elsewhere with `MIC_BENCH_JSON=path`).
 //!
-//! Observability riders (all off unless asked for):
-//!
-//! - `MIC_METRICS=1` — run with the metrics registry on; the snapshot is
-//!   embedded in the JSON output. `MIC_METRICS=<path>` additionally
-//!   writes the Prometheus text snapshot to `<path>`.
-//! - `MIC_BASELINE=<path>` — compare this run's per-exhibit wall times
-//!   against the committed baseline (tolerance `MIC_BASELINE_TOL`,
-//!   default 15 %) and print a per-figure regression table. With
-//!   `--strict`, any regression names the figure and exits nonzero.
-//! - `--write-baseline PATH` — save this run's timings as a baseline
-//!   file for future gates.
+//! Observability rider (off unless asked for): `MIC_METRICS=1` runs with
+//! the metrics registry on and embeds the snapshot in the JSON output;
+//! `MIC_METRICS=<path>` additionally writes the Prometheus text snapshot
+//! to `<path>`.
 
 use mic_bench::cli::Cli;
-use mic_eval::baseline::{self, Baseline, SCHEMA_VERSION};
 use mic_eval::exhibit;
 use mic_eval::graph::suite::Scale;
 use mic_eval::json;
@@ -53,6 +46,10 @@ impl Timings {
 // Panic messages in failure records can contain quotes, backslashes, or
 // newlines; escape them with the shared JSON helper.
 use json::escape as json_escape;
+
+/// `BENCH_sweep.json`'s `"schema_version"`. Bump when a field changes
+/// meaning.
+const SCHEMA_VERSION: u64 = 1;
 
 fn write_json(
     path: &Path,
@@ -102,13 +99,8 @@ fn write_json(
 }
 
 fn main() {
-    let mut cli = Cli::parse(
-        "all",
-        "all [--scale K] [--strict] [--write-baseline PATH] [--list]",
-    );
+    let mut cli = Cli::parse("all", "all [--scale K] [--list]");
     let scale = cli.scale(Scale::Full);
-    let strict = cli.strict();
-    let write_baseline = cli.write_baseline();
     let list = cli.flag("--list");
     let config = cli.config();
     cli.done();
@@ -175,56 +167,5 @@ fn main() {
             metrics_json.as_deref(),
         );
         eprintln!("(timings written to {})", path.display());
-    }
-
-    let current = Baseline {
-        scale: format!("{scale:?}"),
-        total_seconds: total_s,
-        exhibits: t.exhibits.clone(),
-    };
-    if let Some(path) = &write_baseline {
-        match std::fs::write(path, current.to_json()) {
-            Ok(()) => eprintln!("(baseline written to {path})"),
-            Err(e) => {
-                eprintln!("could not write baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // Baseline regression gate (MIC_BASELINE / MIC_BASELINE_TOL).
-    if let Some(path) = baseline::baseline_path() {
-        let tol = baseline::tol_from_env();
-        match Baseline::load(&path) {
-            Ok(reference) => {
-                let report =
-                    baseline::compare_known(&current, &reference, tol, &exhibit::known_ids());
-                eprintln!(
-                    "== Baseline gate ({} at {:.0}% tolerance) ==",
-                    path.display(),
-                    tol * 100.0
-                );
-                eprint!("{}", report.to_table());
-                if !report.ok() {
-                    let names = report.regressions().join(", ");
-                    if strict {
-                        eprintln!("baseline gate FAILED: regressed exhibit(s): {names}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("baseline gate: regressed exhibit(s): {names} (not --strict)");
-                } else {
-                    eprintln!("baseline gate: ok");
-                }
-            }
-            Err(e) => {
-                eprintln!("baseline gate: cannot load reference: {e}");
-                if strict {
-                    std::process::exit(1);
-                }
-            }
-        }
-    } else if strict {
-        eprintln!("--strict requires MIC_BASELINE to point at a baseline file");
-        std::process::exit(1);
     }
 }

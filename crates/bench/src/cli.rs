@@ -7,8 +7,8 @@
 //! - `--help` / `-h` print the bin's usage line and exit 0;
 //! - `--scale K` parses a positive integer divisor (`K <= 1` = full
 //!   paper size) — [`Cli::scale`] takes the bin's default;
-//! - `--check`, `--strict` are shared boolean flags; `--out PATH`,
-//!   `--write-baseline PATH`, `--threads N` are shared valued flags;
+//! - `--check` is a shared boolean flag; `--out PATH` and `--threads N`
+//!   are shared valued flags;
 //! - a flag missing its value, or an unparsable value, prints the usage
 //!   line and exits 2 (instead of a panic backtrace);
 //! - unconsumed `--flags` are rejected by [`Cli::positionals`] /
@@ -123,16 +123,6 @@ impl Cli {
         self.flag("--check")
     }
 
-    /// `--strict` (gate failures exit nonzero).
-    pub fn strict(&mut self) -> bool {
-        self.flag("--strict")
-    }
-
-    /// `--write-baseline PATH`.
-    pub fn write_baseline(&mut self) -> Option<String> {
-        self.opt("--write-baseline")
-    }
-
     /// Remaining positional arguments; any leftover `--flag` is a usage
     /// error (it was not consumed by the bin, so it is a typo).
     pub fn positionals(self) -> Vec<String> {
@@ -201,11 +191,11 @@ mod tests {
 
     #[test]
     fn flags_and_options_consume() {
-        let mut c = cli(&["--strict", "--out", "x.json", "a", "--check"]);
-        assert!(c.strict());
+        let mut c = cli(&["--list", "--out", "x.json", "a", "--check"]);
+        assert!(c.flag("--list"));
         assert!(c.check());
         assert_eq!(c.out(), Some(PathBuf::from("x.json")));
-        assert!(!c.flag("--strict"), "consumed flags do not match twice");
+        assert!(!c.flag("--list"), "consumed flags do not match twice");
         assert_eq!(c.positionals(), vec!["a".to_string()]);
     }
 

@@ -1,12 +1,11 @@
 //! `SuiteConfig`: the typed owner of every `MIC_*` knob.
 //!
 //! Historically each layer read its own environment variables at point of
-//! use (`MIC_SWEEP_THREADS` in the sweep harness, `MIC_BASELINE` in the
-//! gate, `MIC_STORE` in the workload cache, ...). That worked for
-//! one-shot bins but made the knobs impossible to audit, to override
-//! programmatically (the serve layer takes requests, not env vars), or to
-//! test without process-global races. `SuiteConfig` replaces the ad-hoc
-//! plumbing:
+//! use (`MIC_SWEEP_THREADS` in the sweep harness, `MIC_STORE` in the
+//! workload cache, ...). That worked for one-shot bins but made the knobs
+//! impossible to audit, to override programmatically (the serve layer
+//! takes requests, not env vars), or to test without process-global
+//! races. `SuiteConfig` replaces the ad-hoc plumbing:
 //!
 //! - [`SuiteConfig::from_env`] is the **only** place `MIC_*` environment
 //!   variables are read (through the [`crate::env`] warn-once parsers; a
@@ -14,18 +13,16 @@
 //! - builder methods override individual knobs — precedence is **builder
 //!   > env > default**;
 //! - [`SuiteConfig::install`] publishes a config process-wide; every
-//!   consumer (sweep, baseline gate, metrics policy, trace export,
-//!   workload cache, fault injection, the bench bins and `mic-serve`)
-//!   reads [`current`], which lazily installs `from_env()` on first use —
-//!   so a plain bin run behaves exactly as before.
+//!   consumer (sweep, metrics policy, trace export, workload cache, fault
+//!   injection, the bench bins and `mic-serve`) reads [`current`], which
+//!   lazily installs `from_env()` on first use — so a plain bin run
+//!   behaves exactly as before.
 //!
 //! | knob | env var | default |
 //! |---|---|---|
 //! | `sweep_threads` | `MIC_SWEEP_THREADS` | available parallelism, ≤ 16 |
 //! | `fault` | `MIC_FAULT` | none |
 //! | `metrics` | `MIC_METRICS` | off |
-//! | `baseline` | `MIC_BASELINE` | none |
-//! | `baseline_tol` | `MIC_BASELINE_TOL` | 0.15 |
 //! | `trace` | `MIC_TRACE` | off |
 //! | `bench_json` | `MIC_BENCH_JSON` | `BENCH_sweep.json` |
 //! | `steal_spin` | `MIC_STEAL_SPIN` | 64 |
@@ -121,10 +118,10 @@ impl ObsMode {
     }
 }
 
-/// Which wire format the serve layer's client/bench sides speak by
-/// default. The server itself negotiates per connection (the first byte
-/// selects framing), so this knob steers the *initiating* side: the load
-/// client, the bench harness, and any embedding that builds requests.
+/// Which wire format the serve layer's client side speaks by default. The
+/// server itself negotiates per connection (the first byte selects
+/// framing), so this knob steers the *initiating* side: the load client
+/// and any embedding that builds requests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServeWire {
     /// Length-prefixed binary frames (magic + version + len + op tag).
@@ -175,10 +172,6 @@ pub struct SuiteConfig {
     pub fault: Option<FaultPlan>,
     /// Metrics policy.
     pub metrics: MetricsMode,
-    /// Perf-baseline reference file for the regression gate.
-    pub baseline: Option<PathBuf>,
-    /// Relative tolerance of the baseline gate.
-    pub baseline_tol: f64,
     /// Chrome trace output path; `None` = tracing off.
     pub trace: Option<PathBuf>,
     /// Where `all` writes its machine-readable sweep record; `None` = off.
@@ -193,7 +186,7 @@ pub struct SuiteConfig {
     /// Per-client (per peer IP) in-flight simulate quota; the soft tier
     /// sheds past it under load, the hard tier at twice it always.
     pub serve_quota: usize,
-    /// Default wire mode for the serve client/bench initiating side.
+    /// Default wire mode for the serve client (the initiating side).
     pub serve_wire: ServeWire,
     /// Largest accepted request, in bytes — caps both a JSON line and a
     /// binary frame payload.
@@ -227,8 +220,6 @@ impl Default for SuiteConfig {
             sweep_threads: None,
             fault: None,
             metrics: MetricsMode::Off,
-            baseline: None,
-            baseline_tol: crate::baseline::DEFAULT_TOL,
             trace: None,
             bench_json: Some(PathBuf::from("BENCH_sweep.json")),
             steal_spin: None,
@@ -259,9 +250,6 @@ impl SuiteConfig {
             sweep_threads: crate::env::positive_usize("MIC_SWEEP_THREADS"),
             fault: parse_env_fault(),
             metrics: MetricsMode::parse(crate::env::raw("MIC_METRICS")),
-            baseline: crate::env::path("MIC_BASELINE"),
-            baseline_tol: crate::env::nonneg_f64("MIC_BASELINE_TOL")
-                .unwrap_or(defaults.baseline_tol),
             trace: crate::env::path("MIC_TRACE"),
             bench_json: match crate::env::raw("MIC_BENCH_JSON") {
                 None => defaults.bench_json,
@@ -305,16 +293,6 @@ impl SuiteConfig {
 
     pub fn metrics(mut self, mode: MetricsMode) -> Self {
         self.metrics = mode;
-        self
-    }
-
-    pub fn baseline(mut self, path: Option<PathBuf>) -> Self {
-        self.baseline = path;
-        self
-    }
-
-    pub fn baseline_tol(mut self, tol: f64) -> Self {
-        self.baseline_tol = tol;
         self
     }
 
@@ -492,8 +470,6 @@ mod tests {
         assert_eq!(c.sweep_threads, None);
         assert!(c.fault.is_none());
         assert_eq!(c.metrics, MetricsMode::Off);
-        assert!(c.baseline.is_none());
-        assert_eq!(c.baseline_tol, crate::baseline::DEFAULT_TOL);
         assert!(c.trace.is_none());
         assert_eq!(c.bench_json, Some(PathBuf::from("BENCH_sweep.json")));
         assert_eq!(c.steal_spin, None);
@@ -569,12 +545,10 @@ mod tests {
     fn builder_overrides_win() {
         let c = SuiteConfig::default()
             .sweep_threads(3)
-            .baseline_tol(0.5)
             .bench_json(None)
             .metrics(MetricsMode::On);
         assert_eq!(c.sweep_threads, Some(3));
         assert_eq!(c.effective_sweep_threads(), 3);
-        assert_eq!(c.baseline_tol, 0.5);
         assert_eq!(c.bench_json, None);
         assert!(c.metrics.is_on());
     }

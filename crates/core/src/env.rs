@@ -1,5 +1,5 @@
 //! Warn-and-default environment-variable parsing shared by the harness
-//! knobs (`MIC_SWEEP_*`, `MIC_TRACE`, `MIC_METRICS`, `MIC_BASELINE*`).
+//! knobs (`MIC_SWEEP_*`, `MIC_TRACE`, `MIC_METRICS`, `MIC_STORE*`, …).
 //!
 //! Every reader follows one discipline: unset or empty means "use the
 //! default", silently; a set-but-unusable value is rejected with a

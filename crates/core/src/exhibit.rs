@@ -2,19 +2,15 @@
 //! static registry every driver iterates.
 //!
 //! Before this module, wiring a new exhibit meant editing a dozen call
-//! sites by hand: the `all` bin's hard-coded sequence, the baseline gate's
-//! implicit name set, the `why` bin's config list, and serve's job-key
-//! strings. Now each exhibit is declared exactly once, in [`register_all`],
-//! and everything else — `all` (including `--list`), the `--strict`
-//! baseline gate, `why`, the serve dispatcher's region lookup — iterates
-//! [`registry()`]. Adding a kernel is one `register()` call.
+//! sites by hand: the `all` bin's hard-coded sequence, the `why` bin's
+//! config list, and serve's job-key strings. Now each exhibit is declared
+//! exactly once, in [`register_all`], and everything else — `all`
+//! (including `--list`), `why`, the serve dispatcher's region lookup —
+//! iterates [`registry()`]. Adding a kernel is one `register()` call.
 //!
 //! The exhibit **id** is the stable key: it names the exhibit in
-//! `BENCH_sweep.json`, in baseline files, and (via [`KernelId::code`]) in
-//! serve job keys. Committed baselines predate the registry but used the
-//! same names, so they parse unchanged; [`canonical_id`] additionally
-//! folds case and the historical panel shorthands (`fig1a` …) for older
-//! hand-written files.
+//! `BENCH_sweep.json`, in the `mic-perf` ledger's per-exhibit rows and
+//! goldens, and (via [`KernelId::code`]) in serve job keys.
 
 use crate::experiments::{ablation, extras, fig1, fig2, fig3, fig4, scale_free, table1};
 use crate::workload_cache::{self, OrderTag};
@@ -97,7 +93,7 @@ pub enum Group {
     /// The scale-free kernel exhibits — in `all`.
     ScaleFree,
     /// Extras with their own bin; not part of `all` (and therefore not of
-    /// the committed baseline set).
+    /// the ledger's exhibit set).
     Extra,
 }
 
@@ -117,8 +113,8 @@ pub type WhyConfigs = Vec<(String, Vec<Region>)>;
 
 /// One registered exhibit.
 pub struct Exhibit {
-    /// Stable identifier — the name in `BENCH_sweep.json`, baseline files
-    /// and `all --list`.
+    /// Stable identifier — the name in `BENCH_sweep.json`, the ledger and
+    /// `all --list`.
     pub id: &'static str,
     pub title: &'static str,
     pub kernel: KernelId,
@@ -148,8 +144,7 @@ impl ExhibitRegistry {
         self.exhibits.iter()
     }
 
-    /// The exhibits `all` runs (everything except [`Group::Extra`]) — the
-    /// set the baseline gate regards as *current*.
+    /// The exhibits `all` runs (everything except [`Group::Extra`]).
     pub fn in_all(&self) -> impl Iterator<Item = &Exhibit> {
         self.exhibits.iter().filter(|e| e.group != Group::Extra)
     }
@@ -198,40 +193,6 @@ pub fn registry() -> &'static ExhibitRegistry {
         register_all(&mut r);
         r
     })
-}
-
-/// Canonicalize an exhibit name from a baseline or JSON file: exact ids
-/// pass through; otherwise fold case and the historical panel shorthands
-/// (`fig1a` → `fig1-OpenMp`, …) older hand-written files used.
-pub fn canonical_id(name: &str) -> Option<&'static str> {
-    let r = registry();
-    if let Some(e) = r.get(name) {
-        return Some(e.id);
-    }
-    let lower = name.to_ascii_lowercase();
-    if let Some(e) = r.iter().find(|e| e.id.to_ascii_lowercase() == lower) {
-        return Some(e.id);
-    }
-    let alias = match lower.as_str() {
-        "fig1a" => "fig1-OpenMp",
-        "fig1b" => "fig1-CilkPlus",
-        "fig1c" => "fig1-Tbb",
-        "fig3a" => "fig3-OpenMp",
-        "fig3b" => "fig3-CilkPlus",
-        "fig3c" => "fig3-Tbb",
-        "fig4a" => "fig4-Pwtk",
-        "fig4b" => "fig4-Inline1",
-        "hybrid_bfs" | "hybridbfs" | "direction-bfs" => "hybrid-bfs",
-        "cc" | "connected-components" => "components",
-        _ => return None,
-    };
-    r.get(alias).map(|e| e.id)
-}
-
-/// The known (current) exhibit ids, for the baseline gate's
-/// deprecated-exhibit handling.
-pub fn known_ids() -> Vec<&'static str> {
-    registry().all_ids()
 }
 
 /// Unified kernel → region-sequence dispatch: the one lookup the serve
@@ -651,9 +612,10 @@ mod tests {
     }
 
     #[test]
-    fn all_set_matches_committed_baseline_names() {
-        // The registry must keep every name the committed baseline uses
-        // (18 pre-registry exhibits) and add the three scale-free ones.
+    fn all_set_matches_ledger_exhibit_ids() {
+        // These ids name the `exhibit.<id>.*` ledger rows and goldens and
+        // the `BENCH_sweep.json` entries: the 18 pre-registry exhibits plus
+        // the three scale-free ones.
         let ids = registry().all_ids();
         for legacy in [
             "table1",
@@ -688,16 +650,6 @@ mod tests {
         let r = registry();
         assert!(r.contains("extra-delta-sweep"));
         assert!(!r.all_ids().contains(&"extra-delta-sweep"));
-    }
-
-    #[test]
-    fn canonical_id_folds_aliases_and_case() {
-        assert_eq!(canonical_id("fig1-OpenMp"), Some("fig1-OpenMp"));
-        assert_eq!(canonical_id("FIG1-OPENMP"), Some("fig1-OpenMp"));
-        assert_eq!(canonical_id("fig1a"), Some("fig1-OpenMp"));
-        assert_eq!(canonical_id("hybrid_bfs"), Some("hybrid-bfs"));
-        assert_eq!(canonical_id("cc"), Some("components"));
-        assert_eq!(canonical_id("no-such-exhibit"), None);
     }
 
     #[test]

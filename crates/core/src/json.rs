@@ -1,11 +1,10 @@
 //! Minimal dependency-free JSON: a recursive-descent reader and a
 //! [`Value`] renderer.
 //!
-//! Grown out of the baseline loader (which still re-exports this module as
-//! `baseline::json`) and now shared with the `mic-serve` wire protocol:
-//! one reader/writer pair means the server, the client load generator, the
-//! baseline gate and the bench JSON exhibits all agree on escaping and
-//! number round-tripping. Numbers are `f64`; rendering uses Rust's
+//! Shared by the `mic-serve` JSON wire and `all`'s `BENCH_sweep.json`
+//! writer: one reader/writer pair means the server, the client load
+//! generator and the timing file all agree on escaping and number
+//! round-tripping. Numbers are `f64`; rendering uses Rust's
 //! shortest-round-trip float formatting, so an `f64` survives a
 //! render→parse cycle bit-exactly (the serve integration test pins this).
 //! Non-finite numbers render as `null` (JSON has no NaN/Inf).

@@ -45,7 +45,6 @@ pub use mic_runtime as runtime;
 pub use mic_sim as sim;
 pub use mic_store as store;
 
-pub mod baseline;
 pub mod buildinfo;
 pub mod config;
 pub mod env;

@@ -1,7 +1,7 @@
-//! The mic-serve binary: server, load client, and the self-hosted bench
-//! exhibit in one.
+//! The mic-serve binary: server, load client, and stats/trace queries in
+//! one.
 //!
-//! Usage: `serve <serve|client|bench|stats> [flags]`
+//! Usage: `serve <serve|client|stats|trace> [flags]`
 //!
 //! - `serve serve [--addr A] [--queue-cap N] [--slots N] [--lru N]
 //!   [--shards N] [--quota N] [--conn-cap N]
@@ -19,13 +19,6 @@
 //!   and print the throughput/latency row. The wire is binary frames
 //!   unless `--json` (or `MIC_SERVE_WIRE=json`) selects the newline-JSON
 //!   compat mode.
-//! - `serve bench [--clients N] [--rps R] [--duration S] [--out PATH]
-//!   [--check]` — start an in-process server on an ephemeral port, drive
-//!   three load points (R/2, R, 2R) under EACH wire mode, then a
-//!   store-backed cold/warm restart pair, and write the
-//!   `BENCH_serve.json` exhibit. `--check` additionally validates the
-//!   `mic_serve_*` metric invariants against the live registry and that
-//!   the warm run answered from the store, exiting nonzero on failure.
 //! - `serve stats --addr A` — print a running server's `stats` fields
 //!   (one `name value` line each, plus the server's `build` stamp), for
 //!   scripts and CI assertions.
@@ -46,11 +39,11 @@ use mic_serve::protocol::Response;
 use mic_serve::server::{ServeOpts, Server};
 use std::path::PathBuf;
 
-const USAGE: &str = "serve <serve|client|bench|stats|trace> [--addr HOST:PORT] [--queue-cap N] \
+const USAGE: &str = "serve <serve|client|stats|trace> [--addr HOST:PORT] [--queue-cap N] \
                      [--slots N] [--lru N] [--shards N] [--quota N] \
                      [--conn-cap N] [--max-request BYTES] [--store PATH] [--store-sync N] \
                      [--clients N] [--rps R] [--duration S] [--json] [--trace] \
-                     [--trace-id HEX] [--out PATH] [--check]";
+                     [--trace-id HEX] [--check]";
 
 fn main() {
     let mut cli = Cli::parse("serve", USAGE);
@@ -100,7 +93,6 @@ fn main() {
     let duration = cli.opt_parse::<f64>("--duration", "seconds");
     let trace_requests = cli.flag("--trace");
     let trace_id = cli.opt("--trace-id");
-    let out = cli.out();
     let check = cli.check();
     let pos = cli.positionals();
     let mode = pos.first().map(String::as_str).unwrap_or("serve");
@@ -123,7 +115,6 @@ fn main() {
                 trace_requests,
             )
         }
-        "bench" => run_bench(opts, clients, rps, duration.unwrap_or(2.0), out, check),
         "stats" => {
             let Some(addr) = addr.as_deref() else {
                 eprintln!("serve: stats mode needs --addr HOST:PORT");
@@ -253,142 +244,6 @@ fn run_client(
             1
         }
     }
-}
-
-fn run_bench(
-    opts: ServeOpts,
-    clients: usize,
-    rps: f64,
-    duration: f64,
-    out: Option<PathBuf>,
-    check: bool,
-) -> i32 {
-    if check && !mic_eval::metrics::enabled() {
-        mic_eval::metrics::set_enabled(true);
-    }
-    let server = match Server::start("127.0.0.1:0", opts.clone()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve: cannot start in-process server: {e}");
-            return 1;
-        }
-    };
-    let addr = server.addr.to_string();
-    eprintln!(
-        "in-process server on {addr} ({} shards); 3 load points per wire mode at {clients} \
-         clients, {duration}s each",
-        opts.shards
-    );
-    let mut points = Vec::new();
-    println!("{}", LoadSummary::header());
-    for wire in [ServeWire::Binary, ServeWire::Json] {
-        for target_rps in [rps * 0.5, rps, rps * 2.0] {
-            match client::run_load(
-                &addr,
-                LoadOpts {
-                    clients,
-                    target_rps,
-                    duration_s: duration,
-                    wire,
-                    trace: false,
-                },
-            ) {
-                Ok(summary) => {
-                    println!("{}", summary.row());
-                    points.push(summary);
-                }
-                Err(e) => {
-                    eprintln!(
-                        "serve: load point {target_rps} rps ({}) failed: {e}",
-                        wire.name()
-                    );
-                    return 1;
-                }
-            }
-        }
-    }
-    let mut failures = if check {
-        check_serve_metrics(&server)
-    } else {
-        0
-    };
-    server.shutdown();
-
-    // Cold vs warm: the same load point against a store-backed server,
-    // with a full restart (and store reopen) in between. The warm run's
-    // `store_hits` is the durability exhibit: repeat jobs answered
-    // without recomputation.
-    let store_dir =
-        std::env::temp_dir().join(format!("mic-serve-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let mut store_opts = opts.clone();
-    store_opts.store_path = Some(store_dir.join("results.pg"));
-    let mut warm_hits = 0u64;
-    for phase in ["cold", "warm"] {
-        let server = match Server::start("127.0.0.1:0", store_opts.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("serve: cannot start {phase} store-backed server: {e}");
-                return 1;
-            }
-        };
-        let addr = server.addr.to_string();
-        match client::run_load(
-            &addr,
-            LoadOpts {
-                clients,
-                target_rps: rps,
-                duration_s: duration,
-                wire: ServeWire::Binary,
-                trace: false,
-            },
-        ) {
-            Ok(mut summary) => {
-                summary.phase = phase.to_string();
-                summary.store_hits = server
-                    .stats()
-                    .store_hits
-                    .load(std::sync::atomic::Ordering::Relaxed);
-                if phase == "warm" {
-                    warm_hits = summary.store_hits;
-                }
-                println!(
-                    "{}  [{phase}: store_hits={}]",
-                    summary.row(),
-                    summary.store_hits
-                );
-                points.push(summary);
-            }
-            Err(e) => {
-                eprintln!("serve: {phase} store-backed load point failed: {e}");
-                return 1;
-            }
-        }
-        // Clean shutdown persists the store — the warm server reopens it.
-        server.shutdown();
-    }
-    let _ = std::fs::remove_dir_all(&store_dir);
-    if check && warm_hits == 0 {
-        eprintln!("check FAILED: warm store-backed run answered no request from the store");
-        failures += 1;
-    }
-    write_metrics_snapshot();
-
-    let path = out.unwrap_or_else(|| PathBuf::from("BENCH_serve.json"));
-    let text = client::bench_serve_json(&points);
-    if let Err(e) = std::fs::write(&path, &text) {
-        eprintln!("serve: could not write {}: {e}", path.display());
-        return 1;
-    }
-    eprintln!("(exhibit written to {})", path.display());
-    if check {
-        if failures > 0 {
-            eprintln!("check FAILED: {failures} serve metric invariant(s)");
-            return 1;
-        }
-        println!("check: serve metric invariants hold");
-    }
-    0
 }
 
 /// One JSON request/response exchange on an already-open connection.
@@ -528,54 +383,4 @@ fn run_trace_check(opts: ServeOpts) -> i32 {
             1
         }
     }
-}
-
-/// The `mic_serve_*` registry invariants: per-op latency histogram counts
-/// equal the per-op request counters, responses balance requests, and the
-/// registry's own counters agree with the router's. Returns the number of
-/// violations (also printed).
-fn check_serve_metrics(server: &Server) -> usize {
-    let snap = mic_eval::metrics::snapshot();
-    let mut failures = 0;
-    let mut requests_seen = 0.0;
-    for e in &snap.entries {
-        if e.name != "mic_serve_requests_total" {
-            continue;
-        }
-        let labels: Vec<(&str, &str)> = e
-            .labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        let counter = snap
-            .value("mic_serve_requests_total", &labels)
-            .unwrap_or(0.0);
-        requests_seen += counter;
-        let hist = snap
-            .hist("mic_serve_request_seconds", &labels)
-            .map(|h| h.count as f64);
-        if hist != Some(counter) {
-            eprintln!(
-                "check FAILED: request histogram {:?} count {hist:?} != counter {counter}",
-                e.labels
-            );
-            failures += 1;
-        }
-    }
-    let responses = snap.family_total("mic_serve_responses_total");
-    if responses != requests_seen {
-        eprintln!("check FAILED: responses_total {responses} != requests_total {requests_seen}");
-        failures += 1;
-    }
-    let stats = server.stats();
-    let received = stats.received.load(std::sync::atomic::Ordering::Relaxed) as f64;
-    if requests_seen != received {
-        eprintln!("check FAILED: registry saw {requests_seen} requests, router counted {received}");
-        failures += 1;
-    }
-    for problem in snap.self_check() {
-        eprintln!("check FAILED: snapshot self-check: {problem}");
-        failures += 1;
-    }
-    failures
 }

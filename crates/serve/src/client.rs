@@ -1,12 +1,12 @@
 //! Load-generator client: open-loop-ish request pacing over N
-//! connections, latency quantiles, and the `BENCH_serve.json` exhibit.
+//! connections and latency quantiles, printed as one row per load point.
 //!
 //! Each client thread owns one connection and paces itself so the fleet
 //! approaches the target request rate; responses are classified (`ok` /
 //! `shed` / `error`) and latencies pooled for p50/p95/p99. A client that
 //! falls behind (server saturated) does not queue unsent requests — the
 //! achieved rate simply drops, which together with the shed count is the
-//! backpressure signal the exhibit plots.
+//! backpressure signal the row reports.
 //!
 //! The client speaks both wires: binary frames ([`crate::frame`], the
 //! default) or the newline-JSON compat mode ([`LoadOpts::wire`]). Either
@@ -15,9 +15,8 @@
 //! each response's first byte, mirroring the server's own sniff.
 
 use crate::frame;
-use crate::protocol::{self, Request, Response, SCHEMA_VERSION};
+use crate::protocol::{self, Response};
 use mic_eval::config::ServeWire;
-use mic_eval::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -32,8 +31,8 @@ pub struct LoadOpts {
     pub wire: ServeWire,
     /// Mint a client-side trace context for every request. The ids ride
     /// the wire (either encoding) and the server threads them through
-    /// its span tree; the plain load matrix leaves this off so bench
-    /// numbers measure the untraced hot path.
+    /// its span tree; off by default, so a plain load run measures the
+    /// untraced hot path.
     pub trace: bool,
 }
 
@@ -52,23 +51,13 @@ impl Default for LoadOpts {
 /// One load point's outcome.
 #[derive(Clone, Debug, Default)]
 pub struct LoadSummary {
-    pub clients: usize,
     pub target_rps: f64,
-    pub duration_s: f64,
     /// `"binary"` or `"json"` — which wire produced this point.
     pub wire: String,
-    /// Bench phase label: `""` for the plain load matrix, `"cold"` /
-    /// `"warm"` for the store-backed restart pair.
-    pub phase: String,
-    /// Requests the server answered from its durable result store
-    /// (nonzero only on a warm, store-backed run).
-    pub store_hits: u64,
     pub sent: u64,
     pub ok: u64,
     pub shed: u64,
     pub errors: u64,
-    pub coalesced: u64,
-    pub cached: u64,
     pub achieved_rps: f64,
     pub p50_ms: f64,
     pub p95_ms: f64,
@@ -184,10 +173,8 @@ pub fn run_load(addr: &str, opts: LoadOpts) -> std::io::Result<LoadSummary> {
                 };
                 let latency_ms = sent_at.elapsed().as_secs_f64() * 1e3;
                 match resp {
-                    Response::Ok { meta, .. } => {
+                    Response::Ok { .. } => {
                         w.ok += 1;
-                        w.coalesced += meta.coalesced as u64;
-                        w.cached += meta.cached as u64;
                         w.latencies_ms.push(latency_ms);
                     }
                     Response::Shed { .. } => w.shed += 1,
@@ -215,18 +202,12 @@ pub fn run_load(addr: &str, opts: LoadOpts) -> std::io::Result<LoadSummary> {
     let elapsed_s = started.elapsed().as_secs_f64();
     agg.latencies_ms.sort_by(f64::total_cmp);
     Ok(LoadSummary {
-        clients,
         target_rps: opts.target_rps,
-        duration_s: opts.duration_s,
         wire: opts.wire.name().to_string(),
-        phase: String::new(),
-        store_hits: 0,
         sent: agg.sent,
         ok: agg.ok,
         shed: agg.shed,
         errors: agg.errors,
-        coalesced: agg.coalesced,
-        cached: agg.cached,
         achieved_rps: agg.ok as f64 / elapsed_s.max(1e-9),
         p50_ms: quantile(&agg.latencies_ms, 0.50),
         p95_ms: quantile(&agg.latencies_ms, 0.95),
@@ -241,8 +222,6 @@ struct Worker {
     ok: u64,
     shed: u64,
     errors: u64,
-    coalesced: u64,
-    cached: u64,
     latencies_ms: Vec<f64>,
 }
 
@@ -252,8 +231,6 @@ impl Worker {
         self.ok += other.ok;
         self.shed += other.shed;
         self.errors += other.errors;
-        self.coalesced += other.coalesced;
-        self.cached += other.cached;
         self.latencies_ms.extend(other.latencies_ms);
     }
 }
@@ -281,126 +258,12 @@ impl LoadSummary {
     pub fn header() -> &'static str {
         "  wire   target   actual      ok   other   shed    err    p50 ms    p95 ms    p99 ms    max ms"
     }
-
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("clients".into(), Value::Num(self.clients as f64)),
-            ("target_rps".into(), Value::Num(self.target_rps)),
-            ("duration_s".into(), Value::Num(self.duration_s)),
-            ("wire".into(), Value::str(&self.wire)),
-            ("phase".into(), Value::str(&self.phase)),
-            ("store_hits".into(), Value::Num(self.store_hits as f64)),
-            ("sent".into(), Value::Num(self.sent as f64)),
-            ("ok".into(), Value::Num(self.ok as f64)),
-            ("shed".into(), Value::Num(self.shed as f64)),
-            ("errors".into(), Value::Num(self.errors as f64)),
-            ("coalesced".into(), Value::Num(self.coalesced as f64)),
-            ("cached".into(), Value::Num(self.cached as f64)),
-            ("achieved_rps".into(), Value::Num(self.achieved_rps)),
-            ("p50_ms".into(), Value::Num(self.p50_ms)),
-            ("p95_ms".into(), Value::Num(self.p95_ms)),
-            ("p99_ms".into(), Value::Num(self.p99_ms)),
-            ("max_ms".into(), Value::Num(self.max_ms)),
-        ])
-    }
-}
-
-/// Render the `BENCH_serve.json` exhibit: throughput and tail latency at
-/// each load point, schema-versioned like the other bench JSON files.
-pub fn bench_serve_json(points: &[LoadSummary]) -> String {
-    let mut doc = Value::Obj(vec![
-        ("schema_version".into(), Value::Num(SCHEMA_VERSION as f64)),
-        ("bench".into(), Value::str("serve")),
-        ("build".into(), Value::str(mic_eval::buildinfo::stamp())),
-        (
-            "points".into(),
-            Value::Arr(points.iter().map(LoadSummary::to_value).collect()),
-        ),
-    ]);
-    // Pretty-print the top level one point per line for diffability.
-    if let Value::Obj(fields) = &mut doc {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            let comma = if i + 1 < fields.len() { "," } else { "" };
-            match v {
-                Value::Arr(items) => {
-                    out.push_str(&format!("  \"{k}\": [\n"));
-                    for (j, item) in items.iter().enumerate() {
-                        let c = if j + 1 < items.len() { "," } else { "" };
-                        out.push_str(&format!("    {}{c}\n", item.render()));
-                    }
-                    out.push_str(&format!("  ]{comma}\n"));
-                }
-                other => out.push_str(&format!("  \"{k}\": {}{comma}\n", other.render())),
-            }
-        }
-        out.push_str("}\n");
-        return out;
-    }
-    unreachable!("doc is an object")
-}
-
-/// Load a `BENCH_serve.json` document, rejecting files stamped with a
-/// schema version this build does not understand.
-pub fn parse_bench_serve(text: &str) -> Result<Vec<LoadSummary>, String> {
-    let doc = mic_eval::json::parse(text)?;
-    match doc.get("schema_version").map(Value::as_u64) {
-        Some(Some(SCHEMA_VERSION)) => {}
-        Some(Some(n)) => {
-            return Err(format!(
-                "unsupported schema_version {n}: this build understands version {SCHEMA_VERSION} \
-                 (re-record the file with this build, or update the tooling)"
-            ))
-        }
-        Some(None) => return Err("schema_version must be a non-negative integer".into()),
-        None => return Err("missing schema_version".into()),
-    }
-    let points = doc
-        .get("points")
-        .and_then(Value::as_arr)
-        .ok_or("missing points array")?;
-    let num = |p: &Value, key: &str| p.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-    Ok(points
-        .iter()
-        .map(|p| LoadSummary {
-            clients: num(p, "clients") as usize,
-            target_rps: num(p, "target_rps"),
-            duration_s: num(p, "duration_s"),
-            wire: p
-                .get("wire")
-                .and_then(Value::as_str)
-                .unwrap_or("json")
-                .to_string(),
-            phase: p
-                .get("phase")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            store_hits: num(p, "store_hits") as u64,
-            sent: num(p, "sent") as u64,
-            ok: num(p, "ok") as u64,
-            shed: num(p, "shed") as u64,
-            errors: num(p, "errors") as u64,
-            coalesced: num(p, "coalesced") as u64,
-            cached: num(p, "cached") as u64,
-            achieved_rps: num(p, "achieved_rps"),
-            p50_ms: num(p, "p50_ms"),
-            p95_ms: num(p, "p95_ms"),
-            p99_ms: num(p, "p99_ms"),
-            max_ms: num(p, "max_ms"),
-        })
-        .collect())
-}
-
-/// The request mix as validated [`Request`]s — shared with tests that
-/// drive the binary wire directly.
-pub fn request_at(id: &str, step: usize) -> Request {
-    protocol::parse_request(&request_line(id, step)).expect("request mix is valid")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Request;
 
     #[test]
     fn quantiles_nearest_rank() {
@@ -410,50 +273,6 @@ mod tests {
         assert_eq!(quantile(&v, 0.99), 99.0);
         assert_eq!(quantile(&[], 0.5), 0.0);
         assert_eq!(quantile(&[7.0], 0.99), 7.0);
-    }
-
-    #[test]
-    fn bench_serve_json_round_trips_and_is_versioned() {
-        let point = LoadSummary {
-            clients: 4,
-            target_rps: 100.0,
-            duration_s: 2.0,
-            wire: "binary".into(),
-            phase: "warm".into(),
-            store_hits: 12,
-            sent: 200,
-            ok: 180,
-            shed: 15,
-            errors: 5,
-            coalesced: 30,
-            cached: 90,
-            achieved_rps: 90.5,
-            p50_ms: 1.5,
-            p95_ms: 9.25,
-            p99_ms: 20.125,
-            max_ms: 31.0,
-        };
-        let text = bench_serve_json(std::slice::from_ref(&point));
-        assert!(text.contains("\"schema_version\": 1"), "{text}");
-        assert!(
-            text.contains(&format!("\"build\": \"{}\"", mic_eval::buildinfo::stamp())),
-            "{text}"
-        );
-        let back = parse_bench_serve(&text).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].ok, 180);
-        assert_eq!(back[0].wire, "binary");
-        assert_eq!(back[0].phase, "warm");
-        assert_eq!(back[0].store_hits, 12);
-        assert_eq!(back[0].p99_ms, 20.125);
-    }
-
-    #[test]
-    fn unknown_bench_schema_version_is_rejected() {
-        let err = parse_bench_serve(r#"{"schema_version": 9, "points": []}"#).unwrap_err();
-        assert!(err.contains("unsupported schema_version 9"), "{err}");
-        let err = parse_bench_serve(r#"{"points": []}"#).unwrap_err();
-        assert!(err.contains("missing schema_version"), "{err}");
     }
 
     #[test]
@@ -467,13 +286,5 @@ mod tests {
         let parsed = parsed.expect("trace context should survive the line");
         assert_eq!(parsed.trace, ctx.trace);
         assert_eq!(parsed.parent, 0);
-    }
-
-    #[test]
-    fn bench_points_without_wire_default_to_json() {
-        let text = r#"{"schema_version": 1, "points": [{"ok": 3}]}"#;
-        let back = parse_bench_serve(text).unwrap();
-        assert_eq!(back[0].wire, "json");
-        assert_eq!(back[0].ok, 3);
     }
 }

@@ -22,8 +22,7 @@
 //! - [`server`] — the per-shard dispatcher (admission, coalescing,
 //!   compute slots), the bounded connection registry, and the TCP front
 //!   end;
-//! - [`client`] — the load-generator client (both wire modes) and the
-//!   `BENCH_serve.json` exhibit writer/loader;
+//! - [`client`] — the load-generator client (both wire modes);
 //! - [`lru`] — the bounded result cache, sharded N ways;
 //! - [`cell`] — the one-shot result cell coalesced waiters block on.
 //!

@@ -30,7 +30,7 @@
 //! `pong`, `stats`, `shed` (queue full — back off and retry), `error`
 //! (bad request or a fault-injected job failure; the connection stays
 //! usable). A `schema_version` this build does not understand is
-//! rejected by [`parse_response`], like the baseline loader.
+//! rejected by [`parse_response`].
 
 use mic_eval::exhibit::{self, KernelId};
 use mic_eval::graph::stats::LocalityWindows;
@@ -40,7 +40,7 @@ use mic_eval::obs::TraceCtx;
 use mic_eval::sim::{simulate, Machine, Policy};
 use mic_eval::workload_cache::OrderTag;
 
-/// Version stamp on every response line and on `BENCH_serve.json`.
+/// Version stamp on every JSON response line.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Which instrumented kernel a job simulates: the simulable subset of the

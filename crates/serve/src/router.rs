@@ -186,7 +186,7 @@ impl Router {
 
     /// The shared request path both wire modes feed: count, quota-check,
     /// route, time, and render — every outcome is exactly one response,
-    /// which is the requests==responses invariant `serve bench --check`
+    /// which is the requests==responses invariant `serve_metrics.rs`
     /// pins.
     fn respond(&self, parsed: Result<Request, (String, String)>, client: &ClientState) -> Response {
         self.stats.received.fetch_add(1, Ordering::Relaxed);

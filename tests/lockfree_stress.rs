@@ -32,13 +32,18 @@ fn assert_exactly_once(hits: &[AtomicUsize], seed: u64, what: &str) {
 
 #[test]
 fn deque_storm_every_item_exactly_once() {
-    for seed in [1u64, 7, 42] {
+    // Seven thieves plus the owner is eight participants, more than the
+    // cores of a small runner, so steals race pushes and pops.
+    for (thieves, seed) in [3usize, 7]
+        .into_iter()
+        .flat_map(|t| [1u64, 7, 42].map(|s| (t, s)))
+    {
         let n = 40_000usize;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let d: WsDeque<usize> = WsDeque::new(256);
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
-            for _ in 0..3 {
+            for _ in 0..thieves {
                 let d = &d;
                 let hits = &hits;
                 let done = &done;
@@ -82,7 +87,7 @@ fn deque_storm_every_item_exactly_once() {
             }
             done.store(true, Ordering::Release);
         });
-        assert_exactly_once(&hits, seed, "deque storm");
+        assert_exactly_once(&hits, seed, &format!("deque storm, {thieves} thieves"));
         assert!(d.is_empty());
     }
 }
