@@ -1,11 +1,11 @@
 //! Runtime-construct microbenchmarks: per-chunk dispatch cost of each
 //! scheduling discipline (the quantity the simulator's `SchedCosts`
-//! abstracts), plus the pipeline and the TLS/reduction helpers.
+//! abstracts), plus the TLS/reduction helpers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mic_eval::runtime::{
-    cilk_for, parallel_for_chunks, run_pipeline, tbb_parallel_for, Partitioner, PerWorker,
-    ReducerMax, Schedule, Stage, ThreadPool,
+    cilk_for, parallel_for_chunks, tbb_parallel_for, Partitioner, PerWorker, ReducerMax, Schedule,
+    ThreadPool,
 };
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,35 +83,6 @@ fn bench_constructs(c: &mut Criterion) {
     });
 
     group.finish();
-
-    let mut pgroup = c.benchmark_group("pipeline");
-    pgroup.sample_size(15);
-    pgroup.bench_function("three_stage_1000_tokens", |b| {
-        b.iter(|| {
-            let mut i = 0u64;
-            let mut out = 0u64;
-            run_pipeline(
-                &pool,
-                move || {
-                    if i < 1000 {
-                        i += 1;
-                        Some(i)
-                    } else {
-                        None
-                    }
-                },
-                vec![
-                    Stage::parallel(|v: u64| v.wrapping_mul(2654435761)),
-                    Stage::serial(|v: u64| v ^ 0xDEAD),
-                    Stage::parallel(|v: u64| v.rotate_left(7)),
-                ],
-                |v| out = out.wrapping_add(v),
-                16,
-            );
-            black_box(out)
-        })
-    });
-    pgroup.finish();
 }
 
 criterion_group!(benches, bench_constructs);

@@ -1,14 +1,17 @@
 //! Regenerate every exhibit of the paper in one run.
 //!
-//! Usage: `all [--scale K] [--list]`
+//! Usage: `all [--scale K] [--list] [--only ID|GROUP[,ID|GROUP...]]`
 //! — the EXPERIMENTS.md record uses the default (full paper-size) scale.
 //!
 //! This bin owns no exhibit list of its own: it iterates the
 //! [`mic_eval::exhibit`] registry (everything except the `extra` group),
 //! so registering a new exhibit there is all it takes to appear here and
 //! in `BENCH_sweep.json`. `--list` prints the registry table (the
-//! README's exhibit table, diffed in CI) and exits. Speed is judged by the
-//! `mic-perf` ledger (`benchmark/`), not by this bin.
+//! README's exhibit table, diffed in CI) and exits. `--only` runs a
+//! selection of exhibit ids and group names (`paper`, `ablation`,
+//! `scale-free`, `extra`) in registry order; an unknown name is a usage
+//! error. Speed is judged by the `mic-perf` ledger (`benchmark/`), not by
+//! this bin.
 //!
 //! The tables/figures go to stdout exactly as before; a per-exhibit wall
 //! time footer goes to stderr, and a machine-readable copy is written to
@@ -99,9 +102,18 @@ fn write_json(
 }
 
 fn main() {
-    let mut cli = Cli::parse("all", "all [--scale K] [--list]");
+    let mut cli = Cli::parse(
+        "all",
+        "all [--scale K] [--list] [--only ID|GROUP[,ID|GROUP...]]",
+    );
     let scale = cli.scale(Scale::Full);
     let list = cli.flag("--list");
+    let exhibits = match cli.opt("--only") {
+        Some(names) => exhibit::registry()
+            .select(&names)
+            .unwrap_or_else(|e| cli.die(&e)),
+        None => exhibit::registry().in_all().collect(),
+    };
     let config = cli.config();
     cli.done();
 
@@ -116,7 +128,7 @@ fn main() {
         exhibits: Vec::new(),
     };
 
-    for e in exhibit::registry().in_all() {
+    for e in exhibits {
         eprintln!("== {} ==", e.title);
         t.show(e.id, || (e.run)(scale));
     }

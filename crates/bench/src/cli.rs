@@ -57,7 +57,8 @@ impl Cli {
         mic_eval::config::current()
     }
 
-    fn die(&self, msg: &str) -> ! {
+    /// Print `msg` and the usage line, then exit 2.
+    pub fn die(&self, msg: &str) -> ! {
         eprintln!("{}: {msg}", self.bin);
         eprintln!("usage: {}", self.usage);
         std::process::exit(2);
@@ -140,29 +141,6 @@ impl Cli {
     }
 }
 
-/// Parse single-letter panel positionals (`a`, `b`, `c`, ...) with a
-/// default set — the shape shared by the `fig1`/`fig3`/`fig4` bins.
-pub fn panels<P: Copy>(
-    positionals: &[String],
-    from_char: impl Fn(char) -> Option<P>,
-    default: &[P],
-) -> Vec<P> {
-    let picked: Vec<P> = positionals
-        .iter()
-        .filter_map(|a| {
-            a.chars()
-                .next()
-                .and_then(&from_char)
-                .filter(|_| a.len() == 1)
-        })
-        .collect();
-    if picked.is_empty() {
-        default.to_vec()
-    } else {
-        picked
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,17 +181,5 @@ mod tests {
     fn threads_default_applies() {
         assert_eq!(cli(&[]).threads(4), 4);
         assert_eq!(cli(&["--threads", "9"]).threads(4), 9);
-    }
-
-    #[test]
-    fn panel_selection() {
-        let from = |c: char| match c {
-            'a' => Some(0usize),
-            'b' => Some(1),
-            _ => None,
-        };
-        assert_eq!(panels(&[], from, &[0, 1]), vec![0, 1]);
-        assert_eq!(panels(&["b".into()], from, &[0, 1]), vec![1]);
-        assert_eq!(panels(&["ab".into()], from, &[0, 1]), vec![0, 1]);
     }
 }

@@ -164,8 +164,7 @@ impl BfsWorkload {
 
     /// Like [`BfsWorkload::regions`], but modeling a persistent worker
     /// team (no per-level fork; only the in-region barrier is charged) —
-    /// the organization `mic_bfs::persistent::persistent_bfs` implements
-    /// natively.
+    /// the alternative organization the fork-vs-persistent ablation prices.
     pub fn regions_persistent(&self, policy: Policy) -> Vec<Region> {
         self.regions(policy)
             .into_iter()

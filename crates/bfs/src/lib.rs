@@ -23,23 +23,16 @@
 //! *exactly* the sequential BFS levels — property tests enforce it.
 //!
 //! Extensions beyond the paper's experiments: [`direction`]
-//! (direction-optimizing BFS, sequential and parallel), [`persistent`]
-//! (one worker team for the whole traversal, barrier per level),
-//! [`parents`] (parent trees + the Graph 500 validator), [`centrality`]
-//! (Brandes betweenness, the application the paper cites), [`components`]
-//! (label-propagation connected components), [`sssp`] (Δ-stepping against
-//! a Dijkstra reference — "BFS implicitly computes shortest paths"), and
-//! [`kcore`] (degeneracy peeling, the smallest-last order of the coloring
-//! literature).
+//! (direction-optimizing BFS, sequential and parallel) and [`components`]
+//! (label-propagation connected components), each behind a scale-free
+//! exhibit, and [`sssp`] (Δ-stepping against a Dijkstra reference — "BFS
+//! implicitly computes shortest paths"), behind the `extra-delta-sweep`
+//! exhibit.
 
-pub mod centrality;
 pub mod components;
 pub mod direction;
 pub mod instrument;
-pub mod kcore;
 pub mod parallel;
-pub mod parents;
-pub mod persistent;
 pub mod queue;
 pub mod seq;
 pub mod sssp;

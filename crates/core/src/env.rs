@@ -52,18 +52,6 @@ pub fn parse_nonneg_u64(raw: &str) -> Result<Option<u64>, &str> {
     t.parse::<u64>().map(Some).map_err(|_| raw)
 }
 
-/// Parse a non-negative finite float knob (tolerances, rates).
-pub fn parse_nonneg_f64(raw: &str) -> Result<Option<f64>, &str> {
-    let t = raw.trim();
-    if t.is_empty() {
-        return Ok(None);
-    }
-    match t.parse::<f64>() {
-        Ok(v) if v.is_finite() && v >= 0.0 => Ok(Some(v)),
-        _ => Err(raw),
-    }
-}
-
 /// Parse a path-valued knob: unset, empty and `0` all mean "off".
 pub fn parse_path(raw: &str) -> Option<PathBuf> {
     if raw.is_empty() || raw == "0" {
@@ -92,19 +80,6 @@ pub fn nonneg_u64(name: &str) -> Option<u64> {
         Ok(v) => v,
         Err(rejected) => {
             warn_once(name, rejected, "a non-negative integer");
-            None
-        }
-    }
-}
-
-/// `name` as a non-negative finite float, or `None` (warning once if set
-/// but bad).
-pub fn nonneg_f64(name: &str) -> Option<f64> {
-    let raw = std::env::var(name).ok()?;
-    match parse_nonneg_f64(&raw) {
-        Ok(v) => v,
-        Err(rejected) => {
-            warn_once(name, rejected, "a non-negative number");
             None
         }
     }
@@ -145,17 +120,6 @@ mod tests {
         assert_eq!(parse_nonneg_u64(""), Ok(None));
         assert_eq!(parse_nonneg_u64("-1"), Err("-1"));
         assert_eq!(parse_nonneg_u64("12ms"), Err("12ms"));
-    }
-
-    #[test]
-    fn nonneg_f64_grammar() {
-        assert_eq!(parse_nonneg_f64("0.15"), Ok(Some(0.15)));
-        assert_eq!(parse_nonneg_f64("2"), Ok(Some(2.0)));
-        assert_eq!(parse_nonneg_f64(""), Ok(None));
-        assert_eq!(parse_nonneg_f64("-0.1"), Err("-0.1"));
-        assert_eq!(parse_nonneg_f64("NaN"), Err("NaN"));
-        assert_eq!(parse_nonneg_f64("inf"), Err("inf"));
-        assert_eq!(parse_nonneg_f64("15%"), Err("15%"));
     }
 
     #[test]

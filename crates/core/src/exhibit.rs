@@ -5,8 +5,9 @@
 //! sites by hand: the `all` bin's hard-coded sequence, the `why` bin's
 //! config list, and serve's job-key strings. Now each exhibit is declared
 //! exactly once, in [`register_all`], and everything else — `all`
-//! (including `--list`), `why`, the serve dispatcher's region lookup —
-//! iterates [`registry()`]. Adding a kernel is one `register()` call.
+//! (including `--list` and `--only`), `why`, the serve dispatcher's region
+//! lookup — iterates [`registry()`]. Adding a kernel is one `register()`
+//! call.
 //!
 //! The exhibit **id** is the stable key: it names the exhibit in
 //! `BENCH_sweep.json`, in the `mic-perf` ledger's per-exhibit rows and
@@ -92,8 +93,8 @@ pub enum Group {
     Ablation,
     /// The scale-free kernel exhibits — in `all`.
     ScaleFree,
-    /// Extras with their own bin; not part of `all` (and therefore not of
-    /// the ledger's exhibit set).
+    /// Extras run only on request (`all --only extra`); not part of `all`
+    /// (and therefore not of the ledger's exhibit set).
     Extra,
 }
 
@@ -160,6 +161,22 @@ impl ExhibitRegistry {
     /// Ids of the exhibits `all` runs, in order.
     pub fn all_ids(&self) -> Vec<&'static str> {
         self.in_all().map(|e| e.id).collect()
+    }
+
+    /// The exhibits `all --only <names>` runs: `names` is a comma-separated
+    /// list of exhibit ids and group names (the `extra` group included),
+    /// and the result keeps registry order whatever order the names come
+    /// in. An unknown name is an error.
+    pub fn select(&self, names: &str) -> Result<Vec<&Exhibit>, String> {
+        let names: Vec<&str> = names.split(',').collect();
+        let hit = |e: &Exhibit, n: &str| e.id == n || e.group.name() == n;
+        if let Some(bad) = names.iter().find(|n| !self.iter().any(|e| hit(e, n))) {
+            return Err(format!("unknown exhibit or group {bad:?}"));
+        }
+        Ok(self
+            .iter()
+            .filter(|e| names.iter().any(|n| hit(e, n)))
+            .collect())
     }
 
     /// The `all --list` table: one markdown row per exhibit. The README's
@@ -650,6 +667,39 @@ mod tests {
         let r = registry();
         assert!(r.contains("extra-delta-sweep"));
         assert!(!r.all_ids().contains(&"extra-delta-sweep"));
+    }
+
+    #[test]
+    fn select_takes_ids_and_groups_in_registry_order() {
+        let r = registry();
+        let ids =
+            |names: &str| -> Vec<&str> { r.select(names).unwrap().iter().map(|e| e.id).collect() };
+        assert_eq!(ids("fig2"), ["fig2"]);
+        assert_eq!(ids("scale-free"), ["pagerank", "components", "hybrid-bfs"]);
+        assert_eq!(ids("paper").len(), 12);
+        assert_eq!(
+            ids("extra"),
+            [
+                "extra-jp-vs-speculation",
+                "extra-coloring-quality",
+                "extra-delta-sweep",
+            ]
+        );
+        assert_eq!(
+            ids("hybrid-bfs,ablation,table1,ablation-ordering"),
+            [
+                "table1",
+                "ablation-block-size",
+                "ablation-chunk-size",
+                "ablation-locked-vs-relaxed",
+                "ablation-ordering",
+                "ablation-placement",
+                "ablation-fork-vs-persistent",
+                "hybrid-bfs",
+            ]
+        );
+        assert!(matches!(r.select("fig5"), Err(e) if e.contains("\"fig5\"")));
+        assert!(r.select("paper,extras").is_err());
     }
 
     #[test]

@@ -22,15 +22,6 @@ pub enum Panel {
 }
 
 impl Panel {
-    pub fn from_char(c: char) -> Option<Panel> {
-        match c {
-            'a' => Some(Panel::OpenMp),
-            'b' => Some(Panel::CilkPlus),
-            'c' => Some(Panel::Tbb),
-            _ => None,
-        }
-    }
-
     /// The variants shown in this panel: (legend label, scheduling policy,
     /// extra per-iteration cost). The "holder" variant pays a couple of
     /// issue slots per vertex for the view lookup — the paper found the
@@ -180,13 +171,5 @@ mod tests {
                 "variants should be close: {ya} vs {yb}"
             );
         }
-    }
-
-    #[test]
-    fn panel_chars_parse() {
-        assert_eq!(Panel::from_char('a'), Some(Panel::OpenMp));
-        assert_eq!(Panel::from_char('b'), Some(Panel::CilkPlus));
-        assert_eq!(Panel::from_char('c'), Some(Panel::Tbb));
-        assert_eq!(Panel::from_char('x'), None);
     }
 }

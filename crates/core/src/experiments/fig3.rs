@@ -19,15 +19,6 @@ pub enum Panel {
 }
 
 impl Panel {
-    pub fn from_char(c: char) -> Option<Panel> {
-        match c {
-            'a' => Some(Panel::OpenMp),
-            'b' => Some(Panel::CilkPlus),
-            'c' => Some(Panel::Tbb),
-            _ => None,
-        }
-    }
-
     /// The best configuration per model, as the paper reports (dynamic for
     /// OpenMP, simple for TBB).
     fn policy(&self) -> Policy {

@@ -24,18 +24,6 @@ pub enum Panel {
     AllCpu,
 }
 
-impl Panel {
-    pub fn from_char(c: char) -> Option<Panel> {
-        match c {
-            'a' => Some(Panel::Pwtk),
-            'b' => Some(Panel::Inline1),
-            'c' => Some(Panel::AllKnf),
-            'd' => Some(Panel::AllCpu),
-            _ => None,
-        }
-    }
-}
-
 /// The paper's block size.
 const BLOCK: usize = 32;
 

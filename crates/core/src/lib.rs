@@ -22,9 +22,10 @@
 //! | ablations | [`experiments::ablation`] |
 //!
 //! Each returns a [`series::Figure`] whose rows print as an ASCII table or
-//! CSV; the `mic-bench` crate wraps them in binaries. Experiments take a
-//! [`graph::suite::Scale`] so tests can run them on miniatures; the
-//! reported numbers in EXPERIMENTS.md use `Scale::Full`.
+//! CSV; [`exhibit`] registers each one and `mic-bench`'s `all` binary
+//! renders them (`all --only <id|group>` for a selection). Experiments
+//! take a [`graph::suite::Scale`] so tests can run them on miniatures;
+//! the reported numbers in EXPERIMENTS.md use `Scale::Full`.
 //!
 //! Quick example (the simulated Figure 2 on a tiny suite):
 //!

@@ -44,8 +44,8 @@ fn parse_err(line: usize, msg: impl Into<String>) -> IoError {
 ///
 /// Accepts `matrix coordinate <field> symmetric|general` headers with any
 /// numeric field (values are ignored — we only need the pattern). Entries on
-/// the diagonal are dropped; for `general` matrices both triangles may be
-/// present and are merged.
+/// the diagonal are dropped; for `general` matrices the upper and lower
+/// halves may both be present and are merged.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, IoError> {
     let mut lines = BufReader::new(reader).lines().enumerate();
 

@@ -27,7 +27,6 @@ pub mod generators;
 pub mod io;
 pub mod ordering;
 pub mod stats;
-pub mod subgraph;
 pub mod suite;
 pub mod weights;
 

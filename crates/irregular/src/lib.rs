@@ -23,6 +23,5 @@ pub mod apps;
 pub mod instrument;
 pub mod kernel;
 pub mod spmv;
-pub mod triangles;
 
 pub use kernel::{irregular_inplace, irregular_jacobi, irregular_seq};

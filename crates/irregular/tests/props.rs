@@ -1,12 +1,10 @@
 //! Property-based tests for the irregular crate: kernel determinism,
-//! convex-hull bounds, SpMV linearity, triangle-count invariance.
+//! convex-hull bounds, SpMV linearity.
 
-use mic_graph::ordering::{apply, Ordering as GraphOrdering};
 use mic_graph::weights::EdgeWeights;
 use mic_graph::{Csr, GraphBuilder, VertexId};
 use mic_irregular::kernel::{irregular_inplace, irregular_jacobi, jacobi_seq};
 use mic_irregular::spmv::{spmv, spmv_seq};
-use mic_irregular::triangles::{triangles, triangles_seq};
 use mic_runtime::{Partitioner, RuntimeModel, Schedule, ThreadPool};
 use proptest::prelude::*;
 
@@ -88,25 +86,5 @@ proptest! {
         let mut got = vec![0.0; n];
         spmv(&pool, &g, &w, &diag, &x, &mut got, model);
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn triangle_count_invariant_under_relabeling(g in arb_graph(), seed in any::<u64>(), t in 1usize..5) {
-        let want = triangles_seq(&g);
-        let (h, _) = apply(&g, GraphOrdering::Random { seed });
-        prop_assert_eq!(triangles_seq(&h), want);
-        let pool = ThreadPool::new(t);
-        prop_assert_eq!(
-            triangles(&pool, &h, RuntimeModel::OpenMp(Schedule::Dynamic { chunk: 4 })),
-            want
-        );
-    }
-
-    #[test]
-    fn triangle_count_bounded_by_edge_choose(g in arb_graph()) {
-        // Each edge closes at most (n - 2) triangles; crude sanity bound.
-        let n = g.num_vertices() as u64;
-        let bound = g.num_edges() as u64 * n.saturating_sub(2) / 3 + 1;
-        prop_assert!(triangles_seq(&g) <= bound);
     }
 }

@@ -228,22 +228,6 @@ impl<T: Copy + PartialEq> BlockQueue<T> {
             .collect()
     }
 
-    /// Reset through a shared reference.
-    ///
-    /// # Safety
-    /// The caller must guarantee exclusive access for the duration of the
-    /// call — no concurrent reader or writer. The intended pattern is a
-    /// persistent worker team where only the barrier leader resets, between
-    /// two barrier episodes.
-    pub unsafe fn reset_exclusive(&self) {
-        let n = self.cursor.load(Ordering::Acquire).min(self.data.len());
-        for c in &self.data[..n] {
-            // SAFETY: exclusivity guaranteed by the caller.
-            unsafe { *c.get() = self.sentinel };
-        }
-        self.cursor.store(0, Ordering::Release);
-    }
-
     /// Reset to empty, re-filling the used prefix with the sentinel.
     pub fn reset(&mut self) {
         let n = (*self.cursor.get_mut()).min(self.data.len());

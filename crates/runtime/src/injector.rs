@@ -23,8 +23,8 @@
 //! global FIFO: order holds within each tier, but once overflow occurs a
 //! later ring push can be stolen before an earlier overflowed task. A
 //! work-distribution queue does not need inter-task order (the engines
-//! track completion by a remaining-iterations counter, the pipeline
-//! reorders by sequence number), and no current caller assumes it.
+//! track completion by a remaining-iterations counter), and no current
+//! caller assumes it.
 //!
 //! [`BoundedQueue`] is a fixed-capacity ring with a per-slot sequence
 //! number (a generalized guard word that also encodes the lap), after

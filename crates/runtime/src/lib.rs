@@ -23,12 +23,10 @@
 //! BFS implementation. [`deque`] and [`injector`] are the lock-free
 //! scheduling substrate: a Chase–Lev work-stealing deque per worker and an
 //! MPMC injector (unbounded segmented + bounded ring variants) that the
-//! Cilk/TBB engines and the serve admission path are built on. [`sync`]
-//! adds the OpenMP `barrier`/`critical`/`single` constructs for
-//! persistent-team kernels plus the [`sync::EventCount`] park/unpark
-//! primitive behind the pool's lock-free dispatch, [`scan`] the parallel
-//! prefix sum behind SNAP-style queue merges, and [`pipeline`] a TBB-style
-//! `parallel_pipeline` with in-order serial stages.
+//! Cilk/TBB engines are built on. [`sync`] adds the OpenMP
+//! `critical`/`single` constructs plus the [`sync::EventCount`]
+//! park/unpark primitive behind the pool's lock-free dispatch, and [`scan`]
+//! the parallel prefix sum behind SNAP-style queue merges.
 
 pub mod cilk;
 pub mod concurrent;
@@ -36,7 +34,6 @@ pub mod deque;
 pub mod injector;
 pub mod model;
 pub mod openmp;
-pub mod pipeline;
 pub mod pool;
 pub mod scan;
 pub mod sync;
@@ -50,10 +47,9 @@ pub use deque::WsDeque;
 pub use injector::{BoundedQueue, Injector, Steal};
 pub use model::RuntimeModel;
 pub use openmp::{parallel_for, parallel_for_chunks, parallel_reduce, Schedule};
-pub use pipeline::{run_pipeline, Stage};
 pub use pool::{PoolError, ThreadPool, WorkerCtx};
 pub use scan::{exclusive_scan, exclusive_scan_seq};
-pub use sync::{park_spin, set_park_spin, Critical, EventCount, RegionBarrier, Single};
+pub use sync::{park_spin, set_park_spin, Critical, EventCount, Single};
 pub use tbb::{tbb_parallel_for, Partitioner};
 pub use tls::{Combinable, Holder, PerWorker, ReducerMax};
 pub use trace::{capture as capture_native_trace, NativeEvent, NativeEventKind};

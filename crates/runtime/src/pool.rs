@@ -114,7 +114,7 @@ thread_local! {
     /// inside (if any). Re-entering the *same* pool would deadlock on
     /// `run_lock`, so that is rejected with a descriptive [`PoolError`];
     /// entering a *different* pool (hierarchical composition, e.g. a
-    /// pipeline stage driving its own worker pool) is safe and allowed.
+    /// sweep job driving its own worker pool) is safe and allowed.
     static IN_REGION: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 

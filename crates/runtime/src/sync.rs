@@ -1,11 +1,6 @@
-//! In-region synchronization: the OpenMP `barrier`, `critical` and
-//! `single` constructs (§II-A of the paper mentions all three).
-//!
-//! These let a kernel keep one *persistent team* across phases instead of
-//! forking a fresh parallel region per phase — the alternative BFS
-//! organization the `persistent` variant benchmarks (each fork/join pays
-//! the pool wake/sleep; a barrier among already-running workers is much
-//! cheaper).
+//! In-region synchronization: the OpenMP `critical` and `single`
+//! constructs (§II-A of the paper), and the [`EventCount`] park/unpark
+//! primitive behind the pool's lock-free dispatch.
 
 use crate::pool::WorkerCtx;
 use parking_lot::{Condvar, Mutex};
@@ -146,53 +141,6 @@ impl Default for EventCount {
     }
 }
 
-/// A reusable barrier for the `num_threads` workers of one region
-/// (sense-reversing, blocking). Create it outside `pool.run` and have every
-/// worker call [`RegionBarrier::wait`] the same number of times.
-pub struct RegionBarrier {
-    num_threads: usize,
-    arrived: AtomicUsize,
-    sense: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl RegionBarrier {
-    /// A barrier for `num_threads` participants.
-    pub fn new(num_threads: usize) -> Self {
-        assert!(num_threads >= 1);
-        RegionBarrier {
-            num_threads,
-            arrived: AtomicUsize::new(0),
-            sense: AtomicBool::new(false),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until all participants have arrived. Returns `true` on exactly
-    /// one participant per episode (the "leader", as in
-    /// `std::sync::Barrier`), which is handy for serial interludes.
-    pub fn wait(&self) -> bool {
-        let my_sense = !self.sense.load(Ordering::Acquire);
-        let pos = self.arrived.fetch_add(1, Ordering::AcqRel) + 1;
-        if pos == self.num_threads {
-            // Last arrival: reset and flip the sense, waking everyone.
-            self.arrived.store(0, Ordering::Release);
-            let _g = self.lock.lock();
-            self.sense.store(my_sense, Ordering::Release);
-            self.cv.notify_all();
-            true
-        } else {
-            let mut g = self.lock.lock();
-            while self.sense.load(Ordering::Acquire) != my_sense {
-                self.cv.wait(&mut g);
-            }
-            false
-        }
-    }
-}
-
 /// An OpenMP-style named `critical` section: at most one worker inside at
 /// a time. A thin, intention-revealing wrapper over a mutex.
 pub struct Critical<T> {
@@ -269,58 +217,6 @@ pub fn team_barrier(ctx: WorkerCtx) -> usize {
 mod tests {
     use super::*;
     use crate::pool::ThreadPool;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn barrier_synchronizes_phases() {
-        let t = 6;
-        let pool = ThreadPool::new(t);
-        let barrier = RegionBarrier::new(t);
-        let phase1 = AtomicUsize::new(0);
-        let phase2_saw = AtomicUsize::new(usize::MAX);
-        pool.run(|_ctx| {
-            phase1.fetch_add(1, Ordering::SeqCst);
-            barrier.wait();
-            // Everyone must observe the completed phase 1.
-            phase2_saw.fetch_min(phase1.load(Ordering::SeqCst), Ordering::SeqCst);
-            barrier.wait();
-        });
-        assert_eq!(phase2_saw.load(Ordering::SeqCst), t);
-    }
-
-    #[test]
-    fn barrier_elects_exactly_one_leader_per_episode() {
-        let t = 5;
-        let pool = ThreadPool::new(t);
-        let barrier = RegionBarrier::new(t);
-        let leaders = AtomicUsize::new(0);
-        pool.run(|_| {
-            for _ in 0..10 {
-                if barrier.wait() {
-                    leaders.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        });
-        assert_eq!(leaders.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn barrier_many_episodes_stress() {
-        let t = 4;
-        let pool = ThreadPool::new(t);
-        let barrier = RegionBarrier::new(t);
-        let counter = AtomicU64::new(0);
-        let episodes = 500u64;
-        pool.run(|_| {
-            for e in 0..episodes {
-                counter.fetch_add(1, Ordering::SeqCst);
-                barrier.wait();
-                // After each barrier the counter is exactly t * (e + 1).
-                assert_eq!(counter.load(Ordering::SeqCst), t as u64 * (e + 1));
-                barrier.wait();
-            }
-        });
-    }
 
     #[test]
     fn critical_serializes() {
@@ -339,7 +235,7 @@ mod tests {
     fn single_runs_once_per_episode() {
         let t = 6;
         let pool = ThreadPool::new(t);
-        let barrier = RegionBarrier::new(t);
+        let barrier = std::sync::Barrier::new(t);
         let single = Single::new();
         let runs = AtomicUsize::new(0);
         pool.run(|_| {
@@ -347,7 +243,7 @@ mod tests {
                 single.run(|| {
                     runs.fetch_add(1, Ordering::SeqCst);
                 });
-                if barrier.wait() {
+                if barrier.wait().is_leader() {
                     single.reset();
                 }
                 barrier.wait();

@@ -2,10 +2,7 @@
 //! propagate to the caller as a panic, (b) never deadlock sibling workers,
 //! and (c) leave the pool reusable.
 
-use mic_runtime::{
-    cilk_for, parallel_for, run_pipeline, tbb_parallel_for, Partitioner, Schedule, Stage,
-    ThreadPool,
-};
+use mic_runtime::{cilk_for, parallel_for, tbb_parallel_for, Partitioner, Schedule, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -76,35 +73,6 @@ fn panic_in_tbb_bodies_does_not_deadlock() {
         assert!(r.is_err(), "{part:?}");
         assert_pool_still_works(&pool);
     }
-}
-
-#[test]
-fn panic_in_pipeline_stage_propagates() {
-    let pool = ThreadPool::new(4);
-    let mut produced = 0u64;
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        run_pipeline(
-            &pool,
-            move || {
-                produced += 1;
-                if produced <= 50 {
-                    Some(produced)
-                } else {
-                    None
-                }
-            },
-            vec![Stage::parallel(|v: u64| {
-                if v == 25 {
-                    panic!("injected");
-                }
-                v
-            })],
-            |_| {},
-            8,
-        );
-    }));
-    assert!(r.is_err(), "pipeline must propagate a stage panic");
-    assert_pool_still_works(&pool);
 }
 
 #[test]

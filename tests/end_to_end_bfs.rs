@@ -1,8 +1,6 @@
 //! Cross-crate integration: every BFS variant against the sequential
 //! reference on the calibrated suite, plus Table I's level counts.
 
-use mic_eval::bfs::parents::{bfs_with_parents, check_tree};
-use mic_eval::bfs::persistent::persistent_bfs;
 use mic_eval::bfs::{
     bfs, check_levels, direction::hybrid_bfs, direction::Hybrid, parallel_bfs, seq::table1_source,
     BfsVariant,
@@ -45,21 +43,6 @@ fn whole_suite_levels_match_sequential() {
             );
             check_levels(&g, src, &got.levels).unwrap();
         }
-    }
-}
-
-#[test]
-fn persistent_and_parent_variants_match_on_suite() {
-    let pool = ThreadPool::new(6);
-    for pg in [PaperGraph::Hood, PaperGraph::Pwtk] {
-        let g = build(pg, SCALE);
-        let src = table1_source(&g);
-        let want = bfs(&g, src);
-        let p = persistent_bfs(&pool, &g, src, 32, 16, true);
-        assert_eq!(p.levels, want.levels, "{} persistent", pg.name());
-        let tree = bfs_with_parents(&pool, &g, src);
-        assert_eq!(tree.levels, want.levels, "{} parents", pg.name());
-        check_tree(&g, src, &tree).unwrap();
     }
 }
 

@@ -6,8 +6,7 @@ use mic_eval::bfs::{bfs, parallel_bfs, BfsVariant};
 use mic_eval::coloring::{check_proper, iterative_coloring};
 use mic_eval::graph::generators::{erdos_renyi_gnm, rmat, RmatProbs};
 use mic_eval::runtime::{
-    exclusive_scan, parallel_for, run_pipeline, BlockQueue, Partitioner, RuntimeModel, Schedule,
-    Stage, ThreadPool,
+    exclusive_scan, parallel_for, BlockQueue, Partitioner, RuntimeModel, Schedule, ThreadPool,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,35 +64,6 @@ fn block_queue_under_bfs_like_churn() {
         assert_eq!(got, want, "round {round}");
         q.reset();
     }
-}
-
-#[test]
-fn pipeline_drives_kernels_in_order() {
-    // Feed graph sizes through a pipeline whose parallel stage colors each
-    // graph; sink must see results in submission order.
-    let pool = ThreadPool::new(4);
-    let sizes = [100usize, 300, 200, 400];
-    let mut i = 0usize;
-    let mut outputs: Vec<(usize, u32)> = Vec::new();
-    run_pipeline(
-        &pool,
-        move || sizes.get(i).copied().inspect(|_| i += 1),
-        vec![Stage::parallel(|n: usize| {
-            // Color a small graph sequentially inside the stage.
-            let g = erdos_renyi_gnm(n, 3 * n, n as u64);
-            let c = mic_eval::coloring::seq::greedy_color(&g);
-            n * 1000 + c.num_colors as usize
-        })],
-        |packed| outputs.push((packed / 1000, (packed % 1000) as u32)),
-        4,
-    );
-    assert_eq!(outputs.len(), 4);
-    assert_eq!(
-        outputs.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-        vec![100, 300, 200, 400],
-        "sink order must match submission order"
-    );
-    assert!(outputs.iter().all(|&(_, c)| c >= 2));
 }
 
 #[test]
