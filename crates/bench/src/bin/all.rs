@@ -13,8 +13,9 @@
 //! error. Speed is judged by the `mic-perf` ledger (`benchmark/`), not by
 //! this bin.
 //!
-//! The tables/figures go to stdout exactly as before; a per-exhibit wall
-//! time footer goes to stderr, and a machine-readable copy is written to
+//! The tables/figures go to stdout exactly as before; a per-exhibit footer
+//! goes to stderr (wall time, minor page faults and the rise of the
+//! resident high-water mark), and the wall times are also written to
 //! `BENCH_sweep.json` in the working directory (disable with
 //! `MIC_BENCH_JSON=0`, or point it elsewhere with `MIC_BENCH_JSON=path`).
 //!
@@ -32,17 +33,62 @@ use std::path::Path;
 use std::time::Instant;
 
 struct Timings {
-    exhibits: Vec<(String, f64)>,
+    /// Exhibit id, wall seconds, and its [`Usage::since`] footer columns.
+    exhibits: Vec<(String, f64, String)>,
 }
 
 impl Timings {
-    /// Run one exhibit, print its stdout block, record its wall time.
+    /// Run one exhibit, print its stdout block, record its wall time and
+    /// what it cost in page faults and resident high-water mark.
     fn show(&mut self, name: &str, render: impl FnOnce() -> String) {
+        let before = Usage::now();
         let start = Instant::now();
         let text = render();
-        self.exhibits
-            .push((name.to_string(), start.elapsed().as_secs_f64()));
+        let secs = start.elapsed().as_secs_f64();
+        let usage = Usage::now().since(before);
+        self.exhibits.push((name.to_string(), secs, usage));
         println!("{text}");
+    }
+}
+
+/// Minor page faults (`/proc/self/stat` field 10) and the resident
+/// high-water mark (`VmHWM` in `/proc/self/status`, kB), each `None` where
+/// `/proc` does not have it.
+#[derive(Clone, Copy)]
+struct Usage {
+    minor_faults: Option<u64>,
+    hwm_kb: Option<u64>,
+}
+
+impl Usage {
+    fn now() -> Self {
+        let read = |path| std::fs::read_to_string(path).ok();
+        // The command name (field 2) may hold spaces, so count from its
+        // closing ')': field 10 is the eighth after it.
+        let minor_faults = read("/proc/self/stat").and_then(|s| {
+            let after_comm = s.rsplit_once(')')?.1;
+            after_comm.split_whitespace().nth(7)?.parse().ok()
+        });
+        let hwm_kb = read("/proc/self/status").and_then(|s| {
+            let kb = s.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            kb.trim().strip_suffix("kB")?.trim().parse().ok()
+        });
+        Usage {
+            minor_faults,
+            hwm_kb,
+        }
+    }
+
+    /// The footer columns for the rise from `before` to `self`: minor
+    /// faults, and the high-water mark in MB; `-` where either is unknown.
+    fn since(self, before: Usage) -> String {
+        let rise =
+            |now: Option<u64>, then: Option<u64>| now.zip(then).map(|(a, b)| a.saturating_sub(b));
+        let faults =
+            rise(self.minor_faults, before.minor_faults).map_or("-".into(), |f| f.to_string());
+        let hwm = rise(self.hwm_kb, before.hwm_kb)
+            .map_or("-".into(), |kb| format!("{:.1}", kb as f64 / 1024.0));
+        format!("{faults:>10} minflt {hwm:>8} MB HWM")
     }
 }
 
@@ -73,7 +119,7 @@ fn write_json(
     body.push_str(&format!("  \"sweep_threads\": {threads},\n"));
     body.push_str(&format!("  \"total_seconds\": {total_s:.3},\n"));
     body.push_str("  \"exhibits\": [\n");
-    for (i, (name, secs)) in t.exhibits.iter().enumerate() {
+    for (i, (name, secs, _)) in t.exhibits.iter().enumerate() {
         let comma = if i + 1 < t.exhibits.len() { "," } else { "" };
         body.push_str(&format!(
             "    {{\"name\": \"{name}\", \"seconds\": {secs:.3}}}{comma}\n"
@@ -123,6 +169,7 @@ fn main() {
     }
 
     mic_eval::metrics::init_from_env();
+    let before = Usage::now();
     let start = Instant::now();
     let mut t = Timings {
         exhibits: Vec::new(),
@@ -134,12 +181,13 @@ fn main() {
     }
 
     let total_s = start.elapsed().as_secs_f64();
+    let usage = Usage::now().since(before);
     let threads = mic_eval::sweep::default_threads();
     eprintln!("== Timing ({threads} sweep threads) ==");
-    for (name, secs) in &t.exhibits {
-        eprintln!("{name:<28} {secs:>8.3} s");
+    for (name, secs, usage) in &t.exhibits {
+        eprintln!("{name:<28} {secs:>8.3} s {usage}");
     }
-    eprintln!("{:<28} {total_s:>8.3} s", "total");
+    eprintln!("{:<28} {total_s:>8.3} s {usage}", "total");
     let failures = mic_eval::sweep::take_failures();
     if failures.is_empty() {
         eprintln!("== Failures: none ==");

@@ -2,10 +2,11 @@
 
 use mic_bfs::seq::{bfs, table1_source};
 use mic_coloring::seq::greedy_color;
-use mic_graph::suite::{paper_row, PaperRow, Scale};
+use mic_graph::suite::{paper_row, PaperGraph, PaperRow, Scale};
+use mic_graph::Csr;
 
 /// One measured row next to the paper's.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table1Row {
     pub name: &'static str,
     pub vertices: usize,
@@ -18,24 +19,24 @@ pub struct Table1Row {
 
 /// Measure all seven graphs at `scale`. `#Color` is the sequential greedy
 /// count in natural order; `#Level` is a BFS from vertex `|V| / 2`, both
-/// exactly as Table I specifies.
+/// exactly as Table I specifies. Each row (graph, coloring and BFS) is one
+/// sweep job, and rows keep Table I order for any worker count.
 pub fn table1(scale: Scale) -> Vec<Table1Row> {
-    super::suite(scale)
-        .into_iter()
-        .map(|(pg, g)| {
-            let colors = greedy_color(&g).num_colors;
-            let levels = bfs(&g, table1_source(&g)).num_levels;
-            Table1Row {
-                name: pg.name(),
-                vertices: g.num_vertices(),
-                edges: g.num_edges(),
-                max_degree: g.max_degree(),
-                colors,
-                levels,
-                paper: paper_row(pg),
-            }
-        })
-        .collect()
+    crate::sweep::map(&PaperGraph::all(), |_, &pg| {
+        row(pg, &super::suite_graph(pg, scale))
+    })
+}
+
+fn row(pg: PaperGraph, g: &Csr) -> Table1Row {
+    Table1Row {
+        name: pg.name(),
+        vertices: g.num_vertices(),
+        edges: g.num_edges(),
+        max_degree: g.max_degree(),
+        colors: greedy_color(g).num_colors,
+        levels: bfs(g, table1_source(g)).num_levels,
+        paper: paper_row(pg),
+    }
 }
 
 /// Render measured-vs-paper as a fixed-width table.
@@ -81,6 +82,11 @@ mod tests {
                 r.name
             );
             assert!(r.levels >= 2, "{}", r.name);
+        }
+        // The sweep rows equal a serial loop over freshly built graphs.
+        for (r, pg) in rows.iter().zip(PaperGraph::all()) {
+            let serial = row(pg, &mic_graph::suite::build(pg, Scale::Fraction(64)));
+            assert_eq!(*r, serial, "{}", pg.name());
         }
         let txt = render(&rows);
         assert!(txt.contains("pwtk") && txt.contains("ldoor"));

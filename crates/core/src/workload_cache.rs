@@ -121,12 +121,13 @@ pub fn graph(pg: PaperGraph, scale: Scale, order: OrderTag) -> Arc<Csr> {
 }
 
 /// The full seven-graph suite at `scale`, Table I order, naturally
-/// ordered, shared from the cache.
+/// ordered, shared from the cache. Missing graphs build as parallel sweep
+/// jobs; each build is a pure function of its key, so the graphs are the
+/// same for any worker count.
 pub fn suite(scale: Scale) -> Vec<(PaperGraph, Arc<Csr>)> {
-    PaperGraph::all()
-        .into_iter()
-        .map(|g| (g, graph(g, scale, OrderTag::Natural)))
-        .collect()
+    crate::sweep::map(&PaperGraph::all(), |_, &g| {
+        (g, graph(g, scale, OrderTag::Natural))
+    })
 }
 
 /// A workload type the cache can build and persist: which kernel knob
@@ -453,6 +454,11 @@ mod tests {
                 Arc::ptr_eq(w, &results[0]),
                 "racing builders must converge on one value"
             );
+        }
+        // Two racing suites (each itself a sweep) share every graph.
+        let suites = crate::sweep::map_with(2, &[(); 2], |_, _| suite(Scale::Vertices(300)));
+        for ((g, a), (h, b)) in suites[0].iter().zip(&suites[1]) {
+            assert!(g == h && Arc::ptr_eq(a, b), "{} built twice", g.name());
         }
     }
 

@@ -43,11 +43,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edge insertions so far (before dedup).
-    pub fn num_inserted(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add an undirected edge `{u, v}`. Self loops are silently ignored;
     /// duplicates are merged at build time.
     ///

@@ -9,26 +9,20 @@
 //! constraints are).
 
 use crate::builder::GraphBuilder;
-use crate::csr::{Csr, VertexId};
+use crate::csr::VertexId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Return a copy of `g` where `k` evenly spaced vertices have been connected
-/// to `spokes` random vertices each, drawn within `window` ids of the hub.
-pub fn add_random_hubs(g: &Csr, k: usize, spokes: usize, window: usize, seed: u64) -> Csr {
-    let n = g.num_vertices();
+/// Add to `b` the edges that connect `k` evenly spaced vertices to `spokes`
+/// random vertices each, drawn within `window` ids of the hub. The built
+/// graph depends only on the edge set, so grafting before the one build
+/// gives the same graph as rebuilding a finished one with the hubs added.
+pub(crate) fn graft_hubs(b: &mut GraphBuilder, k: usize, spokes: usize, window: usize, seed: u64) {
+    let n = b.num_vertices();
     if n < 2 || k == 0 || spokes == 0 {
-        return g.clone();
+        return;
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(n, g.num_edges() + k * spokes);
-    for u in g.vertices() {
-        for &v in g.neighbors(u) {
-            if u < v {
-                b.add_edge(u, v);
-            }
-        }
-    }
     let window = window.max(2).min(n);
     for i in 0..k {
         let hub = ((i * n) / k + n / (2 * k)).min(n - 1) as VertexId;
@@ -42,6 +36,15 @@ pub fn add_random_hubs(g: &Csr, k: usize, spokes: usize, window: usize, seed: u6
             }
         }
     }
+}
+
+/// The two-pass form: the finished `g`'s edges and the hubs `(k, spokes,
+/// window, seed)` into a second builder. The one-build suite must match it.
+#[cfg(test)]
+pub(crate) fn rebuilt_with_hubs(g: &crate::Csr, hubs: (usize, usize, usize, u64)) -> crate::Csr {
+    let mut b = GraphBuilder::new(g.num_vertices());
+    b.extend(g.edges());
+    graft_hubs(&mut b, hubs.0, hubs.1, hubs.2, hubs.3);
     b.build()
 }
 
@@ -53,7 +56,7 @@ mod tests {
     #[test]
     fn hubs_raise_max_degree() {
         let g = grid2d(40, 40, Stencil2::FivePoint);
-        let h = add_random_hubs(&g, 2, 100, 400, 13);
+        let h = rebuilt_with_hubs(&g, (2, 100, 400, 13));
         assert!(
             h.max_degree() >= 80,
             "max degree {} too small",
@@ -67,15 +70,15 @@ mod tests {
     #[test]
     fn zero_hubs_is_identity() {
         let g = grid2d(5, 5, Stencil2::FivePoint);
-        assert_eq!(add_random_hubs(&g, 0, 10, 10, 1), g);
+        assert_eq!(rebuilt_with_hubs(&g, (0, 10, 10, 1)), g);
     }
 
     #[test]
     fn deterministic() {
         let g = grid2d(10, 10, Stencil2::FivePoint);
         assert_eq!(
-            add_random_hubs(&g, 3, 20, 50, 77),
-            add_random_hubs(&g, 3, 20, 50, 77)
+            rebuilt_with_hubs(&g, (3, 20, 50, 77)),
+            rebuilt_with_hubs(&g, (3, 20, 50, 77))
         );
     }
 }

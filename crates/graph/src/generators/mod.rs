@@ -19,8 +19,10 @@ mod special;
 
 pub use er::erdos_renyi_gnm;
 pub use grid::{grid2d, grid3d, Stencil2, Stencil3};
-pub use hubs::add_random_hubs;
-pub use rgg::{rgg3d, rgg3d_with_avg_degree, Box3};
+pub(crate) use hubs::graft_hubs;
+#[cfg(test)]
+pub(crate) use hubs::rebuilt_with_hubs;
+pub use rgg::{rgg3d, rgg3d_builder, rgg3d_with_avg_degree, Box3};
 pub use rmat::{rmat, RmatProbs};
 pub use small_world::watts_strogatz;
 pub use special::{balanced_binary_tree, complete, cycle, path, star};

@@ -46,6 +46,12 @@ impl Box3 {
 /// "natural" ordering like an FE mesh numbering; shuffling this ordering (as
 /// the paper does for Figure 2) destroys the locality.
 pub fn rgg3d(n: usize, bounds: Box3, radius: f64, seed: u64) -> Csr {
+    rgg3d_edges(n, bounds, radius, seed).build()
+}
+
+/// The edges of [`rgg3d`], not yet built, so callers can add their own
+/// before the one [`GraphBuilder::build`].
+fn rgg3d_edges(n: usize, bounds: Box3, radius: f64, seed: u64) -> GraphBuilder {
     assert!(radius > 0.0, "radius must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pts: Vec<[f64; 3]> = (0..n)
@@ -129,17 +135,22 @@ pub fn rgg3d(n: usize, bounds: Box3, radius: f64, seed: u64) -> Csr {
             }
         }
     }
-    b.build()
+    b
 }
 
 /// Choose the radius so the *expected* average degree is `target_deg`
 /// (ignoring boundary effects, which lower it slightly), then generate.
 pub fn rgg3d_with_avg_degree(n: usize, bounds: Box3, target_deg: f64, seed: u64) -> Csr {
+    rgg3d_builder(n, bounds, target_deg, seed).build()
+}
+
+/// [`rgg3d_with_avg_degree`]'s edges in a builder that has not built yet.
+pub fn rgg3d_builder(n: usize, bounds: Box3, target_deg: f64, seed: u64) -> GraphBuilder {
     assert!(target_deg > 0.0);
     // E[deg] = (n - 1) * (4/3 π r³) / V  =>  r = cbrt(3 V d / (4 π (n-1)))
     let v = bounds.volume();
     let r = (3.0 * v * target_deg / (4.0 * std::f64::consts::PI * (n as f64 - 1.0))).cbrt();
-    rgg3d(n, bounds, r, seed)
+    rgg3d_edges(n, bounds, r, seed)
 }
 
 #[cfg(test)]

@@ -216,29 +216,6 @@ pub fn write_edge_list<W: Write>(g: &Csr, writer: W) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Write a Graphviz DOT rendering (undirected). Optionally label vertices
-/// with values (e.g. colors or BFS levels) to visualize kernel output;
-/// intended for small graphs.
-pub fn write_dot<W: Write>(g: &Csr, labels: Option<&[u32]>, writer: W) -> Result<(), IoError> {
-    if let Some(l) = labels {
-        assert_eq!(l.len(), g.num_vertices(), "one label per vertex");
-    }
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "graph g {{")?;
-    for v in g.vertices() {
-        match labels {
-            Some(l) => writeln!(w, "  {v} [label=\"{v}:{}\"];", l[v as usize])?,
-            None => writeln!(w, "  {v};")?,
-        }
-    }
-    for (u, v) in g.edges() {
-        writeln!(w, "  {u} -- {v};")?;
-    }
-    writeln!(w, "}}")?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Magic + version header of the binary CSR format.
 const CSR_MAGIC: &[u8; 8] = b"MICCSR01";
 
@@ -395,19 +372,6 @@ mod tests {
     fn edge_list_rejects_id_beyond_n() {
         let text = "0 5\n";
         assert!(read_edge_list(text.as_bytes(), Some(3)).is_err());
-    }
-
-    #[test]
-    fn dot_output_well_formed() {
-        let g = grid2d(2, 2, Stencil2::FivePoint);
-        let mut buf = Vec::new();
-        write_dot(&g, Some(&[0, 1, 1, 0]), &mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.starts_with("graph g {"));
-        assert!(s.contains("0 -- 1;"));
-        assert!(s.contains("[label=\"3:0\"]"));
-        assert!(s.trim_end().ends_with('}'));
-        assert_eq!(s.matches("--").count(), g.num_edges());
     }
 
     #[test]

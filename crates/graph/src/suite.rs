@@ -14,7 +14,8 @@
 //! experiment drivers instead.
 
 use crate::csr::Csr;
-use crate::generators::{add_random_hubs, rgg3d_with_avg_degree, rmat, Box3, RmatProbs};
+use crate::generators::{graft_hubs, rgg3d_builder, rmat, Box3, RmatProbs};
+use crate::GraphBuilder;
 
 /// One of the paper's seven test graphs, or one of the scale-free RMAT
 /// companions added for the kernels the paper's suite cannot stress
@@ -80,7 +81,7 @@ impl PaperGraph {
 }
 
 /// A row of the paper's Table I.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PaperRow {
     pub graph: PaperGraph,
     pub vertices: usize,
@@ -283,13 +284,23 @@ fn build_scale_free(g: PaperGraph, scale: Scale) -> Csr {
     rmat(log2, edge_factor, RmatProbs::graph500(), seed)
 }
 
-/// Build the calibrated stand-in for `g` at the given scale.
+/// Build the calibrated stand-in for `g` at the given scale: the RGG and
+/// its hubs go into one builder, which builds once.
 ///
 /// Deterministic for a given `(g, scale)`.
 pub fn build(g: PaperGraph, scale: Scale) -> Csr {
     if g.is_scale_free() {
         return build_scale_free(g, scale);
     }
+    let (mut b, hubs) = mesh(g, scale);
+    if let Some((k, spokes, window, seed)) = hubs {
+        graft_hubs(&mut b, k, spokes, window, seed);
+    }
+    b.build()
+}
+
+/// A mesh graph's RGG edges, and its `graft_hubs` arguments if it has hubs.
+fn mesh(g: PaperGraph, scale: Scale) -> (GraphBuilder, Option<(usize, usize, usize, u64)>) {
     let row = paper_row(g);
     let n = scale.apply(row.vertices);
     let d = 2.0 * row.edges as f64 / row.vertices as f64;
@@ -300,26 +311,16 @@ pub fn build(g: PaperGraph, scale: Scale) -> Csr {
         .round()
         .max(3.0) as usize;
     let aspect = solve_aspect(n, d, level_target, rec.level_fudge);
-    let base = rgg3d_with_avg_degree(n, Box3::new(aspect, 1.0, 1.0), d * rec.deg_fudge, rec.seed);
-    match rec.hubs {
-        None => base,
-        Some((k, spokes, window)) => {
-            // Scale hub spokes/window with the instance so small instances
-            // stay mesh-like.
-            let f = n as f64 / row.vertices as f64;
-            let spokes = ((spokes as f64 * f.max(0.02)).round() as usize).clamp(8, spokes);
-            let window = ((window as f64 * f).round() as usize).clamp(16, window);
-            add_random_hubs(&base, k, spokes, window, rec.seed ^ 0x5EED)
-        }
-    }
-}
-
-/// Build all seven graphs at the given scale, in Table I order.
-pub fn build_all(scale: Scale) -> Vec<(PaperGraph, Csr)> {
-    PaperGraph::all()
-        .into_iter()
-        .map(|g| (g, build(g, scale)))
-        .collect()
+    let rgg = rgg3d_builder(n, Box3::new(aspect, 1.0, 1.0), d * rec.deg_fudge, rec.seed);
+    // Scale hub spokes/window with the instance so small instances stay
+    // mesh-like.
+    let hubs = rec.hubs.map(|(k, spokes, window)| {
+        let f = n as f64 / row.vertices as f64;
+        let spokes = ((spokes as f64 * f.max(0.02)).round() as usize).clamp(8, spokes);
+        let window = ((window as f64 * f).round() as usize).clamp(16, window);
+        (k, spokes, window, rec.seed ^ 0x5EED)
+    });
+    (rgg, hubs)
 }
 
 /// Degree-distribution summary for sanity-checking the scale-free family
@@ -368,6 +369,7 @@ pub fn degree_profile(g: &Csr) -> DegreeProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::rebuilt_with_hubs;
 
     #[test]
     fn table_is_consistent() {
@@ -412,6 +414,17 @@ mod tests {
             "max degree {} not above natural ceiling {natural_max:.0}",
             hubby.max_degree()
         );
+    }
+
+    #[test]
+    fn hub_graphs_match_the_two_pass_reference() {
+        // The two-pass build: the RGG as a finished `Csr`, rebuilt with hubs.
+        let scale = Scale::Fraction(64);
+        for g in [PaperGraph::Bmw32, PaperGraph::Inline1, PaperGraph::Pwtk] {
+            let (rgg, hubs) = mesh(g, scale);
+            let reference = rebuilt_with_hubs(&rgg.build(), hubs.expect("a hub graph"));
+            assert_eq!(build(g, scale), reference, "{}", g.name());
+        }
     }
 
     #[test]
