@@ -137,8 +137,9 @@ impl Gauge {
 
 /// Per-bucket exemplar: the trace id of the worst (largest) observation
 /// routed through [`Histogram::observe_with_exemplar`]. A four-word
-/// seqlock — writers skip when racing (exemplars are best-effort), and a
-/// torn read is detected and dropped, so neither side ever blocks.
+/// seqlock — a writer whose value beats the stored one spins while another
+/// writer holds the slot, then re-checks, so the maximum is never lost; a
+/// torn read is detected and dropped, so readers never block.
 struct ExemplarSlot {
     /// Even = stable, odd = a write is in progress.
     seq: AtomicU64,
@@ -159,26 +160,27 @@ impl ExemplarSlot {
     }
 
     fn offer(&self, v: f64, trace: u128) {
-        if v <= f64::from_bits(self.value.load(Ordering::Relaxed)) {
+        while v > f64::from_bits(self.value.load(Ordering::Relaxed)) {
+            let s = self.seq.load(Ordering::Relaxed);
+            if s & 1 == 1
+                || self
+                    .seq
+                    .compare_exchange(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_err()
+            {
+                // Another writer holds the slot; what it stores may still
+                // be smaller than `v`, so wait and re-check.
+                std::hint::spin_loop();
+                continue;
+            }
+            if v > f64::from_bits(self.value.load(Ordering::Relaxed)) {
+                self.value.store(v.to_bits(), Ordering::Relaxed);
+                self.trace_lo.store(trace as u64, Ordering::Relaxed);
+                self.trace_hi.store((trace >> 64) as u64, Ordering::Relaxed);
+            }
+            self.seq.store(s + 2, Ordering::Release);
             return;
         }
-        let s = self.seq.load(Ordering::Relaxed);
-        if s & 1 == 1
-            || self
-                .seq
-                .compare_exchange(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            // Another writer holds the slot; losing an exemplar race is
-            // fine — the winner carried a competitive observation too.
-            return;
-        }
-        if v > f64::from_bits(self.value.load(Ordering::Relaxed)) {
-            self.value.store(v.to_bits(), Ordering::Relaxed);
-            self.trace_lo.store(trace as u64, Ordering::Relaxed);
-            self.trace_hi.store((trace >> 64) as u64, Ordering::Relaxed);
-        }
-        self.seq.store(s + 2, Ordering::Release);
     }
 
     fn read(&self) -> Option<(f64, u128)> {

@@ -169,9 +169,16 @@ pub struct SimScratch {
     /// Hardware thread → its index in `slots`, or [`IDLE`].
     slot_of: Vec<usize>,
     cores: Vec<Core>,
-    /// Cores with stale demand sums, one entry per redispatch. A repeated
-    /// core is re-added again, harmlessly: 69 in 2.1 M over `all --scale 8`.
+    /// Cores with stale demand sums, one entry per redispatch or vacated
+    /// core. A repeated core is re-added again, harmlessly: 1 472 of the
+    /// 5.8 M re-adds over `all --scale 8`.
     touched: Vec<usize>,
+    /// Cores whose occupancy changed since their slots were last priced,
+    /// each listed once: every core before a region's first event, then
+    /// the cores a retire left.
+    vacated: Vec<usize>,
+    /// Per-thread scheduler state (see [`Cursor::next`]).
+    taken: Vec<usize>,
 }
 
 impl SimScratch {
@@ -179,13 +186,17 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Size every buffer for `m` with no thread running. `slot_of` and
-    /// `touched` are rewritten by the first event, which re-derives all.
+    /// Size every buffer for `m` with no thread running, and mark every
+    /// core vacated so the first event derives every slot and core.
     fn reset(&mut self, m: &Machine) {
         self.slots.clear();
+        self.slot_of.clear();
         self.slot_of.resize(m.hw_threads(), IDLE);
         self.cores.clear();
         self.cores.resize(m.cores, Core::default());
+        self.touched.clear();
+        self.vacated.clear();
+        self.vacated.extend(0..m.cores);
     }
 
     /// Re-add core `c`'s issue and FPU demand over its running threads, in
@@ -414,7 +425,7 @@ fn simulate_region_impl<S: TraceSink>(
         Priced::price(&prefix[r.end].sub(&prefix[r.start]).add(&overhead), m)
     };
 
-    let mut cursor = Cursor::new(region.policy, n, threads);
+    let mut cursor = Cursor::new(region.policy, n, threads, &mut scratch.taken);
     // Runtime background coherence traffic: a global slowdown floor that
     // grows with oversubscription (see `Policy::background_coeff`).
     let sigma_bg =
@@ -423,7 +434,7 @@ fn simulate_region_impl<S: TraceSink>(
     // Initial dispatch.
     scratch.reset(m);
     for i in 0..threads {
-        if let Some(r) = cursor.next(i) {
+        if let Some(r) = cursor.next(i, &mut scratch.taken) {
             let core = m.core_of(i);
             scratch.cores[core].occ += 1;
             scratch.slots.push(Slot {
@@ -441,20 +452,27 @@ fn simulate_region_impl<S: TraceSink>(
     }
 
     let mut now = 0.0f64;
-    // A retire in the last event (or the first event): occupancy changed,
-    // lone-thread penalties may have flipped, so every slot and core is
-    // re-derived. Otherwise only cores that took a new chunk are re-added.
-    let mut retired = true;
 
     while !scratch.slots.is_empty() {
-        if std::mem::take(&mut retired) {
-            scratch.slot_of.fill(IDLE);
-            for (k, s) in scratch.slots.iter_mut().enumerate() {
+        // A retire in the last event (or the first event, where every core
+        // is vacated): the survivors moved in `slots`, and on a vacated
+        // core a lone-thread penalty may have flipped, so its slots are
+        // re-priced and its sums re-added. A core whose occupancy did not
+        // change keeps its bits: `reprice` depends only on `comp` and solo.
+        if !scratch.vacated.is_empty() {
+            for (k, s) in scratch.slots.iter().enumerate() {
                 scratch.slot_of[s.id] = k;
-                s.reprice(m, scratch.cores[s.core].occ == 1);
             }
-            scratch.touched.clear();
-            scratch.touched.extend(0..m.cores);
+            while let Some(c) = scratch.vacated.pop() {
+                let solo = scratch.cores[c].occ == 1;
+                for smt in 0..m.smt_per_core {
+                    let k = scratch.slot_of[m.thread_at(c, smt)];
+                    if k != IDLE {
+                        scratch.slots[k].reprice(m, solo);
+                    }
+                }
+                scratch.touched.push(c);
+            }
         }
         while let Some(c) = scratch.touched.pop() {
             scratch.resum_core(m, c);
@@ -548,7 +566,7 @@ fn simulate_region_impl<S: TraceSink>(
                     cause,
                 });
             }
-            match cursor.next(s.id) {
+            match cursor.next(s.id, &mut scratch.taken) {
                 Some(r) => {
                     s.comp = price(&r);
                     s.frac = 1.0;
@@ -562,11 +580,14 @@ fn simulate_region_impl<S: TraceSink>(
                 }
                 None => {
                     scratch.cores[s.core].occ -= 1;
-                    retired = true;
+                    scratch.slot_of[s.id] = IDLE;
+                    if !scratch.vacated.contains(&s.core) {
+                        scratch.vacated.push(s.core);
+                    }
                 }
             }
         }
-        if retired {
+        if !scratch.vacated.is_empty() {
             scratch.slots.retain(|s| s.frac > EPS);
         }
     }
@@ -1121,7 +1142,8 @@ mod tests {
             }
         };
 
-        let mut cursor = Cursor::new(region.policy, n, threads);
+        let mut taken = Vec::new();
+        let mut cursor = Cursor::new(region.policy, n, threads, &mut taken);
         let overhead = region.policy.chunk_overhead(m);
         let sigma_bg =
             1.0 + region.policy.background_coeff(m) * (threads * threads) as f64 / m.cores as f64;
@@ -1138,7 +1160,7 @@ mod tests {
 
         let mut active = 0usize;
         for i in 0..threads {
-            if let Some(r) = cursor.next(i) {
+            if let Some(r) = cursor.next(i, &mut taken) {
                 let w = range_work(r.start, r.end).add(&overhead);
                 ts[i].comp = Priced::price(&w, m);
                 ts[i].frac = 1.0;
@@ -1203,7 +1225,7 @@ mod tests {
                 }
                 ts[i].frac -= dt / (t0[i] * slow[i]);
                 if ts[i].frac <= EPS {
-                    match cursor.next(i) {
+                    match cursor.next(i, &mut taken) {
                         Some(r) => {
                             let w = range_work(r.start, r.end).add(&overhead);
                             ts[i].comp = Priced::price(&w, m);
@@ -1328,6 +1350,57 @@ mod tests {
                     assert_matches_reference(m, t, &tiny, &mut scratch);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn retires_rederive_only_vacated_cores_bit_identical_to_seed_path() {
+        // Compact placement packs 4 SMT siblings per core, so a retire
+        // changes a core whose other threads keep running.
+        let mut compact = Machine::knf();
+        compact.placement = crate::machine::Placement::Compact;
+        let policy = Policy::OmpStatic { chunk: None };
+        let block = 200;
+        let ends = |m: &Machine, t: usize, r: &Region, scratch: &mut SimScratch| {
+            let mut sink = crate::trace::RecordingSink::default();
+            simulate_region_traced(m, t, r, scratch, &mut sink);
+            let mut ends: Vec<(usize, f64)> = sink.regions[0]
+                .chunks
+                .iter()
+                .map(|ev| (ev.core, ev.end))
+                .collect();
+            ends.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            ends
+        };
+        let mut scratch = SimScratch::new();
+
+        // Staggered: thread k's block is (k % 4 + 1)× as heavy, so a
+        // core's threads retire one at a time and the last runs on alone —
+        // its solo penalty flips while the others have gone.
+        let iters: Vec<Work> = (0..8 * block)
+            .map(|i| issue_bound().scale((i / block % 4 + 1) as f64))
+            .collect();
+        let staggered = Region::new(iters, policy);
+        let e = ends(&compact, 8, &staggered, &mut scratch);
+        assert!(
+            e.windows(2).all(|w| w[0] != w[1]),
+            "retires not staggered: {e:?}"
+        );
+        assert_matches_reference(&compact, 8, &staggered, &mut scratch);
+        // Four threads on core 0, two on core 1, blocks no longer aligned
+        // with the weights.
+        assert_matches_reference(&compact, 6, &staggered, &mut scratch);
+
+        // Uniform: the last event retires every slot at once. The same
+        // scratch then runs other thread counts (at 5, one thread alone on
+        // core 1 from the start) and another machine, so no vacated mark
+        // may leak from one run into the next.
+        let uniform = uniform_region(8 * block, issue_bound(), policy);
+        let e = ends(&compact, 8, &uniform, &mut scratch);
+        assert!(e.iter().all(|&(_, end)| end == e[0].1), "{e:?}");
+        for (m, t) in [(&compact, 8), (&compact, 5), (&Machine::xeon_host(), 13)] {
+            assert_matches_reference(m, t, &uniform, &mut scratch);
+            assert_matches_reference(m, t, &staggered, &mut scratch);
         }
     }
 

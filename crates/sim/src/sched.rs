@@ -80,17 +80,15 @@ impl Policy {
 }
 
 /// Hands out iteration ranges to simulated threads, in dispatch order.
+/// Per-thread state lives in a caller-owned buffer (see [`Cursor::new`]),
+/// so a reused buffer makes dispatch allocation-free.
 pub(crate) enum Cursor {
-    /// One contiguous block per thread, precomputed.
-    Blocks { ranges: Vec<Option<Range<usize>>> },
+    /// One contiguous block for each of the first `owners` threads:
+    /// `n` split as evenly as possible, the first blocks one longer.
+    Blocks { n: usize, owners: usize },
     /// Cyclic chunks: thread `id` takes chunks `id`, `id + t`, … Used for
     /// static-with-chunk and the (deterministic) affinity partitioner.
-    Cyclic {
-        n: usize,
-        chunk: usize,
-        t: usize,
-        next_round: Vec<usize>,
-    },
+    Cyclic { n: usize, chunk: usize, t: usize },
     /// First-come-first-served fixed chunks (dynamic / Cilk / TBB simple &
     /// auto — what differs between those is the per-chunk overhead, not
     /// the dispatch order).
@@ -105,43 +103,23 @@ pub(crate) enum Cursor {
 }
 
 impl Cursor {
-    pub(crate) fn new(policy: Policy, n: usize, t: usize) -> Cursor {
+    /// The cursor of `policy` over `n` iterations on `t` threads. `taken`
+    /// becomes `t` zeros: the chunks each thread has taken so far, which
+    /// every [`Cursor::next`] call must be handed back.
+    pub(crate) fn new(policy: Policy, n: usize, t: usize, taken: &mut Vec<usize>) -> Cursor {
+        taken.clear();
+        taken.resize(t, 0);
         match policy {
-            Policy::Serial => Cursor::Blocks {
-                ranges: (0..t)
-                    .map(|id| if id == 0 && n > 0 { Some(0..n) } else { None })
-                    .collect(),
-            },
-            Policy::OmpStatic { chunk: None } => {
-                let base = n / t;
-                let extra = n % t;
-                let ranges = (0..t)
-                    .map(|id| {
-                        let lo = id * base + id.min(extra);
-                        let len = base + usize::from(id < extra);
-                        if len > 0 {
-                            Some(lo..lo + len)
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                Cursor::Blocks { ranges }
-            }
+            Policy::Serial => Cursor::Blocks { n, owners: 1 },
+            Policy::OmpStatic { chunk: None } => Cursor::Blocks { n, owners: t },
             Policy::OmpStatic { chunk: Some(c) } => Cursor::Cyclic {
                 n,
                 chunk: c.max(1),
                 t,
-                next_round: vec![0; t],
             },
             Policy::TbbAffinity => {
                 let chunk = n.div_ceil((t * 4).max(1)).max(1);
-                Cursor::Cyclic {
-                    n,
-                    chunk,
-                    t,
-                    next_round: vec![0; t],
-                }
+                Cursor::Cyclic { n, chunk, t }
             }
             Policy::OmpDynamic { chunk } => Cursor::Fcfs {
                 n,
@@ -172,21 +150,23 @@ impl Cursor {
     }
 
     /// Next chunk for `thread`, or `None` if that thread is out of work.
-    pub(crate) fn next(&mut self, thread: usize) -> Option<Range<usize>> {
+    pub(crate) fn next(&mut self, thread: usize, taken: &mut [usize]) -> Option<Range<usize>> {
         match self {
-            Cursor::Blocks { ranges } => ranges[thread].take(),
-            Cursor::Cyclic {
-                n,
-                chunk,
-                t,
-                next_round,
-            } => {
-                let round = next_round[thread];
-                let lo = (round * *t + thread) * *chunk;
+            Cursor::Blocks { n, owners } => {
+                if thread >= *owners || std::mem::replace(&mut taken[thread], 1) != 0 {
+                    return None;
+                }
+                let (base, extra) = (*n / *owners, *n % *owners);
+                let lo = thread * base + thread.min(extra);
+                let len = base + usize::from(thread < extra);
+                (len > 0).then_some(lo..lo + len)
+            }
+            Cursor::Cyclic { n, chunk, t } => {
+                let lo = (taken[thread] * *t + thread) * *chunk;
                 if lo >= *n {
                     return None;
                 }
-                next_round[thread] += 1;
+                taken[thread] += 1;
                 Some(lo..(lo + *chunk).min(*n))
             }
             Cursor::Fcfs { n, chunk, next } => {
@@ -221,14 +201,15 @@ mod tests {
     use super::*;
 
     fn drain_all(policy: Policy, n: usize, t: usize) -> Vec<(usize, Range<usize>)> {
-        let mut cur = Cursor::new(policy, n, t);
+        let mut taken = Vec::new();
+        let mut cur = Cursor::new(policy, n, t, &mut taken);
         let mut out = Vec::new();
         // Round-robin polling of threads, like an idealized lockstep run.
         let mut made_progress = true;
         while made_progress {
             made_progress = false;
             for th in 0..t {
-                if let Some(r) = cur.next(th) {
+                if let Some(r) = cur.next(th, &mut taken) {
                     out.push((th, r));
                     made_progress = true;
                 }
@@ -274,6 +255,15 @@ mod tests {
         let chunks = drain_all(Policy::Serial, 50, 4);
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0], (0, 0..50));
+    }
+
+    #[test]
+    fn static_blocks_split_evenly_first_blocks_longer() {
+        let chunks = drain_all(Policy::OmpStatic { chunk: None }, 10, 4);
+        assert_eq!(chunks, [(0, 0..3), (1, 3..6), (2, 6..8), (3, 8..10)]);
+        // Fewer iterations than threads: the tail threads get nothing.
+        let chunks = drain_all(Policy::OmpStatic { chunk: None }, 2, 4);
+        assert_eq!(chunks, [(0, 0..1), (1, 1..2)]);
     }
 
     #[test]
