@@ -5,31 +5,26 @@
 //!
 //! This bin owns no exhibit list of its own: it iterates the
 //! [`mic_eval::exhibit`] registry (everything except the `extra` group),
-//! so registering a new exhibit there is all it takes to appear here and
-//! in `BENCH_sweep.json`. `--list` prints the registry table (the
-//! README's exhibit table, diffed in CI) and exits. `--only` runs a
-//! selection of exhibit ids and group names (`paper`, `ablation`,
-//! `scale-free`, `extra`) in registry order; an unknown name is a usage
-//! error. Speed is judged by the `mic-perf` ledger (`benchmark/`), not by
-//! this bin.
+//! so registering a new exhibit there is all it takes to appear here.
+//! `--list` prints the registry table (the README's exhibit table, diffed
+//! in CI) and exits. `--only` runs a selection of exhibit ids and group
+//! names (`paper`, `ablation`, `scale-free`, `extra`) in registry order;
+//! an unknown name is a usage error. Speed is judged by the `mic-perf`
+//! ledger (`benchmark/`), not by this bin.
 //!
-//! The tables/figures go to stdout exactly as before; a per-exhibit footer
-//! goes to stderr (wall time, minor page faults and the rise of the
-//! resident high-water mark), and the wall times are also written to
-//! `BENCH_sweep.json` in the working directory (disable with
-//! `MIC_BENCH_JSON=0`, or point it elsewhere with `MIC_BENCH_JSON=path`).
+//! The tables/figures go to stdout; a per-exhibit footer goes to stderr
+//! (wall time, minor page faults and the rise of the resident high-water
+//! mark). An exhibit that panics stops the run: stderr names the exhibit
+//! id and the panic message, and the exit code is 1.
 //!
 //! Observability rider (off unless asked for): `MIC_METRICS=1` runs with
-//! the metrics registry on and embeds the snapshot in the JSON output;
-//! `MIC_METRICS=<path>` additionally writes the Prometheus text snapshot
-//! to `<path>`.
+//! the metrics registry on and self-checks its snapshot at the end;
+//! `MIC_METRICS=<path>` also writes the Prometheus text snapshot to
+//! `<path>`.
 
 use mic_bench::cli::Cli;
-use mic_eval::exhibit;
+use mic_eval::exhibit::{self, Exhibit};
 use mic_eval::graph::suite::Scale;
-use mic_eval::json;
-use mic_eval::sweep::RecordedFailure;
-use std::path::Path;
 use std::time::Instant;
 
 struct Timings {
@@ -40,15 +35,30 @@ struct Timings {
 impl Timings {
     /// Run one exhibit, print its stdout block, record its wall time and
     /// what it cost in page faults and resident high-water mark.
-    fn show(&mut self, name: &str, render: impl FnOnce() -> String) {
+    fn show(&mut self, e: &Exhibit, scale: Scale) -> Result<(), String> {
         let before = Usage::now();
         let start = Instant::now();
-        let text = render();
+        let text = run(e, scale)?;
         let secs = start.elapsed().as_secs_f64();
         let usage = Usage::now().since(before);
-        self.exhibits.push((name.to_string(), secs, usage));
+        self.exhibits.push((e.id.to_string(), secs, usage));
         println!("{text}");
+        Ok(())
     }
+}
+
+/// Render one exhibit. A panic anywhere in it, a failed sweep job
+/// included, comes back as an error naming the exhibit id and the panic
+/// message.
+fn run(e: &Exhibit, scale: Scale) -> Result<String, String> {
+    std::panic::catch_unwind(|| (e.run)(scale)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("<non-string panic payload>");
+        format!("exhibit {}: {message}", e.id)
+    })
 }
 
 /// Minor page faults (`/proc/self/stat` field 10) and the resident
@@ -92,61 +102,6 @@ impl Usage {
     }
 }
 
-// Panic messages in failure records can contain quotes, backslashes, or
-// newlines; escape them with the shared JSON helper.
-use json::escape as json_escape;
-
-/// `BENCH_sweep.json`'s `"schema_version"`. Bump when a field changes
-/// meaning.
-const SCHEMA_VERSION: u64 = 1;
-
-fn write_json(
-    path: &Path,
-    scale: Scale,
-    threads: usize,
-    total_s: f64,
-    t: &Timings,
-    failures: &[RecordedFailure],
-    metrics_json: Option<&str>,
-) {
-    let mut body = String::from("{\n");
-    body.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    body.push_str(&format!(
-        "  \"build\": \"{}\",\n",
-        json_escape(&mic_eval::buildinfo::stamp())
-    ));
-    body.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    body.push_str(&format!("  \"sweep_threads\": {threads},\n"));
-    body.push_str(&format!("  \"total_seconds\": {total_s:.3},\n"));
-    body.push_str("  \"exhibits\": [\n");
-    for (i, (name, secs, _)) in t.exhibits.iter().enumerate() {
-        let comma = if i + 1 < t.exhibits.len() { "," } else { "" };
-        body.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"seconds\": {secs:.3}}}{comma}\n"
-        ));
-    }
-    body.push_str("  ],\n");
-    if let Some(m) = metrics_json {
-        body.push_str("  \"metrics\": ");
-        body.push_str(m.trim_end());
-        body.push_str(",\n");
-    }
-    body.push_str("  \"failures\": [\n");
-    for (i, r) in failures.iter().enumerate() {
-        let comma = if i + 1 < failures.len() { "," } else { "" };
-        body.push_str(&format!(
-            "    {{\"context\": \"{}\", \"point\": {}, \"cause\": \"panic\", \"detail\": \"{}\"}}{comma}\n",
-            json_escape(&r.context),
-            r.failure.point,
-            json_escape(&format!("panic: {}", r.failure.message)),
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("(could not write {}: {e})", path.display());
-    }
-}
-
 fn main() {
     let mut cli = Cli::parse(
         "all",
@@ -160,7 +115,6 @@ fn main() {
             .unwrap_or_else(|e| cli.die(&e)),
         None => exhibit::registry().in_all().collect(),
     };
-    let config = cli.config();
     cli.done();
 
     if list {
@@ -177,7 +131,10 @@ fn main() {
 
     for e in exhibits {
         eprintln!("== {} ==", e.title);
-        t.show(e.id, || (e.run)(scale));
+        if let Err(failure) = t.show(e, scale) {
+            eprintln!("all: {failure}");
+            std::process::exit(1);
+        }
     }
 
     let total_s = start.elapsed().as_secs_f64();
@@ -188,19 +145,8 @@ fn main() {
         eprintln!("{name:<28} {secs:>8.3} s {usage}");
     }
     eprintln!("{:<28} {total_s:>8.3} s {usage}", "total");
-    let failures = mic_eval::sweep::take_failures();
-    if failures.is_empty() {
-        eprintln!("== Failures: none ==");
-    } else {
-        eprintln!("== Failures: {} point(s) degraded ==", failures.len());
-        for r in &failures {
-            eprintln!("{:<28} {}", r.context, r.failure);
-        }
-    }
-    // Metrics rider: snapshot once, embed in the JSON, optionally export
-    // the Prometheus text form. With MIC_METRICS unset this whole block is
-    // inert and the JSON payload is byte-identical to a metrics-free build.
-    let metrics_json = if mic_eval::metrics::enabled() {
+    // Metrics rider: with MIC_METRICS unset this whole block is inert.
+    if mic_eval::metrics::enabled() {
         let snap = mic_eval::metrics::snapshot();
         for problem in snap.self_check() {
             eprintln!("metrics self-check: {problem}");
@@ -211,21 +157,39 @@ fn main() {
                 Err(e) => eprintln!("(could not write {}: {e})", path.display()),
             }
         }
-        Some(snap.to_json())
-    } else {
-        None
-    };
+    }
+}
 
-    if let Some(path) = &config.bench_json {
-        write_json(
-            path,
-            scale,
-            threads,
-            total_s,
-            &t,
-            &failures,
-            metrics_json.as_deref(),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mic_eval::exhibit::{GraphFamily, Group, KernelId};
+
+    fn one_job_panics(_: Scale) -> String {
+        let jobs = [0usize, 1, 2];
+        let out = mic_eval::sweep::map(&jobs, |_, &j| {
+            assert_ne!(j, 1, "job {j} hit a bug");
+            j
+        });
+        format!("{out:?}")
+    }
+
+    #[test]
+    fn a_panicking_sweep_job_fails_the_exhibit_by_id() {
+        let e = Exhibit {
+            id: "test-one-job-panics",
+            title: "one sweep job panics",
+            kernel: KernelId::Coloring,
+            family: GraphFamily::Mesh,
+            axes: "jobs",
+            group: Group::Extra,
+            run: one_job_panics,
+            why: None,
+        };
+        let failure = run(&e, Scale::Fraction(64)).unwrap_err();
+        assert!(
+            failure.contains("test-one-job-panics") && failure.contains("point 1"),
+            "{failure}"
         );
-        eprintln!("(timings written to {})", path.display());
     }
 }

@@ -18,7 +18,7 @@
 //!    sum to the loop-cycle counter (fractions sum to 1), and that the
 //!    engine-seconds histogram count equals the runs counter.
 //! 2. **Harness consistency** — drive the runtime schedulers and a
-//!    resilient sweep, then verify every chunk histogram's count equals
+//!    sweep, then verify every chunk histogram's count equals
 //!    its chunk counter, the sweep counter ticks as expected, and the
 //!    snapshot passes its own self-check. (The workload cache's store-tier
 //!    counters are pinned by `crates/core/tests/cache_stress.rs`.)
@@ -31,7 +31,7 @@ use mic_eval::runtime::{
     cilk_for, parallel_for_chunks, tbb_parallel_for, Partitioner, Schedule, ThreadPool,
 };
 use mic_eval::sim::{simulate_region_telemetry, Machine, Policy, Region, StallCause};
-use mic_eval::sweep::try_map_with;
+use mic_eval::sweep;
 use mic_eval::workload_cache::{self, OrderTag};
 use std::path::PathBuf;
 
@@ -155,8 +155,7 @@ fn main() {
     }
 
     let sweep_items: Vec<u64> = (0..8).collect();
-    let report = try_map_with(2, &sweep_items, |_, &x| x * 2);
-    assert!(report.is_complete());
+    sweep::map_with(2, &sweep_items, |_, &x| x * 2);
 
     // And one sim run so the snapshot spans all three layers.
     let w = workload_cache::coloring(PaperGraph::Hood, scale, OrderTag::Natural, win);

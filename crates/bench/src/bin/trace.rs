@@ -126,15 +126,6 @@ fn main() {
             }
         }
     }
-    // Degraded sweep points are reported, not fatal: under benign injected
-    // faults (stalls) a `--check` run must still pass.
-    let degraded = mic_eval::sweep::take_failures();
-    if !degraded.is_empty() {
-        eprintln!("\n{} sweep point(s) degraded:", degraded.len());
-        for r in &degraded {
-            eprintln!("  {:<24} {}", r.context, r.failure);
-        }
-    }
     if check {
         if failures > 0 {
             if !failing_configs.is_empty() {

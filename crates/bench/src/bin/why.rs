@@ -69,12 +69,4 @@ fn main() {
         mic_eval::trace::write_chrome_trace(&path, &parts, &[]).expect("write MIC_TRACE file");
         println!("\nwrote chunk-level trace to {}", path.display());
     }
-
-    let failures = mic_eval::sweep::take_failures();
-    if !failures.is_empty() {
-        eprintln!("\n{} sweep point(s) degraded:", failures.len());
-        for r in &failures {
-            eprintln!("  {:<24} {}", r.context, r.failure);
-        }
-    }
 }

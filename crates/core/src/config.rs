@@ -24,7 +24,6 @@
 //! | `fault` | `MIC_FAULT` | none |
 //! | `metrics` | `MIC_METRICS` | off |
 //! | `trace` | `MIC_TRACE` | off |
-//! | `bench_json` | `MIC_BENCH_JSON` | `BENCH_sweep.json` |
 //! | `steal_spin` | `MIC_STEAL_SPIN` | 64 |
 //! | `serve_shards` | `MIC_SERVE_SHARDS` | 4 |
 //! | `serve_quota` | `MIC_SERVE_QUOTA` | 256 |
@@ -49,7 +48,7 @@ pub enum MetricsMode {
     /// Metrics registry off; instrumented paths cost one relaxed load.
     #[default]
     Off,
-    /// Registry on; bench bins embed a snapshot in their JSON output.
+    /// Registry on, with no snapshot file.
     On,
     /// Registry on, and the Prometheus text snapshot is written here.
     OnWithPath(PathBuf),
@@ -174,8 +173,6 @@ pub struct SuiteConfig {
     pub metrics: MetricsMode,
     /// Chrome trace output path; `None` = tracing off.
     pub trace: Option<PathBuf>,
-    /// Where `all` writes its machine-readable sweep record; `None` = off.
-    pub bench_json: Option<PathBuf>,
     /// Spin iterations before an event-count waiter parks on its futex
     /// (the runtime's `park_spin` knob); `None` = the runtime default.
     /// `Some(0)` parks immediately — the syscall-heavy-but-CPU-frugal end.
@@ -221,7 +218,6 @@ impl Default for SuiteConfig {
             fault: None,
             metrics: MetricsMode::Off,
             trace: None,
-            bench_json: Some(PathBuf::from("BENCH_sweep.json")),
             steal_spin: None,
             serve_shards: 4,
             serve_quota: 256,
@@ -251,11 +247,6 @@ impl SuiteConfig {
             fault: parse_env_fault(),
             metrics: MetricsMode::parse(crate::env::raw("MIC_METRICS")),
             trace: crate::env::path("MIC_TRACE"),
-            bench_json: match crate::env::raw("MIC_BENCH_JSON") {
-                None => defaults.bench_json,
-                Some(v) if v.trim() == "0" => None,
-                Some(v) => Some(PathBuf::from(v)),
-            },
             steal_spin: crate::env::nonneg_u64("MIC_STEAL_SPIN").map(|v| v.min(1 << 20) as usize),
             serve_shards: crate::env::positive_usize("MIC_SERVE_SHARDS")
                 .map_or(defaults.serve_shards, |v| v.min(64)),
@@ -298,11 +289,6 @@ impl SuiteConfig {
 
     pub fn trace(mut self, path: Option<PathBuf>) -> Self {
         self.trace = path;
-        self
-    }
-
-    pub fn bench_json(mut self, path: Option<PathBuf>) -> Self {
-        self.bench_json = path;
         self
     }
 
@@ -471,7 +457,6 @@ mod tests {
         assert!(c.fault.is_none());
         assert_eq!(c.metrics, MetricsMode::Off);
         assert!(c.trace.is_none());
-        assert_eq!(c.bench_json, Some(PathBuf::from("BENCH_sweep.json")));
         assert_eq!(c.steal_spin, None);
         assert_eq!(c.serve_shards, 4);
         assert_eq!(c.serve_quota, 256);
@@ -545,11 +530,9 @@ mod tests {
     fn builder_overrides_win() {
         let c = SuiteConfig::default()
             .sweep_threads(3)
-            .bench_json(None)
             .metrics(MetricsMode::On);
         assert_eq!(c.sweep_threads, Some(3));
         assert_eq!(c.effective_sweep_threads(), 3);
-        assert_eq!(c.bench_json, None);
         assert!(c.metrics.is_on());
     }
 

@@ -9,9 +9,9 @@
 //! lookup — iterates [`registry()`]. Adding a kernel is one `register()`
 //! call.
 //!
-//! The exhibit **id** is the stable key: it names the exhibit in
-//! `BENCH_sweep.json`, in the `mic-perf` ledger's per-exhibit rows and
-//! goldens, and (via [`KernelId::code`]) in serve job keys.
+//! The exhibit **id** is the stable key: it names the exhibit in `all`'s
+//! footer and failure message, in the `mic-perf` ledger's per-exhibit rows
+//! and goldens, and (via [`KernelId::code`]) in serve job keys.
 
 use crate::experiments::{ablation, extras, fig1, fig2, fig3, fig4, scale_free, table1};
 use crate::workload_cache::{self, OrderTag};
@@ -114,8 +114,8 @@ pub type WhyConfigs = Vec<(String, Vec<Region>)>;
 
 /// One registered exhibit.
 pub struct Exhibit {
-    /// Stable identifier — the name in `BENCH_sweep.json`, the ledger and
-    /// `all --list`.
+    /// Stable identifier — the name in the ledger, `all --list` and
+    /// `all`'s failure message.
     pub id: &'static str,
     pub title: &'static str,
     pub kernel: KernelId,
@@ -630,9 +630,8 @@ mod tests {
 
     #[test]
     fn all_set_matches_ledger_exhibit_ids() {
-        // These ids name the `exhibit.<id>.*` ledger rows and goldens and
-        // the `BENCH_sweep.json` entries: the 18 pre-registry exhibits plus
-        // the three scale-free ones.
+        // These ids name the `exhibit.<id>.*` ledger rows and goldens: the
+        // 18 pre-registry exhibits plus the three scale-free ones.
         let ids = registry().all_ids();
         for legacy in [
             "table1",

@@ -26,35 +26,25 @@ pub fn block_size_sweep(scale: Scale) -> Figure {
     );
     fig.xlabel = "block size".into();
     // One job per block size; each instruments once (via the cache) and
-    // yields the speedup at every thread count. All the ablation sweeps
-    // degrade per-arm: a lost job costs its own series points (NaN), not
-    // the figure.
-    let per_block: Vec<Vec<f64>> = sweep::with_context("ablation:block-size", || {
-        sweep::map_degraded(
-            &blocks,
-            |_, &b| {
-                let w = workload_cache::bfs(
-                    PaperGraph::Hood,
-                    scale,
-                    OrderTag::Natural,
-                    windows,
-                    SimVariant::Block {
-                        block: b,
-                        relaxed: true,
-                    },
-                );
-                let regions = w.regions(Policy::OmpDynamic { chunk: b });
-                let mut scratch = SimScratch::default();
-                let base = simulate_with_scratch(&machine, 1, &regions, &mut scratch).cycles;
-                threads
-                    .iter()
-                    .map(|&t| {
-                        base / simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles
-                    })
-                    .collect()
+    // yields the speedup at every thread count.
+    let per_block: Vec<Vec<f64>> = sweep::map(&blocks, |_, &b| {
+        let w = workload_cache::bfs(
+            PaperGraph::Hood,
+            scale,
+            OrderTag::Natural,
+            windows,
+            SimVariant::Block {
+                block: b,
+                relaxed: true,
             },
-            |_, _| vec![f64::NAN; threads.len()],
-        )
+        );
+        let regions = w.regions(Policy::OmpDynamic { chunk: b });
+        let mut scratch = SimScratch::default();
+        let base = simulate_with_scratch(&machine, 1, &regions, &mut scratch).cycles;
+        threads
+            .iter()
+            .map(|&t| base / simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
+            .collect()
     });
     for (ti, &t) in threads.iter().enumerate() {
         let y: Vec<f64> = per_block.iter().map(|s| s[ti]).collect();
@@ -80,22 +70,14 @@ pub fn chunk_size_sweep(scale: Scale) -> Figure {
         chunks.to_vec(),
     );
     fig.xlabel = "chunk size".into();
-    let per_chunk: Vec<Vec<f64>> = sweep::with_context("ablation:chunk-size", || {
-        sweep::map_degraded(
-            &chunks,
-            |_, &c| {
-                let regions = w.regions(Policy::OmpDynamic { chunk: c });
-                let mut scratch = SimScratch::default();
-                let base = simulate_with_scratch(&machine, 1, &regions, &mut scratch).cycles;
-                threads
-                    .iter()
-                    .map(|&t| {
-                        base / simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles
-                    })
-                    .collect()
-            },
-            |_, _| vec![f64::NAN; threads.len()],
-        )
+    let per_chunk: Vec<Vec<f64>> = sweep::map(&chunks, |_, &c| {
+        let regions = w.regions(Policy::OmpDynamic { chunk: c });
+        let mut scratch = SimScratch::default();
+        let base = simulate_with_scratch(&machine, 1, &regions, &mut scratch).cycles;
+        threads
+            .iter()
+            .map(|&t| base / simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
+            .collect()
     });
     for (ti, &t) in threads.iter().enumerate() {
         let y: Vec<f64> = per_chunk.iter().map(|s| s[ti]).collect();
@@ -116,27 +98,21 @@ pub fn locked_vs_relaxed(scale: Scale) -> Figure {
     );
     // Common baseline (the fastest 1-thread variant), the paper's rule.
     let arms = [("relaxed", true), ("locked", false)];
-    let runs: Vec<(&str, Vec<f64>)> = sweep::with_context("ablation:locked-vs-relaxed", || {
-        sweep::map_degraded(
-            &arms,
-            |_, &(label, relaxed)| {
-                let w = workload_cache::bfs(
-                    PaperGraph::Hood,
-                    scale,
-                    OrderTag::Natural,
-                    windows,
-                    SimVariant::Block { block: 32, relaxed },
-                );
-                let regions = w.regions(Policy::OmpDynamic { chunk: 32 });
-                let mut scratch = SimScratch::default();
-                let cycles = grid
-                    .iter()
-                    .map(|&t| simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
-                    .collect();
-                (label, cycles)
-            },
-            |_, &(label, _)| (label, vec![f64::NAN; grid.len()]),
-        )
+    let runs: Vec<(&str, Vec<f64>)> = sweep::map(&arms, |_, &(label, relaxed)| {
+        let w = workload_cache::bfs(
+            PaperGraph::Hood,
+            scale,
+            OrderTag::Natural,
+            windows,
+            SimVariant::Block { block: 32, relaxed },
+        );
+        let regions = w.regions(Policy::OmpDynamic { chunk: 32 });
+        let mut scratch = SimScratch::default();
+        let cycles = grid
+            .iter()
+            .map(|&t| simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
+            .collect();
+        (label, cycles)
     });
     let base = runs.iter().map(|(_, c)| c[0]).fold(f64::INFINITY, f64::min);
     for (label, cycles) in runs {
@@ -162,27 +138,15 @@ pub fn ordering_ablation(scale: Scale) -> Figure {
         ("cuthill-mckee", OrderTag::CuthillMcKee { source: 0 }),
         ("shuffled", OrderTag::Random { seed: 77 }),
     ];
-    let runs: Vec<Vec<f64>> = sweep::with_context("ablation:ordering", || {
-        sweep::map_degraded(
-            &orders,
-            |_, &(_, order)| {
-                let w = workload_cache::coloring(
-                    PaperGraph::Hood,
-                    scale,
-                    order,
-                    LocalityWindows::default(),
-                );
-                let regions = w.regions(Policy::OmpDynamic { chunk: 100 });
-                let mut scratch = SimScratch::default();
-                let base = simulate_with_scratch(&machine, 1, &regions, &mut scratch).cycles;
-                grid.iter()
-                    .map(|&t| {
-                        base / simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles
-                    })
-                    .collect()
-            },
-            |_, _| vec![f64::NAN; grid.len()],
-        )
+    let runs: Vec<Vec<f64>> = sweep::map(&orders, |_, &(_, order)| {
+        let w =
+            workload_cache::coloring(PaperGraph::Hood, scale, order, LocalityWindows::default());
+        let regions = w.regions(Policy::OmpDynamic { chunk: 100 });
+        let mut scratch = SimScratch::default();
+        let base = simulate_with_scratch(&machine, 1, &regions, &mut scratch).cycles;
+        grid.iter()
+            .map(|&t| base / simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
+            .collect()
     });
     for ((label, _), y) in orders.into_iter().zip(runs) {
         fig.push(Series::new(label, y));
@@ -212,18 +176,12 @@ pub fn placement_ablation(scale: Scale) -> Figure {
         grid.clone(),
     );
     let arms = [("scatter", &scatter), ("compact", &compact)];
-    let runs: Vec<Vec<f64>> = sweep::with_context("ablation:placement", || {
-        sweep::map_degraded(
-            &arms,
-            |_, &(_, m)| {
-                let mut scratch = SimScratch::default();
-                let base = simulate_region_with_scratch(m, 1, &r, &mut scratch);
-                grid.iter()
-                    .map(|&t| base / simulate_region_with_scratch(m, t, &r, &mut scratch))
-                    .collect()
-            },
-            |_, _| vec![f64::NAN; grid.len()],
-        )
+    let runs: Vec<Vec<f64>> = sweep::map(&arms, |_, &(_, m)| {
+        let mut scratch = SimScratch::default();
+        let base = simulate_region_with_scratch(m, 1, &r, &mut scratch);
+        grid.iter()
+            .map(|&t| base / simulate_region_with_scratch(m, t, &r, &mut scratch))
+            .collect()
     });
     for ((label, _), y) in arms.into_iter().zip(runs) {
         fig.push(Series::new(label, y));
@@ -250,20 +208,14 @@ pub fn fork_vs_persistent(scale: Scale) -> Figure {
     let forked = w.regions(Policy::OmpDynamic { chunk: 32 });
     let persistent = w.regions_persistent(Policy::OmpDynamic { chunk: 32 });
     let arms = [("fork-join", &forked), ("persistent-team", &persistent)];
-    let runs: Vec<(f64, Vec<f64>)> = sweep::with_context("ablation:fork-vs-persistent", || {
-        sweep::map_degraded(
-            &arms,
-            |_, &(_, regions)| {
-                let mut scratch = SimScratch::default();
-                let own_base = simulate_with_scratch(&machine, 1, regions, &mut scratch).cycles;
-                let cycles = grid
-                    .iter()
-                    .map(|&t| simulate_with_scratch(&machine, t, regions, &mut scratch).cycles)
-                    .collect();
-                (own_base, cycles)
-            },
-            |_, _| (f64::NAN, vec![f64::NAN; grid.len()]),
-        )
+    let runs: Vec<(f64, Vec<f64>)> = sweep::map(&arms, |_, &(_, regions)| {
+        let mut scratch = SimScratch::default();
+        let own_base = simulate_with_scratch(&machine, 1, regions, &mut scratch).cycles;
+        let cycles = grid
+            .iter()
+            .map(|&t| simulate_with_scratch(&machine, t, regions, &mut scratch).cycles)
+            .collect();
+        (own_base, cycles)
     });
     let base = runs.iter().map(|(b, _)| *b).fold(f64::INFINITY, f64::min);
     let mut fig = Figure::new(

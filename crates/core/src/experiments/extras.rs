@@ -30,25 +30,17 @@ pub fn jp_vs_speculation(scale: Scale, threads: usize) -> Figure {
     fig.ylabel = "rounds / colors".into();
     // One sweep job per graph; each drives the native kernels on its own
     // `threads`-wide pool (cross-pool nesting is supported by the runtime).
-    // Native rows degrade to NaN per graph; the per-graph x-axis keeps the
-    // surviving columns meaningful.
-    let rows: Vec<[f64; 5]> = sweep::with_context("extras:jp-vs-speculation", || {
-        sweep::map_degraded(
-            &graphs,
-            |_, (_, g)| {
-                let pool = ThreadPool::new(threads);
-                let (spec, _) = iterative_coloring_traced(&pool, g, model);
-                let jp = jones_plassmann(&pool, g, model, 42);
-                [
-                    spec.rounds as f64,
-                    jp.rounds as f64,
-                    spec.num_colors as f64,
-                    jp.num_colors as f64,
-                    greedy_color(g).num_colors as f64,
-                ]
-            },
-            |_, _| [f64::NAN; 5],
-        )
+    let rows: Vec<[f64; 5]> = sweep::map(&graphs, |_, (_, g)| {
+        let pool = ThreadPool::new(threads);
+        let (spec, _) = iterative_coloring_traced(&pool, g, model);
+        let jp = jones_plassmann(&pool, g, model, 42);
+        [
+            spec.rounds as f64,
+            jp.rounds as f64,
+            spec.num_colors as f64,
+            jp.num_colors as f64,
+            greedy_color(g).num_colors as f64,
+        ]
     });
     let col = |i: usize| -> Vec<f64> { rows.iter().map(|r| r[i]).collect() };
     fig.push(Series::new("speculative rounds", col(0)));
@@ -71,23 +63,17 @@ pub fn delta_sweep(scale: Scale, threads: usize) -> Figure {
     // Δ multipliers of the mean weight, as integer per-mille for the axis.
     let multipliers = [50usize, 200, 1000, 5000, 20000, 100000];
     let mean_w: f64 = w.values().iter().sum::<f64>() / w.values().len() as f64;
-    let phases: Vec<f64> = sweep::with_context("extras:delta-sweep", || {
-        sweep::map_degraded(
-            &multipliers,
-            |_, &m| {
-                let pool = ThreadPool::new(threads);
-                let delta = mean_w * m as f64 / 1000.0;
-                let r = delta_stepping(&pool, &g, &w, src, delta, model);
-                // Cross-check correctness while we are here.
-                debug_assert!(r
-                    .dist
-                    .iter()
-                    .zip(&reference.dist)
-                    .all(|(a, b)| (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9));
-                r.phases as f64
-            },
-            |_, _| f64::NAN,
-        )
+    let phases: Vec<f64> = sweep::map(&multipliers, |_, &m| {
+        let pool = ThreadPool::new(threads);
+        let delta = mean_w * m as f64 / 1000.0;
+        let r = delta_stepping(&pool, &g, &w, src, delta, model);
+        // Cross-check correctness while we are here.
+        debug_assert!(r
+            .dist
+            .iter()
+            .zip(&reference.dist)
+            .all(|(a, b)| (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9));
+        r.phases as f64
     });
     let _ = reference;
     let mut fig = Figure::new(
@@ -113,38 +99,32 @@ pub fn coloring_quality(scale: Scale, threads: usize) -> Figure {
     );
     fig.xlabel = "graph (Table I order)".into();
     fig.ylabel = "colors / imbalance".into();
-    let rows: Vec<[f64; 7]> = sweep::with_context("extras:coloring-quality", || {
-        sweep::map_degraded(
-            &graphs,
-            |_, (_, g)| {
-                let pool = ThreadPool::new(threads);
-                let mut c = greedy_color(g);
-                let ff = c.num_colors as f64;
-                let imb_before = class_balance(&c, g.num_vertices()).imbalance;
-                let imb_after = rebalance(g, &mut c, 10).imbalance;
-                let ds = dsatur(g).num_colors as f64;
-                let jp = jones_plassmann(&pool, g, model, 42).num_colors as f64;
-                let (sp, _) = iterative_coloring_traced(&pool, g, model);
-                let improved = iterated_greedy(
-                    g,
-                    &mic_coloring::seq::Coloring {
-                        colors: sp.colors.clone(),
-                        num_colors: sp.num_colors,
-                    },
-                    6,
-                );
-                [
-                    ff,
-                    ds,
-                    jp,
-                    sp.num_colors as f64,
-                    improved.num_colors as f64,
-                    imb_before,
-                    imb_after,
-                ]
+    let rows: Vec<[f64; 7]> = sweep::map(&graphs, |_, (_, g)| {
+        let pool = ThreadPool::new(threads);
+        let mut c = greedy_color(g);
+        let ff = c.num_colors as f64;
+        let imb_before = class_balance(&c, g.num_vertices()).imbalance;
+        let imb_after = rebalance(g, &mut c, 10).imbalance;
+        let ds = dsatur(g).num_colors as f64;
+        let jp = jones_plassmann(&pool, g, model, 42).num_colors as f64;
+        let (sp, _) = iterative_coloring_traced(&pool, g, model);
+        let improved = iterated_greedy(
+            g,
+            &mic_coloring::seq::Coloring {
+                colors: sp.colors.clone(),
+                num_colors: sp.num_colors,
             },
-            |_, _| [f64::NAN; 7],
-        )
+            6,
+        );
+        [
+            ff,
+            ds,
+            jp,
+            sp.num_colors as f64,
+            improved.num_colors as f64,
+            imb_before,
+            imb_after,
+        ]
     });
     let col = |i: usize| -> Vec<f64> { rows.iter().map(|r| r[i]).collect() };
     fig.push(Series::new("first-fit colors", col(0)));

@@ -74,9 +74,7 @@ fn regions_with_extra(w: &ColoringWorkload, policy: Policy, extra: Work) -> Vec<
 ///
 /// One sweep job per (variant, graph) pair; each job walks the full thread
 /// grid with a reused [`SimScratch`], so the region prefix sums and the
-/// event-loop buffers are built once per pair. The sweep degrades
-/// gracefully: a job lost to a panic or deadline becomes a NaN column,
-/// which [`paper_speedups`]' geomean then skips.
+/// event-loop buffers are built once per pair.
 pub(crate) fn coloring_speedups(
     workloads: &[Arc<ColoringWorkload>],
     variants: &[(&'static str, Policy, Work)],
@@ -86,18 +84,14 @@ pub(crate) fn coloring_speedups(
     let jobs: Vec<(usize, usize)> = (0..variants.len())
         .flat_map(|v| (0..workloads.len()).map(move |g| (v, g)))
         .collect();
-    let per_job: Vec<Vec<f64>> = crate::sweep::map_degraded(
-        &jobs,
-        |_, &(v, g)| {
-            let (_, policy, extra) = variants[v];
-            let regions = regions_with_extra(&workloads[g], policy, extra);
-            let mut scratch = SimScratch::default();
-            grid.iter()
-                .map(|&t| simulate_with_scratch(machine, t, &regions, &mut scratch).cycles)
-                .collect()
-        },
-        |_, _| vec![f64::NAN; grid.len()],
-    );
+    let per_job: Vec<Vec<f64>> = crate::sweep::map(&jobs, |_, &(v, g)| {
+        let (_, policy, extra) = variants[v];
+        let regions = regions_with_extra(&workloads[g], policy, extra);
+        let mut scratch = SimScratch::default();
+        grid.iter()
+            .map(|&t| simulate_with_scratch(machine, t, &regions, &mut scratch).cycles)
+            .collect()
+    });
     let cycles: Vec<Vec<Vec<f64>>> = per_job
         .chunks(workloads.len().max(1))
         .map(|c| c.to_vec())
@@ -123,9 +117,7 @@ pub fn fig1(panel: Panel, scale: Scale) -> Figure {
         Panel::CilkPlus => 'b',
         Panel::Tbb => 'c',
     };
-    let mut fig = crate::sweep::with_context(&format!("fig1{ch}"), || {
-        coloring_speedups(&workloads, &panel.variants(), &machine)
-    });
+    let mut fig = coloring_speedups(&workloads, &panel.variants(), &machine);
     fig.title = format!("Figure 1{ch}: coloring on naturally ordered graphs ({panel:?})");
     fig
 }

@@ -27,9 +27,7 @@ pub fn fig2(scale: Scale) -> Figure {
         ("TBB", Policy::TbbSimple { grain: 40 }, Work::default()),
         ("CilkPlus", Policy::Cilk { grain: 100 }, Work::default()),
     ];
-    let mut fig = crate::sweep::with_context("fig2", || {
-        coloring_speedups(&workloads, &variants, &machine)
-    });
+    let mut fig = coloring_speedups(&workloads, &variants, &machine);
     fig.title = "Figure 2: coloring on randomly ordered graphs".into();
     fig
 }

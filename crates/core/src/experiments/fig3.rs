@@ -51,33 +51,16 @@ pub fn fig3(panel: Panel, scale: Scale) -> Figure {
         .iter()
         .flat_map(|&iter| PaperGraph::all().into_iter().map(move |pg| (iter, pg)))
         .collect();
-    let label = format!(
-        "fig3{}",
-        match panel {
-            Panel::OpenMp => 'a',
-            Panel::CilkPlus => 'b',
-            Panel::Tbb => 'c',
-        }
-    );
-    // Degraded points become NaN base + NaN cycles; the geomean below
-    // skips them, so one lost (iter, graph) pair costs one graph's worth
-    // of support, not the figure.
-    let runs: Vec<(f64, Vec<f64>)> = crate::sweep::with_context(&label, || {
-        crate::sweep::map_degraded(
-            &jobs,
-            |_, &(iter, pg)| {
-                let r = workload_cache::irregular(pg, scale, OrderTag::Natural, windows, iter)
-                    .region(policy);
-                let mut scratch = SimScratch::default();
-                let base = simulate_region_with_scratch(&machine, 1, &r, &mut scratch);
-                let cycles = grid
-                    .iter()
-                    .map(|&t| simulate_region_with_scratch(&machine, t, &r, &mut scratch))
-                    .collect();
-                (base, cycles)
-            },
-            |_, _| (f64::NAN, vec![f64::NAN; grid.len()]),
-        )
+    let runs: Vec<(f64, Vec<f64>)> = crate::sweep::map(&jobs, |_, &(iter, pg)| {
+        let r =
+            workload_cache::irregular(pg, scale, OrderTag::Natural, windows, iter).region(policy);
+        let mut scratch = SimScratch::default();
+        let base = simulate_region_with_scratch(&machine, 1, &r, &mut scratch);
+        let cycles = grid
+            .iter()
+            .map(|&t| simulate_region_with_scratch(&machine, t, &r, &mut scratch))
+            .collect();
+        (base, cycles)
     });
     let n_graphs = PaperGraph::all().len();
     for (per_iter, iter) in runs.chunks(n_graphs).zip(ITERS) {

@@ -87,39 +87,16 @@ pub fn fig4(panel: Panel, scale: Scale) -> Figure {
     let jobs: Vec<(usize, PaperGraph)> = (0..variants.len())
         .flat_map(|v| graphs.iter().map(move |&pg| (v, pg)))
         .collect();
-    let label = format!(
-        "fig4{}",
-        match panel {
-            Panel::Pwtk => 'a',
-            Panel::Inline1 => 'b',
-            Panel::AllKnf => 'c',
-            Panel::AllCpu => 'd',
-        }
-    );
-    // The fallback re-fetches the workload on the caller thread (a strict,
-    // injection-free path, usually an in-memory cache hit) so the analytic
-    // model series below survives even when the simulation job was lost;
-    // only the lost variant's cycles degrade to NaN.
-    let runs: Vec<(Arc<BfsWorkload>, Vec<f64>)> = crate::sweep::with_context(&label, || {
-        crate::sweep::map_degraded(
-            &jobs,
-            |_, &(v, pg)| {
-                let (_, sv, policy) = variants[v];
-                let w = workload_cache::bfs(pg, scale, OrderTag::Natural, windows, sv);
-                let regions = w.regions(policy);
-                let mut scratch = SimScratch::default();
-                let cycles = grid
-                    .iter()
-                    .map(|&t| simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
-                    .collect();
-                (w, cycles)
-            },
-            |_, &(v, pg)| {
-                let (_, sv, _) = variants[v];
-                let w = workload_cache::bfs(pg, scale, OrderTag::Natural, windows, sv);
-                (w, vec![f64::NAN; grid.len()])
-            },
-        )
+    let runs: Vec<(Arc<BfsWorkload>, Vec<f64>)> = crate::sweep::map(&jobs, |_, &(v, pg)| {
+        let (_, sv, policy) = variants[v];
+        let w = workload_cache::bfs(pg, scale, OrderTag::Natural, windows, sv);
+        let regions = w.regions(policy);
+        let mut scratch = SimScratch::default();
+        let cycles = grid
+            .iter()
+            .map(|&t| simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
+            .collect();
+        (w, cycles)
     });
 
     // The analytic model on the level profiles (variant-independent: take

@@ -55,17 +55,11 @@ pub fn pagerank_fig(scale: Scale) -> Figure {
         "PageRank on scale-free graphs (OpenMP dynamic)",
         grid.clone(),
     );
-    let runs: Vec<Vec<f64>> = crate::sweep::with_context("pagerank", || {
-        crate::sweep::map_degraded(
-            &graphs,
-            |_, &pg| {
-                let w = workload_cache::pagerank(pg, scale, OrderTag::Natural, windows);
-                let regions = w.regions(policy);
-                let cycles = grid_cycles(&machine, &grid, &regions, &mut SimScratch::new());
-                speedups(cycles[0], &cycles)
-            },
-            |_, _| vec![f64::NAN; grid.len()],
-        )
+    let runs: Vec<Vec<f64>> = crate::sweep::map(&graphs, |_, &pg| {
+        let w = workload_cache::pagerank(pg, scale, OrderTag::Natural, windows);
+        let regions = w.regions(policy);
+        let cycles = grid_cycles(&machine, &grid, &regions, &mut SimScratch::new());
+        speedups(cycles[0], &cycles)
     });
     for (pg, y) in graphs.iter().zip(runs) {
         fig.push(Series::new(pg.name(), y));
@@ -85,17 +79,11 @@ pub fn components_fig(scale: Scale) -> Figure {
         "Connected components (label propagation) on scale-free graphs",
         grid.clone(),
     );
-    let runs: Vec<Vec<f64>> = crate::sweep::with_context("components", || {
-        crate::sweep::map_degraded(
-            &graphs,
-            |_, &pg| {
-                let w = workload_cache::components(pg, scale, OrderTag::Natural, windows);
-                let regions = w.regions(policy);
-                let cycles = grid_cycles(&machine, &grid, &regions, &mut SimScratch::new());
-                speedups(cycles[0], &cycles)
-            },
-            |_, _| vec![f64::NAN; grid.len()],
-        )
+    let runs: Vec<Vec<f64>> = crate::sweep::map(&graphs, |_, &pg| {
+        let w = workload_cache::components(pg, scale, OrderTag::Natural, windows);
+        let regions = w.regions(policy);
+        let cycles = grid_cycles(&machine, &grid, &regions, &mut SimScratch::new());
+        speedups(cycles[0], &cycles)
     });
     for (pg, y) in graphs.iter().zip(runs) {
         fig.push(Series::new(pg.name(), y));
@@ -118,32 +106,26 @@ pub fn hybrid_bfs_fig(scale: Scale) -> Figure {
         "Hybrid (direction-optimizing) vs layered BFS on RMAT",
         grid.clone(),
     );
-    let runs: Vec<(Vec<f64>, Vec<f64>)> = crate::sweep::with_context("hybrid-bfs", || {
-        crate::sweep::map_degraded(
-            &graphs,
-            |_, &pg| {
-                let layered = workload_cache::bfs(
-                    pg,
-                    scale,
-                    OrderTag::Natural,
-                    windows,
-                    mic_bfs::instrument::SimVariant::Block {
-                        block: 32,
-                        relaxed: true,
-                    },
-                )
-                .regions(policy);
-                let hybrid = workload_cache::hybrid_bfs(pg, scale, OrderTag::Natural, windows)
-                    .regions(policy);
-                let mut scratch = SimScratch::new();
-                let layered = grid_cycles(&machine, &grid, &layered, &mut scratch);
-                let hybrid = grid_cycles(&machine, &grid, &hybrid, &mut scratch);
-                (
-                    speedups(layered[0], &layered),
-                    speedups(layered[0], &hybrid),
-                )
+    let runs: Vec<(Vec<f64>, Vec<f64>)> = crate::sweep::map(&graphs, |_, &pg| {
+        let layered = workload_cache::bfs(
+            pg,
+            scale,
+            OrderTag::Natural,
+            windows,
+            mic_bfs::instrument::SimVariant::Block {
+                block: 32,
+                relaxed: true,
             },
-            |_, _| (vec![f64::NAN; grid.len()], vec![f64::NAN; grid.len()]),
+        )
+        .regions(policy);
+        let hybrid =
+            workload_cache::hybrid_bfs(pg, scale, OrderTag::Natural, windows).regions(policy);
+        let mut scratch = SimScratch::new();
+        let layered = grid_cycles(&machine, &grid, &layered, &mut scratch);
+        let hybrid = grid_cycles(&machine, &grid, &hybrid, &mut scratch);
+        (
+            speedups(layered[0], &layered),
+            speedups(layered[0], &hybrid),
         )
     });
     for (pg, (layered, hybrid)) in graphs.iter().zip(runs) {

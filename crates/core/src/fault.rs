@@ -19,12 +19,13 @@
 //! site. Every class models a fault production can produce: a bug that
 //! panics a job, or the store's file failing under it.
 //!
-//! Sites: `job-panic` hits sweep jobs and is applied only on the
-//! *isolated* sweep paths (`try_map_with` / `map_degraded`, site = job
-//! index; `try_run`, site = the caller's number — for `mic-serve`, the
-//! N-th job a shard starts) — the strict `map` used for workload
-//! construction never injects. A body panicking inside a runtime construct needs no
-//! injector: a test raises it by panicking (`failure_injection.rs`).
+//! Sites: `job-panic` hits only [`crate::sweep::try_run`], the isolated
+//! single job that `mic-serve` runs each request in (site = the N-th job
+//! a shard starts). The strict sweep maps behind every exhibit never
+//! inject: an exhibit has nothing to degrade to, so its one failure is a
+//! bug, and a bug stops the run. A body panicking inside a runtime
+//! construct needs no injector: a test raises it by panicking
+//! (`failure_injection.rs`).
 //! `io-*` faults hit the paged store's file boundaries through
 //! [`mic_store::fault`] (site = page id for writes, committing epoch for
 //! fsyncs, file-name hash for opens) — the only disk I/O the graph and
@@ -43,7 +44,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 /// pinned: the committed chaos seeds keep firing at the same sites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultClass {
-    /// A sweep job panics in place of running.
+    /// A served job panics in place of running.
     JobPanic = 0,
     /// A store page write lands half its bytes, then errors (torn prefix
     /// on disk — what a killed writer leaves).
@@ -364,7 +365,7 @@ fn env_plan() -> Option<&'static Arc<FaultPlan>> {
 /// environment plan is a *default*, not an override: it never displaces a
 /// plan installed explicitly (so a [`with_plan`] session is injection-
 /// tight even when the process runs under `MIC_FAULT`), and because this
-/// is called at every isolated-sweep and cache-I/O entry point it is
+/// is called at every `try_run` and cache-I/O entry point it is
 /// re-installed once such a session restores the empty state.
 pub fn init_from_env() {
     if ACTIVE.load(Ordering::SeqCst) {

@@ -1,10 +1,9 @@
 //! Minimal dependency-free JSON: a recursive-descent reader and a
 //! [`Value`] renderer.
 //!
-//! Shared by the `mic-serve` JSON wire and `all`'s `BENCH_sweep.json`
-//! writer: one reader/writer pair means the server, the client load
-//! generator and the timing file all agree on escaping and number
-//! round-tripping. Numbers are `f64`; rendering uses Rust's
+//! Shared by the `mic-serve` JSON wire and the `mic-perf` goldens: one
+//! reader/writer pair means the server, the client load generator and
+//! the golden files all agree on escaping and number round-tripping. Numbers are `f64`; rendering uses Rust's
 //! shortest-round-trip float formatting, so an `f64` survives a
 //! render→parse cycle bit-exactly (the serve integration test pins this).
 //! Non-finite numbers render as `null` (JSON has no NaN/Inf).

@@ -8,15 +8,16 @@
 //!   path costs exactly one relaxed atomic load and the numeric outputs
 //!   are bit-identical to an uninstrumented build (pinned by
 //!   `tests/metrics_bit_identity.rs` and the sim crate's capture tests);
-//! - `1` / `true` — metrics **on**; the bench binaries embed a snapshot
-//!   in their JSON output;
+//! - `1` / `true` — metrics **on**; `all` self-checks its snapshot at
+//!   the end;
 //! - any other value — metrics on, **and** the value is a file path the
 //!   bench binaries write the Prometheus text snapshot to
 //!   ([`snapshot_path`]).
 //!
-//! [`init_from_env`] is called at every resilient-sweep and cache-I/O
-//! entry point (mirroring [`crate::fault::init_from_env`]), so any driver
-//! that touches the harness picks the knob up without per-binary wiring.
+//! [`init_from_env`] is called by `sweep::try_run`, at every cache-I/O
+//! entry point (mirroring [`crate::fault::init_from_env`]) and by the
+//! `all` and `serve` bins, so any driver that touches the harness picks
+//! the knob up without per-binary wiring.
 
 pub use mic_metrics::*;
 

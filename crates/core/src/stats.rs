@@ -4,31 +4,24 @@
 //! each graph, which is computed using as baseline the configuration that
 //! performs the fastest on 1 thread for that graph."
 
-/// Geometric mean of positive values (1.0 for an empty slice).
+/// Geometric mean of positive, finite values (1.0 for an empty slice).
 ///
-/// Non-finite entries are skipped: a degraded sweep (see
-/// [`crate::sweep::map_degraded`]) reports failed points as NaN, and one
-/// lost graph should shrink the mean's support, not poison the whole
-/// series. All-non-finite input yields NaN. *Finite* non-positive values
-/// still panic — those are never produced by degradation, only by bugs.
+/// Any other value panics with the value: a NaN, infinite or
+/// non-positive speedup is a bug upstream, and skipping it would quietly
+/// drop a graph from the suite's mean.
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 1.0;
     }
     let mut log_sum = 0.0f64;
-    let mut n = 0usize;
     for &v in values {
-        if !v.is_finite() {
-            continue;
-        }
-        assert!(v > 0.0, "geomean requires positive values, got {v}");
+        assert!(
+            v.is_finite() && v > 0.0,
+            "geomean requires positive finite values, got {v}"
+        );
         log_sum += v.ln();
-        n += 1;
     }
-    if n == 0 {
-        return f64::NAN;
-    }
-    (log_sum / n as f64).exp()
+    (log_sum / values.len() as f64).exp()
 }
 
 /// Per-graph execution costs of several configurations over a thread grid.
@@ -79,11 +72,15 @@ mod tests {
     }
 
     #[test]
-    fn geomean_skips_nonfinite_degraded_points() {
-        assert!((geomean(&[4.0, f64::NAN, 9.0]) - 6.0).abs() < 1e-12);
-        assert!((geomean(&[f64::INFINITY, 5.0]) - 5.0).abs() < 1e-12);
-        assert!(geomean(&[f64::NAN, f64::NAN]).is_nan());
-        assert!(geomean(&[f64::NEG_INFINITY]).is_nan());
+    #[should_panic(expected = "got NaN")]
+    fn geomean_rejects_nan() {
+        geomean(&[4.0, f64::NAN, 9.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "got inf")]
+    fn geomean_rejects_infinity() {
+        geomean(&[f64::INFINITY, 5.0]);
     }
 
     #[test]
@@ -117,21 +114,18 @@ mod tests {
     }
 
     #[test]
-    fn geomean_singleton_nan_vs_empty() {
-        // Empty = neutral element 1.0; all-degraded = NaN. The distinction
-        // matters to figure code deciding whether a series exists at all.
+    fn geomean_of_empty_is_one() {
+        // The neutral element: a series over no graphs is flat.
         assert_eq!(geomean(&[]), 1.0);
-        assert!(geomean(&[f64::NAN]).is_nan());
     }
 
     #[test]
-    fn speedups_survive_a_degraded_graph() {
-        // Graph 1's t=2 point failed (NaN); the geomean falls back to the
-        // surviving graph instead of poisoning the series.
+    #[should_panic(expected = "got NaN")]
+    fn speedups_reject_a_nan_point() {
+        // Graph 1's t=2 cost is NaN: the series panics instead of
+        // averaging over the surviving graph alone.
         let c = vec![vec![100.0, 25.0], vec![90.0, f64::NAN]];
-        let s = paper_speedups(&[c]);
-        assert!((s[0][1] - 4.0).abs() < 1e-12);
-        assert!(s[0][0].is_finite());
+        paper_speedups(&[c]);
     }
 
     #[test]

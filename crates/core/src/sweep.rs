@@ -14,19 +14,16 @@
 //! plain serial loop, which is also used automatically for empty and
 //! single-item inputs.
 //!
-//! Two failure disciplines:
+//! One failure discipline: [`map`] and [`map_with`] are strict. A job
+//! panic propagates to the caller, naming the point, once every other job
+//! has finished; a figure with a lost point is wrong, so the exhibit
+//! fails. Jobs are pure and deterministic, so a panic is a bug that would
+//! panic again: nothing is retried, and the maps never inject faults.
 //!
-//! - **Strict** ([`map`], [`map_with`]): a panicking job propagates to the
-//!   caller, as a plain `rayon`-style harness would. Used where a partial
-//!   result is useless (workload construction).
-//! - **Isolated** ([`try_map_with`], [`map_degraded`], and [`try_run`] for
-//!   one job on the calling thread): every job runs once under
-//!   `catch_unwind`; a job that panics is reported as a structured
-//!   [`JobFailure`] — the sweep completes every other point. Jobs are pure
-//!   and deterministic, so a panic is a bug that would panic again:
-//!   nothing is retried. This path is also the only one subject to
-//!   `MIC_FAULT` injection (see [`crate::fault`]), so figure sweeps degrade
-//!   under chaos testing while workload builders stay exact.
+//! The one isolated entry point is [`try_run`]: a single job on the
+//! calling thread, panic-isolated and subject to `job-panic` injection.
+//! It is `mic-serve`'s per-request isolation, where one client's failing
+//! job must answer that request with an error and leave the server up.
 //!
 //! Jobs may themselves run parallel regions on *other* pools (the native
 //! kernels in `experiments::extras` do); cross-pool nesting is supported
@@ -38,7 +35,7 @@ use crate::fault::{self, FaultClass, FaultPlan};
 use mic_runtime::ThreadPool;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Worker count for [`map`]: the installed [`crate::config`]'s
 /// `sweep_threads` (from `MIC_SWEEP_THREADS` or the builder), otherwise
@@ -53,7 +50,7 @@ pub fn default_threads() -> usize {
 // ---------------------------------------------------------------------------
 // Failure records.
 
-/// One sweep point lost to a panicking job.
+/// One job lost to a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobFailure {
     /// Input index of the failed job.
@@ -66,71 +63,6 @@ impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "point {}: panic: {}", self.point, self.message)
     }
-}
-
-/// Result of an isolated sweep: per-point values (`None` where the job
-/// panicked) plus the structured failure records, in point order.
-#[derive(Debug)]
-pub struct SweepReport<R> {
-    pub results: Vec<Option<R>>,
-    pub failures: Vec<JobFailure>,
-}
-
-impl<R> SweepReport<R> {
-    /// Replace failed points with `fallback(index)`, consuming the report.
-    pub fn into_degraded(self, mut fallback: impl FnMut(usize) -> R) -> Vec<R> {
-        self.results
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| v.unwrap_or_else(|| fallback(i)))
-            .collect()
-    }
-
-    /// All points succeeded.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Global failure registry: figure drivers record their degraded points
-// here (labelled with the exhibit being built, see [`with_context`]) and
-// the bench binaries drain it for their failure-summary footers and
-// `BENCH_sweep.json`.
-
-/// A [`JobFailure`] plus the sweep-context label active when it happened.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecordedFailure {
-    /// e.g. `"fig1"` — empty when no context was set.
-    pub context: String,
-    pub failure: JobFailure,
-}
-
-fn registry() -> &'static Mutex<Vec<RecordedFailure>> {
-    static REGISTRY: OnceLock<Mutex<Vec<RecordedFailure>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Drain every failure recorded (by [`map_degraded`]) since the last call.
-pub fn take_failures() -> Vec<RecordedFailure> {
-    std::mem::take(&mut *registry().lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-thread_local! {
-    static CONTEXT: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
-}
-
-/// Run `f` with `label` as the sweep-context label (attached to any
-/// failure recorded on this thread). Restores the previous label.
-pub fn with_context<R>(label: &str, f: impl FnOnce() -> R) -> R {
-    let previous = CONTEXT.with(|c| std::mem::replace(&mut *c.borrow_mut(), label.to_string()));
-    let result = f();
-    CONTEXT.with(|c| *c.borrow_mut() = previous);
-    result
-}
-
-fn current_context() -> String {
-    CONTEXT.with(|c| c.borrow().clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -170,103 +102,43 @@ where
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let report = run_report(threads, None, items, &f);
-    if let Some(failure) = report.failures.first() {
-        panic!("sweep job failed ({failure})");
-    }
-    report
-        .results
+    run_report(threads, items, &f)
         .into_iter()
-        .map(|s| s.expect("no failure recorded, so every slot is filled"))
+        .map(|r| r.unwrap_or_else(|failure| panic!("sweep job failed ({failure})")))
         .collect()
 }
 
 // ---------------------------------------------------------------------------
-// Isolated maps.
-
-/// The plan the isolated entry points inject from: whatever is active,
-/// after giving the environment (`MIC_FAULT`, `MIC_METRICS`) its chance.
-fn active_plan() -> Option<Arc<FaultPlan>> {
-    fault::init_from_env();
-    crate::metrics::init_from_env();
-    fault::active()
-}
-
-/// Isolated sweep on `threads` pool workers: every job runs once,
-/// panic-isolated; lost points come back as [`JobFailure`] records instead
-/// of aborting the sweep. Subject to `MIC_FAULT` injection.
-pub fn try_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> SweepReport<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_report(threads, active_plan(), items, &f)
-}
+// The isolated single job.
 
 /// One isolated job, run once on the calling thread: panic-isolated and
 /// subject to `job-panic` injection at `site`, which the caller numbers
 /// (`mic-serve` passes a shard's execution index). A lost job comes back
-/// as a [`JobFailure`] whose `point` is `site`.
+/// as a [`JobFailure`] whose `point` is `site`. The environment
+/// (`MIC_FAULT`, `MIC_METRICS`) gets its chance first.
 pub fn try_run<R>(site: usize, f: impl FnOnce() -> R) -> Result<R, JobFailure> {
-    run_job(active_plan().as_deref(), site, f)
-}
-
-/// Isolated sweep for figure drivers: failed points degrade to
-/// `fallback(index, item)` (typically NaN-shaped), the failures are
-/// recorded in the global registry under the current [`with_context`]
-/// label, and the sweep always returns a full-length vector.
-pub fn map_degraded<T, R, F, G>(items: &[T], f: F, fallback: G) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(usize, &T) -> R + Sync,
-    G: Fn(usize, &T) -> R,
-{
-    let report = try_map_with(default_threads(), items, f);
-    if !report.failures.is_empty() {
-        let context = current_context();
-        let label = if context.is_empty() {
-            "sweep"
-        } else {
-            &context
-        };
-        for failure in &report.failures {
-            eprintln!("mic-eval: {label}: degraded {failure}");
-        }
-        let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        reg.extend(report.failures.iter().map(|failure| RecordedFailure {
-            context: context.clone(),
-            failure: failure.clone(),
-        }));
-    }
-    report.into_degraded(|i| fallback(i, &items[i]))
+    fault::init_from_env();
+    crate::metrics::init_from_env();
+    run_job(fault::active().as_deref(), site, f)
 }
 
 // ---------------------------------------------------------------------------
-// The engine shared by both disciplines.
+// The engine shared by the maps and `try_run`.
 
 type Slot<R> = OnceLock<Result<R, JobFailure>>;
 
-/// Run every job once, panic-isolated (and, given a `plan`, subject to
-/// `job-panic` injection), fanned over a fresh pool of `threads` workers
-/// or, for one worker or one item, in a plain loop. The output is in
-/// input order either way.
-fn run_report<T, R, F>(
-    threads: usize,
-    plan: Option<Arc<FaultPlan>>,
-    items: &[T],
-    f: &F,
-) -> SweepReport<R>
+/// Run every job once, panic-isolated, fanned over a fresh pool of
+/// `threads` workers or, for one worker or one item, in a plain loop. The
+/// output is in input order either way.
+fn run_report<T, R, F>(threads: usize, items: &[T], f: &F) -> Vec<Result<R, JobFailure>>
 where
     T: Sync,
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let plan = plan.as_deref();
     let slots: Vec<Slot<R>> = items.iter().map(|_| OnceLock::new()).collect();
     let run_into_slot = |i: usize| {
-        if slots[i].set(run_job(plan, i, || f(i, &items[i]))).is_err() {
+        if slots[i].set(run_job(None, i, || f(i, &items[i]))).is_err() {
             unreachable!("sweep slot {i} claimed twice");
         }
     };
@@ -283,18 +155,10 @@ where
     } else {
         (0..items.len()).for_each(run_into_slot);
     }
-    let mut results = Vec::with_capacity(items.len());
-    let mut failures = Vec::new();
-    for slot in slots {
-        match slot.into_inner().expect("every job ran") {
-            Ok(v) => results.push(Some(v)),
-            Err(failure) => {
-                failures.push(failure);
-                results.push(None);
-            }
-        }
-    }
-    SweepReport { results, failures }
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every job ran"))
+        .collect()
 }
 
 /// One job, once: injection at site `i`, then panic isolation.
@@ -338,7 +202,6 @@ fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parallel_matches_serial_in_order() {
@@ -385,13 +248,10 @@ mod tests {
         assert_eq!(sums, expect);
     }
 
-    // MIC_SWEEP_THREADS grammar is pinned in `crate::env::tests`
-    // (`positive_usize_grammar`), where the shared parser now lives.
-
     #[test]
     fn job_panic_propagates() {
         let items: Vec<usize> = (0..16).collect();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let r = panic::catch_unwind(AssertUnwindSafe(|| {
             map_with(4, &items, |_, &x| {
                 if x == 9 {
                     panic!("job failure");
@@ -406,34 +266,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn try_map_isolates_panics_and_reports_once() {
-        let items: Vec<usize> = (0..32).collect();
-        for threads in [1, 4] {
-            let report = try_map_with(threads, &items, |_, &x| {
-                if x == 5 || x == 20 {
-                    panic!("bad point {x}");
-                }
-                x * 2
-            });
-            assert_eq!(report.results.len(), 32);
-            let failed: Vec<usize> = report.failures.iter().map(|f| f.point).collect();
-            assert_eq!(failed, vec![5, 20], "threads={threads}");
-            for f in &report.failures {
-                assert!(f.message.contains("bad point"), "{f}");
-            }
-            for (i, v) in report.results.iter().enumerate() {
-                if i == 5 || i == 20 {
-                    assert!(v.is_none());
-                } else {
-                    assert_eq!(*v, Some(i * 2));
-                }
-            }
-        }
-    }
-
     /// A pure job that panicked would panic again: it runs exactly once,
-    /// by worker count and as a lone [`try_run`] alike.
+    /// in a strict map at any worker count and as a lone [`try_run`] alike.
     #[test]
     fn a_panicking_job_is_executed_exactly_once() {
         let items: Vec<usize> = (0..8).collect();
@@ -445,10 +279,11 @@ mod tests {
             }
             x
         };
-        let reports = [try_map_with(1, &items, job), try_map_with(4, &items, job)];
-        for report in &reports {
-            assert_eq!(report.failures.len(), 1);
-            assert_eq!(report.failures[0].point, 3);
+        let threads = [1, 4];
+        for t in threads {
+            let r = panic::catch_unwind(AssertUnwindSafe(|| map_with(t, &items, job)));
+            let msg = payload_message(&r.unwrap_err());
+            assert!(msg.contains("point 3: panic: deterministic bug"), "{msg}");
         }
         let lone_failures: Vec<usize> = items
             .iter()
@@ -458,31 +293,8 @@ mod tests {
             .collect();
         assert_eq!(lone_failures, [3]);
         for (i, n) in runs.iter().enumerate() {
-            assert_eq!(n.load(Ordering::SeqCst), reports.len() + 1, "job {i}");
+            assert_eq!(n.load(Ordering::SeqCst), threads.len() + 1, "job {i}");
         }
-    }
-
-    #[test]
-    fn map_degraded_fills_fallbacks_and_records() {
-        let _ = take_failures();
-        let items: Vec<usize> = (0..8).collect();
-        let out = with_context("unit-test", || {
-            crate::fault::with_plan(
-                FaultPlan::at_index(1, crate::fault::FaultClass::JobPanic, 3),
-                || map_degraded(&items, |_, &x| x as f64, |_, _| f64::NAN),
-            )
-        });
-        assert_eq!(out.len(), 8);
-        assert!(out[3].is_nan(), "failed point degrades to the fallback");
-        assert!(out
-            .iter()
-            .enumerate()
-            .all(|(i, v)| i == 3 || *v == i as f64));
-        let recorded = take_failures();
-        assert_eq!(recorded.len(), 1);
-        assert_eq!(recorded[0].context, "unit-test");
-        assert_eq!(recorded[0].failure.point, 3);
-        assert!(take_failures().is_empty(), "take drains the registry");
     }
 
     /// [`try_run`] on the calling thread gives the serial values, isolates a
@@ -534,20 +346,5 @@ mod tests {
             || map_with(4, &items, |_, &x| x + 1),
         );
         assert_eq!(out, (1..=16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn injected_panics_hit_try_map_deterministically() {
-        let items: Vec<usize> = (0..64).collect();
-        let plan = FaultPlan::with_rate(77, crate::fault::FaultClass::JobPanic, 0.25);
-        let run = || crate::fault::with_plan(plan.clone(), || try_map_with(4, &items, |_, &x| x));
-        let a = run();
-        let b = run();
-        assert!(!a.failures.is_empty(), "rate 0.25 over 64 jobs must fire");
-        assert_eq!(a.failures, b.failures, "same seed, same failed points");
-        let fail_set: Vec<usize> = a.failures.iter().map(|f| f.point).collect();
-        for (i, v) in a.results.iter().enumerate() {
-            assert_eq!(v.is_none(), fail_set.contains(&i));
-        }
     }
 }

@@ -20,11 +20,10 @@
 //!   path. The registry's `RwLock` is taken only to *resolve* a metric
 //!   handle (cold) — increments themselves never block.
 //! * **Deterministic export.** [`snapshot`] sorts by name then labels, so
-//!   Prometheus and JSON exports are stable across runs and threads.
+//!   the Prometheus export is stable across runs and threads.
 //!
-//! Two export formats: [`Snapshot::to_prometheus`] (text exposition format,
-//! scrapeable) and [`Snapshot::to_json`] (structured, embeddable in
-//! `BENCH_sweep.json`). [`Snapshot::self_check`] verifies internal
+//! One export format: [`Snapshot::to_prometheus`] (text exposition format,
+//! scrapeable). [`Snapshot::self_check`] verifies internal
 //! consistency — bucket counts sum to the histogram count, quantiles are
 //! monotone, all values finite — and is what `--bin metrics --check` runs.
 
@@ -774,80 +773,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Structured JSON document: an array of metric objects, histogram
-    /// members carrying buckets, sum, count and quantiles.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json_string(&mut out, &e.name);
-            out.push_str(",\"kind\":");
-            json_string(&mut out, e.kind.name());
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in e.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json_string(&mut out, k);
-                out.push(':');
-                json_string(&mut out, v);
-            }
-            out.push('}');
-            match &e.data {
-                Data::Value(v) => {
-                    out.push_str(",\"value\":");
-                    out.push_str(&json_num(*v));
-                }
-                Data::Histogram(h) => {
-                    out.push_str(",\"bounds\":[");
-                    for (j, b) in h.bounds.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&json_num(*b));
-                    }
-                    out.push_str("],\"counts\":[");
-                    for (j, c) in h.counts.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&c.to_string());
-                    }
-                    out.push_str("],\"exemplars\":[");
-                    let mut first = true;
-                    for (j, ex) in h.exemplars.iter().enumerate() {
-                        if let Some((v, trace)) = ex {
-                            if !first {
-                                out.push(',');
-                            }
-                            first = false;
-                            out.push_str(&format!(
-                                "{{\"bucket\":{j},\"value\":{},\"trace_id\":\"{trace:032x}\"}}",
-                                json_num(*v)
-                            ));
-                        }
-                    }
-                    out.push_str("],\"sum\":");
-                    out.push_str(&json_num(h.sum));
-                    out.push_str(",\"count\":");
-                    out.push_str(&h.count.to_string());
-                    out.push_str(",\"p50\":");
-                    out.push_str(&json_num(h.p50));
-                    out.push_str(",\"p95\":");
-                    out.push_str(&json_num(h.p95));
-                    out.push_str(",\"p99\":");
-                    out.push_str(&json_num(h.p99));
-                }
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
 }
 
 fn fmt_labels(labels: &[(String, String)]) -> String {
@@ -893,31 +818,6 @@ fn prom_num(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// JSON has no NaN/Inf literals; export them as null.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -1014,36 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_wellformed_enough() {
-        let ((), snap) = with_session(|| {
-            counter("a_total", "with \"quotes\"\nand newline", &[("k", "v\"q")]).inc();
-            histogram("h_seconds", "h", &[], &[1.0]).observe(0.5);
-        });
-        let js = snap.to_json();
-        assert!(js.starts_with('[') && js.ends_with(']'));
-        assert!(js.contains("\"k\":\"v\\\"q\""));
-        assert!(js.contains("\"p50\":"));
-        // Balanced braces/brackets outside strings.
-        let (mut depth, mut instr, mut esc) = (0i64, false, false);
-        for c in js.chars() {
-            if esc {
-                esc = false;
-                continue;
-            }
-            match c {
-                '\\' if instr => esc = true,
-                '"' => instr = !instr,
-                '{' | '[' if !instr => depth += 1,
-                '}' | ']' if !instr => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert!(!instr);
-    }
-
-    #[test]
     fn self_check_flags_non_monotone_bounds() {
         // Construct a corrupt snapshot by hand: self_check must notice.
         let snap = Snapshot {
@@ -1093,8 +963,6 @@ mod tests {
             text.contains(&format!("# {{trace_id=\"{:032x}\"}} 0.75", 0xbbu128)),
             "{text}"
         );
-        let js = snap.to_json();
-        assert!(js.contains(&format!("\"trace_id\":\"{:032x}\"", 0xccu128)));
     }
 
     #[test]

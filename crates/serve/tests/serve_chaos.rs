@@ -1,14 +1,20 @@
 //! Chaos variant: the server under a deterministic fault plan. Own test
 //! binary because the installed plan is process-global.
 //!
+//! `mic-serve` is the one place that isolates a panicking job
+//! ([`mic_eval::sweep::try_run`]): the request gets a structured error
+//! response, every other request is untouched, and the server survives.
+//! The `job-panic` site is the shard's execution index.
+//!
 //! `job-panic#1` targets the shard's execution 1: a plug job is
 //! execution 0, so exactly one of the four jobs queued behind it — the
-//! first to get the shard's one compute slot — panics. That request gets
-//! a structured error response while the other three succeed, and the
-//! server survives. The poisoned job is attempted once: the jobs queued
-//! behind it are not held behind retries and backoff.
+//! first to get the shard's one compute slot — panics. The poisoned job
+//! is attempted once: the jobs queued behind it are not held behind
+//! retries and backoff. The seeded matrix then checks, request by request,
+//! that exactly the fired sites fail. CI runs this binary under
+//! `MIC_FAULT=<seed>:job-panic@0.2` too: that plan joins the matrix.
 
-use mic_eval::fault::{self, FaultPlan};
+use mic_eval::fault::{self, FaultClass, FaultPlan};
 use mic_serve::protocol::{self, Response};
 use mic_serve::server::{ServeOpts, Server};
 use std::io::{BufRead, BufReader, Write};
@@ -115,4 +121,104 @@ fn run_under_faults() {
     assert_eq!(stat("errors"), 1.0);
     assert_eq!(stat("executed"), 6.0, "plug + 4 queued + 1 follow-up");
     server.shutdown();
+}
+
+/// Serve `JOBS` distinct coloring jobs one after another on a fresh
+/// one-shard, one-slot server with no result cache and no store, so
+/// request *k* is execution *k*. Returns each response in request order
+/// and the session's `job-panic` injection count.
+fn serve_in_order(plan: FaultPlan) -> (Vec<Response>, f64) {
+    let (responses, snap) = mic_eval::metrics::with_session(|| {
+        fault::with_plan(plan, || {
+            let server = Server::start(
+                "127.0.0.1:0",
+                ServeOpts {
+                    slots: 1,
+                    lru_cap: 0,
+                    shards: 1,
+                    ..ServeOpts::default()
+                },
+            )
+            .expect("start server");
+            let responses = (0..JOBS)
+                .map(|k| {
+                    let threads = k + 1;
+                    rpc(
+                        server.addr,
+                        &format!(
+                            r#"{{"id":"m{k}","kernel":"coloring","threads":{threads},"scale":512}}"#
+                        ),
+                    )
+                })
+                .collect();
+            server.shutdown();
+            responses
+        })
+    });
+    let injected = snap
+        .value("mic_fault_injections_total", &[("class", "job-panic")])
+        .unwrap_or(0.0);
+    (responses, injected)
+}
+
+const JOBS: usize = 24;
+
+/// The chaos matrix at the site that keeps isolation: under each plan,
+/// every request whose execution index the plan fires on answers `error`,
+/// and every other one answers `ok` with cycles bit-equal to the
+/// fault-free run.
+#[test]
+fn fired_sites_answer_error_and_the_rest_match_the_fault_free_run() {
+    // A zero-rate plan never fires, and it masks the `MIC_FAULT` plan.
+    let (reference, injected) = serve_in_order(FaultPlan::parse("1:job-panic@0.0").unwrap());
+    assert_eq!(injected, 0.0);
+    let reference: Vec<u64> = reference
+        .iter()
+        .map(|r| match r {
+            Response::Ok { cycles, .. } => cycles.to_bits(),
+            other => panic!("fault-free run answered {other:?}"),
+        })
+        .collect();
+
+    // The committed seeds' schedules over the 24 sites (pinned in
+    // `fault::tests` too), so the matrix provably covers fired sites.
+    let pinned: [(u64, &[usize]); 3] = [
+        (1, &[0, 12, 21]),
+        (7, &[0, 5, 10, 12, 17, 23]),
+        (42, &[3, 7, 8, 20]),
+    ];
+    let mut plans: Vec<(String, FaultPlan)> = pinned
+        .iter()
+        .map(|(seed, _)| {
+            let spec = format!("{seed}:job-panic@0.2");
+            let plan = FaultPlan::parse(&spec).unwrap();
+            (spec, plan)
+        })
+        .collect();
+    if let Some(env) = mic_eval::config::current().fault.clone() {
+        plans.push(("MIC_FAULT".to_string(), env));
+    }
+    for (i, (spec, plan)) in plans.into_iter().enumerate() {
+        let fired: Vec<usize> = (0..JOBS)
+            .filter(|&k| plan.fires(FaultClass::JobPanic, k as u64))
+            .collect();
+        if let Some((_, schedule)) = pinned.get(i) {
+            assert_eq!(fired, *schedule, "{spec}: schedule moved");
+        }
+        let (responses, injected) = serve_in_order(plan);
+        assert_eq!(injected, fired.len() as f64, "{spec}: injection count");
+        for (k, r) in responses.iter().enumerate() {
+            match r {
+                Response::Error { detail, .. } if fired.contains(&k) => {
+                    assert!(detail.contains("panic"), "{spec}: request {k}: {detail}")
+                }
+                Response::Ok { cycles, .. } if !fired.contains(&k) => assert_eq!(
+                    cycles.to_bits(),
+                    reference[k],
+                    "{spec}: request {k} drifted under faults"
+                ),
+                other => panic!("{spec}: request {k} (fired: {fired:?}) answered {other:?}"),
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! byte. On a mismatch the rendered text is written beside the golden as
 //! `all-64.actual.txt`, and the failure names the first differing line of
 //! each exhibit. A change meant to alter results regenerates the golden
-//! with `MIC_BENCH_JSON=0 target/release/all --scale 64`.
+//! with `target/release/all --scale 64`.
 
 use mic_eval::exhibit;
 use mic_eval::graph::suite::Scale;

@@ -2,7 +2,7 @@
 //! label-propagation connected components, and direction-optimizing
 //! hybrid BFS, native and through the sim-replay pipeline.
 //!
-//! Three contracts are pinned here:
+//! Two contracts are pinned here:
 //!
 //! 1. **Native bit-identity** — the parallel kernels produce bit-for-bit
 //!    the sequential reference's output at every thread count and runtime
@@ -10,30 +10,18 @@
 //! 2. **Replay determinism** — instrumenting the same graph twice and
 //!    replaying the chunk stream through the machine model yields
 //!    bit-identical cycle counts, so the figures are reproducible.
-//! 3. **Chaos survivors** — under an injected `MIC_FAULT` job-panic plan
-//!    the figure drivers degrade (NaN columns for lost graphs) but every
-//!    surviving column is bit-identical to the fault-free run.
 
 use mic_eval::bfs::components::{components_parallel, components_seq, components_sync};
 use mic_eval::bfs::direction::{hybrid_bfs_stats, instrument_hybrid, parallel_hybrid_bfs, Hybrid};
 use mic_eval::bfs::seq::{bfs, table1_source};
 use mic_eval::experiments::scale_free;
-use mic_eval::fault::{with_plan, FaultClass, FaultPlan};
 use mic_eval::graph::stats::LocalityWindows;
 use mic_eval::graph::suite::{build, PaperGraph, Scale};
 use mic_eval::irregular::apps::{pagerank, pagerank_seq};
 use mic_eval::runtime::{RuntimeModel, Schedule, ThreadPool};
 use mic_eval::sim::{simulate, Machine, Policy};
-use std::sync::Mutex;
 
 const SCALE: Scale = Scale::Fraction(64);
-
-/// Fault plans and the sweep-failure drain are process-global; tests that
-/// touch either serialize on this lock.
-fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[test]
 fn pagerank_is_bit_identical_across_threads_and_models() {
@@ -120,7 +108,6 @@ fn chunk_replay_is_bit_deterministic() {
 
 #[test]
 fn figure_drivers_are_bit_deterministic_across_runs() {
-    let _guard = chaos_lock();
     let pairs = [
         (
             scale_free::pagerank_fig(SCALE),
@@ -143,45 +130,5 @@ fn figure_drivers_are_bit_deterministic_across_runs() {
                 assert_eq!(ya.to_bits(), yb.to_bits(), "series {}", sa.label);
             }
         }
-    }
-}
-
-#[test]
-fn chaos_survivors_are_bit_identical_to_the_fault_free_run() {
-    let _guard = chaos_lock();
-    // Reference run with no plan installed (also warms the workload
-    // cache, so the chaos runs below re-simulate but do not re-instrument).
-    let reference = scale_free::pagerank_fig(SCALE);
-    mic_eval::sweep::take_failures();
-    for seed in [1u64, 7, 42] {
-        let fig = with_plan(
-            FaultPlan::with_rate(seed, FaultClass::JobPanic, 0.4),
-            || scale_free::pagerank_fig(SCALE),
-        );
-        let failures = mic_eval::sweep::take_failures();
-        assert_eq!(fig.series.len(), reference.series.len());
-        let mut survivors = 0usize;
-        for (s, r) in fig.series.iter().zip(&reference.series) {
-            assert_eq!(s.label, r.label);
-            if s.y.iter().all(|v| v.is_nan()) {
-                // This graph's job was killed; the driver degraded it to a
-                // NaN column and the sweep recorded why.
-                assert!(
-                    !failures.is_empty(),
-                    "seed {seed}: NaN column without a failure record"
-                );
-                continue;
-            }
-            survivors += 1;
-            for (a, b) in s.y.iter().zip(&r.y) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "seed {seed}: survivor {} drifted under chaos",
-                    s.label
-                );
-            }
-        }
-        assert!(survivors > 0, "seed {seed}: every graph lost");
     }
 }

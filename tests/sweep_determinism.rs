@@ -84,42 +84,6 @@ fn figure_drivers_are_deterministic_across_repeated_parallel_runs() {
     );
 }
 
-/// The isolated sweep paths, with no fault plan installed, must be
-/// invisible too: identical bits to the strict/serial reference, no
-/// failure records, no fallback invocations. This pins the `MIC_FAULT`-
-/// unset acceptance criterion at the API level (the figure drivers now
-/// route their simulation sweeps through `map_degraded`).
-#[test]
-fn resilient_paths_without_faults_match_the_strict_reference() {
-    let items: Vec<usize> = (0..41).collect();
-    let f = |i: usize, &x: &usize| -> f64 { (x as f64 + 1.0).ln() * (i as f64 + 0.5) };
-    let reference: Vec<u64> = sweep::map_serial(&items, f)
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-
-    let report = sweep::try_map_with(4, &items, f);
-    assert!(report.failures.is_empty(), "no plan, no failures");
-    let got: Vec<u64> = report
-        .results
-        .iter()
-        .map(|r| r.expect("no plan, no losses").to_bits())
-        .collect();
-    assert_eq!(got, reference);
-
-    let degraded = sweep::with_context("determinism-test", || {
-        sweep::map_degraded(&items, f, |_, _| unreachable!("fallback must not run"))
-    });
-    let got: Vec<u64> = degraded.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, reference);
-    assert!(
-        sweep::take_failures()
-            .iter()
-            .all(|r| r.context != "determinism-test"),
-        "a fault-free degraded sweep must record nothing"
-    );
-}
-
 #[test]
 fn sweep_worker_count_does_not_leak_into_results() {
     // Same jobs, pathological worker counts (more workers than jobs,
