@@ -9,7 +9,7 @@
 //!   stdout only).
 //! - `--check` — validate and exit nonzero naming every failed check.
 //!
-//! Two phases, each on a freshly reset registry:
+//! Two phases, each on fresh registry sessions:
 //!
 //! 1. **Sim agreement** — for each headline coloring config, run the
 //!    engine with bottleneck telemetry and verify the scraped
@@ -80,11 +80,8 @@ fn main() {
         let w = workload_cache::coloring(PaperGraph::Hood, scale, OrderTag::Natural, win);
         let regions: Vec<Region> = w.regions(*policy);
         for (ri, region) in regions.iter().enumerate() {
-            metrics::reset();
-            metrics::set_enabled(true);
-            let (_, b) = simulate_region_telemetry(&m, threads, region);
-            let snap = metrics::snapshot();
-            metrics::set_enabled(false);
+            let ((_, b), snap) =
+                metrics::with_session(|| simulate_region_telemetry(&m, threads, region));
 
             let total = snap.family_total("mic_sim_stall_cycles_total");
             let loop_cycles = snap
@@ -132,38 +129,34 @@ fn main() {
 
     // Phase 2: harness-wide counters on one fresh registry.
     println!("phase 2: runtime / sweep consistency");
-    metrics::reset();
-    metrics::set_enabled(true);
-
-    let pool = ThreadPool::new(4);
-    for sched in [
-        Schedule::Static { chunk: Some(64) },
-        Schedule::Dynamic { chunk: 64 },
-        Schedule::Guided { min_chunk: 16 },
-    ] {
-        parallel_for_chunks(&pool, 0..4000, sched, |r, _| {
-            std::hint::black_box(r.len());
-        });
-    }
-    cilk_for(&pool, 0..4000, 64, |r, _| {
-        std::hint::black_box(r.len());
-    });
-    for part in [Partitioner::Auto, Partitioner::Affinity] {
-        tbb_parallel_for(&pool, 0..4000, part, |r, _| {
-            std::hint::black_box(r.len());
-        });
-    }
-
     let sweep_items: Vec<u64> = (0..8).collect();
-    sweep::map_with(2, &sweep_items, |_, &x| x * 2);
+    let ((), snap) = metrics::with_session(|| {
+        let pool = ThreadPool::new(4);
+        for sched in [
+            Schedule::Static { chunk: Some(64) },
+            Schedule::Dynamic { chunk: 64 },
+            Schedule::Guided { min_chunk: 16 },
+        ] {
+            parallel_for_chunks(&pool, 0..4000, sched, |r, _| {
+                std::hint::black_box(r.len());
+            });
+        }
+        cilk_for(&pool, 0..4000, 64, |r, _| {
+            std::hint::black_box(r.len());
+        });
+        for part in [Partitioner::Auto, Partitioner::Affinity] {
+            tbb_parallel_for(&pool, 0..4000, part, |r, _| {
+                std::hint::black_box(r.len());
+            });
+        }
 
-    // And one sim run so the snapshot spans all three layers.
-    let w = workload_cache::coloring(PaperGraph::Hood, scale, OrderTag::Natural, win);
-    let regions = w.regions(Policy::OmpDynamic { chunk: 100 });
-    let (_, _) = simulate_region_telemetry(&m, threads, &regions[0]);
+        sweep::map_with(2, &sweep_items, |_, &x| x * 2);
 
-    let snap = metrics::snapshot();
-    metrics::set_enabled(false);
+        // And one sim run so the snapshot spans all three layers.
+        let w = workload_cache::coloring(PaperGraph::Hood, scale, OrderTag::Natural, win);
+        let regions = w.regions(Policy::OmpDynamic { chunk: 100 });
+        simulate_region_telemetry(&m, threads, &regions[0]);
+    });
 
     // Every chunk-latency histogram must agree with its chunk counter.
     let mut hist_pairs = 0usize;

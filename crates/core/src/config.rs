@@ -167,7 +167,9 @@ impl ServeWire {
 pub struct SuiteConfig {
     /// Sweep pool worker count; `None` = auto (available parallelism ≤ 16).
     pub sweep_threads: Option<usize>,
-    /// Default fault-injection plan (a `with_plan` session still wins).
+    /// The fault-injection plan. `ServeOpts::from_config` and the
+    /// workload cache's store tier build their injectors from it; nothing
+    /// else injects.
     pub fault: Option<FaultPlan>,
     /// Metrics policy.
     pub metrics: MetricsMode,

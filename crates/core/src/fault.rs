@@ -19,25 +19,25 @@
 //! site. Every class models a fault production can produce: a bug that
 //! panics a job, or the store's file failing under it.
 //!
-//! Sites: `job-panic` hits only [`crate::sweep::try_run`], the isolated
-//! single job that `mic-serve` runs each request in (site = the N-th job
-//! a shard starts). The strict sweep maps behind every exhibit never
-//! inject: an exhibit has nothing to degrade to, so its one failure is a
-//! bug, and a bug stops the run. A body panicking inside a runtime
-//! construct needs no injector: a test raises it by panicking
-//! (`failure_injection.rs`).
-//! `io-*` faults hit the paged store's file boundaries through
-//! [`mic_store::fault`] (site = page id for writes, committing epoch for
-//! fsyncs, file-name hash for opens) — the only disk I/O the graph and
-//! workload cache does. An *unknown* `io-` subclass is
-//! skipped with a warning instead of rejecting the whole spec — the io
-//! family is expected to grow, and a chaos sweep with one newer rule
-//! should still run its known rules (any other unknown class stays a
-//! hard error).
+//! A plan is a value held by what injects it; nothing is installed
+//! process-wide. `job-panic` hits only [`crate::sweep::try_run`] given a
+//! plan: `mic-serve` passes `ServeOpts::fault` (site = the N-th job a
+//! shard starts). The strict sweep maps behind every exhibit take no
+//! plan: an exhibit has nothing to degrade to, so its one failure is a
+//! bug, and a bug stops the run. `io-*` faults hit the file boundaries of
+//! a store opened with the plan as its [`IoFaults`] injector — serve's
+//! result store and the workload cache's `MIC_STORE` tier (site = page id
+//! for writes, committing epoch for fsyncs, file-name hash for opens). A
+//! body panicking inside a runtime construct needs no injector: a test
+//! raises it by panicking (`failure_injection.rs`).
+//!
+//! An *unknown* `io-` subclass is skipped with a warning instead of
+//! rejecting the whole spec — the io family is expected to grow, and a
+//! chaos sweep with one newer rule should still run its known rules (any
+//! other unknown class stays a hard error).
 
-use mic_store::fault as store_fault;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use mic_store::fault::{IoFault, IoFaults, IoOp, IoSite};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every fault class the injector knows. The discriminants feed the
 /// decision hash (and the flight recorder's `Fault` events), so they are
@@ -92,7 +92,7 @@ enum Trigger {
 
 /// One parsed rule of a fault spec.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FaultRule {
+struct FaultRule {
     class: FaultClass,
     trigger: Trigger,
 }
@@ -114,32 +114,19 @@ const fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// Build a plan directly (the programmatic form used by tests; the env
-    /// form goes through [`FaultPlan::parse`]).
-    pub fn new(seed: u64, rules: Vec<FaultRule>) -> FaultPlan {
-        FaultPlan { seed, rules }
-    }
-
     /// A single-rule plan firing `class` with probability `rate`.
     pub fn with_rate(seed: u64, class: FaultClass, rate: f64) -> FaultPlan {
-        FaultPlan::new(
-            seed,
-            vec![FaultRule {
-                class,
-                trigger: Trigger::Rate(rate),
-            }],
-        )
+        FaultPlan::one_rule(seed, class, Trigger::Rate(rate))
     }
 
     /// A single-rule plan firing `class` at exactly site `index`.
     pub fn at_index(seed: u64, class: FaultClass, index: u64) -> FaultPlan {
-        FaultPlan::new(
-            seed,
-            vec![FaultRule {
-                class,
-                trigger: Trigger::Index(index),
-            }],
-        )
+        FaultPlan::one_rule(seed, class, Trigger::Index(index))
+    }
+
+    fn one_rule(seed: u64, class: FaultClass, trigger: Trigger) -> FaultPlan {
+        let rules = vec![FaultRule { class, trigger }];
+        FaultPlan { seed, rules }
     }
 
     /// Parse `<seed>:<rule>(,<rule>)*` (the `MIC_FAULT` value).
@@ -241,72 +228,24 @@ impl FaultPlan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Process-global active plan.
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn plan_slot() -> &'static RwLock<Option<Arc<FaultPlan>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<FaultPlan>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// The active plan, if any. One relaxed load when no plan is installed.
-pub fn active() -> Option<Arc<FaultPlan>> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
+/// The store's view of a plan: each file operation consults the `io-*`
+/// classes that can apply to it, and the first firing rule wins.
+impl IoFaults for FaultPlan {
+    fn io_fault(&self, site: &IoSite) -> Option<IoFault> {
+        let candidates: &[(FaultClass, IoFault)] = match site.op {
+            IoOp::Open => &[(FaultClass::IoOpenFail, IoFault::Fail)],
+            IoOp::Write => &[
+                (FaultClass::IoShortWrite, IoFault::ShortWrite),
+                (FaultClass::IoTornPage, IoFault::TornPage),
+            ],
+            IoOp::Fsync => &[(FaultClass::IoFsyncFail, IoFault::Fail)],
+        };
+        let &(class, fault) = candidates
+            .iter()
+            .find(|(class, _)| self.fires(*class, site.site))?;
+        count_injection_at(class, site.site);
+        Some(fault)
     }
-    plan_slot()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-}
-
-/// Install `plan` process-wide. `io-*` rules are bridged into the store
-/// layer's fault hook so its file boundaries consult this plan too.
-pub fn install(plan: FaultPlan) {
-    let plan = Arc::new(plan);
-    let io_classes = [
-        FaultClass::IoShortWrite,
-        FaultClass::IoTornPage,
-        FaultClass::IoFsyncFail,
-        FaultClass::IoOpenFail,
-    ];
-    if io_classes.iter().any(|c| plan.targets(*c)) {
-        let for_hook = Arc::clone(&plan);
-        store_fault::install(Arc::new(move |site: &store_fault::IoSite| {
-            // Each file operation consults the classes that can apply to
-            // it; the first firing rule wins.
-            let candidates: &[(FaultClass, store_fault::IoFault)] = match site.op {
-                store_fault::IoOp::Open => &[(FaultClass::IoOpenFail, store_fault::IoFault::Fail)],
-                store_fault::IoOp::Write => &[
-                    (FaultClass::IoShortWrite, store_fault::IoFault::ShortWrite),
-                    (FaultClass::IoTornPage, store_fault::IoFault::TornPage),
-                ],
-                store_fault::IoOp::Fsync => {
-                    &[(FaultClass::IoFsyncFail, store_fault::IoFault::Fail)]
-                }
-            };
-            for (class, fault) in candidates {
-                if for_hook.fires(*class, site.site) {
-                    count_injection_at(*class, site.site);
-                    return Some(*fault);
-                }
-            }
-            None
-        }));
-    } else {
-        store_fault::clear();
-    }
-    *plan_slot().write().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-    ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Remove the active plan (and the store bridge hook).
-pub fn clear() {
-    ACTIVE.store(false, Ordering::SeqCst);
-    *plan_slot().write().unwrap_or_else(|e| e.into_inner()) = None;
-    store_fault::clear();
 }
 
 /// Record a fired injection: the metrics counter (no-op when metrics are
@@ -330,49 +269,6 @@ pub(crate) fn count_injection_at(class: FaultClass, site: u64) {
         if DUMPED.fetch_or(bit, Ordering::Relaxed) & bit == 0 {
             let _ = mic_obs::flight::dump(&format!("fault-{}", class.name()));
         }
-    }
-}
-
-fn session_lock() -> &'static Mutex<()> {
-    static SESSION: OnceLock<Mutex<()>> = OnceLock::new();
-    SESSION.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` with `plan` installed, serializing concurrent callers (the plan
-/// is process-global) and restoring the previous state afterwards.
-pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
-    let _session = session_lock().lock().unwrap_or_else(|e| e.into_inner());
-    let previous = active();
-    install(plan);
-    let result = f();
-    match previous {
-        Some(p) => install((*p).clone()),
-        None => clear(),
-    }
-    result
-}
-
-/// The configured default plan (`MIC_FAULT` or a builder override),
-/// resolved through [`crate::config`] once per process. Parsing and the
-/// one-line activation report happen in `SuiteConfig::from_env`.
-fn env_plan() -> Option<&'static Arc<FaultPlan>> {
-    static ENV: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-    ENV.get_or_init(|| crate::config::current().fault.clone().map(Arc::new))
-        .as_ref()
-}
-
-/// Install the `MIC_FAULT` plan unless some plan is already active. The
-/// environment plan is a *default*, not an override: it never displaces a
-/// plan installed explicitly (so a [`with_plan`] session is injection-
-/// tight even when the process runs under `MIC_FAULT`), and because this
-/// is called at every `try_run` and cache-I/O entry point it is
-/// re-installed once such a session restores the empty state.
-pub fn init_from_env() {
-    if ACTIVE.load(Ordering::SeqCst) {
-        return;
-    }
-    if let Some(plan) = env_plan() {
-        install(plan.as_ref().clone());
     }
 }
 
@@ -477,26 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn with_plan_installs_and_restores() {
-        let before = active().map(|p| p.seed());
-        with_plan(FaultPlan::with_rate(3, FaultClass::JobPanic, 1.0), || {
-            let p = active().expect("plan active inside with_plan");
-            assert_eq!(p.seed(), 3);
-        });
-        // The session restores the state it observed on entry. When the
-        // whole test binary runs under `MIC_FAULT` (the CI chaos job),
-        // concurrent tests may install the environment plan between our
-        // two observations, so that state is legitimate here too.
-        let after = active().map(|p| p.seed());
-        let env = env_plan().map(|p| p.seed());
-        assert!(
-            after == before || after == env,
-            "with_plan must restore the previous plan: \
-             before {before:?}, after {after:?}, env {env:?}"
-        );
-    }
-
-    #[test]
     fn io_rules_parse_and_unknown_subclasses_skip_with_warning() {
         let plan = FaultPlan::parse("5:io-torn-page@0.5,io-fsync-fail#3").unwrap();
         assert!(plan.targets(FaultClass::IoTornPage));
@@ -513,33 +389,16 @@ mod tests {
 
     #[test]
     fn io_rules_bridge_to_store_hook() {
-        with_plan(
-            FaultPlan::with_rate(9, FaultClass::IoFsyncFail, 1.0),
-            || {
-                let fired = store_fault::check(&store_fault::IoSite {
-                    op: store_fault::IoOp::Fsync,
-                    site: 2,
-                });
-                assert_eq!(fired, Some(store_fault::IoFault::Fail));
-                // A write-class op must not consult the fsync rule.
-                assert!(store_fault::check(&store_fault::IoSite {
-                    op: store_fault::IoOp::Write,
-                    site: 2,
-                })
-                .is_none());
-            },
+        let site = |op, site| IoSite { op, site };
+        let plan = FaultPlan::with_rate(9, FaultClass::IoFsyncFail, 1.0);
+        assert_eq!(plan.io_fault(&site(IoOp::Fsync, 2)), Some(IoFault::Fail));
+        // A write-class op must not consult the fsync rule.
+        assert!(plan.io_fault(&site(IoOp::Write, 2)).is_none());
+        let plan = FaultPlan::with_rate(9, FaultClass::IoTornPage, 1.0);
+        assert_eq!(
+            plan.io_fault(&site(IoOp::Write, 0)),
+            Some(IoFault::TornPage)
         );
-        with_plan(FaultPlan::with_rate(9, FaultClass::IoTornPage, 1.0), || {
-            let fired = store_fault::check(&store_fault::IoSite {
-                op: store_fault::IoOp::Write,
-                site: 0,
-            });
-            assert_eq!(fired, Some(store_fault::IoFault::TornPage));
-        });
-        assert!(store_fault::check(&store_fault::IoSite {
-            op: store_fault::IoOp::Fsync,
-            site: 2,
-        })
-        .is_none());
+        assert!(plan.io_fault(&site(IoOp::Fsync, 2)).is_none());
     }
 }

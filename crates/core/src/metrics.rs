@@ -5,8 +5,8 @@
 //! `MIC_METRICS` knob:
 //!
 //! - unset / empty / `0` — metrics stay **off**: every instrumented hot
-//!   path costs exactly one relaxed atomic load and the numeric outputs
-//!   are bit-identical to an uninstrumented build (pinned by
+//!   path costs a thread-local read and one relaxed atomic load, and the
+//!   numeric outputs are bit-identical to an uninstrumented build (pinned by
 //!   `tests/metrics_bit_identity.rs` and the sim crate's capture tests);
 //! - `1` / `true` — metrics **on**; `all` self-checks its snapshot at
 //!   the end;
@@ -14,22 +14,16 @@
 //!   bench binaries write the Prometheus text snapshot to
 //!   ([`snapshot_path`]).
 //!
-//! [`init_from_env`] is called by `sweep::try_run`, at every cache-I/O
-//! entry point (mirroring [`crate::fault::init_from_env`]) and by the
-//! `all` and `serve` bins, so any driver that touches the harness picks
-//! the knob up without per-binary wiring.
+//! [`init_from_env`] turns the process-default registry on; only the
+//! `all` and `serve` bins call it, from `main`. Library entry points never
+//! touch process state on their own. A session ([`with_session`]) is
+//! independent of the knob: it records into a registry of its own, which
+//! pool regions and servers started inside it inherit.
 
 pub use mic_metrics::*;
 
 use crate::config::MetricsMode;
 use std::path::PathBuf;
-
-/// Whether the installed [`crate::config`] requests metrics at all
-/// (regardless of whether the registry is currently enabled — test
-/// sessions toggle that).
-pub fn env_requested() -> bool {
-    crate::config::current().metrics.is_on()
-}
 
 /// The Prometheus snapshot file requested via `MIC_METRICS=<path>` (or
 /// the config builder), if any.
@@ -40,11 +34,11 @@ pub fn snapshot_path() -> Option<PathBuf> {
     }
 }
 
-/// Enable the registry if the installed config asks for it. Idempotent
-/// and cheap; never *disables* (an explicit [`set_enabled`] or test
-/// session owns that).
+/// Enable the process-default registry if the installed config asks for
+/// it. Idempotent and cheap; never *disables* (an explicit
+/// [`set_enabled`] owns that).
 pub fn init_from_env() {
-    if env_requested() {
+    if crate::config::current().metrics.is_on() {
         mic_metrics::set_enabled(true);
     }
 }

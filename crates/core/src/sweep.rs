@@ -21,8 +21,8 @@
 //! panic again: nothing is retried, and the maps never inject faults.
 //!
 //! The one isolated entry point is [`try_run`]: a single job on the
-//! calling thread, panic-isolated and subject to `job-panic` injection.
-//! It is `mic-serve`'s per-request isolation, where one client's failing
+//! calling thread, panic-isolated and subject to the `job-panic` rules of
+//! the plan its caller passes. It is `mic-serve`'s per-request isolation, where one client's failing
 //! job must answer that request with an error and leave the server up.
 //!
 //! Jobs may themselves run parallel regions on *other* pools (the native
@@ -112,57 +112,15 @@ where
 // The isolated single job.
 
 /// One isolated job, run once on the calling thread: panic-isolated and
-/// subject to `job-panic` injection at `site`, which the caller numbers
-/// (`mic-serve` passes a shard's execution index). A lost job comes back
-/// as a [`JobFailure`] whose `point` is `site`. The environment
-/// (`MIC_FAULT`, `MIC_METRICS`) gets its chance first.
-pub fn try_run<R>(site: usize, f: impl FnOnce() -> R) -> Result<R, JobFailure> {
-    fault::init_from_env();
-    crate::metrics::init_from_env();
-    run_job(fault::active().as_deref(), site, f)
-}
-
-// ---------------------------------------------------------------------------
-// The engine shared by the maps and `try_run`.
-
-type Slot<R> = OnceLock<Result<R, JobFailure>>;
-
-/// Run every job once, panic-isolated, fanned over a fresh pool of
-/// `threads` workers or, for one worker or one item, in a plain loop. The
-/// output is in input order either way.
-fn run_report<T, R, F>(threads: usize, items: &[T], f: &F) -> Vec<Result<R, JobFailure>>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let slots: Vec<Slot<R>> = items.iter().map(|_| OnceLock::new()).collect();
-    let run_into_slot = |i: usize| {
-        if slots[i].set(run_job(None, i, || f(i, &items[i]))).is_err() {
-            unreachable!("sweep slot {i} claimed twice");
-        }
-    };
-    if items.len() > 1 && threads > 1 {
-        let pool = ThreadPool::new(threads.min(items.len()));
-        let next = AtomicUsize::new(0);
-        pool.run(|_ctx| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            run_into_slot(i);
-        });
-    } else {
-        (0..items.len()).for_each(run_into_slot);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every job ran"))
-        .collect()
-}
-
-/// One job, once: injection at site `i`, then panic isolation.
-fn run_job<R>(plan: Option<&FaultPlan>, i: usize, f: impl FnOnce() -> R) -> Result<R, JobFailure> {
+/// subject to `plan`'s `job-panic` injection at site `i`, which the caller
+/// numbers (`mic-serve` passes a shard's execution index; the maps pass
+/// no plan). A lost job comes back as a [`JobFailure`] whose `point` is
+/// `i`.
+pub fn try_run<R>(
+    plan: Option<&FaultPlan>,
+    i: usize,
+    f: impl FnOnce() -> R,
+) -> Result<R, JobFailure> {
     let metrics_on = crate::metrics::enabled();
     if metrics_on {
         crate::metrics::counter("mic_sweep_jobs_total", "Sweep jobs started.", &[]).inc();
@@ -187,6 +145,45 @@ fn run_job<R>(plan: Option<&FaultPlan>, i: usize, f: impl FnOnce() -> R) -> Resu
         }
         JobFailure { point: i, message }
     })
+}
+
+// ---------------------------------------------------------------------------
+// The engine behind the maps.
+
+type Slot<R> = OnceLock<Result<R, JobFailure>>;
+
+/// Run every job once, panic-isolated, fanned over a fresh pool of
+/// `threads` workers or, for one worker or one item, in a plain loop. The
+/// output is in input order either way.
+fn run_report<T, R, F>(threads: usize, items: &[T], f: &F) -> Vec<Result<R, JobFailure>>
+where
+    T: Sync,
+    R: Send + Sync,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let slots: Vec<Slot<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    let run_into_slot = |i: usize| {
+        if slots[i].set(try_run(None, i, || f(i, &items[i]))).is_err() {
+            unreachable!("sweep slot {i} claimed twice");
+        }
+    };
+    if items.len() > 1 && threads > 1 {
+        let pool = ThreadPool::new(threads.min(items.len()));
+        let next = AtomicUsize::new(0);
+        pool.run(|_ctx| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            run_into_slot(i);
+        });
+    } else {
+        (0..items.len()).for_each(run_into_slot);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every job ran"))
+        .collect()
 }
 
 fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
@@ -288,7 +285,7 @@ mod tests {
         let lone_failures: Vec<usize> = items
             .iter()
             .enumerate()
-            .filter_map(|(i, x)| try_run(i, || job(i, x)).err())
+            .filter_map(|(i, x)| try_run(None, i, || job(i, x)).err())
             .map(|f| f.point)
             .collect();
         assert_eq!(lone_failures, [3]);
@@ -304,19 +301,20 @@ mod tests {
         let items: Vec<u64> = (0..97).collect();
         let f = |i: usize, &x: &u64| x * 3 + i as u64;
         let serial = map_serial(&items, f);
-        let lone = |g: &dyn Fn(usize, &u64) -> u64| -> Vec<Result<u64, JobFailure>> {
+        type Job<'a> = &'a dyn Fn(usize, &u64) -> u64;
+        let lone = |plan: Option<&FaultPlan>, g: Job| -> Vec<Result<u64, JobFailure>> {
             items
                 .iter()
                 .enumerate()
-                .map(|(i, x)| try_run(i, || g(i, x)))
+                .map(|(i, x)| try_run(plan, i, || g(i, x)))
                 .collect()
         };
         for _ in 0..3 {
-            let got: Vec<u64> = lone(&f).into_iter().map(Result::unwrap).collect();
+            let got: Vec<u64> = lone(None, &f).into_iter().map(Result::unwrap).collect();
             assert_eq!(got, serial);
         }
         // A panic fails its own call only, and the next calls run as before.
-        let results = lone(&|_, &x| {
+        let results = lone(None, &|_, &x| {
             if x == 13 {
                 panic!("bad point");
             }
@@ -326,10 +324,10 @@ mod tests {
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].point, 13);
         assert!(failures[0].message.contains("bad point"), "{}", failures[0]);
-        assert!(lone(&f).iter().all(Result::is_ok));
+        assert!(lone(None, &f).iter().all(Result::is_ok));
         // The injection site is the caller's number, not a position.
-        let plan = FaultPlan::at_index(1, crate::fault::FaultClass::JobPanic, 40);
-        let injected = crate::fault::with_plan(plan, || lone(&f));
+        let plan = FaultPlan::at_index(1, FaultClass::JobPanic, 40);
+        let injected = lone(Some(&plan), &f);
         let hit: Vec<usize> = injected
             .iter()
             .filter_map(|r| r.as_ref().err())
@@ -338,13 +336,16 @@ mod tests {
         assert_eq!(hit, [40]);
     }
 
+    /// The maps take no plan: a plan that fails every lone job at these
+    /// sites leaves a strict map over the same sites untouched.
     #[test]
     fn strict_map_ignores_fault_injection() {
         let items: Vec<usize> = (0..16).collect();
-        let out = crate::fault::with_plan(
-            FaultPlan::with_rate(9, crate::fault::FaultClass::JobPanic, 1.0),
-            || map_with(4, &items, |_, &x| x + 1),
-        );
+        let plan = FaultPlan::with_rate(9, FaultClass::JobPanic, 1.0);
+        assert!(items
+            .iter()
+            .all(|&i| try_run(Some(&plan), i, || i).is_err()));
+        let out = map_with(4, &items, |_, &x| x + 1);
         assert_eq!(out, (1..=16).collect::<Vec<_>>());
     }
 }

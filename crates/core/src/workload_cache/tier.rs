@@ -110,10 +110,9 @@ static TIER: Mutex<Option<(PathBuf, Arc<Store>)>> = Mutex::new(None);
 /// process-wide with mic-serve's result tier when both point at the same
 /// path, and single-process (see [`Store`]). `None` when the knob is off or
 /// the file cannot be opened — an open failure warns once and the cache
-/// carries on in memory only.
+/// carries on in memory only. The configured fault plan is the store's
+/// IO-fault injector.
 fn store_tier() -> Option<Arc<Store>> {
-    crate::fault::init_from_env();
-    crate::metrics::init_from_env();
     let cfg = crate::config::current();
     let path = cfg.store_path.as_ref()?;
     let mut tier = TIER.lock().unwrap_or_else(|e| e.into_inner());
@@ -124,6 +123,7 @@ fn store_tier() -> Option<Arc<Store>> {
         page_size: cfg.store_page,
         pool_frames: cfg.store_pool,
         sync_every: cfg.store_sync,
+        faults: cfg.fault.clone().map(|plan| Arc::new(plan) as _),
     };
     match Store::open_shared(path, opts) {
         Ok(store) => {

@@ -241,3 +241,26 @@ fn exhibit_text_is_identical_across_store_setups() {
     assert_eq!(flipped, reference, "a flipped byte reached the exhibit");
     assert!(hits > 0.0, "undamaged entries still hit");
 }
+
+/// The configured fault plan is the cache tier's IO-fault injector: with
+/// every store open failing, `fig2` renders the store-less text and the
+/// session counts the injected opens.
+#[test]
+fn config_fault_plan_reaches_the_store_tier() {
+    let tier = tier("fault");
+    let fig2 = mic_eval::exhibit::registry().get("fig2").expect("fig2");
+    let scale = mic_eval::graph::suite::Scale::Vertices(1500);
+    SuiteConfig::default().install();
+    let reference = (fig2.run)(scale);
+    let plan = mic_eval::fault::FaultPlan::parse("3:io-open-fail@1.0").expect("plan");
+    let config = SuiteConfig::default().store_path(Some(tier.file.clone()));
+    config.fault(Some(plan)).install();
+    clear_memory();
+    let (text, snap) = mic_eval::metrics::with_session(|| (fig2.run)(scale));
+    assert_eq!(text, reference, "a failing store changed the exhibit");
+    let opens = snap.value("mic_fault_injections_total", &[("class", "io-open-fail")]);
+    assert!(
+        opens >= Some(1.0),
+        "no injected open reached the store tier"
+    );
+}

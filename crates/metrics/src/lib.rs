@@ -10,10 +10,15 @@
 //! simulator's `NullSink`:
 //!
 //! * **Off by default, invisibly so.** Every instrumentation site guards on
-//!   [`enabled`] — a single relaxed atomic load — before touching the
-//!   registry. With metrics disabled the instrumented hot paths allocate
-//!   nothing and compute nothing, so figure output stays bit-identical
-//!   (pinned by regression tests in the consuming crates).
+//!   [`enabled`] — a thread-local read and a relaxed atomic load — before
+//!   touching the registry. With metrics disabled the instrumented hot
+//!   paths allocate nothing and compute nothing, so figure output stays
+//!   bit-identical (pinned by regression tests in the consuming crates).
+//! * **Scoped registries.** A thread records into its current [`Handle`]:
+//!   the process default unless [`with_session`] (or [`with_handle`]) made
+//!   another one current. `mic-runtime` pool regions and `mic-serve`
+//!   servers carry their starter's handle to the threads they run on, so
+//!   a session counts its own work and nothing else.
 //! * **Lock-free recording.** Every counter and histogram bucket is striped
 //!   across cache-line-padded atomic cells; a recording thread CAS-loops on
 //!   its own stripe only. Stripes merge at scrape time, never on the hot
@@ -27,9 +32,10 @@
 //! consistency — bucket counts sum to the histogram count, quantiles are
 //! monotone, all values finite — and is what `--bin metrics --check` runs.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Number of per-thread stripes each counter/histogram is sharded across.
 /// Threads hash onto stripes round-robin at first use; 16 covers the pool
@@ -363,6 +369,7 @@ impl Kind {
     }
 }
 
+#[derive(Clone)]
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -390,32 +397,84 @@ fn canon_labels(labels: &[(&str, &str)]) -> LabelKey {
     v
 }
 
-#[derive(Default)]
 struct RegistryInner {
     families: BTreeMap<String, FamilyDef>,
     metrics: BTreeMap<(String, LabelKey), Instrument>,
 }
 
-fn registry() -> &'static RwLock<RegistryInner> {
-    static REG: OnceLock<RwLock<RegistryInner>> = OnceLock::new();
-    REG.get_or_init(|| RwLock::new(RegistryInner::default()))
+/// One registry: an enabled flag plus every family and instrument
+/// registered into it.
+struct Registry {
+    enabled: AtomicBool,
+    inner: RwLock<RegistryInner>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+impl Registry {
+    const fn new(enabled: bool) -> Registry {
+        Registry {
+            enabled: AtomicBool::new(enabled),
+            inner: RwLock::new(RegistryInner {
+                families: BTreeMap::new(),
+                metrics: BTreeMap::new(),
+            }),
+        }
+    }
+}
 
-/// Whether metrics collection is on. Instrumentation sites check this
-/// before resolving any handle; it is a single relaxed load, so the
-/// disabled hot path costs one predictable branch and nothing else.
+/// The process default: off until [`set_enabled`] turns it on, and what
+/// every thread outside a scoped handle records into.
+static DEFAULT: Registry = Registry::new(false);
+
+thread_local! {
+    /// The registry this thread records into; `Handle(None)` = [`DEFAULT`].
+    static CURRENT: RefCell<Handle> = const { RefCell::new(Handle(None)) };
+}
+
+/// A registry to record into: the process default, or a session's own.
+/// Cloning shares the registry. Carry it to another thread with
+/// [`current`] and [`with_handle`].
+#[derive(Clone, Default)]
+pub struct Handle(Option<Arc<Registry>>);
+
+/// The handle the calling thread records into.
+pub fn current() -> Handle {
+    CURRENT.with_borrow(Handle::clone)
+}
+
+/// Run `f` with `handle` as the calling thread's registry, then restore
+/// the previous one (on unwind too).
+pub fn with_handle<R>(handle: &Handle, f: impl FnOnce() -> R) -> R {
+    struct Restore(Handle);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.set(std::mem::take(&mut self.0));
+        }
+    }
+    let _restore = Restore(CURRENT.replace(handle.clone()));
+    f()
+}
+
+#[inline]
+fn registry<R>(f: impl FnOnce(&Registry) -> R) -> R {
+    CURRENT.with_borrow(|h| f(h.0.as_deref().unwrap_or(&DEFAULT)))
+}
+
+/// Whether the calling thread's registry is on. Instrumentation sites
+/// check this before resolving any handle; it is a thread-local read and
+/// a relaxed load, so the disabled hot path costs one predictable branch
+/// and nothing else.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    registry(|r| r.enabled.load(Ordering::Relaxed))
 }
 
-/// Turn collection on or off process-wide.
+/// Turn the calling thread's registry on or off: the process default
+/// outside a session.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+    registry(|r| r.enabled.store(on, Ordering::SeqCst));
 }
 
+/// The instrument `name{labels}` in the calling thread's registry.
 fn resolve(
     name: &str,
     help: &'static str,
@@ -424,37 +483,34 @@ fn resolve(
     bounds: &[f64],
 ) -> Instrument {
     let key = (name.to_string(), canon_labels(labels));
-    {
-        let inner = registry().read().unwrap_or_else(|e| e.into_inner());
-        if let Some(m) = inner.metrics.get(&key) {
-            return match m {
-                Instrument::Counter(c) => Instrument::Counter(Arc::clone(c)),
-                Instrument::Gauge(g) => Instrument::Gauge(Arc::clone(g)),
-                Instrument::Histogram(h) => Instrument::Histogram(Arc::clone(h)),
-            };
+    registry(|reg| {
+        if let Some(m) = reg
+            .inner
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .metrics
+            .get(&key)
+        {
+            return m.clone();
         }
-    }
-    let mut inner = registry().write().unwrap_or_else(|e| e.into_inner());
-    let fam = inner.families.entry(name.to_string()).or_insert(FamilyDef {
-        kind,
-        help,
-        bounds: bounds.to_vec(),
-    });
-    assert_eq!(
-        fam.kind, kind,
-        "metric {name:?} registered twice with different kinds"
-    );
-    let fam_bounds = fam.bounds.clone();
-    let entry = inner.metrics.entry(key).or_insert_with(|| match kind {
-        Kind::Counter => Instrument::Counter(Arc::new(Counter::new())),
-        Kind::Gauge => Instrument::Gauge(Arc::new(Gauge::new())),
-        Kind::Histogram => Instrument::Histogram(Arc::new(Histogram::new(&fam_bounds))),
-    });
-    match entry {
-        Instrument::Counter(c) => Instrument::Counter(Arc::clone(c)),
-        Instrument::Gauge(g) => Instrument::Gauge(Arc::clone(g)),
-        Instrument::Histogram(h) => Instrument::Histogram(Arc::clone(h)),
-    }
+        let mut inner = reg.inner.write().unwrap_or_else(|e| e.into_inner());
+        let fam = inner.families.entry(name.to_string()).or_insert(FamilyDef {
+            kind,
+            help,
+            bounds: bounds.to_vec(),
+        });
+        assert_eq!(
+            fam.kind, kind,
+            "metric {name:?} registered twice with different kinds"
+        );
+        let fam_bounds = fam.bounds.clone();
+        let entry = inner.metrics.entry(key).or_insert_with(|| match kind {
+            Kind::Counter => Instrument::Counter(Arc::new(Counter::new())),
+            Kind::Gauge => Instrument::Gauge(Arc::new(Gauge::new())),
+            Kind::Histogram => Instrument::Histogram(Arc::new(Histogram::new(&fam_bounds))),
+        });
+        entry.clone()
+    })
 }
 
 /// Resolve (registering on first use) the counter `name{labels}`.
@@ -498,33 +554,30 @@ pub fn seconds_buckets() -> Vec<f64> {
     exp_buckets(1e-6, 4.0, 13)
 }
 
-/// Drop every registered metric (handles held by callers keep recording
-/// into orphaned instruments which will simply never be scraped again).
-/// Used by `with_session` and the `metrics` bin to isolate phases.
+/// Drop every metric registered in the calling thread's registry
+/// (handles held by callers keep recording into orphaned instruments
+/// which will simply never be scraped again). The `metrics` bin uses it
+/// to isolate phases.
 pub fn reset() {
-    let mut inner = registry().write().unwrap_or_else(|e| e.into_inner());
-    inner.families.clear();
-    inner.metrics.clear();
+    registry(|reg| {
+        let mut inner = reg.inner.write().unwrap_or_else(|e| e.into_inner());
+        inner.families.clear();
+        inner.metrics.clear();
+    });
 }
 
-fn session_lock() -> &'static Mutex<()> {
-    static SESSION: OnceLock<Mutex<()>> = OnceLock::new();
-    SESSION.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` against a clean, enabled registry and return its result plus
-/// the snapshot of everything it recorded. Sessions are serialized
-/// process-wide (same contract as `mic-runtime::trace::capture`), so
-/// parallel tests cannot bleed counts into each other.
+/// Run `f` against a fresh, enabled registry scoped to the calling
+/// thread, and return its result plus the snapshot of everything it
+/// recorded. Pool regions and servers started inside `f` inherit the
+/// registry; other threads, and the process default, never see it, so
+/// concurrent sessions and un-sessioned work cannot bleed counts into
+/// each other.
 pub fn with_session<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
-    let _session = session_lock().lock().unwrap_or_else(|e| e.into_inner());
-    reset();
-    set_enabled(true);
-    let result = f();
-    let snap = snapshot();
-    set_enabled(false);
-    reset();
-    (result, snap)
+    let session = Handle(Some(Arc::new(Registry::new(true))));
+    with_handle(&session, || {
+        let result = f();
+        (result, snapshot())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -571,29 +624,32 @@ pub struct Snapshot {
     pub entries: Vec<Entry>,
 }
 
-/// Merge every stripe of every registered metric into a [`Snapshot`].
+/// Merge every stripe of every metric in the calling thread's registry
+/// into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
-    let inner = registry().read().unwrap_or_else(|e| e.into_inner());
-    let mut entries = Vec::with_capacity(inner.metrics.len());
-    for ((name, labels), m) in &inner.metrics {
-        let fam = &inner.families[name];
-        let data = match m {
-            Instrument::Counter(c) => Data::Value(c.value()),
-            Instrument::Gauge(g) => Data::Value(g.value()),
-            Instrument::Histogram(h) => Data::Histogram(h.snapshot_data()),
-        };
-        entries.push(Entry {
-            name: name.clone(),
-            help: fam.help.to_string(),
-            kind: fam.kind,
-            labels: labels.clone(),
-            data,
-        });
-    }
-    // BTreeMap iteration is already (name, labels)-sorted; keep the
-    // explicit sort as the documented contract anyway.
-    entries.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-    Snapshot { entries }
+    registry(|reg| {
+        let inner = reg.inner.read().unwrap_or_else(|e| e.into_inner());
+        let mut entries = Vec::with_capacity(inner.metrics.len());
+        for ((name, labels), m) in &inner.metrics {
+            let fam = &inner.families[name];
+            let data = match m {
+                Instrument::Counter(c) => Data::Value(c.value()),
+                Instrument::Gauge(g) => Data::Value(g.value()),
+                Instrument::Histogram(h) => Data::Histogram(h.snapshot_data()),
+            };
+            entries.push(Entry {
+                name: name.clone(),
+                help: fam.help.to_string(),
+                kind: fam.kind,
+                labels: labels.clone(),
+                data,
+            });
+        }
+        // BTreeMap iteration is already (name, labels)-sorted; keep the
+        // explicit sort as the documented contract anyway.
+        entries.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        Snapshot { entries }
+    })
 }
 
 impl Snapshot {
@@ -829,11 +885,14 @@ mod tests {
         let ((), snap) = with_session(|| {
             let threads: Vec<_> = (0..8)
                 .map(|_| {
-                    std::thread::spawn(|| {
-                        let c = counter("test_events_total", "test", &[("kind", "a")]);
-                        for _ in 0..1000 {
-                            c.inc();
-                        }
+                    let session = current();
+                    std::thread::spawn(move || {
+                        with_handle(&session, || {
+                            let c = counter("test_events_total", "test", &[("kind", "a")]);
+                            for _ in 0..1000 {
+                                c.inc();
+                            }
+                        })
                     })
                 })
                 .collect();
@@ -991,9 +1050,6 @@ mod tests {
 
     #[test]
     fn disabled_flag_roundtrip() {
-        // Under the session lock, so no sibling test's session has the flag
-        // on meanwhile: outside every session the flag is off.
-        let _session = session_lock().lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
         set_enabled(true);
         assert!(enabled());

@@ -168,7 +168,8 @@ pub(crate) fn cilk_for_labeled<F>(
 
 /// Fork–join on two independent closures, Cilk's `spawn`/`sync` pair.
 /// Runs on plain scoped threads (it is used standalone, not inside pool
-/// regions — the paper's kernels only need `cilk_for`).
+/// regions — the paper's kernels only need `cilk_for`); `b` records into
+/// the caller's metrics registry.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -177,7 +178,8 @@ where
     RB: Send,
 {
     std::thread::scope(|s| {
-        let hb = s.spawn(b);
+        let metrics = mic_metrics::current();
+        let hb = s.spawn(move || mic_metrics::with_handle(&metrics, b));
         let ra = a();
         let rb = hb.join().expect("joined closure panicked");
         (ra, rb)

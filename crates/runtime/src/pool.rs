@@ -210,6 +210,10 @@ impl ThreadPool {
             )
             .inc();
         }
+        // Workers record into the submitter's metrics registry, so a
+        // session counts the regions it starts.
+        let metrics = mic_metrics::current();
+        let f = |ctx| mic_metrics::with_handle(&metrics, || f(ctx));
         let f_ref: &(dyn Fn(WorkerCtx) + Sync) = &f;
         // SAFETY: we erase the lifetime of `f_ref`, but `try_run` does not
         // return until `remaining == 0`, i.e. until no worker can touch the

@@ -88,6 +88,7 @@ impl Router {
                 page_size: cfg.store_page,
                 pool_frames: cfg.store_pool,
                 sync_every: opts.store_sync,
+                faults: opts.fault.clone().map(|plan| plan as _),
             };
             match mic_store::Store::open_shared(path, sopts) {
                 Ok(store) => Some(store),

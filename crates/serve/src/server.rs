@@ -49,6 +49,7 @@ use crate::lru::ShardedLru;
 use crate::protocol::{JobSpec, Response, SimMeta};
 use crate::router::{ClientState, Router};
 use mic_eval::config::SuiteConfig;
+use mic_eval::fault::FaultPlan;
 use mic_eval::obs::{self, flight, span};
 use mic_eval::runtime::EventCount;
 use mic_eval::sweep;
@@ -89,6 +90,10 @@ pub struct ServeOpts {
     /// Auto-persist the store after this many results (`MIC_STORE_SYNC`);
     /// 0 persists only at shutdown.
     pub store_sync: usize,
+    /// Fault plan (`MIC_FAULT`): its `job-panic` rules fire at each
+    /// shard's execution index, its `io-*` rules at the store's file
+    /// boundaries. `None` injects nothing.
+    pub fault: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ServeOpts {
@@ -103,6 +108,7 @@ impl Default for ServeOpts {
             max_request: 64 * 1024,
             store_path: None,
             store_sync: 0,
+            fault: None,
         }
     }
 }
@@ -117,6 +123,7 @@ impl ServeOpts {
             max_request: cfg.serve_max_request,
             store_path: cfg.store_path.clone(),
             store_sync: cfg.store_sync,
+            fault: cfg.fault.clone().map(Arc::new),
             ..ServeOpts::default()
         }
     }
@@ -464,7 +471,7 @@ impl Dispatcher {
             )
             .inc();
         }
-        let outcome = sweep::try_run(site, || {
+        let outcome = sweep::try_run(self.opts.fault.as_deref(), site, || {
             let start = stamp();
             let cycles = spec.compute();
             record(span::SpanKind::Execute, start);
@@ -633,6 +640,8 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and start serving.
+    /// The accept loop and every connection handler record metrics into
+    /// the caller's registry ([`mic_metrics::current`]).
     pub fn start(addr: &str, opts: ServeOpts) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -640,6 +649,7 @@ impl Server {
         let router = Arc::new(Router::new(opts));
         let registry = Arc::new(ConnRegistry::new(conn_cap));
         let stopping = Arc::new(AtomicBool::new(false));
+        let metrics = mic_metrics::current();
         let accept = {
             let router = Arc::clone(&router);
             let registry = Arc::clone(&registry);
@@ -647,32 +657,35 @@ impl Server {
             std::thread::Builder::new()
                 .name("serve-accept".into())
                 .spawn(move || {
-                    for stream in listener.incoming() {
-                        if stopping.load(Ordering::SeqCst) {
-                            break;
+                    mic_metrics::with_handle(&metrics, || {
+                        for stream in listener.incoming() {
+                            if stopping.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            let Ok(stream) = stream else { continue };
+                            if !registry.try_admit() {
+                                refuse_connection(stream, &router);
+                                continue;
+                            }
+                            let Ok(watch) = stream.try_clone() else {
+                                registry.release_unattached();
+                                continue;
+                            };
+                            let id = registry.register(watch);
+                            let r = Arc::clone(&router);
+                            let reg = Arc::clone(&registry);
+                            let m = metrics.clone();
+                            match std::thread::Builder::new().name("serve-conn".into()).spawn(
+                                move || {
+                                    mic_metrics::with_handle(&m, || handle_connection(stream, &r));
+                                    reg.release(id);
+                                },
+                            ) {
+                                Ok(handle) => registry.attach(id, handle),
+                                Err(_) => registry.release(id),
+                            }
                         }
-                        let Ok(stream) = stream else { continue };
-                        if !registry.try_admit() {
-                            refuse_connection(stream, &router);
-                            continue;
-                        }
-                        let Ok(watch) = stream.try_clone() else {
-                            registry.release_unattached();
-                            continue;
-                        };
-                        let id = registry.register(watch);
-                        let r = Arc::clone(&router);
-                        let reg = Arc::clone(&registry);
-                        match std::thread::Builder::new().name("serve-conn".into()).spawn(
-                            move || {
-                                handle_connection(stream, &r);
-                                reg.release(id);
-                            },
-                        ) {
-                            Ok(handle) => registry.attach(id, handle),
-                            Err(_) => registry.release(id),
-                        }
-                    }
+                    })
                 })?
         };
         Ok(Server {

@@ -1,5 +1,5 @@
-//! Chaos variant: the server under a deterministic fault plan. Own test
-//! binary because the installed plan is process-global.
+//! Chaos variant: the server under a deterministic fault plan, passed to
+//! each server in its `ServeOpts`.
 //!
 //! `mic-serve` is the one place that isolates a panicking job
 //! ([`mic_eval::sweep::try_run`]): the request gets a structured error
@@ -14,11 +14,12 @@
 //! that exactly the fired sites fail. CI runs this binary under
 //! `MIC_FAULT=<seed>:job-panic@0.2` too: that plan joins the matrix.
 
-use mic_eval::fault::{self, FaultClass, FaultPlan};
+use mic_eval::fault::{FaultClass, FaultPlan};
 use mic_serve::protocol::{self, Response};
 use mic_serve::server::{ServeOpts, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn rpc(addr: SocketAddr, line: &str) -> Response {
@@ -35,7 +36,7 @@ fn rpc(addr: SocketAddr, line: &str) -> Response {
 #[test]
 fn injected_job_faults_become_error_responses_not_process_death() {
     let plan = FaultPlan::parse("42:job-panic#1").expect("plan parses");
-    let ((), snap) = mic_eval::metrics::with_session(|| fault::with_plan(plan, run_under_faults));
+    let ((), snap) = mic_eval::metrics::with_session(|| run_under_faults(plan));
     // Every attempt at a poisoned site counts one injection: one means the
     // three jobs behind it did not wait out re-runs of a job that cannot
     // succeed.
@@ -46,7 +47,7 @@ fn injected_job_faults_become_error_responses_not_process_death() {
     );
 }
 
-fn run_under_faults() {
+fn run_under_faults(plan: FaultPlan) {
     let server = Server::start(
         "127.0.0.1:0",
         ServeOpts {
@@ -54,6 +55,7 @@ fn run_under_faults() {
             slots: 1,
             lru_cap: 0,
             shards: 1, // one shard so the execution indices are exact
+            fault: Some(Arc::new(plan)),
             ..ServeOpts::default()
         },
     )
@@ -129,31 +131,30 @@ fn run_under_faults() {
 /// and the session's `job-panic` injection count.
 fn serve_in_order(plan: FaultPlan) -> (Vec<Response>, f64) {
     let (responses, snap) = mic_eval::metrics::with_session(|| {
-        fault::with_plan(plan, || {
-            let server = Server::start(
-                "127.0.0.1:0",
-                ServeOpts {
-                    slots: 1,
-                    lru_cap: 0,
-                    shards: 1,
-                    ..ServeOpts::default()
-                },
-            )
-            .expect("start server");
-            let responses = (0..JOBS)
-                .map(|k| {
-                    let threads = k + 1;
-                    rpc(
-                        server.addr,
-                        &format!(
-                            r#"{{"id":"m{k}","kernel":"coloring","threads":{threads},"scale":512}}"#
-                        ),
-                    )
-                })
-                .collect();
-            server.shutdown();
-            responses
-        })
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServeOpts {
+                slots: 1,
+                lru_cap: 0,
+                shards: 1,
+                fault: Some(Arc::new(plan)),
+                ..ServeOpts::default()
+            },
+        )
+        .expect("start server");
+        let responses = (0..JOBS)
+            .map(|k| {
+                let threads = k + 1;
+                rpc(
+                    server.addr,
+                    &format!(
+                        r#"{{"id":"m{k}","kernel":"coloring","threads":{threads},"scale":512}}"#
+                    ),
+                )
+            })
+            .collect();
+        server.shutdown();
+        responses
     });
     let injected = snap
         .value("mic_fault_injections_total", &[("class", "job-panic")])
@@ -169,7 +170,7 @@ const JOBS: usize = 24;
 /// fault-free run.
 #[test]
 fn fired_sites_answer_error_and_the_rest_match_the_fault_free_run() {
-    // A zero-rate plan never fires, and it masks the `MIC_FAULT` plan.
+    // A zero-rate plan never fires.
     let (reference, injected) = serve_in_order(FaultPlan::parse("1:job-panic@0.0").unwrap());
     assert_eq!(injected, 0.0);
     let reference: Vec<u64> = reference

@@ -1,8 +1,7 @@
 //! The serve metric invariants, on isolated registry sessions. Every test
-//! here runs its server inside `with_session`: the registry is
-//! process-global, and another in-process server recording concurrently
-//! would break the exact-count assertions. Sessions are serialized, so
-//! the tests cannot bleed counts into each other.
+//! here starts its server inside `with_session`, and the server's threads
+//! record into that session, so the exact-count assertions see one
+//! server and nothing else.
 
 use mic_eval::metrics::Snapshot;
 use mic_serve::frame;

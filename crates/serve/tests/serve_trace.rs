@@ -347,77 +347,79 @@ fn slow_request_yields_spans_flight_dump_and_matching_exemplar() {
     let _g = obs_lock();
     let dir = install_obs("slow", Some(50));
     flight::set_dump_budget(32);
-    mic_eval::metrics::set_enabled(true);
-    let server = Server::start("127.0.0.1:0", ServeOpts::default()).expect("start server");
+    // The server records into this session: the exemplar is this test's.
+    mic_eval::metrics::with_session(|| {
+        let server = Server::start("127.0.0.1:0", ServeOpts::default()).expect("start server");
 
-    let ctx = TraceCtx::mint();
-    let hex = obs::trace_hex(ctx.trace);
-    let Response::Ok { meta, .. } = rpc(
-        server.addr,
-        &format!(
-            r#"{{"id":"s0","kernel":"coloring","threads":7,"scale":256,"delay_ms":150,"trace_id":"{hex}"}}"#
-        ),
-    ) else {
-        panic!("expected ok");
-    };
-    assert_eq!(meta.trace, ctx.trace);
+        let ctx = TraceCtx::mint();
+        let hex = obs::trace_hex(ctx.trace);
+        let Response::Ok { meta, .. } = rpc(
+            server.addr,
+            &format!(
+                r#"{{"id":"s0","kernel":"coloring","threads":7,"scale":256,"delay_ms":150,"trace_id":"{hex}"}}"#
+            ),
+        ) else {
+            panic!("expected ok");
+        };
+        assert_eq!(meta.trace, ctx.trace);
 
-    // (a) The span tree covers the injected 150 ms delay.
-    let summary = span::summarize(ctx.trace);
-    let request_us = field(&summary, "request_us");
-    assert!(
-        request_us >= 100_000.0,
-        "request span must cover the injected delay: {summary:?}"
-    );
-    assert!(field(&summary, "execute_count") >= 1.0, "{summary:?}");
+        // (a) The span tree covers the injected 150 ms delay.
+        let summary = span::summarize(ctx.trace);
+        let request_us = field(&summary, "request_us");
+        assert!(
+            request_us >= 100_000.0,
+            "request span must cover the injected delay: {summary:?}"
+        );
+        assert!(field(&summary, "execute_count") >= 1.0, "{summary:?}");
 
-    // (b) A slow-request flight dump containing this trace's events.
-    let dumps: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("dump dir exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("flight-slow-request-"))
-        })
-        .collect();
-    assert!(!dumps.is_empty(), "slow request must dump the recorder");
-    let body = std::fs::read_to_string(&dumps[0]).unwrap();
-    assert!(body.contains("\"kind\": \"slow_request\""), "{body}");
-    assert!(body.contains(&hex), "dump events carry the trace id");
+        // (b) A slow-request flight dump containing this trace's events.
+        let dumps: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .expect("dump dir exists")
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("flight-slow-request-"))
+            })
+            .collect();
+        assert!(!dumps.is_empty(), "slow request must dump the recorder");
+        let body = std::fs::read_to_string(&dumps[0]).unwrap();
+        assert!(body.contains("\"kind\": \"slow_request\""), "{body}");
+        assert!(body.contains(&hex), "dump events carry the trace id");
 
-    // (c) The latency histogram's exemplar for this request's bucket is
-    // this trace, and its value reconciles with the span tree.
-    let snap = mic_eval::metrics::snapshot();
-    let hist = snap
-        .hist("mic_serve_request_seconds", &[("op", "simulate")])
-        .expect("simulate latency histogram");
-    let (bucket, (value, _)) = hist
-        .exemplars
-        .iter()
-        .enumerate()
-        .filter_map(|(i, ex)| ex.map(|ex| (i, ex)))
-        .find(|(_, (_, trace))| *trace == ctx.trace)
-        .expect("an exemplar links a bucket to the slow trace");
-    assert!(
-        value >= 0.1,
-        "exemplar records the slow observation: {value}"
-    );
-    // The exemplar's value actually belongs to the bucket it annotates.
-    if bucket < hist.bounds.len() {
-        assert!(value <= hist.bounds[bucket]);
-    }
-    if bucket > 0 {
-        assert!(value > hist.bounds[bucket - 1]);
-    }
-    // And it agrees with the trace's own request span (serialize happens
-    // after the observation; allow scheduling slack).
-    assert!(
-        (value * 1e6 - request_us).abs() < 50_000.0,
-        "exemplar ({value}s) and request span ({request_us}us) must describe the same request"
-    );
-    server.shutdown();
+        // (c) The latency histogram's exemplar for this request's bucket is
+        // this trace, and its value reconciles with the span tree.
+        let snap = mic_eval::metrics::snapshot();
+        let hist = snap
+            .hist("mic_serve_request_seconds", &[("op", "simulate")])
+            .expect("simulate latency histogram");
+        let (bucket, (value, _)) = hist
+            .exemplars
+            .iter()
+            .enumerate()
+            .filter_map(|(i, ex)| ex.map(|ex| (i, ex)))
+            .find(|(_, (_, trace))| *trace == ctx.trace)
+            .expect("an exemplar links a bucket to the slow trace");
+        assert!(
+            value >= 0.1,
+            "exemplar records the slow observation: {value}"
+        );
+        // The exemplar's value actually belongs to the bucket it annotates.
+        if bucket < hist.bounds.len() {
+            assert!(value <= hist.bounds[bucket]);
+        }
+        if bucket > 0 {
+            assert!(value > hist.bounds[bucket - 1]);
+        }
+        // And it agrees with the trace's own request span (serialize happens
+        // after the observation; allow scheduling slack).
+        assert!(
+            (value * 1e6 - request_us).abs() < 50_000.0,
+            "exemplar ({value}s) and request span ({request_us}us) must describe the same request"
+        );
+        server.shutdown();
+    });
     teardown_obs(&dir);
 }
 

@@ -1,8 +1,7 @@
 //! Metrics capture in the engine: never perturbs the simulation, and the
 //! scraped stall-cycle counters reproduce the telemetry Bottleneck
-//! fractions. Lives in its own test binary because metrics enablement is
-//! process-global — every engine run here happens inside `with_session`,
-//! which serializes the tests.
+//! fractions. Observed runs happen inside `with_session`, which scopes
+//! them to the test's own registry; the "off" legs run outside it.
 
 use mic_sim::{
     simulate, simulate_region, simulate_region_telemetry, simulate_region_traced, simulate_traced,
@@ -41,15 +40,8 @@ fn metrics_on_is_bit_identical_to_metrics_off() {
             .map(|t| simulate_region(&m, t, &r).to_bits())
             .to_vec()
     };
-    // The "off" runs sit inside the session too, switched off by hand: an
-    // engine run outside every session would record into whichever other
-    // test's session happens to be open.
-    let ((off, on), _snap) = mic_metrics::with_session(|| {
-        mic_metrics::set_enabled(false);
-        let off = run();
-        mic_metrics::set_enabled(true);
-        (off, run())
-    });
+    let off = run();
+    let (on, _snap) = mic_metrics::with_session(run);
     assert_eq!(off, on, "metrics capture must not perturb the simulation");
 }
 
@@ -96,6 +88,15 @@ fn stall_cycle_metrics_reproduce_bottleneck_fractions() {
 fn chunk_counter_agrees_with_trace_sink() {
     let m = Machine::knf();
     let r = mixed_region(6_000);
+    // Five identical regions. Unobserved, `simulate` runs the engine once
+    // and hands the cycles on; the result is what five separate runs
+    // return.
+    let regions = vec![r.clone(); 5];
+    let alone = simulate_region(&m, 31, &r).to_bits();
+    let rep = simulate(&m, 31, &regions);
+    let bits: Vec<u64> = rep.region_cycles.iter().map(|c| c.to_bits()).collect();
+    assert_eq!(bits, [alone; 5]);
+
     let ((), snap) = mic_metrics::with_session(|| {
         let mut sink = RecordingSink::default();
         let mut scratch = SimScratch::new();
@@ -107,18 +108,6 @@ fn chunk_counter_agrees_with_trace_sink() {
             Some(traced_chunks),
             "metrics and TraceSink must count the same chunks"
         );
-
-        // Five identical regions. Unobserved, `simulate` runs the engine
-        // once and hands the cycles on; the result is what five separate
-        // runs return. (Switched off inside the session, whose lock keeps
-        // every other session out meanwhile.)
-        let regions = vec![r.clone(); 5];
-        mic_metrics::set_enabled(false);
-        let alone = simulate_region(&m, 31, &r).to_bits();
-        let rep = simulate(&m, 31, &regions);
-        mic_metrics::set_enabled(true);
-        let bits: Vec<u64> = rep.region_cycles.iter().map(|c| c.to_bits()).collect();
-        assert_eq!(bits, [alone; 5]);
 
         // Observed, every region is a run of its own: each counter moves
         // by the same delta, in the same order, five times over.

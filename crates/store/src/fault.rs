@@ -1,21 +1,17 @@
-//! IO fault-injection hook points for the store layer.
+//! IO fault-injection points for the store layer.
 //!
 //! `mic-store` sits below the experiment harness, so it cannot see
-//! `MIC_FAULT` parsing or the seeded schedule — instead it exposes one
-//! process-global *hook*, mirroring `mic_runtime::fault`: a function
-//! consulted at every file-IO boundary (open, page write, fsync) that may
+//! `MIC_FAULT` parsing or the seeded schedule — instead a store is opened
+//! with an optional [`IoFaults`] injector ([`crate::StoreOpts::faults`]),
+//! consulted at every file-IO boundary (open, page write, fsync), that may
 //! order the operation to fail, stop short, or silently tear the page.
-//! The `mic-eval` fault injector installs a hook translating its
-//! deterministic `io-*` rules; with no hook installed every boundary
-//! costs a single relaxed atomic load.
+//! The `mic-eval` fault plan implements it from its deterministic `io-*`
+//! rules; a store opened without one pays a `None` check per boundary.
 //!
 //! Sites are identified structurally — which operation, which page id (or
 //! epoch, for fsyncs; or file-name hash, for opens) — so a seeded
 //! injector makes the *same* decision for the same site on every run,
 //! independent of thread timing.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// Which file operation is asking.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,81 +47,14 @@ pub enum IoFault {
     TornPage,
 }
 
-/// The decision function: `None` = proceed normally.
-pub type IoFaultHook = dyn Fn(&IoSite) -> Option<IoFault> + Send + Sync;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn hook_slot() -> &'static RwLock<Option<Arc<IoFaultHook>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<IoFaultHook>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Install a process-global IO fault hook (replacing any previous one).
-pub fn install(hook: Arc<IoFaultHook>) {
-    *hook_slot().write().unwrap_or_else(|e| e.into_inner()) = Some(hook);
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Remove the hook; all IO boundaries go back to the single-load fast path.
-pub fn clear() {
-    ENABLED.store(false, Ordering::SeqCst);
-    *hook_slot().write().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-/// Consult the hook for `site`. Fast path: one relaxed load when no hook
-/// is installed.
-#[inline]
-pub fn check(site: &IoSite) -> Option<IoFault> {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let guard = hook_slot().read().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().and_then(|h| h(site))
+/// The decision function a store consults at each IO boundary.
+pub trait IoFaults: Send + Sync + std::fmt::Debug {
+    /// What to do at `site`: `None` = proceed normally.
+    fn io_fault(&self, site: &IoSite) -> Option<IoFault>;
 }
 
 /// The injected error every `Fail`/`ShortWrite` surfaces as, so callers
 /// (and test assertions) can tell an injected fault from a real one.
 pub fn injected_error(what: &str, site: &IoSite) -> std::io::Error {
     std::io::Error::other(format!("mic-fault: injected {what} at {site:?}"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hook_installs_fires_and_clears() {
-        assert!(check(&IoSite {
-            op: IoOp::Open,
-            site: 0
-        })
-        .is_none());
-        install(Arc::new(|site: &IoSite| {
-            (site.op == IoOp::Write && site.site == 7).then_some(IoFault::TornPage)
-        }));
-        assert_eq!(
-            check(&IoSite {
-                op: IoOp::Write,
-                site: 7
-            }),
-            Some(IoFault::TornPage)
-        );
-        assert!(check(&IoSite {
-            op: IoOp::Write,
-            site: 8
-        })
-        .is_none());
-        assert!(check(&IoSite {
-            op: IoOp::Fsync,
-            site: 7
-        })
-        .is_none());
-        clear();
-        assert!(check(&IoSite {
-            op: IoOp::Write,
-            site: 7
-        })
-        .is_none());
-    }
 }

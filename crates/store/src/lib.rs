@@ -17,7 +17,7 @@
 //!   commit did not use; recovery picks the newest header that
 //!   checks out and falls back (counted) past torn ones;
 //! - **deterministic IO fault injection** at every open/write/fsync
-//!   boundary via an installable hook ([`fault`]), driven by the
+//!   boundary via a per-store injector ([`fault`]), driven by the
 //!   harness's seeded `MIC_FAULT` `io-*` rules.
 //!
 //! The store never panics on corrupt input and never returns wrong

@@ -21,7 +21,7 @@
 //! values by a whole-value checksum in the directory — a `get` returns
 //! the exact bytes that were `put`, or a miss. Never a third thing.
 
-use crate::fault::{self, IoFault, IoOp, IoSite};
+use crate::fault::{self, IoFault, IoFaults, IoOp, IoSite};
 use crate::free_list::FreePages;
 use crate::page::{
     check_page, page_offset, payload_cap, seal_page, xxh64, Header, HEADER_SLOT, NO_PAGE,
@@ -35,8 +35,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-/// Store geometry and write-back policy.
-#[derive(Clone, Copy, Debug)]
+/// Store geometry, write-back policy and fault injection.
+#[derive(Clone, Debug)]
 pub struct StoreOpts {
     /// Page size in bytes; clamped to [512, 1 MiB]. Fixed at file
     /// creation — reopening with a different value keeps the file's.
@@ -45,6 +45,9 @@ pub struct StoreOpts {
     pub pool_frames: usize,
     /// Auto-persist after this many `put`s; 0 = only explicit `persist`.
     pub sync_every: usize,
+    /// Consulted at every open, page write and fsync; `None` injects
+    /// nothing.
+    pub faults: Option<Arc<dyn IoFaults>>,
 }
 
 impl Default for StoreOpts {
@@ -53,6 +56,7 @@ impl Default for StoreOpts {
             page_size: 4096,
             pool_frames: 256,
             sync_every: 0,
+            faults: None,
         }
     }
 }
@@ -124,6 +128,7 @@ struct Inner {
 pub struct Store {
     inner: Mutex<Inner>,
     stats: StoreStats,
+    faults: Option<Arc<dyn IoFaults>>,
 }
 
 impl Store {
@@ -138,7 +143,8 @@ impl Store {
             op: IoOp::Open,
             site: xxh64(path.as_os_str().as_encoded_bytes(), 0),
         };
-        if fault::check(&open_site).is_some() {
+        let faults = opts.faults;
+        if faults.iter().any(|f| f.io_fault(&open_site).is_some()) {
             return Err(fault::injected_error("open failure", &open_site));
         }
         if let Some(dir) = path.parent() {
@@ -183,12 +189,14 @@ impl Store {
                 puts_since_persist: 0,
             }),
             stats,
+            faults,
         })
     }
 
     /// Open `path`, sharing one `Store` per path within this process —
     /// the wl2 cache and every serve shard pointing at the same file get
-    /// the same handle (the store is single-writer per file).
+    /// the same handle (the store is single-writer per file). A path that
+    /// is already open keeps its first opener's options.
     pub fn open_shared(path: &Path, opts: StoreOpts) -> std::io::Result<Arc<Store>> {
         static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Weak<Store>>>> = OnceLock::new();
         let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
@@ -370,6 +378,10 @@ impl Store {
         (val.len() as u64 == entry.len && xxh64(&val, 0) == entry.checksum).then_some(val)
     }
 
+    fn io_fault(&self, site: &IoSite) -> Option<IoFault> {
+        self.faults.as_ref()?.io_fault(site)
+    }
+
     fn read_page(&self, inner: &mut Inner, page: u64) -> std::io::Result<Vec<u8>> {
         let mut buf = vec![0u8; inner.page_size];
         let off = page_offset(page, inner.page_size);
@@ -404,7 +416,7 @@ impl Store {
         site: &IoSite,
     ) -> std::io::Result<()> {
         inner.file.seek(SeekFrom::Start(off))?;
-        match fault::check(site) {
+        match self.io_fault(site) {
             None => inner.file.write_all(buf),
             Some(IoFault::Fail) => Err(fault::injected_error("write failure", site)),
             Some(IoFault::ShortWrite) => {
@@ -430,7 +442,7 @@ impl Store {
             op: IoOp::Fsync,
             site: site_id,
         };
-        if fault::check(&site).is_some() {
+        if self.io_fault(&site).is_some() {
             return Err(fault::injected_error("fsync failure", &site));
         }
         inner.file.sync_all()
@@ -779,6 +791,7 @@ mod tests {
             page_size: 512,
             pool_frames: 4,
             sync_every: 0,
+            faults: None,
         }
     }
 

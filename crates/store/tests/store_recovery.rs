@@ -6,26 +6,20 @@
 //! committed `put` stored, or reports a miss / quarantines the file —
 //! **never** corrupt data.
 //!
-//! The io-fault hook is process-global, so every test serializes on one
-//! mutex (the hook tests would otherwise tear their neighbours' files).
+//! Each io-fault test opens its store with its own injector in
+//! [`StoreOpts::faults`], so no test sees another's faults.
 
-use mic_store::fault::{self, IoFault, IoOp, IoSite};
+use mic_store::fault::{IoFault, IoFaults, IoOp, IoSite};
 use mic_store::{xxh64, Store, StoreOpts};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// On-disk layout constants (fixed by the MICPG1 format, asserted by the
 /// page-module unit tests): two 512-byte header slots, pages at 4096.
 const HEADER_SLOT: u64 = 512;
 const PAGES_START: u64 = 4096;
 const PS: usize = 512;
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mic-store-recovery-{}-{tag}", std::process::id()));
@@ -39,7 +33,29 @@ fn opts() -> StoreOpts {
         page_size: PS,
         pool_frames: 8,
         sync_every: 0,
+        faults: None,
     }
+}
+
+/// A test injector: applies `rule` once armed.
+#[derive(Debug)]
+struct Hook {
+    armed: AtomicBool,
+    rule: fn(&IoSite) -> Option<IoFault>,
+}
+
+impl IoFaults for Hook {
+    fn io_fault(&self, site: &IoSite) -> Option<IoFault> {
+        (self.rule)(site).filter(|_| self.armed.load(Ordering::SeqCst))
+    }
+}
+
+/// A disarmed injector applying `rule`, and the options that carry it.
+fn hooked(rule: fn(&IoSite) -> Option<IoFault>) -> (Arc<Hook>, StoreOpts) {
+    let armed = AtomicBool::new(false);
+    let hook = Arc::new(Hook { armed, rule });
+    let faults = Some(hook.clone() as Arc<dyn IoFaults>);
+    (hook, StoreOpts { faults, ..opts() })
 }
 
 fn payload(tag: u8, len: usize) -> Vec<u8> {
@@ -80,7 +96,6 @@ fn assert_miss_or_exact(store: &Store, key: &[u8], want: &[u8]) -> bool {
 
 #[test]
 fn reopen_returns_bit_identical_state() {
-    let _g = lock();
     let dir = tmp_dir("reopen");
     let path = dir.join("store.pg");
     let big = payload(1, 3 * PS); // multi-page
@@ -102,7 +117,6 @@ fn reopen_returns_bit_identical_state() {
 
 #[test]
 fn truncation_at_every_page_boundary_is_miss_or_exact() {
-    let _g = lock();
     let dir = tmp_dir("truncate");
     let golden = dir.join("golden.pg");
     let keys: Vec<(Vec<u8>, Vec<u8>)> = (0u8..4)
@@ -147,7 +161,6 @@ fn truncation_at_every_page_boundary_is_miss_or_exact() {
 
 #[test]
 fn torn_newest_header_falls_back_one_epoch() {
-    let _g = lock();
     let dir = tmp_dir("torn-header");
     let path = dir.join("store.pg");
     let old_val = payload(7, 900);
@@ -178,7 +191,6 @@ fn torn_newest_header_falls_back_one_epoch() {
 
 #[test]
 fn both_headers_corrupt_quarantines_and_starts_fresh() {
-    let _g = lock();
     let dir = tmp_dir("quarantine");
     let path = dir.join("store.pg");
     {
@@ -223,7 +235,6 @@ fn both_headers_corrupt_quarantines_and_starts_fresh() {
 
 #[test]
 fn every_corrupted_page_is_caught_or_harmless() {
-    let _g = lock();
     let dir = tmp_dir("page-sweep");
     let golden = dir.join("golden.pg");
     let val = payload(9, 2000); // 5 data pages at page size 512
@@ -259,20 +270,18 @@ fn every_corrupted_page_is_caught_or_harmless() {
 
 #[test]
 fn fsync_failure_aborts_persist_and_keeps_old_state() {
-    let _g = lock();
     let dir = tmp_dir("fsync-fail");
     let path = dir.join("store.pg");
     let old_val = payload(11, 700);
-    let store = Store::open(&path, opts()).unwrap();
+    let (hook, hooked_opts) =
+        hooked(|site: &IoSite| (site.op == IoOp::Fsync).then_some(IoFault::Fail));
+    let store = Store::open(&path, hooked_opts).unwrap();
     store.put(b"k", &old_val).unwrap();
     store.persist().unwrap();
-    fault::install(std::sync::Arc::new(|site: &IoSite| {
-        (site.op == IoOp::Fsync).then_some(IoFault::Fail)
-    }));
+    hook.armed.store(true, Ordering::SeqCst);
     store.put(b"k", &payload(12, 700)).unwrap();
     let err = store.persist().expect_err("fsync fault must fail persist");
     assert!(err.to_string().contains("mic-fault"), "{err}");
-    fault::clear();
     drop(store);
     let store = Store::open(&path, opts()).unwrap();
     assert_eq!(
@@ -285,22 +294,21 @@ fn fsync_failure_aborts_persist_and_keeps_old_state() {
 
 #[test]
 fn failed_header_write_keeps_old_epoch() {
-    let _g = lock();
     let dir = tmp_dir("header-fail");
     let path = dir.join("store.pg");
     let old_val = payload(13, 700);
-    let store = Store::open(&path, opts()).unwrap();
-    store.put(b"k", &old_val).unwrap();
-    store.persist().unwrap();
     // Header-slot writes carry site == NO_PAGE; fail exactly those.
     // (A *short* header write is not a tear: the meaningful 56 bytes fit
     // the landed prefix — that is why the header fits one sector.)
-    fault::install(std::sync::Arc::new(|site: &IoSite| {
+    let (hook, hooked_opts) = hooked(|site: &IoSite| {
         (site.op == IoOp::Write && site.site == mic_store::NO_PAGE).then_some(IoFault::Fail)
-    }));
+    });
+    let store = Store::open(&path, hooked_opts).unwrap();
+    store.put(b"k", &old_val).unwrap();
+    store.persist().unwrap();
+    hook.armed.store(true, Ordering::SeqCst);
     store.put(b"k", &payload(14, 700)).unwrap();
     assert!(store.persist().is_err(), "failed header write must error");
-    fault::clear();
     drop(store);
     let store = Store::open(&path, opts()).unwrap();
     assert_eq!(
@@ -313,21 +321,20 @@ fn failed_header_write_keeps_old_epoch() {
 
 #[test]
 fn short_write_mid_chain_aborts_before_the_flip() {
-    let _g = lock();
     let dir = tmp_dir("short-chain");
     let path = dir.join("store.pg");
     let old_val = payload(17, 700);
-    let store = Store::open(&path, opts()).unwrap();
-    store.put(b"k", &old_val).unwrap();
-    store.persist().unwrap();
     // Every data-page write (value + dir chain) stops halfway and errors
     // — the persist must abort before it ever reaches the header flip.
-    fault::install(std::sync::Arc::new(|site: &IoSite| {
+    let (hook, hooked_opts) = hooked(|site: &IoSite| {
         (site.op == IoOp::Write && site.site != mic_store::NO_PAGE).then_some(IoFault::ShortWrite)
-    }));
+    });
+    let store = Store::open(&path, hooked_opts).unwrap();
+    store.put(b"k", &old_val).unwrap();
+    store.persist().unwrap();
+    hook.armed.store(true, Ordering::SeqCst);
     store.put(b"k", &payload(18, 700)).unwrap();
     assert!(store.persist().is_err(), "short page write must error");
-    fault::clear();
     drop(store);
     let store = Store::open(&path, opts()).unwrap();
     assert_eq!(
@@ -340,20 +347,19 @@ fn short_write_mid_chain_aborts_before_the_flip() {
 
 #[test]
 fn torn_page_writes_never_surface_wrong_bytes() {
-    let _g = lock();
     let dir = tmp_dir("torn-pages");
     let path = dir.join("store.pg");
     let val = payload(15, 1500);
     {
-        let store = Store::open(&path, opts()).unwrap();
         // Every data-page write silently lands corrupted but reports
         // success — persist itself cannot notice.
-        fault::install(std::sync::Arc::new(|site: &IoSite| {
+        let (hook, hooked_opts) = hooked(|site: &IoSite| {
             (site.op == IoOp::Write && site.site != mic_store::NO_PAGE).then_some(IoFault::TornPage)
-        }));
+        });
+        let store = Store::open(&path, hooked_opts).unwrap();
+        hook.armed.store(true, Ordering::SeqCst);
         store.put(b"k", &val).unwrap();
         store.persist().expect("torn writes report success");
-        fault::clear();
     }
     let store = Store::open(&path, opts()).unwrap();
     // The directory chain itself was torn, so recovery quarantined; a
@@ -368,19 +374,20 @@ fn torn_page_writes_never_surface_wrong_bytes() {
 
 #[test]
 fn open_fault_surfaces_as_injected_error() {
-    let _g = lock();
     let dir = tmp_dir("open-fail");
     let path = dir.join("store.pg");
     let site = xxh64(path.as_os_str().as_encoded_bytes(), 0);
-    fault::install(std::sync::Arc::new(move |s: &IoSite| {
-        (s.op == IoOp::Open && s.site == site).then_some(IoFault::Fail)
-    }));
-    let err = match Store::open(&path, opts()) {
+    let (hook, hooked_opts) = hooked(|s: &IoSite| (s.op == IoOp::Open).then_some(IoFault::Fail));
+    hook.armed.store(true, Ordering::SeqCst);
+    let err = match Store::open(&path, hooked_opts) {
         Err(e) => e,
         Ok(_) => panic!("open fault must fail the open"),
     };
     assert!(err.to_string().contains("mic-fault"), "{err}");
-    fault::clear();
-    assert!(Store::open(&path, opts()).is_ok(), "clears cleanly");
+    assert!(err.to_string().contains(&format!("site: {site}")), "{err}");
+    assert!(
+        Store::open(&path, opts()).is_ok(),
+        "opens cleanly without the injector"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

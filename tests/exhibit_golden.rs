@@ -14,8 +14,8 @@ use std::path::Path;
 fn all_exhibits_at_scale_64_match_the_golden() {
     assert!(!mic_metrics::enabled(), "metrics capture must be off");
     assert!(
-        mic_eval::fault::active().is_none(),
-        "a fault plan is active"
+        mic_eval::config::current().fault.is_none(),
+        "a fault plan is configured"
     );
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     let golden = std::fs::read_to_string(dir.join("all-64.txt")).expect("read the golden");

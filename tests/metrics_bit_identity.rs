@@ -3,20 +3,13 @@
 //! build, and *enabling* metrics never changes the numbers either — the
 //! registry observes the computation, it must not participate in it.
 //!
-//! Own test binary: metrics enablement is process-global, so these tests
-//! must not share a process with tests that assume metrics are off.
-//! The two tests take `serial()` first: a baseline leg runs outside every
-//! session, where another test's open session would record it.
+//! Each "on" leg records into its own session; the baseline leg runs
+//! outside every session, with the process default off.
 
 use mic_eval::experiments::fig2::fig2;
 use mic_eval::graph::suite::Scale;
 use mic_eval::series::Figure;
 use mic_eval::sweep;
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn figure_bits(fig: &Figure) -> Vec<(String, Vec<u64>)> {
     fig.series
@@ -27,7 +20,6 @@ fn figure_bits(fig: &Figure) -> Vec<(String, Vec<u64>)> {
 
 #[test]
 fn figure_outputs_are_bit_identical_with_metrics_on_and_off() {
-    let _serial = serial();
     let scale = Scale::Fraction(512);
     assert!(
         !mic_eval::metrics::enabled(),
@@ -43,7 +35,6 @@ fn figure_outputs_are_bit_identical_with_metrics_on_and_off() {
 
 #[test]
 fn sweep_results_are_bit_identical_under_metrics() {
-    let _serial = serial();
     let items: Vec<u64> = (0..64).collect();
     let f = |i: usize, &x: &u64| (x as f64).sqrt() * 1e-3 + i as f64;
     let off: Vec<u64> = sweep::map(&items, f).iter().map(|v| v.to_bits()).collect();
