@@ -78,6 +78,10 @@ fn cuthill_mckee(g: &Csr, source: VertexId) -> Vec<VertexId> {
     let mut queue = VecDeque::new();
     let mut nbrs: Vec<VertexId> = Vec::new();
     let mut seed = source;
+    // Every id below `restart` is numbered: the restart scan resumes there
+    // instead of at 0, so a graph of many components (an RMAT graph's
+    // isolated vertices) costs one pass, not one pass per component.
+    let mut restart = 0;
     loop {
         // Start (or restart, for disconnected graphs) from the smallest
         // unvisited id on later components.
@@ -101,8 +105,11 @@ fn cuthill_mckee(g: &Csr, source: VertexId) -> Vec<VertexId> {
                 }
             }
         }
-        match perm.iter().position(|&p| p == VertexId::MAX) {
-            Some(v) => seed = v as VertexId,
+        match perm[restart..].iter().position(|&p| p == VertexId::MAX) {
+            Some(offset) => {
+                restart += offset;
+                seed = restart as VertexId;
+            }
             None => break,
         }
     }
@@ -177,6 +184,73 @@ mod tests {
         let g = b.build();
         let p = permutation(&g, Ordering::CuthillMcKee { source: 2 });
         assert!(is_permutation(&p));
+    }
+
+    /// The restart loop before the monotone cursor, kept as the reference.
+    fn cuthill_mckee_reference(g: &Csr, source: VertexId) -> Vec<VertexId> {
+        let n = g.num_vertices();
+        let mut perm = vec![VertexId::MAX; n];
+        let mut next = 0 as VertexId;
+        let mut queue = VecDeque::new();
+        let mut seed = source;
+        loop {
+            perm[seed as usize] = next;
+            next += 1;
+            queue.push_back(seed);
+            while let Some(v) = queue.pop_front() {
+                let mut nbrs: Vec<VertexId> = g
+                    .neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&w| perm[w as usize] == VertexId::MAX)
+                    .collect();
+                nbrs.sort_by_key(|&w| g.degree(w));
+                for w in nbrs {
+                    if perm[w as usize] == VertexId::MAX {
+                        perm[w as usize] = next;
+                        next += 1;
+                        queue.push_back(w);
+                    }
+                }
+            }
+            match perm.iter().position(|&p| p == VertexId::MAX) {
+                Some(v) => seed = v as VertexId,
+                None => break,
+            }
+        }
+        perm
+    }
+
+    #[test]
+    fn cuthill_mckee_on_thousands_of_components_matches_the_reference() {
+        // Isolated vertices interleaved with a few paths and grids, the
+        // shape of an RMAT graph's many components.
+        let n = 6000;
+        let mut b = crate::GraphBuilder::new(n);
+        for start in [100, 2500, 5000] {
+            for v in start..start + 40 {
+                b.add_edge(v, v + 1);
+            }
+        }
+        for corner in [800, 3300] {
+            for r in 0..10 {
+                for c in 0..10 {
+                    let v = corner + 20 * r + c;
+                    if c + 1 < 10 {
+                        b.add_edge(v, v + 1);
+                    }
+                    if r + 1 < 10 {
+                        b.add_edge(v, v + 20);
+                    }
+                }
+            }
+        }
+        let g = b.build();
+        for source in [0, 120, 3300, 5999] {
+            let p = permutation(&g, Ordering::CuthillMcKee { source });
+            assert!(is_permutation(&p));
+            assert_eq!(p, cuthill_mckee_reference(&g, source), "source {source}");
+        }
     }
 
     #[test]

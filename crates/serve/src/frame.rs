@@ -278,9 +278,15 @@ impl<'a> Cursor<'a> {
     }
 
     fn str(&mut self, what: &str) -> Result<String, String> {
+        self.str_ref(what).map(str::to_owned)
+    }
+
+    /// A string field borrowed from the payload, for fields that are
+    /// matched rather than kept.
+    fn str_ref(&mut self, what: &str) -> Result<&'a str, String> {
         let len = self.u32(what)? as usize;
         let b = self.take(len, what)?;
-        String::from_utf8(b.to_vec()).map_err(|_| format!("{what} is not valid UTF-8"))
+        std::str::from_utf8(b).map_err(|_| format!("{what} is not valid UTF-8"))
     }
 
     fn u128(&mut self, what: &str) -> Result<u128, String> {
@@ -443,7 +449,7 @@ pub fn decode_request(tag: u8, payload: &[u8]) -> Result<Request, (String, Strin
         5 => Kernel::HybridBfs,
         k => return Err(fail(format!("unknown kernel tag {k}"))),
     };
-    let graph_name = c.str("graph").map_err(&fail)?;
+    let graph_name = c.str_ref("graph").map_err(&fail)?;
     let graph = PaperGraph::every()
         .into_iter()
         .find(|g| g.name() == graph_name)
@@ -500,58 +506,65 @@ pub fn decode_request(tag: u8, payload: &[u8]) -> Result<Request, (String, Strin
     })
 }
 
-/// Encode a response as `(op tag, payload)`. `cycles` and `queue_ms`
-/// travel as raw bits, so the binary path is bit-exact with no decimal
-/// round-trip at all.
+/// Encode a response as `(op tag, payload)`.
 pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
     let mut buf = Vec::new();
+    (encode_response_into(resp, &mut buf), buf)
+}
+
+/// Encode a response's payload into `buf`, replacing its contents, and
+/// return the op tag: a connection reuses one buffer for every response.
+/// `cycles` and `queue_ms` travel as raw bits, so the binary path is
+/// bit-exact with no decimal round-trip at all.
+pub fn encode_response_into(resp: &Response, buf: &mut Vec<u8>) -> u8 {
+    buf.clear();
     match resp {
         Response::Ok { id, cycles, meta } => {
-            put_str(&mut buf, id);
-            put_f64(&mut buf, *cycles);
-            put_u64(&mut buf, meta.batch as u64);
+            put_str(buf, id);
+            put_f64(buf, *cycles);
+            put_u64(buf, meta.batch as u64);
             buf.push((meta.coalesced as u8) | ((meta.cached as u8) << 1));
-            put_f64(&mut buf, meta.queue_ms);
+            put_f64(buf, meta.queue_ms);
             // Optional trailing trace echo, mirroring the request block:
             // untraced responses stay byte-identical to older builds.
             if meta.trace != 0 {
-                put_u128(&mut buf, meta.trace);
-                put_u64(&mut buf, meta.root_span);
+                put_u128(buf, meta.trace);
+                put_u64(buf, meta.root_span);
             }
-            (TAG_OK, buf)
+            TAG_OK
         }
         Response::Pong { id } => {
-            put_str(&mut buf, id);
-            (TAG_PONG, buf)
+            put_str(buf, id);
+            TAG_PONG
         }
         Response::Stats { id, fields, build } => {
-            put_str(&mut buf, id);
+            put_str(buf, id);
             buf.extend_from_slice(&(fields.len() as u32).to_le_bytes());
             for (k, v) in fields {
-                put_str(&mut buf, k);
-                put_f64(&mut buf, *v);
+                put_str(buf, k);
+                put_f64(buf, *v);
             }
-            put_str(&mut buf, build);
-            (TAG_STATS_RESP, buf)
+            put_str(buf, build);
+            TAG_STATS_RESP
         }
         Response::Trace { id, fields } => {
-            put_str(&mut buf, id);
+            put_str(buf, id);
             buf.extend_from_slice(&(fields.len() as u32).to_le_bytes());
             for (k, v) in fields {
-                put_str(&mut buf, k);
-                put_f64(&mut buf, *v);
+                put_str(buf, k);
+                put_f64(buf, *v);
             }
-            (TAG_TRACE_RESP, buf)
+            TAG_TRACE_RESP
         }
         Response::Shed { id, detail } => {
-            put_str(&mut buf, id);
-            put_str(&mut buf, detail);
-            (TAG_SHED, buf)
+            put_str(buf, id);
+            put_str(buf, detail);
+            TAG_SHED
         }
         Response::Error { id, detail } => {
-            put_str(&mut buf, id);
-            put_str(&mut buf, detail);
-            (TAG_ERROR, buf)
+            put_str(buf, id);
+            put_str(buf, detail);
+            TAG_ERROR
         }
     }
 }

@@ -48,7 +48,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// no region sequence to serve). Names on the wire are the registry's
 /// stable kernel codes, so a serve job key and a registry exhibit agree
 /// on vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Kernel {
     Coloring,
     Irregular,
@@ -89,8 +89,10 @@ impl Kernel {
 }
 
 /// A fully-validated simulation job. Two requests with equal specs are
-/// the *same* job: [`JobSpec::key`] is the coalescing and cache key.
-#[derive(Clone, Debug, PartialEq)]
+/// the *same* job: the spec itself is the routing, coalescing and cache
+/// key (it has no float field, so `Eq` is total), and [`JobSpec::key`]
+/// is its text form for the durable store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct JobSpec {
     pub kernel: Kernel,
     pub graph: PaperGraph,

@@ -7,11 +7,13 @@
 //! slots, coalescing table, result LRU — with no shared mutable state
 //! between shards (the discipline the paper's multi-core results
 //! motivate: per-worker state stays private, coordination happens at the
-//! edges). A job routes by the hash of its canonical
-//! [`JobSpec::key`](crate::protocol::JobSpec::key), so identical requests
-//! land on the same shard and keep coalescing and LRU locality exactly as
-//! in the single-dispatcher design, while distinct jobs spread across
-//! shards and stop queueing behind each other.
+//! edges). A job routes by the low half of its decoded
+//! [`JobSpec`]'s [`hash_key`](crate::lru::hash_key) (the shard's LRU
+//! picks a sub-shard from the high half), so identical requests land on
+//! the same shard and keep coalescing and LRU locality exactly as in the
+//! single-dispatcher design, while distinct jobs spread across shards and
+//! stop queueing behind each other. No key text is built to route: the
+//! text form [`JobSpec::key`] exists only at the durable store.
 //!
 //! ## Quotas and tiered admission
 //!
@@ -150,9 +152,9 @@ impl Router {
         }))
     }
 
-    /// Which shard a key routes to.
-    pub fn shard_for(&self, key: &str) -> usize {
-        (lru::hash_key(key) as usize) % self.shards.len()
+    /// Which shard a job routes to: the low half of its hash.
+    pub fn shard_for(&self, spec: &JobSpec) -> usize {
+        (lru::hash_key(spec) as u32 as usize) % self.shards.len()
     }
 
     fn quota_shed(&self, id: String, tier: &'static str, concurrent: usize) -> Response {
@@ -286,8 +288,7 @@ impl Router {
         let concurrent = client.inflight.fetch_add(1, Ordering::AcqRel) + 1;
         let _guard = InflightGuard(&client.inflight);
         let quota = self.opts.quota.max(1);
-        let key = spec.key();
-        let shard = &self.shards[self.shard_for(&key)];
+        let shard = &self.shards[self.shard_for(spec)];
         let quota_tier = if concurrent > quota.saturating_mul(2) {
             Some("hard")
         } else if concurrent > quota && shard.depth() * 2 >= self.opts.queue_cap.max(1) {
@@ -302,7 +303,7 @@ impl Router {
             }
             return self.quota_shed(id, tier, concurrent);
         }
-        let resp = match shard.submit_traced(spec, &key, req_trace) {
+        let resp = match shard.submit_traced(spec, req_trace) {
             Submission::Done { cycles, mut meta } => {
                 self.stats.ok.fetch_add(1, Ordering::Relaxed);
                 if let Some(c) = ctx {
@@ -373,13 +374,111 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_request;
+    use crate::protocol::{parse_request, Kernel};
+    use mic_eval::graph::suite::{PaperGraph, Scale};
+    use mic_eval::sim::Policy;
+    use mic_eval::workload_cache::OrderTag;
 
     fn spec(threads: usize) -> JobSpec {
         let line = format!(r#"{{"id":"t","kernel":"coloring","threads":{threads},"scale":512}}"#);
         match parse_request(&line).unwrap() {
             Request::Simulate { spec, .. } => spec,
             _ => unreachable!(),
+        }
+    }
+
+    /// Specs the way the `serve-compute` stream builds them: the 27
+    /// (kernel, graph) pairs × the 5 sized policies × a grid of thread
+    /// counts and sizes, in the natural, random and Cuthill–McKee orders,
+    /// with `delay_ms` 0 and 1. All distinct.
+    fn stream_specs() -> Vec<JobSpec> {
+        let mesh = [Kernel::Coloring, Kernel::Irregular, Kernel::Bfs]
+            .into_iter()
+            .flat_map(|k| PaperGraph::all().map(|g| (k, g)));
+        let scale_free = [Kernel::PageRank, Kernel::Components, Kernel::HybridBfs]
+            .into_iter()
+            .flat_map(|k| PaperGraph::scale_free().map(|g| (k, g)));
+        let pairs: Vec<_> = mesh.chain(scale_free).collect();
+        assert_eq!(pairs.len(), 27);
+        let sized = |n: usize| {
+            [
+                Policy::OmpStatic { chunk: Some(n) },
+                Policy::OmpDynamic { chunk: n },
+                Policy::OmpGuided { min_chunk: n },
+                Policy::Cilk { grain: n },
+                Policy::TbbSimple { grain: n },
+            ]
+        };
+        let orders = [
+            OrderTag::Natural,
+            OrderTag::Random { seed: 5 },
+            OrderTag::CuthillMcKee { source: 0 },
+        ];
+        let mut out = Vec::new();
+        for &(kernel, graph) in &pairs {
+            for size in [64, 1087] {
+                for policy in sized(size) {
+                    for threads in [1, 61, 121] {
+                        for order in orders {
+                            for delay_ms in [0, 1] {
+                                out.push(JobSpec {
+                                    kernel,
+                                    graph,
+                                    order,
+                                    policy,
+                                    threads,
+                                    scale: Scale::Fraction(16),
+                                    iter: 1,
+                                    delay_ms,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The spec is the job's identity: equal specs ⇔ equal key text (the
+    /// store's key), and equal specs hash equal.
+    #[test]
+    fn spec_identity_matches_key_text_identity() {
+        let specs = stream_specs();
+        let keys: Vec<String> = specs.iter().map(JobSpec::key).collect();
+        for (a, ka) in specs.iter().zip(&keys) {
+            for (b, kb) in specs.iter().zip(&keys) {
+                assert_eq!(a == b, ka == kb, "{ka} vs {kb}");
+            }
+        }
+        // Built a second time, field by field: equal values, equal hashes.
+        for (a, b) in specs.iter().zip(stream_specs()) {
+            assert_eq!(*a, b);
+            assert_eq!(lru::hash_key(a), lru::hash_key(&b));
+            assert_eq!(a.key(), b.key());
+        }
+    }
+
+    /// 4 096 distinct specs reach every dispatcher × LRU sub-shard, each
+    /// within half and one and a half times its fair share.
+    #[test]
+    fn spec_hashes_spread_over_dispatchers_and_sub_shards() {
+        let router = Router::new(ServeOpts {
+            shards: 4,
+            ..ServeOpts::default()
+        });
+        let mut cells = [[0usize; 8]; 4];
+        for spec in &stream_specs()[..4096] {
+            cells[router.shard_for(spec)][lru::sub_shard(lru::hash_key(spec))] += 1;
+        }
+        let fair = 4096 / (4 * 8);
+        for (shard, subs) in cells.iter().enumerate() {
+            for (sub, &n) in subs.iter().enumerate() {
+                assert!(
+                    2 * n >= fair && 2 * n <= 3 * fair,
+                    "dispatcher {shard} sub-shard {sub}: {n} specs, fair share {fair}"
+                );
+            }
         }
     }
 
@@ -391,9 +490,9 @@ mod tests {
         });
         let mut seen = std::collections::HashSet::new();
         for t in 1..64 {
-            let key = spec(t).key();
-            let a = router.shard_for(&key);
-            let b = router.shard_for(&key);
+            let spec = spec(t);
+            let a = router.shard_for(&spec);
+            let b = router.shard_for(&spec);
             assert_eq!(a, b, "routing must be deterministic");
             seen.insert(a);
         }
@@ -411,11 +510,14 @@ mod tests {
         let opts = ServeOpts::default();
         let router = Router::new(opts.clone());
         let lru = lru::ShardedLru::new(opts.lru_cap);
-        (0u64..)
-            .map(|i| format!("job-{i}"))
-            .filter(|key| router.shard_for(key) == 0)
+        (1usize..)
+            .map(|chunk| JobSpec {
+                policy: Policy::OmpDynamic { chunk },
+                ..spec(1)
+            })
+            .filter(|spec| router.shard_for(spec) == 0)
             .take(opts.lru_cap)
-            .for_each(|key| lru.put(&key, 1.0));
+            .for_each(|spec| lru.put(&spec, 1.0));
         assert!(
             lru.len() * 4 >= opts.lru_cap * 3,
             "{} of {} slots reachable from one router shard",

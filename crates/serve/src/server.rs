@@ -12,9 +12,11 @@
 //!    time in arrival order, so responses leave in request order;
 //! 2. the [`crate::router::Router`] attributes the request to its client
 //!    (peer IP), applies the quota tiers, and routes `simulate` jobs to a
-//!    shard by job-key hash;
-//! 3. the shard's [`Dispatcher::submit`] consults its result LRU (hit →
-//!    immediate answer), then the durable store, then its in-flight table
+//!    shard by the hash of the decoded [`JobSpec`];
+//! 3. the shard's [`Dispatcher::submit`] consults its result LRU, keyed
+//!    by the spec (hit → immediate answer, with no key text built), then
+//!    the durable store, keyed by the spec's text [`JobSpec::key`], built
+//!    only here, then its in-flight table, keyed by the spec
 //!    (identical job already admitted → **coalesce**: wait for the
 //!    leader's result), then claims a depth ticket with a bounded CAS loop
 //!    against the admission cap (full → **shed**);
@@ -28,7 +30,8 @@
 //! 5. the leader feeds the shard's LRU and the store, publishes the
 //!    outcome through a one-shot [`ResultCell`](crate::cell::ResultCell)
 //!    to every coalesced request, and frees its slot. The handler encodes
-//!    the response into the connection's write buffer, which is flushed
+//!    the response into a payload buffer it reuses for every response
+//!    and appends the frame to the connection's write buffer, which is flushed
 //!    no later than its next read that reaches the socket: one write per
 //!    batch of pipelined requests, and for a client that waits for each
 //!    answer, one per response.
@@ -45,7 +48,7 @@
 
 use crate::cell::ResultCell;
 use crate::frame::{self, LineRead};
-use crate::lru::ShardedLru;
+use crate::lru::{KeyMap, ShardedLru};
 use crate::protocol::{JobSpec, Response, SimMeta};
 use crate::router::{ClientState, Router};
 use mic_eval::config::SuiteConfig;
@@ -232,13 +235,13 @@ pub struct Dispatcher {
     /// Jobs this shard has started: the next one's execution index, which
     /// is its `job-panic` injection site.
     started: AtomicUsize,
-    /// Coalescing table: key → the in-flight job's outcome. The one
+    /// Coalescing table: job → the in-flight job's outcome. The one
     /// remaining lock on the submit path (atomic test-and-insert of the
-    /// key).
-    inflight: Mutex<HashMap<String, Arc<Outcome>>>,
+    /// job).
+    inflight: Mutex<KeyMap<JobSpec, Arc<Outcome>>>,
     /// Parks leaders waiting for a slot; notified when a slot frees.
     wake: EventCount,
-    lru: ShardedLru,
+    lru: ShardedLru<JobSpec>,
     /// Optional durable spill tier below the LRU, shared across shards
     /// (one handle per file, so the single-writer store stays single-
     /// writer). Probed on LRU miss; fed after every computed result.
@@ -263,7 +266,7 @@ impl Dispatcher {
             depth: AtomicUsize::new(0),
             running: AtomicUsize::new(0),
             started: AtomicUsize::new(0),
-            inflight: Mutex::new(HashMap::new()),
+            inflight: Mutex::new(KeyMap::default()),
             wake: EventCount::named("serve-slot"),
             lru: ShardedLru::new(opts.lru_cap),
             store,
@@ -292,23 +295,19 @@ impl Dispatcher {
 
     /// Admit one job and block until it resolves (or is shed).
     pub fn submit(&self, spec: &JobSpec) -> Submission {
-        self.submit_traced(spec, &spec.key(), None)
+        self.submit_traced(spec, None)
     }
 
-    /// [`submit`](Self::submit) for a caller that already holds the
-    /// spec's [`key`](JobSpec::key) (the router derives it once per
-    /// request, to pick the shard), with the admitting request's trace
+    /// [`submit`](Self::submit) with the admitting request's trace
     /// identity (trace id + pre-minted root span id), so every stage the
     /// job passes through records a span under that root.
     pub fn submit_traced(
         &self,
         spec: &JobSpec,
-        key: &str,
         req_trace: Option<(obs::TraceId, obs::SpanId)>,
     ) -> Submission {
-        debug_assert_eq!(key, spec.key());
         let t0 = Instant::now();
-        if let Some(cycles) = self.lru.get(key) {
+        if let Some(cycles) = self.lru.get(spec) {
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             if mic_metrics::enabled() {
                 scounter(
@@ -328,7 +327,10 @@ impl Dispatcher {
         let probe_start = req_trace
             .filter(|_| self.store.is_some())
             .map(|_| obs::now_us());
-        let store_cycles = self.store_get(key);
+        // The store is keyed by text, so files written by earlier builds
+        // keep answering: the one place a request builds its key string.
+        let key = self.store.as_ref().map(|_| spec.key());
+        let store_cycles = key.as_deref().and_then(|key| self.store_get(key));
         if let (Some((trace, root)), Some(start_us)) = (req_trace, probe_start) {
             span::record_new(
                 trace,
@@ -341,7 +343,7 @@ impl Dispatcher {
         }
         if let Some(cycles) = store_cycles {
             // Warm the LRU so the next repeat skips even the store read.
-            self.lru.put(key, cycles);
+            self.lru.put(spec, cycles);
             self.stats.store_hits.fetch_add(1, Ordering::Relaxed);
             if mic_metrics::enabled() {
                 scounter(
@@ -360,7 +362,7 @@ impl Dispatcher {
         }
         let follow = {
             let mut inflight = self.inflight.lock();
-            if let Some(cell) = inflight.get(key) {
+            if let Some(cell) = inflight.get(spec) {
                 self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
                 if mic_metrics::enabled() {
                     scounter(
@@ -409,12 +411,12 @@ impl Dispatcher {
                         queue_len: seen.min(self.opts.queue_cap),
                     };
                 }
-                inflight.insert(key.to_string(), Arc::new(ResultCell::new()));
+                inflight.insert(*spec, Arc::new(ResultCell::new()));
                 None
             }
         };
         let Some(cell) = follow else {
-            return self.lead(spec, key, req_trace, t0);
+            return self.lead(spec, key.as_deref(), req_trace, t0);
         };
         match cell.wait() {
             Ok(cycles) => Submission::Done {
@@ -428,12 +430,12 @@ impl Dispatcher {
     /// The leader's half of a miss, on the admitting request's own thread:
     /// wait for a compute slot (the depth ticket it holds meanwhile is its
     /// place in the shard's queue), run the job once, feed the LRU and the
-    /// store, publish the outcome to every coalesced request, and free the
-    /// slot.
+    /// store (under `key`, the spec's text, present iff there is a store),
+    /// publish the outcome to every coalesced request, and free the slot.
     fn lead(
         &self,
         spec: &JobSpec,
-        key: &str,
+        key: Option<&str>,
         req_trace: Option<(obs::TraceId, obs::SpanId)>,
         t0: Instant,
     ) -> Submission {
@@ -479,12 +481,16 @@ impl Dispatcher {
         })
         .map_err(|failure| failure.to_string());
         if let Ok(cycles) = outcome {
-            self.lru.put(key, cycles);
-            let start = stamp().filter(|_| self.store.is_some());
-            self.store_put(key, cycles);
-            record(span::SpanKind::StoreWrite, start);
+            self.lru.put(spec, cycles);
+            if let (Some(store), Some(key)) = (&self.store, key) {
+                let start = stamp();
+                // Best-effort: a write failure costs a future warm hit,
+                // never the in-flight response.
+                let _ = store.put(key.as_bytes(), &cycles.to_le_bytes());
+                record(span::SpanKind::StoreWrite, start);
+            }
         }
-        self.publish(key, outcome.clone());
+        self.publish(spec, outcome.clone());
         self.running.fetch_sub(1, Ordering::AcqRel);
         self.wake.notify();
         match outcome {
@@ -498,8 +504,8 @@ impl Dispatcher {
 
     /// Retire a leader's in-flight entry and wake every request coalesced
     /// onto it. A job is led once, so the one-shot `set` cannot lose.
-    fn publish(&self, key: &str, outcome: Result<f64, String>) {
-        if let Some(cell) = self.inflight.lock().remove(key) {
+    fn publish(&self, spec: &JobSpec, outcome: Result<f64, String>) {
+        if let Some(cell) = self.inflight.lock().remove(spec) {
             let _ = cell.set(outcome);
         }
     }
@@ -511,14 +517,6 @@ impl Dispatcher {
         let bytes = self.store.as_ref()?.get(key.as_bytes())?;
         let cycles = f64::from_le_bytes(bytes.try_into().ok()?);
         cycles.is_finite().then_some(cycles)
-    }
-
-    /// Feed a computed result to the durable store, best-effort: a write
-    /// failure costs a future warm hit, never the in-flight response.
-    fn store_put(&self, key: &str, cycles: f64) {
-        if let Some(store) = &self.store {
-            let _ = store.put(key.as_bytes(), &cycles.to_le_bytes());
-        }
     }
 
     /// Export this shard's queue depth from its `AtomicUsize` — called
@@ -877,7 +875,8 @@ fn serve_stream<R: Read, W: Write>(read: R, write: W, router: &Router, client: &
             detail: format!("{what}; closing connection"),
         }
     };
-    let mut payload = Vec::new();
+    // One payload buffer per direction, reused for every frame.
+    let (mut payload, mut out) = (Vec::new(), Vec::new());
     loop {
         let (resp, last) = if binary {
             match frame::read_frame_into(&mut reader, max, &mut payload) {
@@ -905,8 +904,8 @@ fn serve_stream<R: Read, W: Write>(read: R, write: W, router: &Router, client: &
         let ser_start = serialize_span_start(&resp);
         let writer = &mut reader.get_mut().write;
         let written = if binary {
-            let (rtag, rpayload) = frame::encode_response(&resp);
-            frame::write_frame(writer, rtag, &rpayload)
+            let rtag = frame::encode_response_into(&resp, &mut out);
+            frame::write_frame(writer, rtag, &out)
         } else {
             writeln!(writer, "{}", resp.render())
         };
@@ -1251,7 +1250,7 @@ mod tests {
             Arc::new(ServeStats::default()),
             None,
         );
-        d.lru.put(&spec.key(), 42.0);
+        d.lru.put(&spec, 42.0);
         match d.submit(&spec) {
             Submission::Done { cycles, meta } => assert!(cycles == 42.0 && meta.cached),
             _ => panic!("a resident key must answer from the LRU"),

@@ -6,7 +6,7 @@ use std::ops::Range;
 
 /// Scheduling policy of a simulated parallel region. Mirrors
 /// `mic_runtime::{Schedule, Partitioner}` plus Cilk's `cilk_for`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// OpenMP `schedule(static[, chunk])`.
     OmpStatic { chunk: Option<usize> },
