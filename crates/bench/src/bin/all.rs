@@ -4,13 +4,13 @@
 //! — the EXPERIMENTS.md record uses the default (full paper-size) scale.
 //!
 //! This bin owns no exhibit list of its own: it iterates the
-//! [`mic_eval::exhibit`] registry (everything except the `extra` group),
-//! so registering a new exhibit there is all it takes to appear here.
-//! `--list` prints the registry table (the README's exhibit table, diffed
-//! in CI) and exits. `--only` runs a selection of exhibit ids and group
-//! names (`paper`, `ablation`, `scale-free`, `extra`) in registry order;
-//! an unknown name is a usage error. Speed is judged by the `mic-perf`
-//! ledger (`benchmark/`), not by this bin.
+//! [`mic_eval::exhibit`] registry, so registering a new exhibit there is
+//! all it takes to appear here. `--list` prints the registry table (the
+//! README's exhibit table, diffed in CI) and exits. `--only` runs a
+//! selection of exhibit ids and group names (`paper`, `ablation`,
+//! `scale-free`) in registry order; an unknown name is a usage error.
+//! Speed is judged by the `mic-perf` ledger (`benchmark/`), not by this
+//! bin.
 //!
 //! The tables/figures go to stdout; a per-exhibit footer goes to stderr
 //! (wall time, minor page faults and the rise of the resident high-water
@@ -182,7 +182,7 @@ mod tests {
             kernel: KernelId::Coloring,
             family: GraphFamily::Mesh,
             axes: "jobs",
-            group: Group::Extra,
+            group: Group::Paper,
             run: one_job_panics,
             why: None,
         };

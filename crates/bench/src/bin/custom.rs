@@ -15,10 +15,9 @@ use mic_eval::sim::{bfs_model_speedup, simulate, Machine, Policy};
 fn main() {
     let mut cli = Cli::parse("custom", "custom <path.mtx> [--threads N]");
     let threads = cli.threads(4);
-    let pos = cli.positionals();
+    let pos = cli.positionals(1);
     let Some(path) = pos.first() else {
-        eprintln!("usage: custom <path.mtx> [--threads N]");
-        std::process::exit(2);
+        cli.die("missing <path.mtx>");
     };
 
     eprintln!("reading {path}...");

@@ -14,10 +14,16 @@ use mic_eval::sim::{bfs_model_speedup, simulate, Machine, Policy};
 use std::time::Instant;
 
 fn main() {
-    let cli = Cli::parse("graph500", "graph500 [scale] [edge_factor]");
-    let pos = cli.positionals();
-    let scale: u32 = pos.first().and_then(|s| s.parse().ok()).unwrap_or(16);
-    let edge_factor: usize = pos.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
+    let mut cli = Cli::parse("graph500", "graph500 [scale] [edge_factor]");
+    let pos = cli.positionals(2);
+    let arg = |i: usize, name: &str| -> u32 {
+        pos.get(i).map_or(16, |s| {
+            s.parse()
+                .unwrap_or_else(|_| cli.die(&format!("{name} needs an integer, got {s:?}")))
+        })
+    };
+    let scale = arg(0, "scale");
+    let edge_factor = arg(1, "edge_factor") as usize;
 
     eprintln!("generating RMAT scale {scale}, edge factor {edge_factor}...");
     let t0 = Instant::now();

@@ -47,7 +47,7 @@ fn main() {
     // All workloads come from the shared cache, so repeated runs (and the
     // other bench binaries in the same process tree) instrument once.
     let configs: Vec<(String, Vec<Region>)> = exhibit::registry()
-        .iter()
+        .in_all()
         .filter_map(|e| e.why)
         .flat_map(|hook| hook(scale))
         .collect();

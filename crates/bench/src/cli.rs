@@ -9,10 +9,11 @@
 //!   paper size) — [`Cli::scale`] takes the bin's default;
 //! - `--check` is a shared boolean flag; `--out PATH` and `--threads N`
 //!   are shared valued flags;
-//! - a flag missing its value, or an unparsable value, prints the usage
-//!   line and exits 2 (instead of a panic backtrace);
-//! - unconsumed `--flags` are rejected by [`Cli::positionals`] /
-//!   [`Cli::done`], so typos fail loudly.
+//! - a flag missing its value, or an unparsable value (`--threads 0`
+//!   included), prints the usage line and exits 2 (instead of a panic
+//!   backtrace);
+//! - unconsumed `--flags` and surplus positionals are rejected by
+//!   [`Cli::positionals`] / [`Cli::done`], so typos fail loudly.
 //!
 //! [`Cli::parse`] also installs the environment
 //! [`SuiteConfig`](mic_eval::config::SuiteConfig), making the typed
@@ -21,6 +22,7 @@
 
 use mic_eval::config::SuiteConfig;
 use mic_eval::graph::suite::Scale;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -107,11 +109,10 @@ impl Cli {
         }
     }
 
-    /// `--threads N` with a default.
+    /// `--threads N` with a default; `0` is a usage error.
     pub fn threads(&mut self, default: usize) -> usize {
-        self.opt_parse::<usize>("--threads", "a positive integer")
-            .filter(|&n| n >= 1)
-            .unwrap_or(default)
+        self.opt_parse::<NonZeroUsize>("--threads", "a positive integer")
+            .map_or(default, NonZeroUsize::get)
     }
 
     /// `--out PATH`.
@@ -124,13 +125,17 @@ impl Cli {
         self.flag("--check")
     }
 
-    /// Remaining positional arguments; any leftover `--flag` is a usage
-    /// error (it was not consumed by the bin, so it is a typo).
-    pub fn positionals(self) -> Vec<String> {
+    /// Remaining positional arguments, at most `max` of them. A leftover
+    /// `--flag` is a usage error (it was not consumed by the bin, so it is
+    /// a typo), and so is a positional beyond the `max`th.
+    pub fn positionals(&mut self, max: usize) -> Vec<String> {
         if let Some(bad) = self.args.iter().find(|a| a.starts_with("--")) {
             self.die(&format!("unknown flag {bad}"));
         }
-        self.args
+        if let Some(extra) = self.args.get(max) {
+            self.die(&format!("unexpected argument {extra:?}"));
+        }
+        std::mem::take(&mut self.args)
     }
 
     /// Assert no arguments remain (bins without positionals).
@@ -174,7 +179,7 @@ mod tests {
         assert!(c.check());
         assert_eq!(c.out(), Some(PathBuf::from("x.json")));
         assert!(!c.flag("--list"), "consumed flags do not match twice");
-        assert_eq!(c.positionals(), vec!["a".to_string()]);
+        assert_eq!(c.positionals(1), vec!["a".to_string()]);
     }
 
     #[test]

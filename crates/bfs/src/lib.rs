@@ -25,8 +25,6 @@
 //! Extensions beyond the paper's experiments: [`direction`]
 //! (direction-optimizing BFS, sequential and parallel) and [`components`]
 //! (label-propagation connected components), each behind a scale-free
-//! exhibit, and [`sssp`] (Δ-stepping against a Dijkstra reference — "BFS
-//! implicitly computes shortest paths"), behind the `extra-delta-sweep`
 //! exhibit.
 
 pub mod components;
@@ -35,7 +33,6 @@ pub mod instrument;
 pub mod parallel;
 pub mod queue;
 pub mod seq;
-pub mod sssp;
 pub mod verify;
 
 /// Level marker for unreached vertices.

@@ -1,10 +1,6 @@
-//! Property-based tests for the BFS crate's extension kernels: SSSP,
-//! connected components, betweenness.
+//! Property-based tests for the BFS crate's connected-components kernel.
 
 use mic_bfs::components::{components_parallel, components_seq};
-use mic_bfs::sssp::{default_delta, delta_stepping, dijkstra};
-use mic_bfs::{bfs, UNREACHED};
-use mic_graph::weights::EdgeWeights;
 use mic_graph::{Csr, GraphBuilder, VertexId};
 use mic_runtime::{Partitioner, RuntimeModel, Schedule, ThreadPool};
 use proptest::prelude::*;
@@ -31,46 +27,6 @@ fn arb_model() -> impl Strategy<Value = RuntimeModel> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
-
-    #[test]
-    fn delta_stepping_equals_dijkstra(
-        g in arb_graph(),
-        model in arb_model(),
-        t in 1usize..6,
-        seed in any::<u64>(),
-        delta_scale in 0.1f64..10.0,
-    ) {
-        let w = EdgeWeights::random_symmetric(&g, 0.1, 3.0, seed);
-        let src = 0;
-        let want = dijkstra(&g, &w, src);
-        let pool = ThreadPool::new(t);
-        let delta = default_delta(&g, &w) * delta_scale;
-        let got = delta_stepping(&pool, &g, &w, src, delta, model);
-        for (a, b) in got.dist.iter().zip(&want.dist) {
-            prop_assert!(
-                (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9,
-                "{a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn sssp_unit_weights_match_bfs(g in arb_graph(), t in 1usize..5) {
-        let w = EdgeWeights::constant(&g, 1.0);
-        let pool = ThreadPool::new(t);
-        let got = delta_stepping(
-            &pool, &g, &w, 0, 1.0,
-            RuntimeModel::OpenMp(Schedule::Dynamic { chunk: 8 }),
-        );
-        let levels = bfs(&g, 0).levels;
-        for (d, &l) in got.dist.iter().zip(&levels) {
-            if l == UNREACHED {
-                prop_assert!(d.is_infinite());
-            } else {
-                prop_assert!((d - l as f64).abs() < 1e-12);
-            }
-        }
-    }
 
     #[test]
     fn components_parallel_equals_seq(g in arb_graph(), model in arb_model(), t in 1usize..6) {

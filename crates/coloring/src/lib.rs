@@ -20,21 +20,12 @@
 //! - [`instrument`]: per-vertex [`mic_sim::Work`] descriptors of the same
 //!   algorithm, which `mic-sim` schedules to regenerate Figures 1 and 2.
 //!
-//! Extensions beyond the paper's experiments: [`mod@jones_plassmann`]
-//! (deterministic parallel coloring), [`mis`] (Luby's maximal independent
-//! set, JP's primitive), [`dsatur`] (the saturation-degree quality
-//! baseline), [`iterated`] (Culberson's iterated greedy, which the paper
-//! cites), [`balance`] (equitable class rebalancing for the scheduling
-//! application the paper opens with), and [`distance2`] (greedy +
-//! speculative-parallel distance-2, the Jacobian-compression variant the
-//! paper motivates).
+//! Extensions beyond the paper's experiments: [`mis`] (Luby's maximal
+//! independent set) and [`distance2`] (greedy + speculative-parallel
+//! distance-2, the Jacobian-compression variant the paper motivates).
 
-pub mod balance;
 pub mod distance2;
-pub mod dsatur;
 pub mod instrument;
-pub mod iterated;
-pub mod jones_plassmann;
 pub mod mis;
 pub mod parallel;
 pub mod seq;
@@ -43,7 +34,6 @@ pub mod verify;
 /// Marker for "not yet colored".
 pub const UNCOLORED: u32 = u32::MAX;
 
-pub use jones_plassmann::jones_plassmann;
 pub use parallel::{iterative_coloring, ParallelColoring, RuntimeModel};
 pub use seq::{greedy_color, Coloring};
 pub use verify::{check_proper, num_colors_used};

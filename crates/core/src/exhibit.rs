@@ -13,7 +13,7 @@
 //! footer and failure message, in the `mic-perf` ledger's per-exhibit rows
 //! and goldens, and (via [`KernelId::code`]) in serve job keys.
 
-use crate::experiments::{ablation, extras, fig1, fig2, fig3, fig4, scale_free, table1};
+use crate::experiments::{ablation, fig1, fig2, fig3, fig4, scale_free, table1};
 use crate::workload_cache::{self, OrderTag};
 use mic_bfs::instrument::SimVariant;
 use mic_graph::stats::LocalityWindows;
@@ -84,18 +84,16 @@ impl GraphFamily {
     }
 }
 
-/// Which run sets include the exhibit.
+/// Which named group the exhibit belongs to; `all --only <group>` runs
+/// one group, plain `all` runs every group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Group {
-    /// The paper's tables and figures — always in `all`.
+    /// The paper's tables and figures.
     Paper,
-    /// Beyond-the-paper ablations — in `all`.
+    /// Beyond-the-paper ablations.
     Ablation,
-    /// The scale-free kernel exhibits — in `all`.
+    /// The scale-free kernel exhibits.
     ScaleFree,
-    /// Extras run only on request (`all --only extra`); not part of `all`
-    /// (and therefore not of the ledger's exhibit set).
-    Extra,
 }
 
 impl Group {
@@ -104,7 +102,6 @@ impl Group {
             Group::Paper => "paper",
             Group::Ablation => "ablation",
             Group::ScaleFree => "scale-free",
-            Group::Extra => "extra",
         }
     }
 }
@@ -140,22 +137,13 @@ impl ExhibitRegistry {
         self.exhibits.push(e);
     }
 
-    /// All exhibits, in presentation order.
-    pub fn iter(&self) -> impl Iterator<Item = &Exhibit> {
-        self.exhibits.iter()
-    }
-
-    /// The exhibits `all` runs (everything except [`Group::Extra`]).
+    /// Every exhibit, in presentation order: the set `all` runs.
     pub fn in_all(&self) -> impl Iterator<Item = &Exhibit> {
-        self.exhibits.iter().filter(|e| e.group != Group::Extra)
+        self.exhibits.iter()
     }
 
     pub fn get(&self, id: &str) -> Option<&Exhibit> {
         self.exhibits.iter().find(|e| e.id == id)
-    }
-
-    pub fn contains(&self, id: &str) -> bool {
-        self.get(id).is_some()
     }
 
     /// Ids of the exhibits `all` runs, in order.
@@ -164,17 +152,17 @@ impl ExhibitRegistry {
     }
 
     /// The exhibits `all --only <names>` runs: `names` is a comma-separated
-    /// list of exhibit ids and group names (the `extra` group included),
-    /// and the result keeps registry order whatever order the names come
-    /// in. An unknown name is an error.
+    /// list of exhibit ids and group names, and the result keeps registry
+    /// order whatever order the names come in. An unknown name is an
+    /// error.
     pub fn select(&self, names: &str) -> Result<Vec<&Exhibit>, String> {
         let names: Vec<&str> = names.split(',').collect();
         let hit = |e: &Exhibit, n: &str| e.id == n || e.group.name() == n;
-        if let Some(bad) = names.iter().find(|n| !self.iter().any(|e| hit(e, n))) {
+        if let Some(bad) = names.iter().find(|n| !self.in_all().any(|e| hit(e, n))) {
             return Err(format!("unknown exhibit or group {bad:?}"));
         }
         Ok(self
-            .iter()
+            .in_all()
             .filter(|e| names.iter().any(|n| hit(e, n)))
             .collect())
     }
@@ -185,7 +173,7 @@ impl ExhibitRegistry {
         let mut out = String::new();
         out.push_str("| id | kernel | graphs | group | sweep axes | title |\n");
         out.push_str("|----|--------|--------|-------|------------|-------|\n");
-        for e in self.iter() {
+        for e in self.in_all() {
             out.push_str(&format!(
                 "| {} | {} | {} | {} | {} | {} |\n",
                 e.id,
@@ -255,9 +243,6 @@ pub fn kernel_regions(
         }
     }
 }
-
-/// Sim-thread count the extras figures are rendered at (the KNF top).
-const EXTRAS_THREADS: usize = 121;
 
 /// Every exhibit, declared once. Presentation order = `all` order.
 fn register_all(r: &mut ExhibitRegistry) {
@@ -581,36 +566,6 @@ fn register_all(r: &mut ExhibitRegistry) {
             )]
         }),
     });
-    r.register(Exhibit {
-        id: "extra-jp-vs-speculation",
-        title: "Extra: Jones–Plassmann vs speculative coloring",
-        kernel: KernelId::Coloring,
-        family: GraphFamily::Mesh,
-        axes: "threads × algorithm",
-        group: Group::Extra,
-        run: |s| extras::jp_vs_speculation(s, EXTRAS_THREADS).to_ascii(),
-        why: None,
-    });
-    r.register(Exhibit {
-        id: "extra-coloring-quality",
-        title: "Extra: coloring quality across configurations",
-        kernel: KernelId::Coloring,
-        family: GraphFamily::Mesh,
-        axes: "graph × config",
-        group: Group::Extra,
-        run: |s| extras::coloring_quality(s, EXTRAS_THREADS).to_ascii(),
-        why: None,
-    });
-    r.register(Exhibit {
-        id: "extra-delta-sweep",
-        title: "Extra: SSSP delta sweep",
-        kernel: KernelId::Bfs,
-        family: GraphFamily::Mesh,
-        axes: "delta × graph",
-        group: Group::Extra,
-        run: |s| extras::delta_sweep(s, EXTRAS_THREADS).to_ascii(),
-        why: None,
-    });
 }
 
 #[cfg(test)]
@@ -620,7 +575,7 @@ mod tests {
     #[test]
     fn ids_are_unique_and_nonempty() {
         let r = registry();
-        let mut ids: Vec<_> = r.iter().map(|e| e.id).collect();
+        let mut ids: Vec<_> = r.in_all().map(|e| e.id).collect();
         assert!(!ids.is_empty());
         ids.sort_unstable();
         let n = ids.len();
@@ -662,13 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn extras_are_registered_but_not_in_all() {
-        let r = registry();
-        assert!(r.contains("extra-delta-sweep"));
-        assert!(!r.all_ids().contains(&"extra-delta-sweep"));
-    }
-
-    #[test]
     fn select_takes_ids_and_groups_in_registry_order() {
         let r = registry();
         let ids =
@@ -676,14 +624,6 @@ mod tests {
         assert_eq!(ids("fig2"), ["fig2"]);
         assert_eq!(ids("scale-free"), ["pagerank", "components", "hybrid-bfs"]);
         assert_eq!(ids("paper").len(), 12);
-        assert_eq!(
-            ids("extra"),
-            [
-                "extra-jp-vs-speculation",
-                "extra-coloring-quality",
-                "extra-delta-sweep",
-            ]
-        );
         assert_eq!(
             ids("hybrid-bfs,ablation,table1,ablation-ordering"),
             [
@@ -699,6 +639,11 @@ mod tests {
         );
         assert!(matches!(r.select("fig5"), Err(e) if e.contains("\"fig5\"")));
         assert!(r.select("paper,extras").is_err());
+        // No group is held back: the registry is the list `all` runs.
+        assert!(matches!(r.select("extra"), Err(e) if e.contains("\"extra\"")));
+        assert_eq!(r.in_all().count(), 21);
+        // `list_table`: a header, a rule, then one row per exhibit.
+        assert_eq!(r.list_table().lines().skip(2).count(), 21);
     }
 
     #[test]
@@ -719,8 +664,8 @@ mod tests {
     #[test]
     fn list_table_has_one_row_per_exhibit() {
         let table = registry().list_table();
-        let rows = table.lines().count();
-        assert_eq!(rows, registry().iter().count() + 2, "header + rule + rows");
+        let rows = table.lines().skip(2).count(); // below header and rule
+        assert_eq!(rows, registry().in_all().count());
         assert!(table.contains("| pagerank |"));
         assert!(table.contains("| hybrid-bfs |"));
     }

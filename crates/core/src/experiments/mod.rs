@@ -8,7 +8,6 @@
 //! suite for correctness.
 
 pub mod ablation;
-pub mod extras;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
@@ -25,10 +24,4 @@ use std::sync::Arc;
 /// so regenerating many figures builds each graph once.
 pub(crate) fn suite_graph(g: PaperGraph, scale: Scale) -> Arc<Csr> {
     crate::workload_cache::graph(g, scale, crate::workload_cache::OrderTag::Natural)
-}
-
-/// The full seven-graph suite at `scale`, in Table I order, shared from
-/// the cache.
-pub(crate) fn suite(scale: Scale) -> Vec<(PaperGraph, Arc<Csr>)> {
-    crate::workload_cache::suite(scale)
 }

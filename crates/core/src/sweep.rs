@@ -25,11 +25,10 @@
 //! the plan its caller passes. It is `mic-serve`'s per-request isolation, where one client's failing
 //! job must answer that request with an error and leave the server up.
 //!
-//! Jobs may themselves run parallel regions on *other* pools (the native
-//! kernels in `experiments::extras` do); cross-pool nesting is supported
-//! by the runtime. A job must not call back into the sweep that spawned
-//! it, but nested `sweep::map` calls are fine — each map drives its own
-//! pool.
+//! Jobs may themselves run parallel regions on *other* pools; cross-pool
+//! nesting is supported by the runtime. A job must not call back into the
+//! sweep that spawned it, but nested `sweep::map` calls are fine — each
+//! map drives its own pool.
 
 use crate::fault::{self, FaultClass, FaultPlan};
 use mic_runtime::ThreadPool;

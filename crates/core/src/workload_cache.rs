@@ -120,16 +120,6 @@ pub fn graph(pg: PaperGraph, scale: Scale, order: OrderTag) -> Arc<Csr> {
     })
 }
 
-/// The full seven-graph suite at `scale`, Table I order, naturally
-/// ordered, shared from the cache. Missing graphs build as parallel sweep
-/// jobs; each build is a pure function of its key, so the graphs are the
-/// same for any worker count.
-pub fn suite(scale: Scale) -> Vec<(PaperGraph, Arc<Csr>)> {
-    crate::sweep::map(&PaperGraph::all(), |_, &g| {
-        (g, graph(g, scale, OrderTag::Natural))
-    })
-}
-
 /// A workload type the cache can build and persist: which kernel knob
 /// completes its key, how to instrument it, and its `MICWL2` form.
 trait Stored: Sized {
@@ -456,7 +446,11 @@ mod tests {
             );
         }
         // Two racing suites (each itself a sweep) share every graph.
-        let suites = crate::sweep::map_with(2, &[(); 2], |_, _| suite(Scale::Vertices(300)));
+        let suites = crate::sweep::map_with(2, &[(); 2], |_, _| {
+            crate::sweep::map(&PaperGraph::all(), |_, &g| {
+                (g, graph(g, Scale::Vertices(300), OrderTag::Natural))
+            })
+        });
         for ((g, a), (h, b)) in suites[0].iter().zip(&suites[1]) {
             assert!(g == h && Arc::ptr_eq(a, b), "{} built twice", g.name());
         }

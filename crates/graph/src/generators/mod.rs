@@ -14,7 +14,6 @@ mod grid;
 mod hubs;
 mod rgg;
 mod rmat;
-mod small_world;
 mod special;
 
 pub use er::erdos_renyi_gnm;
@@ -24,5 +23,4 @@ pub(crate) use hubs::graft_hubs;
 pub(crate) use hubs::rebuilt_with_hubs;
 pub use rgg::{rgg3d, rgg3d_builder, rgg3d_with_avg_degree, Box3};
 pub use rmat::{rmat, RmatProbs};
-pub use small_world::watts_strogatz;
 pub use special::{balanced_binary_tree, complete, cycle, path, star};

@@ -7,10 +7,14 @@
 //!
 //! - [`openmp`]: `parallel for` with `static` / `dynamic` / `guided`
 //!   scheduling and a chunk size (§II-A of the paper);
-//! - [`cilk`]: recursive-splitting `cilk_for` executed by work stealing, and
-//!   the holder/reducer thread-local mechanisms (§II-B);
+//! - [`cilk`]: recursive-splitting `cilk_for` executed by work stealing
+//!   (§II-B);
 //! - [`tbb`]: blocked ranges with the `simple` / `auto` / `affinity`
-//!   partitioners and `combinable`-style TLS (§II-C).
+//!   partitioners (§II-C).
+//!
+//! The three models' thread-local storage (thread-id arrays, Cilk holders
+//! and reducers, TBB `combinable`) is one mechanism in [`tls`]:
+//! [`PerWorker`] and [`ReducerMax`].
 //!
 //! All of them run on [`pool::ThreadPool`], which may be over-subscribed
 //! (more workers than hardware threads) — the paper itself runs up to 121
@@ -23,8 +27,7 @@
 //! BFS implementation. [`deque`] and [`injector`] are the lock-free
 //! scheduling substrate: a Chase–Lev work-stealing deque per worker and an
 //! MPMC injector (unbounded segmented + bounded ring variants) that the
-//! Cilk/TBB engines are built on. [`sync`] adds the OpenMP
-//! `critical`/`single` constructs plus the [`sync::EventCount`]
+//! Cilk/TBB engines are built on. [`sync`] adds the [`sync::EventCount`]
 //! park/unpark primitive behind the pool's lock-free dispatch, and [`scan`]
 //! the parallel prefix sum behind SNAP-style queue merges.
 
@@ -49,7 +52,7 @@ pub use model::RuntimeModel;
 pub use openmp::{parallel_for, parallel_for_chunks, parallel_reduce, Schedule};
 pub use pool::{PoolError, ThreadPool, WorkerCtx};
 pub use scan::{exclusive_scan, exclusive_scan_seq};
-pub use sync::{park_spin, set_park_spin, Critical, EventCount, Single};
+pub use sync::{park_spin, set_park_spin, EventCount};
 pub use tbb::{tbb_parallel_for, Partitioner};
-pub use tls::{Combinable, Holder, PerWorker, ReducerMax};
+pub use tls::{PerWorker, ReducerMax};
 pub use trace::{capture as capture_native_trace, NativeEvent, NativeEventKind};

@@ -1,10 +1,8 @@
-//! In-region synchronization: the OpenMP `critical` and `single`
-//! constructs (§II-A of the paper), and the [`EventCount`] park/unpark
-//! primitive behind the pool's lock-free dispatch.
+//! The [`EventCount`] park/unpark primitive behind the pool's lock-free
+//! dispatch, and its spin-before-park budget.
 
-use crate::pool::WorkerCtx;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default spin budget before an [`EventCount`] waiter parks.
 pub const DEFAULT_PARK_SPIN: usize = 64;
@@ -141,116 +139,10 @@ impl Default for EventCount {
     }
 }
 
-/// An OpenMP-style named `critical` section: at most one worker inside at
-/// a time. A thin, intention-revealing wrapper over a mutex.
-pub struct Critical<T> {
-    inner: Mutex<T>,
-}
-
-impl<T> Critical<T> {
-    /// Protect `value`.
-    pub fn new(value: T) -> Self {
-        Critical {
-            inner: Mutex::new(value),
-        }
-    }
-
-    /// Run `f` exclusively.
-    pub fn section<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-
-    /// Unwrap after the region.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-}
-
-/// An OpenMP `single` construct: the closure runs on exactly one of the
-/// workers that reach it (the first), per episode. Reusable across
-/// episodes via [`Single::reset`].
-pub struct Single {
-    taken: AtomicBool,
-}
-
-impl Single {
-    pub fn new() -> Self {
-        Single {
-            taken: AtomicBool::new(false),
-        }
-    }
-
-    /// Run `f` if this worker is the first to arrive; returns whether it
-    /// ran here.
-    pub fn run(&self, f: impl FnOnce()) -> bool {
-        if self
-            .taken
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            f();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Re-arm for the next episode (call between barriers).
-    pub fn reset(&self) {
-        self.taken.store(false, Ordering::Release);
-    }
-}
-
-impl Default for Single {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Convenience: a per-region helper bundling a barrier sized to the
-/// context's team.
-pub fn team_barrier(ctx: WorkerCtx) -> usize {
-    ctx.num_threads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ThreadPool;
-
-    #[test]
-    fn critical_serializes() {
-        let pool = ThreadPool::new(8);
-        let acc = Critical::new(Vec::new());
-        pool.run(|ctx| {
-            for i in 0..100 {
-                acc.section(|v| v.push(ctx.id * 1000 + i));
-            }
-        });
-        let v = acc.into_inner();
-        assert_eq!(v.len(), 800);
-    }
-
-    #[test]
-    fn single_runs_once_per_episode() {
-        let t = 6;
-        let pool = ThreadPool::new(t);
-        let barrier = std::sync::Barrier::new(t);
-        let single = Single::new();
-        let runs = AtomicUsize::new(0);
-        pool.run(|_| {
-            for _ in 0..20 {
-                single.run(|| {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                });
-                if barrier.wait().is_leader() {
-                    single.reset();
-                }
-                barrier.wait();
-            }
-        });
-        assert_eq!(runs.load(Ordering::SeqCst), 20);
-    }
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn event_count_wakes_parked_waiter() {
@@ -293,15 +185,5 @@ mod tests {
         set_park_spin(7);
         assert_eq!(park_spin(), 7);
         set_park_spin(before);
-    }
-
-    #[test]
-    fn team_barrier_reports_team_size() {
-        let pool = ThreadPool::new(3);
-        let sizes = AtomicUsize::new(0);
-        pool.run(|ctx| {
-            sizes.fetch_max(team_barrier(ctx), Ordering::SeqCst);
-        });
-        assert_eq!(sizes.load(Ordering::SeqCst), 3);
     }
 }

@@ -4,9 +4,10 @@
 //! and a max-reduction for the color count, and implements them three ways
 //! (§IV-A): thread-id-indexed arrays (OpenMP), holders/reducers (Cilk Plus)
 //! and `enumerable_thread_specific`/`combinable` (TBB). [`PerWorker`] is the
-//! common mechanism: one cache-padded, lazily initialized slot per worker
-//! id. [`Holder`] and [`Combinable`] are the Cilk/TBB-flavoured aliases and
-//! [`ReducerMax`] is the Cilk `reducer_max` equivalent.
+//! one mechanism behind all three: a cache-padded, lazily initialized slot
+//! per worker id (the coloring kernel's `forbiddenColors`, the BFS
+//! thread-local queues). [`ReducerMax`] is the Cilk `reducer_max`
+//! equivalent the coloring kernel reduces its color count with.
 
 use crate::pool::WorkerCtx;
 use crossbeam_utils::CachePadded;
@@ -52,11 +53,6 @@ impl<T> PerWorker<T> {
             slots,
             init: Box::new(init),
         }
-    }
-
-    /// Number of slots.
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
     }
 
     /// Eagerly initialize every slot (the OpenMP / Cilk-worker-id style:
@@ -107,18 +103,7 @@ impl<T> PerWorker<T> {
             .filter_map(|s| s.value.get_mut().take())
             .collect()
     }
-
-    /// Fold all initialized values into one (TBB `combinable::combine`).
-    pub fn combine(&mut self, f: impl Fn(T, T) -> T) -> Option<T> {
-        self.take_values().into_iter().reduce(f)
-    }
 }
-
-/// Cilk Plus *holder*: per-worker scratch space allocated on demand.
-pub type Holder<T> = PerWorker<T>;
-
-/// TBB *combinable*: per-worker value with a final `combine`.
-pub type Combinable<T> = PerWorker<T>;
 
 /// Cilk Plus `reducer_max`: write-mostly per-worker maxima reduced at the
 /// end of the region.
@@ -186,22 +171,6 @@ mod tests {
         });
         assert_eq!(inits.load(Ordering::Relaxed), 1);
         assert_eq!(acc.take_values().len(), 1);
-    }
-
-    #[test]
-    fn combine_folds_views() {
-        let pool = ThreadPool::new(3);
-        let mut c: Combinable<u64> = Combinable::new(3, |_| 0);
-        parallel_for(&pool, 0..300, Schedule::Static { chunk: None }, |i, ctx| {
-            c.with(ctx, |v| *v += i as u64);
-        });
-        assert_eq!(c.combine(|a, b| a + b), Some((0..300u64).sum()));
-    }
-
-    #[test]
-    fn combine_empty_is_none() {
-        let mut c: Combinable<u64> = Combinable::new(4, |_| 0);
-        assert_eq!(c.combine(|a, b| a + b), None);
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn main() {
     let trace_requests = cli.flag("--trace");
     let trace_id = cli.opt("--trace-id");
     let check = cli.check();
-    let pos = cli.positionals();
+    let pos = cli.positionals(1);
     let mode = pos.first().map(String::as_str).unwrap_or("serve");
 
     mic_eval::metrics::init_from_env();

@@ -1,8 +1,6 @@
 //! Cross-crate integration: coloring the calibrated paper suite end to end
 //! with every runtime model, at miniature scale.
 
-use mic_eval::coloring::iterated::iterated_greedy;
-use mic_eval::coloring::jones_plassmann::jones_plassmann;
 use mic_eval::coloring::mis::{check_mis, luby_mis};
 use mic_eval::coloring::{check_proper, iterative_coloring, seq::greedy_color};
 use mic_eval::graph::ordering::{apply, Ordering};
@@ -74,28 +72,13 @@ fn shuffled_graphs_color_identically_well() {
 }
 
 #[test]
-fn extension_algorithms_agree_on_suite() {
-    // JP, MIS and iterated greedy all validate on suite miniatures, and
-    // iterated greedy never worsens the speculative result.
+fn luby_mis_is_maximal_on_suite() {
     let pool = ThreadPool::new(6);
     let model = RuntimeModel::OpenMp(Schedule::dynamic100());
     for pg in [PaperGraph::Auto, PaperGraph::Bmw32] {
         let g = build(pg, SCALE);
-        let jp = jones_plassmann(&pool, &g, model, 11);
-        check_proper(&g, &jp.colors).unwrap_or_else(|e| panic!("{} JP: {e}", pg.name()));
         let mis = luby_mis(&pool, &g, model, 11);
         assert!(check_mis(&g, &mis.in_set), "{} MIS", pg.name());
-        let spec = iterative_coloring(&pool, &g, model);
-        let improved = iterated_greedy(
-            &g,
-            &mic_eval::coloring::seq::Coloring {
-                colors: spec.colors.clone(),
-                num_colors: spec.num_colors,
-            },
-            4,
-        );
-        check_proper(&g, &improved.colors).unwrap();
-        assert!(improved.num_colors <= spec.num_colors, "{}", pg.name());
     }
 }
 
