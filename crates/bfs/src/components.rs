@@ -4,9 +4,11 @@
 //!
 //! Each vertex starts labeled with its own id; rounds of parallel sweeps
 //! replace every label by the minimum over the closed neighborhood until a
-//! fixed point. Converges in O(diameter) rounds; the min-combining races
-//! are benign (monotone decreasing lattice), so the result is exactly the
-//! per-component minimum id regardless of scheduling.
+//! fixed point. The synchronous form takes one round more than the largest
+//! hop distance from a vertex to its component's minimum id (at most the
+//! diameter plus one), and a BFS flood fill derives that count in O(V + E);
+//! the min-combining races are benign (monotone decreasing lattice), so the
+//! result is exactly the per-component minimum id regardless of scheduling.
 
 use mic_graph::stats::{gap_class, LocalityWindows, MemClass};
 use mic_graph::{Csr, VertexId};
@@ -23,74 +25,63 @@ pub struct Components {
     pub rounds: usize,
 }
 
-/// Sequential reference (BFS flood fill, labels = min id per component).
+/// Sequential reference: a BFS flood fill from each component's smallest
+/// id (the first unlabeled vertex in id order), so `labels[v]` is that id.
+/// The fill also tracks BFS depth, which gives [`components_sync`]'s round
+/// count without running the rounds.
 pub fn components_seq(g: &Csr) -> Components {
     let n = g.num_vertices();
     let mut labels = vec![VertexId::MAX; n];
     let mut count = 0usize;
-    let mut queue = std::collections::VecDeque::new();
+    let mut depth = 0usize;
+    let mut queue: Vec<VertexId> = Vec::new();
     for s in 0..n as VertexId {
         if labels[s as usize] != VertexId::MAX {
             continue;
         }
         count += 1;
         labels[s as usize] = s;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
+        queue.clear();
+        queue.push(s);
+        // `queue[..level_end]` holds the vertices at most `level` hops from s.
+        let (mut head, mut level_end, mut level) = (0usize, 1usize, 0usize);
+        while head < queue.len() {
+            if head == level_end {
+                level += 1;
+                level_end = queue.len();
+            }
+            let v = queue[head];
+            head += 1;
             for &w in g.neighbors(v) {
                 if labels[w as usize] == VertexId::MAX {
                     labels[w as usize] = s;
-                    queue.push_back(w);
+                    queue.push(w);
                 }
             }
         }
+        depth = depth.max(level);
     }
     Components {
         labels,
         count,
-        rounds: 1,
+        rounds: depth + 1,
     }
 }
 
 /// Synchronous (Jacobi / double-buffered) label propagation: every round
 /// reads the previous round's labels only, so the round count is a pure
-/// function of the graph — one hop of min-id flooding per round. This is
-/// the deterministic variant the simulator instrumentation replays
-/// (the in-place [`components_parallel`] converges in a schedule-dependent
-/// number of rounds, which a reproducible workload cannot use).
+/// function of the graph. This is the deterministic variant the simulator
+/// instrumentation replays (the in-place [`components_parallel`] converges
+/// in a schedule-dependent number of rounds, which a reproducible workload
+/// cannot use).
+///
+/// After `k` rounds a label is the smallest id within `k` hops, so the last
+/// label changes in round `max_v d(v, min id of v's component)` and one more
+/// round finds the fixed point: `rounds = 1 + that depth`. The flood fill of
+/// [`components_seq`] measures exactly that depth in O(V + E), instead of
+/// running `rounds × E` sweeps to learn it.
 pub fn components_sync(g: &Csr) -> Components {
-    let n = g.num_vertices();
-    let mut labels: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut next = labels.clone();
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        let mut changed = false;
-        for v in 0..n {
-            let mut m = labels[v];
-            for &w in g.neighbors(v as VertexId) {
-                m = m.min(labels[w as usize]);
-            }
-            if m != labels[v] {
-                changed = true;
-            }
-            next[v] = m;
-        }
-        std::mem::swap(&mut labels, &mut next);
-        if !changed {
-            break;
-        }
-    }
-    let count = labels
-        .iter()
-        .enumerate()
-        .filter(|&(v, &l)| l == v as VertexId)
-        .count();
-    Components {
-        labels,
-        count,
-        rounds,
-    }
+    components_seq(g)
 }
 
 /// Simulator-facing workload of a synchronous label-propagation run: the
@@ -197,7 +188,12 @@ pub fn components_parallel(pool: &ThreadPool, g: &Csr, model: RuntimeModel) -> C
 }
 
 #[cfg(test)]
+#[path = "../tests/support/jacobi.rs"]
+mod jacobi;
+
+#[cfg(test)]
 mod tests {
+    use super::jacobi::jacobi_components;
     use super::*;
     use mic_graph::generators::{erdos_renyi_gnm, path, star};
     use mic_graph::GraphBuilder;
@@ -283,6 +279,35 @@ mod tests {
         // Jacobi flooding moves one hop per round: label 0 needs 49 hops to
         // reach the far end, plus the fixed-point-detection round.
         assert_eq!(a.rounds, 50);
+    }
+
+    fn assert_matches_jacobi(g: &Csr, what: &str) -> usize {
+        let got = components_sync(g);
+        let (labels, count, rounds) = jacobi_components(g);
+        assert_eq!(got.labels, labels, "{what}: labels");
+        assert_eq!(got.count, count, "{what}: count");
+        assert_eq!(got.rounds, rounds, "{what}: rounds");
+        got.rounds
+    }
+
+    #[test]
+    fn flood_fill_matches_jacobi_on_the_suite() {
+        use mic_graph::suite::{build, PaperGraph, Scale};
+        for pg in PaperGraph::every() {
+            assert_matches_jacobi(&build(pg, Scale::Fraction(64)), pg.name());
+        }
+    }
+
+    #[test]
+    fn flood_fill_matches_jacobi_on_small_shapes() {
+        assert_eq!(assert_matches_jacobi(&path(50), "path(50)"), 50);
+        assert_eq!(assert_matches_jacobi(&Csr::empty(0), "empty"), 1);
+        assert_eq!(assert_matches_jacobi(&Csr::empty(7), "isolated"), 1);
+        // A 3-vertex path on ids 0..3, then a 10-vertex path on ids 3..13:
+        // the later, longer component sets the round count.
+        let mut b = GraphBuilder::new(13);
+        b.extend((0..2).chain(3..12).map(|v| (v, v + 1)));
+        assert_eq!(assert_matches_jacobi(&b.build(), "two paths"), 10);
     }
 
     #[test]

@@ -1,5 +1,9 @@
 //! Property-based tests for the BFS crate's connected-components kernel.
 
+mod support {
+    pub mod jacobi;
+}
+
 use mic_bfs::components::{components_parallel, components_seq};
 use mic_graph::{Csr, GraphBuilder, VertexId};
 use mic_runtime::{Partitioner, RuntimeModel, Schedule, ThreadPool};
@@ -35,6 +39,10 @@ proptest! {
         let got = components_parallel(&pool, &g, model);
         prop_assert_eq!(got.labels, want.labels);
         prop_assert_eq!(got.count, want.count);
+        let (labels, count, rounds) = support::jacobi::jacobi_components(&g);
+        prop_assert_eq!(&want.labels, &labels);
+        prop_assert_eq!(want.count, count);
+        prop_assert_eq!(want.rounds, rounds);
     }
 
     #[test]

@@ -54,15 +54,6 @@ pub fn rgg3d(n: usize, bounds: Box3, radius: f64, seed: u64) -> Csr {
 fn rgg3d_edges(n: usize, bounds: Box3, radius: f64, seed: u64) -> GraphBuilder {
     assert!(radius > 0.0, "radius must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut pts: Vec<[f64; 3]> = (0..n)
-        .map(|_| {
-            [
-                rng.gen::<f64>() * bounds.x,
-                rng.gen::<f64>() * bounds.y,
-                rng.gen::<f64>() * bounds.z,
-            ]
-        })
-        .collect();
 
     // Cell grid with cell side = radius.
     let nx = (bounds.x / radius).ceil().max(1.0) as usize;
@@ -75,63 +66,62 @@ fn rgg3d_edges(n: usize, bounds: Box3, radius: f64, seed: u64) -> GraphBuilder {
             ((p[2] / radius) as usize).min(nz - 1),
         )
     };
+    // Flattened cell index; it orders cells as (cell_x, cell_y, cell_z) do.
+    let flat = |(x, y, z): (usize, usize, usize)| (x * ny + y) * nz + z;
 
-    // Natural numbering: sort by (cell_x, cell_y, cell_z, x).
-    pts.sort_unstable_by(|a, b| {
-        let ca = cell_of(a);
-        let cb = cell_of(b);
-        ca.cmp(&cb)
+    // Natural numbering: sort by (cell_x, cell_y, cell_z, x), keyed on each
+    // point's precomputed flat cell index.
+    let mut keyed: Vec<(usize, [f64; 3])> = (0..n)
+        .map(|_| {
+            let p = [
+                rng.gen::<f64>() * bounds.x,
+                rng.gen::<f64>() * bounds.y,
+                rng.gen::<f64>() * bounds.z,
+            ];
+            (flat(cell_of(&p)), p)
+        })
+        .collect();
+    keyed.sort_unstable_by(|(ca, a), (cb, b)| {
+        ca.cmp(cb)
             .then(a[0].partial_cmp(&b[0]).unwrap_or(std::cmp::Ordering::Equal))
     });
 
-    // Bucket points into cells (counting sort over flattened cell index).
+    // Every cell is now a contiguous run of `pts`, in flat-index order.
     let ncells = nx * ny * nz;
-    let flat = |c: (usize, usize, usize)| (c.0 * ny + c.1) * nz + c.2;
     let mut cell_start = vec![0usize; ncells + 1];
-    for p in &pts {
-        cell_start[flat(cell_of(p)) + 1] += 1;
+    for &(c, _) in &keyed {
+        cell_start[c + 1] += 1;
     }
     for i in 0..ncells {
         cell_start[i + 1] += cell_start[i];
     }
-    let mut cursor = cell_start.clone();
-    let mut order = vec![0u32; n];
-    for (i, p) in pts.iter().enumerate() {
-        let c = flat(cell_of(p));
-        order[cursor[c]] = i as u32;
-        cursor[c] += 1;
-    }
+    let pts: Vec<[f64; 3]> = keyed.into_iter().map(|(_, p)| p).collect();
 
+    // Of point i's 27 neighbor cells, only the forward ones hold j > i: the
+    // rest of its own cell plus its +z cell, and the three z-cells of each
+    // forward (dx, dy) column. Each of those is one contiguous run.
     let r2 = radius * radius;
     let mut b = GraphBuilder::with_capacity(n, n * 8);
     for i in 0..n {
         let p = pts[i];
         let (cx, cy, cz) = cell_of(&p);
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dz in -1i64..=1 {
-                    let (x, y, z) = (cx as i64 + dx, cy as i64 + dy, cz as i64 + dz);
-                    if x < 0 || y < 0 || z < 0 {
-                        continue;
-                    }
-                    let (x, y, z) = (x as usize, y as usize, z as usize);
-                    if x >= nx || y >= ny || z >= nz {
-                        continue;
-                    }
-                    let c = flat((x, y, z));
-                    for &jj in &order[cell_start[c]..cell_start[c + 1]] {
-                        let j = jj as usize;
-                        if j <= i {
-                            continue;
-                        }
-                        let q = pts[j];
-                        let d2 =
-                            (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2);
-                        if d2 <= r2 {
-                            b.add_edge(i as VertexId, j as VertexId);
-                        }
-                    }
+        let (z0, z1) = (cz.saturating_sub(1), (cz + 1).min(nz - 1));
+        let mut scan = |lo: usize, hi: usize| {
+            for (j, q) in (lo..hi).zip(&pts[lo..hi]) {
+                let d2 = (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2);
+                if d2 <= r2 {
+                    b.add_edge(i as VertexId, j as VertexId);
                 }
+            }
+        };
+        scan(i + 1, cell_start[flat((cx, cy, z1)) + 1]);
+        for (dx, dy) in [(0, 1), (1, -1), (1, 0), (1, 1)] {
+            let (x, y) = (cx + dx, cy.wrapping_add_signed(dy));
+            if x < nx && y < ny {
+                scan(
+                    cell_start[flat((x, y, z0))],
+                    cell_start[flat((x, y, z1)) + 1],
+                );
             }
         }
     }

@@ -49,19 +49,17 @@ pub fn rmat(scale: u32, edge_factor: usize, probs: RmatProbs, seed: u64) -> Csr 
     let m = edge_factor * n;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut builder = GraphBuilder::with_capacity(n, m);
+    // Quadrant bounds. The sums run left to right (`a + b + c`): that float
+    // order fixes every generated graph's bits.
+    let (a, ab, abc) = (probs.a, probs.a + probs.b, probs.a + probs.b + probs.c);
     for _ in 0..m {
         let (mut u, mut v) = (0usize, 0usize);
         for _ in 0..scale {
+            // [0, a) → (0, 0), [a, ab) → (0, 1), [ab, abc) → (1, 0),
+            // [abc, 1) → (1, 1), without branches.
             let r: f64 = rng.gen();
-            let (du, dv) = if r < probs.a {
-                (0, 0)
-            } else if r < probs.a + probs.b {
-                (0, 1)
-            } else if r < probs.a + probs.b + probs.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let du = (r >= ab) as usize;
+            let dv = (((a <= r) & (r < ab)) | (r >= abc)) as usize;
             u = (u << 1) | du;
             v = (v << 1) | dv;
         }

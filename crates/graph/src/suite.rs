@@ -395,6 +395,66 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every adjacency list, each prefixed by its length.
+    fn adjacency_digest(g: &Csr) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in g.vertices() {
+            let nbrs = g.neighbors(v);
+            for x in std::iter::once(nbrs.len() as u32).chain(nbrs.iter().copied()) {
+                for byte in x.to_le_bytes() {
+                    h ^= byte as u64;
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    fn assert_digests(scale: Scale, want: [(PaperGraph, usize, usize, u64); 9]) {
+        for (pg, n, m, digest) in want {
+            let g = build(pg, scale);
+            let got = (g.num_vertices(), g.num_edges(), adjacency_digest(&g));
+            assert_eq!(got, (n, m, digest), "{} at {scale:?}", pg.name());
+        }
+    }
+
+    #[test]
+    fn suite_graphs_are_pinned_at_1_64() {
+        assert_digests(
+            Scale::Fraction(64),
+            [
+                (PaperGraph::Auto, 7010, 49004, 0xaafed4d012c09bd6),
+                (PaperGraph::Bmw32, 3552, 68717, 0xc4c590c0aaeef367),
+                (PaperGraph::Hood, 3445, 58753, 0xf8f5782f653004f8),
+                (PaperGraph::Inline1, 7870, 211340, 0x31e58a4b50a2fc35),
+                (PaperGraph::Ldoor, 14878, 279905, 0xb29d50d74e7d83f3),
+                (PaperGraph::Msdoor, 6497, 125284, 0xe21700e80ddb4442),
+                (PaperGraph::Pwtk, 3404, 53436, 0xde2a2b2633a66d23),
+                (PaperGraph::RmatEf8, 4096, 26572, 0x669a08257625f524),
+                (PaperGraph::RmatEf16, 4096, 48537, 0xf2434748ef43936c),
+            ],
+        );
+    }
+
+    #[test]
+    #[ignore = "paper scale: about 5 s in release"]
+    fn suite_graphs_are_pinned_at_paper_scale() {
+        assert_digests(
+            Scale::Full,
+            [
+                (PaperGraph::Auto, 448695, 3325578, 0x6c862573b45a202c),
+                (PaperGraph::Bmw32, 227362, 5522349, 0x2c441477a367c61a),
+                (PaperGraph::Hood, 220542, 4840705, 0xa3ba1b525a277564),
+                (PaperGraph::Inline1, 503712, 18072420, 0xae947ace92f71498),
+                (PaperGraph::Ldoor, 952203, 20803186, 0xf0cf344631621ac1),
+                (PaperGraph::Msdoor, 415863, 9391130, 0xf327bf1505cc1887),
+                (PaperGraph::Pwtk, 217918, 5610642, 0xa44834a466062ef1),
+                (PaperGraph::RmatEf8, 262144, 1969608, 0x32054c6ec45117ee),
+                (PaperGraph::RmatEf16, 262144, 3805494, 0x1e523ceead1c456d),
+            ],
+        );
+    }
+
     #[test]
     fn deterministic() {
         assert_eq!(

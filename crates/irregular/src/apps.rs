@@ -4,34 +4,49 @@
 use mic_graph::Csr;
 use mic_runtime::{RuntimeModel, ThreadPool};
 
-/// One PageRank power-iteration: `next[v] = (1-d)/n + d * Σ rank[w]/deg(w)`
-/// over in-neighbors (the graph is undirected, so neighbors).
-/// Dangling (degree-0) mass is redistributed uniformly.
+/// Prepare one PageRank power iteration: fill `contrib[w] = rank[w] /
+/// deg(w)` (0 where the degree is 0; no neighbor ever reads that entry)
+/// and return the iteration's `base = (1-d)/n + d * dangling/n`, where the
+/// dangling (degree-0) mass is redistributed uniformly.
+fn contributions(g: &Csr, rank: &[f64], contrib: &mut [f64], damping: f64) -> f64 {
+    let mut dangling = 0.0;
+    for v in g.vertices() {
+        let (r, deg) = (rank[v as usize], g.degree(v));
+        contrib[v as usize] = if deg == 0 {
+            dangling += r;
+            0.0
+        } else {
+            r / deg as f64
+        };
+    }
+    let n = g.num_vertices() as f64;
+    (1.0 - damping) / n + damping * dangling / n
+}
+
+/// One PageRank power-iteration: `next[v] = base + d * Σ rank[w]/deg(w)`
+/// over in-neighbors (the graph is undirected, so neighbors). Each division
+/// is done once per vertex by [`contributions`], and the sum adds the same
+/// quotients in the same order as dividing per edge would.
 fn pagerank_step(
     pool: &ThreadPool,
     g: &Csr,
     rank: &[f64],
+    contrib: &mut [f64],
     next: &mut [f64],
     damping: f64,
     model: RuntimeModel,
 ) {
-    let n = g.num_vertices() as f64;
-    let dangling: f64 = g
-        .vertices()
-        .filter(|&v| g.degree(v) == 0)
-        .map(|v| rank[v as usize])
-        .sum();
-    let base = (1.0 - damping) / n + damping * dangling / n;
+    let base = contributions(g, rank, contrib, damping);
+    let contrib = &*contrib;
     struct OutPtr(*mut f64);
     unsafe impl Sync for OutPtr {}
     let out = OutPtr(next.as_mut_ptr());
     model.drive(pool, g.num_vertices(), |chunk, _| {
         let _ = &out;
         for vi in chunk {
-            let v = vi as u32;
             let mut sum = 0.0;
-            for &w in g.neighbors(v) {
-                sum += rank[w as usize] / g.degree(w) as f64;
+            for &w in g.neighbors(vi as u32) {
+                sum += contrib[w as usize];
             }
             // SAFETY: schedulers hand out disjoint indices.
             unsafe { *out.0.add(vi) = base + damping * sum };
@@ -48,19 +63,14 @@ pub fn pagerank_seq(g: &Csr, damping: f64, tol: f64, max_iters: usize) -> (Vec<f
     assert!(n > 0, "pagerank needs at least one vertex");
     assert!((0.0..1.0).contains(&damping));
     let mut rank = vec![1.0 / n as f64; n];
+    let mut contrib = vec![0.0; n];
     let mut next = vec![0.0; n];
     for it in 1..=max_iters {
-        let nf = n as f64;
-        let dangling: f64 = g
-            .vertices()
-            .filter(|&v| g.degree(v) == 0)
-            .map(|v| rank[v as usize])
-            .sum();
-        let base = (1.0 - damping) / nf + damping * dangling / nf;
+        let base = contributions(g, &rank, &mut contrib, damping);
         for v in g.vertices() {
             let mut sum = 0.0;
             for &w in g.neighbors(v) {
-                sum += rank[w as usize] / g.degree(w) as f64;
+                sum += contrib[w as usize];
             }
             next[v as usize] = base + damping * sum;
         }
@@ -87,9 +97,10 @@ pub fn pagerank(
     assert!(n > 0, "pagerank needs at least one vertex");
     assert!((0.0..1.0).contains(&damping));
     let mut rank = vec![1.0 / n as f64; n];
+    let mut contrib = vec![0.0; n];
     let mut next = vec![0.0; n];
     for it in 1..=max_iters {
-        pagerank_step(pool, g, &rank, &mut next, damping, model);
+        pagerank_step(pool, g, &rank, &mut contrib, &mut next, damping, model);
         let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut rank, &mut next);
         if delta < tol {
@@ -206,6 +217,69 @@ mod tests {
             assert_eq!(got, want, "t = {t}");
             assert_eq!(it, want_it);
         }
+    }
+
+    /// The power iteration with one division per edge, as it was written
+    /// before [`contributions`] hoisted the divisions to once per vertex.
+    fn pagerank_per_edge_division(
+        g: &Csr,
+        damping: f64,
+        tol: f64,
+        max_iters: usize,
+    ) -> (Vec<f64>, usize) {
+        let n = g.num_vertices();
+        let mut rank = vec![1.0 / n as f64; n];
+        let mut next = vec![0.0; n];
+        for it in 1..=max_iters {
+            let nf = n as f64;
+            let dangling: f64 = g
+                .vertices()
+                .filter(|&v| g.degree(v) == 0)
+                .map(|v| rank[v as usize])
+                .sum();
+            let base = (1.0 - damping) / nf + damping * dangling / nf;
+            for v in g.vertices() {
+                let mut sum = 0.0;
+                for &w in g.neighbors(v) {
+                    sum += rank[w as usize] / g.degree(w) as f64;
+                }
+                next[v as usize] = base + damping * sum;
+            }
+            let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut rank, &mut next);
+            if delta < tol {
+                return (rank, it);
+            }
+        }
+        (rank, max_iters)
+    }
+
+    fn assert_matches_per_edge_division(g: &Csr, what: &str) {
+        let (want, want_it) = pagerank_per_edge_division(g, 0.85, 1e-8, 100);
+        let (got, it) = pagerank_seq(g, 0.85, 1e-8, 100);
+        assert_eq!(it, want_it, "{what}: iterations");
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "{what}: ranks");
+        let (par, par_it) = pagerank(&ThreadPool::new(3), g, 0.85, 1e-8, 100, OMP);
+        assert_eq!(par_it, want_it, "{what}: parallel iterations");
+        assert_eq!(bits(&par), bits(&want), "{what}: parallel ranks");
+    }
+
+    #[test]
+    fn pagerank_matches_per_edge_division_on_the_suite() {
+        use mic_graph::suite::{build, PaperGraph, Scale};
+        for pg in [PaperGraph::RmatEf8, PaperGraph::RmatEf16, PaperGraph::Hood] {
+            assert_matches_per_edge_division(&build(pg, Scale::Fraction(64)), pg.name());
+        }
+    }
+
+    #[test]
+    fn pagerank_matches_per_edge_division_with_isolated_vertices() {
+        let mut b = mic_graph::GraphBuilder::new(40);
+        b.extend((0..20).map(|v| (v, (v * 7 + 3) % 20)));
+        let g = b.build();
+        assert!(g.vertices().any(|v| g.degree(v) == 0));
+        assert_matches_per_edge_division(&g, "isolated");
     }
 
     #[test]
