@@ -89,7 +89,7 @@ fn main() {
 
     // One real run of the native coloring kernel on a small pool, so the
     // export also shows real chunk→worker assignment and steals.
-    let g = workload_cache::graph(PaperGraph::Hood, scale, OrderTag::Natural);
+    let g = workload_cache::graph(PaperGraph::Hood, scale);
     let pool = ThreadPool::new(4);
     let (timed, native) = capture_native_trace(|| {
         run_coloring(

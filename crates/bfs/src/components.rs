@@ -10,7 +10,7 @@
 //! the min-combining races are benign (monotone decreasing lattice), so the
 //! result is exactly the per-component minimum id regardless of scheduling.
 
-use mic_graph::stats::{gap_class, LocalityWindows, MemClass};
+use mic_graph::stats::{for_each_gap_counts, LocalityWindows};
 use mic_graph::{Csr, VertexId};
 use mic_runtime::{RuntimeModel, ThreadPool};
 use mic_sim::{Policy, Region, Work};
@@ -97,29 +97,19 @@ pub struct ComponentsWorkload {
 /// Build the components workload from a native [`components_sync`] run.
 pub fn instrument_components(g: &Csr, windows: LocalityWindows) -> ComponentsWorkload {
     let native = components_sync(g);
-    let work = g
-        .vertices()
-        .map(|v| {
-            let deg = g.degree(v) as f64;
-            let (mut l1, mut l2, mut dram) = (0.0f64, 0.0f64, 0.0f64);
-            for &w in g.neighbors(v) {
-                match gap_class(v, w, windows) {
-                    MemClass::L1 => l1 += 1.0,
-                    MemClass::L2 => l2 += 1.0,
-                    MemClass::Dram => dram += 1.0,
-                }
-            }
-            Work {
-                // Own-label load, per-neighbor load+min+branch, one store.
-                issue: 6.0 + 3.0 * deg,
-                l1: l1 + 1.0,
-                l2: l2 + deg / 16.0, // prefetched adjacency stream
-                dram,
-                flops: 0.0,
-                atomics: 0.0,
-            }
-        })
-        .collect();
+    let mut work = Vec::with_capacity(g.num_vertices());
+    for_each_gap_counts(g, None, windows, |c| {
+        let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+        work.push(Work {
+            // Own-label load, per-neighbor load+min+branch, one store.
+            issue: 6.0 + 3.0 * deg,
+            l1: l1 + 1.0,
+            l2: l2 + deg / 16.0, // prefetched adjacency stream
+            dram,
+            flops: 0.0,
+            atomics: 0.0,
+        });
+    });
     ComponentsWorkload {
         round_work: Arc::new(work),
         rounds: native.rounds,

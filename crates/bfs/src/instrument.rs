@@ -15,7 +15,7 @@
 //!   thread-local queues into the global one (extra copy traffic).
 
 use crate::seq::{bfs, vertices_by_level};
-use mic_graph::stats::{gap_class, LocalityWindows, MemClass};
+use mic_graph::stats::{GapCounts, LocalityWindows};
 use mic_graph::{Csr, VertexId};
 use mic_sim::{Policy, Region, Work};
 use std::sync::Arc;
@@ -86,15 +86,8 @@ pub(crate) fn vertex_work(
     windows: LocalityWindows,
     variant: SimVariant,
 ) -> Work {
-    let deg = g.degree(v) as f64;
-    let (mut l1, mut l2, mut dram) = (0.0f64, 0.0f64, 0.0f64);
-    for &w in g.neighbors(v) {
-        match gap_class(v, w, windows) {
-            MemClass::L1 => l1 += 1.0,
-            MemClass::L2 => l2 += 1.0,
-            MemClass::Dram => dram += 1.0,
-        }
-    }
+    let c = GapCounts::of(v, g.neighbors(v), |x| x, windows);
+    let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
     // Common: slot/queue read, level checks on every neighbor, adjacency
     // streaming.
     let mut w = Work {

@@ -9,8 +9,8 @@
 //! fraction of vertices ("the number of conflicting vertices is usually
 //! low"), so the simulator re-runs the two sweeps on a small sample.
 
-use mic_graph::stats::{gap_class, LocalityWindows, MemClass};
-use mic_graph::Csr;
+use mic_graph::stats::{for_each_gap_counts, LocalityWindows};
+use mic_graph::{Csr, VertexId};
 use mic_sim::{Policy, Region, Work};
 use std::sync::Arc;
 
@@ -44,19 +44,22 @@ pub struct ColoringWorkload {
 
 /// Build the workload for `g` with the given locality windows.
 pub fn instrument(g: &Csr, windows: LocalityWindows) -> ColoringWorkload {
+    instrument_relabelled(g, None, windows)
+}
+
+/// [`instrument`] of `g` relabelled by `perm` (`perm[old] = new`; `None` is
+/// natural order), read from `g` itself: costs are degrees and gap counts,
+/// so this equals `instrument(&g.permute(perm), windows)` bit for bit.
+pub fn instrument_relabelled(
+    g: &Csr,
+    perm: Option<&[VertexId]>,
+    windows: LocalityWindows,
+) -> ColoringWorkload {
     let n = g.num_vertices();
     let mut tentative = Vec::with_capacity(n);
     let mut detect = Vec::with_capacity(n);
-    for v in g.vertices() {
-        let deg = g.degree(v) as f64;
-        let (mut l1, mut l2, mut dram) = (0.0f64, 0.0f64, 0.0f64);
-        for &w in g.neighbors(v) {
-            match gap_class(v, w, windows) {
-                MemClass::L1 => l1 += 1.0,
-                MemClass::L2 => l2 += 1.0,
-                MemClass::Dram => dram += 1.0,
-            }
-        }
+    for_each_gap_counts(g, perm, windows, |c| {
+        let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
         tentative.push(Work {
             issue: VERTEX_ISSUE + EDGE_ISSUE * deg,
             l1: l1 + EDGE_L1 * deg,
@@ -73,7 +76,7 @@ pub fn instrument(g: &Csr, windows: LocalityWindows) -> ColoringWorkload {
             flops: 0.0,
             atomics: 0.0,
         });
-    }
+    });
     let sample =
         |src: &[Work]| -> Vec<Work> { src.iter().step_by(CONFLICT_SAMPLE).copied().collect() };
     ColoringWorkload {

@@ -23,5 +23,5 @@ use std::sync::Arc;
 /// (which also reads it back from the `MIC_STORE` tier if set),
 /// so regenerating many figures builds each graph once.
 pub(crate) fn suite_graph(g: PaperGraph, scale: Scale) -> Arc<Csr> {
-    crate::workload_cache::graph(g, scale, crate::workload_cache::OrderTag::Natural)
+    crate::workload_cache::graph(g, scale)
 }

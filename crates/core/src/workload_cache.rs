@@ -2,7 +2,12 @@
 //!
 //! A process instruments each distinct (graph, scale, ordering, locality
 //! windows[, kernel knob]) combination exactly once, no matter how many
-//! figures — or parallel sweep jobs — ask for it. Two layers:
+//! figures — or parallel sweep jobs — ask for it. Graphs are cached in
+//! natural order only: an ordering is a permutation π, made and dropped
+//! inside one workload build. Coloring and the irregular microbenchmark
+//! read their gap counts from the natural CSR and π; the kernels that
+//! depend on the order inside a list run on a relabelled CSR built for
+//! that one workload. Two layers:
 //!
 //! - **In-memory** (always on): process-global maps from key to
 //!   `Arc`-shared graph or workload. Entries are built inside a per-key
@@ -22,16 +27,18 @@ use mic_bfs::components::{instrument_components, ComponentsWorkload};
 use mic_bfs::direction::{instrument_hybrid, Direction, Hybrid, HybridWorkload};
 use mic_bfs::instrument::{instrument as bfs_instrument, BfsWorkload, SimVariant};
 use mic_bfs::seq::table1_source;
-use mic_coloring::instrument::{instrument as coloring_instrument, ColoringWorkload};
+use mic_coloring::instrument::{instrument_relabelled as coloring_instrument, ColoringWorkload};
 use mic_graph::io::{read_csr_bin, write_csr_bin};
-use mic_graph::ordering::{apply, Ordering};
+use mic_graph::ordering::{permutation, Ordering};
 use mic_graph::stats::LocalityWindows;
 use mic_graph::suite::{build, PaperGraph, Scale};
-use mic_graph::Csr;
+use mic_graph::{Csr, VertexId};
 use mic_irregular::instrument::{
-    instrument as irregular_instrument, instrument_pagerank, IrregularWorkload, PagerankWorkload,
+    instrument_pagerank, instrument_relabelled as irregular_instrument, IrregularWorkload,
+    PagerankWorkload,
 };
 use mic_sim::Work;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -71,7 +78,7 @@ impl<K: Eq + Hash, V: Clone> Cache<K, V> {
     }
 }
 
-static GRAPHS: Cache<(PaperGraph, Scale, OrderTag), Arc<Csr>> = Cache::new();
+static GRAPHS: Cache<(PaperGraph, Scale), Arc<Csr>> = Cache::new();
 
 /// The inputs every workload key shares: graph, scale, ordering, and the
 /// locality windows as a hashable `(l1_gap, l2_gap)` pair.
@@ -95,29 +102,29 @@ pub const PAGERANK_DAMPING: f64 = 0.85;
 pub const PAGERANK_TOL: f64 = 1e-8;
 pub const PAGERANK_MAX_ITERS: usize = 100;
 
-/// One suite graph at `scale` under `order`, built (or read from the
-/// `MIC_STORE` tier) once per process. Ordered variants are derived from
-/// the cached natural graph.
-pub fn graph(pg: PaperGraph, scale: Scale, order: OrderTag) -> Arc<Csr> {
-    GRAPHS.get_or_build((pg, scale, order), || {
-        let ordering = match order {
-            OrderTag::Natural => {
-                return Arc::new(persisted(
-                    || format!("csr1-{}-{scale:?}", pg.name()),
-                    |bytes| read_csr_bin(bytes).map_err(|e| e.to_string()),
-                    |g| {
-                        let mut bytes = Vec::new();
-                        write_csr_bin(g, &mut bytes).expect("writing to a Vec cannot fail");
-                        bytes
-                    },
-                    || build(pg, scale),
-                ))
-            }
-            OrderTag::Random { seed } => Ordering::Random { seed },
-            OrderTag::CuthillMcKee { source } => Ordering::CuthillMcKee { source },
-        };
-        Arc::new(apply(&graph(pg, scale, OrderTag::Natural), ordering).0)
+/// One suite graph at `scale`, in natural order, built (or read from the
+/// `MIC_STORE` tier) once per process. Orderings are not graphs here: a
+/// workload under one reads this graph and a permutation of it.
+pub fn graph(pg: PaperGraph, scale: Scale) -> Arc<Csr> {
+    GRAPHS.get_or_build((pg, scale), || {
+        Arc::new(persisted(
+            || format!("csr1-{}-{scale:?}", pg.name()),
+            |bytes| read_csr_bin(bytes).map_err(|e| e.to_string()),
+            |g| {
+                let mut bytes = Vec::new();
+                write_csr_bin(g, &mut bytes).expect("writing to a Vec cannot fail");
+                bytes
+            },
+            || build(pg, scale),
+        ))
     })
+}
+
+/// `g` relabelled by `perm`, for the kernels whose workload depends on the
+/// order inside each adjacency list (BFS queue order, the order of float
+/// additions). Built for one workload and dropped with it.
+fn relabelled<'g>(g: &'g Csr, perm: Option<&[VertexId]>) -> Cow<'g, Csr> {
+    perm.map_or(Cow::Borrowed(g), |p| Cow::Owned(g.permute(p)))
 }
 
 /// A workload type the cache can build and persist: which kernel knob
@@ -127,7 +134,9 @@ trait Stored: Sized {
     type Knob: Copy + Eq + Hash + std::fmt::Debug;
     /// The `<kind>` of the `wl1-<kind>-…` store key.
     const KIND: &'static str;
-    fn instrument(g: &Csr, windows: LocalityWindows, knob: Self::Knob) -> Self;
+    /// The workload of `g` relabelled by `perm` (`perm[old] = new`), or of
+    /// `g` itself when `perm` is `None`.
+    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, k: Self::Knob) -> Self;
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>);
     /// `None` when the container's shape cannot be this type.
     fn from_parts(parts: StoredArrays) -> Option<Self>;
@@ -135,7 +144,7 @@ trait Stored: Sized {
 
 /// The one keyed body behind every workload function: the in-memory
 /// entry, else (with `MIC_STORE` on) the stored container, else instrument
-/// the graph and store the result.
+/// the natural graph under the ordering's permutation and store the result.
 fn get_or_build<W: Stored>(
     cache: &Workloads<W>,
     pg: PaperGraph,
@@ -156,7 +165,16 @@ fn get_or_build<W: Stored>(
                 let (meta, arrays) = w.to_parts();
                 encode_container(&meta, &arrays)
             },
-            || W::instrument(&graph(pg, scale, order), windows, knob),
+            || {
+                let g = graph(pg, scale);
+                let perm = match order {
+                    OrderTag::Natural => None,
+                    OrderTag::Random { seed } => Some(Ordering::Random { seed }),
+                    OrderTag::CuthillMcKee { source } => Some(Ordering::CuthillMcKee { source }),
+                }
+                .map(|o| permutation(&g, o));
+                W::instrument(&g, perm.as_deref(), windows, knob)
+            },
         ))
     })
 }
@@ -244,8 +262,8 @@ pub fn hybrid_bfs(
 impl Stored for ColoringWorkload {
     type Knob = ();
     const KIND: &'static str = "coloring";
-    fn instrument(g: &Csr, windows: LocalityWindows, _: ()) -> Self {
-        coloring_instrument(g, windows)
+    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, _: ()) -> Self {
+        coloring_instrument(g, perm, win)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         let arrays: [&[Work]; 4] = [
@@ -279,8 +297,8 @@ fn counted_array((meta, arrays): StoredArrays) -> Option<(usize, Arc<Vec<Work>>)
 impl Stored for IrregularWorkload {
     type Knob = usize;
     const KIND: &'static str = "irregular";
-    fn instrument(g: &Csr, windows: LocalityWindows, iter: usize) -> Self {
-        irregular_instrument(g, windows, iter)
+    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, iter: usize) -> Self {
+        irregular_instrument(g, perm, win, iter)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         (vec![self.iter as u64], vec![&self.iter_work])
@@ -294,9 +312,9 @@ impl Stored for IrregularWorkload {
 impl Stored for PagerankWorkload {
     type Knob = ();
     const KIND: &'static str = "pagerank";
-    fn instrument(g: &Csr, windows: LocalityWindows, _: ()) -> Self {
+    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, _: ()) -> Self {
         let (damping, tol, cap) = (PAGERANK_DAMPING, PAGERANK_TOL, PAGERANK_MAX_ITERS);
-        instrument_pagerank(g, windows, damping, tol, cap)
+        instrument_pagerank(&relabelled(g, perm), win, damping, tol, cap)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         (vec![self.iters as u64], vec![&self.vertex_work])
@@ -310,8 +328,8 @@ impl Stored for PagerankWorkload {
 impl Stored for ComponentsWorkload {
     type Knob = ();
     const KIND: &'static str = "components";
-    fn instrument(g: &Csr, windows: LocalityWindows, _: ()) -> Self {
-        instrument_components(g, windows)
+    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, _: ()) -> Self {
+        instrument_components(&relabelled(g, perm), win)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         (vec![self.rounds as u64], vec![&self.round_work])
@@ -326,8 +344,9 @@ impl Stored for ComponentsWorkload {
 impl Stored for BfsWorkload {
     type Knob = SimVariant;
     const KIND: &'static str = "bfs";
-    fn instrument(g: &Csr, windows: LocalityWindows, variant: SimVariant) -> Self {
-        bfs_instrument(g, table1_source(g), windows, variant)
+    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, v: SimVariant) -> Self {
+        let g = relabelled(g, perm);
+        bfs_instrument(&g, table1_source(&g), win, v)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         let meta = self.widths.iter().map(|&w| w as u64).collect();
@@ -345,8 +364,9 @@ impl Stored for BfsWorkload {
 impl Stored for HybridWorkload {
     type Knob = ();
     const KIND: &'static str = "hybrid";
-    fn instrument(g: &Csr, windows: LocalityWindows, _: ()) -> Self {
-        instrument_hybrid(g, table1_source(g), windows, Hybrid::default())
+    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, _: ()) -> Self {
+        let g = relabelled(g, perm);
+        instrument_hybrid(&g, table1_source(&g), win, Hybrid::default())
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         let regions = self.widths.iter().zip(&self.directions);
@@ -392,16 +412,9 @@ mod tests {
 
     #[test]
     fn graph_cache_shares_one_build() {
-        let a = graph(PaperGraph::Hood, Scale::Vertices(500), OrderTag::Natural);
-        let b = graph(PaperGraph::Hood, Scale::Vertices(500), OrderTag::Natural);
+        let a = graph(PaperGraph::Hood, Scale::Vertices(500));
+        let b = graph(PaperGraph::Hood, Scale::Vertices(500));
         assert!(Arc::ptr_eq(&a, &b), "same key must share one graph");
-        let c = graph(
-            PaperGraph::Hood,
-            Scale::Vertices(500),
-            OrderTag::Random { seed: 9 },
-        );
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(a.num_vertices(), c.num_vertices());
     }
 
     #[test]
@@ -426,6 +439,15 @@ mod tests {
         };
         let w3 = coloring(PaperGraph::Pwtk, scale, OrderTag::Natural, other);
         assert!(!Arc::ptr_eq(&w1, &w3), "different windows must not share");
+        let windows = LocalityWindows::default();
+        let w4 = coloring(
+            PaperGraph::Pwtk,
+            scale,
+            OrderTag::Random { seed: 9 },
+            windows,
+        );
+        assert!(!Arc::ptr_eq(&w1, &w4), "different orderings must not share");
+        assert_eq!(w1.tentative.len(), w4.tentative.len());
     }
 
     #[test]
@@ -448,7 +470,7 @@ mod tests {
         // Two racing suites (each itself a sweep) share every graph.
         let suites = crate::sweep::map_with(2, &[(); 2], |_, _| {
             crate::sweep::map(&PaperGraph::all(), |_, &g| {
-                (g, graph(g, Scale::Vertices(300), OrderTag::Natural))
+                (g, graph(g, Scale::Vertices(300)))
             })
         });
         for ((g, a), (h, b)) in suites[0].iter().zip(&suites[1]) {

@@ -158,11 +158,7 @@ impl Csr {
             assert!((p as usize) < n && !seen[p as usize], "not a permutation");
             seen[p as usize] = true;
         }
-        // inv[new] = old
-        let mut inv = vec![0 as VertexId; n];
-        for (old, &new) in perm.iter().enumerate() {
-            inv[new as usize] = old as VertexId;
-        }
+        let inv = crate::ordering::inverse(perm);
         let mut xadj = Vec::with_capacity(n + 1);
         xadj.push(0usize);
         for new in 0..n {

@@ -50,6 +50,15 @@ pub fn apply(g: &Csr, ordering: Ordering) -> (Csr, Vec<VertexId>) {
     (g.permute(&perm), perm)
 }
 
+/// The inverse of a permutation: `inv[perm[old]] = old`.
+pub fn inverse(perm: &[VertexId]) -> Vec<VertexId> {
+    let mut inv = vec![0 as VertexId; perm.len()];
+    for (old, &new) in perm.iter().enumerate() {
+        inv[new as usize] = old as VertexId;
+    }
+    inv
+}
+
 fn by_degree(g: &Csr, descending: bool) -> Vec<VertexId> {
     let n = g.num_vertices();
     let mut order: Vec<VertexId> = (0..n as VertexId).collect();
@@ -60,11 +69,7 @@ fn by_degree(g: &Csr, descending: bool) -> Vec<VertexId> {
     } else {
         order.sort_by_key(|&v| g.degree(v));
     }
-    let mut perm = vec![0 as VertexId; n];
-    for (new, &old) in order.iter().enumerate() {
-        perm[old as usize] = new as VertexId;
-    }
-    perm
+    inverse(&order)
 }
 
 fn cuthill_mckee(g: &Csr, source: VertexId) -> Vec<VertexId> {

@@ -89,6 +89,69 @@ pub fn gap_class(u: VertexId, v: VertexId, w: LocalityWindows) -> MemClass {
     }
 }
 
+/// A vertex's degree and the L1 / L2 / DRAM split of its neighbour-state
+/// accesses under [`gap_class`]: the integers every vertex-sweep workload
+/// is priced from. They are exact and do not depend on the order of the
+/// adjacency list, so they convert to the `f64` sums of 1.0 in any order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GapCounts {
+    pub deg: u32,
+    pub l1: u32,
+    pub l2: u32,
+    pub dram: u32,
+}
+
+impl GapCounts {
+    /// The counts of vertex `u` over its neighbours `nbrs`, each mapped into
+    /// `u`'s id space by `id` (the identity in natural order).
+    #[inline]
+    pub fn of(
+        u: VertexId,
+        nbrs: &[VertexId],
+        id: impl Fn(VertexId) -> VertexId,
+        w: LocalityWindows,
+    ) -> Self {
+        let mut c = GapCounts {
+            deg: nbrs.len() as u32,
+            ..Default::default()
+        };
+        for &v in nbrs {
+            match gap_class(u, id(v), w) {
+                MemClass::L1 => c.l1 += 1,
+                MemClass::L2 => c.l2 += 1,
+                MemClass::Dram => c.dram += 1,
+            }
+        }
+        c
+    }
+}
+
+/// Call `f` with the [`GapCounts`] of every vertex of `g`, in ascending id
+/// order. With `perm` (`perm[old] = new`) these are the counts of
+/// `g.permute(perm)`, read from `g` itself: new id `i` is old vertex
+/// `inv[i]`, and each of its neighbours `v` counts `gap_class(i, perm[v])`.
+/// `None` is natural order, which needs no identity array.
+pub fn for_each_gap_counts(
+    g: &Csr,
+    perm: Option<&[VertexId]>,
+    w: LocalityWindows,
+    mut f: impl FnMut(GapCounts),
+) {
+    match perm {
+        None => {
+            for u in g.vertices() {
+                f(GapCounts::of(u, g.neighbors(u), |v| v, w));
+            }
+        }
+        Some(perm) => {
+            let relabel = |v: VertexId| perm[v as usize];
+            for (i, old) in crate::ordering::inverse(perm).into_iter().enumerate() {
+                f(GapCounts::of(i as VertexId, g.neighbors(old), relabel, w));
+            }
+        }
+    }
+}
+
 /// Summary statistics of a graph.
 #[derive(Clone, Debug)]
 pub struct GraphStats {

@@ -278,10 +278,17 @@ fn rmat_recipe(g: PaperGraph) -> (usize, u64) {
 /// edge factor is preserved, which keeps the degree distribution's shape.
 fn build_scale_free(g: PaperGraph, scale: Scale) -> Csr {
     let (edge_factor, seed) = rmat_recipe(g);
-    let target = scale.apply(1usize << RMAT_FULL_SCALE).max(64);
-    let log2 = 63 - (target as u64).leading_zeros();
-    let log2 = log2.clamp(6, RMAT_FULL_SCALE);
+    let log2 = num_vertices(g, scale).trailing_zeros();
     rmat(log2, edge_factor, RmatProbs::graph500(), seed)
+}
+
+/// `|V|` of `build(g, scale)`, without building it.
+pub fn num_vertices(g: PaperGraph, scale: Scale) -> usize {
+    if !g.is_scale_free() {
+        return scale.apply(paper_row(g).vertices);
+    }
+    let target = scale.apply(1usize << RMAT_FULL_SCALE).max(64);
+    1 << (63 - (target as u64).leading_zeros()).clamp(6, RMAT_FULL_SCALE)
 }
 
 /// Build the calibrated stand-in for `g` at the given scale: the RGG and
@@ -496,6 +503,20 @@ mod tests {
         );
         let frac = build(PaperGraph::Auto, Scale::Fraction(256));
         assert_eq!(frac.num_vertices(), n_full / 256);
+    }
+
+    #[test]
+    fn num_vertices_matches_the_built_graph() {
+        for scale in [
+            Scale::Fraction(64),
+            Scale::Fraction(256),
+            Scale::Vertices(500),
+        ] {
+            for g in PaperGraph::every() {
+                let built = build(g, scale).num_vertices();
+                assert_eq!(num_vertices(g, scale), built, "{} at {scale:?}", g.name());
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Cilk's *rises* (its fixed per-leaf overhead is amortized by the extra
 //! flops).
 
-use mic_graph::stats::{gap_class, LocalityWindows, MemClass};
-use mic_graph::Csr;
+use mic_graph::stats::{for_each_gap_counts, LocalityWindows};
+use mic_graph::{Csr, VertexId};
 use mic_sim::{Policy, Region, Work};
 use std::sync::Arc;
 
@@ -22,34 +22,36 @@ pub struct IrregularWorkload {
 
 /// Build the per-vertex workload for `iter` inner repetitions.
 pub fn instrument(g: &Csr, windows: LocalityWindows, iter: usize) -> IrregularWorkload {
+    instrument_relabelled(g, None, windows, iter)
+}
+
+/// [`instrument`] of `g` relabelled by `perm` (`perm[old] = new`; `None` is
+/// natural order), read from `g` itself: costs are degrees and gap counts,
+/// so this equals `instrument(&g.permute(perm), windows, iter)` bit for bit.
+pub fn instrument_relabelled(
+    g: &Csr,
+    perm: Option<&[VertexId]>,
+    windows: LocalityWindows,
+    iter: usize,
+) -> IrregularWorkload {
     assert!(iter >= 1);
     let it = iter as f64;
-    let work = g
-        .vertices()
-        .map(|v| {
-            let deg = g.degree(v) as f64;
-            let (mut l1, mut l2, mut dram) = (0.0f64, 0.0f64, 0.0f64);
-            for &w in g.neighbors(v) {
-                match gap_class(v, w, windows) {
-                    MemClass::L1 => l1 += 1.0,
-                    MemClass::L2 => l2 += 1.0,
-                    MemClass::Dram => dram += 1.0,
-                }
-            }
-            Work {
-                // Loop control + loads each pass; the state store once.
-                issue: 6.0 + it * (3.0 + 2.0 * deg),
-                // First pass pays the real classes; the other (iter-1)
-                // passes hit L1.
-                l1: l1 + (it - 1.0) * deg,
-                l2: l2 + deg / 16.0, // prefetched adjacency stream
-                dram,
-                // One add per neighbor (+ self) per pass, plus the divide.
-                flops: it * (deg + 1.0) + 4.0,
-                atomics: 0.0,
-            }
-        })
-        .collect();
+    let mut work = Vec::with_capacity(g.num_vertices());
+    for_each_gap_counts(g, perm, windows, |c| {
+        let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+        work.push(Work {
+            // Loop control + loads each pass; the state store once.
+            issue: 6.0 + it * (3.0 + 2.0 * deg),
+            // First pass pays the real classes; the other (iter-1)
+            // passes hit L1.
+            l1: l1 + (it - 1.0) * deg,
+            l2: l2 + deg / 16.0, // prefetched adjacency stream
+            dram,
+            // One add per neighbor (+ self) per pass, plus the divide.
+            flops: it * (deg + 1.0) + 4.0,
+            atomics: 0.0,
+        });
+    });
     IrregularWorkload {
         iter_work: Arc::new(work),
         iter,
@@ -84,31 +86,21 @@ pub fn instrument_pagerank(
     max_iters: usize,
 ) -> PagerankWorkload {
     let (_, iters) = crate::apps::pagerank_seq(g, damping, tol, max_iters);
-    let work = g
-        .vertices()
-        .map(|v| {
-            let deg = g.degree(v) as f64;
-            let (mut l1, mut l2, mut dram) = (0.0f64, 0.0f64, 0.0f64);
-            for &w in g.neighbors(v) {
-                match gap_class(v, w, windows) {
-                    MemClass::L1 => l1 += 1.0,
-                    MemClass::L2 => l2 += 1.0,
-                    MemClass::Dram => dram += 1.0,
-                }
-            }
-            Work {
-                // Loop control, rank + degree load per neighbor, the store,
-                // and this vertex's share of the delta/dangling reductions.
-                issue: 10.0 + 3.0 * deg,
-                l1: l1 + 1.0,
-                l2: l2 + deg / 16.0, // prefetched adjacency stream
-                dram,
-                // Divide + add per neighbor, base blend, |Δ| contribution.
-                flops: 2.0 * deg + 5.0,
-                atomics: 0.0,
-            }
-        })
-        .collect();
+    let mut work = Vec::with_capacity(g.num_vertices());
+    for_each_gap_counts(g, None, windows, |c| {
+        let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+        work.push(Work {
+            // Loop control, rank + degree load per neighbor, the store,
+            // and this vertex's share of the delta/dangling reductions.
+            issue: 10.0 + 3.0 * deg,
+            l1: l1 + 1.0,
+            l2: l2 + deg / 16.0, // prefetched adjacency stream
+            dram,
+            // Divide + add per neighbor, base blend, |Δ| contribution.
+            flops: 2.0 * deg + 5.0,
+            atomics: 0.0,
+        });
+    });
     PagerankWorkload {
         vertex_work: Arc::new(work),
         iters,

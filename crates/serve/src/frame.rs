@@ -30,7 +30,7 @@
 //! failure under `mic_serve_frame_errors_total{kind}`.
 
 use crate::protocol::{checked_threads, JobSpec, Kernel, Request, Response, SimMeta};
-use mic_eval::graph::suite::{PaperGraph, Scale};
+use mic_eval::graph::suite::{num_vertices, PaperGraph, Scale};
 use mic_eval::obs::TraceCtx;
 use mic_eval::sim::Policy;
 use mic_eval::workload_cache::OrderTag;
@@ -459,9 +459,12 @@ pub fn decode_request(tag: u8, payload: &[u8]) -> Result<Request, (String, Strin
         1 => OrderTag::Random {
             seed: c.u64("seed").map_err(&fail)?,
         },
-        2 => OrderTag::CuthillMcKee {
-            source: c.u64("cm source").map_err(&fail)? as u32,
-        },
+        2 => {
+            let raw = c.u64("cm source").map_err(&fail)?;
+            let source = u32::try_from(raw)
+                .map_err(|_| fail(format!("cm source must be at most {}, got {raw}", u32::MAX)))?;
+            OrderTag::CuthillMcKee { source }
+        }
         o => return Err(fail(format!("unknown order tag {o}"))),
     };
     let ptag = c.u8("policy").map_err(&fail)?;
@@ -477,6 +480,16 @@ pub fn decode_request(tag: u8, payload: &[u8]) -> Result<Request, (String, Strin
         (2, n) => Scale::Vertices((n as usize).max(1)),
         (t, _) => return Err(fail(format!("unknown scale tag {t}"))),
     };
+    // `cuthill_mckee` asserts on a source outside the graph: refused here,
+    // like `threads`, so a client gets an `error`, not a panicked job.
+    if let OrderTag::CuthillMcKee { source } = order {
+        let n = num_vertices(graph, scale);
+        if source as usize >= n {
+            return Err(fail(format!(
+                "cm source must be below {n} (|V|), got {source}"
+            )));
+        }
+    }
     let iter = (c.u64("iter").map_err(&fail)? as usize).clamp(1, 100);
     let delay_ms = c.u64("delay_ms").map_err(&fail)?.min(60_000);
     // Optional trailing trace block, present iff bytes remain. A zero

@@ -1,8 +1,11 @@
 //! Regression tests for the serve front end's resource-exhaustion fixes:
 //! capped request reads, the bounded + joined connection registry,
 //! CAS-claimed admission tickets that neither overshoot nor misreport, and
-//! thread counts past the simulated machine refused at decode.
+//! thread counts past the simulated machine and Cuthill–McKee sources
+//! outside the graph refused at decode.
 
+use mic_eval::graph::suite::{num_vertices, PaperGraph, Scale};
+use mic_eval::workload_cache::OrderTag;
 use mic_serve::frame;
 use mic_serve::protocol::{self, Request, Response};
 use mic_serve::server::{Dispatcher, ServeOpts, ServeStats, Server, Submission};
@@ -238,6 +241,75 @@ fn threads_past_the_machine_limit_are_refused_at_decode_on_both_wires() {
     assert_refused(rpc(125));
     assert_eq!(server.stats().executed.load(Ordering::Relaxed), 0);
     let resp = rpc(124);
+    assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+    assert_eq!(server.stats().executed.load(Ordering::Relaxed), 1);
+    server.shutdown();
+}
+
+/// Regression (a Cuthill–McKee `source` read as `u64`, cast `as u32`, and
+/// asserted on in `ordering::cuthill_mckee`): a binary request whose
+/// source does not fit `u32` — which used to alias the key of its low
+/// half — or is not a vertex of the graph at its scale — which used to
+/// panic the job — is answered with an `error` at decode and never reaches
+/// a job; the last vertex itself is served.
+#[test]
+fn cuthill_mckee_sources_outside_the_graph_are_refused_at_decode() {
+    let n = num_vertices(PaperGraph::Hood, Scale::Fraction(512)) as u64;
+    // The encoder writes the source as a `u64`, so a foreign client's value
+    // is this request's bytes with those eight patched.
+    let frame_for = |source: u64| {
+        let line = r#"{"id":"t","kernel":"coloring","graph":"hood","threads":4,"scale":512}"#;
+        let mut req = protocol::parse_request(line).unwrap();
+        if let Request::Simulate { spec, .. } = &mut req {
+            spec.order = OrderTag::CuthillMcKee { source: 0 };
+        }
+        let (tag, mut payload) = frame::encode_request(&req);
+        // id "t", kernel tag, graph "hood" (strings are u32-prefixed),
+        // order tag; then the source.
+        let at = (4 + 1) + 1 + (4 + 4) + 1;
+        assert_eq!(payload[at - 1], 2, "the Cuthill–McKee order tag");
+        payload[at..at + 8].copy_from_slice(&source.to_le_bytes());
+        (tag, payload)
+    };
+    let decode = |source: u64| {
+        let (tag, payload) = frame_for(source);
+        frame::decode_request(tag, &payload)
+    };
+    let refusal = |source: u64| match decode(source) {
+        Err((id, detail)) => {
+            assert_eq!(id, "t");
+            detail
+        }
+        Ok(req) => panic!("source {source} decoded: {req:?}"),
+    };
+    assert!(refusal((1 << 32) + 3).contains("at most 4294967295"));
+    for source in [n, n + 1, u32::MAX as u64] {
+        assert!(refusal(source).contains(&format!("below {n} (|V|)")));
+    }
+    for source in [3, n - 1] {
+        let Ok(Request::Simulate { spec, .. }) = decode(source) else {
+            panic!("source {source} refused");
+        };
+        let source = source as u32;
+        assert_eq!(spec.order, OrderTag::CuthillMcKee { source });
+    }
+
+    let server = Server::start("127.0.0.1:0", ServeOpts::default()).expect("start server");
+    let stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let (mut reader, mut writer) = (BufReader::new(stream.try_clone().unwrap()), stream);
+    let mut rpc = |source: u64| {
+        let (tag, payload) = frame_for(source);
+        frame::write_frame(&mut writer, tag, &payload).unwrap();
+        let (tag, payload) = frame::read_frame(&mut reader, 1 << 20).unwrap().unwrap();
+        frame::decode_response(tag, &payload).unwrap()
+    };
+    for source in [(1 << 32) + 3, n] {
+        let resp = rpc(source);
+        assert!(matches!(resp, Response::Error { .. }), "{source}: {resp:?}");
+    }
+    assert_eq!(server.stats().executed.load(Ordering::Relaxed), 0);
+    let resp = rpc(n - 1);
     assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
     assert_eq!(server.stats().executed.load(Ordering::Relaxed), 1);
     server.shutdown();
