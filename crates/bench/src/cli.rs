@@ -45,7 +45,7 @@ impl Cli {
     }
 
     /// [`Cli::parse`] over an explicit argument vector (unit tests).
-    pub fn parse_from(bin: &'static str, usage: &'static str, args: Vec<String>) -> Cli {
+    pub(crate) fn parse_from(bin: &'static str, usage: &'static str, args: Vec<String>) -> Cli {
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!("usage: {usage}");
             std::process::exit(0);

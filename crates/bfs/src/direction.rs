@@ -387,11 +387,6 @@ impl HybridWorkload {
             })
             .collect()
     }
-
-    /// Total work items across all regions.
-    pub fn total_items(&self) -> usize {
-        self.widths.iter().sum()
-    }
 }
 
 #[cfg(test)]

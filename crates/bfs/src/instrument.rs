@@ -150,11 +150,6 @@ impl BfsWorkload {
             .collect()
     }
 
-    /// Total vertices visited.
-    pub fn total_vertices(&self) -> usize {
-        self.widths.iter().sum()
-    }
-
     /// Like [`BfsWorkload::regions`], but modeling a persistent worker
     /// team (no per-level fork; only the in-region barrier is charged) —
     /// the alternative organization the fork-vs-persistent ablation prices.
@@ -181,7 +176,6 @@ mod tests {
         let g = path(50);
         let w = instrument(&g, 0, LocalityWindows::default(), SimVariant::Tls);
         assert_eq!(w.widths, vec![1; 50]);
-        assert_eq!(w.total_vertices(), 50);
         assert_eq!(w.level_work.len(), 50);
     }
 

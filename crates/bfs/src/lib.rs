@@ -39,5 +39,5 @@ pub mod verify;
 pub const UNREACHED: u32 = u32::MAX;
 
 pub use parallel::{parallel_bfs, BfsVariant};
-pub use seq::{bfs, level_widths, BfsResult};
+pub use seq::{bfs, level_widths};
 pub use verify::check_levels;

@@ -130,7 +130,7 @@ impl<T> Bag<T> {
     }
 
     /// Visit every node's element slice (the unit of parallel traversal).
-    pub fn for_each_node<'a>(&'a self, mut f: impl FnMut(&'a [T])) {
+    pub(crate) fn for_each_node<'a>(&'a self, mut f: impl FnMut(&'a [T])) {
         if !self.hopper.is_empty() {
             f(&self.hopper);
         }

@@ -12,12 +12,12 @@ use crate::UNREACHED;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The paper's best-performing block size for the block-accessed queue.
-pub const PAPER_BLOCK: usize = 32;
+pub(crate) const PAPER_BLOCK: usize = 32;
 
 /// Attempt to discover `w` at `level`. Returns whether the caller should
 /// push `w` into the next queue.
 #[inline]
-pub fn discover(levels: &[AtomicU32], w: u32, level: u32, relaxed: bool) -> bool {
+pub(crate) fn discover(levels: &[AtomicU32], w: u32, level: u32, relaxed: bool) -> bool {
     let slot = &levels[w as usize];
     if relaxed {
         if slot.load(Ordering::Relaxed) == UNREACHED {
@@ -37,7 +37,7 @@ pub fn discover(levels: &[AtomicU32], w: u32, level: u32, relaxed: bool) -> bool
 /// Queue capacity for a frontier of an `n`-vertex graph written by `t`
 /// threads in blocks of `block`: every vertex once, plus one stranded
 /// block per writer, plus headroom for the (rare) relaxed duplicates.
-pub fn queue_capacity(n: usize, block: usize, t: usize) -> usize {
+pub(crate) fn queue_capacity(n: usize, block: usize, t: usize) -> usize {
     n + block * (t + 1) + n / 2
 }
 

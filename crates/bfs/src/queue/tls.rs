@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Try to claim `w` at `level`. Returns `true` exactly once per vertex
 /// across all threads (the CAS is the lock).
 #[inline]
-pub fn try_claim(levels: &[AtomicU32], w: u32, level: u32, test_first: bool) -> bool {
+pub(crate) fn try_claim(levels: &[AtomicU32], w: u32, level: u32, test_first: bool) -> bool {
     let slot = &levels[w as usize];
     if test_first && slot.load(Ordering::Relaxed) != UNREACHED {
         return false;
@@ -21,21 +21,13 @@ pub fn try_claim(levels: &[AtomicU32], w: u32, level: u32, test_first: bool) -> 
         .is_ok()
 }
 
-/// Merge per-thread local queues into the global next-level queue
-/// (sequential concatenation; fine for few threads).
-pub fn merge_locals(locals: Vec<Vec<u32>>) -> Vec<u32> {
-    let total: usize = locals.iter().map(|l| l.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for l in locals {
-        out.extend(l);
-    }
-    out
-}
-
-/// Parallel merge, the way SNAP actually does it: exclusive-scan the local
-/// queue lengths into write offsets, then copy every local queue into its
-/// slot concurrently.
-pub fn merge_locals_parallel(pool: &mic_runtime::ThreadPool, locals: Vec<Vec<u32>>) -> Vec<u32> {
+/// Merge per-thread local queues into the global next-level queue, the way
+/// SNAP does it: exclusive-scan the local queue lengths into write offsets,
+/// then copy every local queue into its slot concurrently.
+pub(crate) fn merge_locals_parallel(
+    pool: &mic_runtime::ThreadPool,
+    locals: Vec<Vec<u32>>,
+) -> Vec<u32> {
     let mut lens: Vec<u64> = locals.iter().map(|l| l.len() as u64).collect();
     let total = mic_runtime::exclusive_scan(pool, &mut lens) as usize;
     let mut out = vec![0u32; total];
@@ -89,18 +81,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates() {
-        let merged = merge_locals(vec![vec![1, 2], vec![], vec![3]]);
-        assert_eq!(merged, vec![1, 2, 3]);
-    }
-
-    #[test]
     fn parallel_merge_matches_sequential() {
         let pool = ThreadPool::new(6);
         let locals: Vec<Vec<u32>> = (0..6u32)
             .map(|t| (0..(t * 13) % 29).map(|i| t * 1000 + i).collect())
             .collect();
-        let want = merge_locals(locals.clone());
+        let want = locals.concat();
         let mut got = merge_locals_parallel(&pool, locals);
         // Order across queues is preserved (offsets follow queue order).
         assert_eq!(got.len(), want.len());

@@ -55,7 +55,7 @@ pub fn level_widths(levels: &[u32]) -> Vec<usize> {
 
 /// Vertices of the source's component grouped by level, in level order —
 /// the visit order used by the simulator instrumentation.
-pub fn vertices_by_level(levels: &[u32]) -> Vec<Vec<VertexId>> {
+pub(crate) fn vertices_by_level(levels: &[u32]) -> Vec<Vec<VertexId>> {
     let widths = level_widths(levels);
     let mut by_level: Vec<Vec<VertexId>> = widths.iter().map(|&w| Vec::with_capacity(w)).collect();
     for (v, &l) in levels.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Synchronous label propagation run round by round: the definition that
 //! `components_sync`'s flood fill must reproduce. Shared by the unit tests
-//! in `src/components.rs` and by `props_extensions.rs`.
+//! in `src/components.rs` and by `props.rs`.
 
 use mic_graph::{Csr, VertexId};
 

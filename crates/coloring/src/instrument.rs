@@ -104,8 +104,10 @@ impl ColoringWorkload {
     /// the *actual* per-round visit sets recorded by
     /// `mic_coloring::parallel::iterative_coloring_traced` — two regions
     /// (tentative + detect) per real round, each over exactly the vertices
-    /// that round touched.
-    pub fn regions_replay(&self, policy: Policy, round_visits: &[Vec<u32>]) -> Vec<Region> {
+    /// that round touched. The reference the sampled-conflict regions are
+    /// tested against.
+    #[cfg(test)]
+    pub(crate) fn regions_replay(&self, policy: Policy, round_visits: &[Vec<u32>]) -> Vec<Region> {
         let mut regions = Vec::with_capacity(round_visits.len() * 2);
         for visit in round_visits {
             let tent: Vec<Work> = visit.iter().map(|&v| self.tentative[v as usize]).collect();

@@ -19,21 +19,15 @@
 //! - [`verify`]: proper-coloring checks used by every test;
 //! - [`instrument`]: per-vertex [`mic_sim::Work`] descriptors of the same
 //!   algorithm, which `mic-sim` schedules to regenerate Figures 1 and 2.
-//!
-//! Extensions beyond the paper's experiments: [`mis`] (Luby's maximal
-//! independent set) and [`distance2`] (greedy + speculative-parallel
-//! distance-2, the Jacobian-compression variant the paper motivates).
 
-pub mod distance2;
 pub mod instrument;
-pub mod mis;
 pub mod parallel;
 pub mod seq;
 pub mod verify;
 
 /// Marker for "not yet colored".
-pub const UNCOLORED: u32 = u32::MAX;
+pub(crate) const UNCOLORED: u32 = u32::MAX;
 
-pub use parallel::{iterative_coloring, ParallelColoring, RuntimeModel};
+pub use parallel::{iterative_coloring, RuntimeModel};
 pub use seq::{greedy_color, Coloring};
-pub use verify::{check_proper, num_colors_used};
+pub use verify::check_proper;

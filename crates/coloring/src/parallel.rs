@@ -47,7 +47,7 @@ pub fn iterative_coloring(pool: &ThreadPool, g: &Csr, model: RuntimeModel) -> Pa
 /// round (round 1 = all vertices, then the conflict sets). The trace feeds
 /// the simulator's replay-fidelity instrumentation
 /// (`crate::instrument::instrument_rounds`).
-pub fn iterative_coloring_traced(
+pub(crate) fn iterative_coloring_traced(
     pool: &ThreadPool,
     g: &Csr,
     model: RuntimeModel,

@@ -42,7 +42,7 @@ pub fn check_proper(g: &Csr, colors: &[u32]) -> Result<(), ColoringError> {
 }
 
 /// Number of distinct colors used (max + 1 over colored vertices).
-pub fn num_colors_used(colors: &[u32]) -> u32 {
+pub(crate) fn num_colors_used(colors: &[u32]) -> u32 {
     colors
         .iter()
         .copied()

@@ -1,10 +1,10 @@
 //! Property-based tests: the parallel speculative coloring must be proper
 //! on arbitrary graphs under arbitrary models and thread counts.
 
-use mic_coloring::distance2::{check_distance2, greedy_distance2};
 use mic_coloring::seq::greedy_color_in_order;
 use mic_coloring::verify::check_proper;
-use mic_coloring::{greedy_color, iterative_coloring, RuntimeModel};
+use mic_coloring::{iterative_coloring, RuntimeModel};
+use mic_graph::ordering::{permutation, Ordering};
 use mic_graph::{Csr, GraphBuilder, VertexId};
 use mic_runtime::{Partitioner, Schedule, ThreadPool};
 use proptest::prelude::*;
@@ -50,20 +50,10 @@ proptest! {
 
     #[test]
     fn greedy_proper_for_any_visit_order(g in arb_graph(), seed in any::<u64>()) {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-        order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let order = permutation(&g, Ordering::Random { seed });
         let c = greedy_color_in_order(&g, &order);
         prop_assert!(check_proper(&g, &c.colors).is_ok());
         prop_assert!((c.num_colors as usize) <= g.max_degree() + 1);
     }
 
-    #[test]
-    fn distance2_always_valid_and_at_least_distance1(g in arb_graph()) {
-        let d2 = greedy_distance2(&g);
-        prop_assert!(check_distance2(&g, &d2.colors).is_ok());
-        let d1 = greedy_color(&g);
-        prop_assert!(d2.num_colors >= d1.num_colors);
-    }
 }

@@ -18,7 +18,7 @@ pub fn version() -> &'static str {
 
 /// The current git commit (short, 12 hex chars), when the process runs
 /// inside a checkout. `None` outside a repository or on any read error.
-pub fn git_sha() -> Option<&'static str> {
+pub(crate) fn git_sha() -> Option<&'static str> {
     static SHA: OnceLock<Option<String>> = OnceLock::new();
     SHA.get_or_init(|| {
         let start = std::env::current_dir().ok()?;

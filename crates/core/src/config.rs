@@ -73,7 +73,7 @@ impl MetricsMode {
         }
     }
 
-    pub fn is_on(&self) -> bool {
+    pub(crate) fn is_on(&self) -> bool {
         !matches!(self, MetricsMode::Off)
     }
 }
@@ -110,10 +110,6 @@ impl ObsMode {
                 }
             }
         }
-    }
-
-    pub fn is_on(&self) -> bool {
-        !matches!(self, ObsMode::Off)
     }
 }
 
@@ -294,11 +290,6 @@ impl SuiteConfig {
         self
     }
 
-    pub fn steal_spin(mut self, spin: Option<usize>) -> Self {
-        self.steal_spin = spin;
-        self
-    }
-
     pub fn serve_shards(mut self, shards: usize) -> Self {
         self.serve_shards = shards.clamp(1, 64);
         self
@@ -354,13 +345,8 @@ impl SuiteConfig {
         self
     }
 
-    pub fn obs_ring(mut self, events: usize) -> Self {
-        self.obs_ring = events.clamp(8, 1 << 20);
-        self
-    }
-
     /// The [`mic_obs::ObsConfig`] this config asks for; `None` = off.
-    pub fn obs_config(&self) -> Option<mic_obs::ObsConfig> {
+    pub(crate) fn obs_config(&self) -> Option<mic_obs::ObsConfig> {
         let dir = match &self.obs {
             ObsMode::Off => return None,
             ObsMode::On => PathBuf::from("mic-obs"),
@@ -374,7 +360,7 @@ impl SuiteConfig {
     }
 
     /// The sweep worker count with the auto default applied.
-    pub fn effective_sweep_threads(&self) -> usize {
+    pub(crate) fn effective_sweep_threads(&self) -> usize {
         self.sweep_threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -518,7 +504,11 @@ mod tests {
 
     #[test]
     fn steal_spin_round_trips_through_install() {
-        SuiteConfig::default().steal_spin(Some(7)).install();
+        SuiteConfig {
+            steal_spin: Some(7),
+            ..SuiteConfig::default()
+        }
+        .install();
         assert_eq!(mic_runtime::park_spin(), 7);
         // A replacement config without the knob restores the default.
         SuiteConfig::default().install();
@@ -555,12 +545,13 @@ mod tests {
             ObsMode::parse(Some("dumps/obs".into())),
             ObsMode::OnWithDir(PathBuf::from("dumps/obs"))
         );
-        let c = SuiteConfig::default()
-            .obs(ObsMode::On)
-            .obs_slow_ms(Some(0))
-            .obs_ring(1);
+        let c = SuiteConfig {
+            obs_ring: 8,
+            ..SuiteConfig::default()
+        }
+        .obs(ObsMode::On)
+        .obs_slow_ms(Some(0));
         assert_eq!(c.obs_slow_ms, None, "zero threshold means no sampling");
-        assert_eq!(c.obs_ring, 8, "ring floor");
         let oc = c.obs_config().expect("on");
         assert_eq!(oc.dir, PathBuf::from("mic-obs"));
         assert_eq!(oc.ring, 8);

@@ -31,7 +31,7 @@ fn warn_once(name: &str, raw: &str, want: &str) {
 /// Parse a positive-integer knob. Empty (after trimming) means "unset";
 /// anything else must be an integer `>= 1`. `Err` carries the raw value
 /// verbatim so the caller can name it.
-pub fn parse_positive_usize(raw: &str) -> Result<Option<usize>, &str> {
+pub(crate) fn parse_positive_usize(raw: &str) -> Result<Option<usize>, &str> {
     let t = raw.trim();
     if t.is_empty() {
         return Ok(None);
@@ -44,7 +44,7 @@ pub fn parse_positive_usize(raw: &str) -> Result<Option<usize>, &str> {
 
 /// Parse a non-negative-integer knob (zero allowed — callers give zero
 /// its own meaning, e.g. "no deadline").
-pub fn parse_nonneg_u64(raw: &str) -> Result<Option<u64>, &str> {
+pub(crate) fn parse_nonneg_u64(raw: &str) -> Result<Option<u64>, &str> {
     let t = raw.trim();
     if t.is_empty() {
         return Ok(None);
@@ -53,7 +53,7 @@ pub fn parse_nonneg_u64(raw: &str) -> Result<Option<u64>, &str> {
 }
 
 /// Parse a path-valued knob: unset, empty and `0` all mean "off".
-pub fn parse_path(raw: &str) -> Option<PathBuf> {
+pub(crate) fn parse_path(raw: &str) -> Option<PathBuf> {
     if raw.is_empty() || raw == "0" {
         return None;
     }
@@ -61,7 +61,7 @@ pub fn parse_path(raw: &str) -> Option<PathBuf> {
 }
 
 /// `name` as a positive integer, or `None` (warning once if set but bad).
-pub fn positive_usize(name: &str) -> Option<usize> {
+pub(crate) fn positive_usize(name: &str) -> Option<usize> {
     let raw = std::env::var(name).ok()?;
     match parse_positive_usize(&raw) {
         Ok(v) => v,
@@ -74,7 +74,7 @@ pub fn positive_usize(name: &str) -> Option<usize> {
 
 /// `name` as a non-negative integer, or `None` (warning once if set but
 /// bad).
-pub fn nonneg_u64(name: &str) -> Option<u64> {
+pub(crate) fn nonneg_u64(name: &str) -> Option<u64> {
     let raw = std::env::var(name).ok()?;
     match parse_nonneg_u64(&raw) {
         Ok(v) => v,

@@ -107,7 +107,7 @@ impl Group {
 }
 
 /// A `why` hook: named region sequences to attribute stalls for.
-pub type WhyConfigs = Vec<(String, Vec<Region>)>;
+pub(crate) type WhyConfigs = Vec<(String, Vec<Region>)>;
 
 /// One registered exhibit.
 pub struct Exhibit {

@@ -192,7 +192,7 @@ pub fn placement_ablation(scale: Scale) -> Figure {
 /// Fork/join-per-level vs persistent-team BFS: the paper's codes fork a
 /// parallel region per level; a persistent team pays only a barrier. The
 /// gap grows with depth — `pwtk`'s 267 levels are the showcase.
-pub fn fork_vs_persistent(scale: Scale) -> Figure {
+pub(crate) fn fork_vs_persistent(scale: Scale) -> Figure {
     let machine = Machine::knf();
     let w = workload_cache::bfs(
         PaperGraph::Pwtk,

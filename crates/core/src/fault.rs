@@ -114,21 +114,6 @@ const fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// A single-rule plan firing `class` with probability `rate`.
-    pub fn with_rate(seed: u64, class: FaultClass, rate: f64) -> FaultPlan {
-        FaultPlan::one_rule(seed, class, Trigger::Rate(rate))
-    }
-
-    /// A single-rule plan firing `class` at exactly site `index`.
-    pub fn at_index(seed: u64, class: FaultClass, index: u64) -> FaultPlan {
-        FaultPlan::one_rule(seed, class, Trigger::Index(index))
-    }
-
-    fn one_rule(seed: u64, class: FaultClass, trigger: Trigger) -> FaultPlan {
-        let rules = vec![FaultRule { class, trigger }];
-        FaultPlan { seed, rules }
-    }
-
     /// Parse `<seed>:<rule>(,<rule>)*` (the `MIC_FAULT` value).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let (seed_s, rules_s) = spec
@@ -221,11 +206,6 @@ impl FaultPlan {
                 }
         })
     }
-
-    /// Whether any rule targets `class`.
-    pub fn targets(&self, class: FaultClass) -> bool {
-        self.rules.iter().any(|r| r.class == class)
-    }
 }
 
 /// The store's view of a plan: each file operation consults the `io-*`
@@ -284,9 +264,8 @@ mod tests {
         assert_eq!(plan.rules[0].class, FaultClass::JobPanic);
         assert_eq!(plan.rules[0].trigger, Trigger::Rate(0.25));
         assert_eq!(plan.rules[1].class, FaultClass::IoTornPage);
+        assert_eq!(plan.rules[2].class, FaultClass::IoOpenFail);
         assert_eq!(plan.rules[2].trigger, Trigger::Index(9));
-        assert!(plan.targets(FaultClass::IoOpenFail));
-        assert!(!plan.targets(FaultClass::IoFsyncFail));
     }
 
     #[test]
@@ -327,9 +306,9 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_seed_sensitive() {
-        let a = FaultPlan::with_rate(1, FaultClass::JobPanic, 0.3);
-        let b = FaultPlan::with_rate(1, FaultClass::JobPanic, 0.3);
-        let c = FaultPlan::with_rate(2, FaultClass::JobPanic, 0.3);
+        let a = FaultPlan::parse("1:job-panic@0.3").unwrap();
+        let b = FaultPlan::parse("1:job-panic@0.3").unwrap();
+        let c = FaultPlan::parse("2:job-panic@0.3").unwrap();
         let schedule = |p: &FaultPlan| -> Vec<bool> {
             (0..256)
                 .map(|site| p.fires(FaultClass::JobPanic, site))
@@ -352,8 +331,8 @@ mod tests {
     /// inputs (class discriminants included) are part of the contract.
     #[test]
     fn committed_seed_schedules_are_pinned() {
-        let fired = |seed, class, rate, sites: u64| -> Vec<u64> {
-            let plan = FaultPlan::with_rate(seed, class, rate);
+        let fired = |seed: u64, class: FaultClass, rate: f64, sites: u64| -> Vec<u64> {
+            let plan = FaultPlan::parse(&format!("{seed}:{}@{rate}", class.name())).unwrap();
             (0..sites).filter(|s| plan.fires(class, *s)).collect()
         };
         assert_eq!(fired(1, FaultClass::JobPanic, 0.2, 24), [0, 12, 21]);
@@ -375,12 +354,12 @@ mod tests {
     #[test]
     fn io_rules_parse_and_unknown_subclasses_skip_with_warning() {
         let plan = FaultPlan::parse("5:io-torn-page@0.5,io-fsync-fail#3").unwrap();
-        assert!(plan.targets(FaultClass::IoTornPage));
-        assert!(plan.targets(FaultClass::IoFsyncFail));
+        let classes: Vec<FaultClass> = plan.rules.iter().map(|r| r.class).collect();
+        assert_eq!(classes, [FaultClass::IoTornPage, FaultClass::IoFsyncFail]);
         // An unknown io subclass is skipped; the known rule survives.
         let partial = FaultPlan::parse("5:io-phase-of-moon@0.5,io-open-fail@1.0").unwrap();
-        assert!(partial.targets(FaultClass::IoOpenFail));
         assert_eq!(partial.rules.len(), 1);
+        assert_eq!(partial.rules[0].class, FaultClass::IoOpenFail);
         // Nothing left after skipping → the spec is still rejected.
         assert!(FaultPlan::parse("5:io-phase-of-moon@0.5").is_err());
         // Non-io unknown classes remain hard errors.
@@ -390,11 +369,11 @@ mod tests {
     #[test]
     fn io_rules_bridge_to_store_hook() {
         let site = |op, site| IoSite { op, site };
-        let plan = FaultPlan::with_rate(9, FaultClass::IoFsyncFail, 1.0);
+        let plan = FaultPlan::parse("9:io-fsync-fail@1.0").unwrap();
         assert_eq!(plan.io_fault(&site(IoOp::Fsync, 2)), Some(IoFault::Fail));
         // A write-class op must not consult the fsync rule.
         assert!(plan.io_fault(&site(IoOp::Write, 2)).is_none());
-        let plan = FaultPlan::with_rate(9, FaultClass::IoTornPage, 1.0);
+        let plan = FaultPlan::parse("9:io-torn-page@1.0").unwrap();
         assert_eq!(
             plan.io_fault(&site(IoOp::Write, 0)),
             Some(IoFault::TornPage)

@@ -61,4 +61,4 @@ pub mod sweep;
 pub mod trace;
 pub mod workload_cache;
 
-pub use series::{Figure, Series};
+pub use series::Figure;

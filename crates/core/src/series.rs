@@ -94,55 +94,6 @@ impl Figure {
         out
     }
 
-    /// Render as a self-contained gnuplot script (inline data blocks);
-    /// pipe to `gnuplot` to get a PNG next to the paper's figure.
-    pub fn to_gnuplot(&self, output_png: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "set terminal pngcairo size 800,600
-set output '{output_png}'
-"
-        ));
-        out.push_str(&format!(
-            "set title \"{}\"
-set xlabel \"{}\"
-set ylabel \"{}\"
-set key top left
-",
-            self.title.replace('"', "'"),
-            self.xlabel,
-            self.ylabel
-        ));
-        let plots: Vec<String> = self
-            .series
-            .iter()
-            .map(|s| {
-                format!(
-                    "'-' using 1:2 with linespoints title \"{}\"",
-                    s.label.replace('"', "'")
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "plot {}
-",
-            plots.join(", ")
-        ));
-        for s in &self.series {
-            for (&x, &y) in self.x.iter().zip(&s.y) {
-                out.push_str(&format!(
-                    "{x} {y}
-"
-                ));
-            }
-            out.push_str(
-                "e
-",
-            );
-        }
-        out
-    }
-
     /// Render as CSV (`x,label1,label2,...`).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -190,16 +141,6 @@ mod tests {
         assert_eq!(lines[0], "x,a,b");
         assert!(lines[1].starts_with("1,"));
         assert_eq!(lines.len(), 4);
-    }
-
-    #[test]
-    fn gnuplot_script_well_formed() {
-        let g = sample().to_gnuplot("out.png");
-        assert!(g.contains("set output 'out.png'"));
-        assert!(g.contains("plot "));
-        // One inline data block terminator per series.
-        assert_eq!(g.matches("\ne\n").count(), 2);
-        assert!(g.contains("1 1"));
     }
 
     #[test]

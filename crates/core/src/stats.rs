@@ -9,7 +9,7 @@
 /// Any other value panics with the value: a NaN, infinite or
 /// non-positive speedup is a bug upstream, and skipping it would quietly
 /// drop a graph from the suite's mean.
-pub fn geomean(values: &[f64]) -> f64 {
+pub(crate) fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 1.0;
     }
@@ -28,7 +28,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 /// `cycles[config][graph][ti]` → speedups per config:
 /// `geomean_g( baseline_g / cycles[config][g][ti] )` where `baseline_g` is
 /// the fastest 1-thread cost across configs for that graph.
-pub fn paper_speedups(cycles: &[Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
+pub(crate) fn paper_speedups(cycles: &[Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
     assert!(!cycles.is_empty());
     let n_graphs = cycles[0].len();
     let n_t = cycles[0][0].len();

@@ -325,7 +325,7 @@ mod tests {
         assert!(failures[0].message.contains("bad point"), "{}", failures[0]);
         assert!(lone(None, &f).iter().all(Result::is_ok));
         // The injection site is the caller's number, not a position.
-        let plan = FaultPlan::at_index(1, FaultClass::JobPanic, 40);
+        let plan = FaultPlan::parse("1:job-panic#40").unwrap();
         let injected = lone(Some(&plan), &f);
         let hit: Vec<usize> = injected
             .iter()
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn strict_map_ignores_fault_injection() {
         let items: Vec<usize> = (0..16).collect();
-        let plan = FaultPlan::with_rate(9, FaultClass::JobPanic, 1.0);
+        let plan = FaultPlan::parse("9:job-panic@1.0").unwrap();
         assert!(items
             .iter()
             .all(|&i| try_run(Some(&plan), i, || i).is_err()));

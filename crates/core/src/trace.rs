@@ -166,7 +166,7 @@ pub fn stall_sweep(m: &Machine, grid: &[usize], configs: &[(String, Vec<Region>)
 
 /// [`stall_sweep`] with an explicit sweep worker count (the table is
 /// identical for any count; tests pin that).
-pub fn stall_sweep_with(
+pub(crate) fn stall_sweep_with(
     workers: usize,
     m: &Machine,
     grid: &[usize],
@@ -242,7 +242,7 @@ pub fn chrome_trace_json(parts: &[TracePart], native: &[NativeEvent]) -> String 
 /// request spans from the [`mic_obs`] span store: one timeline row per
 /// serving shard (row 0 for spans with no shard), each span an `X` event
 /// named by its kind with the trace/span/parent ids in `args`.
-pub fn chrome_trace_json_with_spans(
+pub(crate) fn chrome_trace_json_with_spans(
     parts: &[TracePart],
     native: &[NativeEvent],
     spans: &[mic_obs::span::Span],

@@ -44,8 +44,9 @@ use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 mod tier;
+use tier::StoredArrays;
 use tier::{encode_container, persisted, verify_container};
-pub use tier::{load_arrays, store_arrays, StoredArrays};
+pub use tier::{load_arrays, store_arrays};
 
 /// Vertex ordering applied to a suite graph before instrumentation — the
 /// hashable subset of [`Ordering`] the experiments use.

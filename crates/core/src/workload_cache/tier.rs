@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 const MAGIC: &[u8; 8] = b"MICWL2\0\0";
 
 /// Meta words + work arrays, as stored in one workload container.
-pub type StoredArrays = (Vec<u64>, Vec<Arc<Vec<Work>>>);
+pub(crate) type StoredArrays = (Vec<u64>, Vec<Arc<Vec<Work>>>);
 
 /// Serialize meta + arrays into the `MICWL2` container (checksum sealed).
 pub(super) fn encode_container(meta: &[u64], arrays: &[&[Work]]) -> Vec<u8> {

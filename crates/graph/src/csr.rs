@@ -103,7 +103,7 @@ impl Csr {
     }
 
     /// Average degree 2|E| / |V| (0.0 for the empty graph).
-    pub fn avg_degree(&self) -> f64 {
+    pub(crate) fn avg_degree(&self) -> f64 {
         if self.num_vertices() == 0 {
             0.0
         } else {
@@ -134,13 +134,13 @@ impl Csr {
 
     /// The raw offset array (length `n + 1`).
     #[inline]
-    pub fn xadj(&self) -> &[usize] {
+    pub(crate) fn xadj(&self) -> &[usize] {
         &self.xadj
     }
 
     /// The raw adjacency array (length `2 |E|`).
     #[inline]
-    pub fn adj(&self) -> &[VertexId] {
+    pub(crate) fn adj(&self) -> &[VertexId] {
         &self.adj
     }
 

@@ -21,6 +21,7 @@ pub use grid::{grid2d, grid3d, Stencil2, Stencil3};
 pub(crate) use hubs::graft_hubs;
 #[cfg(test)]
 pub(crate) use hubs::rebuilt_with_hubs;
-pub use rgg::{rgg3d, rgg3d_builder, rgg3d_with_avg_degree, Box3};
+pub(crate) use rgg::rgg3d_builder;
+pub use rgg::{rgg3d_with_avg_degree, Box3};
 pub use rmat::{rmat, RmatProbs};
 pub use special::{balanced_binary_tree, complete, cycle, path, star};

@@ -27,30 +27,21 @@ impl Box3 {
         Box3 { x, y, z }
     }
 
-    /// Unit cube.
-    pub fn cube() -> Self {
-        Box3::new(1.0, 1.0, 1.0)
-    }
-
     /// Volume.
-    pub fn volume(&self) -> f64 {
+    pub(crate) fn volume(&self) -> f64 {
         self.x * self.y * self.z
     }
 }
 
 /// Random geometric graph: `n` uniform points in `bounds`, an edge whenever
-/// two points are within Euclidean distance `radius`.
+/// two points are within Euclidean distance `radius`. The edges are
+/// returned in a builder, so callers can add their own before the one
+/// [`GraphBuilder::build`].
 ///
 /// Vertices are numbered by sorting points lexicographically on
 /// (x-slab, y-slab, z-slab, x), which produces a banded, locality-rich
 /// "natural" ordering like an FE mesh numbering; shuffling this ordering (as
 /// the paper does for Figure 2) destroys the locality.
-pub fn rgg3d(n: usize, bounds: Box3, radius: f64, seed: u64) -> Csr {
-    rgg3d_edges(n, bounds, radius, seed).build()
-}
-
-/// The edges of [`rgg3d`], not yet built, so callers can add their own
-/// before the one [`GraphBuilder::build`].
 fn rgg3d_edges(n: usize, bounds: Box3, radius: f64, seed: u64) -> GraphBuilder {
     assert!(radius > 0.0, "radius must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -135,7 +126,7 @@ pub fn rgg3d_with_avg_degree(n: usize, bounds: Box3, target_deg: f64, seed: u64)
 }
 
 /// [`rgg3d_with_avg_degree`]'s edges in a builder that has not built yet.
-pub fn rgg3d_builder(n: usize, bounds: Box3, target_deg: f64, seed: u64) -> GraphBuilder {
+pub(crate) fn rgg3d_builder(n: usize, bounds: Box3, target_deg: f64, seed: u64) -> GraphBuilder {
     assert!(target_deg > 0.0);
     // E[deg] = (n - 1) * (4/3 π r³) / V  =>  r = cbrt(3 V d / (4 π (n-1)))
     let v = bounds.volume();
@@ -147,18 +138,28 @@ pub fn rgg3d_builder(n: usize, bounds: Box3, target_deg: f64, seed: u64) -> Grap
 mod tests {
     use super::*;
 
+    const CUBE: Box3 = Box3 {
+        x: 1.0,
+        y: 1.0,
+        z: 1.0,
+    };
+
+    fn rgg3d(n: usize, bounds: Box3, radius: f64, seed: u64) -> Csr {
+        rgg3d_edges(n, bounds, radius, seed).build()
+    }
+
     #[test]
     fn deterministic_for_seed() {
-        let a = rgg3d(500, Box3::cube(), 0.12, 42);
-        let b = rgg3d(500, Box3::cube(), 0.12, 42);
+        let a = rgg3d(500, CUBE, 0.12, 42);
+        let b = rgg3d(500, CUBE, 0.12, 42);
         assert_eq!(a, b);
-        let c = rgg3d(500, Box3::cube(), 0.12, 43);
+        let c = rgg3d(500, CUBE, 0.12, 43);
         assert_ne!(a, c);
     }
 
     #[test]
     fn avg_degree_close_to_target() {
-        let g = rgg3d_with_avg_degree(4000, Box3::cube(), 20.0, 7);
+        let g = rgg3d_with_avg_degree(4000, CUBE, 20.0, 7);
         let d = g.avg_degree();
         // Boundary effects shave some degree off; accept a generous band.
         assert!(d > 12.0 && d < 24.0, "avg degree {d} out of band");
@@ -183,13 +184,13 @@ mod tests {
 
     #[test]
     fn tiny_inputs() {
-        let g = rgg3d(0, Box3::cube(), 0.5, 1);
+        let g = rgg3d(0, CUBE, 0.5, 1);
         assert_eq!(g.num_vertices(), 0);
-        let g = rgg3d(1, Box3::cube(), 0.5, 1);
+        let g = rgg3d(1, CUBE, 0.5, 1);
         assert_eq!(g.num_vertices(), 1);
         assert_eq!(g.num_edges(), 0);
         // Radius larger than the box: complete graph.
-        let g = rgg3d(20, Box3::cube(), 2.0, 1);
+        let g = rgg3d(20, CUBE, 2.0, 1);
         assert_eq!(g.num_edges(), 20 * 19 / 2);
     }
 }

@@ -98,8 +98,16 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, IoError> {
             format!("matrix must be square, got {rows}x{cols}"),
         ));
     }
+    if rows > VertexId::MAX as usize {
+        return Err(parse_err(
+            lineno,
+            format!("{rows} rows exceed the u32 vertex ids"),
+        ));
+    }
 
-    let mut b = GraphBuilder::with_capacity(rows, nnz);
+    // The declared `nnz` is not trusted for a reservation: the edge vector
+    // grows with the entries actually read.
+    let mut b = GraphBuilder::new(rows);
     let mut read = 0usize;
     for (i, l) in lines {
         let l = l?;
@@ -206,16 +214,6 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<Csr, IoErr
     Ok(b.build())
 }
 
-/// Write a 0-based edge list (`u v` per line, `u < v`).
-pub fn write_edge_list<W: Write>(g: &Csr, writer: W) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
-    for (u, v) in g.edges() {
-        writeln!(w, "{u} {v}")?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
 /// Magic + version header of the binary CSR format.
 const CSR_MAGIC: &[u8; 8] = b"MICCSR01";
 
@@ -319,9 +317,8 @@ mod tests {
     #[test]
     fn edge_list_roundtrip() {
         let g = grid2d(7, 5, Stencil2::NinePoint);
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let h = read_edge_list(&buf[..], Some(g.num_vertices())).unwrap();
+        let text: String = g.edges().map(|(u, v)| format!("{u} {v}\n")).collect();
+        let h = read_edge_list(text.as_bytes(), Some(g.num_vertices())).unwrap();
         assert_eq!(g, h);
     }
 

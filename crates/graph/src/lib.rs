@@ -6,7 +6,7 @@
 //!
 //! - [`Csr`], an undirected simple graph in compressed sparse row form with
 //!   `u32` vertex identifiers (the paper's graphs all fit comfortably);
-//! - [`builder::GraphBuilder`], an edge-accumulating builder that
+//! - [`GraphBuilder`], an edge-accumulating builder that
 //!   deduplicates, symmetrizes and sorts adjacency lists;
 //! - [`generators`], synthetic graph families (stencil grids, random
 //!   geometric graphs, Erdős–Rényi, RMAT, paths/stars/trees) used both for
@@ -19,18 +19,17 @@
 //!   shuffle;
 //! - [`stats`], degree and *locality* statistics; the locality profile feeds
 //!   the machine simulator's memory model;
-//! - [`io`], Matrix Market and edge-list readers/writers.
+//! - [`io`], Matrix Market and binary CSR readers/writers and an edge-list
+//!   reader.
 
-pub mod builder;
-pub mod csr;
+pub(crate) mod builder;
+pub(crate) mod csr;
 pub mod generators;
 pub mod io;
 pub mod ordering;
 pub mod stats;
 pub mod suite;
-pub mod weights;
 
 pub use builder::GraphBuilder;
 pub use csr::{Csr, VertexId};
 pub use ordering::Ordering;
-pub use stats::GraphStats;

@@ -51,7 +51,7 @@ pub fn apply(g: &Csr, ordering: Ordering) -> (Csr, Vec<VertexId>) {
 }
 
 /// The inverse of a permutation: `inv[perm[old]] = old`.
-pub fn inverse(perm: &[VertexId]) -> Vec<VertexId> {
+pub(crate) fn inverse(perm: &[VertexId]) -> Vec<VertexId> {
     let mut inv = vec![0 as VertexId; perm.len()];
     for (old, &new) in perm.iter().enumerate() {
         inv[new as usize] = old as VertexId;

@@ -168,7 +168,7 @@ pub struct GraphStats {
 }
 
 /// Compute [`GraphStats`] with the given locality windows.
-pub fn stats_with_windows(g: &Csr, w: LocalityWindows) -> GraphStats {
+pub(crate) fn stats_with_windows(g: &Csr, w: LocalityWindows) -> GraphStats {
     assert!(w.l1_gap <= w.l2_gap, "l1 window must not exceed l2 window");
     let mut gap_sum = 0u64;
     let mut bandwidth = 0usize;
@@ -244,15 +244,6 @@ pub fn connected_components(g: &Csr) -> usize {
     count
 }
 
-/// Degree histogram: `hist[d]` = number of vertices of degree `d`.
-pub fn degree_histogram(g: &Csr) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,15 +303,6 @@ mod tests {
         b.add_edge(2, 3);
         let g = b.build();
         assert_eq!(connected_components(&g), 4); // {0,1},{2,3},{4},{5}
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = star(10);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 10);
-        assert_eq!(h[1], 9);
-        assert_eq!(h[9], 1);
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub struct PaperRow {
 }
 
 /// Table I of the paper, verbatim.
-pub const PAPER_TABLE1: [PaperRow; 7] = [
+pub(crate) const PAPER_TABLE1: [PaperRow; 7] = [
     PaperRow {
         graph: PaperGraph::Auto,
         vertices: 448_695,

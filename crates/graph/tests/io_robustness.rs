@@ -51,6 +51,17 @@ proptest! {
     }
 }
 
+/// A size line is outside input: neither a huge declared `nnz` (once an
+/// up-front reservation that aborted the process) nor a row count past the
+/// u32 ids (once a builder panic) may take the reader down.
+#[test]
+fn matrix_market_size_line_cannot_abort_the_reader() {
+    for size in ["4 4 100000000000000", "5000000000 5000000000 1"] {
+        let text = format!("%%MatrixMarket matrix coordinate pattern symmetric\n{size}\n2 1\n");
+        assert!(read_matrix_market(text.as_bytes()).is_err(), "{size}");
+    }
+}
+
 #[test]
 fn corrupted_header_fields_rejected() {
     let g = mic_graph::generators::path(5);

@@ -113,7 +113,7 @@ pub fn pagerank(
 /// Explicit-Euler heat diffusion on the graph: each step moves a vertex's
 /// temperature toward its neighborhood average by factor `alpha in (0,1]`.
 /// With `alpha = 1` a step *is* the paper's Algorithm 5 (Jacobi form).
-pub fn heat_step(
+pub(crate) fn heat_step(
     pool: &ThreadPool,
     g: &Csr,
     temp: &[f64],

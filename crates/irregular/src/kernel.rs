@@ -5,8 +5,10 @@ use mic_runtime::{RuntimeModel, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sequential reference, in natural order, updating in place (the
-/// Gauss–Seidel-flavored semantics of Algorithm 5 run on one thread).
-pub fn irregular_seq(g: &Csr, state: &mut [f64], iter: usize) {
+/// Gauss–Seidel-flavored semantics of Algorithm 5 run on one thread); the
+/// reference the parallel in-place kernel is tested against.
+#[cfg(test)]
+pub(crate) fn irregular_seq(g: &Csr, state: &mut [f64], iter: usize) {
     assert_eq!(state.len(), g.num_vertices());
     assert!(iter >= 1, "iter must be at least 1");
     for v in g.vertices() {

@@ -14,14 +14,10 @@
 //!   runtime models, in the paper's in-place form (benign races included)
 //!   and a deterministic Jacobi (double-buffered) form;
 //! - [`apps`]: PageRank and heat diffusion;
-//! - [`spmv`]: real sparse matrix–vector products and a conjugate-gradient
-//!   solver (the paper: the kernel "has data dependencies similar to a
-//!   sparse matrix vector multiplication");
 //! - [`instrument`]: per-vertex [`mic_sim::Work`] descriptors for Figure 3.
 
 pub mod apps;
 pub mod instrument;
 pub mod kernel;
-pub mod spmv;
 
-pub use kernel::{irregular_inplace, irregular_jacobi, irregular_seq};
+pub use kernel::{irregular_inplace, irregular_jacobi};

@@ -276,7 +276,7 @@ impl Histogram {
 
     /// Per-bucket counts merged across stripes (`bounds.len() + 1` long,
     /// last entry is the overflow bucket).
-    pub fn merged_counts(&self) -> Vec<u64> {
+    pub(crate) fn merged_counts(&self) -> Vec<u64> {
         let nb = self.bounds.len() + 1;
         let mut out = vec![0u64; nb];
         for (i, s) in self.counts.iter().enumerate() {

@@ -210,7 +210,7 @@ static RING_CAP: AtomicUsize = AtomicUsize::new(1024);
 static SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Ring capacity for threads that have not recorded yet (`MIC_OBS_RING`).
-pub fn set_ring_capacity(n: usize) {
+pub(crate) fn set_ring_capacity(n: usize) {
     RING_CAP.store(n.max(8), Ordering::Relaxed);
 }
 
@@ -283,11 +283,6 @@ static DUMP_COUNT: AtomicU64 = AtomicU64::new(0);
 /// Reset the dump budget (tests).
 pub fn set_dump_budget(n: i64) {
     DUMP_BUDGET.store(n, Ordering::Relaxed);
-}
-
-/// Total dumps written by this process.
-pub fn dumps_taken() -> u64 {
-    DUMP_COUNT.load(Ordering::Relaxed)
 }
 
 /// Serialize the recorder to `<dir>/flight-<reason>-<n>.json`. Returns

@@ -42,15 +42,8 @@ pub(crate) fn record_cas_retries<T>(deques: &[WsDeque<T>], injector_retries: u64
     }
 }
 
-/// Default grain: like Cilk Plus, aim for ~8 leaves per worker so steals
-/// stay rare but balance is achievable.
-pub fn default_grain(n: usize, threads: usize) -> usize {
-    (n / (8 * threads.max(1))).max(1)
-}
-
-/// `cilk_for` over `range` with the given `grain` (use
-/// [`default_grain`] to mimic Cilk's automatic choice). `body` receives
-/// leaf subranges of length `<= grain`.
+/// `cilk_for` over `range` with the given `grain`. `body` receives leaf
+/// subranges of length `<= grain`.
 pub fn cilk_for<F>(pool: &ThreadPool, range: Range<usize>, grain: usize, body: F)
 where
     F: Fn(Range<usize>, WorkerCtx) + Sync,
@@ -223,7 +216,7 @@ mod tests {
     fn sum_matches_sequential() {
         let pool = ThreadPool::new(8);
         let sum = AtomicU64::new(0);
-        cilk_for(&pool, 10..5000, default_grain(4990, 8), |r, _| {
+        cilk_for(&pool, 10..5000, 77, |r, _| {
             let s: u64 = r.map(|i| i as u64).sum();
             sum.fetch_add(s, Ordering::Relaxed);
         });
@@ -248,12 +241,5 @@ mod tests {
     fn join_runs_both() {
         let (a, b) = join(|| 2 + 2, || "ok".len());
         assert_eq!((a, b), (4, 2));
-    }
-
-    #[test]
-    fn default_grain_sane() {
-        assert_eq!(default_grain(0, 4), 1);
-        assert_eq!(default_grain(800, 4), 25);
-        assert!(default_grain(7, 64) >= 1);
     }
 }

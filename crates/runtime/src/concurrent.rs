@@ -186,11 +186,6 @@ impl<T: Copy + PartialEq> BlockQueue<T> {
         self.sentinel
     }
 
-    /// Block size.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// Slots handed out so far (valid items plus sentinel padding).
     pub fn raw_len(&self) -> usize {
         self.cursor.load(Ordering::Acquire).min(self.data.len())
@@ -210,7 +205,7 @@ impl<T: Copy + PartialEq> BlockQueue<T> {
     }
 
     /// The written prefix, sentinels included (call after the region).
-    pub fn raw_slice(&mut self) -> &[T] {
+    pub(crate) fn raw_slice(&mut self) -> &[T] {
         let n = (*self.cursor.get_mut()).min(self.data.len());
         // SAFETY: exclusive access; the prefix was initialized by writers
         // or is sentinel-filled from construction/reset.

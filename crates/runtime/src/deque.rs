@@ -174,7 +174,7 @@ impl<T> WsDeque<T> {
     }
 
     /// Lost steal CASes since construction (contention telemetry).
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
 }

@@ -295,7 +295,7 @@ impl<T> Injector<T> {
 
     /// Failed-CAS count since construction, across both tiers
     /// (contention telemetry).
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed) + self.ring.retries()
     }
 }
@@ -461,7 +461,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Failed-CAS count since construction (contention telemetry).
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
 }

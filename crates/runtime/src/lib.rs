@@ -45,13 +45,13 @@ pub mod tls;
 pub mod trace;
 
 pub use cilk::cilk_for;
-pub use concurrent::{BlockCursor, BlockQueue, BlockWriter, ConcurrentPushVec};
+pub use concurrent::{BlockCursor, BlockQueue, ConcurrentPushVec};
 pub use deque::WsDeque;
 pub use injector::{BoundedQueue, Injector, Steal};
 pub use model::RuntimeModel;
-pub use openmp::{parallel_for, parallel_for_chunks, parallel_reduce, Schedule};
-pub use pool::{PoolError, ThreadPool, WorkerCtx};
-pub use scan::{exclusive_scan, exclusive_scan_seq};
+pub use openmp::{parallel_for, parallel_for_chunks, Schedule};
+pub use pool::{ThreadPool, WorkerCtx};
+pub use scan::exclusive_scan;
 pub use sync::{park_spin, set_park_spin, EventCount};
 pub use tbb::{tbb_parallel_for, Partitioner};
 pub use tls::{PerWorker, ReducerMax};

@@ -139,59 +139,6 @@ where
     }
 }
 
-/// Map-reduce over a range: `map(i)` per iteration, combined pairwise with
-/// the associative `reduce`, starting from `identity` per chunk. The
-/// OpenMP `reduction(...)` clause as a function.
-///
-/// ```
-/// use mic_runtime::{parallel_reduce, Schedule, ThreadPool};
-/// let pool = ThreadPool::new(4);
-/// let max = parallel_reduce(
-///     &pool, 0..1000, Schedule::Dynamic { chunk: 64 },
-///     u64::MIN, |i| (i as u64 * 2654435761) % 1013, u64::max,
-/// );
-/// assert_eq!(max, (0..1000u64).map(|i| (i * 2654435761) % 1013).max().unwrap());
-/// ```
-pub fn parallel_reduce<T, M, R>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    schedule: Schedule,
-    identity: T,
-    map: M,
-    reduce: R,
-) -> T
-where
-    T: Clone + Send + Sync + 'static,
-    M: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync,
-{
-    let mut partials: crate::tls::PerWorker<T> = {
-        let identity = identity.clone();
-        crate::tls::PerWorker::new(pool.num_threads(), move |_| identity.clone())
-    };
-    {
-        let partials_ref = &partials;
-        let map_ref = &map;
-        let reduce_ref = &reduce;
-        parallel_for_chunks(pool, range, schedule, |chunk, ctx| {
-            let mut acc: Option<T> = None;
-            for i in chunk {
-                let v = map_ref(i);
-                acc = Some(match acc.take() {
-                    None => v,
-                    Some(a) => reduce_ref(a, v),
-                });
-            }
-            if let Some(v) = acc {
-                partials_ref.with(ctx, |p| {
-                    *p = reduce_ref(p.clone(), v);
-                });
-            }
-        });
-    }
-    partials.take_values().into_iter().fold(identity, &reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

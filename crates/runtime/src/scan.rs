@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exclusive prefix sum of `values` in place (`values[i]` becomes the sum
 /// of the original `values[..i]`); returns the total.
-pub fn exclusive_scan_seq(values: &mut [u64]) -> u64 {
+pub(crate) fn exclusive_scan_seq(values: &mut [u64]) -> u64 {
     let mut acc = 0u64;
     for v in values.iter_mut() {
         let x = *v;
@@ -23,7 +23,7 @@ pub fn exclusive_scan_seq(values: &mut [u64]) -> u64 {
 }
 
 /// Parallel exclusive prefix sum; semantics identical to
-/// [`exclusive_scan_seq`]. Uses blocks of roughly `n / (4 t)` elements.
+/// `exclusive_scan_seq`. Uses blocks of roughly `n / (4 t)` elements.
 pub fn exclusive_scan(pool: &ThreadPool, values: &mut [u64]) -> u64 {
     let n = values.len();
     let t = pool.num_threads();

@@ -42,7 +42,6 @@ pub struct EventCount {
     parked: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
-    parks: AtomicU64,
     /// Metrics label for park events; `None` = unlabeled/uncounted.
     site: Option<&'static str>,
 }
@@ -54,7 +53,6 @@ impl EventCount {
             parked: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
-            parks: AtomicU64::new(0),
             site: None,
         }
     }
@@ -113,7 +111,6 @@ impl EventCount {
                 }
             }
             self.parked.fetch_sub(1, Ordering::SeqCst);
-            self.parks.fetch_add(1, Ordering::Relaxed);
             if mic_metrics::enabled() {
                 if let Some(site) = self.site {
                     mic_metrics::counter(
@@ -125,11 +122,6 @@ impl EventCount {
                 }
             }
         }
-    }
-
-    /// Completed park episodes (contention telemetry).
-    pub fn parks(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed)
     }
 }
 
@@ -176,7 +168,6 @@ mod tests {
             ec.notify();
         }
         consumer.join().unwrap();
-        assert!(ec.parks() <= rounds as u64);
     }
 
     #[test]

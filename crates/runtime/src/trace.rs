@@ -79,7 +79,7 @@ pub fn emit(ev: NativeEvent) {
 /// This is the single choke point every stealing runtime reports through,
 /// so the metrics layer counts steals here too, labeled by victim.
 #[inline]
-pub fn emit_steal(runtime: &'static str, thief: usize, victim: usize) {
+pub(crate) fn emit_steal(runtime: &'static str, thief: usize, victim: usize) {
     if mic_metrics::enabled() {
         let victim_label = if victim == usize::MAX {
             "unknown".to_string()

@@ -23,7 +23,7 @@ const WRITING: usize = 1;
 const READY: usize = 2;
 
 /// A write-once cell that any number of threads can wait on.
-pub struct ResultCell<T> {
+pub(crate) struct ResultCell<T> {
     state: AtomicUsize,
     value: UnsafeCell<Option<T>>,
     waiters: EventCount,
@@ -65,22 +65,12 @@ impl<T> ResultCell<T> {
         Ok(())
     }
 
-    /// The outcome, if already published.
-    pub fn try_get(&self) -> Option<&T> {
-        if self.state.load(Ordering::Acquire) == READY {
-            // SAFETY: READY observed with Acquire → the payload write
-            // happened-before, and nothing mutates it afterwards.
-            Some(unsafe { (*self.value.get()).as_ref().unwrap() })
-        } else {
-            None
-        }
-    }
-
     /// Block (spin, then park) until the outcome is published.
     pub fn wait(&self) -> &T {
         self.waiters
             .park_until(|| self.state.load(Ordering::Acquire) == READY);
-        // SAFETY: as in `try_get`.
+        // SAFETY: READY observed with Acquire → the payload write
+        // happened-before, and nothing mutates it afterwards.
         unsafe { (*self.value.get()).as_ref().unwrap() }
     }
 }
@@ -99,9 +89,7 @@ mod tests {
     #[test]
     fn set_then_get() {
         let c: ResultCell<u32> = ResultCell::new();
-        assert!(c.try_get().is_none());
         c.set(42).unwrap();
-        assert_eq!(c.try_get(), Some(&42));
         assert_eq!(c.wait(), &42);
     }
 
@@ -141,7 +129,7 @@ mod tests {
                 .collect();
             let wins: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             assert_eq!(wins.iter().filter(|w| **w).count(), 1);
-            assert!(c.try_get().is_some());
+            assert!(*c.wait() < 4);
         }
     }
 }

@@ -46,14 +46,14 @@ pub const HEADER_LEN: usize = 10;
 // Op tags. Requests have the high bit clear, responses set.
 pub const TAG_SIMULATE: u8 = 0x01;
 pub const TAG_PING: u8 = 0x02;
-pub const TAG_STATS: u8 = 0x03;
-pub const TAG_TRACE: u8 = 0x04;
-pub const TAG_OK: u8 = 0x81;
-pub const TAG_PONG: u8 = 0x82;
-pub const TAG_STATS_RESP: u8 = 0x83;
-pub const TAG_SHED: u8 = 0x84;
-pub const TAG_ERROR: u8 = 0x85;
-pub const TAG_TRACE_RESP: u8 = 0x86;
+pub(crate) const TAG_STATS: u8 = 0x03;
+pub(crate) const TAG_TRACE: u8 = 0x04;
+pub(crate) const TAG_OK: u8 = 0x81;
+pub(crate) const TAG_PONG: u8 = 0x82;
+pub(crate) const TAG_STATS_RESP: u8 = 0x83;
+pub(crate) const TAG_SHED: u8 = 0x84;
+pub(crate) const TAG_ERROR: u8 = 0x85;
+pub(crate) const TAG_TRACE_RESP: u8 = 0x86;
 
 /// Everything that can go wrong between the socket and a decoded frame.
 #[derive(Debug)]
@@ -136,7 +136,7 @@ pub fn read_frame(r: &mut impl BufRead, max: usize) -> Result<Option<(u8, Vec<u8
 
 /// [`read_frame`] into a caller-owned payload buffer, returning the op
 /// tag: a connection handler reuses one buffer for every frame it reads.
-pub fn read_frame_into(
+pub(crate) fn read_frame_into(
     r: &mut impl BufRead,
     max: usize,
     payload: &mut Vec<u8>,
@@ -178,7 +178,7 @@ fn read_exact_framed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError
 /// `BufReader::lines()` read: a client streaming an endless line without
 /// `\n` now hits [`LineRead::Overflow`] at `max` bytes instead of growing
 /// the buffer without bound.
-pub enum LineRead {
+pub(crate) enum LineRead {
     Line(String),
     Eof,
     /// The line passed `max` bytes before any `\n`; the caller answers an
@@ -186,7 +186,7 @@ pub enum LineRead {
     Overflow,
 }
 
-pub fn read_line_capped(r: &mut impl BufRead, max: usize) -> std::io::Result<LineRead> {
+pub(crate) fn read_line_capped(r: &mut impl BufRead, max: usize) -> std::io::Result<LineRead> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
         let chunk = r.fill_buf()?;

@@ -28,7 +28,7 @@
 //!
 //! The request hot path is lock-free end to end: admission and compute
 //! slots are CAS-claimed tickets, results are published to coalesced
-//! requests through [`cell::ResultCell`]s, and a request waiting for a
+//! requests through `cell::ResultCell`s, and a request waiting for a
 //! slot parks on an event-count. The only locks left are the per-shard
 //! coalescing table (a short map probe) and the per-shard LRU mutexes.
 

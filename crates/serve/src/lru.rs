@@ -9,8 +9,8 @@
 //! eviction; the scan-to-evict is O(len), which at serving capacities
 //! (hundreds) is noise next to a simulation.
 //!
-//! [`ShardedLru`] wraps N independent [`LruCache`] shards behind their own
-//! locks, picked from the high half of the key's [`hash_key`], so
+//! [`ShardedLru`] wraps N independent `LruCache` shards behind their own
+//! locks, picked from the high half of the key's `hash_key`, so
 //! concurrent cache hits stop serializing on one global mutex — the
 //! contention fix the serve layer needs, since every request consults the
 //! cache before admission.
@@ -68,13 +68,13 @@ pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 /// half and each dispatcher's [`ShardedLru`] picks a sub-shard from its
 /// high half: every key a dispatcher sees shares the low-half residue, so
 /// reusing it would leave most sub-shards unreachable.
-pub fn hash_key<K: Hash + ?Sized>(key: &K) -> u64 {
+pub(crate) fn hash_key<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut h = KeyHasher::default();
     key.hash(&mut h);
     h.finish()
 }
 
-pub struct LruCache<K = String> {
+pub(crate) struct LruCache<K = String> {
     cap: usize,
     tick: u64,
     map: KeyMap<K, (u64, f64)>,
@@ -92,10 +92,6 @@ impl<K: Hash + Eq + Clone> LruCache<K> {
 
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Look up `key`, refreshing its recency on a hit.
@@ -152,7 +148,7 @@ pub(crate) fn sub_shard(hash: u64) -> usize {
 
 impl<K: Hash + Eq + Clone> ShardedLru<K> {
     /// Total capacity `cap` spread over the shards (`cap == 0` disables
-    /// caching entirely, as in [`LruCache`]).
+    /// caching entirely, as in `LruCache`).
     pub fn new(cap: usize) -> ShardedLru<K> {
         let per_shard = cap.div_ceil(SHARDS);
         ShardedLru {
@@ -208,7 +204,7 @@ mod tests {
         let mut lru = LruCache::new(0);
         lru.put(&"a", 1.0);
         assert_eq!(lru.get(&"a"), None);
-        assert!(lru.is_empty());
+        assert_eq!(lru.len(), 0);
     }
 
     #[test]

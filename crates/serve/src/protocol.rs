@@ -41,7 +41,7 @@ use mic_eval::sim::{simulate, Machine, Policy};
 use mic_eval::workload_cache::OrderTag;
 
 /// Version stamp on every JSON response line.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Which instrumented kernel a job simulates: the simulable subset of the
 /// exhibit registry's [`KernelId`] set (everything but `Table`, which has

@@ -8,7 +8,7 @@
 //! between shards (the discipline the paper's multi-core results
 //! motivate: per-worker state stays private, coordination happens at the
 //! edges). A job routes by the low half of its decoded
-//! [`JobSpec`]'s [`hash_key`](crate::lru::hash_key) (the shard's LRU
+//! [`JobSpec`]'s `lru::hash_key` (the shard's LRU
 //! picks a sub-shard from the high half), so identical requests land on
 //! the same shard and keep coalescing and LRU locality exactly as in the
 //! single-dispatcher design, while distinct jobs spread across shards and
@@ -153,7 +153,7 @@ impl Router {
     }
 
     /// Which shard a job routes to: the low half of its hash.
-    pub fn shard_for(&self, spec: &JobSpec) -> usize {
+    pub(crate) fn shard_for(&self, spec: &JobSpec) -> usize {
         (lru::hash_key(spec) as u32 as usize) % self.shards.len()
     }
 
@@ -358,7 +358,7 @@ impl Router {
 
     /// Count a wire-level failure that never became a request (bad magic,
     /// oversize frame, capped line, truncated payload).
-    pub fn count_wire_error(&self, kind: &'static str) {
+    pub(crate) fn count_wire_error(&self, kind: &'static str) {
         self.stats.frame_errors.fetch_add(1, Ordering::Relaxed);
         if mic_metrics::enabled() {
             mic_metrics::counter(

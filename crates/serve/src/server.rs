@@ -28,7 +28,7 @@
 //!    the shard's execution index — a panicking job answers
 //!    `status:"error"` while everything else survives;
 //! 5. the leader feeds the shard's LRU and the store, publishes the
-//!    outcome through a one-shot [`ResultCell`](crate::cell::ResultCell)
+//!    outcome through a one-shot `ResultCell`
 //!    to every coalesced request, and frees its slot. The handler encodes
 //!    the response into a payload buffer it reuses for every response
 //!    and appends the frame to the connection's write buffer, which is flushed
@@ -301,7 +301,7 @@ impl Dispatcher {
     /// [`submit`](Self::submit) with the admitting request's trace
     /// identity (trace id + pre-minted root span id), so every stage the
     /// job passes through records a span under that root.
-    pub fn submit_traced(
+    pub(crate) fn submit_traced(
         &self,
         spec: &JobSpec,
         req_trace: Option<(obs::TraceId, obs::SpanId)>,

@@ -36,7 +36,7 @@ impl BfsModel {
     }
 
     /// `c(l)` for a given level width and thread count.
-    pub fn level_cost(&self, x: usize, threads: usize) -> f64 {
+    pub(crate) fn level_cost(&self, x: usize, threads: usize) -> f64 {
         let b = self.block as f64;
         let x_f = x as f64;
         if x < self.block {
@@ -57,26 +57,6 @@ impl BfsModel {
             .level_widths
             .iter()
             .map(|&x| self.level_cost(x, threads))
-            .sum();
-        total / cost
-    }
-
-    /// The asymptotic (infinite threads) speedup the level structure allows.
-    pub fn speedup_limit(&self) -> f64 {
-        let total: f64 = self.level_widths.iter().map(|&x| x as f64).sum();
-        if total == 0.0 {
-            return 1.0;
-        }
-        let cost: f64 = self
-            .level_widths
-            .iter()
-            .map(|&x| {
-                if x < self.block {
-                    x as f64
-                } else {
-                    self.block as f64
-                }
-            })
             .sum();
         total / cost
     }
@@ -107,7 +87,6 @@ mod tests {
         // The paper's extreme case: a long chain, one vertex per level.
         let m = BfsModel::paper(vec![1; 10_000]);
         assert!((m.speedup(121) - 1.0).abs() < 1e-12);
-        assert!((m.speedup_limit() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -143,7 +122,6 @@ mod tests {
             assert!(s + 1e-9 >= prev, "not monotone at t={t}");
             prev = s;
         }
-        assert!(prev <= m.speedup_limit() + 1e-9);
     }
 
     #[test]

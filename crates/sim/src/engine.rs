@@ -23,7 +23,6 @@
 //! overhead) and rates are recomputed. A region ends when every thread is
 //! out of work, plus a barrier; a simulation is a sequence of regions.
 
-use crate::error::SimError;
 use crate::machine::Machine;
 use crate::sched::Cursor;
 use crate::trace::{ChunkEvent, CoreCounters, NullSink, StallCause, TraceSink};
@@ -233,59 +232,6 @@ impl SimScratch {
 /// (the paper never oversubscribes the card).
 pub fn simulate_region(m: &Machine, threads: usize, region: &Region) -> f64 {
     simulate_region_impl::<NullSink>(m, threads, region, None, &mut SimScratch::default(), None)
-}
-
-/// Validate `(machine, threads, regions)` for the checked entry points:
-/// machine constraints, thread bounds, and every work descriptor (finite,
-/// non-negative). O(total iterations) — only the checked paths pay it.
-pub fn validate_inputs(m: &Machine, threads: usize, regions: &[&Region]) -> Result<(), SimError> {
-    m.check().map_err(SimError::Machine)?;
-    if threads == 0 {
-        return Err(SimError::ZeroThreads);
-    }
-    if threads > m.hw_threads() {
-        return Err(SimError::Oversubscribed {
-            threads,
-            hw_threads: m.hw_threads(),
-        });
-    }
-    for (ri, r) in regions.iter().enumerate() {
-        if !r.serial_pre.is_valid() {
-            return Err(SimError::Work {
-                region: ri,
-                index: usize::MAX,
-            });
-        }
-        if let Some(index) = r.iter_work.iter().position(|w| !w.is_valid()) {
-            return Err(SimError::Work { region: ri, index });
-        }
-    }
-    Ok(())
-}
-
-/// Like [`simulate_region`], but malformed input comes back as a
-/// [`SimError`] instead of a panic (or a release-mode `debug_assert!`
-/// no-op). The success path calls the exact same engine and is
-/// bit-identical to the unchecked entry point.
-pub fn simulate_region_checked(
-    m: &Machine,
-    threads: usize,
-    region: &Region,
-) -> Result<f64, SimError> {
-    validate_inputs(m, threads, &[region])?;
-    Ok(simulate_region(m, threads, region))
-}
-
-/// Like [`simulate`], with up-front validation of the machine and every
-/// region (see [`simulate_region_checked`]).
-pub fn simulate_checked(
-    m: &Machine,
-    threads: usize,
-    regions: &[Region],
-) -> Result<SimReport, SimError> {
-    let refs: Vec<&Region> = regions.iter().collect();
-    validate_inputs(m, threads, &refs)?;
-    Ok(simulate(m, threads, regions))
 }
 
 /// Like [`simulate_region`], reusing caller-owned scratch buffers so the
@@ -950,78 +896,6 @@ mod tests {
         let m = Machine::knf();
         let r = uniform_region(10, mem_bound(), Policy::Serial);
         simulate_region(&m, 125, &r);
-    }
-
-    #[test]
-    fn checked_path_reports_errors_instead_of_panicking() {
-        let m = Machine::knf();
-        let r = uniform_region(10, mem_bound(), Policy::Serial);
-        assert_eq!(
-            simulate_region_checked(&m, 0, &r),
-            Err(SimError::ZeroThreads)
-        );
-        assert_eq!(
-            simulate_region_checked(&m, 125, &r),
-            Err(SimError::Oversubscribed {
-                threads: 125,
-                hw_threads: 124
-            })
-        );
-        let mut broken = Machine::knf();
-        broken.fpu_recip_throughput = 0.0;
-        let err = simulate_region_checked(&broken, 4, &r).unwrap_err();
-        assert!(
-            matches!(&err, SimError::Machine(msg) if msg.contains("fpu")),
-            "{err}"
-        );
-        let mut iters = vec![mem_bound(); 8];
-        iters[5].dram = f64::NAN;
-        let bad = Region::new(iters, Policy::OmpDynamic { chunk: 2 });
-        assert_eq!(
-            simulate_region_checked(&m, 4, &bad),
-            Err(SimError::Work {
-                region: 0,
-                index: 5
-            })
-        );
-        let neg_pre = uniform_region(10, mem_bound(), Policy::Serial).with_serial_pre(Work {
-            issue: -1.0,
-            ..Default::default()
-        });
-        assert!(matches!(
-            simulate_region_checked(&m, 4, &neg_pre),
-            Err(SimError::Work { region: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn checked_path_is_bit_identical_on_valid_input() {
-        let m = Machine::knf();
-        let r = uniform_region(5_000, mem_bound(), Policy::OmpDynamic { chunk: 64 });
-        for t in [1usize, 31, 124] {
-            let plain = simulate_region(&m, t, &r);
-            let checked = simulate_region_checked(&m, t, &r).unwrap();
-            assert_eq!(plain.to_bits(), checked.to_bits(), "t={t}");
-        }
-        let regions = [
-            uniform_region(1000, mem_bound(), Policy::OmpDynamic { chunk: 50 }),
-            uniform_region(500, issue_bound(), Policy::OmpStatic { chunk: None }),
-        ];
-        let plain = simulate(&m, 31, &regions);
-        let checked = simulate_checked(&m, 31, &regions).unwrap();
-        assert_eq!(plain.cycles.to_bits(), checked.cycles.to_bits());
-        assert_eq!(
-            plain
-                .region_cycles
-                .iter()
-                .map(|c| c.to_bits())
-                .collect::<Vec<_>>(),
-            checked
-                .region_cycles
-                .iter()
-                .map(|c| c.to_bits())
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

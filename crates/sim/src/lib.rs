@@ -31,12 +31,12 @@
 //! schedules those descriptors onto simulated hardware threads under any of
 //! the paper's scheduling policies and returns cycle counts.
 //!
-//! [`analytic`] implements the paper's closed-form BFS performance model
-//! (§III-C) for comparison against the simulated implementations.
+//! The `analytic` module ([`BfsModel`]) implements the paper's
+//! closed-form BFS performance model (§III-C) for comparison against the
+//! simulated implementations.
 
-pub mod analytic;
+pub(crate) mod analytic;
 pub mod engine;
-pub mod error;
 pub mod machine;
 pub mod sched;
 pub mod trace;
@@ -44,12 +44,11 @@ pub mod work;
 
 pub use analytic::{bfs_model_speedup, BfsModel};
 pub use engine::{
-    simulate, simulate_checked, simulate_region, simulate_region_checked,
-    simulate_region_telemetry, simulate_region_traced, simulate_region_with_scratch,
-    simulate_traced, simulate_with_scratch, validate_inputs, Bottleneck, SimReport, SimScratch,
+    simulate, simulate_region, simulate_region_telemetry, simulate_region_traced,
+    simulate_region_with_scratch, simulate_traced, simulate_with_scratch, Bottleneck, SimReport,
+    SimScratch,
 };
-pub use error::SimError;
-pub use machine::{Machine, Placement, SchedCosts};
+pub use machine::{Machine, Placement};
 pub use sched::Policy;
-pub use trace::{ChunkEvent, CoreCounters, NullSink, RecordingSink, StallCause, TraceSink};
+pub use trace::{ChunkEvent, RecordingSink, StallCause, TraceSink};
 pub use work::{Region, Work};

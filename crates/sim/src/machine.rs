@@ -202,7 +202,7 @@ impl Machine {
     }
 
     /// The core index executing software thread `i`.
-    pub fn core_of(&self, i: usize) -> usize {
+    pub(crate) fn core_of(&self, i: usize) -> usize {
         match self.placement {
             Placement::Scatter => i % self.cores,
             Placement::Compact => (i / self.smt_per_core).min(self.cores - 1),
@@ -212,7 +212,7 @@ impl Machine {
     /// The SMT slot (within [`Machine::core_of`]'s core) of software
     /// thread `i`, for `i < hw_threads()` — the scatter placement fills
     /// slot 0 of every core before touching slot 1.
-    pub fn slot_of(&self, i: usize) -> usize {
+    pub(crate) fn slot_of(&self, i: usize) -> usize {
         match self.placement {
             Placement::Scatter => i / self.cores,
             Placement::Compact => i % self.smt_per_core,

@@ -13,7 +13,7 @@
 //!   runtime background traffic and plain (latency-bound) execution.
 //!
 //! Everything flows through the [`TraceSink`] trait. The engine's fast
-//! path is generic over the sink and is compiled with [`NullSink`] when
+//! path is generic over the sink and is compiled with `NullSink` when
 //! tracing is off, so an untraced `simulate_with_scratch` performs the
 //! exact same operations as before this layer existed (pinned bit-for-bit
 //! by `engine::tests::cached_prefix_and_scratch_bit_identical_to_seed_path`).
@@ -143,7 +143,7 @@ impl CoreCounters {
     }
 
     /// Elementwise accumulate.
-    pub fn accumulate(&mut self, o: &CoreCounters) {
+    pub(crate) fn accumulate(&mut self, o: &CoreCounters) {
         self.latency += o.latency;
         self.issue += o.issue;
         self.fpu += o.fpu;
@@ -189,7 +189,7 @@ pub trait TraceSink {
 }
 
 /// The no-op sink the untraced entry points are monomorphized with.
-pub struct NullSink;
+pub(crate) struct NullSink;
 
 impl TraceSink for NullSink {}
 
@@ -229,16 +229,6 @@ pub struct RecordingSink {
     pub regions: Vec<RegionTrace>,
     /// Span id stamped into every region recorded from here on (0 = none).
     pub span_id: u64,
-}
-
-impl RecordingSink {
-    /// A sink whose recorded regions are tagged with `span_id`.
-    pub fn for_span(span_id: u64) -> Self {
-        RecordingSink {
-            regions: Vec::new(),
-            span_id,
-        }
-    }
 }
 
 impl TraceSink for RecordingSink {
@@ -286,7 +276,10 @@ mod tests {
 
     #[test]
     fn recording_sink_stamps_span_ids() {
-        let mut sink = RecordingSink::for_span(0xfeed);
+        let mut sink = RecordingSink {
+            span_id: 0xfeed,
+            ..RecordingSink::default()
+        };
         sink.region_start(2, 10, Policy::Serial);
         sink.region_end(&[], 0.0, 0.0);
         assert_eq!(sink.regions[0].span_id, 0xfeed);

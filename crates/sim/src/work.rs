@@ -62,15 +62,6 @@ impl Work {
         }
     }
 
-    /// Split `mem_refs` memory references into hit classes according to a
-    /// locality profile (fractions l1/l2/dram).
-    pub fn with_mem(mut self, mem_refs: f64, l1: f64, l2: f64, dram: f64) -> Work {
-        self.l1 += mem_refs * l1;
-        self.l2 += mem_refs * l2;
-        self.dram += mem_refs * dram;
-        self
-    }
-
     /// All fields finite and non-negative.
     pub fn is_valid(&self) -> bool {
         [
@@ -247,14 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn with_mem_distributes() {
-        let w = Work::default().with_mem(100.0, 0.5, 0.3, 0.2);
-        assert!((w.l1 - 50.0).abs() < 1e-12);
-        assert!((w.l2 - 30.0).abs() < 1e-12);
-        assert!((w.dram - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn pricing_uses_machine_latencies() {
         let m = Machine::knf();
         let w = Work {
@@ -276,7 +259,13 @@ mod tests {
         // Two regions over one work array, each with its own prefix cache
         // (as every `PagerankWorkload::regions` call makes them): only the
         // first is run, so only the first ever builds its prefix sums.
-        let work = std::sync::Arc::new(vec![Work::default().with_mem(8.0, 0.5, 0.3, 0.2); 64]);
+        let w = Work {
+            l1: 4.0,
+            l2: 2.4,
+            dram: 1.6,
+            ..Work::default()
+        };
+        let work = std::sync::Arc::new(vec![w; 64]);
         let policy = Policy::OmpDynamic { chunk: 4 };
         let regions = [
             Region::shared(std::sync::Arc::clone(&work), policy),

@@ -55,6 +55,6 @@ pub trait IoFaults: Send + Sync + std::fmt::Debug {
 
 /// The injected error every `Fail`/`ShortWrite` surfaces as, so callers
 /// (and test assertions) can tell an injected fault from a real one.
-pub fn injected_error(what: &str, site: &IoSite) -> std::io::Error {
+pub(crate) fn injected_error(what: &str, site: &IoSite) -> std::io::Error {
     std::io::Error::other(format!("mic-fault: injected {what} at {site:?}"))
 }

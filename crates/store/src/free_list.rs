@@ -40,7 +40,7 @@ impl FreePages {
 
     /// Rebuild after recovery: `committed` is every page the recovered
     /// header references; every other page under `high_water` is free.
-    pub fn recovered(committed: HashSet<u64>, high_water: u64) -> FreePages {
+    pub(crate) fn recovered(committed: HashSet<u64>, high_water: u64) -> FreePages {
         let free = (0..high_water).filter(|p| !committed.contains(p)).collect();
         FreePages {
             free,
@@ -49,7 +49,7 @@ impl FreePages {
         }
     }
 
-    pub fn high_water(&self) -> u64 {
+    pub(crate) fn high_water(&self) -> u64 {
         self.high_water
     }
 
@@ -79,7 +79,7 @@ impl FreePages {
     /// A header flip committed `now_referenced`: pages the old header
     /// referenced but the new one does not (the limbo set) become
     /// allocatable, and the committed set advances.
-    pub fn commit(&mut self, now_referenced: HashSet<u64>) {
+    pub(crate) fn commit(&mut self, now_referenced: HashSet<u64>) {
         for page in &self.committed {
             if !now_referenced.contains(page) {
                 self.free.push(*page);

@@ -30,4 +30,4 @@ mod pool;
 mod store;
 
 pub use page::{xxh64, NO_PAGE};
-pub use store::{Store, StoreOpts, StoreStats};
+pub use store::{Store, StoreOpts};

@@ -137,7 +137,7 @@ pub(crate) struct Header {
 
 impl Header {
     /// File offset of the slot this header's epoch lives in.
-    pub fn slot_offset(epoch: u64) -> u64 {
+    pub(crate) fn slot_offset(epoch: u64) -> u64 {
         (epoch % 2) * HEADER_SLOT as u64
     }
 

@@ -41,7 +41,7 @@ impl BufferPool {
         }
     }
 
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
@@ -120,7 +120,7 @@ impl BufferPool {
     }
 
     /// Page ids of every dirty resident frame (persist flushes these).
-    pub fn dirty_pages(&self) -> Vec<u64> {
+    pub(crate) fn dirty_pages(&self) -> Vec<u64> {
         self.frames
             .iter()
             .filter(|f| f.dirty)

@@ -1,9 +1,8 @@
-//! Coloring playground: sequential vs parallel speculative coloring,
-//! distance-1 vs distance-2, and the effect of visit order on quality.
+//! Coloring playground: sequential vs parallel speculative coloring and
+//! the effect of visit order on quality.
 //!
 //! Run with: `cargo run --release --example coloring_playground`
 
-use mic_eval::coloring::distance2::{check_distance2, greedy_distance2};
 use mic_eval::coloring::seq::{greedy_color, greedy_color_in_order};
 use mic_eval::coloring::{check_proper, iterative_coloring};
 use mic_eval::graph::ordering::{permutation, Ordering};
@@ -47,13 +46,5 @@ fn main() {
     println!(
         "\nparallel speculative: {} colors vs {} sequential ({} rounds, conflicts {:?})",
         par.num_colors, seq_colors, par.rounds, par.conflicts_per_round
-    );
-
-    // Distance-2 coloring (Jacobian compression): needs far more colors.
-    let d2 = greedy_distance2(&g);
-    check_distance2(&g, &d2.colors).unwrap();
-    println!(
-        "distance-2 greedy: {} colors (distance-1 needed {})",
-        d2.num_colors, seq_colors
     );
 }

@@ -1,7 +1,6 @@
 //! Cross-crate integration: coloring the calibrated paper suite end to end
 //! with every runtime model, at miniature scale.
 
-use mic_eval::coloring::mis::{check_mis, luby_mis};
 use mic_eval::coloring::{check_proper, iterative_coloring, seq::greedy_color};
 use mic_eval::graph::ordering::{apply, Ordering};
 use mic_eval::graph::suite::{build, PaperGraph, Scale};
@@ -69,17 +68,6 @@ fn shuffled_graphs_color_identically_well() {
     );
     check_proper(&shuffled, &r.colors).unwrap();
     assert!(r.num_colors as usize <= shuffled.max_degree() + 1);
-}
-
-#[test]
-fn luby_mis_is_maximal_on_suite() {
-    let pool = ThreadPool::new(6);
-    let model = RuntimeModel::OpenMp(Schedule::dynamic100());
-    for pg in [PaperGraph::Auto, PaperGraph::Bmw32] {
-        let g = build(pg, SCALE);
-        let mis = luby_mis(&pool, &g, model, 11);
-        assert!(check_mis(&g, &mis.in_set), "{} MIS", pg.name());
-    }
 }
 
 #[test]
