@@ -10,7 +10,7 @@
 //! the min-combining races are benign (monotone decreasing lattice), so the
 //! result is exactly the per-component minimum id regardless of scheduling.
 
-use mic_graph::stats::{for_each_gap_counts, LocalityWindows};
+use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
 use mic_graph::{Csr, VertexId};
 use mic_runtime::{RuntimeModel, ThreadPool};
 use mic_sim::{Policy, Region, Work};
@@ -96,9 +96,15 @@ pub struct ComponentsWorkload {
 
 /// Build the components workload from a native [`components_sync`] run.
 pub fn instrument_components(g: &Csr, windows: LocalityWindows) -> ComponentsWorkload {
-    let native = components_sync(g);
-    let mut work = Vec::with_capacity(g.num_vertices());
-    for_each_gap_counts(g, None, windows, |c| {
+    let rounds = components_sync(g).rounds;
+    components_from_counts(&gap_counts(g, None, windows), rounds)
+}
+
+/// The workload of `rounds` label-propagation rounds (the native run's
+/// count), priced from the [`GapCounts`] of every vertex, indexed by id.
+pub fn components_from_counts(counts: &[GapCounts], rounds: usize) -> ComponentsWorkload {
+    let mut work = Vec::with_capacity(counts.len());
+    for c in counts {
         let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
         work.push(Work {
             // Own-label load, per-neighbor load+min+branch, one store.
@@ -109,10 +115,10 @@ pub fn instrument_components(g: &Csr, windows: LocalityWindows) -> ComponentsWor
             flops: 0.0,
             atomics: 0.0,
         });
-    });
+    }
     ComponentsWorkload {
         round_work: Arc::new(work),
-        rounds: native.rounds,
+        rounds,
     }
 }
 

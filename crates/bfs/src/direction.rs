@@ -10,7 +10,7 @@
 
 use crate::seq::BfsResult;
 use crate::UNREACHED;
-use mic_graph::stats::{gap_class, LocalityWindows, MemClass};
+use mic_graph::stats::{gap_class, GapCounts, LocalityWindows, MemClass};
 use mic_graph::{Csr, VertexId};
 use mic_sim::{Policy, Region, Work};
 use std::sync::Arc;
@@ -308,7 +308,10 @@ pub fn instrument_hybrid(
         let work: Vec<Work> = match dir {
             Direction::TopDown => by_level[i]
                 .iter()
-                .map(|&v| vertex_work(g, v, windows, block))
+                .map(|&v| {
+                    let c = GapCounts::of(v, g.neighbors(v), |x| x, windows);
+                    vertex_work(c, block)
+                })
                 .collect(),
             Direction::BottomUp => {
                 let discover_level = i as u32 + 1;

@@ -2,9 +2,11 @@
 //! the engine behind Figure 4.
 //!
 //! A sequential BFS gives the exact level structure; each level becomes one
-//! simulated parallel region over its vertices (in queue order), followed
-//! by the implicit barrier the engine charges per region. The per-vertex
-//! costs differ by frontier structure:
+//! simulated parallel region over its vertices (in ascending id order),
+//! followed by the implicit barrier the engine charges per region. Each
+//! vertex is priced from its [`GapCounts`], so a workload needs only the
+//! level array and the counts array, and several variants can share both.
+//! The per-vertex costs differ by frontier structure:
 //!
 //! - **Block**: slot read + sentinel check, neighbor level reads (hit class
 //!   from the id gap), one amortized fetch-add per block of discoveries;
@@ -15,7 +17,7 @@
 //!   thread-local queues into the global one (extra copy traffic).
 
 use crate::seq::{bfs, vertices_by_level};
-use mic_graph::stats::{GapCounts, LocalityWindows};
+use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
 use mic_graph::{Csr, VertexId};
 use mic_sim::{Policy, Region, Work};
 use std::sync::Arc;
@@ -61,32 +63,33 @@ pub fn instrument(
     windows: LocalityWindows,
     variant: SimVariant,
 ) -> BfsWorkload {
-    let r = bfs(g, source);
-    let by_level = vertices_by_level(&r.levels);
-    let widths: Vec<usize> = by_level.iter().map(|l| l.len()).collect();
+    let levels = bfs(g, source).levels;
+    instrument_with(&levels, &gap_counts(g, None, windows), variant)
+}
 
+/// The workload under `variant` of a BFS that reached each vertex at
+/// `levels[v]` ([`crate::UNREACHED`] if never), priced from the
+/// [`GapCounts`] of every vertex, indexed by id. A level's region lists its
+/// vertices in ascending id order, so only the levels (distances from the
+/// source) and the counts matter, not the order inside adjacency lists.
+pub fn instrument_with(levels: &[u32], counts: &[GapCounts], variant: SimVariant) -> BfsWorkload {
+    let by_level = vertices_by_level(levels);
+    let widths: Vec<usize> = by_level.iter().map(|l| l.len()).collect();
     let level_work: Vec<Arc<Vec<Work>>> = by_level
         .iter()
         .map(|verts| {
             Arc::new(
                 verts
                     .iter()
-                    .map(|&v| vertex_work(g, v, windows, variant))
+                    .map(|&v| vertex_work(counts[v as usize], variant))
                     .collect(),
             )
         })
         .collect();
-
     BfsWorkload { level_work, widths }
 }
 
-pub(crate) fn vertex_work(
-    g: &Csr,
-    v: VertexId,
-    windows: LocalityWindows,
-    variant: SimVariant,
-) -> Work {
-    let c = GapCounts::of(v, g.neighbors(v), |x| x, windows);
+pub(crate) fn vertex_work(c: GapCounts, variant: SimVariant) -> Work {
     let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
     // Common: slot/queue read, level checks on every neighbor, adjacency
     // streaming.

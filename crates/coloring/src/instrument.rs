@@ -9,8 +9,8 @@
 //! fraction of vertices ("the number of conflicting vertices is usually
 //! low"), so the simulator re-runs the two sweeps on a small sample.
 
-use mic_graph::stats::{for_each_gap_counts, LocalityWindows};
-use mic_graph::{Csr, VertexId};
+use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
+use mic_graph::Csr;
 use mic_sim::{Policy, Region, Work};
 use std::sync::Arc;
 
@@ -44,21 +44,17 @@ pub struct ColoringWorkload {
 
 /// Build the workload for `g` with the given locality windows.
 pub fn instrument(g: &Csr, windows: LocalityWindows) -> ColoringWorkload {
-    instrument_relabelled(g, None, windows)
+    from_counts(&gap_counts(g, None, windows))
 }
 
-/// [`instrument`] of `g` relabelled by `perm` (`perm[old] = new`; `None` is
-/// natural order), read from `g` itself: costs are degrees and gap counts,
-/// so this equals `instrument(&g.permute(perm), windows)` bit for bit.
-pub fn instrument_relabelled(
-    g: &Csr,
-    perm: Option<&[VertexId]>,
-    windows: LocalityWindows,
-) -> ColoringWorkload {
-    let n = g.num_vertices();
-    let mut tentative = Vec::with_capacity(n);
-    let mut detect = Vec::with_capacity(n);
-    for_each_gap_counts(g, perm, windows, |c| {
+/// The workload priced from the [`GapCounts`] of every vertex, indexed by
+/// id. Costs are degrees and gap counts only, so the counts of a relabelled
+/// graph (`gap_counts(g, Some(perm), ..)`) price that graph's workload bit
+/// for bit without building it.
+pub fn from_counts(counts: &[GapCounts]) -> ColoringWorkload {
+    let mut tentative = Vec::with_capacity(counts.len());
+    let mut detect = Vec::with_capacity(counts.len());
+    for c in counts {
         let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
         tentative.push(Work {
             issue: VERTEX_ISSUE + EDGE_ISSUE * deg,
@@ -76,7 +72,7 @@ pub fn instrument_relabelled(
             flops: 0.0,
             atomics: 0.0,
         });
-    });
+    }
     let sample =
         |src: &[Work]| -> Vec<Work> { src.iter().step_by(CONFLICT_SAMPLE).copied().collect() };
     ColoringWorkload {

@@ -3,11 +3,14 @@
 //! A process instruments each distinct (graph, scale, ordering, locality
 //! windows[, kernel knob]) combination exactly once, no matter how many
 //! figures — or parallel sweep jobs — ask for it. Graphs are cached in
-//! natural order only: an ordering is a permutation π, made and dropped
-//! inside one workload build. Coloring and the irregular microbenchmark
-//! read their gap counts from the natural CSR and π; the kernels that
-//! depend on the order inside a list run on a relabelled CSR built for
-//! that one workload. Two layers:
+//! natural order only, each with two passes built on first use: the
+//! Table-1 BFS levels and, per locality windows, the [`GapCounts`] of every
+//! vertex. Every natural-order workload is priced from those two arrays.
+//! An ordering is a permutation π, made and dropped inside one workload
+//! build together with its own counts and levels, read from the natural
+//! CSR and π; only the native runs whose result depends on the order
+//! inside a list (PageRank's float sums, label propagation, hybrid BFS)
+//! run on a relabelled CSR built for that one workload. Two layers:
 //!
 //! - **In-memory** (always on): process-global maps from key to
 //!   `Arc`-shared graph or workload. Entries are built inside a per-key
@@ -23,19 +26,19 @@
 //!   versions of the data: bump them when instrumentation or generation
 //!   changes meaning, or delete the store file.
 
-use mic_bfs::components::{instrument_components, ComponentsWorkload};
+use mic_bfs::components::{components_from_counts, components_sync, ComponentsWorkload};
 use mic_bfs::direction::{instrument_hybrid, Direction, Hybrid, HybridWorkload};
-use mic_bfs::instrument::{instrument as bfs_instrument, BfsWorkload, SimVariant};
-use mic_bfs::seq::table1_source;
-use mic_coloring::instrument::{instrument_relabelled as coloring_instrument, ColoringWorkload};
+use mic_bfs::instrument::{instrument_with as bfs_from_counts, BfsWorkload, SimVariant};
+use mic_bfs::seq::{bfs as bfs_levels, table1_source, BfsResult};
+use mic_coloring::instrument::{from_counts as coloring_from_counts, ColoringWorkload};
 use mic_graph::io::{read_csr_bin, write_csr_bin};
 use mic_graph::ordering::{permutation, Ordering};
-use mic_graph::stats::LocalityWindows;
+use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
 use mic_graph::suite::{build, PaperGraph, Scale};
 use mic_graph::{Csr, VertexId};
+use mic_irregular::apps::pagerank_seq;
 use mic_irregular::instrument::{
-    instrument_pagerank, instrument_relabelled as irregular_instrument, IrregularWorkload,
-    PagerankWorkload,
+    from_counts as irregular_from_counts, pagerank_from_counts, IrregularWorkload, PagerankWorkload,
 };
 use mic_sim::Work;
 use std::borrow::Cow;
@@ -79,7 +82,31 @@ impl<K: Eq + Hash, V: Clone> Cache<K, V> {
     }
 }
 
-static GRAPHS: Cache<(PaperGraph, Scale), Arc<Csr>> = Cache::new();
+/// A suite graph in natural order and the two passes every natural-order
+/// workload of it is priced from, each built once on first use and dropped
+/// with the graph: the Table-1 BFS (4 B per vertex) and, per locality
+/// windows, the [`GapCounts`] of every vertex (16 B per vertex).
+struct SuiteGraph {
+    csr: Arc<Csr>,
+    bfs: OnceLock<BfsResult>,
+    counts: Cache<(usize, usize), Arc<Vec<GapCounts>>>,
+}
+
+impl SuiteGraph {
+    /// BFS from Table I's source, vertex `|V| / 2`.
+    fn bfs(&self) -> &BfsResult {
+        self.bfs
+            .get_or_init(|| bfs_levels(&self.csr, table1_source(&self.csr)))
+    }
+
+    fn counts(&self, w: LocalityWindows) -> Arc<Vec<GapCounts>> {
+        let key = (w.l1_gap, w.l2_gap);
+        self.counts
+            .get_or_build(key, || Arc::new(gap_counts(&self.csr, None, w)))
+    }
+}
+
+static GRAPHS: Cache<(PaperGraph, Scale), Arc<SuiteGraph>> = Cache::new();
 
 /// The inputs every workload key shares: graph, scale, ordering, and the
 /// locality windows as a hashable `(l1_gap, l2_gap)` pair.
@@ -107,8 +134,12 @@ pub const PAGERANK_MAX_ITERS: usize = 100;
 /// `MIC_STORE` tier) once per process. Orderings are not graphs here: a
 /// workload under one reads this graph and a permutation of it.
 pub fn graph(pg: PaperGraph, scale: Scale) -> Arc<Csr> {
+    Arc::clone(&suite_graph(pg, scale).csr)
+}
+
+fn suite_graph(pg: PaperGraph, scale: Scale) -> Arc<SuiteGraph> {
     GRAPHS.get_or_build((pg, scale), || {
-        Arc::new(persisted(
+        let csr = persisted(
             || format!("csr1-{}-{scale:?}", pg.name()),
             |bytes| read_csr_bin(bytes).map_err(|e| e.to_string()),
             |g| {
@@ -117,15 +148,68 @@ pub fn graph(pg: PaperGraph, scale: Scale) -> Arc<Csr> {
                 bytes
             },
             || build(pg, scale),
-        ))
+        );
+        Arc::new(SuiteGraph {
+            csr: Arc::new(csr),
+            bfs: OnceLock::new(),
+            counts: Cache::new(),
+        })
     })
 }
 
-/// `g` relabelled by `perm`, for the kernels whose workload depends on the
-/// order inside each adjacency list (BFS queue order, the order of float
-/// additions). Built for one workload and dropped with it.
-fn relabelled<'g>(g: &'g Csr, perm: Option<&[VertexId]>) -> Cow<'g, Csr> {
-    perm.map_or(Cow::Borrowed(g), |p| Cow::Owned(g.permute(p)))
+/// Table I's `#Level` of a suite graph, from the BFS its natural-order BFS
+/// workloads share.
+pub(crate) fn table1_levels(pg: PaperGraph, scale: Scale) -> u32 {
+    suite_graph(pg, scale).bfs().num_levels
+}
+
+/// What one workload build reads: a suite graph with its cached passes,
+/// the ordering's permutation (`perm[old] = new`, `None` in natural order)
+/// and the locality windows. Under an ordering every pass is built here,
+/// for this one workload, from the natural CSR.
+struct Passes<'a> {
+    suite: &'a SuiteGraph,
+    perm: Option<Vec<VertexId>>,
+    windows: LocalityWindows,
+}
+
+impl Passes<'_> {
+    /// The graph in the build's order, for the native runs whose result
+    /// depends on the ids or on the order inside each adjacency list (the
+    /// order of float additions, which label is the minimum, the order of
+    /// bottom-up probes).
+    fn graph(&self) -> Cow<'_, Csr> {
+        let g = &*self.suite.csr;
+        self.perm
+            .as_deref()
+            .map_or(Cow::Borrowed(g), |p| Cow::Owned(g.permute(p)))
+    }
+
+    /// The [`GapCounts`] of every vertex, indexed by id in the build's order.
+    fn counts(&self) -> Arc<Vec<GapCounts>> {
+        match &self.perm {
+            None => self.suite.counts(self.windows),
+            Some(p) => Arc::new(gap_counts(&self.suite.csr, Some(p), self.windows)),
+        }
+    }
+
+    /// The Table-1 BFS levels, indexed by id in the build's order. Levels
+    /// are distances, so under π they are the natural graph's levels from
+    /// the vertex π moves to `|V| / 2`, each moved to its vertex's new id.
+    fn levels(&self) -> Cow<'_, [u32]> {
+        let Some(p) = &self.perm else {
+            return Cow::Borrowed(&self.suite.bfs().levels);
+        };
+        let g = &*self.suite.csr;
+        let source = table1_source(g);
+        let old = p.iter().position(|&new| new == source);
+        let natural = bfs_levels(g, old.expect("perm is a bijection") as VertexId).levels;
+        let mut levels = vec![0; p.len()];
+        for (v, l) in natural.into_iter().enumerate() {
+            levels[p[v] as usize] = l;
+        }
+        Cow::Owned(levels)
+    }
 }
 
 /// A workload type the cache can build and persist: which kernel knob
@@ -135,17 +219,16 @@ trait Stored: Sized {
     type Knob: Copy + Eq + Hash + std::fmt::Debug;
     /// The `<kind>` of the `wl1-<kind>-…` store key.
     const KIND: &'static str;
-    /// The workload of `g` relabelled by `perm` (`perm[old] = new`), or of
-    /// `g` itself when `perm` is `None`.
-    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, k: Self::Knob) -> Self;
+    /// The workload of the build's graph, in the build's order.
+    fn instrument(p: &Passes, k: Self::Knob) -> Self;
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>);
     /// `None` when the container's shape cannot be this type.
     fn from_parts(parts: StoredArrays) -> Option<Self>;
 }
 
 /// The one keyed body behind every workload function: the in-memory
-/// entry, else (with `MIC_STORE` on) the stored container, else instrument
-/// the natural graph under the ordering's permutation and store the result.
+/// entry, else (with `MIC_STORE` on) the stored container, else price the
+/// site's passes and store the result.
 fn get_or_build<W: Stored>(
     cache: &Workloads<W>,
     pg: PaperGraph,
@@ -167,14 +250,19 @@ fn get_or_build<W: Stored>(
                 encode_container(&meta, &arrays)
             },
             || {
-                let g = graph(pg, scale);
+                let suite = suite_graph(pg, scale);
                 let perm = match order {
                     OrderTag::Natural => None,
                     OrderTag::Random { seed } => Some(Ordering::Random { seed }),
                     OrderTag::CuthillMcKee { source } => Some(Ordering::CuthillMcKee { source }),
                 }
-                .map(|o| permutation(&g, o));
-                W::instrument(&g, perm.as_deref(), windows, knob)
+                .map(|o| permutation(&suite.csr, o));
+                let passes = Passes {
+                    suite: &suite,
+                    perm,
+                    windows,
+                };
+                W::instrument(&passes, knob)
             },
         ))
     })
@@ -263,8 +351,8 @@ pub fn hybrid_bfs(
 impl Stored for ColoringWorkload {
     type Knob = ();
     const KIND: &'static str = "coloring";
-    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, _: ()) -> Self {
-        coloring_instrument(g, perm, win)
+    fn instrument(p: &Passes, _: ()) -> Self {
+        coloring_from_counts(&p.counts())
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         let arrays: [&[Work]; 4] = [
@@ -298,8 +386,8 @@ fn counted_array((meta, arrays): StoredArrays) -> Option<(usize, Arc<Vec<Work>>)
 impl Stored for IrregularWorkload {
     type Knob = usize;
     const KIND: &'static str = "irregular";
-    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, iter: usize) -> Self {
-        irregular_instrument(g, perm, win, iter)
+    fn instrument(p: &Passes, iter: usize) -> Self {
+        irregular_from_counts(&p.counts(), iter)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         (vec![self.iter as u64], vec![&self.iter_work])
@@ -313,9 +401,10 @@ impl Stored for IrregularWorkload {
 impl Stored for PagerankWorkload {
     type Knob = ();
     const KIND: &'static str = "pagerank";
-    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, _: ()) -> Self {
+    fn instrument(p: &Passes, _: ()) -> Self {
         let (damping, tol, cap) = (PAGERANK_DAMPING, PAGERANK_TOL, PAGERANK_MAX_ITERS);
-        instrument_pagerank(&relabelled(g, perm), win, damping, tol, cap)
+        let (_, iters) = pagerank_seq(&p.graph(), damping, tol, cap);
+        pagerank_from_counts(&p.counts(), iters)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         (vec![self.iters as u64], vec![&self.vertex_work])
@@ -329,8 +418,9 @@ impl Stored for PagerankWorkload {
 impl Stored for ComponentsWorkload {
     type Knob = ();
     const KIND: &'static str = "components";
-    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, _: ()) -> Self {
-        instrument_components(&relabelled(g, perm), win)
+    fn instrument(p: &Passes, _: ()) -> Self {
+        let rounds = components_sync(&p.graph()).rounds;
+        components_from_counts(&p.counts(), rounds)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         (vec![self.rounds as u64], vec![&self.round_work])
@@ -345,9 +435,8 @@ impl Stored for ComponentsWorkload {
 impl Stored for BfsWorkload {
     type Knob = SimVariant;
     const KIND: &'static str = "bfs";
-    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, v: SimVariant) -> Self {
-        let g = relabelled(g, perm);
-        bfs_instrument(&g, table1_source(&g), win, v)
+    fn instrument(p: &Passes, v: SimVariant) -> Self {
+        bfs_from_counts(&p.levels(), &p.counts(), v)
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         let meta = self.widths.iter().map(|&w| w as u64).collect();
@@ -365,9 +454,9 @@ impl Stored for BfsWorkload {
 impl Stored for HybridWorkload {
     type Knob = ();
     const KIND: &'static str = "hybrid";
-    fn instrument(g: &Csr, perm: Option<&[VertexId]>, win: LocalityWindows, _: ()) -> Self {
-        let g = relabelled(g, perm);
-        instrument_hybrid(&g, table1_source(&g), win, Hybrid::default())
+    fn instrument(p: &Passes, _: ()) -> Self {
+        let g = p.graph();
+        instrument_hybrid(&g, table1_source(&g), p.windows, Hybrid::default())
     }
     fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
         let regions = self.widths.iter().zip(&self.directions);

@@ -135,9 +135,11 @@ fn reference_regions(kernel: KernelId, h: &Csr, policy: Policy) -> Vec<Region> {
     }
 }
 
-/// BFS, hybrid BFS, PageRank and components depend on the order inside an
-/// adjacency list, so under an ordering they run on a relabelled CSR built
-/// for the one workload; only serve asks for them that way.
+/// Only serve asks for these kernels under an ordering. BFS moves the
+/// natural graph's levels from the relabelled source to the new ids; hybrid
+/// BFS, PageRank and components depend on the order inside an adjacency
+/// list or on the ids, so their native runs use a relabelled CSR built for
+/// the one workload.
 #[test]
 fn serve_only_ordered_kernels_match_the_relabelled_graph() {
     let (scale, order) = (Scale::Fraction(256), OrderTag::Random { seed: 5 });

@@ -33,6 +33,15 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// Rows a Matrix Market size line may declare for each entry the file
+/// holds, beyond [`FREE_ROWS`]. Building the graph allocates per declared
+/// row before any edge, so an unchecked size line could ask for any amount
+/// of memory from a file of a few bytes. Rows no entry names are isolated
+/// vertices; real matrices have few of them per entry.
+const ROWS_PER_ENTRY: usize = 64;
+/// Rows a size line may declare whatever its entry count.
+const FREE_ROWS: usize = 1 << 20;
+
 fn parse_err(line: usize, msg: impl Into<String>) -> IoError {
     IoError::Parse {
         line,
@@ -142,6 +151,15 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, IoError> {
         return Err(parse_err(
             0,
             format!("declared {nnz} entries but found {read}"),
+        ));
+    }
+    if rows > FREE_ROWS.max(ROWS_PER_ENTRY * read) {
+        return Err(parse_err(
+            lineno,
+            format!(
+                "{rows} rows for {read} entries: more than {FREE_ROWS} rows \
+                 need at least one entry per {ROWS_PER_ENTRY}"
+            ),
         ));
     }
     Ok(b.build())

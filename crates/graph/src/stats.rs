@@ -126,28 +126,25 @@ impl GapCounts {
     }
 }
 
-/// Call `f` with the [`GapCounts`] of every vertex of `g`, in ascending id
-/// order. With `perm` (`perm[old] = new`) these are the counts of
+/// The [`GapCounts`] of every vertex of `g`, indexed by id: the one pass
+/// over the adjacency lists that every vertex-sweep workload is priced
+/// from. With `perm` (`perm[old] = new`) these are the counts of
 /// `g.permute(perm)`, read from `g` itself: new id `i` is old vertex
 /// `inv[i]`, and each of its neighbours `v` counts `gap_class(i, perm[v])`.
 /// `None` is natural order, which needs no identity array.
-pub fn for_each_gap_counts(
-    g: &Csr,
-    perm: Option<&[VertexId]>,
-    w: LocalityWindows,
-    mut f: impl FnMut(GapCounts),
-) {
+pub fn gap_counts(g: &Csr, perm: Option<&[VertexId]>, w: LocalityWindows) -> Vec<GapCounts> {
     match perm {
-        None => {
-            for u in g.vertices() {
-                f(GapCounts::of(u, g.neighbors(u), |v| v, w));
-            }
-        }
+        None => g
+            .vertices()
+            .map(|u| GapCounts::of(u, g.neighbors(u), |v| v, w))
+            .collect(),
         Some(perm) => {
             let relabel = |v: VertexId| perm[v as usize];
-            for (i, old) in crate::ordering::inverse(perm).into_iter().enumerate() {
-                f(GapCounts::of(i as VertexId, g.neighbors(old), relabel, w));
-            }
+            let inv = crate::ordering::inverse(perm);
+            inv.iter()
+                .enumerate()
+                .map(|(i, &old)| GapCounts::of(i as VertexId, g.neighbors(old), relabel, w))
+                .collect()
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Robustness: malformed and adversarial inputs must yield `Err`, never a
 //! panic or a structurally invalid graph.
 
-use mic_graph::io::{read_csr_bin, read_edge_list, read_matrix_market, write_csr_bin};
+use mic_graph::io::{read_csr_bin, read_edge_list, read_matrix_market, write_csr_bin, IoError};
 use proptest::prelude::*;
 
 proptest! {
@@ -52,14 +52,29 @@ proptest! {
 }
 
 /// A size line is outside input: neither a huge declared `nnz` (once an
-/// up-front reservation that aborted the process) nor a row count past the
-/// u32 ids (once a builder panic) may take the reader down.
+/// up-front reservation that aborted the process), nor a row count past the
+/// u32 ids (once a builder panic), nor one inside them but far beyond what
+/// the entries justify (once the builder's per-row offsets exhausting
+/// memory) may take the reader down. Each is a parse error.
 #[test]
 fn matrix_market_size_line_cannot_abort_the_reader() {
-    for size in ["4 4 100000000000000", "5000000000 5000000000 1"] {
+    for size in [
+        "4 4 100000000000000",
+        "5000000000 5000000000 1",
+        "4000000000 4000000000 1",
+    ] {
         let text = format!("%%MatrixMarket matrix coordinate pattern symmetric\n{size}\n2 1\n");
-        assert!(read_matrix_market(text.as_bytes()).is_err(), "{size}");
+        let got = read_matrix_market(text.as_bytes());
+        assert!(matches!(got, Err(IoError::Parse { .. })), "{size}: {got:?}");
     }
+}
+
+/// Rows no entry names are isolated vertices, and they stay in the graph.
+#[test]
+fn matrix_market_keeps_trailing_isolated_vertices() {
+    let text = "%%MatrixMarket matrix coordinate pattern symmetric\n10 10 1\n2 1\n";
+    let g = read_matrix_market(text.as_bytes()).expect("a valid file");
+    assert_eq!((g.num_vertices(), g.num_edges()), (10, 1));
 }
 
 #[test]

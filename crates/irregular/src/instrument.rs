@@ -8,8 +8,8 @@
 //! Cilk's *rises* (its fixed per-leaf overhead is amortized by the extra
 //! flops).
 
-use mic_graph::stats::{for_each_gap_counts, LocalityWindows};
-use mic_graph::{Csr, VertexId};
+use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
+use mic_graph::Csr;
 use mic_sim::{Policy, Region, Work};
 use std::sync::Arc;
 
@@ -22,22 +22,18 @@ pub struct IrregularWorkload {
 
 /// Build the per-vertex workload for `iter` inner repetitions.
 pub fn instrument(g: &Csr, windows: LocalityWindows, iter: usize) -> IrregularWorkload {
-    instrument_relabelled(g, None, windows, iter)
+    from_counts(&gap_counts(g, None, windows), iter)
 }
 
-/// [`instrument`] of `g` relabelled by `perm` (`perm[old] = new`; `None` is
-/// natural order), read from `g` itself: costs are degrees and gap counts,
-/// so this equals `instrument(&g.permute(perm), windows, iter)` bit for bit.
-pub fn instrument_relabelled(
-    g: &Csr,
-    perm: Option<&[VertexId]>,
-    windows: LocalityWindows,
-    iter: usize,
-) -> IrregularWorkload {
+/// The workload for `iter` inner repetitions, priced from the
+/// [`GapCounts`] of every vertex, indexed by id. Costs are degrees and gap
+/// counts only, so the counts of a relabelled graph price that graph's
+/// workload bit for bit without building it.
+pub fn from_counts(counts: &[GapCounts], iter: usize) -> IrregularWorkload {
     assert!(iter >= 1);
     let it = iter as f64;
-    let mut work = Vec::with_capacity(g.num_vertices());
-    for_each_gap_counts(g, perm, windows, |c| {
+    let mut work = Vec::with_capacity(counts.len());
+    for c in counts {
         let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
         work.push(Work {
             // Loop control + loads each pass; the state store once.
@@ -51,7 +47,7 @@ pub fn instrument_relabelled(
             flops: it * (deg + 1.0) + 4.0,
             atomics: 0.0,
         });
-    });
+    }
     IrregularWorkload {
         iter_work: Arc::new(work),
         iter,
@@ -86,8 +82,14 @@ pub fn instrument_pagerank(
     max_iters: usize,
 ) -> PagerankWorkload {
     let (_, iters) = crate::apps::pagerank_seq(g, damping, tol, max_iters);
-    let mut work = Vec::with_capacity(g.num_vertices());
-    for_each_gap_counts(g, None, windows, |c| {
+    pagerank_from_counts(&gap_counts(g, None, windows), iters)
+}
+
+/// The PageRank workload of `iters` power iterations (the native run's
+/// count), priced from the [`GapCounts`] of every vertex, indexed by id.
+pub fn pagerank_from_counts(counts: &[GapCounts], iters: usize) -> PagerankWorkload {
+    let mut work = Vec::with_capacity(counts.len());
+    for c in counts {
         let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
         work.push(Work {
             // Loop control, rank + degree load per neighbor, the store,
@@ -100,7 +102,7 @@ pub fn instrument_pagerank(
             flops: 2.0 * deg + 5.0,
             atomics: 0.0,
         });
-    });
+    }
     PagerankWorkload {
         vertex_work: Arc::new(work),
         iters,
