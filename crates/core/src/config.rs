@@ -31,8 +31,6 @@
 //! | `serve_max_request` | `MIC_SERVE_MAX_REQUEST` | 65536 |
 //! | `serve_conn_cap` | `MIC_SERVE_CONNS` | 256 |
 //! | `store_path` | `MIC_STORE` | off |
-//! | `store_page` | `MIC_STORE_PAGE` | 4096 |
-//! | `store_pool` | `MIC_STORE_POOL` | 256 |
 //! | `store_sync` | `MIC_STORE_SYNC` | 0 (persist on shutdown only) |
 //! | `obs` | `MIC_OBS` | off |
 //! | `obs_slow_ms` | `MIC_OBS_SLOW_MS` | none |
@@ -189,13 +187,9 @@ pub struct SuiteConfig {
     /// Concurrent connection cap; connects past it are refused with a
     /// `shed` response instead of an unbounded thread spawn.
     pub serve_conn_cap: usize,
-    /// Crash-safe paged store file persisting suite graphs, workloads and
+    /// Crash-safe append-only log persisting suite graphs, workloads and
     /// serve results; `None` = durable tier off. One process per file.
     pub store_path: Option<PathBuf>,
-    /// Store page size in bytes (fixed at file creation).
-    pub store_page: usize,
-    /// Store buffer-pool capacity in frames (resident pages).
-    pub store_pool: usize,
     /// Auto-persist the store after this many puts; 0 = only on explicit
     /// persist (graceful shutdown). Raise durability under `kill -9` by
     /// lowering this.
@@ -223,8 +217,6 @@ impl Default for SuiteConfig {
             serve_max_request: 64 * 1024,
             serve_conn_cap: 256,
             store_path: None,
-            store_page: 4096,
-            store_pool: 256,
             store_sync: 0,
             obs: ObsMode::Off,
             obs_slow_ms: None,
@@ -256,9 +248,6 @@ impl SuiteConfig {
             serve_conn_cap: crate::env::positive_usize("MIC_SERVE_CONNS")
                 .unwrap_or(defaults.serve_conn_cap),
             store_path: crate::env::path("MIC_STORE"),
-            store_page: crate::env::positive_usize("MIC_STORE_PAGE")
-                .map_or(defaults.store_page, |v| v.clamp(512, 1 << 20)),
-            store_pool: crate::env::positive_usize("MIC_STORE_POOL").unwrap_or(defaults.store_pool),
             store_sync: crate::env::nonneg_u64("MIC_STORE_SYNC")
                 .map_or(defaults.store_sync, |v| v.min(1 << 20) as usize),
             obs: ObsMode::parse(crate::env::raw("MIC_OBS")),
@@ -317,16 +306,6 @@ impl SuiteConfig {
 
     pub fn store_path(mut self, path: Option<PathBuf>) -> Self {
         self.store_path = path;
-        self
-    }
-
-    pub fn store_page(mut self, bytes: usize) -> Self {
-        self.store_page = bytes.clamp(512, 1 << 20);
-        self
-    }
-
-    pub fn store_pool(mut self, frames: usize) -> Self {
-        self.store_pool = frames.max(1);
         self
     }
 
@@ -452,8 +431,6 @@ mod tests {
         assert_eq!(c.serve_max_request, 64 * 1024);
         assert_eq!(c.serve_conn_cap, 256);
         assert!(c.store_path.is_none());
-        assert_eq!(c.store_page, 4096);
-        assert_eq!(c.store_pool, 256);
         assert_eq!(c.store_sync, 0);
         assert_eq!(c.obs, ObsMode::Off);
         assert_eq!(c.obs_slow_ms, None);
@@ -464,17 +441,9 @@ mod tests {
     fn store_builders_clamp_to_sane_ranges() {
         let c = SuiteConfig::default()
             .store_path(Some(PathBuf::from("/tmp/x.pg")))
-            .store_page(1)
-            .store_pool(0)
             .store_sync(3);
         assert_eq!(c.store_path, Some(PathBuf::from("/tmp/x.pg")));
-        assert_eq!(c.store_page, 512, "page floor keeps the tail sealed");
-        assert_eq!(c.store_pool, 1);
         assert_eq!(c.store_sync, 3);
-        assert_eq!(
-            SuiteConfig::default().store_page(1 << 30).store_page,
-            1 << 20
-        );
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! plan: an exhibit has nothing to degrade to, so its one failure is a
 //! bug, and a bug stops the run. `io-*` faults hit the file boundaries of
 //! a store opened with the plan as its [`IoFaults`] injector — serve's
-//! result store and the workload cache's `MIC_STORE` tier (site = page id
-//! for writes, committing epoch for fsyncs, file-name hash for opens). A
+//! result store and the workload cache's `MIC_STORE` tier (site = the file
+//! offset of each 4 KiB block of a record write, the log length for
+//! fsyncs, file-name hash for opens). A
 //! body panicking inside a runtime construct needs no injector: a test
 //! raises it by panicking (`failure_injection.rs`).
 //!
@@ -46,13 +47,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum FaultClass {
     /// A served job panics in place of running.
     JobPanic = 0,
-    /// A store page write lands half its bytes, then errors (torn prefix
-    /// on disk — what a killed writer leaves).
+    /// A store record write lands half its bytes, then errors (torn
+    /// prefix on disk — what a killed writer leaves).
     IoShortWrite = 7,
-    /// A store page write silently lands corrupted bytes and reports
-    /// success; only checksums catch it later.
+    /// A store record write silently lands corrupted bytes and reports
+    /// success; only checksums catch it later (a torn record; the name
+    /// predates the log format).
     IoTornPage = 8,
-    /// A store fsync fails (the commit must not be acknowledged).
+    /// A store fsync fails (the persist must not be acknowledged).
     IoFsyncFail = 9,
     /// Opening the store file fails.
     IoOpenFail = 10,

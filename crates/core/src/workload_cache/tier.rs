@@ -11,8 +11,8 @@
 //!   u64    XXH64 of every preceding byte (seed 0)
 //! ```
 //!
-//! The store's page and value checksums turn torn or flipped bytes into a
-//! miss before they get here; the container's own checksum and structural
+//! The store's record checksums turn torn or flipped bytes into a miss
+//! before they get here; the container's own checksum and structural
 //! parse are the second line, so a buggy writer cannot get malformed arrays
 //! past them either. An entry that fails them is dropped and recomputed.
 
@@ -102,11 +102,11 @@ pub(super) fn verify_container(bytes: &[u8]) -> Result<StoredArrays, String> {
 }
 
 /// The open handle on the `MIC_STORE` file, kept for as long as the
-/// configured path stays the same: reopening replays recovery and reloads
-/// the whole page directory, which costs more than most cache reads.
+/// configured path stays the same: reopening rescans every record header,
+/// which costs more than most cache reads.
 static TIER: Mutex<Option<(PathBuf, Arc<Store>)>> = Mutex::new(None);
 
-/// The store named by `MIC_STORE`: one crash-safe paged file, shared
+/// The store named by `MIC_STORE`: one crash-safe append-only log, shared
 /// process-wide with mic-serve's result tier when both point at the same
 /// path, and single-process (see [`Store`]). `None` when the knob is off or
 /// the file cannot be opened — an open failure warns once and the cache
@@ -120,8 +120,6 @@ fn store_tier() -> Option<Arc<Store>> {
         return Some(Arc::clone(store));
     }
     let opts = mic_store::StoreOpts {
-        page_size: cfg.store_page,
-        pool_frames: cfg.store_pool,
         sync_every: cfg.store_sync,
         faults: cfg.fault.clone().map(|plan| Arc::new(plan) as _),
     };

@@ -17,17 +17,17 @@ use std::sync::{Mutex, MutexGuard};
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// A store file in a fresh scratch directory, installed as the `MIC_STORE`
-/// tier (512-byte pages, so small entries still span pages). Dropping it
-/// closes the store, restores the env-derived config and removes the
-/// directory.
+/// tier. Dropping it closes the store, restores the env-derived config and
+/// removes the directory.
 struct Tier {
     file: PathBuf,
     _serial: MutexGuard<'static, ()>,
 }
 
 fn install(file: &Path) {
-    let config = SuiteConfig::default().store_path(Some(file.to_path_buf()));
-    config.store_page(512).install();
+    SuiteConfig::default()
+        .store_path(Some(file.to_path_buf()))
+        .install();
 }
 
 fn tier(tag: &str) -> Tier {
@@ -115,7 +115,7 @@ fn concurrent_writers_never_leave_a_torn_file() {
 
 /// A writer that bypassed the container discipline (simulated by putting
 /// every truncation of a good container straight into the store, behind
-/// valid page checksums) must never hand the reader data: the container
+/// valid record checksums) must never hand the reader data: the container
 /// checksum rejects every prefix, the entry is dropped, and a
 /// recompute-and-store round restores a loadable entry.
 #[test]
@@ -152,24 +152,45 @@ fn store_tier_serves_workloads_after_file_cache_loss() {
     assert_eq!(load(key), None, "with the store tier off: a miss");
 }
 
-/// Crash-mid-persist matrix on the store file itself: truncate it at
-/// every page boundary (plus cuts through both header slots) and reload.
-/// Whatever state the "crash" left, the cache must hand back either the
-/// exact workload or a miss-and-recompute — never corrupt arrays.
+/// Record boundaries in a store log: the 8-byte magic, then records of a
+/// 24-byte header (`u32` key length, `u32` value length, two checksums)
+/// followed by the key and the value.
+fn record_ends(log: &[u8]) -> Vec<usize> {
+    let mut ends = vec![8];
+    while let Some(head) = log.get(ends[ends.len() - 1]..).filter(|r| r.len() >= 24) {
+        let len = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().unwrap()) as usize;
+        ends.push(ends[ends.len() - 1] + 24 + len(0) + len(4));
+    }
+    ends
+}
+
+/// Crash-mid-append matrix on the store file itself: truncate it at every
+/// record boundary, at every byte of the last record and every 512 bytes,
+/// then reload. Whatever state the "crash" left,
+/// the cache must hand back either the exact workload or a
+/// miss-and-recompute — never corrupt arrays — and a record that ended
+/// before the cut must still load.
 #[test]
 fn store_file_crash_matrix_recovers_or_misses_never_corrupts() {
     let tier = tier("crash");
-    let key = "wl1-crash-key";
+    let (first, key) = ("wl1-crash-first", "wl1-crash-key");
+    store(first, 43);
     store(key, 44);
     clear_memory();
     let golden = std::fs::read(&tier.file).unwrap();
-    // Page boundaries (pages start at 4096, 512-byte pages) + cuts through
-    // header slot A (offset 0), slot B (offset 512), and mid-page.
-    let mut cuts: Vec<usize> = (0..golden.len()).step_by(512).collect();
-    cuts.extend([17, 300, 800, 4200, golden.len() - 1]);
+    let ends = record_ends(&golden);
+    assert_eq!(ends.len(), 3, "magic + two records: {ends:?}");
+    assert_eq!(ends[2], golden.len(), "the records tile the file");
+    let mut cuts: Vec<usize> = (0..=golden.len()).step_by(512).collect();
+    cuts.extend(&ends);
+    cuts.extend(ends[1]..golden.len());
+    cuts.sort_unstable();
+    cuts.dedup();
     for cut in cuts {
         std::fs::write(&tier.file, &golden[..cut]).unwrap();
+        let want_first = (cut >= ends[1]).then_some(43);
         assert!(matches!(load(key), None | Some(44)), "cut {cut}");
+        assert_eq!(load(first), want_first, "cut {cut}: an intact record");
         // The recovery path every caller takes: recompute, store, reload.
         store(key, 44);
         assert_eq!(load(key), Some(44), "cut {cut}: recompute must recover");

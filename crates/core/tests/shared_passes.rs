@@ -1,5 +1,6 @@
 //! Natural-order workloads are priced from two passes cached with each
-//! suite graph: the Table-1 BFS levels and every vertex's gap counts. These
+//! suite graph: the Table-1 BFS levels and every vertex's gap counts (Table
+//! I's greedy color count is cached beside them). These
 //! tests pin every such workload an exhibit reads, bit for bit, against the
 //! reference: instrumenting the cached graph directly, which runs its own
 //! BFS and its own count loop.
@@ -8,6 +9,7 @@ use mic_eval::bfs::components::instrument_components;
 use mic_eval::bfs::instrument::{instrument as bfs_instrument, SimVariant};
 use mic_eval::bfs::seq::{bfs, table1_source};
 use mic_eval::coloring::instrument::instrument as coloring_instrument;
+use mic_eval::coloring::seq::greedy_color;
 use mic_eval::experiments::table1::table1;
 use mic_eval::graph::stats::LocalityWindows;
 use mic_eval::graph::suite::{PaperGraph, Scale};
@@ -127,6 +129,15 @@ fn table1_levels_come_from_a_fresh_bfs() {
             "{}",
             row.name
         );
+    }
+}
+
+#[test]
+fn table1_colors_come_from_a_fresh_greedy_coloring() {
+    let scale = Scale::Fraction(64);
+    for (row, pg) in table1(scale).iter().zip(PaperGraph::all()) {
+        let g = workload_cache::graph(pg, scale);
+        assert_eq!(row.colors, greedy_color(&g).num_colors, "{}", row.name);
     }
 }
 

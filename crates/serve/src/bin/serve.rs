@@ -8,8 +8,8 @@
 //!   [--max-request BYTES] [--store PATH] [--store-sync N]
 //!   [--duration S]` — run the TCP server (default `127.0.0.1:7171`;
 //!   `--duration` exits after S seconds, otherwise it runs until
-//!   killed). `--store` spills results to a crash-safe paged store so a
-//!   restarted server answers repeat jobs warm; `--store-sync N`
+//!   killed). `--store` spills results to a crash-safe append-only
+//!   store so a restarted server answers repeat jobs warm; `--store-sync N`
 //!   persists every N results (default: at shutdown only — pass 1 to
 //!   survive `kill -9`). `MIC_METRICS=<path>` writes a Prometheus
 //!   snapshot on clean shutdown. Defaults come from the `MIC_SERVE_*`

@@ -85,10 +85,7 @@ impl Router {
         // LRU-only serving rather than refusing to start (the store is a
         // cache tier, not the source of truth).
         let store = opts.store_path.as_ref().and_then(|path| {
-            let cfg = mic_eval::config::current();
             let sopts = mic_store::StoreOpts {
-                page_size: cfg.store_page,
-                pool_frames: cfg.store_pool,
                 sync_every: opts.store_sync,
                 faults: opts.fault.clone().map(|plan| plan as _),
             };
@@ -132,8 +129,8 @@ impl Router {
         &self.shards
     }
 
-    /// Flip the durable store's header so every spilled result survives
-    /// the restart. Call once no request is computing (the requests are
+    /// Fsync the durable store so every spilled result survives the
+    /// restart. Call once no request is computing (the requests are
     /// the writers); best-effort — a failed persist costs warm hits only.
     pub fn persist_store(&self) {
         if let Some(store) = &self.store {

@@ -170,7 +170,7 @@ impl ServeStats {
             ("shed".into(), g(&self.shed)),
             ("coalesced".into(), g(&self.coalesced)),
             ("cache_hits".into(), g(&self.cache_hits)),
-            // Results answered from the durable store tier (the page-level
+            // Results answered from the durable store tier (the record-level
             // store_* rows come from the store itself via the stats op).
             ("store_result_hits".into(), g(&self.store_hits)),
             ("batches".into(), g(&self.batches)),
@@ -720,7 +720,7 @@ impl Server {
         // A handler computing a job finishes it; its socket is shut down,
         // so its next read (or response write) fails and the thread exits.
         self.registry.shutdown_all();
-        // The handlers (the store writers) are gone: flip the header so
+        // The handlers (the store writers) are gone: fsync the store so
         // every spilled result is durable for the next (warm) server.
         self.router.persist_store();
     }

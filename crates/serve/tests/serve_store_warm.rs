@@ -28,7 +28,7 @@ fn run_job(router: &Router) -> f64 {
         Response::Ok { cycles, .. } => cycles,
         other => panic!("expected ok, got {other:?}"),
     };
-    // The request wrote the store on its way out; flip the header.
+    // The request wrote the store on its way out; make it durable.
     router.persist_store();
     cycles
 }

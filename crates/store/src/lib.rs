@@ -1,21 +1,19 @@
-//! mic-store: crash-safe paged on-disk store for results and workloads.
+//! mic-store: a crash-safe, append-only log of immutable values.
 //!
 //! The sweeps in this workspace regenerate hours of instrumented
 //! workload and simulated-result data; the in-RAM caches (wl2 workload
 //! cache, mic-serve's result LRU) vanish on restart. `mic-store` is the
-//! durable tier underneath both: a single file of fixed-size pages with
+//! durable tier underneath both. Every value it holds is a deterministic
+//! function of its key and is written once, so the store is one file of
+//! records with
 //!
-//! - a **buffer pool** (clock / second-chance eviction) so hot pages
-//!   cost a map lookup, not IO ([`pool`](crate) internals);
-//! - a **free list** with copy-on-write discipline — committed pages
-//!   are never overwritten in place, so the last durable state survives
-//!   any crash ([`free_list`](crate) internals);
-//! - **per-page and per-value xxh64 checksums** — torn or bit-flipped
-//!   bytes read as a miss, never as data ([`xxh64`]);
-//! - a **double-header atomic flip** — `persist` writes new pages,
-//!   fsyncs, then flips a checksummed header into the slot the previous
-//!   commit did not use; recovery picks the newest header that
-//!   checks out and falls back (counted) past torn ones;
+//! - **appends only** — `put` adds a record at the end under one writer
+//!   lock, `remove` adds a tombstone, and `persist` is one fsync;
+//! - **an index rebuilt at open** from record headers and keys alone,
+//!   the last record of a key winning; a torn tail is cut off there;
+//! - **xxh64 checksums** on every record header and on every key ‖ value,
+//!   checked again at each `get` — torn or bit-flipped bytes read as a
+//!   miss, never as data ([`xxh64`]);
 //! - **deterministic IO fault injection** at every open/write/fsync
 //!   boundary via a per-store injector ([`fault`]), driven by the
 //!   harness's seeded `MIC_FAULT` `io-*` rules.
@@ -24,10 +22,8 @@
 //! bytes: `get` yields exactly what `put` stored, or `None`.
 
 pub mod fault;
-mod free_list;
-mod page;
-mod pool;
 mod store;
+mod xxh64;
 
-pub use page::{xxh64, NO_PAGE};
 pub use store::{Store, StoreOpts};
+pub use xxh64::xxh64;

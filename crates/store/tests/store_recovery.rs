@@ -1,10 +1,11 @@
-//! Crash-recovery invariant tests for `mic-store`.
+//! Crash-recovery invariant tests for `mic-store`'s record log.
 //!
 //! The invariant every test here pins: after ANY injected io fault or
-//! simulated mid-persist crash (file truncation, torn header, flipped
-//! page bytes), reopening the store either returns the exact bytes a
-//! committed `put` stored, or reports a miss / quarantines the file —
-//! **never** corrupt data.
+//! simulated crash (file truncation, flipped bytes, forged lengths, torn
+//! or short record writes), reopening the store succeeds and every key
+//! reads either as a miss or as the exact bytes a `put` stored — **never**
+//! as corrupt data. Keys whose last record lies wholly before the damage
+//! read exactly as they did before it.
 //!
 //! Each io-fault test opens its store with its own injector in
 //! [`StoreOpts::faults`], so no test sees another's faults.
@@ -15,11 +16,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// On-disk layout constants (fixed by the MICPG1 format, asserted by the
-/// page-module unit tests): two 512-byte header slots, pages at 4096.
-const HEADER_SLOT: u64 = 512;
-const PAGES_START: u64 = 4096;
-const PS: usize = 512;
+/// On-disk layout (the `MICLOG1` format): an 8-byte magic, then records of
+/// `u32` key length, `u32` value length (`u32::MAX` = tombstone), the
+/// key ‖ value checksum and the checksum of the 16 bytes before it.
+const MAGIC: u64 = 8;
+const HEADER: usize = 24;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mic-store-recovery-{}-{tag}", std::process::id()));
@@ -29,355 +30,357 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn opts() -> StoreOpts {
-    StoreOpts {
-        page_size: PS,
-        pool_frames: 8,
-        sync_every: 0,
-        faults: None,
-    }
+    StoreOpts::default()
 }
 
-/// A test injector: applies `rule` once armed.
+/// A test injector: `fault` at every `op` site while armed.
 #[derive(Debug)]
 struct Hook {
     armed: AtomicBool,
-    rule: fn(&IoSite) -> Option<IoFault>,
+    op: IoOp,
+    fault: IoFault,
 }
 
 impl IoFaults for Hook {
     fn io_fault(&self, site: &IoSite) -> Option<IoFault> {
-        (self.rule)(site).filter(|_| self.armed.load(Ordering::SeqCst))
+        (site.op == self.op && self.armed.load(Ordering::SeqCst)).then_some(self.fault)
     }
 }
 
-/// A disarmed injector applying `rule`, and the options that carry it.
-fn hooked(rule: fn(&IoSite) -> Option<IoFault>) -> (Arc<Hook>, StoreOpts) {
+/// A disarmed injector, and the options that carry it.
+fn hooked(op: IoOp, fault: IoFault) -> (Arc<Hook>, StoreOpts) {
     let armed = AtomicBool::new(false);
-    let hook = Arc::new(Hook { armed, rule });
+    let hook = Arc::new(Hook { armed, op, fault });
     let faults = Some(hook.clone() as Arc<dyn IoFaults>);
     (hook, StoreOpts { faults, ..opts() })
+}
+
+/// Put `a`, then `b` (two 4 KiB fault blocks) under one armed write `fault`, then
+/// `c` and `d`, and persist. Returns what `put(b)` said and the store.
+fn fault_in_the_middle(path: &Path, fault: IoFault) -> (std::io::Result<()>, Store) {
+    let (hook, hooked_opts) = hooked(IoOp::Write, fault);
+    let store = Store::open(path, hooked_opts).unwrap();
+    store.put(b"a", &payload(1, 200)).unwrap();
+    hook.armed.store(true, Ordering::SeqCst);
+    let put_b = store.put(b"b", &payload(2, 6000));
+    hook.armed.store(false, Ordering::SeqCst);
+    // Short records: after a short write, part of b's torn prefix is left
+    // past the end of the log.
+    store.put(b"c", b"small").unwrap();
+    store.put(b"d", b"also").unwrap();
+    store.persist().unwrap();
+    assert!(store.get(b"b").is_none(), "a faulted put read back");
+    (put_b, store)
+}
+
+/// Reopen after [`fault_in_the_middle`]: `b` is a miss, the rest exact.
+fn reopen_after_fault(path: &Path) -> Store {
+    let store = Store::open(path, opts()).unwrap();
+    assert_eq!(store.get(b"a"), Some(payload(1, 200)));
+    assert!(store.get(b"b").is_none(), "the faulted record read back");
+    assert_eq!(store.get(b"c").as_deref(), Some(b"small".as_slice()));
+    assert_eq!(store.get(b"d").as_deref(), Some(b"also".as_slice()));
+    store
 }
 
 fn payload(tag: u8, len: usize) -> Vec<u8> {
     (0..len).map(|i| (i as u8).wrapping_mul(31) ^ tag).collect()
 }
 
-fn flip_byte(path: &Path, off: u64) {
-    use std::io::{Read, Seek, SeekFrom, Write};
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(path)
-        .unwrap();
-    let mut b = [0u8; 1];
-    f.seek(SeekFrom::Start(off)).unwrap();
-    f.read_exact(&mut b).unwrap();
-    b[0] ^= 0xFF;
-    f.seek(SeekFrom::Start(off)).unwrap();
-    f.write_all(&b).unwrap();
+fn recoveries(store: &Store) -> u64 {
+    store.stats().recoveries.load(Ordering::Relaxed)
 }
 
-/// `get` must be a miss or the exact committed bytes; anything else is
-/// the corruption the store exists to prevent.
-fn assert_miss_or_exact(store: &Store, key: &[u8], want: &[u8]) -> bool {
-    match store.get(key) {
-        None => false,
-        Some(got) => {
-            assert_eq!(
-                got,
-                want,
-                "store returned WRONG BYTES for {:?}",
-                String::from_utf8_lossy(key)
-            );
-            true
+/// `get` must be a miss or one of the values `put` stored under `key`;
+/// anything else is the corruption the store exists to prevent.
+fn get_checked(store: &Store, key: &[u8], allowed: &[&[u8]]) -> Option<Vec<u8>> {
+    let got = store.get(key)?;
+    assert!(
+        allowed.contains(&got.as_slice()),
+        "store returned WRONG BYTES for {:?}",
+        String::from_utf8_lossy(key)
+    );
+    Some(got)
+}
+
+/// One operation of the reference log: a put, or a remove (tombstone).
+type Op = (&'static [u8], Option<Vec<u8>>);
+
+/// The reference file: three value records and a tombstone, persisted.
+fn reference_ops() -> Vec<Op> {
+    vec![
+        (b"a", Some(payload(1, 300))),
+        (b"b", Some(payload(2, 40))),
+        (b"a", None),
+        (b"c", Some(payload(3, 0))),
+    ]
+}
+
+fn write_log(path: &Path, ops: &[Op]) -> Vec<u64> {
+    let store = Store::open(path, opts()).unwrap();
+    for (key, val) in ops {
+        match val {
+            Some(v) => store.put(key, v).unwrap(),
+            None => assert!(store.remove(key)),
         }
     }
+    store.persist().unwrap();
+    let mut ends = vec![MAGIC];
+    for (key, val) in ops {
+        let len = HEADER + key.len() + val.as_ref().map_or(0, Vec::len);
+        ends.push(ends[ends.len() - 1] + len as u64);
+    }
+    assert_eq!(std::fs::metadata(path).unwrap().len(), ends[ends.len() - 1]);
+    ends
+}
+
+/// Reopen `path` after damage to record `damaged` (`ops.len()` = none) and
+/// check every key: a key whose last record precedes the damage reads as
+/// in the undamaged log; any other key is a miss or a value it was given.
+fn check_after_damage(path: &Path, ops: &[Op], damaged: usize, case: &str) {
+    let store = Store::open(path, opts()).unwrap_or_else(|e| panic!("{case}: reopen: {e}"));
+    for key in [b"a", b"b", b"c"].map(|k| k.as_slice()) {
+        let puts: Vec<&[u8]> = ops
+            .iter()
+            .filter(|(k, _)| *k == key)
+            .filter_map(|(_, v)| v.as_deref())
+            .collect();
+        let last = ops.iter().rposition(|(k, _)| *k == key).unwrap();
+        let got = get_checked(&store, key, &puts);
+        if last < damaged {
+            let want = ops[last].1.clone();
+            assert_eq!(got, want, "{case}: key {key:?} lost before the damage");
+        }
+    }
+}
+
+fn patch(path: &Path, off: u64, bytes: &[u8]) {
+    use std::io::{Seek, SeekFrom, Write};
+    let mut f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    f.seek(SeekFrom::Start(off)).unwrap();
+    f.write_all(bytes).unwrap();
+}
+
+/// Write the reference log, then for every `(file bytes, damaged record,
+/// case)` that `damage` makes of it (given the log and its record ends),
+/// reopen that file and [`check_after_damage`].
+fn each_damaged_copy(tag: &str, damage: impl Fn(&[u8], &[u64]) -> Vec<(Vec<u8>, usize, String)>) {
+    let dir = tmp_dir(tag);
+    let (golden, victim) = (dir.join("golden.log"), dir.join("victim.log"));
+    let ops = reference_ops();
+    let ends = write_log(&golden, &ops);
+    for (bytes, damaged, case) in damage(&std::fs::read(&golden).unwrap(), &ends) {
+        std::fs::write(&victim, &bytes).unwrap();
+        check_after_damage(&victim, &ops, damaged, &case);
+        if bytes.len() as u64 >= MAGIC && bytes[..MAGIC as usize] == *b"MICLOG1\0" {
+            let len = std::fs::metadata(&victim).unwrap().len();
+            assert!(len >= ends[damaged], "{case}: intact records cut off");
+        }
+        let _ = std::fs::remove_file(format!("{}.corrupt", victim.display()));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn reopen_returns_bit_identical_state() {
     let dir = tmp_dir("reopen");
-    let path = dir.join("store.pg");
-    let big = payload(1, 3 * PS); // multi-page
-    let small = payload(2, 40);
-    {
-        let store = Store::open(&path, opts()).unwrap();
-        store.put(b"big", &big).unwrap();
-        store.put(b"small", &small).unwrap();
-        store.put(b"empty", b"").unwrap();
-        store.persist().unwrap();
-    }
+    let path = dir.join("store.log");
+    let ops = reference_ops();
+    write_log(&path, &ops);
     let store = Store::open(&path, opts()).unwrap();
-    assert_eq!(store.get(b"big").as_deref(), Some(big.as_slice()));
-    assert_eq!(store.get(b"small").as_deref(), Some(small.as_slice()));
-    assert_eq!(store.get(b"empty").as_deref(), Some(b"".as_slice()));
-    assert_eq!(store.stats().recoveries.load(Ordering::Relaxed), 0);
+    assert!(store.get(b"a").is_none(), "the tombstone survives a reopen");
+    assert_eq!(store.get(b"b"), ops[1].1);
+    assert_eq!(store.get(b"c"), ops[3].1);
+    assert_eq!(recoveries(&store), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn truncation_at_every_page_boundary_is_miss_or_exact() {
-    let dir = tmp_dir("truncate");
-    let golden = dir.join("golden.pg");
-    let keys: Vec<(Vec<u8>, Vec<u8>)> = (0u8..4)
-        .map(|i| (vec![b'k', i], payload(i, 200 + 600 * i as usize)))
-        .collect();
-    {
-        let store = Store::open(&golden, opts()).unwrap();
-        for (k, v) in &keys {
-            store.put(k, v).unwrap();
+fn truncation_at_every_byte_is_miss_or_exact() {
+    each_damaged_copy("truncate", |log, ends| {
+        let whole = |cut: usize| ends.iter().filter(|&&e| e <= cut as u64).count();
+        let cut = |n: usize| {
+            (
+                log[..n].to_vec(),
+                whole(n).saturating_sub(1),
+                format!("cut {n}"),
+            )
+        };
+        (0..log.len()).map(cut).collect()
+    });
+}
+
+#[test]
+fn every_flipped_byte_is_caught_or_harmless() {
+    each_damaged_copy("flip", |log, ends| {
+        let record = |off: usize| ends.iter().filter(|&&e| e <= off as u64).count();
+        let flip = |off: usize| {
+            let mut bytes = log.to_vec();
+            bytes[off] ^= 0xFF;
+            (bytes, record(off).saturating_sub(1), format!("flip {off}"))
+        };
+        (0..log.len()).map(flip).collect()
+    });
+}
+
+#[test]
+fn forged_lengths_stop_the_scan_before_eof() {
+    each_damaged_copy("lengths", |log, ends| {
+        let mut copies = Vec::new();
+        for (rec, &start) in ends[..ends.len() - 1].iter().enumerate() {
+            let start = start as usize;
+            // One byte more than this record's first byte to EOF holds.
+            let past_eof = (log.len() - start - HEADER + 1) as u32;
+            for field in [0, 4] {
+                for (value, reseal) in [
+                    (u32::MAX, false),
+                    (past_eof, false),
+                    (u32::MAX, true),
+                    (past_eof, true),
+                ] {
+                    let mut bytes = log.to_vec();
+                    bytes[start + field..start + field + 4].copy_from_slice(&value.to_le_bytes());
+                    if reseal {
+                        // A forged header that passes its own checksum:
+                        // only the length-vs-EOF check stands in the way.
+                        let sum = xxh64(&bytes[start..start + 16], 0);
+                        bytes[start + 16..start + 24].copy_from_slice(&sum.to_le_bytes());
+                    }
+                    let case = format!("record {rec} field {field} = {value} reseal {reseal}");
+                    copies.push((bytes, rec, case));
+                }
+            }
         }
-        store.persist().unwrap();
-    }
-    let full = std::fs::metadata(&golden).unwrap().len();
-    // Every page boundary, plus cuts through both header slots and the
-    // middle of a page — the states a kill -9 mid-persist leaves behind.
-    let mut cuts: Vec<u64> = (0..)
-        .map(|k| PAGES_START + k * PS as u64)
-        .take_while(|&c| c < full)
-        .collect();
-    cuts.extend([0, 17, 256, HEADER_SLOT, 700, 1024, PAGES_START + 100]);
-    for cut in cuts {
-        let victim = dir.join(format!("cut-{cut}.pg"));
-        std::fs::copy(&golden, &victim).unwrap();
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&victim)
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
-        let store = Store::open(&victim, opts()).unwrap();
-        for (k, v) in &keys {
-            assert_miss_or_exact(&store, k, v);
-        }
-    }
-    // The untruncated copy still yields every value exactly.
-    let store = Store::open(&golden, opts()).unwrap();
-    for (k, v) in &keys {
-        assert_eq!(store.get(k).as_deref(), Some(v.as_slice()), "golden file");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+        copies
+    });
 }
 
 #[test]
-fn torn_newest_header_falls_back_one_epoch() {
-    let dir = tmp_dir("torn-header");
+fn old_paged_format_is_quarantined_and_opens_empty() {
+    let dir = tmp_dir("old-format");
     let path = dir.join("store.pg");
-    let old_val = payload(7, 900);
-    let new_val = payload(8, 900);
-    {
-        let store = Store::open(&path, opts()).unwrap();
-        store.put(b"k", &old_val).unwrap();
-        store.persist().unwrap(); // epoch 1 → slot B (offset 512)
-        store.put(b"k", &new_val).unwrap();
-        store.persist().unwrap(); // epoch 2 → slot A (offset 0)
-    }
-    // Tear the epoch-2 slot: flip bytes inside its checksummed prefix.
-    flip_byte(&path, 10);
-    flip_byte(&path, 30);
+    let mut old = b"MICPG1\0\0".to_vec();
+    old.resize(4096 + 512, 0x11);
+    std::fs::write(&path, &old).unwrap();
     let store = Store::open(&path, opts()).unwrap();
-    assert_eq!(
-        store.get(b"k").as_deref(),
-        Some(old_val.as_slice()),
-        "must fall back to the epoch-1 value, bit-identical"
-    );
-    assert_eq!(
-        store.stats().recoveries.load(Ordering::Relaxed),
-        1,
-        "falling past a torn newer header counts as a recovery"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn both_headers_corrupt_quarantines_and_starts_fresh() {
-    let dir = tmp_dir("quarantine");
-    let path = dir.join("store.pg");
-    {
-        let store = Store::open(&path, opts()).unwrap();
-        store.put(b"k", &payload(3, 600)).unwrap();
-        store.persist().unwrap();
-        store.put(b"k", &payload(4, 600)).unwrap();
-        store.persist().unwrap();
-    }
-    for off in [8, 16, 24, 520, 528, 536] {
-        flip_byte(&path, off);
-    }
-    let store = Store::open(&path, opts()).unwrap();
-    assert!(
-        store.get(b"k").is_none(),
-        "unrecoverable file must read empty"
-    );
-    assert!(store.is_empty());
-    assert_eq!(store.stats().recoveries.load(Ordering::Relaxed), 1);
+    assert!(store.get(b"k").is_none(), "an old-format file opens empty");
+    assert_eq!(recoveries(&store), 1);
     let evidence = PathBuf::from(format!("{}.corrupt", path.display()));
-    assert!(evidence.exists(), "quarantine must keep the corrupt bytes");
-    // A second corruption event claims the next suffix, not the same name.
-    {
-        let store2 = Store::open(&path, opts()).unwrap();
-        store2.put(b"k", &payload(5, 600)).unwrap();
-        store2.persist().unwrap();
-        store2.put(b"k", &payload(6, 600)).unwrap();
-        store2.persist().unwrap();
-    }
+    assert_eq!(std::fs::read(&evidence).unwrap(), old, "evidence kept");
+    store.put(b"k", b"new").unwrap();
+    store.persist().unwrap();
     drop(store);
-    for off in [8, 16, 24, 520, 528, 536] {
-        flip_byte(&path, off);
-    }
-    let _store3 = Store::open(&path, opts()).unwrap();
-    assert!(
-        PathBuf::from(format!("{}.corrupt.1", path.display())).exists(),
-        "second quarantine must get a unique suffix"
-    );
+    let store = Store::open(&path, opts()).unwrap();
+    assert_eq!(store.get(b"k").as_deref(), Some(b"new".as_slice()));
+    // A second bad file claims the next suffix, not the same name.
+    drop(store);
+    std::fs::write(&path, &old).unwrap();
+    let _store = Store::open(&path, opts()).unwrap();
+    assert!(PathBuf::from(format!("{}.corrupt.1", path.display())).exists());
     assert!(evidence.exists(), "first evidence file must survive");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn every_corrupted_page_is_caught_or_harmless() {
-    let dir = tmp_dir("page-sweep");
-    let golden = dir.join("golden.pg");
-    let val = payload(9, 2000); // 5 data pages at page size 512
-    {
-        let store = Store::open(&golden, opts()).unwrap();
-        store.put(b"k", &val).unwrap();
-        store.persist().unwrap();
-    }
-    let full = std::fs::metadata(&golden).unwrap().len();
-    let page_count = ((full - PAGES_START) / PS as u64) as usize;
-    let value_pages = val.len().div_ceil(PS - 16);
-    let mut caught = 0usize;
-    for page in 0..page_count {
-        let victim = dir.join(format!("page-{page}.pg"));
-        std::fs::copy(&golden, &victim).unwrap();
-        // Flip one payload byte in the middle of this page.
-        flip_byte(&victim, PAGES_START + page as u64 * PS as u64 + 100);
-        let store = Store::open(&victim, opts()).unwrap();
-        if !assert_miss_or_exact(&store, b"k", &val) {
-            caught += 1;
-        }
-    }
-    // 100% catch rate: corrupting any page the value or directory lives
-    // on must surface as a miss (value pages + ≥1 dir page), and no
-    // corruption anywhere may surface wrong bytes (asserted above).
-    assert!(
-        caught > value_pages,
-        "checksums caught {caught} of {page_count} page corruptions; \
-         expected more than the {value_pages} value pages (dir chain too)"
-    );
+fn torn_newest_record_falls_back_to_the_previous_value() {
+    let dir = tmp_dir("torn-newest");
+    let path = dir.join("store.log");
+    let (old_val, new_val) = (payload(7, 900), payload(8, 900));
+    let store = Store::open(&path, opts()).unwrap();
+    store.put(b"k", &old_val).unwrap();
+    let newest = std::fs::metadata(&path).unwrap().len();
+    store.put(b"k", &new_val).unwrap();
+    store.persist().unwrap();
+    drop(store);
+    patch(&path, newest + 10, &[0xEE]);
+    let store = Store::open(&path, opts()).unwrap();
+    assert_eq!(store.get(b"k"), Some(old_val), "the earlier record wins");
+    assert_eq!(recoveries(&store), 1, "cutting a torn tail is a recovery");
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), newest);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn fsync_failure_aborts_persist_and_keeps_old_state() {
+fn fsync_failure_fails_persist_and_reopen_is_exact() {
     let dir = tmp_dir("fsync-fail");
-    let path = dir.join("store.pg");
-    let old_val = payload(11, 700);
-    let (hook, hooked_opts) =
-        hooked(|site: &IoSite| (site.op == IoOp::Fsync).then_some(IoFault::Fail));
+    let path = dir.join("store.log");
+    let (old_val, new_val) = (payload(11, 700), payload(12, 700));
+    let (hook, hooked_opts) = hooked(IoOp::Fsync, IoFault::Fail);
     let store = Store::open(&path, hooked_opts).unwrap();
     store.put(b"k", &old_val).unwrap();
     store.persist().unwrap();
     hook.armed.store(true, Ordering::SeqCst);
-    store.put(b"k", &payload(12, 700)).unwrap();
+    store.put(b"k", &new_val).unwrap();
     let err = store.persist().expect_err("fsync fault must fail persist");
     assert!(err.to_string().contains("mic-fault"), "{err}");
     drop(store);
     let store = Store::open(&path, opts()).unwrap();
-    assert_eq!(
-        store.get(b"k").as_deref(),
-        Some(old_val.as_slice()),
-        "a failed persist must leave the last committed epoch intact"
-    );
+    // The record reached the file, only its fsync was refused: the value
+    // is the old or the new one, never a mix.
+    get_checked(&store, b"k", &[&old_val, &new_val]).expect("not lost");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn failed_header_write_keeps_old_epoch() {
-    let dir = tmp_dir("header-fail");
-    let path = dir.join("store.pg");
-    let old_val = payload(13, 700);
-    // Header-slot writes carry site == NO_PAGE; fail exactly those.
-    // (A *short* header write is not a tear: the meaningful 56 bytes fit
-    // the landed prefix — that is why the header fits one sector.)
-    let (hook, hooked_opts) = hooked(|site: &IoSite| {
-        (site.op == IoOp::Write && site.site == mic_store::NO_PAGE).then_some(IoFault::Fail)
-    });
-    let store = Store::open(&path, hooked_opts).unwrap();
-    store.put(b"k", &old_val).unwrap();
-    store.persist().unwrap();
-    hook.armed.store(true, Ordering::SeqCst);
-    store.put(b"k", &payload(14, 700)).unwrap();
-    assert!(store.persist().is_err(), "failed header write must error");
-    drop(store);
-    let store = Store::open(&path, opts()).unwrap();
-    assert_eq!(
-        store.get(b"k").as_deref(),
-        Some(old_val.as_slice()),
-        "with no flip written, reopen must resume the committed epoch"
-    );
+fn failed_record_write_indexes_nothing() {
+    let dir = tmp_dir("write-fail");
+    let path = dir.join("store.log");
+    let (put_b, _) = fault_in_the_middle(&path, IoFault::Fail);
+    assert!(put_b.unwrap_err().to_string().contains("mic-fault"));
+    assert_eq!(recoveries(&reopen_after_fault(&path)), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn short_write_mid_chain_aborts_before_the_flip() {
-    let dir = tmp_dir("short-chain");
-    let path = dir.join("store.pg");
-    let old_val = payload(17, 700);
-    // Every data-page write (value + dir chain) stops halfway and errors
-    // — the persist must abort before it ever reaches the header flip.
-    let (hook, hooked_opts) = hooked(|site: &IoSite| {
-        (site.op == IoOp::Write && site.site != mic_store::NO_PAGE).then_some(IoFault::ShortWrite)
-    });
-    let store = Store::open(&path, hooked_opts).unwrap();
-    store.put(b"k", &old_val).unwrap();
-    store.persist().unwrap();
-    hook.armed.store(true, Ordering::SeqCst);
-    store.put(b"k", &payload(18, 700)).unwrap();
-    assert!(store.persist().is_err(), "short page write must error");
-    drop(store);
-    let store = Store::open(&path, opts()).unwrap();
-    assert_eq!(
-        store.get(b"k").as_deref(),
-        Some(old_val.as_slice()),
-        "torn staging pages must not disturb the committed epoch"
-    );
+fn short_write_mid_file_is_overwritten_and_later_puts_survive() {
+    let dir = tmp_dir("short-write");
+    let path = dir.join("store.log");
+    let (put_b, _) = fault_in_the_middle(&path, IoFault::ShortWrite);
+    assert!(put_b.is_err(), "a short write must error");
+    let store = reopen_after_fault(&path);
+    assert_eq!(recoveries(&store), 1, "the torn remains are cut off");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn torn_page_writes_never_surface_wrong_bytes() {
-    let dir = tmp_dir("torn-pages");
-    let path = dir.join("store.pg");
-    let val = payload(15, 1500);
-    {
-        // Every data-page write silently lands corrupted but reports
-        // success — persist itself cannot notice.
-        let (hook, hooked_opts) = hooked(|site: &IoSite| {
-            (site.op == IoOp::Write && site.site != mic_store::NO_PAGE).then_some(IoFault::TornPage)
-        });
-        let store = Store::open(&path, hooked_opts).unwrap();
-        hook.armed.store(true, Ordering::SeqCst);
-        store.put(b"k", &val).unwrap();
-        store.persist().expect("torn writes report success");
-    }
+    let dir = tmp_dir("torn-record");
+    let path = dir.join("store.log");
+    // The `io-torn-page` class: the record lands corrupted, and the write
+    // reports success; the read-time checksum catches it.
+    let (put_b, store) = fault_in_the_middle(&path, IoFault::TornPage);
+    put_b.expect("torn writes report success");
+    // The failed read dropped the entry: a second read is a plain miss.
+    assert!(store.get(b"b").is_none());
+    assert_eq!(store.stats().checksum_failures.load(Ordering::Relaxed), 1);
+    drop(store);
+    reopen_after_fault(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_record_that_names_another_key_is_a_miss() {
+    let dir = tmp_dir("other-key");
+    let path = dir.join("store.log");
+    let ops: Vec<Op> = vec![(b"a", Some(payload(20, 64))), (b"b", Some(payload(21, 64)))];
+    let ends = write_log(&path, &ops);
     let store = Store::open(&path, opts()).unwrap();
-    // The directory chain itself was torn, so recovery quarantined; a
-    // lookup must miss — returning the torn bytes would be corruption.
-    assert!(
-        store.get(b"k").is_none(),
-        "torn pages must read as a miss, never as wrong bytes"
-    );
-    assert_eq!(store.stats().recoveries.load(Ordering::Relaxed), 1);
+    // Under the open store, b's record (valid checksums, same lengths)
+    // replaces a's: only the key check tells them apart.
+    let bytes = std::fs::read(&path).unwrap();
+    patch(&path, ends[0], &bytes[ends[1] as usize..ends[2] as usize]);
+    assert!(store.get(b"a").is_none(), "a read b's value");
+    assert_eq!(store.stats().checksum_failures.load(Ordering::Relaxed), 1);
+    assert_eq!(store.get(b"b"), ops[1].1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn open_fault_surfaces_as_injected_error() {
     let dir = tmp_dir("open-fail");
-    let path = dir.join("store.pg");
+    let path = dir.join("store.log");
     let site = xxh64(path.as_os_str().as_encoded_bytes(), 0);
-    let (hook, hooked_opts) = hooked(|s: &IoSite| (s.op == IoOp::Open).then_some(IoFault::Fail));
+    let (hook, hooked_opts) = hooked(IoOp::Open, IoFault::Fail);
     hook.armed.store(true, Ordering::SeqCst);
     let err = match Store::open(&path, hooked_opts) {
         Err(e) => e,
@@ -385,6 +388,7 @@ fn open_fault_surfaces_as_injected_error() {
     };
     assert!(err.to_string().contains("mic-fault"), "{err}");
     assert!(err.to_string().contains(&format!("site: {site}")), "{err}");
+    assert!(!path.exists(), "a failed open creates no file");
     assert!(
         Store::open(&path, opts()).is_ok(),
         "opens cleanly without the injector"
