@@ -24,7 +24,6 @@
 //! | `fault` | `MIC_FAULT` | none |
 //! | `metrics` | `MIC_METRICS` | off |
 //! | `trace` | `MIC_TRACE` | off |
-//! | `steal_spin` | `MIC_STEAL_SPIN` | 64 |
 //! | `serve_shards` | `MIC_SERVE_SHARDS` | 4 |
 //! | `serve_quota` | `MIC_SERVE_QUOTA` | 256 |
 //! | `serve_wire` | `MIC_SERVE_WIRE` | `binary` |
@@ -169,10 +168,6 @@ pub struct SuiteConfig {
     pub metrics: MetricsMode,
     /// Chrome trace output path; `None` = tracing off.
     pub trace: Option<PathBuf>,
-    /// Spin iterations before an event-count waiter parks on its futex
-    /// (the runtime's `park_spin` knob); `None` = the runtime default.
-    /// `Some(0)` parks immediately — the syscall-heavy-but-CPU-frugal end.
-    pub steal_spin: Option<usize>,
     /// Worker shards in the serve router (each shard owns a dispatcher:
     /// queue, executor, pool, LRU).
     pub serve_shards: usize,
@@ -210,7 +205,6 @@ impl Default for SuiteConfig {
             fault: None,
             metrics: MetricsMode::Off,
             trace: None,
-            steal_spin: None,
             serve_shards: 4,
             serve_quota: 256,
             serve_wire: ServeWire::Binary,
@@ -237,7 +231,6 @@ impl SuiteConfig {
             fault: parse_env_fault(),
             metrics: MetricsMode::parse(crate::env::raw("MIC_METRICS")),
             trace: crate::env::path("MIC_TRACE"),
-            steal_spin: crate::env::nonneg_u64("MIC_STEAL_SPIN").map(|v| v.min(1 << 20) as usize),
             serve_shards: crate::env::positive_usize("MIC_SERVE_SHARDS")
                 .map_or(defaults.serve_shards, |v| v.min(64)),
             serve_quota: crate::env::positive_usize("MIC_SERVE_QUOTA")
@@ -355,15 +348,11 @@ impl SuiteConfig {
         *slot().write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(self));
     }
 
-    /// Push knobs that live outside the config slot into their process
-    /// globals (currently the runtime's park-spin budget). Re-applying on
-    /// every install keeps replacement configs consistent: a config with
-    /// `steal_spin: None` restores the runtime default.
+    /// Push the knobs that live outside the config slot into their process
+    /// globals (the observability policy). Re-applying on every install
+    /// keeps replacement configs consistent: a config with obs off
+    /// disables it.
     fn apply(&self) {
-        mic_runtime::set_park_spin(
-            self.steal_spin
-                .unwrap_or(mic_runtime::sync::DEFAULT_PARK_SPIN),
-        );
         match self.obs_config() {
             Some(obs) => mic_obs::install(obs),
             None => mic_obs::disable(),
@@ -424,7 +413,6 @@ mod tests {
         assert!(c.fault.is_none());
         assert_eq!(c.metrics, MetricsMode::Off);
         assert!(c.trace.is_none());
-        assert_eq!(c.steal_spin, None);
         assert_eq!(c.serve_shards, 4);
         assert_eq!(c.serve_quota, 256);
         assert_eq!(c.serve_wire, ServeWire::Binary);
@@ -469,22 +457,6 @@ mod tests {
         assert_eq!(c.serve_max_request, 256, "cap floor keeps pings parseable");
         assert_eq!(c.serve_conn_cap, 1);
         assert_eq!(SuiteConfig::default().serve_shards(999).serve_shards, 64);
-    }
-
-    #[test]
-    fn steal_spin_round_trips_through_install() {
-        SuiteConfig {
-            steal_spin: Some(7),
-            ..SuiteConfig::default()
-        }
-        .install();
-        assert_eq!(mic_runtime::park_spin(), 7);
-        // A replacement config without the knob restores the default.
-        SuiteConfig::default().install();
-        assert_eq!(
-            mic_runtime::park_spin(),
-            mic_runtime::sync::DEFAULT_PARK_SPIN
-        );
     }
 
     #[test]

@@ -331,11 +331,10 @@ pub(crate) fn chrome_trace_json_with_spans(
                     e.worker,
                 )),
                 NativeEventKind::Steal { victim } => ev.push(format!(
-                    "{{\"name\":\"steal\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"victim\":{}}}}}",
+                    "{{\"name\":\"steal\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"victim\":{victim}}}}}",
                     e.runtime,
                     num(e.start_us),
                     e.worker,
-                    if victim == usize::MAX { -1i64 } else { victim as i64 },
                 )),
             }
         }

@@ -1,41 +1,61 @@
 //! Cilk Plus-style loops: recursive range splitting executed by work
-//! stealing (§II-B of the paper).
+//! stealing (§II-B of the paper), and the one stealing engine that
+//! `cilk_for` and TBB's simple and auto partitioners (§II-C) share.
 //!
 //! `cilk for` in Cilk Plus recursively spawns halves of the iteration space
 //! until a grain size is reached; idle workers steal the *shallowest*
 //! (largest) pending subranges. We reproduce that discipline with a
 //! per-worker Chase–Lev deque ([`crate::deque::WsDeque`]): the owner works
 //! the deep LIFO end (cache-warm subranges), thieves take the shallow FIFO
-//! end (the oldest, largest pieces). A shared lock-free
-//! [`Injector`](crate::injector::Injector) seeds the root range and absorbs
-//! deque overflow, so no path through the loop takes a lock. This preserves
-//! Cilk's key properties — geometric task sizes, grain-bounded leaves,
-//! steals take big pieces — while the hand-off itself is CAS-only.
+//! end (the oldest, largest pieces). TBB's auto partitioner differs in one
+//! rule only — it deals ~4 ranges per worker up front and halves a range
+//! once when it is stolen — so both run through `work_steal`, told
+//! apart by a `Split`. Like the runtimes they model, the engine has no
+//! shared queue: each worker seeds its own deque at the start of the
+//! region, only a deque's owner pushes, every steal names the sibling it
+//! robbed, and no path through the loop takes a lock.
 
-use crate::deque::WsDeque;
-use crate::injector::{Injector, Steal};
+use crate::deque::{Steal, WsDeque};
 use crate::pool::{ThreadPool, WorkerCtx};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Per-worker deque capacity for the splitting engines. Splitting one range
-/// down to the grain pushes at most ⌈log₂(n/grain)⌉ back-halves (~64 for
-/// any realistic loop); overflow beyond this spills to the shared injector
-/// rather than blocking.
-pub(crate) const ENGINE_DEQUE_CAP: usize = 256;
+/// How [`work_steal`] divides the ranges it takes, and how it seeds the
+/// worker deques.
+#[derive(Clone, Copy)]
+pub(crate) enum Split {
+    /// Halve down to the grain, pushing every back half (Cilk, TBB's
+    /// `simple_partitioner`). Worker 0 is seeded with the whole range.
+    ToGrain(usize),
+    /// Deal ~4 ranges per worker, each onto the deque of the worker it is
+    /// dealt to, and halve a range once when it is stolen (TBB's
+    /// `auto_partitioner`).
+    OnSteal,
+}
 
-/// Publish the contention telemetry a loop accumulated (lost steal CASes on
-/// the worker deques and the injector) to the metrics registry.
-pub(crate) fn record_cas_retries<T>(deques: &[WsDeque<T>], injector_retries: u64) {
+/// Per-worker deque capacity. A worker takes a range from its own deque,
+/// or by a steal only when that deque is empty, and only the owner pushes.
+/// Under [`Split::ToGrain`] the back halves waiting on one deque are then
+/// nested — each lies in the front half kept when the one below it was
+/// pushed — so each split range is at most half the one before, and a
+/// `usize` range of two or more iterations halves fewer than
+/// `usize::BITS` times: ⌈log₂(n/grain)⌉ pending ranges at most. Under
+/// [`Split::OnSteal`] a deque holds its ≤ 4 dealt ranges, or the one back
+/// half of the range its owner stole.
+const DEQUE_CAP: usize = usize::BITS as usize;
+
+/// Publish the lost steal CASes a loop accumulated on its worker deques to
+/// the metrics registry.
+fn record_cas_retries<T>(deques: &[WsDeque<T>]) {
     if !mic_metrics::enabled() {
         return;
     }
-    let total: u64 = deques.iter().map(|d| d.retries()).sum::<u64>() + injector_retries;
+    let total: u64 = deques.iter().map(|d| d.retries()).sum();
     if total > 0 {
         mic_metrics::counter(
             "mic_runtime_cas_retries_total",
-            "Lost steal CASes on work-stealing deques and injectors",
+            "Lost steal CASes on the work-stealing deques",
             &[],
         )
         .add(total as f64);
@@ -48,17 +68,18 @@ pub fn cilk_for<F>(pool: &ThreadPool, range: Range<usize>, grain: usize, body: F
 where
     F: Fn(Range<usize>, WorkerCtx) + Sync,
 {
-    cilk_for_labeled(pool, range, grain, "cilk", body);
+    work_steal(pool, range, Split::ToGrain(grain), "cilk", body);
 }
 
-/// The splitting engine behind [`cilk_for`], labeled for tracing. TBB's
-/// simple partitioner shares the engine but reports as "tbb". Injected
-/// ranges carry the id of the worker that published them (`usize::MAX` for
-/// the root range) so a pop by a different worker is recorded as a steal.
-pub(crate) fn cilk_for_labeled<F>(
+/// The work-stealing engine behind [`cilk_for`] and TBB's simple and auto
+/// partitioners. `runtime` labels its chunk spans, chunk metrics and steal
+/// events. A range a worker takes from a sibling's deque is a steal, with
+/// that sibling as the victim: only owners push, so a range's publisher is
+/// the owner of the deque it sat on.
+pub(crate) fn work_steal<F>(
     pool: &ThreadPool,
     range: Range<usize>,
-    grain: usize,
+    split: Split,
     runtime: &'static str,
     body: F,
 ) where
@@ -67,18 +88,16 @@ pub(crate) fn cilk_for_labeled<F>(
     if range.is_empty() {
         return;
     }
-    let body = crate::trace::timed_chunk(runtime, "simple", body);
-    let grain = grain.max(1);
-    let total = range.len();
+    let sched = match split {
+        Split::ToGrain(_) => "simple",
+        Split::OnSteal => "auto",
+    };
+    let body = crate::trace::timed_chunk(runtime, sched, body);
     let threads = pool.num_threads();
-    // Per-worker Chase–Lev deques, indexed by pool worker id; the shared
-    // injector carries the root range and any deque overflow.
-    let deques: Vec<WsDeque<Range<usize>>> = (0..threads)
-        .map(|_| WsDeque::new(ENGINE_DEQUE_CAP))
-        .collect();
-    let injector: Injector<(Range<usize>, usize)> = Injector::new();
-    injector.push((range, usize::MAX));
-    let remaining = AtomicUsize::new(total);
+    let n = range.len();
+    let deques: Vec<WsDeque<Range<usize>>> =
+        (0..threads).map(|_| WsDeque::new(DEQUE_CAP)).collect();
+    let remaining = AtomicUsize::new(n);
     // A panicking leaf would strand `remaining` above zero and leave the
     // other workers spinning forever; the abort flag releases them, and
     // the panic itself is re-raised through the pool to the caller.
@@ -86,83 +105,90 @@ pub(crate) fn cilk_for_labeled<F>(
 
     pool.run(|ctx| {
         let mine = &deques[ctx.id];
-        'outer: while remaining.load(Ordering::Acquire) > 0 {
+        // SAFETY (pop/push): worker `ctx.id` is the sole owner of
+        // `deques[ctx.id]` — ids are unique within the region.
+        let push = |r: Range<usize>| {
+            unsafe { mine.push(r) }
+                .expect("deque full: more pending ranges than the DEQUE_CAP bound")
+        };
+        // Keep the front half and expose the back half at our deque's
+        // FIFO end, where thieves take it.
+        let split_off_back = |r: Range<usize>| {
+            let mid = r.start + r.len() / 2;
+            push(mid..r.end);
+            r.start..mid
+        };
+        // The deepest range on our own deque, else the oldest (largest)
+        // range on a sibling's — Cilk's steal-the-shallowest discipline;
+        // `None` once the loop is done or aborted.
+        let take = || {
             if aborted.load(Ordering::Acquire) {
-                break;
+                return None;
             }
-            // Take the deepest range from our own deque, else steal: first
-            // from the injector (root/overflow), then from siblings' FIFO
-            // ends — the oldest, largest subranges, Cilk's discipline.
-            //
-            // SAFETY (pop/push): worker `ctx.id` is the sole owner of
-            // `deques[ctx.id]` — ids are unique within the region.
-            let task = match unsafe { mine.pop() } {
-                Some(r) => r,
-                None => loop {
-                    match injector.steal() {
-                        Steal::Success((r, owner)) => {
-                            if owner != ctx.id && owner != usize::MAX {
-                                crate::trace::emit_steal(runtime, ctx.id, owner);
-                            }
-                            break r;
-                        }
-                        Steal::Retry => {
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        Steal::Empty => {}
+            if let Some(r) = unsafe { mine.pop() } {
+                return Some((r, false));
+            }
+            loop {
+                for victim in (1..threads).map(|k| (ctx.id + k) % threads) {
+                    // A lost CAS means the victim is active; move on to
+                    // the next one rather than re-hammering.
+                    if let Steal::Success(r) = deques[victim].steal() {
+                        crate::trace::emit_steal(runtime, ctx.id, victim);
+                        return Some((r, true));
                     }
-                    let mut found = None;
-                    for k in 1..threads {
-                        let victim = (ctx.id + k) % threads;
-                        match deques[victim].steal() {
-                            Steal::Success(r) => {
-                                crate::trace::emit_steal(runtime, ctx.id, victim);
-                                found = Some(r);
-                                break;
-                            }
-                            // A lost CAS means the victim is active; move
-                            // on to the next one rather than re-hammering.
-                            Steal::Retry | Steal::Empty => {}
-                        }
-                    }
-                    if let Some(r) = found {
-                        break r;
-                    }
-                    if remaining.load(Ordering::Acquire) == 0 || aborted.load(Ordering::Acquire) {
-                        break 'outer;
-                    }
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                },
-            };
-            // Split down to the grain, keeping the front half and pushing
-            // the back half on our own deque, where thieves can take it
-            // from the FIFO end. A full deque spills to the injector.
-            let mut r = task;
-            while r.len() > grain {
-                let mid = r.start + r.len() / 2;
-                let back = mid..r.end;
-                if let Err(back) = unsafe { mine.push(back) } {
-                    injector.push((back, ctx.id));
                 }
-                r = r.start..mid;
+                if remaining.load(Ordering::Acquire) == 0 || aborted.load(Ordering::Acquire) {
+                    return None;
+                }
+                std::hint::spin_loop();
+                std::thread::yield_now();
             }
-            let len = r.len();
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| body(r, ctx))) {
-                aborted.store(true, Ordering::Release);
-                resume_unwind(p);
+        };
+        let work = || {
+            match split {
+                Split::ToGrain(_) if ctx.id == 0 => push(range.clone()),
+                Split::ToGrain(_) => {}
+                // ~4 ranges per worker, range `i` dealt to worker
+                // `i % threads`; pushed last first, so the owner pops its
+                // share in index order.
+                Split::OnSteal => {
+                    let chunk = n.div_ceil((4 * threads).min(n));
+                    for i in (ctx.id..n.div_ceil(chunk)).step_by(threads).rev() {
+                        let lo = range.start + i * chunk;
+                        push(lo..lo + chunk.min(range.end - lo));
+                    }
+                }
             }
-            remaining.fetch_sub(len, Ordering::AcqRel);
+            while let Some((mut r, stolen)) = take() {
+                match split {
+                    Split::ToGrain(grain) => {
+                        while r.len() > grain.max(1) {
+                            r = split_off_back(r);
+                        }
+                    }
+                    Split::OnSteal => {
+                        if stolen && r.len() > 1 {
+                            r = split_off_back(r);
+                        }
+                    }
+                }
+                let len = r.len();
+                body(r, ctx);
+                remaining.fetch_sub(len, Ordering::AcqRel);
+            }
+        };
+        if let Err(p) = catch_unwind(AssertUnwindSafe(work)) {
+            aborted.store(true, Ordering::Release);
+            resume_unwind(p);
         }
     });
-    record_cas_retries(&deques, injector.retries());
+    record_cas_retries(&deques);
 }
 
 /// Fork–join on two independent closures, Cilk's `spawn`/`sync` pair.
 /// Runs on plain scoped threads (it is used standalone, not inside pool
 /// regions — the paper's kernels only need `cilk_for`); `b` records into
-/// the caller's metrics registry.
+/// the caller's metrics registry and native trace capture.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -172,7 +198,10 @@ where
 {
     std::thread::scope(|s| {
         let metrics = mic_metrics::current();
-        let hb = s.spawn(move || mic_metrics::with_handle(&metrics, b));
+        let trace = crate::trace::current();
+        let hb = s.spawn(move || {
+            mic_metrics::with_handle(&metrics, || crate::trace::with_sink(&trace, b))
+        });
         let ra = a();
         let rb = hb.join().expect("joined closure panicked");
         (ra, rb)
@@ -182,24 +211,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+
+    /// Run `cilk_for` over `0..n` on `pool` and assert every index ran once.
+    fn assert_covers_once(pool: &ThreadPool, n: usize, grain: usize) {
+        let hits: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(0)).collect();
+        cilk_for(pool, 0..n, grain, |r, _| {
+            for i in r {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            "grain {grain} over 0..{n} missed/duplicated"
+        );
+    }
 
     #[test]
     fn covers_every_index_once() {
         let pool = ThreadPool::new(6);
         for grain in [1, 3, 64, 10_000] {
-            let n = 2777;
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            cilk_for(&pool, 0..n, grain, |r, _| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "grain {grain} missed/duplicated"
-            );
+            assert_covers_once(&pool, 2777, grain);
         }
+        // The deque bound at its extreme: grain 1 over 2^20 iterations on
+        // one worker leaves 20 back halves on its deque at the deepest
+        // point.
+        assert_covers_once(&ThreadPool::new(1), 1 << 20, 1);
     }
 
     #[test]

@@ -16,16 +16,28 @@
 //! structures") documents each ordering.
 //!
 //! The buffer is fixed-capacity (no growth): growing a Chase–Lev deque
-//! safely requires epoch reclamation of the old buffer, and the runtimes
-//! have a natural overflow valve — the shared [`crate::injector`] — so a
-//! full deque simply spills there. `push` returns the task back on
-//! overflow instead of blocking or reallocating.
+//! safely requires epoch reclamation of the old buffer, and the stealing
+//! engine never needs it — only a deque's owner pushes, and the split
+//! depth bounds how many ranges it holds (`cilk::DEQUE_CAP`). `push`
+//! hands the task back on a full deque instead of blocking or
+//! reallocating; the engine treats that as a broken bound.
 
-use crate::injector::Steal;
 use crossbeam_utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
+
+/// Result of a steal attempt (mirrors `crossbeam_deque::Steal`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Steal<T> {
+    /// The deque was observed empty.
+    Empty,
+    /// One task was taken.
+    Success(T),
+    /// Lost the `top` CAS to another thief or to the owner's last-element
+    /// pop; the task went to the winner.
+    Retry,
+}
 
 /// A fixed-capacity Chase–Lev deque.
 ///
@@ -74,7 +86,7 @@ impl<T> WsDeque<T> {
     }
 
     /// Owner: push a task at the bottom. Returns `Err(task)` when the
-    /// deque is full (spill it to the injector).
+    /// deque is full.
     ///
     /// # Safety
     /// Must only be called by the deque's current owner thread, never
@@ -211,7 +223,7 @@ mod tests {
         assert_eq!(unsafe { d.pop() }, Some(3));
         assert_eq!(unsafe { d.pop() }, Some(2));
         assert_eq!(unsafe { d.pop() }, None);
-        assert!(d.steal().is_empty());
+        assert_eq!(d.steal(), Steal::Empty);
     }
 
     #[test]

@@ -24,17 +24,17 @@
 //! [`concurrent`] provides the shared lock-free pieces: a push-only
 //! concurrent vector (used for the coloring conflict list) and the paper's
 //! *block-accessed queue* (§IV-C), the novel data structure behind its best
-//! BFS implementation. [`deque`] and [`injector`] are the lock-free
-//! scheduling substrate: a Chase–Lev work-stealing deque per worker and an
-//! MPMC injector (unbounded segmented + bounded ring variants) that the
-//! Cilk/TBB engines are built on. [`sync`] adds the [`sync::EventCount`]
-//! park/unpark primitive behind the pool's lock-free dispatch, and [`scan`]
-//! the parallel prefix sum behind SNAP-style queue merges.
+//! BFS implementation. [`deque`] is the lock-free scheduling substrate:
+//! the Chase–Lev work-stealing deque, one per worker, that the single
+//! Cilk/TBB stealing engine in [`cilk`] runs on; each worker seeds its
+//! own deque, so no loop has a shared queue. [`sync`] adds the
+//! [`sync::EventCount`] park/unpark primitive behind the pool's lock-free
+//! dispatch, and [`scan`] the parallel prefix sum behind SNAP-style queue
+//! merges.
 
 pub mod cilk;
 pub mod concurrent;
 pub mod deque;
-pub mod injector;
 pub mod model;
 pub mod openmp;
 pub mod pool;
@@ -46,13 +46,12 @@ pub mod trace;
 
 pub use cilk::cilk_for;
 pub use concurrent::{BlockCursor, BlockQueue, ConcurrentPushVec};
-pub use deque::WsDeque;
-pub use injector::{BoundedQueue, Injector, Steal};
+pub use deque::{Steal, WsDeque};
 pub use model::RuntimeModel;
 pub use openmp::{parallel_for, parallel_for_chunks, Schedule};
 pub use pool::{ThreadPool, WorkerCtx};
 pub use scan::exclusive_scan;
-pub use sync::{park_spin, set_park_spin, EventCount};
+pub use sync::EventCount;
 pub use tbb::{tbb_parallel_for, Partitioner};
 pub use tls::{PerWorker, ReducerMax};
 pub use trace::{capture as capture_native_trace, NativeEvent, NativeEventKind};

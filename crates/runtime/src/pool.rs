@@ -14,8 +14,8 @@
 //! publishes the job pointer, resets the `remaining` counter, advances
 //! the `epoch` atomic with a `Release` store, and pings an
 //! [`EventCount`](crate::sync::EventCount) — no mutex is held while
-//! workers are woken, and idle workers spin `MIC_STEAL_SPIN` iterations
-//! before parking. The only mutex left guards the *cold* error path (the
+//! workers are woken, and idle workers spin 64 iterations before
+//! parking. The only mutex left guards the *cold* error path (the
 //! first panic of a region), which is touched at most once per panicking
 //! worker, never per region. See DESIGN.md "Lock-free structures" for
 //! the publication argument.
@@ -210,10 +210,16 @@ impl ThreadPool {
             )
             .inc();
         }
-        // Workers record into the submitter's metrics registry, so a
-        // session counts the regions it starts.
+        // Workers record into the submitter's metrics registry and native
+        // trace capture, so a session counts the regions it starts.
         let metrics = mic_metrics::current();
-        let f = |ctx| mic_metrics::with_handle(&metrics, || f(ctx));
+        let trace = crate::trace::current();
+        let epoch = self.shared.epoch.load(Ordering::Relaxed);
+        let f = |ctx: WorkerCtx| {
+            mic_metrics::with_handle(&metrics, || {
+                crate::trace::in_region(&trace, epoch + 1, ctx.id, || f(ctx))
+            })
+        };
         let f_ref: &(dyn Fn(WorkerCtx) + Sync) = &f;
         // SAFETY: we erase the lifetime of `f_ref`, but `try_run` does not
         // return until `remaining == 0`, i.e. until no worker can touch the
@@ -231,7 +237,6 @@ impl ThreadPool {
         self.shared
             .remaining
             .store(self.num_threads, Ordering::Relaxed);
-        let epoch = self.shared.epoch.load(Ordering::Relaxed);
         self.shared.epoch.store(epoch + 1, Ordering::Release);
         self.shared.work.notify();
         // Wait for the region to drain (spin, then park on `done`).
@@ -311,17 +316,7 @@ fn worker_loop(id: usize, num_threads: usize, pool_id: usize, shared: Arc<Shared
         // to zero, which happens strictly after this call returns.
         let f = unsafe { &*job.0 };
         let outer = IN_REGION.with(|flag| flag.replace(Some((pool_id, id))));
-        let trace_start = crate::trace::enabled().then(crate::trace::now_us);
         let result = panic::catch_unwind(AssertUnwindSafe(|| f(WorkerCtx { id, num_threads })));
-        if let Some(t0) = trace_start {
-            crate::trace::emit(crate::trace::NativeEvent {
-                runtime: "pool",
-                worker: id,
-                start_us: t0,
-                end_us: crate::trace::now_us(),
-                kind: crate::trace::NativeEventKind::Region { epoch: seen_epoch },
-            });
-        }
         IN_REGION.with(|flag| flag.set(outer));
         if let Err(p) = result {
             let mut first = shared.panic.lock();
@@ -475,18 +470,26 @@ mod tests {
 
     #[test]
     fn park_spin_zero_still_dispatches() {
-        // With no spin budget every wait parks immediately; regions must
-        // still complete (exercises the park/notify slow path heavily).
-        let before = crate::sync::park_spin();
-        crate::sync::set_park_spin(0);
-        let pool = ThreadPool::new(4);
-        let counter = AtomicUsize::new(0);
-        for _ in 0..25 {
-            pool.run(|_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        crate::sync::set_park_spin(before);
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
+        // Workers exhaust their spin budget and park while the submitter
+        // sleeps between regions, and the submitter parks while each
+        // region's workers sleep; regions must still complete, and the
+        // session must count the submitter's parks.
+        let (count, snap) = mic_metrics::with_session(|| {
+            let pool = ThreadPool::new(4);
+            let counter = AtomicUsize::new(0);
+            for _ in 0..10 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                pool.run(|_| {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    counter.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            counter.into_inner()
+        });
+        assert_eq!(count, 40);
+        let parks = snap
+            .value("mic_runtime_parks_total", &[("site", "pool-done")])
+            .unwrap_or(0.0);
+        assert!(parks >= 1.0, "no park counted: {parks}");
     }
 }

@@ -4,26 +4,13 @@
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Default spin budget before an [`EventCount`] waiter parks.
-pub const DEFAULT_PARK_SPIN: usize = 64;
-
-/// Spin budget before parking, settable via `MIC_STEAL_SPIN` (routed
-/// through `SuiteConfig::install`, never read from the environment here).
-static PARK_SPIN: AtomicUsize = AtomicUsize::new(DEFAULT_PARK_SPIN);
-
-/// Set the process-wide spin-before-park budget (0 = park immediately).
-pub fn set_park_spin(iters: usize) {
-    PARK_SPIN.store(iters, Ordering::Relaxed);
-}
-
-/// The current spin-before-park budget.
-pub fn park_spin() -> usize {
-    PARK_SPIN.load(Ordering::Relaxed)
-}
+/// Spin iterations an [`EventCount`] waiter burns re-checking its
+/// predicate before it parks.
+const PARK_SPIN: usize = 64;
 
 /// A futex-style event count: the park/unpark half of a lock-free
 /// protocol. State lives elsewhere (atomics); waiters spin on their
-/// predicate for [`park_spin`] iterations, then sleep until a
+/// predicate for `PARK_SPIN` iterations, then sleep until a
 /// [`notify`](EventCount::notify) advances the epoch.
 ///
 /// The notify fast path is one `SeqCst` RMW plus one load — it takes the
@@ -79,17 +66,16 @@ impl EventCount {
         }
     }
 
-    /// Block until `cond()` is true: spin [`park_spin`] iterations, then
+    /// Block until `cond()` is true: spin `PARK_SPIN` iterations, then
     /// park. `cond` must become true only via state changes followed by
     /// [`notify`](EventCount::notify).
     pub fn park_until(&self, mut cond: impl FnMut() -> bool) {
-        let spin = park_spin();
         let mut spun = 0usize;
         loop {
             if cond() {
                 return;
             }
-            if spun < spin {
+            if spun < PARK_SPIN {
                 spun += 1;
                 std::hint::spin_loop();
                 if spun % 16 == 0 {
@@ -168,13 +154,5 @@ mod tests {
             ec.notify();
         }
         consumer.join().unwrap();
-    }
-
-    #[test]
-    fn park_spin_roundtrip() {
-        let before = park_spin();
-        set_park_spin(7);
-        assert_eq!(park_spin(), 7);
-        set_park_spin(before);
     }
 }

@@ -1,12 +1,9 @@
 //! TBB-style `parallel_for` over a blocked range with the three partitioners
 //! of §II-C of the paper.
 
-use crate::deque::WsDeque;
-use crate::injector::{Injector, Steal};
+use crate::cilk::{work_steal, Split};
 use crate::pool::{ThreadPool, WorkerCtx};
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// TBB range partitioner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,13 +22,6 @@ pub enum Partitioner {
     Affinity,
 }
 
-struct Task {
-    range: Range<usize>,
-    /// Id of the worker that pushed this task; a different id popping it
-    /// means the task was stolen (the auto partitioner's split trigger).
-    owner: usize,
-}
-
 /// `tbb::parallel_for(blocked_range(...), body, partitioner)`.
 pub fn tbb_parallel_for<F>(pool: &ThreadPool, range: Range<usize>, part: Partitioner, body: F)
 where
@@ -41,12 +31,11 @@ where
         return;
     }
     match part {
+        // The work-stealing engine behind cilk_for, reporting as "tbb".
         Partitioner::Simple { grain } => {
-            // Same splitting engine as cilk_for: divide-until-grain with
-            // stealable halves.
-            crate::cilk::cilk_for_labeled(pool, range, grain.max(1), "tbb", body);
+            work_steal(pool, range, Split::ToGrain(grain), "tbb", body)
         }
-        Partitioner::Auto => auto_partition(pool, range, body),
+        Partitioner::Auto => work_steal(pool, range, Split::OnSteal, "tbb", body),
         Partitioner::Affinity => {
             let t = pool.num_threads();
             let n = range.len();
@@ -71,111 +60,6 @@ where
     }
 }
 
-fn auto_partition<F>(pool: &ThreadPool, range: Range<usize>, body: F)
-where
-    F: Fn(Range<usize>, WorkerCtx) + Sync,
-{
-    let t = pool.num_threads();
-    let n = range.len();
-    let total = n;
-    let body = crate::trace::timed_chunk("tbb", "auto", body);
-    let injector: Injector<Task> = Injector::new();
-    // Initial division: ~4 subranges per thread, dealt with owner = the
-    // worker they are destined for (cyclic), so a different popper counts
-    // as a steal.
-    let initial = (4 * t).min(n.max(1));
-    let chunk = n.div_ceil(initial);
-    let mut lo = range.start;
-    let mut idx = 0usize;
-    while lo < range.end {
-        let hi = (lo + chunk).min(range.end);
-        injector.push(Task {
-            range: lo..hi,
-            owner: idx % t,
-        });
-        lo = hi;
-        idx += 1;
-    }
-    let remaining = AtomicUsize::new(total);
-    // See cilk_for: release spinning siblings if a task body panics.
-    let aborted = AtomicBool::new(false);
-    // Per-worker deques for split-off halves; the injector holds the
-    // initial deal and any overflow.
-    let deques: Vec<WsDeque<Task>> = (0..t)
-        .map(|_| WsDeque::new(crate::cilk::ENGINE_DEQUE_CAP))
-        .collect();
-
-    pool.run(|ctx| {
-        let mine = &deques[ctx.id];
-        'outer: while remaining.load(Ordering::Acquire) > 0 {
-            if aborted.load(Ordering::Acquire) {
-                break;
-            }
-            // SAFETY (pop/push): worker `ctx.id` is the sole owner of
-            // `deques[ctx.id]` — ids are unique within the region.
-            let task = match unsafe { mine.pop() } {
-                Some(task) => task,
-                None => loop {
-                    match injector.steal() {
-                        Steal::Success(task) => break task,
-                        Steal::Retry => {
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        Steal::Empty => {}
-                    }
-                    let mut found = None;
-                    for k in 1..t {
-                        let victim = (ctx.id + k) % t;
-                        match deques[victim].steal() {
-                            Steal::Success(task) => {
-                                found = Some(task);
-                                break;
-                            }
-                            Steal::Retry | Steal::Empty => {}
-                        }
-                    }
-                    if let Some(task) = found {
-                        break task;
-                    }
-                    if remaining.load(Ordering::Acquire) == 0 || aborted.load(Ordering::Acquire) {
-                        break 'outer;
-                    }
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                },
-            };
-            let stolen = task.owner != ctx.id;
-            if stolen {
-                crate::trace::emit_steal("tbb", ctx.id, task.owner);
-            }
-            let mut r = task.range;
-            if stolen && r.len() > 1 {
-                // Split once on steal, keeping the front half and exposing
-                // the back half on our deque's FIFO end — the auto
-                // partitioner's defining move. Overflow spills back to the
-                // shared injector.
-                let mid = r.start + r.len() / 2;
-                let back = Task {
-                    range: mid..r.end,
-                    owner: ctx.id,
-                };
-                if let Err(back) = unsafe { mine.push(back) } {
-                    injector.push(back);
-                }
-                r = r.start..mid;
-            }
-            let len = r.len();
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| body(r, ctx))) {
-                aborted.store(true, Ordering::Release);
-                resume_unwind(p);
-            }
-            remaining.fetch_sub(len, Ordering::AcqRel);
-        }
-    });
-    crate::cilk::record_cas_retries(&deques, injector.retries());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,22 +74,32 @@ mod tests {
         ]
     }
 
+    /// Run `part` over `0..n` on `pool` and assert every index ran once.
+    fn assert_covers_once(pool: &ThreadPool, n: usize, part: Partitioner) {
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        tbb_parallel_for(pool, 0..n, part, |r, _| {
+            for i in r {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            "{part:?} over 0..{n} on {} workers",
+            pool.num_threads()
+        );
+    }
+
     #[test]
     fn covers_every_index_once() {
         let pool = ThreadPool::new(5);
         for part in partitioners() {
-            let n = 1534;
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            tbb_parallel_for(&pool, 0..n, part, |r, _| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{part:?}"
-            );
+            assert_covers_once(&pool, 1534, part);
         }
+        // The deque bounds at their extremes: auto deals three
+        // one-iteration ranges to workers 0..3, so workers 3..8 start
+        // empty and can only steal; grain 1 on an over-subscribed pool.
+        assert_covers_once(&ThreadPool::new(8), 3, Partitioner::Auto);
+        assert_covers_once(&ThreadPool::new(16), 5000, Partitioner::Simple { grain: 1 });
     }
 
     #[test]

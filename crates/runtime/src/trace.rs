@@ -4,18 +4,19 @@
 //! *simulated machine's* time go"; this module answers the companion
 //! question for the native runs — which worker executed which chunk, and
 //! where work stealing happened. The OpenMP shim records every chunk it
-//! hands out, the Cilk and TBB engines additionally record steals, and the
-//! pool records each worker's span inside a region.
+//! hands out, the Cilk/TBB stealing engine additionally records steals,
+//! and the pool records each worker's span inside a region.
 //!
-//! Collection is process-global and off by default: every hook is gated on
-//! one relaxed atomic load, so the kernels pay nothing measurable when no
-//! capture is active. [`capture`] serializes concurrent capture sessions
-//! (first come, first served) so parallel tests cannot interleave their
-//! event streams.
+//! Collection is scoped and off by default: [`capture`] records what its
+//! calling thread and the pool regions that thread starts emit, and
+//! nothing else, so concurrent captures (parallel tests) and uncaptured
+//! work never see each other's events. Every hook is gated on one
+//! thread-local read, so the kernels pay nothing measurable when no
+//! capture is active.
 
+use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// What a native event describes.
@@ -23,8 +24,7 @@ use std::time::Instant;
 pub enum NativeEventKind {
     /// A worker executed one chunk of a parallel loop.
     Chunk { lo: usize, hi: usize },
-    /// A worker took work published by `victim` (`usize::MAX` when the
-    /// victim is unknown, e.g. a Cilk injector steal).
+    /// A worker took a range from the deque of worker `victim`.
     Steal { victim: usize },
     /// One worker's span inside a pool region (`ThreadPool::run`).
     Region { epoch: u64 },
@@ -43,11 +43,13 @@ pub struct NativeEvent {
     pub kind: NativeEventKind,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Where one capture collects its events.
+pub(crate) type Sink = Arc<Mutex<Vec<NativeEvent>>>;
 
-fn events() -> &'static Mutex<Vec<NativeEvent>> {
-    static EVENTS: OnceLock<Mutex<Vec<NativeEvent>>> = OnceLock::new();
-    EVENTS.get_or_init(|| Mutex::new(Vec::new()))
+thread_local! {
+    /// The capture this thread records into, if any: set by [`capture`]
+    /// on its caller and carried into the pool regions started under it.
+    static SINK: RefCell<Option<Sink>> = const { RefCell::new(None) };
 }
 
 fn epoch() -> Instant {
@@ -55,11 +57,48 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Whether a capture session is active. The hooks in the runtime shims
-/// check this before doing any work; it is a single relaxed load.
+/// Whether the calling thread records into a capture. The hooks in the
+/// runtime shims check this before doing any work.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.with_borrow(Option::is_some)
+}
+
+/// The calling thread's capture, to carry into a pool region.
+pub(crate) fn current() -> Option<Sink> {
+    SINK.with_borrow(Clone::clone)
+}
+
+/// Run `f` recording into `sink`, then restore the calling thread's
+/// previous capture (on unwind too).
+pub(crate) fn with_sink<R>(sink: &Option<Sink>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Sink>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SINK.set(self.0.take());
+        }
+    }
+    let _restore = Restore(SINK.replace(sink.clone()));
+    f()
+}
+
+/// Run worker `worker`'s share `f` of pool region `epoch` recording into
+/// `sink`, and record the worker's span inside the region (a share that
+/// panics records none).
+pub(crate) fn in_region(sink: &Option<Sink>, epoch: u64, worker: usize, f: impl FnOnce()) {
+    with_sink(sink, || {
+        let start_us = enabled().then(now_us);
+        f();
+        if let Some(start_us) = start_us {
+            emit(NativeEvent {
+                runtime: "pool",
+                worker,
+                start_us,
+                end_us: now_us(),
+                kind: NativeEventKind::Region { epoch },
+            });
+        }
+    })
 }
 
 /// Microseconds since the process's trace epoch.
@@ -67,29 +106,26 @@ pub fn now_us() -> f64 {
     epoch().elapsed().as_secs_f64() * 1e6
 }
 
-/// Record one event (dropped unless a capture session is active).
+/// Record one event (dropped unless the calling thread records into a
+/// capture).
 pub fn emit(ev: NativeEvent) {
-    if !enabled() {
-        return;
-    }
-    events().lock().unwrap_or_else(|e| e.into_inner()).push(ev);
+    SINK.with_borrow(|sink| {
+        if let Some(sink) = sink {
+            sink.lock().unwrap_or_else(|e| e.into_inner()).push(ev);
+        }
+    });
 }
 
-/// Record a steal observed by `thief` (victim `usize::MAX` = unknown).
+/// Record that `thief` took a range from the deque of worker `victim`.
 /// This is the single choke point every stealing runtime reports through,
 /// so the metrics layer counts steals here too, labeled by victim.
 #[inline]
 pub(crate) fn emit_steal(runtime: &'static str, thief: usize, victim: usize) {
     if mic_metrics::enabled() {
-        let victim_label = if victim == usize::MAX {
-            "unknown".to_string()
-        } else {
-            victim.to_string()
-        };
         mic_metrics::counter(
             "mic_runtime_steals_total",
             "Work-stealing events observed by the native runtimes, by victim worker",
-            &[("runtime", runtime), ("victim", &victim_label)],
+            &[("runtime", runtime), ("victim", &victim.to_string())],
         )
         .inc();
     }
@@ -165,21 +201,13 @@ where
     }
 }
 
-fn session_lock() -> &'static Mutex<()> {
-    static SESSION: OnceLock<Mutex<()>> = OnceLock::new();
-    SESSION.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` with native tracing enabled and return its result together with
-/// every event the runtimes emitted while it ran. Sessions are serialized
-/// process-wide; nested captures would deadlock (don't).
+/// Run `f` with native tracing on for the calling thread and the pool
+/// regions it starts, and return its result together with every event
+/// they emitted while it ran.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<NativeEvent>) {
-    let _session = session_lock().lock().unwrap_or_else(|e| e.into_inner());
-    events().lock().unwrap_or_else(|e| e.into_inner()).clear();
-    ENABLED.store(true, Ordering::SeqCst);
-    let result = f();
-    ENABLED.store(false, Ordering::SeqCst);
-    let evs = std::mem::take(&mut *events().lock().unwrap_or_else(|e| e.into_inner()));
+    let sink = Sink::default();
+    let result = with_sink(&Some(Arc::clone(&sink)), f);
+    let evs = std::mem::take(&mut *sink.lock().unwrap_or_else(|e| e.into_inner()));
     (result, evs)
 }
 
@@ -189,7 +217,7 @@ mod tests {
     use crate::openmp::{parallel_for_chunks, Schedule};
     use crate::pool::ThreadPool;
     use crate::tbb::{tbb_parallel_for, Partitioner};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn chunk_coverage(evs: &[NativeEvent], runtime: &str, n: usize) -> Vec<bool> {
         let mut seen = vec![false; n];

@@ -1,12 +1,14 @@
 //! Metrics emitted by the native runtime layer: pool lifecycle counters,
 //! per-schedule chunk latency histograms, steal counters with victim
-//! labels. Every test serializes through `mic_metrics::with_session`
-//! because metrics enablement is process-global.
+//! labels. Every test records into its own `mic_metrics::with_session`
+//! registry, so the tests run side by side under the parallel harness.
 
 use mic_runtime::{
-    cilk_for, parallel_for_chunks, tbb_parallel_for, Partitioner, Schedule, ThreadPool,
+    cilk_for, parallel_for_chunks, tbb_parallel_for, Partitioner, Schedule, ThreadPool, WorkerCtx,
 };
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 #[test]
 fn pool_lifecycle_and_region_counters() {
@@ -76,16 +78,71 @@ fn work_stealing_runtimes_record_labeled_chunks_and_valid_steals() {
         let h = snap.hist("mic_runtime_chunk_seconds", &labels).unwrap();
         assert_eq!(h.count as f64, chunks, "{runtime}/{sched}");
     }
-    // Steals are timing-dependent; any that were recorded must carry a
-    // parseable victim label (worker id or "unknown").
+    // Steals are timing-dependent here; any that were recorded must name
+    // a worker of the pool as the victim.
     for (victim, count) in snap.by_label("mic_runtime_steals_total", "victim") {
         assert!(count >= 1.0);
         assert!(
-            victim == "unknown" || victim.parse::<usize>().is_ok(),
+            victim.parse::<usize>().is_ok_and(|v| v < 4),
             "bad victim label {victim:?}"
         );
     }
     assert!(snap.self_check().is_empty(), "{:?}", snap.self_check());
+}
+
+/// Run a loop over `0..N` on a 2-worker pool in a metrics session. The
+/// worker that runs index 0 holds its leaf until every other index has
+/// run, so the other worker can finish only by stealing what the blocked
+/// worker split off; assert that `runtime`'s steal counter names it.
+fn blocked_worker_is_robbed(
+    runtime: &str,
+    run: impl FnOnce(&ThreadPool, &(dyn Fn(Range<usize>, WorkerCtx) + Sync)),
+) {
+    const N: usize = 4096;
+    let blocked = AtomicUsize::new(usize::MAX);
+    let others = AtomicUsize::new(0);
+    let ((), snap) = mic_metrics::with_session(|| {
+        let pool = ThreadPool::new(2);
+        run(&pool, &|r, ctx| {
+            if r.start != 0 {
+                others.fetch_add(r.len(), Ordering::Release);
+                return;
+            }
+            blocked.store(ctx.id, Ordering::Relaxed);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while others.load(Ordering::Acquire) < N - r.len() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{runtime}: the rest of the range did not run within 10 s"
+                );
+                std::thread::yield_now();
+            }
+        });
+    });
+    let victim = blocked.into_inner().to_string();
+    let steals = snap
+        .value(
+            "mic_runtime_steals_total",
+            &[("runtime", runtime), ("victim", &victim)],
+        )
+        .unwrap_or(0.0);
+    assert!(
+        steals >= 1.0,
+        "{runtime}: no steal from blocked worker {victim}: {:?}",
+        snap.by_label("mic_runtime_steals_total", "victim")
+    );
+}
+
+#[test]
+fn cilk_steals_from_a_blocked_worker() {
+    blocked_worker_is_robbed("cilk", |pool, body| cilk_for(pool, 0..4096, 1, body));
+}
+
+#[test]
+fn tbb_auto_steals_from_a_blocked_worker() {
+    blocked_worker_is_robbed("tbb", |pool, body| {
+        tbb_parallel_for(pool, 0..4096, Partitioner::Auto, body)
+    });
 }
 
 #[test]
