@@ -66,7 +66,7 @@ fn main() {
             .iter()
             .map(|(name, regions)| trace_simulation(&format!("{name} t={t}"), &m, t, regions).1)
             .collect();
-        mic_eval::trace::write_chrome_trace(&path, &parts, &[]).expect("write MIC_TRACE file");
+        mic_eval::trace::write_chrome_trace(&path, &parts).expect("write MIC_TRACE file");
         println!("\nwrote chunk-level trace to {}", path.display());
     }
 }

@@ -26,14 +26,12 @@
 //! | `trace` | `MIC_TRACE` | off |
 //! | `serve_shards` | `MIC_SERVE_SHARDS` | 4 |
 //! | `serve_quota` | `MIC_SERVE_QUOTA` | 256 |
-//! | `serve_wire` | `MIC_SERVE_WIRE` | `binary` |
 //! | `serve_max_request` | `MIC_SERVE_MAX_REQUEST` | 65536 |
 //! | `serve_conn_cap` | `MIC_SERVE_CONNS` | 256 |
 //! | `store_path` | `MIC_STORE` | off |
 //! | `store_sync` | `MIC_STORE_SYNC` | 0 (persist on shutdown only) |
 //! | `obs` | `MIC_OBS` | off |
 //! | `obs_slow_ms` | `MIC_OBS_SLOW_MS` | none |
-//! | `obs_ring` | `MIC_OBS_RING` | 1024 |
 
 use crate::fault::FaultPlan;
 use std::path::PathBuf;
@@ -110,48 +108,6 @@ impl ObsMode {
     }
 }
 
-/// Which wire format the serve layer's client side speaks by default. The
-/// server itself negotiates per connection (the first byte selects
-/// framing), so this knob steers the *initiating* side: the load client
-/// and any embedding that builds requests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeWire {
-    /// Length-prefixed binary frames (magic + version + len + op tag).
-    #[default]
-    Binary,
-    /// Newline-delimited JSON — the debug/compat mode.
-    Json,
-}
-
-impl ServeWire {
-    /// `MIC_SERVE_WIRE` grammar: unset/empty/`binary` → binary, `json` →
-    /// JSON compat; anything else warns once and uses the default.
-    fn parse(raw: Option<String>) -> ServeWire {
-        match raw.as_deref().map(str::trim) {
-            None | Some("") | Some("binary") => ServeWire::Binary,
-            Some("json") => ServeWire::Json,
-            Some(other) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                let owned = other.to_string();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "mic-eval: ignoring MIC_SERVE_WIRE={owned:?} (need binary|json); \
-                         using binary"
-                    );
-                });
-                ServeWire::Binary
-            }
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeWire::Binary => "binary",
-            ServeWire::Json => "json",
-        }
-    }
-}
-
 /// The typed suite configuration. Construct with [`SuiteConfig::default`]
 /// (all knobs at their documented defaults), [`SuiteConfig::from_env`]
 /// (env overlaid on the defaults), then chain builder methods; publish
@@ -174,8 +130,6 @@ pub struct SuiteConfig {
     /// Per-client (per peer IP) in-flight simulate quota; the soft tier
     /// sheds past it under load, the hard tier at twice it always.
     pub serve_quota: usize,
-    /// Default wire mode for the serve client (the initiating side).
-    pub serve_wire: ServeWire,
     /// Largest accepted request, in bytes — caps both a JSON line and a
     /// binary frame payload.
     pub serve_max_request: usize,
@@ -194,8 +148,6 @@ pub struct SuiteConfig {
     /// Requests slower than this dump the flight recorder (tail
     /// sampling); `None`/0 = no slow-request sampling.
     pub obs_slow_ms: Option<u64>,
-    /// Flight-recorder ring capacity, events per thread.
-    pub obs_ring: usize,
 }
 
 impl Default for SuiteConfig {
@@ -207,14 +159,12 @@ impl Default for SuiteConfig {
             trace: None,
             serve_shards: 4,
             serve_quota: 256,
-            serve_wire: ServeWire::Binary,
             serve_max_request: 64 * 1024,
             serve_conn_cap: 256,
             store_path: None,
             store_sync: 0,
             obs: ObsMode::Off,
             obs_slow_ms: None,
-            obs_ring: 1024,
         }
     }
 }
@@ -235,7 +185,6 @@ impl SuiteConfig {
                 .map_or(defaults.serve_shards, |v| v.min(64)),
             serve_quota: crate::env::positive_usize("MIC_SERVE_QUOTA")
                 .unwrap_or(defaults.serve_quota),
-            serve_wire: ServeWire::parse(crate::env::raw("MIC_SERVE_WIRE")),
             serve_max_request: crate::env::positive_usize("MIC_SERVE_MAX_REQUEST")
                 .map_or(defaults.serve_max_request, |v| v.clamp(256, 1 << 30)),
             serve_conn_cap: crate::env::positive_usize("MIC_SERVE_CONNS")
@@ -245,8 +194,6 @@ impl SuiteConfig {
                 .map_or(defaults.store_sync, |v| v.min(1 << 20) as usize),
             obs: ObsMode::parse(crate::env::raw("MIC_OBS")),
             obs_slow_ms: crate::env::nonneg_u64("MIC_OBS_SLOW_MS").filter(|v| *v > 0),
-            obs_ring: crate::env::positive_usize("MIC_OBS_RING")
-                .map_or(defaults.obs_ring, |v| v.clamp(8, 1 << 20)),
         }
     }
 
@@ -279,11 +226,6 @@ impl SuiteConfig {
 
     pub fn serve_quota(mut self, quota: usize) -> Self {
         self.serve_quota = quota.max(1);
-        self
-    }
-
-    pub fn serve_wire(mut self, wire: ServeWire) -> Self {
-        self.serve_wire = wire;
         self
     }
 
@@ -327,7 +269,6 @@ impl SuiteConfig {
         Some(mic_obs::ObsConfig {
             dir,
             slow_ms: self.obs_slow_ms,
-            ring: self.obs_ring,
         })
     }
 
@@ -415,14 +356,12 @@ mod tests {
         assert!(c.trace.is_none());
         assert_eq!(c.serve_shards, 4);
         assert_eq!(c.serve_quota, 256);
-        assert_eq!(c.serve_wire, ServeWire::Binary);
         assert_eq!(c.serve_max_request, 64 * 1024);
         assert_eq!(c.serve_conn_cap, 256);
         assert!(c.store_path.is_none());
         assert_eq!(c.store_sync, 0);
         assert_eq!(c.obs, ObsMode::Off);
         assert_eq!(c.obs_slow_ms, None);
-        assert_eq!(c.obs_ring, 1024);
     }
 
     #[test]
@@ -435,25 +374,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_wire_grammar() {
-        assert_eq!(ServeWire::parse(None), ServeWire::Binary);
-        assert_eq!(ServeWire::parse(Some("binary".into())), ServeWire::Binary);
-        assert_eq!(ServeWire::parse(Some(" json ".into())), ServeWire::Json);
-        assert_eq!(ServeWire::parse(Some("msgpack".into())), ServeWire::Binary);
-        assert_eq!(ServeWire::Json.name(), "json");
-    }
-
-    #[test]
     fn serve_builders_clamp_to_sane_ranges() {
         let c = SuiteConfig::default()
             .serve_shards(0)
             .serve_quota(0)
-            .serve_wire(ServeWire::Json)
             .serve_max_request(1)
             .serve_conn_cap(0);
         assert_eq!(c.serve_shards, 1, "at least one shard");
         assert_eq!(c.serve_quota, 1);
-        assert_eq!(c.serve_wire, ServeWire::Json);
         assert_eq!(c.serve_max_request, 256, "cap floor keeps pings parseable");
         assert_eq!(c.serve_conn_cap, 1);
         assert_eq!(SuiteConfig::default().serve_shards(999).serve_shards, 64);
@@ -486,16 +414,10 @@ mod tests {
             ObsMode::parse(Some("dumps/obs".into())),
             ObsMode::OnWithDir(PathBuf::from("dumps/obs"))
         );
-        let c = SuiteConfig {
-            obs_ring: 8,
-            ..SuiteConfig::default()
-        }
-        .obs(ObsMode::On)
-        .obs_slow_ms(Some(0));
+        let c = SuiteConfig::default().obs(ObsMode::On).obs_slow_ms(Some(0));
         assert_eq!(c.obs_slow_ms, None, "zero threshold means no sampling");
         let oc = c.obs_config().expect("on");
         assert_eq!(oc.dir, PathBuf::from("mic-obs"));
-        assert_eq!(oc.ring, 8);
         assert!(SuiteConfig::default().obs_config().is_none());
         let named = SuiteConfig::default()
             .obs(ObsMode::OnWithDir(PathBuf::from("/tmp/fd")))

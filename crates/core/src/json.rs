@@ -144,11 +144,16 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The reader recurses
+/// once per level, so an unbounded depth would let one request line of
+/// `[`s overflow a connection thread's stack and abort the server.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document (trailing content is an error).
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -172,8 +177,11 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -188,7 +196,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                fields.push((key, parse_value(b, pos)?));
+                fields.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -209,7 +217,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -235,18 +243,44 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             Ok(Value::Null)
         }
         Some(_) => {
+            // RFC 8259: `-`? (`0` | [1-9][0-9]*) (`.` [0-9]+)? ([eE] [+-]? [0-9]+)?
             let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
+            if b.get(*pos) == Some(&b'-') {
                 *pos += 1;
             }
+            let int = *pos;
+            let mut ok = match skip_digits(b, pos) {
+                0 => false,
+                1 => true,
+                _ => b[int] != b'0',
+            };
+            if b.get(*pos) == Some(&b'.') {
+                *pos += 1;
+                ok &= skip_digits(b, pos) > 0;
+            }
+            if matches!(b.get(*pos), Some(b'e' | b'E')) {
+                *pos += 1;
+                if matches!(b.get(*pos), Some(b'+' | b'-')) {
+                    *pos += 1;
+                }
+                ok &= skip_digits(b, pos) > 0;
+            }
             let s = std::str::from_utf8(&b[start..*pos]).unwrap_or("");
-            s.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad token at byte {start}"))
+            match s.parse::<f64>() {
+                Ok(n) if ok => Ok(Value::Num(n)),
+                _ => Err(format!("bad token at byte {start}")),
+            }
         }
     }
+}
+
+/// Advance past a run of ASCII digits; returns how many there were.
+fn skip_digits(b: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    *pos - start
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -285,6 +319,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err("bad escape".into()),
                 }
                 *pos += 1;
+            }
+            Some(&c) if c < 0x20 => {
+                return Err(format!("raw control character at byte {pos}"));
             }
             Some(&c) => {
                 // Multi-byte UTF-8 sequences pass through untouched.
@@ -334,6 +371,47 @@ mod tests {
             let back = parse(&rendered).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), bits, "{rendered}");
         }
+    }
+
+    #[test]
+    fn parse_accepts_and_rejects() {
+        for ok in [
+            "{}",
+            "[]",
+            "null",
+            "0",
+            "-0.5e-3",
+            " {\"a\": [1, -2.5e3, true, \"x\\u00e9\"]} ",
+            "{\"nested\":{\"deep\":[[[]]]}}",
+        ] {
+            assert!(parse(ok).is_ok(), "{ok}");
+        }
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "{'a':1}",
+            "[1 2]",
+            "NaN",
+            "{\"a\":1}x",
+            "\"unterminated",
+            "\"raw\ncontrol\"",
+            "01e",
+            "+1",
+            ".5",
+            "1.",
+            "01",
+            "-",
+            "1e",
+        ] {
+            assert!(parse(bad).is_err(), "{bad} should fail");
+        }
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        // One request line's worth of `[`s is refused, not a stack overflow.
+        assert!(parse(&"[".repeat(1 << 16)).is_err());
     }
 
     #[test]

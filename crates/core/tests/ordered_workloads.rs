@@ -35,9 +35,9 @@ fn fig2_pairs() -> Vec<(PaperGraph, OrderTag)> {
         .to_vec()
 }
 
-/// Every (graph, ordering) an exhibit, a `why` hook or the `trace` bin
-/// reads: Figure 2's seven, `ablation-ordering`'s two, and hood under
-/// `Random { seed: 5 }` (Figure 2's `why` and `trace`).
+/// Every (graph, ordering) an exhibit or a `why` hook reads: Figure 2's
+/// seven, `ablation-ordering`'s two, and hood under `Random { seed: 5 }`
+/// (Figure 2's `why` hook).
 fn exhibit_pairs() -> Vec<(PaperGraph, OrderTag)> {
     let mut pairs = fig2_pairs();
     pairs.extend([

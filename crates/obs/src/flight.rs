@@ -147,7 +147,7 @@ struct Ring {
 impl Ring {
     fn new(capacity: usize, thread: String) -> Ring {
         Ring {
-            slots: (0..capacity.max(8)).map(|_| Slot::empty()).collect(),
+            slots: (0..capacity).map(|_| Slot::empty()).collect(),
             head: AtomicUsize::new(0),
             thread,
         }
@@ -206,13 +206,10 @@ impl Ring {
     }
 }
 
-static RING_CAP: AtomicUsize = AtomicUsize::new(1024);
-static SEQ: AtomicU64 = AtomicU64::new(1);
+/// Events each thread's ring keeps.
+const RING_CAP: usize = 1024;
 
-/// Ring capacity for threads that have not recorded yet (`MIC_OBS_RING`).
-pub(crate) fn set_ring_capacity(n: usize) {
-    RING_CAP.store(n.max(8), Ordering::Relaxed);
-}
+static SEQ: AtomicU64 = AtomicU64::new(1);
 
 fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
     static REG: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
@@ -243,7 +240,7 @@ fn record_always(kind: EventKind, a: u64, b: u64, trace: TraceId) {
                 .name()
                 .unwrap_or("unnamed")
                 .to_string();
-            let ring = Arc::new(Ring::new(RING_CAP.load(Ordering::Relaxed), name));
+            let ring = Arc::new(Ring::new(RING_CAP, name));
             registry()
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -404,27 +401,15 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let _g = crate::test_guard();
-        crate::install(crate::ObsConfig::default());
-        clear();
-        // A dedicated thread gets a small fresh ring.
-        let before = RING_CAP.load(Ordering::Relaxed);
-        set_ring_capacity(8);
-        let h = std::thread::spawn(|| {
-            for i in 0..20u64 {
-                record(EventKind::RequestDone, i, 0, 0);
-            }
-        });
-        h.join().unwrap();
-        set_ring_capacity(before);
-        let mine: Vec<EventRecord> = snapshot()
-            .into_iter()
-            .filter(|e| e.kind == EventKind::RequestDone)
-            .collect();
+        let ring = Ring::new(8, "t".into());
+        for i in 0..20u64 {
+            ring.push(i + 1, 0.0, EventKind::RequestDone, i, 0, 0);
+        }
+        let mut mine = Vec::new();
+        ring.read(&mut mine);
+        mine.sort_by_key(|e| e.seq);
         assert_eq!(mine.len(), 8, "ring keeps only the newest 8");
         assert_eq!(mine.last().unwrap().a, 19, "newest event survives");
-        crate::disable();
-        clear();
     }
 
     #[test]
@@ -434,7 +419,6 @@ mod tests {
         crate::install(crate::ObsConfig {
             dir: dir.clone(),
             slow_ms: None,
-            ring: 64,
         });
         clear();
         set_dump_budget(2);

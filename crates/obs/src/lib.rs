@@ -143,15 +143,13 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Slow-request threshold in microseconds; 0 = no tail sampling.
 static SLOW_US: AtomicU64 = AtomicU64::new(0);
 
-/// Where dumps go and how big the flight-recorder rings are.
+/// Where dumps go and which requests count as slow.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
     /// Directory flight-recorder dumps are written to.
     pub dir: PathBuf,
     /// Requests slower than this dump the recorder (`MIC_OBS_SLOW_MS`).
     pub slow_ms: Option<u64>,
-    /// Per-thread flight-recorder ring capacity (`MIC_OBS_RING`).
-    pub ring: usize,
 }
 
 impl Default for ObsConfig {
@@ -159,7 +157,6 @@ impl Default for ObsConfig {
         ObsConfig {
             dir: PathBuf::from("mic-obs"),
             slow_ms: None,
-            ring: 1024,
         }
     }
 }
@@ -199,7 +196,6 @@ pub fn install(cfg: ObsConfig) {
         cfg.slow_ms.map(|ms| ms * 1000).unwrap_or(0),
         Ordering::Relaxed,
     );
-    flight::set_ring_capacity(cfg.ring);
     *config_slot().lock().unwrap_or_else(|e| e.into_inner()) = cfg;
     install_panic_hook();
     ENABLED.store(true, Ordering::Relaxed);

@@ -62,6 +62,20 @@ fn record_cas_retries<T>(deques: &[WsDeque<T>]) {
     }
 }
 
+/// Count that `thief` took a range from the deque of worker `victim`,
+/// labeled by victim. Every steal of the engine reports here.
+fn record_steal(runtime: &'static str, thief: usize, victim: usize) {
+    debug_assert_ne!(thief, victim, "a steal never names its thief as victim");
+    if mic_metrics::enabled() {
+        mic_metrics::counter(
+            "mic_runtime_steals_total",
+            "Work-stealing events observed by the native runtimes, by victim worker",
+            &[("runtime", runtime), ("victim", &victim.to_string())],
+        )
+        .inc();
+    }
+}
+
 /// `cilk_for` over `range` with the given `grain`. `body` receives leaf
 /// subranges of length `<= grain`.
 pub fn cilk_for<F>(pool: &ThreadPool, range: Range<usize>, grain: usize, body: F)
@@ -72,10 +86,10 @@ where
 }
 
 /// The work-stealing engine behind [`cilk_for`] and TBB's simple and auto
-/// partitioners. `runtime` labels its chunk spans, chunk metrics and steal
-/// events. A range a worker takes from a sibling's deque is a steal, with
-/// that sibling as the victim: only owners push, so a range's publisher is
-/// the owner of the deque it sat on.
+/// partitioners. `runtime` labels its chunk and steal metrics. A range a
+/// worker takes from a sibling's deque is a steal, with that sibling as
+/// the victim: only owners push, so a range's publisher is the owner of
+/// the deque it sat on.
 pub(crate) fn work_steal<F>(
     pool: &ThreadPool,
     range: Range<usize>,
@@ -92,7 +106,7 @@ pub(crate) fn work_steal<F>(
         Split::ToGrain(_) => "simple",
         Split::OnSteal => "auto",
     };
-    let body = crate::trace::timed_chunk(runtime, sched, body);
+    let body = crate::pool::timed_chunk(runtime, sched, body);
     let threads = pool.num_threads();
     let n = range.len();
     let deques: Vec<WsDeque<Range<usize>>> =
@@ -133,7 +147,7 @@ pub(crate) fn work_steal<F>(
                     // A lost CAS means the victim is active; move on to
                     // the next one rather than re-hammering.
                     if let Steal::Success(r) = deques[victim].steal() {
-                        crate::trace::emit_steal(runtime, ctx.id, victim);
+                        record_steal(runtime, ctx.id, victim);
                         return Some((r, true));
                     }
                 }
@@ -188,7 +202,7 @@ pub(crate) fn work_steal<F>(
 /// Fork–join on two independent closures, Cilk's `spawn`/`sync` pair.
 /// Runs on plain scoped threads (it is used standalone, not inside pool
 /// regions — the paper's kernels only need `cilk_for`); `b` records into
-/// the caller's metrics registry and native trace capture.
+/// the caller's metrics registry.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -198,10 +212,7 @@ where
 {
     std::thread::scope(|s| {
         let metrics = mic_metrics::current();
-        let trace = crate::trace::current();
-        let hb = s.spawn(move || {
-            mic_metrics::with_handle(&metrics, || crate::trace::with_sink(&trace, b))
-        });
+        let hb = s.spawn(move || mic_metrics::with_handle(&metrics, b));
         let ra = a();
         let rb = hb.join().expect("joined closure panicked");
         (ra, rb)

@@ -42,7 +42,6 @@ pub mod scan;
 pub mod sync;
 pub mod tbb;
 pub mod tls;
-pub mod trace;
 
 pub use cilk::cilk_for;
 pub use concurrent::{BlockCursor, BlockQueue, ConcurrentPushVec};
@@ -54,4 +53,3 @@ pub use scan::exclusive_scan;
 pub use sync::EventCount;
 pub use tbb::{tbb_parallel_for, Partitioner};
 pub use tls::{PerWorker, ReducerMax};
-pub use trace::{capture as capture_native_trace, NativeEvent, NativeEventKind};

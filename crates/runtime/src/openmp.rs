@@ -69,7 +69,7 @@ where
         Schedule::Dynamic { .. } => "dynamic",
         Schedule::Guided { .. } => "guided",
     };
-    let body = crate::trace::timed_chunk("omp", sched_label, body);
+    let body = crate::pool::timed_chunk("omp", sched_label, body);
     let t = pool.num_threads();
     let (start, end) = (range.start, range.end);
     let n = end - start;

@@ -25,10 +25,12 @@ use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Context handed to a worker inside a parallel region.
 #[derive(Clone, Copy, Debug)]
@@ -37,6 +39,45 @@ pub struct WorkerCtx {
     pub id: usize,
     /// Number of workers participating in the region.
     pub num_threads: usize,
+}
+
+/// Wrap a chunk body so each invocation is counted and timed when metrics
+/// are enabled. `runtime` ("omp", "cilk", "tbb") and `sched` (the
+/// scheduling discipline that produced the chunk: "static", "dynamic",
+/// "guided", "simple", "auto", "affinity") label the chunk counter and
+/// the per-schedule chunk-latency histogram.
+pub(crate) fn timed_chunk<F>(
+    runtime: &'static str,
+    sched: &'static str,
+    body: F,
+) -> impl Fn(Range<usize>, WorkerCtx)
+where
+    F: Fn(Range<usize>, WorkerCtx),
+{
+    move |r, ctx| {
+        if !mic_metrics::enabled() {
+            body(r, ctx);
+            return;
+        }
+        let t0 = Instant::now();
+        body(r, ctx);
+        let secs = t0.elapsed().as_secs_f64();
+        let labels = [("runtime", runtime), ("sched", sched)];
+        mic_metrics::counter(
+            "mic_runtime_chunks_total",
+            "Chunks executed by the native runtime shims",
+            &labels,
+        )
+        .inc();
+        mic_metrics::histogram(
+            "mic_runtime_chunk_seconds",
+            "Native chunk execution latency per runtime and schedule",
+            &labels,
+            // 0.1 µs … ≈ 1.7 s.
+            &mic_metrics::exp_buckets(1e-7, 4.0, 13),
+        )
+        .observe(secs);
+    }
 }
 
 /// Why a `try_run` call was rejected.
@@ -210,16 +251,11 @@ impl ThreadPool {
             )
             .inc();
         }
-        // Workers record into the submitter's metrics registry and native
-        // trace capture, so a session counts the regions it starts.
+        // Workers record into the submitter's metrics registry, so a
+        // session counts the regions it starts.
         let metrics = mic_metrics::current();
-        let trace = crate::trace::current();
         let epoch = self.shared.epoch.load(Ordering::Relaxed);
-        let f = |ctx: WorkerCtx| {
-            mic_metrics::with_handle(&metrics, || {
-                crate::trace::in_region(&trace, epoch + 1, ctx.id, || f(ctx))
-            })
-        };
+        let f = |ctx: WorkerCtx| mic_metrics::with_handle(&metrics, || f(ctx));
         let f_ref: &(dyn Fn(WorkerCtx) + Sync) = &f;
         // SAFETY: we erase the lifetime of `f_ref`, but `try_run` does not
         // return until `remaining == 0`, i.e. until no worker can touch the

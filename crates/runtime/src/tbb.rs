@@ -44,7 +44,7 @@ where
             let chunk = n.div_ceil(chunks);
             let start = range.start;
             let end = range.end;
-            let body = crate::trace::timed_chunk("tbb", "affinity", body);
+            let body = crate::pool::timed_chunk("tbb", "affinity", body);
             pool.run(|ctx| {
                 let mut c = ctx.id;
                 loop {

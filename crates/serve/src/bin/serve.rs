@@ -17,8 +17,7 @@
 //! - `serve client --addr A [--clients N] [--rps R] [--duration S]
 //!   [--json]` — drive one bounded load point against a running server
 //!   and print the throughput/latency row. The wire is binary frames
-//!   unless `--json` (or `MIC_SERVE_WIRE=json`) selects the newline-JSON
-//!   compat mode.
+//!   unless `--json` selects the newline-JSON compat mode.
 //! - `serve stats --addr A` — print a running server's `stats` fields
 //!   (one `name value` line each, plus the server's `build` stamp), for
 //!   scripts and CI assertions.
@@ -33,8 +32,7 @@
 //! traced server builds a span tree for every one of them.
 
 use mic_bench::cli::Cli;
-use mic_eval::config::ServeWire;
-use mic_serve::client::{self, LoadOpts, LoadSummary};
+use mic_serve::client::{self, LoadOpts, LoadSummary, Wire};
 use mic_serve::protocol::Response;
 use mic_serve::server::{ServeOpts, Server};
 use std::path::PathBuf;
@@ -78,9 +76,9 @@ fn main() {
         opts.store_sync = n;
     }
     let wire = if cli.flag("--json") {
-        ServeWire::Json
+        Wire::Json
     } else {
-        cfg.serve_wire
+        Wire::Binary
     };
     let clients = cli
         .opt_parse::<usize>("--clients", "a positive integer")
@@ -218,14 +216,7 @@ fn run_serve(addr: &str, opts: ServeOpts, duration: Option<f64>) -> i32 {
     }
 }
 
-fn run_client(
-    addr: &str,
-    clients: usize,
-    rps: f64,
-    duration: f64,
-    wire: ServeWire,
-    trace: bool,
-) -> i32 {
+fn run_client(addr: &str, clients: usize, rps: f64, duration: f64, wire: Wire, trace: bool) -> i32 {
     let point = LoadOpts {
         clients,
         target_rps: rps,

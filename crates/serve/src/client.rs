@@ -16,10 +16,29 @@
 
 use crate::frame;
 use crate::protocol::{self, Response};
-use mic_eval::config::ServeWire;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// The wire a load point speaks. The server negotiates per connection
+/// (the first byte selects framing), so only the initiating side picks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Wire {
+    /// Length-prefixed binary frames (magic + version + len + op tag).
+    #[default]
+    Binary,
+    /// Newline-delimited JSON — the debug/compat mode.
+    Json,
+}
+
+impl Wire {
+    pub fn name(self) -> &'static str {
+        match self {
+            Wire::Binary => "binary",
+            Wire::Json => "json",
+        }
+    }
+}
 
 /// One load point's configuration.
 #[derive(Clone, Copy, Debug)]
@@ -28,7 +47,7 @@ pub struct LoadOpts {
     pub target_rps: f64,
     pub duration_s: f64,
     /// Wire encoding this load point speaks.
-    pub wire: ServeWire,
+    pub wire: Wire,
     /// Mint a client-side trace context for every request. The ids ride
     /// the wire (either encoding) and the server threads them through
     /// its span tree; off by default, so a plain load run measures the
@@ -42,7 +61,7 @@ impl Default for LoadOpts {
             clients: 4,
             target_rps: 100.0,
             duration_s: 2.0,
-            wire: ServeWire::Binary,
+            wire: Wire::Binary,
             trace: false,
         }
     }
@@ -156,7 +175,7 @@ pub fn run_load(addr: &str, opts: LoadOpts) -> std::io::Result<LoadSummary> {
                 step += 1;
                 let sent_at = Instant::now();
                 match wire {
-                    ServeWire::Binary => {
+                    Wire::Binary => {
                         // Same validated spec as the JSON path — the
                         // parse is the compat-mode one, the encoding is
                         // the frame codec.
@@ -165,7 +184,7 @@ pub fn run_load(addr: &str, opts: LoadOpts) -> std::io::Result<LoadSummary> {
                         let (tag, payload) = frame::encode_request(&req);
                         frame::write_frame(&mut writer, tag, &payload)?;
                     }
-                    ServeWire::Json => writeln!(writer, "{line}")?,
+                    Wire::Json => writeln!(writer, "{line}")?,
                 }
                 w.sent += 1;
                 let Some(resp) = read_response(&mut reader, 1 << 20)? else {

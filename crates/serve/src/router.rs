@@ -33,12 +33,10 @@ use crate::protocol::{self, JobSpec, Request, Response};
 use crate::server::{Dispatcher, ServeOpts, ServeStats, Submission};
 use crate::{frame, lru};
 use mic_eval::obs::{self, flight, span, TraceCtx};
-use mic_eval::runtime::trace as rt_trace;
-use mic_eval::runtime::{NativeEvent, NativeEventKind};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,7 +69,6 @@ pub struct Router {
     shards: Vec<Arc<Dispatcher>>,
     pub stats: Arc<ServeStats>,
     clients: Mutex<HashMap<IpAddr, Arc<ClientState>>>,
-    span_epoch: AtomicU64,
     /// The durable result store every shard spills to (one shared handle
     /// — the store is single-writer per file). `None` when `store_path`
     /// is unset or the file could not be opened.
@@ -116,7 +113,6 @@ impl Router {
             shards,
             stats,
             clients: Mutex::new(HashMap::new()),
-            span_epoch: AtomicU64::new(0),
             store,
         }
     }
@@ -191,7 +187,6 @@ impl Router {
     fn respond(&self, parsed: Result<Request, (String, String)>, client: &ClientState) -> Response {
         self.stats.received.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let span_start = rt_trace::enabled().then(rt_trace::now_us);
         let op: &'static str = match &parsed {
             Ok(req) => req.op(),
             Err(_) => "invalid",
@@ -251,17 +246,6 @@ impl Router {
                 &mic_metrics::seconds_buckets(),
             )
             .observe_with_exemplar(t0.elapsed().as_secs_f64(), exemplar_trace);
-        }
-        if let Some(start_us) = span_start {
-            rt_trace::emit(NativeEvent {
-                runtime: "serve",
-                worker: 0,
-                start_us,
-                end_us: rt_trace::now_us(),
-                kind: NativeEventKind::Region {
-                    epoch: self.span_epoch.fetch_add(1, Ordering::Relaxed),
-                },
-            });
         }
         resp
     }
