@@ -136,8 +136,8 @@ pub struct SuiteConfig {
     /// Concurrent connection cap; connects past it are refused with a
     /// `shed` response instead of an unbounded thread spawn.
     pub serve_conn_cap: usize,
-    /// Crash-safe append-only log persisting suite graphs, workloads and
-    /// serve results; `None` = durable tier off. One process per file.
+    /// Crash-safe append-only log persisting suite graphs, PageRank counts
+    /// and serve results; `None` = durable tier off. One process per file.
     pub store_path: Option<PathBuf>,
     /// Auto-persist the store after this many puts; 0 = only on explicit
     /// persist (graceful shutdown). Raise durability under `kill -9` by

@@ -20,8 +20,9 @@ use mic_graph::Csr;
 use std::sync::Arc;
 
 /// One suite graph, shared from the process-wide [`crate::workload_cache`]
-/// (which also reads it back from the `MIC_STORE` tier if set),
-/// so regenerating many figures builds each graph once.
+/// (which also reads it back from the `MIC_STORE` tier if set — the tier
+/// keeps graphs, never priced workloads), so regenerating many figures
+/// builds each graph once.
 pub(crate) fn suite_graph(g: PaperGraph, scale: Scale) -> Arc<Csr> {
     crate::workload_cache::graph(g, scale)
 }

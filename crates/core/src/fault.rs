@@ -26,11 +26,11 @@
 //! plan: an exhibit has nothing to degrade to, so its one failure is a
 //! bug, and a bug stops the run. `io-*` faults hit the file boundaries of
 //! a store opened with the plan as its [`IoFaults`] injector — serve's
-//! result store and the workload cache's `MIC_STORE` tier (site = the file
-//! offset of each 4 KiB block of a record write, the log length for
-//! fsyncs, file-name hash for opens). A
-//! body panicking inside a runtime construct needs no injector: a test
-//! raises it by panicking (`failure_injection.rs`).
+//! result store and the workload cache's `MIC_STORE` tier of suite graphs
+//! and PageRank iteration counts (site = the file offset of each 4 KiB
+//! block of a record write, the log length for fsyncs, file-name hash for
+//! opens). A body panicking inside a runtime construct needs no
+//! injector: a test raises it by panicking (`failure_injection.rs`).
 //!
 //! An *unknown* `io-` subclass is skipped with a warning instead of
 //! rejecting the whole spec — the io family is expected to grow, and a

@@ -283,6 +283,17 @@ fn skip_digits(b: &[u8], pos: &mut usize) -> usize {
     *pos - start
 }
 
+/// The four ASCII hex digits at `b[at..]`, as a UTF-16 code unit.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b
+        .get(at..at + 4)
+        .filter(|h| h.iter().all(u8::is_ascii_hexdigit));
+    let digits = digits.ok_or("\\u escape needs four hex digits")?;
+    Ok(digits.iter().fold(0, |code, &d| {
+        code << 4 | (d as char).to_digit(16).unwrap_or(0)
+    }))
+}
+
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
@@ -308,13 +319,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // A UTF-16 surrogate pair is one scalar in two escapes.
+                        if (0xd800..0xdc00).contains(&code)
+                            && b.get(*pos + 1..*pos + 3) == Some(&b"\\u"[..])
+                        {
+                            let low = hex4(b, *pos + 3)?;
+                            if (0xdc00..0xe000).contains(&low) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(char::from_u32(code).ok_or("lone surrogate in \\u escape")?);
                     }
                     _ => return Err("bad escape".into()),
                 }
@@ -412,6 +429,33 @@ mod tests {
         assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
         // One request line's worth of `[`s is refused, not a stack overflow.
         assert!(parse(&"[".repeat(1 << 16)).is_err());
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_scalar() {
+        let got = parse(r#"["\ud83d\ude00", "a\uD83D\uDE00b"]"#).unwrap();
+        let want = Value::Arr(vec![Value::str("\u{1f600}"), Value::str("a\u{1f600}b")]);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn lone_surrogate_escapes_are_refused() {
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} should fail");
+        }
+    }
+
+    #[test]
+    fn u_escapes_need_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Value::str("A\u{e9}"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u041""#, r#""\u04g1""#] {
+            assert!(parse(bad).is_err(), "{bad} should fail");
+        }
     }
 
     #[test]

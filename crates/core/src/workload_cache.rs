@@ -17,17 +17,25 @@
 //!   `OnceLock`, so concurrent sweep jobs that race on the same key block
 //!   on one build instead of duplicating it, while distinct keys build in
 //!   parallel.
-//! - **Durable** (opt-in): when `MIC_STORE` names a mic-store file, suite
-//!   graphs (`csr1-<graph>-<scale>` keys, `MICCSR01` bytes) and workload
-//!   arrays (`wl1-<kind>-…` keys, `MICWL2` containers) persist in it, so
-//!   *separate* runs skip generation and instrumentation too. The store
-//!   hands back the exact bytes that were put or a miss; every value is
-//!   still re-validated here before use. `wl1` / `csr1` are the semantic
-//!   versions of the data: bump them when instrumentation or generation
-//!   changes meaning, or delete the store file.
+//! - **Durable** (opt-in): when `MIC_STORE` names a mic-store file, it
+//!   holds the inputs of pricing, never prices: suite graphs
+//!   (`csr1-<graph>-<scale>` keys, `MICCSR01` bytes) and PageRank's
+//!   converged iteration count (`pr1-<graph>-<scale>-<order>` keys, one
+//!   little-endian `u64`), so *separate* runs skip generation and
+//!   PageRank's native run. Every workload is priced again from the cached
+//!   passes in each process, which costs less than reading 48 B per
+//!   iteration back. PageRank's count is the one derived value kept: its
+//!   native run to convergence is ≈ 125 ms of a warm 1/8 pass on a 2-core
+//!   Xeon, while re-deriving components' and hybrid BFS's native runs
+//!   moves an exhibit by ≤ 2 ms there. The count is keyed by ordering because it depends on the
+//!   order of the float sums. The store hands back the exact bytes that
+//!   were put or a miss; every value is still re-validated here before
+//!   use. `csr1` / `pr1` are the semantic versions of the data: bump them
+//!   when generation or PageRank's parameters change meaning, or delete
+//!   the store file.
 
 use mic_bfs::components::{components_from_counts, components_sync, ComponentsWorkload};
-use mic_bfs::direction::{instrument_hybrid, Direction, Hybrid, HybridWorkload};
+use mic_bfs::direction::{instrument_hybrid, Hybrid, HybridWorkload};
 use mic_bfs::instrument::{instrument_with as bfs_from_counts, BfsWorkload, SimVariant};
 use mic_bfs::seq::{bfs as bfs_levels, table1_source, BfsResult};
 use mic_coloring::instrument::{from_counts as coloring_from_counts, ColoringWorkload};
@@ -41,16 +49,13 @@ use mic_irregular::apps::pagerank_seq;
 use mic_irregular::instrument::{
     from_counts as irregular_from_counts, pagerank_from_counts, IrregularWorkload, PagerankWorkload,
 };
-use mic_sim::Work;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 mod tier;
-use tier::StoredArrays;
-use tier::{encode_container, persisted, verify_container};
-pub use tier::{load_arrays, store_arrays};
+use tier::persisted;
 
 /// Vertex ordering applied to a suite graph before instrumentation — the
 /// hashable subset of [`Ordering`] the experiments use.
@@ -115,15 +120,16 @@ static GRAPHS: Cache<(PaperGraph, Scale), Arc<SuiteGraph>> = Cache::new();
 /// locality windows as a hashable `(l1_gap, l2_gap)` pair.
 type Site = (PaperGraph, Scale, OrderTag, (usize, usize));
 
-/// Workloads of type `W`, keyed by site plus the kernel's own knob.
-type Workloads<W> = Cache<(Site, <W as Stored>::Knob), Arc<W>>;
+/// Workloads of type `W`, keyed by site plus the kernel's own knob `K`
+/// (`()` when there is none).
+type Workloads<K, W> = Cache<(Site, K), Arc<W>>;
 
-static COLORING: Workloads<ColoringWorkload> = Cache::new();
-static IRREGULAR: Workloads<IrregularWorkload> = Cache::new();
-static BFS: Workloads<BfsWorkload> = Cache::new();
-static PAGERANK: Workloads<PagerankWorkload> = Cache::new();
-static COMPONENTS: Workloads<ComponentsWorkload> = Cache::new();
-static HYBRID: Workloads<HybridWorkload> = Cache::new();
+static COLORING: Workloads<(), ColoringWorkload> = Cache::new();
+static IRREGULAR: Workloads<usize, IrregularWorkload> = Cache::new();
+static BFS: Workloads<SimVariant, BfsWorkload> = Cache::new();
+static PAGERANK: Workloads<(), PagerankWorkload> = Cache::new();
+static COMPONENTS: Workloads<(), ComponentsWorkload> = Cache::new();
+static HYBRID: Workloads<(), HybridWorkload> = Cache::new();
 
 /// PageRank convergence parameters used by every exhibit and serve job:
 /// the standard damping factor, an L1 tolerance tight enough that the
@@ -225,59 +231,29 @@ impl Passes<'_> {
     }
 }
 
-/// A workload type the cache can build and persist: which kernel knob
-/// completes its key, how to instrument it, and its `MICWL2` form.
-trait Stored: Sized {
-    /// Key component beyond the shared [`Site`]; `()` when there is none.
-    type Knob: Copy + Eq + Hash + std::fmt::Debug;
-    /// The `<kind>` of the `wl1-<kind>-…` store key.
-    const KIND: &'static str;
-    /// The workload of the build's graph, in the build's order.
-    fn instrument(p: &Passes, k: Self::Knob) -> Self;
-    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>);
-    /// `None` when the container's shape cannot be this type.
-    fn from_parts(parts: StoredArrays) -> Option<Self>;
-}
-
 /// The one keyed body behind every workload function: the in-memory
-/// entry, else (with `MIC_STORE` on) the stored container, else price the
-/// site's passes and store the result.
-fn get_or_build<W: Stored>(
-    cache: &Workloads<W>,
-    pg: PaperGraph,
-    scale: Scale,
-    order: OrderTag,
-    windows: LocalityWindows,
-    knob: W::Knob,
+/// entry, else `price` the site's passes.
+fn get_or_build<K: Eq + Hash, W>(
+    cache: &Workloads<K, W>,
+    (pg, scale, order, windows): (PaperGraph, Scale, OrderTag, LocalityWindows),
+    knob: K,
+    price: impl FnOnce(&Passes) -> W,
 ) -> Arc<W> {
-    let (l1, l2) = (windows.l1_gap, windows.l2_gap);
-    cache.get_or_build(((pg, scale, order, (l1, l2)), knob), || {
-        // Store keys only have to be injective, so the key types' derived
-        // `Debug` text serves: it tracks their shape with no code to keep.
-        let (kind, name) = (W::KIND, pg.name());
-        Arc::new(persisted(
-            || format!("wl1-{kind}-{name}-{scale:?}-{order:?}-{l1}-{l2}-{knob:?}"),
-            |bytes| W::from_parts(verify_container(bytes)?).ok_or_else(|| "wrong shape".into()),
-            |w| {
-                let (meta, arrays) = w.to_parts();
-                encode_container(&meta, &arrays)
-            },
-            || {
-                let suite = suite_graph(pg, scale);
-                let perm = match order {
-                    OrderTag::Natural => None,
-                    OrderTag::Random { seed } => Some(Ordering::Random { seed }),
-                    OrderTag::CuthillMcKee { source } => Some(Ordering::CuthillMcKee { source }),
-                }
-                .map(|o| permutation(&suite.csr, o));
-                let passes = Passes {
-                    suite: &suite,
-                    perm,
-                    windows,
-                };
-                W::instrument(&passes, knob)
-            },
-        ))
+    let site = (pg, scale, order, (windows.l1_gap, windows.l2_gap));
+    cache.get_or_build((site, knob), || {
+        let suite = suite_graph(pg, scale);
+        let perm = match order {
+            OrderTag::Natural => None,
+            OrderTag::Random { seed } => Some(Ordering::Random { seed }),
+            OrderTag::CuthillMcKee { source } => Some(Ordering::CuthillMcKee { source }),
+        }
+        .map(|o| permutation(&suite.csr, o));
+        let passes = Passes {
+            suite: &suite,
+            perm,
+            windows,
+        };
+        Arc::new(price(&passes))
     })
 }
 
@@ -288,7 +264,9 @@ pub fn coloring(
     order: OrderTag,
     windows: LocalityWindows,
 ) -> Arc<ColoringWorkload> {
-    get_or_build(&COLORING, pg, scale, order, windows, ())
+    get_or_build(&COLORING, (pg, scale, order, windows), (), |p| {
+        coloring_from_counts(&p.counts())
+    })
 }
 
 /// The irregular-microbenchmark workload at `iter` repetitions (Figure 3,
@@ -300,7 +278,9 @@ pub fn irregular(
     windows: LocalityWindows,
     iter: usize,
 ) -> Arc<IrregularWorkload> {
-    get_or_build(&IRREGULAR, pg, scale, order, windows, iter)
+    get_or_build(&IRREGULAR, (pg, scale, order, windows), iter, |p| {
+        irregular_from_counts(&p.counts(), iter)
+    })
 }
 
 /// The BFS workload of a suite graph under `variant`, from the paper's
@@ -312,20 +292,41 @@ pub fn bfs(
     windows: LocalityWindows,
     variant: SimVariant,
 ) -> Arc<BfsWorkload> {
-    get_or_build(&BFS, pg, scale, order, windows, variant)
+    get_or_build(&BFS, (pg, scale, order, windows), variant, |p| {
+        bfs_from_counts(&p.levels(), &p.counts(), variant)
+    })
 }
 
 /// The PageRank workload of a suite graph (scale-free exhibits, serve).
 /// Convergence parameters are the fixed [`PAGERANK_DAMPING`] /
 /// [`PAGERANK_TOL`] / [`PAGERANK_MAX_ITERS`] so the iteration count — and
-/// with it the region sequence — is a pure function of the graph.
+/// with it the region sequence — is a pure function of the graph. The
+/// count comes from the `MIC_STORE` tier when it holds one for this graph,
+/// scale and ordering; the native run is what it saves.
 pub fn pagerank(
     pg: PaperGraph,
     scale: Scale,
     order: OrderTag,
     windows: LocalityWindows,
 ) -> Arc<PagerankWorkload> {
-    get_or_build(&PAGERANK, pg, scale, order, windows, ())
+    get_or_build(&PAGERANK, (pg, scale, order, windows), (), |p| {
+        let iters = persisted(
+            || format!("pr1-{}-{scale:?}-{order:?}", pg.name()),
+            |bytes| {
+                let iters = u64::from_le_bytes(bytes.try_into().map_err(|_| "not 8 bytes")?);
+                match usize::try_from(iters) {
+                    Ok(n @ 1..=PAGERANK_MAX_ITERS) => Ok(n),
+                    _ => Err(format!("{iters} iterations is out of range")),
+                }
+            },
+            |&iters| (iters as u64).to_le_bytes().to_vec(),
+            || {
+                let (damping, tol, cap) = (PAGERANK_DAMPING, PAGERANK_TOL, PAGERANK_MAX_ITERS);
+                pagerank_seq(&p.graph(), damping, tol, cap).1
+            },
+        );
+        pagerank_from_counts(&p.counts(), iters)
+    })
 }
 
 /// The label-propagation components workload of a suite graph.
@@ -335,7 +336,10 @@ pub fn components(
     order: OrderTag,
     windows: LocalityWindows,
 ) -> Arc<ComponentsWorkload> {
-    get_or_build(&COMPONENTS, pg, scale, order, windows, ())
+    get_or_build(&COMPONENTS, (pg, scale, order, windows), (), |p| {
+        let rounds = components_sync(&p.graph()).rounds;
+        components_from_counts(&p.counts(), rounds)
+    })
 }
 
 /// The direction-optimizing (hybrid) BFS workload of a suite graph, from
@@ -349,7 +353,10 @@ pub fn hybrid_bfs(
     order: OrderTag,
     windows: LocalityWindows,
 ) -> Arc<HybridWorkload> {
-    let w = get_or_build(&HYBRID, pg, scale, order, windows, ());
+    let w = get_or_build(&HYBRID, (pg, scale, order, windows), (), |p| {
+        let g = p.graph();
+        instrument_hybrid(&g, table1_source(&g), windows, Hybrid::default())
+    });
     if w.switches > 0 {
         crate::metrics::counter(
             "mic_bfs_direction_switches_total",
@@ -359,138 +366,6 @@ pub fn hybrid_bfs(
         .add(w.switches as f64);
     }
     w
-}
-
-impl Stored for ColoringWorkload {
-    type Knob = ();
-    const KIND: &'static str = "coloring";
-    fn instrument(p: &Passes, _: ()) -> Self {
-        coloring_from_counts(&p.counts())
-    }
-    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
-        let arrays: [&[Work]; 4] = [
-            &self.tentative,
-            &self.detect,
-            &self.conflict_tentative,
-            &self.conflict_detect,
-        ];
-        (Vec::new(), arrays.to_vec())
-    }
-    fn from_parts((_, arrays): StoredArrays) -> Option<Self> {
-        let [tentative, detect, conflict_tentative, conflict_detect]: [_; 4] =
-            arrays.try_into().ok()?;
-        Some(ColoringWorkload {
-            tentative,
-            detect,
-            conflict_tentative,
-            conflict_detect,
-        })
-    }
-}
-
-/// The `(count, array)` of a one-meta-word, one-array container.
-fn counted_array((meta, arrays): StoredArrays) -> Option<(usize, Arc<Vec<Work>>)> {
-    match (&meta[..], &arrays[..]) {
-        ([count], [array]) => Some((*count as usize, Arc::clone(array))),
-        _ => None,
-    }
-}
-
-impl Stored for IrregularWorkload {
-    type Knob = usize;
-    const KIND: &'static str = "irregular";
-    fn instrument(p: &Passes, iter: usize) -> Self {
-        irregular_from_counts(&p.counts(), iter)
-    }
-    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
-        (vec![self.iter as u64], vec![&self.iter_work])
-    }
-    fn from_parts(parts: StoredArrays) -> Option<Self> {
-        let (iter, iter_work) = counted_array(parts)?;
-        Some(IrregularWorkload { iter_work, iter })
-    }
-}
-
-impl Stored for PagerankWorkload {
-    type Knob = ();
-    const KIND: &'static str = "pagerank";
-    fn instrument(p: &Passes, _: ()) -> Self {
-        let (damping, tol, cap) = (PAGERANK_DAMPING, PAGERANK_TOL, PAGERANK_MAX_ITERS);
-        let (_, iters) = pagerank_seq(&p.graph(), damping, tol, cap);
-        pagerank_from_counts(&p.counts(), iters)
-    }
-    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
-        (vec![self.iters as u64], vec![&self.vertex_work])
-    }
-    fn from_parts(parts: StoredArrays) -> Option<Self> {
-        let (iters, vertex_work) = counted_array(parts)?;
-        Some(PagerankWorkload { vertex_work, iters })
-    }
-}
-
-impl Stored for ComponentsWorkload {
-    type Knob = ();
-    const KIND: &'static str = "components";
-    fn instrument(p: &Passes, _: ()) -> Self {
-        let rounds = components_sync(&p.graph()).rounds;
-        components_from_counts(&p.counts(), rounds)
-    }
-    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
-        (vec![self.rounds as u64], vec![&self.round_work])
-    }
-    fn from_parts(parts: StoredArrays) -> Option<Self> {
-        let (rounds, round_work) = counted_array(parts)?;
-        Some(ComponentsWorkload { round_work, rounds })
-    }
-}
-
-/// One meta word per level (its width); the level count is data-dependent.
-impl Stored for BfsWorkload {
-    type Knob = SimVariant;
-    const KIND: &'static str = "bfs";
-    fn instrument(p: &Passes, v: SimVariant) -> Self {
-        bfs_from_counts(&p.levels(), &p.counts(), v)
-    }
-    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
-        let meta = self.widths.iter().map(|&w| w as u64).collect();
-        (meta, self.level_work.iter().map(|a| a.as_slice()).collect())
-    }
-    fn from_parts((meta, arrays): StoredArrays) -> Option<Self> {
-        (meta.len() == arrays.len()).then(|| BfsWorkload {
-            level_work: arrays,
-            widths: meta.into_iter().map(|w| w as usize).collect(),
-        })
-    }
-}
-
-/// Meta: `[switches, then per region width * 2 + direction bit]`.
-impl Stored for HybridWorkload {
-    type Knob = ();
-    const KIND: &'static str = "hybrid";
-    fn instrument(p: &Passes, _: ()) -> Self {
-        let g = p.graph();
-        instrument_hybrid(&g, table1_source(&g), p.windows, Hybrid::default())
-    }
-    fn to_parts(&self) -> (Vec<u64>, Vec<&[Work]>) {
-        let regions = self.widths.iter().zip(&self.directions);
-        let word = |(&width, &dir)| (width as u64) << 1 | u64::from(dir == Direction::BottomUp);
-        let meta = std::iter::once(self.switches as u64).chain(regions.map(word));
-        let arrays = self.level_work.iter().map(|a| a.as_slice());
-        (meta.collect(), arrays.collect())
-    }
-    fn from_parts((meta, arrays): StoredArrays) -> Option<Self> {
-        let (&switches, regions) = meta.split_first()?;
-        let direction = |m: &u64| match m & 1 {
-            1 => Direction::BottomUp,
-            _ => Direction::TopDown,
-        };
-        (regions.len() == arrays.len()).then(|| HybridWorkload {
-            level_work: arrays,
-            widths: regions.iter().map(|m| (m >> 1) as usize).collect(),
-            directions: regions.iter().map(direction).collect(),
-            switches: switches as usize,
-        })
-    }
 }
 
 /// Drop the in-memory layer and the open store handle, so the next
@@ -579,46 +454,5 @@ mod tests {
         for ((g, a), (h, b)) in suites[0].iter().zip(&suites[1]) {
             assert!(g == h && Arc::ptr_eq(a, b), "{} built twice", g.name());
         }
-    }
-
-    /// Two small arrays and their container. (The store side of the
-    /// durable tier is exercised in `tests/cache_stress.rs`, which owns the
-    /// installed config; unit tests here share it with the whole crate.)
-    fn sample() -> (Vec<Work>, Vec<Work>, Vec<u8>) {
-        let a: Vec<Work> = (0..10)
-            .map(|i| Work {
-                issue: i as f64,
-                dram: 0.5 * i as f64,
-                ..Default::default()
-            })
-            .collect();
-        let b = vec![Work::default(); 3];
-        let container = encode_container(&[7, 9], &[&a, &b]);
-        (a, b, container)
-    }
-
-    #[test]
-    fn disk_roundtrip_preserves_arrays_and_rejects_corruption() {
-        let (a, b, container) = sample();
-        let (meta, arrays) = verify_container(&container).expect("roundtrip");
-        assert_eq!((meta, &*arrays[0], &*arrays[1]), (vec![7, 9], &a, &b));
-        // Every truncation (a torn write) fails the checksum or the parse.
-        for cut in 0..container.len() {
-            assert!(verify_container(&container[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn flipped_payload_byte_is_quarantined_and_recomputed() {
-        let (a, b, container) = sample();
-        // Lengths and header stay plausible, so only the checksum can catch
-        // a flip — at every offset, trailing checksum included.
-        for at in 0..container.len() {
-            let mut flipped = container.clone();
-            flipped[at] ^= 0x10;
-            assert!(verify_container(&flipped).is_err(), "flip at {at} loaded");
-        }
-        // What the caller does next: recompute, re-encode, and that loads.
-        assert!(verify_container(&encode_container(&[7, 9], &[&a, &b])).is_ok());
     }
 }

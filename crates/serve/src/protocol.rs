@@ -630,6 +630,19 @@ mod tests {
         assert!(Kernel::parse("table").is_none());
     }
 
+    /// A JSON-wire client may escape a non-BMP character as a surrogate
+    /// pair; the id it gets back must be the one character it sent.
+    #[test]
+    fn escaped_non_bmp_id_comes_back_intact() {
+        let line = r#"{"id":"r\ud83d\ude00","op":"ping"}"#;
+        let Request::Ping { id } = parse_request(line).unwrap() else {
+            panic!("expected ping");
+        };
+        assert_eq!(id, "r\u{1f600}");
+        let back = parse_response(&Response::Pong { id }.render()).unwrap();
+        assert!(matches!(back, Response::Pong { id } if id == "r\u{1f600}"));
+    }
+
     #[test]
     fn bad_fields_name_the_problem() {
         let err = parse_request(r#"{"id":"q","kernel":"sorting"}"#).unwrap_err();

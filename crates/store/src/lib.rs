@@ -1,9 +1,9 @@
 //! mic-store: a crash-safe, append-only log of immutable values.
 //!
-//! The sweeps in this workspace regenerate hours of instrumented
-//! workload and simulated-result data; the in-RAM caches (wl2 workload
-//! cache, mic-serve's result LRU) vanish on restart. `mic-store` is the
-//! durable tier underneath both. Every value it holds is a deterministic
+//! The sweeps in this workspace regenerate suite graphs and simulated
+//! results; the in-RAM caches (mic-eval's workload cache, mic-serve's
+//! result LRU) vanish on restart. `mic-store` is the durable tier
+//! underneath both. Every value it holds is a deterministic
 //! function of its key and is written once, so the store is one file of
 //! records with
 //!

@@ -217,7 +217,7 @@ impl Store {
     }
 
     /// Open `path`, sharing one `Store` per path within this process —
-    /// the wl2 cache and every serve shard pointing at the same file get
+    /// the workload cache and every serve shard pointing at the same file get
     /// the same handle (the store is single-writer per file). A path that
     /// is already open keeps its first opener's options.
     pub fn open_shared(path: &Path, opts: StoreOpts) -> io::Result<Arc<Store>> {

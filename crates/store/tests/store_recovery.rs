@@ -395,3 +395,62 @@ fn open_fault_surfaces_as_injected_error() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A value whose every byte follows from `tag`, so a value mixing bytes
+/// from two writers fails [`tag_of`] even though all values have one length.
+fn tagged(tag: u64) -> Vec<u8> {
+    let mix = tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let body = (0..1000u64).map(|i| (i.wrapping_mul(31) ^ mix >> (i % 57)) as u8);
+    tag.to_le_bytes().into_iter().chain(body).collect()
+}
+
+/// The tag of `key`'s value, checked to be one writer's complete value;
+/// `None` on a miss.
+fn tag_of(store: &Store, key: &[u8]) -> Option<u64> {
+    let val = store.get(key)?;
+    let tag = u64::from_le_bytes(val[..8].try_into().expect("an 8-byte tag"));
+    assert!(val == tagged(tag), "value mixes two writers");
+    Some(tag)
+}
+
+/// Many threads put and persist one key while a reader polls it: every
+/// value read is one writer's complete value, and what the last persist
+/// left on disk reads back after a reopen as the last put.
+#[test]
+fn concurrent_writers_never_leave_a_torn_file() {
+    let dir = tmp_dir("writers");
+    let path = dir.join("store.log");
+    let store = Store::open(&path, opts()).unwrap();
+    let key = b"stress-key";
+    let (writers, rounds) = (8, 30);
+    let first_put_done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for w in 0..writers {
+            let (store, first_put_done) = (&store, &first_put_done);
+            s.spawn(move || {
+                for r in 0..rounds {
+                    store.put(key, &tagged(w * rounds + r)).unwrap();
+                    store.persist().unwrap();
+                    first_put_done.store(true, Ordering::Release);
+                    // Some writer's value, not necessarily ours.
+                    tag_of(store, key).expect("value must read after any put");
+                }
+            });
+        }
+        s.spawn(|| {
+            let mut seen = 0;
+            while seen < 200 {
+                if first_put_done.load(Ordering::Acquire) {
+                    tag_of(&store, key).expect("reader saw no value");
+                    seen += 1;
+                }
+                std::hint::spin_loop();
+            }
+        });
+    });
+    let last = tag_of(&store, key).expect("final value");
+    drop(store);
+    let reopened = tag_of(&Store::open(&path, opts()).unwrap(), key);
+    assert_eq!(reopened, Some(last), "reopen lost the last put");
+    let _ = std::fs::remove_dir_all(&dir);
+}
