@@ -2,7 +2,7 @@
 //!
 //! These execute the *real* kernels on real threads and time them. On the
 //! paper's hardware this is the measurement path; in this repository it is
-//! the correctness/benchmark path (Criterion benches build on it), while
+//! the correctness/benchmark path (the `native` bin builds on it), while
 //! the scalability figures come from the machine simulator — matching the
 //! paper's own caveat that absolute numbers on a prototype are not
 //! meaningful.

@@ -1,4 +1,9 @@
 //! Edge-accumulating graph builder.
+//!
+//! RMAT, Erdős–Rényi, the stencil grids, the special families, the Matrix
+//! Market and edge-list readers and the tests build through it. The suite's
+//! meshes do not: [`crate::generators::rgg3d_with_avg_degree`] emits each
+//! pair once from its lower id and fills the CSR directly.
 
 use crate::csr::{Csr, VertexId};
 

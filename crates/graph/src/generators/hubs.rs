@@ -8,19 +8,23 @@
 //! window of nearby ids (keeping the extra edges local, as the real
 //! constraints are).
 
-use crate::builder::GraphBuilder;
 use crate::csr::VertexId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Add to `b` the edges that connect `k` evenly spaced vertices to `spokes`
-/// random vertices each, drawn within `window` ids of the hub. The built
-/// graph depends only on the edge set, so grafting before the one build
-/// gives the same graph as rebuilding a finished one with the hubs added.
-pub(crate) fn graft_hubs(b: &mut GraphBuilder, k: usize, spokes: usize, window: usize, seed: u64) {
-    let n = b.num_vertices();
+/// The edges that connect `k` evenly spaced vertices of an `n`-vertex graph
+/// to `spokes` random vertices each, drawn within `window` ids of the hub.
+/// No edge is a self loop; a spoke may repeat, or repeat a mesh edge.
+pub(crate) fn hub_edges(
+    n: usize,
+    k: usize,
+    spokes: usize,
+    window: usize,
+    seed: u64,
+) -> Vec<(VertexId, VertexId)> {
+    let mut edges = Vec::new();
     if n < 2 || k == 0 || spokes == 0 {
-        return;
+        return edges;
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let window = window.max(2).min(n);
@@ -32,19 +36,22 @@ pub(crate) fn graft_hubs(b: &mut GraphBuilder, k: usize, spokes: usize, window: 
         for _ in 0..spokes {
             let v = rng.gen_range(lo as u64..hi as u64) as VertexId;
             if v != hub {
-                b.add_edge(hub, v);
+                edges.push((hub, v));
             }
         }
     }
+    edges
 }
 
 /// The two-pass form: the finished `g`'s edges and the hubs `(k, spokes,
-/// window, seed)` into a second builder. The one-build suite must match it.
+/// window, seed)` into a [`crate::GraphBuilder`]. The one-pass suite must
+/// match it.
 #[cfg(test)]
 pub(crate) fn rebuilt_with_hubs(g: &crate::Csr, hubs: (usize, usize, usize, u64)) -> crate::Csr {
-    let mut b = GraphBuilder::new(g.num_vertices());
+    let n = g.num_vertices();
+    let mut b = crate::GraphBuilder::new(n);
     b.extend(g.edges());
-    graft_hubs(&mut b, hubs.0, hubs.1, hubs.2, hubs.3);
+    b.extend(hub_edges(n, hubs.0, hubs.1, hubs.2, hubs.3));
     b.build()
 }
 

@@ -18,10 +18,10 @@ mod special;
 
 pub use er::erdos_renyi_gnm;
 pub use grid::{grid2d, grid3d, Stencil2, Stencil3};
-pub(crate) use hubs::graft_hubs;
+pub(crate) use hubs::hub_edges;
 #[cfg(test)]
 pub(crate) use hubs::rebuilt_with_hubs;
-pub(crate) use rgg::rgg3d_builder;
+pub(crate) use rgg::rgg3d_with_extra;
 pub use rgg::{rgg3d_with_avg_degree, Box3};
 pub use rmat::{rmat, RmatProbs};
 pub use special::{balanced_binary_tree, complete, cycle, path, star};

@@ -103,7 +103,9 @@ pub struct GapCounts {
 
 impl GapCounts {
     /// The counts of vertex `u` over its neighbours `nbrs`, each mapped into
-    /// `u`'s id space by `id` (the identity in natural order).
+    /// `u`'s id space by `id` (the identity in natural order). The classes
+    /// are counted as "within the L1 window" and "within either window",
+    /// without a branch per neighbour.
     #[inline]
     pub fn of(
         u: VertexId,
@@ -111,27 +113,30 @@ impl GapCounts {
         id: impl Fn(VertexId) -> VertexId,
         w: LocalityWindows,
     ) -> Self {
-        let mut c = GapCounts {
-            deg: nbrs.len() as u32,
-            ..Default::default()
-        };
+        let outer = w.l2_gap.max(w.l1_gap);
+        let (mut near, mut mid) = (0u32, 0u32);
         for &v in nbrs {
-            match gap_class(u, id(v), w) {
-                MemClass::L1 => c.l1 += 1,
-                MemClass::L2 => c.l2 += 1,
-                MemClass::Dram => c.dram += 1,
-            }
+            let gap = (id(v) as i64 - u as i64).unsigned_abs() as usize;
+            near += (gap <= w.l1_gap) as u32;
+            mid += (gap <= outer) as u32;
         }
-        c
+        let deg = nbrs.len() as u32;
+        GapCounts {
+            deg,
+            l1: near,
+            l2: mid - near,
+            dram: deg - mid,
+        }
     }
 }
 
 /// The [`GapCounts`] of every vertex of `g`, indexed by id: the one pass
 /// over the adjacency lists that every vertex-sweep workload is priced
 /// from. With `perm` (`perm[old] = new`) these are the counts of
-/// `g.permute(perm)`, read from `g` itself: new id `i` is old vertex
-/// `inv[i]`, and each of its neighbours `v` counts `gap_class(i, perm[v])`.
-/// `None` is natural order, which needs no identity array.
+/// `g.permute(perm)`, read from `g` itself in storage order: old vertex `u`
+/// is new id `perm[u]`, and each of its neighbours `v` counts
+/// `gap_class(perm[u], perm[v])`. `None` is natural order, which needs no
+/// identity array.
 pub fn gap_counts(g: &Csr, perm: Option<&[VertexId]>, w: LocalityWindows) -> Vec<GapCounts> {
     match perm {
         None => g
@@ -139,12 +144,12 @@ pub fn gap_counts(g: &Csr, perm: Option<&[VertexId]>, w: LocalityWindows) -> Vec
             .map(|u| GapCounts::of(u, g.neighbors(u), |v| v, w))
             .collect(),
         Some(perm) => {
-            let relabel = |v: VertexId| perm[v as usize];
-            let inv = crate::ordering::inverse(perm);
-            inv.iter()
-                .enumerate()
-                .map(|(i, &old)| GapCounts::of(i as VertexId, g.neighbors(old), relabel, w))
-                .collect()
+            assert_eq!(perm.len(), g.num_vertices());
+            let mut out = vec![GapCounts::default(); perm.len()];
+            for (u, &i) in g.vertices().zip(perm) {
+                out[i as usize] = GapCounts::of(i, g.neighbors(u), |v| perm[v as usize], w);
+            }
+            out
         }
     }
 }

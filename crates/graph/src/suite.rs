@@ -14,8 +14,7 @@
 //! experiment drivers instead.
 
 use crate::csr::Csr;
-use crate::generators::{graft_hubs, rgg3d_builder, rmat, Box3, RmatProbs};
-use crate::GraphBuilder;
+use crate::generators::{hub_edges, rgg3d_with_extra, rmat, Box3, RmatProbs};
 
 /// One of the paper's seven test graphs, or one of the scale-free RMAT
 /// companions added for the kernels the paper's suite cannot stress
@@ -291,23 +290,32 @@ pub fn num_vertices(g: PaperGraph, scale: Scale) -> usize {
     1 << (63 - (target as u64).leading_zeros()).clamp(6, RMAT_FULL_SCALE)
 }
 
-/// Build the calibrated stand-in for `g` at the given scale: the RGG and
-/// its hubs go into one builder, which builds once.
+/// Build the calibrated stand-in for `g` at the given scale: the RGG with
+/// its hubs merged in, in one by-source build.
 ///
 /// Deterministic for a given `(g, scale)`.
 pub fn build(g: PaperGraph, scale: Scale) -> Csr {
     if g.is_scale_free() {
         return build_scale_free(g, scale);
     }
-    let (mut b, hubs) = mesh(g, scale);
-    if let Some((k, spokes, window, seed)) = hubs {
-        graft_hubs(&mut b, k, spokes, window, seed);
-    }
-    b.build()
+    let m = mesh(g, scale);
+    let extra = m.hubs.map_or_else(Vec::new, |(k, spokes, window, seed)| {
+        hub_edges(m.n, k, spokes, window, seed)
+    });
+    rgg3d_with_extra(m.n, m.bounds, m.deg, m.seed, extra)
 }
 
-/// A mesh graph's RGG edges, and its `graft_hubs` arguments if it has hubs.
-fn mesh(g: PaperGraph, scale: Scale) -> (GraphBuilder, Option<(usize, usize, usize, u64)>) {
+/// A mesh graph's RGG parameters, and its `hub_edges` arguments if it has
+/// hubs.
+struct Mesh {
+    n: usize,
+    bounds: Box3,
+    deg: f64,
+    seed: u64,
+    hubs: Option<(usize, usize, usize, u64)>,
+}
+
+fn mesh(g: PaperGraph, scale: Scale) -> Mesh {
     let row = paper_row(g);
     let n = scale.apply(row.vertices);
     let d = 2.0 * row.edges as f64 / row.vertices as f64;
@@ -318,7 +326,6 @@ fn mesh(g: PaperGraph, scale: Scale) -> (GraphBuilder, Option<(usize, usize, usi
         .round()
         .max(3.0) as usize;
     let aspect = solve_aspect(n, d, level_target, rec.level_fudge);
-    let rgg = rgg3d_builder(n, Box3::new(aspect, 1.0, 1.0), d * rec.deg_fudge, rec.seed);
     // Scale hub spokes/window with the instance so small instances stay
     // mesh-like.
     let hubs = rec.hubs.map(|(k, spokes, window)| {
@@ -327,7 +334,13 @@ fn mesh(g: PaperGraph, scale: Scale) -> (GraphBuilder, Option<(usize, usize, usi
         let window = ((window as f64 * f).round() as usize).clamp(16, window);
         (k, spokes, window, rec.seed ^ 0x5EED)
     });
-    (rgg, hubs)
+    Mesh {
+        n,
+        bounds: Box3::new(aspect, 1.0, 1.0),
+        deg: d * rec.deg_fudge,
+        seed: rec.seed,
+        hubs,
+    }
 }
 
 /// Degree-distribution summary for sanity-checking the scale-free family
@@ -376,7 +389,7 @@ pub fn degree_profile(g: &Csr) -> DegreeProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::rebuilt_with_hubs;
+    use crate::generators::{rebuilt_with_hubs, rgg3d_with_avg_degree};
 
     #[test]
     fn table_is_consistent() {
@@ -488,8 +501,9 @@ mod tests {
         // The two-pass build: the RGG as a finished `Csr`, rebuilt with hubs.
         let scale = Scale::Fraction(64);
         for g in [PaperGraph::Bmw32, PaperGraph::Inline1, PaperGraph::Pwtk] {
-            let (rgg, hubs) = mesh(g, scale);
-            let reference = rebuilt_with_hubs(&rgg.build(), hubs.expect("a hub graph"));
+            let m = mesh(g, scale);
+            let rgg = rgg3d_with_avg_degree(m.n, m.bounds, m.deg, m.seed);
+            let reference = rebuilt_with_hubs(&rgg, m.hubs.expect("a hub graph"));
             assert_eq!(build(g, scale), reference, "{}", g.name());
         }
     }

@@ -2,7 +2,9 @@
 
 use mic_graph::generators::erdos_renyi_gnm;
 use mic_graph::ordering::{apply, permutation, Ordering};
-use mic_graph::stats::{connected_components, stats};
+use mic_graph::stats::{
+    connected_components, gap_class, gap_counts, stats, GapCounts, LocalityWindows, MemClass,
+};
 use mic_graph::{Csr, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
@@ -87,6 +89,38 @@ proptest! {
         mic_graph::io::write_matrix_market(&g, &mut buf).unwrap();
         let h = mic_graph::io::read_matrix_market(&buf[..]).unwrap();
         prop_assert_eq!(g, h);
+    }
+
+    #[test]
+    fn ordered_gap_counts_equal_the_permuted_graphs(
+        g in arb_graph(),
+        ord in arb_ordering(),
+        l1_gap in 0usize..70,
+        l2_gap in 0usize..70,
+    ) {
+        let perm = permutation(&g, ord);
+        let h = g.permute(&perm);
+        let windows = [
+            LocalityWindows { l1_gap, l2_gap },
+            LocalityWindows { l1_gap, l2_gap: l1_gap },
+            LocalityWindows { l1_gap: 0, l2_gap: 0 },
+        ];
+        for w in windows {
+            let got = gap_counts(&g, Some(&perm), w);
+            prop_assert_eq!(&got, &gap_counts(&h, None, w));
+            // Against the per-edge classifier, one neighbour at a time.
+            for i in h.vertices() {
+                let mut c = GapCounts { deg: h.degree(i) as u32, ..Default::default() };
+                for &v in h.neighbors(i) {
+                    match gap_class(i, v, w) {
+                        MemClass::L1 => c.l1 += 1,
+                        MemClass::L2 => c.l2 += 1,
+                        MemClass::Dram => c.dram += 1,
+                    }
+                }
+                prop_assert_eq!(got[i as usize], c);
+            }
+        }
     }
 
     #[test]
