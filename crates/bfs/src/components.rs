@@ -13,7 +13,7 @@
 use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
 use mic_graph::{Csr, VertexId};
 use mic_runtime::{RuntimeModel, ThreadPool};
-use mic_sim::{Policy, Region, Work};
+use mic_sim::{Costs, Pick, Policy, Region, Work};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -90,36 +90,55 @@ pub fn components_sync(g: &Csr) -> Components {
 /// is no warm-cache discount as in the irregular kernel's `iter` knob).
 #[derive(Clone)]
 pub struct ComponentsWorkload {
-    pub round_work: Arc<Vec<Work>>,
+    pub round_work: Costs,
     pub rounds: usize,
 }
 
 /// Build the components workload from a native [`components_sync`] run.
 pub fn instrument_components(g: &Csr, windows: LocalityWindows) -> ComponentsWorkload {
     let rounds = components_sync(g).rounds;
-    components_from_counts(&gap_counts(g, None, windows), rounds)
+    components_from_counts(Arc::new(gap_counts(g, None, windows)), rounds)
 }
 
 /// The workload of `rounds` label-propagation rounds (the native run's
 /// count), priced from the [`GapCounts`] of every vertex, indexed by id.
-pub fn components_from_counts(counts: &[GapCounts], rounds: usize) -> ComponentsWorkload {
+pub fn components_from_counts(counts: Arc<Vec<GapCounts>>, rounds: usize) -> ComponentsWorkload {
+    ComponentsWorkload {
+        round_work: Costs::priced(counts, Pick::All, round_work),
+        rounds,
+    }
+}
+
+fn round_work(c: &GapCounts) -> Work {
+    let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+    Work {
+        // Own-label load, per-neighbor load+min+branch, one store.
+        issue: 6.0 + 3.0 * deg,
+        l1: l1 + 1.0,
+        l2: l2 + deg / 16.0, // prefetched adjacency stream
+        dram,
+        flops: 0.0,
+        atomics: 0.0,
+    }
+}
+
+/// The per-round array, built by an explicit loop: the bit-identity
+/// reference for the handle.
+#[cfg(test)]
+fn reference_round_work(counts: &[GapCounts]) -> Vec<Work> {
     let mut work = Vec::with_capacity(counts.len());
     for c in counts {
         let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
         work.push(Work {
-            // Own-label load, per-neighbor load+min+branch, one store.
             issue: 6.0 + 3.0 * deg,
             l1: l1 + 1.0,
-            l2: l2 + deg / 16.0, // prefetched adjacency stream
+            l2: l2 + deg / 16.0,
             dram,
             flops: 0.0,
             atomics: 0.0,
         });
     }
-    ComponentsWorkload {
-        round_work: Arc::new(work),
-        rounds,
-    }
+    work
 }
 
 impl ComponentsWorkload {
@@ -128,7 +147,7 @@ impl ComponentsWorkload {
     pub fn regions(&self, policy: Policy) -> Vec<Region> {
         (0..self.rounds)
             .map(|_| {
-                Region::shared(Arc::clone(&self.round_work), policy).with_serial_pre(Work {
+                Region::shared(self.round_work.clone(), policy).with_serial_pre(Work {
                     issue: 130.0,
                     l1: 6.0,
                     ..Default::default()
@@ -314,12 +333,45 @@ mod tests {
         let w = instrument_components(&g, LocalityWindows::default());
         assert_eq!(w.rounds, components_sync(&g).rounds);
         assert_eq!(w.round_work.len(), g.num_vertices());
-        assert!(w.round_work.iter().all(|x| x.is_valid()));
+        assert!(w.round_work.to_vec().iter().all(|x| x.is_valid()));
         let regions = w.regions(mic_sim::Policy::OmpDynamic { chunk: 64 });
         assert_eq!(regions.len(), w.rounds);
         // Scale-free graphs converge in a handful of rounds — that is what
         // makes the kernel simulable at paper scale.
         assert!(w.rounds < 20, "rounds {}", w.rounds);
+    }
+
+    /// The round handle, and the prefix a region builds from it, equals the
+    /// reference array bit for bit, in natural, random and Cuthill–McKee
+    /// order.
+    #[test]
+    fn round_handle_matches_the_reference_array_bit_for_bit() {
+        use mic_graph::generators::{rmat, RmatProbs};
+        use mic_graph::ordering::{apply, Ordering};
+        let bits = |ws: &[Work]| -> Vec<[u64; 6]> {
+            ws.iter()
+                .map(|w| [w.issue, w.l1, w.l2, w.dram, w.flops, w.atomics].map(f64::to_bits))
+                .collect()
+        };
+        let g = rmat(10, 8, RmatProbs::graph500(), 3);
+        for order in [
+            Ordering::Natural,
+            Ordering::Random { seed: 3 },
+            Ordering::CuthillMcKee { source: 0 },
+        ] {
+            let (h, _) = apply(&g, order);
+            let counts = gap_counts(&h, None, LocalityWindows::default());
+            let got = components_from_counts(Arc::new(counts.clone()), 1).round_work;
+            let want = reference_round_work(&counts);
+            assert_eq!(bits(&got.to_vec()), bits(&want), "{order:?}");
+            let policy = Policy::OmpDynamic { chunk: 64 };
+            let (got, want) = (Region::shared(got, policy), Region::new(want, policy));
+            assert_eq!(
+                bits(got.prefix_sums()),
+                bits(want.prefix_sums()),
+                "{order:?} prefix"
+            );
+        }
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! included here because the paper's queue structures are exactly the
 //! machinery a hybrid traversal needs on the top-down steps.
 
-use crate::seq::BfsResult;
+use crate::seq::{BfsResult, LevelOrder};
 use crate::UNREACHED;
-use mic_graph::stats::{gap_class, GapCounts, LocalityWindows, MemClass};
+use mic_graph::stats::{gap_class, gap_counts, LocalityWindows, MemClass};
 use mic_graph::{Csr, VertexId};
-use mic_sim::{Policy, Region, Work};
+use mic_sim::{Costs, Pick, Policy, Region, Work};
 use std::sync::Arc;
 
 /// Traversal direction of one executed BFS level.
@@ -265,12 +265,14 @@ pub fn parallel_hybrid_bfs(
 /// processed frontier, in the direction the native heuristic chose.
 #[derive(Clone)]
 pub struct HybridWorkload {
-    /// Per-region work arrays. Top-down regions cover the frontier
-    /// vertices; bottom-up regions cover the *unvisited candidates* the
-    /// scan walks (the visited-skip is a bitmap test the model folds into
-    /// the candidates' issue cost).
-    pub level_work: Vec<Arc<Vec<Work>>>,
-    /// Work-array length per region.
+    /// Per-region costs. Top-down regions cover the frontier vertices, a
+    /// handle over that level of the by-level order priced from the shared
+    /// counts; bottom-up regions cover the *unvisited candidates* the scan
+    /// walks (the visited-skip is a bitmap test the model folds into the
+    /// candidates' issue cost), an explicit array, since each candidate's
+    /// cost depends on where its early-exit scan stops.
+    pub level_work: Vec<Costs>,
+    /// Iterations per region.
     pub widths: Vec<usize>,
     /// Direction per region, from the native run.
     pub directions: Vec<Direction>,
@@ -294,7 +296,8 @@ pub fn instrument_hybrid(
 
     let r = hybrid_bfs_stats(g, source, h);
     let levels = &r.bfs.levels;
-    let by_level = crate::seq::vertices_by_level(levels);
+    let by_level = LevelOrder::of(levels);
+    let counts = Arc::new(gap_counts(g, None, windows));
     let n = g.num_vertices();
     let block = SimVariant::Block {
         block: 32,
@@ -303,36 +306,69 @@ pub fn instrument_hybrid(
 
     // Unvisited candidates at the start of each processed level: vertices
     // whose final level is >= the level being discovered, or unreached.
-    let mut level_work = Vec::with_capacity(r.directions.len());
-    for (i, &dir) in r.directions.iter().enumerate() {
-        let work: Vec<Work> = match dir {
-            Direction::TopDown => by_level[i]
-                .iter()
-                .map(|&v| {
-                    let c = GapCounts::of(v, g.neighbors(v), |x| x, windows);
-                    vertex_work(c, block)
-                })
-                .collect(),
+    let ranges: Vec<_> = by_level.levels().collect();
+    let level_work: Vec<Costs> = r
+        .directions
+        .iter()
+        .enumerate()
+        .map(|(i, &dir)| match dir {
+            Direction::TopDown => {
+                let pick = Pick::Listed(Arc::clone(&by_level.order), ranges[i].clone());
+                Costs::priced(Arc::clone(&counts), pick, move |c| vertex_work(*c, block))
+            }
             Direction::BottomUp => {
                 let discover_level = i as u32 + 1;
-                (0..n as VertexId)
+                let work: Vec<Work> = (0..n as VertexId)
                     .filter(|&v| {
                         let l = levels[v as usize];
                         l == UNREACHED || l >= discover_level
                     })
                     .map(|v| bottom_up_work(g, v, levels, discover_level, windows))
-                    .collect()
+                    .collect();
+                Costs::from(Arc::new(work))
             }
-        };
-        level_work.push(Arc::new(work));
-    }
-    let widths = level_work.iter().map(|w| w.len()).collect();
+        })
+        .collect();
+    let widths = level_work.iter().map(Costs::len).collect();
     HybridWorkload {
         level_work,
         widths,
         directions: r.directions,
         switches: r.switches,
     }
+}
+
+/// The top-down level arrays, built by an explicit loop (`None` for a
+/// bottom-up level): the bit-identity reference for the level handles.
+#[cfg(test)]
+fn reference_top_down(
+    g: &Csr,
+    source: VertexId,
+    windows: LocalityWindows,
+) -> Vec<Option<Vec<Work>>> {
+    use crate::instrument::{vertex_work, SimVariant};
+    let r = hybrid_bfs_stats(g, source, Hybrid::default());
+    let by_level = LevelOrder::of(&r.bfs.levels);
+    let block = SimVariant::Block {
+        block: 32,
+        relaxed: true,
+    };
+    let ranges: Vec<_> = by_level.levels().collect();
+    r.directions
+        .iter()
+        .enumerate()
+        .map(|(i, &dir)| {
+            (dir == Direction::TopDown).then(|| {
+                by_level.order[ranges[i].clone()]
+                    .iter()
+                    .map(|&v| {
+                        let c = mic_graph::stats::GapCounts::of(v, g.neighbors(v), |x| x, windows);
+                        vertex_work(c, block)
+                    })
+                    .collect()
+            })
+        })
+        .collect()
 }
 
 /// Cost of one bottom-up candidate: probe neighbors in order until one
@@ -382,7 +418,7 @@ impl HybridWorkload {
         self.level_work
             .iter()
             .map(|lw| {
-                Region::shared(Arc::clone(lw), policy).with_serial_pre(Work {
+                Region::shared(lw.clone(), policy).with_serial_pre(Work {
                     issue: 140.0,
                     l1: 6.0,
                     ..Default::default()
@@ -493,12 +529,12 @@ mod tests {
         assert!(w
             .level_work
             .iter()
-            .flat_map(|l| l.iter())
+            .flat_map(|l| l.to_vec())
             .all(|x| x.is_valid()));
         // Bit-identical on a second native run.
         let w2 = instrument_hybrid(&g, 0, win, Hybrid::default());
         for (a, b) in w.level_work.iter().zip(&w2.level_work) {
-            assert_eq!(a.as_slice(), b.as_slice());
+            assert_eq!(a.to_vec(), b.to_vec());
         }
         // Bottom-up regions cover the unvisited tail, which on a
         // low-diameter RMAT dwarfs the corresponding frontier width.
@@ -508,6 +544,45 @@ mod tests {
             .position(|&d| d == Direction::BottomUp)
             .unwrap();
         assert!(w.widths[first_bu] > 0);
+    }
+
+    /// Every top-down level handle, and the prefix a region builds from
+    /// it, equals the reference array bit for bit, in natural, random and
+    /// Cuthill–McKee order.
+    #[test]
+    fn top_down_handles_match_the_reference_arrays_bit_for_bit() {
+        use mic_graph::ordering::{apply, Ordering};
+        use mic_graph::stats::LocalityWindows;
+        let bits = |ws: &[Work]| -> Vec<[u64; 6]> {
+            ws.iter()
+                .map(|w| [w.issue, w.l1, w.l2, w.dram, w.flops, w.atomics].map(f64::to_bits))
+                .collect()
+        };
+        let g = rmat(11, 16, RmatProbs::graph500(), 7);
+        let win = LocalityWindows::default();
+        for order in [
+            Ordering::Natural,
+            Ordering::Random { seed: 3 },
+            Ordering::CuthillMcKee { source: 0 },
+        ] {
+            // Natural vertex 0, where the switch fires, under its new id.
+            let (h, perm) = apply(&g, order);
+            let got = instrument_hybrid(&h, perm[0], win, Hybrid::default());
+            let want = reference_top_down(&h, perm[0], win);
+            assert_eq!(got.level_work.len(), want.len());
+            assert!(want.iter().any(Option::is_some) && want.iter().any(Option::is_none));
+            let policy = Policy::OmpDynamic { chunk: 64 };
+            for (l, (got, want)) in got.level_work.iter().zip(want).enumerate() {
+                let Some(want) = want else { continue };
+                let what = format!("{order:?} level {l}");
+                assert_eq!(bits(&got.to_vec()), bits(&want), "{what}");
+                let (got, want) = (
+                    Region::shared(got.clone(), policy),
+                    Region::new(want, policy),
+                );
+                assert_eq!(bits(got.prefix_sums()), bits(want.prefix_sums()), "{what}");
+            }
+        }
     }
 
     #[test]

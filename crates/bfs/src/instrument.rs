@@ -4,8 +4,9 @@
 //! A sequential BFS gives the exact level structure; each level becomes one
 //! simulated parallel region over its vertices (in ascending id order),
 //! followed by the implicit barrier the engine charges per region. Each
-//! vertex is priced from its [`GapCounts`], so a workload needs only the
-//! level array and the counts array, and several variants can share both.
+//! vertex is priced from its [`GapCounts`], so a workload is one cost
+//! handle per level over the by-level vertex order and the counts array,
+//! and several variants share both.
 //! The per-vertex costs differ by frontier structure:
 //!
 //! - **Block**: slot read + sentinel check, neighbor level reads (hit class
@@ -16,10 +17,10 @@
 //! - **TLS**: a CAS per discovered vertex plus the per-level merge of the
 //!   thread-local queues into the global one (extra copy traffic).
 
-use crate::seq::{bfs, vertices_by_level};
+use crate::seq::{bfs, LevelOrder};
 use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
 use mic_graph::{Csr, VertexId};
-use mic_sim::{Policy, Region, Work};
+use mic_sim::{Costs, Pick, Policy, Region, Work};
 use std::sync::Arc;
 
 /// Which implementation the workload models.
@@ -49,9 +50,10 @@ impl SimVariant {
 /// Simulator-facing workload of one BFS execution.
 #[derive(Clone)]
 pub struct BfsWorkload {
-    /// One per-vertex work array per level (level 1 onward; level 0 is the
-    /// source alone and is folded into the first region).
-    pub level_work: Vec<Arc<Vec<Work>>>,
+    /// One cost handle per level (level 1 onward; level 0 is the source
+    /// alone and is folded into the first region): that level's range of
+    /// the by-level vertex order, priced from the shared counts.
+    pub level_work: Vec<Costs>,
     /// Level widths `x_l`, the analytic model's input.
     pub widths: Vec<usize>,
 }
@@ -63,30 +65,31 @@ pub fn instrument(
     windows: LocalityWindows,
     variant: SimVariant,
 ) -> BfsWorkload {
-    let levels = bfs(g, source).levels;
-    instrument_with(&levels, &gap_counts(g, None, windows), variant)
+    let order = LevelOrder::of(&bfs(g, source).levels);
+    instrument_with(&order, Arc::new(gap_counts(g, None, windows)), variant)
 }
 
-/// The workload under `variant` of a BFS that reached each vertex at
-/// `levels[v]` ([`crate::UNREACHED`] if never), priced from the
-/// [`GapCounts`] of every vertex, indexed by id. A level's region lists its
-/// vertices in ascending id order, so only the levels (distances from the
-/// source) and the counts matter, not the order inside adjacency lists.
-pub fn instrument_with(levels: &[u32], counts: &[GapCounts], variant: SimVariant) -> BfsWorkload {
-    let by_level = vertices_by_level(levels);
-    let widths: Vec<usize> = by_level.iter().map(|l| l.len()).collect();
-    let level_work: Vec<Arc<Vec<Work>>> = by_level
-        .iter()
-        .map(|verts| {
-            Arc::new(
-                verts
-                    .iter()
-                    .map(|&v| vertex_work(counts[v as usize], variant))
-                    .collect(),
-            )
+/// The workload under `variant` of a BFS whose vertices, level by level,
+/// are `order`, priced from the [`GapCounts`] of every vertex, indexed by
+/// id. A level's region lists its vertices in ascending id order, so only
+/// the levels (distances from the source) and the counts matter, not the
+/// order inside adjacency lists. Every level shares `order` and `counts`.
+pub fn instrument_with(
+    order: &LevelOrder,
+    counts: Arc<Vec<GapCounts>>,
+    variant: SimVariant,
+) -> BfsWorkload {
+    let level_work = order
+        .levels()
+        .map(|r| {
+            let pick = Pick::Listed(Arc::clone(&order.order), r);
+            Costs::priced(Arc::clone(&counts), pick, move |c| vertex_work(*c, variant))
         })
         .collect();
-    BfsWorkload { level_work, widths }
+    BfsWorkload {
+        level_work,
+        widths: order.widths.clone(),
+    }
 }
 
 pub(crate) fn vertex_work(c: GapCounts, variant: SimVariant) -> Work {
@@ -136,6 +139,31 @@ pub(crate) fn vertex_work(c: GapCounts, variant: SimVariant) -> Work {
     w
 }
 
+/// The per-level arrays, built by an explicit loop: the bit-identity
+/// reference for the level handles.
+#[cfg(test)]
+pub(crate) fn reference_levels(
+    levels: &[u32],
+    counts: &[GapCounts],
+    variant: SimVariant,
+) -> Vec<Vec<Work>> {
+    let mut by_level: Vec<Vec<VertexId>> = vec![Vec::new(); crate::seq::level_widths(levels).len()];
+    for (v, &l) in levels.iter().enumerate() {
+        if l != crate::UNREACHED {
+            by_level[l as usize].push(v as VertexId);
+        }
+    }
+    by_level
+        .iter()
+        .map(|verts| {
+            verts
+                .iter()
+                .map(|&v| vertex_work(counts[v as usize], variant))
+                .collect()
+        })
+        .collect()
+}
+
 impl BfsWorkload {
     /// The region sequence (one per level) under `policy`. Each region
     /// carries a small serial prefix for the queue swap / level
@@ -144,7 +172,7 @@ impl BfsWorkload {
         self.level_work
             .iter()
             .map(|lw| {
-                Region::shared(Arc::clone(lw), policy).with_serial_pre(Work {
+                Region::shared(lw.clone(), policy).with_serial_pre(Work {
                     issue: 120.0,
                     l1: 6.0,
                     ..Default::default()
@@ -172,6 +200,56 @@ mod tests {
 
     fn mesh() -> Csr {
         rgg3d_with_avg_degree(6000, Box3::new(10.0, 1.0, 1.0), 14.0, 3)
+    }
+
+    /// Every level handle under Block (relaxed and locked), Bag and Tls,
+    /// and the prefix a region builds from it, equals the reference arrays
+    /// bit for bit, in natural, random and Cuthill–McKee order.
+    #[test]
+    fn level_handles_match_the_reference_arrays_bit_for_bit() {
+        use mic_graph::ordering::{apply, Ordering};
+        let bits = |ws: &[Work]| -> Vec<[u64; 6]> {
+            ws.iter()
+                .map(|w| [w.issue, w.l1, w.l2, w.dram, w.flops, w.atomics].map(f64::to_bits))
+                .collect()
+        };
+        let g = mesh();
+        for order in [
+            Ordering::Natural,
+            Ordering::Random { seed: 3 },
+            Ordering::CuthillMcKee { source: 0 },
+        ] {
+            let (h, _) = apply(&g, order);
+            let levels = bfs(&h, (h.num_vertices() / 2) as u32).levels;
+            let counts = gap_counts(&h, None, LocalityWindows::default());
+            let level_order = LevelOrder::of(&levels);
+            for variant in [
+                SimVariant::Block {
+                    block: 32,
+                    relaxed: true,
+                },
+                SimVariant::Block {
+                    block: 32,
+                    relaxed: false,
+                },
+                SimVariant::Bag { grain: 64 },
+                SimVariant::Tls,
+            ] {
+                let got = instrument_with(&level_order, Arc::new(counts.clone()), variant);
+                let want = reference_levels(&levels, &counts, variant);
+                assert_eq!(got.level_work.len(), want.len());
+                let policy = Policy::OmpDynamic { chunk: 32 };
+                for (l, (got, want)) in got.level_work.iter().zip(want).enumerate() {
+                    let what = format!("{order:?} {variant:?} level {l}");
+                    assert_eq!(bits(&got.to_vec()), bits(&want), "{what}");
+                    let (got, want) = (
+                        Region::shared(got.clone(), policy),
+                        Region::new(want, policy),
+                    );
+                    assert_eq!(bits(got.prefix_sums()), bits(want.prefix_sums()), "{what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -204,7 +282,7 @@ mod tests {
         let sum = |w: &BfsWorkload| -> f64 {
             w.level_work
                 .iter()
-                .flat_map(|l| l.iter())
+                .flat_map(|l| l.to_vec())
                 .map(|x| x.issue + x.dram * 50.0)
                 .sum()
         };
@@ -224,7 +302,7 @@ mod tests {
             )
             .level_work
             .iter()
-            .flat_map(|l| l.iter())
+            .flat_map(|l| l.to_vec())
             .map(|w| w.atomics)
             .sum()
         };

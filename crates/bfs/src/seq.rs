@@ -3,6 +3,8 @@
 use crate::UNREACHED;
 use mic_graph::{Csr, VertexId};
 use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Result of a BFS: per-vertex levels (source = 0, unreached =
 /// [`UNREACHED`]) and the number of levels.
@@ -55,7 +57,7 @@ pub fn level_widths(levels: &[u32]) -> Vec<usize> {
 
 /// Vertices of the source's component grouped by level, in level order —
 /// the visit order used by the simulator instrumentation.
-pub(crate) fn vertices_by_level(levels: &[u32]) -> Vec<Vec<VertexId>> {
+fn vertices_by_level(levels: &[u32]) -> Vec<Vec<VertexId>> {
     let widths = level_widths(levels);
     let mut by_level: Vec<Vec<VertexId>> = widths.iter().map(|&w| Vec::with_capacity(w)).collect();
     for (v, &l) in levels.iter().enumerate() {
@@ -64,6 +66,36 @@ pub(crate) fn vertices_by_level(levels: &[u32]) -> Vec<Vec<VertexId>> {
         }
     }
     by_level
+}
+
+/// [`vertices_by_level`] as one flat array, shared by every workload priced
+/// over it, and the level widths `x_l` that cut it into levels.
+#[derive(Clone, Debug)]
+pub struct LevelOrder {
+    pub order: Arc<[VertexId]>,
+    pub widths: Vec<usize>,
+}
+
+impl LevelOrder {
+    /// The order of a BFS that reached each vertex at `levels[v]`
+    /// ([`UNREACHED`] if never).
+    pub fn of(levels: &[u32]) -> LevelOrder {
+        let by_level = vertices_by_level(levels);
+        let widths = by_level.iter().map(Vec::len).collect();
+        LevelOrder {
+            order: by_level.concat().into(),
+            widths,
+        }
+    }
+
+    /// The index range of each level in `order`, in level order.
+    pub fn levels(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.widths.iter().scan(0, |start, &w| {
+            let r = *start..*start + w;
+            *start += w;
+            Some(r)
+        })
+    }
 }
 
 /// The paper's Table I convention: BFS from vertex `|V| / 2`.
@@ -137,11 +169,13 @@ mod tests {
     fn vertices_by_level_partitions() {
         let g = grid2d(8, 8, Stencil2::FivePoint);
         let r = bfs(&g, 0);
-        let by = vertices_by_level(&r.levels);
-        let total: usize = by.iter().map(|l| l.len()).sum();
-        assert_eq!(total, 64);
-        for (l, vs) in by.iter().enumerate() {
+        let by = LevelOrder::of(&r.levels);
+        assert_eq!(by.order.len(), 64);
+        assert_eq!(by.widths.len() as u32, r.num_levels);
+        for (l, range) in by.levels().enumerate() {
+            let vs = &by.order[range];
             assert!(vs.iter().all(|&v| r.levels[v as usize] == l as u32));
+            assert!(vs.windows(2).all(|p| p[0] < p[1]), "level {l} ascends");
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
 use mic_graph::Csr;
-use mic_sim::{Policy, Region, Work};
+use mic_sim::{Costs, Pick, Policy, Region, Work};
 use std::sync::Arc;
 
 /// Issue ops per vertex outside the neighbor loop (queue read, color
@@ -30,28 +30,67 @@ const EDGE_STREAM_L2: f64 = 1.0 / 16.0;
 /// conflict counts far below 1%).
 const CONFLICT_SAMPLE: usize = 1024;
 
-/// The simulator-facing workload of one iterative-coloring execution.
+/// The simulator-facing workload of one iterative-coloring execution: four
+/// cost handles over one shared [`GapCounts`] array.
 #[derive(Clone)]
 pub struct ColoringWorkload {
     /// Per-vertex cost of the tentative-coloring sweep.
-    pub tentative: Arc<Vec<Work>>,
+    pub tentative: Costs,
     /// Per-vertex cost of the conflict-detection sweep.
-    pub detect: Arc<Vec<Work>>,
+    pub detect: Costs,
     /// Sampled conflict-round costs (both sweeps over the sample).
-    pub conflict_tentative: Arc<Vec<Work>>,
-    pub conflict_detect: Arc<Vec<Work>>,
+    pub conflict_tentative: Costs,
+    pub conflict_detect: Costs,
 }
 
 /// Build the workload for `g` with the given locality windows.
 pub fn instrument(g: &Csr, windows: LocalityWindows) -> ColoringWorkload {
-    from_counts(&gap_counts(g, None, windows))
+    from_counts(Arc::new(gap_counts(g, None, windows)))
 }
 
 /// The workload priced from the [`GapCounts`] of every vertex, indexed by
 /// id. Costs are degrees and gap counts only, so the counts of a relabelled
 /// graph (`gap_counts(g, Some(perm), ..)`) price that graph's workload bit
-/// for bit without building it.
-pub fn from_counts(counts: &[GapCounts]) -> ColoringWorkload {
+/// for bit without building it. The handles share `counts`; each vertex's
+/// `Work` is computed only while a region's prefix is built.
+pub fn from_counts(counts: Arc<Vec<GapCounts>>) -> ColoringWorkload {
+    let sample = Pick::Stride(CONFLICT_SAMPLE);
+    ColoringWorkload {
+        tentative: Costs::priced(Arc::clone(&counts), Pick::All, tentative),
+        detect: Costs::priced(Arc::clone(&counts), Pick::All, detect),
+        conflict_tentative: Costs::priced(Arc::clone(&counts), sample.clone(), tentative),
+        conflict_detect: Costs::priced(counts, sample, detect),
+    }
+}
+
+fn tentative(c: &GapCounts) -> Work {
+    let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+    Work {
+        issue: VERTEX_ISSUE + EDGE_ISSUE * deg,
+        l1: l1 + EDGE_L1 * deg,
+        l2: l2 + EDGE_STREAM_L2 * deg,
+        dram,
+        flops: 0.0,
+        atomics: 0.0,
+    }
+}
+
+fn detect(c: &GapCounts) -> Work {
+    let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+    Work {
+        issue: 6.0 + 3.0 * deg,
+        l1: l1 + 1.0, // neighbor colors re-read; own color cached
+        l2: l2 + EDGE_STREAM_L2 * deg,
+        dram,
+        flops: 0.0,
+        atomics: 0.0,
+    }
+}
+
+/// The four arrays, built by an explicit loop: the bit-identity reference
+/// for the handles.
+#[cfg(test)]
+pub(crate) fn reference_arrays(counts: &[GapCounts]) -> [Vec<Work>; 4] {
     let mut tentative = Vec::with_capacity(counts.len());
     let mut detect = Vec::with_capacity(counts.len());
     for c in counts {
@@ -66,7 +105,7 @@ pub fn from_counts(counts: &[GapCounts]) -> ColoringWorkload {
         });
         detect.push(Work {
             issue: 6.0 + 3.0 * deg,
-            l1: l1 + 1.0, // neighbor colors re-read; own color cached
+            l1: l1 + 1.0,
             l2: l2 + EDGE_STREAM_L2 * deg,
             dram,
             flops: 0.0,
@@ -75,12 +114,8 @@ pub fn from_counts(counts: &[GapCounts]) -> ColoringWorkload {
     }
     let sample =
         |src: &[Work]| -> Vec<Work> { src.iter().step_by(CONFLICT_SAMPLE).copied().collect() };
-    ColoringWorkload {
-        conflict_tentative: Arc::new(sample(&tentative)),
-        conflict_detect: Arc::new(sample(&detect)),
-        tentative: Arc::new(tentative),
-        detect: Arc::new(detect),
-    }
+    let (conflict_tentative, conflict_detect) = (sample(&tentative), sample(&detect));
+    [tentative, detect, conflict_tentative, conflict_detect]
 }
 
 impl ColoringWorkload {
@@ -89,10 +124,10 @@ impl ColoringWorkload {
     /// over the sample, each sweep a separate parallel region.
     pub fn regions(&self, policy: Policy) -> Vec<Region> {
         vec![
-            Region::shared(Arc::clone(&self.tentative), policy),
-            Region::shared(Arc::clone(&self.detect), policy),
-            Region::shared(Arc::clone(&self.conflict_tentative), policy),
-            Region::shared(Arc::clone(&self.conflict_detect), policy),
+            Region::shared(self.tentative.clone(), policy),
+            Region::shared(self.detect.clone(), policy),
+            Region::shared(self.conflict_tentative.clone(), policy),
+            Region::shared(self.conflict_detect.clone(), policy),
         ]
     }
 
@@ -104,10 +139,11 @@ impl ColoringWorkload {
     /// tested against.
     #[cfg(test)]
     pub(crate) fn regions_replay(&self, policy: Policy, round_visits: &[Vec<u32>]) -> Vec<Region> {
+        let (tentative, detect) = (self.tentative.to_vec(), self.detect.to_vec());
         let mut regions = Vec::with_capacity(round_visits.len() * 2);
         for visit in round_visits {
-            let tent: Vec<Work> = visit.iter().map(|&v| self.tentative[v as usize]).collect();
-            let det: Vec<Work> = visit.iter().map(|&v| self.detect[v as usize]).collect();
+            let tent: Vec<Work> = visit.iter().map(|&v| tentative[v as usize]).collect();
+            let det: Vec<Work> = visit.iter().map(|&v| detect[v as usize]).collect();
             regions.push(Region::new(tent, policy));
             regions.push(Region::new(det, policy));
         }
@@ -129,7 +165,53 @@ mod tests {
         assert_eq!(w.tentative.len(), g.num_vertices());
         assert_eq!(w.detect.len(), g.num_vertices());
         assert!(w.conflict_tentative.len() <= g.num_vertices() / CONFLICT_SAMPLE + 1);
-        assert!(w.tentative.iter().all(|x| x.is_valid()));
+        assert!(w.tentative.to_vec().iter().all(|x| x.is_valid()));
+    }
+
+    /// Each handle's costs and the prefix a region builds from it equal the
+    /// reference arrays bit for bit, in natural, random and Cuthill–McKee
+    /// order.
+    #[test]
+    fn handles_match_the_reference_arrays_bit_for_bit() {
+        use mic_graph::stats::gap_counts;
+        let bits = |ws: &[Work]| -> Vec<[u64; 6]> {
+            ws.iter()
+                .map(|w| [w.issue, w.l1, w.l2, w.dram, w.flops, w.atomics].map(f64::to_bits))
+                .collect()
+        };
+        let g = grid2d(120, 90, Stencil2::FivePoint);
+        for order in [
+            Ordering::Natural,
+            Ordering::Random { seed: 3 },
+            Ordering::CuthillMcKee { source: 0 },
+        ] {
+            let (h, _) = apply(&g, order);
+            let counts = gap_counts(&h, None, LocalityWindows::default());
+            let w = from_counts(Arc::new(counts.clone()));
+            let handles = [
+                &w.tentative,
+                &w.detect,
+                &w.conflict_tentative,
+                &w.conflict_detect,
+            ];
+            for (i, (got, want)) in handles
+                .into_iter()
+                .zip(reference_arrays(&counts))
+                .enumerate()
+            {
+                assert_eq!(bits(&got.to_vec()), bits(&want), "{order:?} handle {i}");
+                let policy = Policy::OmpDynamic { chunk: 100 };
+                let (got, want) = (
+                    Region::shared(got.clone(), policy),
+                    Region::new(want, policy),
+                );
+                assert_eq!(
+                    bits(got.prefix_sums()),
+                    bits(want.prefix_sums()),
+                    "{order:?} prefix {i}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -138,8 +220,8 @@ mod tests {
         let (shuffled, _) = apply(&g, Ordering::Random { seed: 4 });
         let nat = instrument(&g, LocalityWindows::default());
         let shf = instrument(&shuffled, LocalityWindows::default());
-        let dram_nat: f64 = nat.tentative.iter().map(|w| w.dram).sum();
-        let dram_shf: f64 = shf.tentative.iter().map(|w| w.dram).sum();
+        let dram_nat: f64 = nat.tentative.to_vec().iter().map(|w| w.dram).sum();
+        let dram_shf: f64 = shf.tentative.to_vec().iter().map(|w| w.dram).sum();
         assert!(
             dram_shf > 3.0 * dram_nat,
             "shuffle should add DRAM traffic: {dram_nat} -> {dram_shf}"

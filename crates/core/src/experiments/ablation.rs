@@ -129,6 +129,7 @@ pub fn locked_vs_relaxed(scale: Scale) -> Figure {
 pub fn ordering_ablation(scale: Scale) -> Figure {
     let machine = Machine::knf();
     let grid = machine.thread_grid();
+    assert_eq!(grid[0], 1, "the baseline is the grid's first point");
     let mut fig = Figure::new(
         "Ablation: coloring vertex ordering (hood, OpenMP-dynamic)",
         grid.clone(),
@@ -143,10 +144,11 @@ pub fn ordering_ablation(scale: Scale) -> Figure {
             workload_cache::coloring(PaperGraph::Hood, scale, order, LocalityWindows::default());
         let regions = w.regions(Policy::OmpDynamic { chunk: 100 });
         let mut scratch = SimScratch::default();
-        let base = simulate_with_scratch(&machine, 1, &regions, &mut scratch).cycles;
-        grid.iter()
-            .map(|&t| base / simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
-            .collect()
+        let cycles: Vec<f64> = grid
+            .iter()
+            .map(|&t| simulate_with_scratch(&machine, t, &regions, &mut scratch).cycles)
+            .collect();
+        cycles.iter().map(|c| cycles[0] / c).collect()
     });
     for ((label, _), y) in orders.into_iter().zip(runs) {
         fig.push(Series::new(label, y));
@@ -171,6 +173,7 @@ pub fn placement_ablation(scale: Scale) -> Figure {
     let mut compact = Machine::knf();
     compact.placement = Placement::Compact;
     let grid = scatter.thread_grid();
+    assert_eq!(grid[0], 1, "the baseline is the grid's first point");
     let mut fig = Figure::new(
         "Ablation: thread placement (hood, irregular iter=1)",
         grid.clone(),
@@ -178,10 +181,11 @@ pub fn placement_ablation(scale: Scale) -> Figure {
     let arms = [("scatter", &scatter), ("compact", &compact)];
     let runs: Vec<Vec<f64>> = sweep::map(&arms, |_, &(_, m)| {
         let mut scratch = SimScratch::default();
-        let base = simulate_region_with_scratch(m, 1, &r, &mut scratch);
-        grid.iter()
-            .map(|&t| base / simulate_region_with_scratch(m, t, &r, &mut scratch))
-            .collect()
+        let cycles: Vec<f64> = grid
+            .iter()
+            .map(|&t| simulate_region_with_scratch(m, t, &r, &mut scratch))
+            .collect();
+        cycles.iter().map(|c| cycles[0] / c).collect()
     });
     for ((label, _), y) in arms.into_iter().zip(runs) {
         fig.push(Series::new(label, y));
@@ -205,24 +209,22 @@ pub(crate) fn fork_vs_persistent(scale: Scale) -> Figure {
         },
     );
     let grid = machine.thread_grid();
+    assert_eq!(grid[0], 1, "the baseline is the grid's first point");
     let forked = w.regions(Policy::OmpDynamic { chunk: 32 });
     let persistent = w.regions_persistent(Policy::OmpDynamic { chunk: 32 });
     let arms = [("fork-join", &forked), ("persistent-team", &persistent)];
-    let runs: Vec<(f64, Vec<f64>)> = sweep::map(&arms, |_, &(_, regions)| {
+    let runs: Vec<Vec<f64>> = sweep::map(&arms, |_, &(_, regions)| {
         let mut scratch = SimScratch::default();
-        let own_base = simulate_with_scratch(&machine, 1, regions, &mut scratch).cycles;
-        let cycles = grid
-            .iter()
+        grid.iter()
             .map(|&t| simulate_with_scratch(&machine, t, regions, &mut scratch).cycles)
-            .collect();
-        (own_base, cycles)
+            .collect()
     });
-    let base = runs.iter().map(|(b, _)| *b).fold(f64::INFINITY, f64::min);
+    let base = runs.iter().map(|c| c[0]).fold(f64::INFINITY, f64::min);
     let mut fig = Figure::new(
         "Ablation: fork/join per level vs persistent team (pwtk)",
         grid.clone(),
     );
-    for ((label, _), (_, cycles)) in arms.into_iter().zip(runs) {
+    for ((label, _), cycles) in arms.into_iter().zip(runs) {
         fig.push(Series::new(
             label,
             cycles.iter().map(|c| base / c).collect::<Vec<f64>>(),

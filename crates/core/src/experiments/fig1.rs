@@ -7,7 +7,7 @@ use crate::workload_cache::{self, OrderTag};
 use mic_coloring::instrument::ColoringWorkload;
 use mic_graph::stats::LocalityWindows;
 use mic_graph::suite::Scale;
-use mic_sim::{simulate_with_scratch, Machine, Policy, Region, SimScratch, Work};
+use mic_sim::{simulate_with_scratch, Costs, Machine, Policy, Region, SimScratch, Work};
 use std::sync::Arc;
 
 /// Which panel of Figure 1.
@@ -58,9 +58,7 @@ fn regions_with_extra(w: &ColoringWorkload, policy: Policy, extra: Work) -> Vec<
     if extra == Work::default() {
         return w.regions(policy);
     }
-    let bump = |src: &Arc<Vec<Work>>| -> Region {
-        Region::new(src.iter().map(|x| x.add(&extra)).collect(), policy)
-    };
+    let bump = |src: &Costs| Region::shared(src.plus(extra), policy);
     vec![
         bump(&w.tentative),
         bump(&w.detect),
@@ -125,6 +123,48 @@ pub fn fig1(panel: Panel, scale: Scale) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The holder regions' costs and prefixes equal each iteration's
+    /// `Work` plus `extra`, added by an explicit loop, bit for bit, in
+    /// natural, random and Cuthill–McKee order.
+    #[test]
+    fn holder_regions_match_the_copy_loop_bit_for_bit() {
+        use mic_graph::generators::{grid2d, Stencil2};
+        use mic_graph::ordering::{apply, Ordering};
+        let bits = |ws: &[Work]| -> Vec<[u64; 6]> {
+            ws.iter()
+                .map(|w| [w.issue, w.l1, w.l2, w.dram, w.flops, w.atomics].map(f64::to_bits))
+                .collect()
+        };
+        let (_, policy, extra) = Panel::CilkPlus.variants()[1];
+        assert_ne!(extra, Work::default());
+        let g = grid2d(120, 90, Stencil2::NinePoint);
+        for order in [
+            Ordering::Natural,
+            Ordering::Random { seed: 3 },
+            Ordering::CuthillMcKee { source: 0 },
+        ] {
+            let (h, _) = apply(&g, order);
+            let w = mic_coloring::instrument::instrument(&h, LocalityWindows::default());
+            let handles = [
+                &w.tentative,
+                &w.detect,
+                &w.conflict_tentative,
+                &w.conflict_detect,
+            ];
+            let regions = regions_with_extra(&w, policy, extra);
+            for (i, (got, src)) in regions.iter().zip(handles).enumerate() {
+                let want: Vec<Work> = src.to_vec().iter().map(|x| x.add(&extra)).collect();
+                assert_eq!(bits(&got.iter_work.to_vec()), bits(&want), "{order:?} {i}");
+                let want = Region::new(want, policy);
+                assert_eq!(
+                    bits(got.prefix_sums()),
+                    bits(want.prefix_sums()),
+                    "{order:?} prefix {i}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn openmp_panel_shapes() {

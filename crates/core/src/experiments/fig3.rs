@@ -37,10 +37,11 @@ pub const ITERS: [usize; 4] = [1, 3, 5, 10];
 ///
 /// One sweep job per (iteration count, graph): each instruments (through
 /// the workload cache) and walks the grid with reused scratch, returning
-/// its 1-thread baseline plus the grid cycles.
+/// the grid cycles; the grid's first point is the 1-thread baseline.
 pub fn fig3(panel: Panel, scale: Scale) -> Figure {
     let machine = Machine::knf();
     let grid = machine.thread_grid();
+    assert_eq!(grid[0], 1, "the baseline is the grid's first point");
     let policy = panel.policy();
     let windows = LocalityWindows::default();
     let mut fig = Figure::new(
@@ -51,16 +52,13 @@ pub fn fig3(panel: Panel, scale: Scale) -> Figure {
         .iter()
         .flat_map(|&iter| PaperGraph::all().into_iter().map(move |pg| (iter, pg)))
         .collect();
-    let runs: Vec<(f64, Vec<f64>)> = crate::sweep::map(&jobs, |_, &(iter, pg)| {
+    let runs: Vec<Vec<f64>> = crate::sweep::map(&jobs, |_, &(iter, pg)| {
         let r =
             workload_cache::irregular(pg, scale, OrderTag::Natural, windows, iter).region(policy);
         let mut scratch = SimScratch::default();
-        let base = simulate_region_with_scratch(&machine, 1, &r, &mut scratch);
-        let cycles = grid
-            .iter()
+        grid.iter()
             .map(|&t| simulate_region_with_scratch(&machine, t, &r, &mut scratch))
-            .collect();
-        (base, cycles)
+            .collect()
     });
     let n_graphs = PaperGraph::all().len();
     for (per_iter, iter) in runs.chunks(n_graphs).zip(ITERS) {
@@ -68,7 +66,7 @@ pub fn fig3(panel: Panel, scale: Scale) -> Figure {
             .map(|ti| {
                 let per_graph: Vec<f64> = per_iter
                     .iter()
-                    .map(|(base, cycles)| base / cycles[ti])
+                    .map(|cycles| cycles[0] / cycles[ti])
                     .collect();
                 geomean(&per_graph)
             })

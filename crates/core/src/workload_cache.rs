@@ -4,13 +4,18 @@
 //! windows[, kernel knob]) combination exactly once, no matter how many
 //! figures — or parallel sweep jobs — ask for it. Graphs are cached in
 //! natural order only, each with two passes built on first use: the
-//! Table-1 BFS levels and, per locality windows, the [`GapCounts`] of every
-//! vertex. Every natural-order workload is priced from those two arrays.
+//! Table-1 BFS as a by-level vertex order ([`LevelOrder`]) and, per
+//! locality windows, the [`GapCounts`] of every vertex. Every natural-order
+//! workload is priced from those two arrays, and pricing copies neither: a
+//! workload is cost handles ([`mic_sim::Costs`]) that share them and
+//! compute each iteration's `Work` only while a region builds its prefix,
+//! so a cached workload costs O(levels) bytes, not 48 B per iteration.
 //! An ordering is a permutation π, made and dropped inside one workload
-//! build together with its own counts and levels, read from the natural
-//! CSR and π; only the native runs whose result depends on the order
-//! inside a list (PageRank's float sums, label propagation, hybrid BFS)
-//! run on a relabelled CSR built for that one workload. Two layers:
+//! build; its own counts and levels, read from the natural CSR and π, live
+//! as long as the workload's handles do. Only the native runs whose result
+//! depends on the order inside a list (PageRank's float sums, label
+//! propagation, hybrid BFS) run on a relabelled CSR built for that one
+//! workload. Two layers:
 //!
 //! - **In-memory** (always on): process-global maps from key to
 //!   `Arc`-shared graph or workload. Entries are built inside a per-key
@@ -23,8 +28,8 @@
 //!   converged iteration count (`pr1-<graph>-<scale>-<order>` keys, one
 //!   little-endian `u64`), so *separate* runs skip generation and
 //!   PageRank's native run. Every workload is priced again from the cached
-//!   passes in each process, which costs less than reading 48 B per
-//!   iteration back. PageRank's count is the one derived value kept: its
+//!   passes in each process: a few handles, nothing worth a record.
+//!   PageRank's count is the one derived value kept: its
 //!   native run to convergence is ≈ 125 ms of a warm 1/8 pass on a 2-core
 //!   Xeon, while re-deriving components' and hybrid BFS's native runs
 //!   moves an exhibit by ≤ 2 ms there. The count is keyed by ordering because it depends on the
@@ -37,7 +42,7 @@
 use mic_bfs::components::{components_from_counts, components_sync, ComponentsWorkload};
 use mic_bfs::direction::{instrument_hybrid, Hybrid, HybridWorkload};
 use mic_bfs::instrument::{instrument_with as bfs_from_counts, BfsWorkload, SimVariant};
-use mic_bfs::seq::{bfs as bfs_levels, table1_source, BfsResult};
+use mic_bfs::seq::{bfs as bfs_levels, table1_source, LevelOrder};
 use mic_coloring::instrument::{from_counts as coloring_from_counts, ColoringWorkload};
 use mic_coloring::seq::greedy_color;
 use mic_graph::io::{read_csr_bin, write_csr_bin};
@@ -90,21 +95,22 @@ impl<K: Eq + Hash, V: Clone> Cache<K, V> {
 
 /// A suite graph in natural order and the two passes every natural-order
 /// workload of it is priced from, each built once on first use and dropped
-/// with the graph: the Table-1 BFS (4 B per vertex) and, per locality
-/// windows, the [`GapCounts`] of every vertex (16 B per vertex). Table I's
-/// greedy color count rides along, so each process colors a graph once.
+/// with the graph: the Table-1 BFS as a by-level vertex order (4 B per
+/// vertex) and, per locality windows, the [`GapCounts`] of every vertex
+/// (16 B per vertex). Table I's greedy color count rides along, so each
+/// process colors a graph once.
 struct SuiteGraph {
     csr: Arc<Csr>,
-    bfs: OnceLock<BfsResult>,
+    bfs: OnceLock<LevelOrder>,
     colors: OnceLock<u32>,
     counts: Cache<(usize, usize), Arc<Vec<GapCounts>>>,
 }
 
 impl SuiteGraph {
-    /// BFS from Table I's source, vertex `|V| / 2`.
-    fn bfs(&self) -> &BfsResult {
+    /// The levels of the BFS from Table I's source, vertex `|V| / 2`.
+    fn bfs(&self) -> &LevelOrder {
         self.bfs
-            .get_or_init(|| bfs_levels(&self.csr, table1_source(&self.csr)))
+            .get_or_init(|| LevelOrder::of(&bfs_levels(&self.csr, table1_source(&self.csr)).levels))
     }
 
     fn counts(&self, w: LocalityWindows) -> Arc<Vec<GapCounts>> {
@@ -170,7 +176,7 @@ fn suite_graph(pg: PaperGraph, scale: Scale) -> Arc<SuiteGraph> {
 /// Table I's `#Level` of a suite graph, from the BFS its natural-order BFS
 /// workloads share.
 pub(crate) fn table1_levels(pg: PaperGraph, scale: Scale) -> u32 {
-    suite_graph(pg, scale).bfs().num_levels
+    suite_graph(pg, scale).bfs().widths.len() as u32
 }
 
 /// Table I's `#Color` of a suite graph: the sequential greedy count in
@@ -212,12 +218,13 @@ impl Passes<'_> {
         }
     }
 
-    /// The Table-1 BFS levels, indexed by id in the build's order. Levels
-    /// are distances, so under π they are the natural graph's levels from
-    /// the vertex π moves to `|V| / 2`, each moved to its vertex's new id.
-    fn levels(&self) -> Cow<'_, [u32]> {
+    /// The Table-1 BFS's vertices by level, as ids in the build's order.
+    /// Levels are distances, so under π they are the natural graph's levels
+    /// from the vertex π moves to `|V| / 2`, each moved to its vertex's new
+    /// id.
+    fn levels(&self) -> LevelOrder {
         let Some(p) = &self.perm else {
-            return Cow::Borrowed(&self.suite.bfs().levels);
+            return self.suite.bfs().clone();
         };
         let g = &*self.suite.csr;
         let source = table1_source(g);
@@ -227,7 +234,7 @@ impl Passes<'_> {
         for (v, l) in natural.into_iter().enumerate() {
             levels[p[v] as usize] = l;
         }
-        Cow::Owned(levels)
+        LevelOrder::of(&levels)
     }
 }
 
@@ -265,7 +272,7 @@ pub fn coloring(
     windows: LocalityWindows,
 ) -> Arc<ColoringWorkload> {
     get_or_build(&COLORING, (pg, scale, order, windows), (), |p| {
-        coloring_from_counts(&p.counts())
+        coloring_from_counts(p.counts())
     })
 }
 
@@ -279,7 +286,7 @@ pub fn irregular(
     iter: usize,
 ) -> Arc<IrregularWorkload> {
     get_or_build(&IRREGULAR, (pg, scale, order, windows), iter, |p| {
-        irregular_from_counts(&p.counts(), iter)
+        irregular_from_counts(p.counts(), iter)
     })
 }
 
@@ -293,7 +300,7 @@ pub fn bfs(
     variant: SimVariant,
 ) -> Arc<BfsWorkload> {
     get_or_build(&BFS, (pg, scale, order, windows), variant, |p| {
-        bfs_from_counts(&p.levels(), &p.counts(), variant)
+        bfs_from_counts(&p.levels(), p.counts(), variant)
     })
 }
 
@@ -325,7 +332,7 @@ pub fn pagerank(
                 pagerank_seq(&p.graph(), damping, tol, cap).1
             },
         );
-        pagerank_from_counts(&p.counts(), iters)
+        pagerank_from_counts(p.counts(), iters)
     })
 }
 
@@ -338,7 +345,7 @@ pub fn components(
 ) -> Arc<ComponentsWorkload> {
     get_or_build(&COMPONENTS, (pg, scale, order, windows), (), |p| {
         let rounds = components_sync(&p.graph()).rounds;
-        components_from_counts(&p.counts(), rounds)
+        components_from_counts(p.counts(), rounds)
     })
 }
 

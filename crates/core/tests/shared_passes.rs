@@ -14,7 +14,7 @@ use mic_eval::experiments::table1::table1;
 use mic_eval::graph::stats::LocalityWindows;
 use mic_eval::graph::suite::{PaperGraph, Scale};
 use mic_eval::irregular::instrument::{instrument as irregular_instrument, instrument_pagerank};
-use mic_eval::sim::Work;
+use mic_eval::sim::{Costs, Work};
 use mic_eval::workload_cache::{
     self, OrderTag, PAGERANK_DAMPING, PAGERANK_MAX_ITERS, PAGERANK_TOL,
 };
@@ -25,7 +25,9 @@ fn bits(w: &Work) -> [u64; 6] {
     [w.issue, w.l1, w.l2, w.dram, w.flops, w.atomics].map(f64::to_bits)
 }
 
-fn assert_bit_equal(got: &[Work], want: &[Work], what: &str) {
+/// Both handles' materialised costs are equal, bit for bit.
+fn assert_bit_equal(got: &Costs, want: &Costs, what: &str) {
+    let (got, want) = (got.to_vec(), want.to_vec());
     assert_eq!(got.len(), want.len(), "{what}: length");
     if let Some(i) = (0..got.len()).find(|&i| bits(&got[i]) != bits(&want[i])) {
         panic!("{what}: item {i} is {:?}, want {:?}", got[i], want[i]);

@@ -10,54 +10,55 @@
 
 use mic_graph::stats::{gap_counts, GapCounts, LocalityWindows};
 use mic_graph::Csr;
-use mic_sim::{Policy, Region, Work};
+use mic_sim::{Costs, Pick, Policy, Region, Work};
 use std::sync::Arc;
 
-/// Simulator-facing workload of one microbenchmark sweep.
+/// Simulator-facing workload of one microbenchmark sweep: a cost handle
+/// over the shared [`GapCounts`], with `iter` a parameter of its cost.
 #[derive(Clone)]
 pub struct IrregularWorkload {
-    pub iter_work: Arc<Vec<Work>>,
+    pub iter_work: Costs,
     pub iter: usize,
 }
 
 /// Build the per-vertex workload for `iter` inner repetitions.
 pub fn instrument(g: &Csr, windows: LocalityWindows, iter: usize) -> IrregularWorkload {
-    from_counts(&gap_counts(g, None, windows), iter)
+    from_counts(Arc::new(gap_counts(g, None, windows)), iter)
 }
 
 /// The workload for `iter` inner repetitions, priced from the
 /// [`GapCounts`] of every vertex, indexed by id. Costs are degrees and gap
 /// counts only, so the counts of a relabelled graph price that graph's
 /// workload bit for bit without building it.
-pub fn from_counts(counts: &[GapCounts], iter: usize) -> IrregularWorkload {
+pub fn from_counts(counts: Arc<Vec<GapCounts>>, iter: usize) -> IrregularWorkload {
     assert!(iter >= 1);
     let it = iter as f64;
-    let mut work = Vec::with_capacity(counts.len());
-    for c in counts {
-        let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
-        work.push(Work {
-            // Loop control + loads each pass; the state store once.
-            issue: 6.0 + it * (3.0 + 2.0 * deg),
-            // First pass pays the real classes; the other (iter-1)
-            // passes hit L1.
-            l1: l1 + (it - 1.0) * deg,
-            l2: l2 + deg / 16.0, // prefetched adjacency stream
-            dram,
-            // One add per neighbor (+ self) per pass, plus the divide.
-            flops: it * (deg + 1.0) + 4.0,
-            atomics: 0.0,
-        });
-    }
     IrregularWorkload {
-        iter_work: Arc::new(work),
+        iter_work: Costs::priced(counts, Pick::All, move |c| irregular_work(c, it)),
         iter,
+    }
+}
+
+fn irregular_work(c: &GapCounts, it: f64) -> Work {
+    let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+    Work {
+        // Loop control + loads each pass; the state store once.
+        issue: 6.0 + it * (3.0 + 2.0 * deg),
+        // First pass pays the real classes; the other (iter-1)
+        // passes hit L1.
+        l1: l1 + (it - 1.0) * deg,
+        l2: l2 + deg / 16.0, // prefetched adjacency stream
+        dram,
+        // One add per neighbor (+ self) per pass, plus the divide.
+        flops: it * (deg + 1.0) + 4.0,
+        atomics: 0.0,
     }
 }
 
 impl IrregularWorkload {
     /// The (single-region) workload under `policy`.
     pub fn region(&self, policy: Policy) -> Region {
-        Region::shared(Arc::clone(&self.iter_work), policy)
+        Region::shared(self.iter_work.clone(), policy)
     }
 }
 
@@ -67,7 +68,7 @@ impl IrregularWorkload {
 /// whole rank vector, so each region pays the real locality classes.
 #[derive(Clone)]
 pub struct PagerankWorkload {
-    pub vertex_work: Arc<Vec<Work>>,
+    pub vertex_work: Costs,
     /// Iterations the native run took to converge (the region count).
     pub iters: usize,
 }
@@ -82,30 +83,30 @@ pub fn instrument_pagerank(
     max_iters: usize,
 ) -> PagerankWorkload {
     let (_, iters) = crate::apps::pagerank_seq(g, damping, tol, max_iters);
-    pagerank_from_counts(&gap_counts(g, None, windows), iters)
+    pagerank_from_counts(Arc::new(gap_counts(g, None, windows)), iters)
 }
 
 /// The PageRank workload of `iters` power iterations (the native run's
 /// count), priced from the [`GapCounts`] of every vertex, indexed by id.
-pub fn pagerank_from_counts(counts: &[GapCounts], iters: usize) -> PagerankWorkload {
-    let mut work = Vec::with_capacity(counts.len());
-    for c in counts {
-        let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
-        work.push(Work {
-            // Loop control, rank + degree load per neighbor, the store,
-            // and this vertex's share of the delta/dangling reductions.
-            issue: 10.0 + 3.0 * deg,
-            l1: l1 + 1.0,
-            l2: l2 + deg / 16.0, // prefetched adjacency stream
-            dram,
-            // Divide + add per neighbor, base blend, |Δ| contribution.
-            flops: 2.0 * deg + 5.0,
-            atomics: 0.0,
-        });
-    }
+pub fn pagerank_from_counts(counts: Arc<Vec<GapCounts>>, iters: usize) -> PagerankWorkload {
     PagerankWorkload {
-        vertex_work: Arc::new(work),
+        vertex_work: Costs::priced(counts, Pick::All, pagerank_work),
         iters,
+    }
+}
+
+fn pagerank_work(c: &GapCounts) -> Work {
+    let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+    Work {
+        // Loop control, rank + degree load per neighbor, the store,
+        // and this vertex's share of the delta/dangling reductions.
+        issue: 10.0 + 3.0 * deg,
+        l1: l1 + 1.0,
+        l2: l2 + deg / 16.0, // prefetched adjacency stream
+        dram,
+        // Divide + add per neighbor, base blend, |Δ| contribution.
+        flops: 2.0 * deg + 5.0,
+        atomics: 0.0,
     }
 }
 
@@ -116,7 +117,7 @@ impl PagerankWorkload {
     pub fn regions(&self, policy: Policy) -> Vec<Region> {
         (0..self.iters)
             .map(|_| {
-                Region::shared(Arc::clone(&self.vertex_work), policy).with_serial_pre(Work {
+                Region::shared(self.vertex_work.clone(), policy).with_serial_pre(Work {
                     issue: 150.0,
                     l1: 8.0,
                     ..Default::default()
@@ -124,6 +125,35 @@ impl PagerankWorkload {
             })
             .collect()
     }
+}
+
+/// The irregular (at `iter`) and PageRank arrays, built by an explicit
+/// loop: the bit-identity reference for the handles.
+#[cfg(test)]
+pub(crate) fn reference_arrays(counts: &[GapCounts], iter: usize) -> [Vec<Work>; 2] {
+    let it = iter as f64;
+    let mut work = Vec::with_capacity(counts.len());
+    let mut pagerank = Vec::with_capacity(counts.len());
+    for c in counts {
+        let (deg, l1, l2, dram) = (c.deg as f64, c.l1 as f64, c.l2 as f64, c.dram as f64);
+        work.push(Work {
+            issue: 6.0 + it * (3.0 + 2.0 * deg),
+            l1: l1 + (it - 1.0) * deg,
+            l2: l2 + deg / 16.0,
+            dram,
+            flops: it * (deg + 1.0) + 4.0,
+            atomics: 0.0,
+        });
+        pagerank.push(Work {
+            issue: 10.0 + 3.0 * deg,
+            l1: l1 + 1.0,
+            l2: l2 + deg / 16.0,
+            dram,
+            flops: 2.0 * deg + 5.0,
+            atomics: 0.0,
+        });
+    }
+    [work, pagerank]
 }
 
 #[cfg(test)]
@@ -141,13 +171,13 @@ mod tests {
         let g = mesh();
         let w1 = instrument(&g, LocalityWindows::default(), 1);
         let w10 = instrument(&g, LocalityWindows::default(), 10);
-        let f = |w: &IrregularWorkload| w.iter_work.iter().map(|x| x.flops).sum::<f64>();
+        let f = |w: &IrregularWorkload| w.iter_work.to_vec().iter().map(|x| x.flops).sum::<f64>();
         // f(iter) = iter*(deg+1) + 4, so the ratio approaches 10 for large
         // degrees; the 7-point grid (avg deg ~5.9) lands near 6.7.
         let ratio = f(&w10) / f(&w1);
         assert!(ratio > 5.0 && ratio < 10.5, "flops ratio {ratio}");
         // Cold traffic (DRAM) does not scale with iter.
-        let d = |w: &IrregularWorkload| w.iter_work.iter().map(|x| x.dram).sum::<f64>();
+        let d = |w: &IrregularWorkload| w.iter_work.to_vec().iter().map(|x| x.dram).sum::<f64>();
         assert!((d(&w10) - d(&w1)).abs() < 1e-9);
     }
 
@@ -196,7 +226,7 @@ mod tests {
         let g = mesh();
         let w = instrument(&g, LocalityWindows::default(), 3);
         assert_eq!(w.iter_work.len(), g.num_vertices());
-        assert!(w.iter_work.iter().all(|x| x.is_valid()));
+        assert!(w.iter_work.to_vec().iter().all(|x| x.is_valid()));
     }
 
     #[test]
@@ -208,9 +238,57 @@ mod tests {
         assert_eq!(w.iters, native_iters);
         assert!(w.iters > 1 && w.iters < 200, "iters {}", w.iters);
         assert_eq!(w.vertex_work.len(), g.num_vertices());
-        assert!(w.vertex_work.iter().all(|x| x.is_valid()));
+        assert!(w.vertex_work.to_vec().iter().all(|x| x.is_valid()));
         let regions = w.regions(Policy::OmpDynamic { chunk: 64 });
         assert_eq!(regions.len(), w.iters);
+    }
+
+    /// The irregular handle at `iter` 1, 3, 5 and 10 and the PageRank
+    /// handle, and the prefixes regions build from them, equal the
+    /// reference arrays bit for bit, in natural, random and Cuthill–McKee
+    /// order.
+    #[test]
+    fn handles_match_the_reference_arrays_bit_for_bit() {
+        use mic_graph::ordering::{apply, Ordering};
+        let bits = |ws: &[Work]| -> Vec<[u64; 6]> {
+            ws.iter()
+                .map(|w| [w.issue, w.l1, w.l2, w.dram, w.flops, w.atomics].map(f64::to_bits))
+                .collect()
+        };
+        let g = grid3d(20, 20, 20, Stencil3::SevenPoint);
+        for order in [
+            Ordering::Natural,
+            Ordering::Random { seed: 3 },
+            Ordering::CuthillMcKee { source: 0 },
+        ] {
+            let (h, _) = apply(&g, order);
+            let counts = gap_counts(&h, None, LocalityWindows::default());
+            let shared = Arc::new(counts.clone());
+            for iter in [1, 3, 5, 10] {
+                let [irregular, pagerank] = reference_arrays(&counts, iter);
+                for (what, got, want) in [
+                    (
+                        "irregular",
+                        from_counts(Arc::clone(&shared), iter).iter_work,
+                        irregular,
+                    ),
+                    (
+                        "pagerank",
+                        pagerank_from_counts(Arc::clone(&shared), 1).vertex_work,
+                        pagerank,
+                    ),
+                ] {
+                    assert_eq!(bits(&got.to_vec()), bits(&want), "{order:?} {what} {iter}");
+                    let policy = Policy::OmpDynamic { chunk: 100 };
+                    let (got, want) = (Region::shared(got, policy), Region::new(want, policy));
+                    assert_eq!(
+                        bits(got.prefix_sums()),
+                        bits(want.prefix_sums()),
+                        "{order:?} {what} {iter} prefix"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

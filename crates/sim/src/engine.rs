@@ -27,6 +27,8 @@ use crate::machine::Machine;
 use crate::sched::Cursor;
 use crate::trace::{ChunkEvent, CoreCounters, NullSink, StallCause, TraceSink};
 use crate::work::{Priced, Region, Work};
+use mic_metrics::{Counter, Histogram};
+use std::sync::Arc;
 
 /// Result of simulating a sequence of regions.
 #[derive(Clone, Debug)]
@@ -231,7 +233,9 @@ impl SimScratch {
 /// Panics if `threads` is zero or exceeds the machine's hardware threads
 /// (the paper never oversubscribes the card).
 pub fn simulate_region(m: &Machine, threads: usize, region: &Region) -> f64 {
-    simulate_region_impl::<NullSink>(m, threads, region, None, &mut SimScratch::default(), None)
+    let metrics = SimMetrics::current();
+    let scratch = &mut SimScratch::default();
+    simulate_region_impl::<NullSink>(m, threads, region, None, scratch, None, metrics.as_ref()).0
 }
 
 /// Like [`simulate_region`], reusing caller-owned scratch buffers so the
@@ -242,7 +246,8 @@ pub fn simulate_region_with_scratch(
     region: &Region,
     scratch: &mut SimScratch,
 ) -> f64 {
-    simulate_region_impl::<NullSink>(m, threads, region, None, scratch, None)
+    let metrics = SimMetrics::current();
+    simulate_region_impl::<NullSink>(m, threads, region, None, scratch, None, metrics.as_ref()).0
 }
 
 /// Like [`simulate_region`], but also reports where the time went.
@@ -252,13 +257,14 @@ pub fn simulate_region_telemetry(
     region: &Region,
 ) -> (f64, Bottleneck) {
     let mut b = Bottleneck::default();
-    let c = simulate_region_impl::<NullSink>(
+    let (c, _) = simulate_region_impl::<NullSink>(
         m,
         threads,
         region,
         Some(&mut b),
         &mut SimScratch::default(),
         None,
+        SimMetrics::current().as_ref(),
     );
     (c, b)
 }
@@ -274,7 +280,17 @@ pub fn simulate_region_traced<S: TraceSink>(
     scratch: &mut SimScratch,
     sink: &mut S,
 ) -> f64 {
-    simulate_region_impl(m, threads, region, None, scratch, Some(sink))
+    let metrics = SimMetrics::current();
+    simulate_region_impl(
+        m,
+        threads,
+        region,
+        None,
+        scratch,
+        Some(sink),
+        metrics.as_ref(),
+    )
+    .0
 }
 
 /// Per-thread chunk bookkeeping for the traced path; allocated only when a
@@ -298,6 +314,64 @@ impl ChunkTrack {
     }
 }
 
+/// What one region's simulation recorded into the metrics registry, kept
+/// so that a repeat of the region records it again without re-running.
+#[derive(Clone, Copy, Debug, Default)]
+struct Observed {
+    stalls: [f64; 7],
+    chunks: u64,
+    loop_cycles: f64,
+}
+
+/// The engine's metric handles, resolved once per `simulate*` call rather
+/// than once per region.
+struct SimMetrics {
+    runs: Arc<Counter>,
+    chunks: Arc<Counter>,
+    loop_cycles: Arc<Counter>,
+    stalls: [Arc<Counter>; 7],
+    seconds: Arc<Histogram>,
+}
+
+impl SimMetrics {
+    /// The handles, if the calling thread's metrics capture is on.
+    fn current() -> Option<SimMetrics> {
+        use mic_metrics::counter;
+        mic_metrics::enabled().then(|| SimMetrics {
+            runs: counter(
+                "mic_sim_runs_total",
+                "Engine region simulations completed",
+                &[],
+            ),
+            chunks: counter(
+                "mic_sim_chunks_total",
+                "Chunks dispatched by the simulated schedulers",
+                &[],
+            ),
+            loop_cycles: counter(
+                "mic_sim_loop_cycles_total",
+                "Simulated event-loop cycles (sum of all stall-cycle causes)",
+                &[],
+            ),
+            stalls: StallCause::ALL.map(|cause| {
+                counter(
+                    "mic_sim_stall_cycles_total",
+                    "Simulated cycles attributed to each binding constraint",
+                    &[("cause", cause.name())],
+                )
+            }),
+            seconds: mic_metrics::histogram(
+                "mic_sim_engine_seconds",
+                "Host wall time per engine region simulation",
+                &[],
+                &mic_metrics::seconds_buckets(),
+            ),
+        })
+    }
+}
+
+/// Simulate one region; with `metrics` (capture on), also record what it
+/// observed and return that.
 fn simulate_region_impl<S: TraceSink>(
     m: &Machine,
     threads: usize,
@@ -305,7 +379,8 @@ fn simulate_region_impl<S: TraceSink>(
     mut telemetry: Option<&mut Bottleneck>,
     scratch: &mut SimScratch,
     mut trace: Option<&mut S>,
-) -> f64 {
+    metrics: Option<&SimMetrics>,
+) -> (f64, Option<Observed>) {
     m.validate();
     assert!(threads >= 1, "need at least one thread");
     assert!(
@@ -318,10 +393,9 @@ fn simulate_region_impl<S: TraceSink>(
     // plain stack scalars, so the disabled path stays allocation-free and
     // bit-identical (the attribution math below never feeds back into the
     // simulated clock).
-    let metrics_on = mic_metrics::enabled();
+    let metrics_on = metrics.is_some();
     let metrics_t0 = metrics_on.then(std::time::Instant::now);
-    let mut metric_stalls = [0.0f64; 7];
-    let mut metric_chunks = 0u64;
+    let mut observed = Observed::default();
 
     let mut cycles = 0.0;
 
@@ -338,10 +412,7 @@ fn simulate_region_impl<S: TraceSink>(
         if let Some(sink) = trace.as_deref_mut() {
             sink.region_end(&[], 0.0, cycles);
         }
-        if metrics_on {
-            record_region_metrics(&metric_stalls, 0, 0.0, metrics_t0);
-        }
-        return cycles;
+        return (cycles, metrics.map(|h| observed.record(h, metrics_t0)));
     }
 
     // Trace-side bookkeeping, allocated only on the traced path.
@@ -390,7 +461,7 @@ fn simulate_region_impl<S: TraceSink>(
                 frac: 1.0,
                 ..Slot::default()
             });
-            metric_chunks += 1;
+            observed.chunks += 1;
             if let Some(tc) = tr_chunks.get_mut(i) {
                 *tc = ChunkTrack::begin(0.0, r);
             }
@@ -455,31 +526,46 @@ fn simulate_region_impl<S: TraceSink>(
                 0.0
             };
             debug_assert!(w.is_finite(), "telemetry weight dt={dt}");
-            for s in scratch.slots.iter() {
-                let candidates = [
-                    (1usize, scratch.cores[s.core].issue_d),
-                    (2, scratch.cores[s.core].fpu_d),
-                    (3, sigma_l2),
-                    (4, sigma_dram),
-                    (5, atomic_d),
-                    (6, sigma_bg),
-                ];
-                let (mut which, best) = candidates
-                    .into_iter()
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .unwrap();
+            // The argmax of the six slowdown sources, ties going to the
+            // later one: the four chip-wide sources are folded once per
+            // event, then each thread's core's two against them.
+            let later_max = |a: (usize, f64), b: (usize, f64)| {
+                if b.1.total_cmp(&a.1).is_ge() {
+                    b
+                } else {
+                    a
+                }
+            };
+            let chip = later_max((3, sigma_l2), (4, sigma_dram));
+            let chip = later_max(later_max(chip, (5, atomic_d)), (6, sigma_bg));
+            let binding = |core: &Core| {
+                let own = later_max((1, core.issue_d), (2, core.fpu_d));
+                let (which, best) = later_max(own, chip);
+                // Nothing shared is meaningfully saturated: the chunk runs
+                // at its own (latency-dominated) pace.
                 if best <= 1.05 {
-                    // Nothing shared is meaningfully saturated: the chunk
-                    // runs at its own (latency-dominated) pace.
-                    which = 0;
+                    0
+                } else {
+                    which
                 }
-                if let Some(tele) = telemetry.as_deref_mut() {
-                    tele.add(which, w);
+            };
+            // Every thread on a core has that core's binding constraint, and
+            // each cause's sum takes `w` once per thread, in any order: so
+            // the sums are attributed per occupied core, with the same bits.
+            for core in scratch.cores.iter().filter(|c| c.occ > 0) {
+                let which = binding(core);
+                for _ in 0..core.occ {
+                    if let Some(tele) = telemetry.as_deref_mut() {
+                        tele.add(which, w);
+                    }
+                    if metrics_on {
+                        observed.stalls[which] += w;
+                    }
                 }
-                if metrics_on {
-                    metric_stalls[which] += w;
-                }
-                if trace.is_some() {
+            }
+            if trace.is_some() {
+                for s in scratch.slots.iter() {
+                    let which = binding(&scratch.cores[s.core]);
                     tr_chunks[s.id].acc[which] += w;
                     tr_cores[s.core].add(which, w);
                 }
@@ -519,7 +605,7 @@ fn simulate_region_impl<S: TraceSink>(
                     // (A core-mate retiring later in this pass redoes this.)
                     s.reprice(m, scratch.cores[s.core].occ == 1);
                     scratch.touched.push(s.core);
-                    metric_chunks += 1;
+                    observed.chunks += 1;
                     if let Some(tc) = tr_chunks.get_mut(s.id) {
                         *tc = ChunkTrack::begin(now, r);
                     }
@@ -563,58 +649,31 @@ fn simulate_region_impl<S: TraceSink>(
         debug_assert!(tele.is_finite(), "non-finite telemetry: {tele:?}");
     }
 
-    if metrics_on {
-        record_region_metrics(&metric_stalls, metric_chunks, now, metrics_t0);
-    }
-
-    cycles + now
+    observed.loop_cycles = now;
+    (
+        cycles + now,
+        metrics.map(|h| observed.record(h, metrics_t0)),
+    )
 }
 
-/// Flush one region's accumulated metrics into the global registry. The
-/// stall-cycle counters are the *unnormalized* bottleneck attribution —
-/// their per-cause fractions of `mic_sim_loop_cycles_total` equal the
-/// [`Bottleneck`] fractions the telemetry path reports (checked to 1e-9 by
-/// `--bin metrics --check`).
-fn record_region_metrics(
-    stalls: &[f64; 7],
-    chunks: u64,
-    loop_cycles: f64,
-    t0: Option<std::time::Instant>,
-) {
-    mic_metrics::counter(
-        "mic_sim_runs_total",
-        "Engine region simulations completed",
-        &[],
-    )
-    .inc();
-    mic_metrics::counter(
-        "mic_sim_chunks_total",
-        "Chunks dispatched by the simulated schedulers",
-        &[],
-    )
-    .add(chunks as f64);
-    mic_metrics::counter(
-        "mic_sim_loop_cycles_total",
-        "Simulated event-loop cycles (sum of all stall-cycle causes)",
-        &[],
-    )
-    .add(loop_cycles);
-    for cause in StallCause::ALL {
-        mic_metrics::counter(
-            "mic_sim_stall_cycles_total",
-            "Simulated cycles attributed to each binding constraint",
-            &[("cause", cause.name())],
-        )
-        .add(stalls[cause.index()]);
-    }
-    if let Some(t0) = t0 {
-        mic_metrics::histogram(
-            "mic_sim_engine_seconds",
-            "Host wall time per engine region simulation",
-            &[],
-            &mic_metrics::seconds_buckets(),
-        )
-        .observe(t0.elapsed().as_secs_f64());
+impl Observed {
+    /// Add one region's metrics to the registry: a simulated region's, with
+    /// its host time since `t0`, or a replayed repeat's (`t0` is `None`).
+    /// The stall-cycle counters are the *unnormalized* bottleneck
+    /// attribution — their per-cause fractions of `mic_sim_loop_cycles_total`
+    /// equal the [`Bottleneck`] fractions the telemetry path reports
+    /// (checked to 1e-9 by `--bin metrics --check`).
+    fn record(self, h: &SimMetrics, t0: Option<std::time::Instant>) -> Observed {
+        h.runs.inc();
+        h.chunks.add(self.chunks as f64);
+        h.loop_cycles.add(self.loop_cycles);
+        for (cause, counter) in StallCause::ALL.iter().zip(&h.stalls) {
+            counter.add(self.stalls[cause.index()]);
+        }
+        if let Some(t0) = t0 {
+            h.seconds.observe(t0.elapsed().as_secs_f64());
+        }
+        self
     }
 }
 
@@ -632,7 +691,8 @@ pub fn simulate(m: &Machine, threads: usize, regions: &[Region]) -> SimReport {
 ///
 /// A region equal to the one just simulated (every PageRank iteration,
 /// every label-propagation round) takes that region's cycles: the engine is
-/// a pure function. With metrics capture on, every region is simulated.
+/// a pure function. With metrics capture on, the repeat also records again
+/// what that simulation recorded, except its host time.
 pub fn simulate_with_scratch(
     m: &Machine,
     threads: usize,
@@ -640,13 +700,27 @@ pub fn simulate_with_scratch(
     scratch: &mut SimScratch,
 ) -> SimReport {
     let mut region_cycles = Vec::with_capacity(regions.len());
-    let mut prev: Option<(&Region, f64)> = None;
+    let metrics = SimMetrics::current().filter(|_| !regions.is_empty());
+    let mut prev: Option<(&Region, f64, Option<Observed>)> = None;
     for r in regions {
-        let cycles = match prev {
-            Some((p, cycles)) if r.same_as(p) && !mic_metrics::enabled() => cycles,
-            _ => simulate_region_impl::<NullSink>(m, threads, r, None, scratch, None),
+        let (cycles, observed) = match prev {
+            Some((p, cycles, observed)) if r.same_as(p) => (
+                cycles,
+                observed
+                    .zip(metrics.as_ref())
+                    .map(|(o, h)| o.record(h, None)),
+            ),
+            _ => simulate_region_impl::<NullSink>(
+                m,
+                threads,
+                r,
+                None,
+                scratch,
+                None,
+                metrics.as_ref(),
+            ),
         };
-        prev = Some((r, cycles));
+        prev = Some((r, cycles, observed));
         region_cycles.push(cycles);
     }
     SimReport {
@@ -665,9 +739,10 @@ pub fn simulate_traced<S: TraceSink>(
     scratch: &mut SimScratch,
     sink: &mut S,
 ) -> SimReport {
+    let metrics = SimMetrics::current().filter(|_| !regions.is_empty());
     let region_cycles: Vec<f64> = regions
         .iter()
-        .map(|r| simulate_region_impl(m, threads, r, None, scratch, Some(sink)))
+        .map(|r| simulate_region_impl(m, threads, r, None, scratch, Some(sink), metrics.as_ref()).0)
         .collect();
     SimReport {
         cycles: region_cycles.iter().sum(),
@@ -1000,7 +1075,7 @@ mod tests {
 
         let mut prefix: Vec<Work> = Vec::with_capacity(n + 1);
         prefix.push(Work::default());
-        for w in region.iter_work.iter() {
+        for w in region.iter_work.to_vec().iter() {
             let last = *prefix.last().unwrap();
             prefix.push(last.add(w));
         }

@@ -51,4 +51,4 @@ pub use engine::{
 pub use machine::{Machine, Placement};
 pub use sched::Policy;
 pub use trace::{ChunkEvent, RecordingSink, StallCause, TraceSink};
-pub use work::{Region, Work};
+pub use work::{Costs, Pick, Region, Work};

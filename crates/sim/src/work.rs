@@ -3,6 +3,8 @@
 
 use crate::machine::Machine;
 use crate::sched::Policy;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// The abstract cost of a piece of work. Kernels count these while running
 //  natively; the engine prices them on a concrete [`Machine`].
@@ -110,15 +112,163 @@ impl Priced {
     }
 }
 
+/// Which of a priced view's items a region iterates, in order.
+#[derive(Clone, Debug)]
+pub enum Pick {
+    /// Every item, in index order.
+    All,
+    /// Items `0, k, 2k, …` (`k ≥ 1`): a fixed sample.
+    Stride(usize),
+    /// `order[range]`: the listed item indices, in order (one BFS level of
+    /// a by-level vertex order).
+    Listed(Arc<[u32]>, Range<usize>),
+}
+
+/// Per-iteration `Work` behind a [`Costs`] handle, type-erased.
+trait Source: Send + Sync {
+    fn len(&self) -> usize;
+    /// Each iteration's `Work` plus `extra` or, with `prefix`, their prefix
+    /// sums (`n + 1` entries, leading zero). One dynamic call per walk; the
+    /// loop inside is monomorphised per item type and cost function.
+    fn walk(&self, extra: Option<&Work>, prefix: bool) -> Vec<Work>;
+}
+
+/// The `pick` of `items`, each priced by `cost` when walked.
+struct View<T, F> {
+    items: Arc<Vec<T>>,
+    pick: Pick,
+    cost: F,
+}
+
+impl<T: Send + Sync, F: Fn(&T) -> Work + Send + Sync> Source for View<T, F> {
+    fn len(&self) -> usize {
+        match &self.pick {
+            Pick::All => self.items.len(),
+            Pick::Stride(k) => self.items.len().div_ceil(*k),
+            Pick::Listed(_, r) => r.len(),
+        }
+    }
+
+    fn walk(&self, extra: Option<&Work>, prefix: bool) -> Vec<Work> {
+        let (items, cost, n) = (&self.items, &self.cost, self.len());
+        match &self.pick {
+            Pick::All => walk(n, extra, prefix, items.iter().map(cost)),
+            Pick::Stride(k) => walk(n, extra, prefix, items.iter().step_by(*k).map(cost)),
+            Pick::Listed(order, r) => {
+                let works = order[r.clone()].iter().map(|&i| cost(&items[i as usize]));
+                walk(n, extra, prefix, works)
+            }
+        }
+    }
+}
+
+fn walk(
+    n: usize,
+    extra: Option<&Work>,
+    prefix: bool,
+    works: impl Iterator<Item = Work>,
+) -> Vec<Work> {
+    fn scan(n: usize, works: impl Iterator<Item = Work>) -> Vec<Work> {
+        let mut p = Vec::with_capacity(n + 1);
+        p.push(Work::default());
+        for w in works {
+            debug_assert!(w.is_valid(), "invalid Work descriptor");
+            let last = *p.last().unwrap();
+            p.push(last.add(&w));
+        }
+        p
+    }
+    match (extra, prefix) {
+        (None, true) => scan(n, works),
+        (Some(e), true) => scan(n, works.map(|w| w.add(e))),
+        (None, false) => works.collect(),
+        (Some(e), false) => works.map(|w| w.add(e)).collect(),
+    }
+}
+
+/// What each iteration of a region costs: a cloneable handle over shared
+/// inputs, never a copy. A priced view ([`Costs::priced`]) computes each
+/// iteration's `Work` from its item, such as a suite graph's gap counts,
+/// only while a prefix is built; an explicit `Arc<Vec<Work>>` (`From`) is
+/// the view of an array under the identity. Clones share one source, and
+/// [`Region::same_as`] compares that identity.
+#[derive(Clone, Debug)]
+pub struct Costs {
+    source: Arc<dyn Source>,
+    /// Added to every iteration's `Work` (Fig. 1's holder lookup).
+    extra: Option<Work>,
+}
+
+impl From<Arc<Vec<Work>>> for Costs {
+    fn from(works: Arc<Vec<Work>>) -> Costs {
+        Costs::priced(works, Pick::All, |w: &Work| *w)
+    }
+}
+
+impl std::fmt::Debug for dyn Source {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} iterations", self.len())
+    }
+}
+
+impl Costs {
+    /// The `pick` of `items`, each iteration costing `cost(item)`.
+    pub fn priced<T, F>(items: Arc<Vec<T>>, pick: Pick, cost: F) -> Costs
+    where
+        T: Send + Sync + 'static,
+        F: Fn(&T) -> Work + Send + Sync + 'static,
+    {
+        let source = Arc::new(View { items, pick, cost });
+        Costs {
+            source,
+            extra: None,
+        }
+    }
+
+    /// These costs with `extra` added to every iteration: a new handle
+    /// over the same source.
+    pub fn plus(&self, extra: Work) -> Costs {
+        assert!(self.extra.is_none(), "costs already carry an extra");
+        let source = Arc::clone(&self.source);
+        Costs {
+            source,
+            extra: Some(extra),
+        }
+    }
+
+    /// Number of iterations.
+    pub fn len(&self) -> usize {
+        self.source.len()
+    }
+
+    /// Whether there are no iterations.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Each iteration's `Work`, materialised.
+    pub fn to_vec(&self) -> Vec<Work> {
+        self.source.walk(self.extra.as_ref(), false)
+    }
+
+    /// Whether `other` is this handle again: the same source by identity
+    /// and the same extra.
+    fn same_as(&self, other: &Costs) -> bool {
+        std::ptr::addr_eq(Arc::as_ptr(&self.source), Arc::as_ptr(&other.source))
+            && self.extra == other.extra
+    }
+}
+
 /// One parallel region: a loop over `iter_work.len()` iterations scheduled
 /// under `policy`, optionally preceded by a serial section (queue swaps,
 /// level bookkeeping) executed by one thread.
 ///
-/// The iteration work array is shared (`Arc`) so that sweeping a region
-/// over thread counts and scheduling policies does not copy it.
+/// `iter_work` is a [`Costs`] handle, so sweeping a region over thread
+/// counts and scheduling policies copies no per-iteration array, and a
+/// workload built over shared per-item inputs holds no `Work` at all.
 #[derive(Clone, Debug)]
 pub struct Region {
-    pub iter_work: std::sync::Arc<Vec<Work>>,
+    pub iter_work: Costs,
     pub policy: Policy,
     pub serial_pre: Work,
     /// Whether this region pays the fork cost (waking a fresh team).
@@ -128,59 +278,56 @@ pub struct Region {
     /// Lazily-built prefix sums of `iter_work`, shared (through the outer
     /// `Arc`) by every clone and policy variant of this region so a sweep
     /// over the thread grid pays the O(n) pass once.
-    prefix: std::sync::Arc<std::sync::OnceLock<std::sync::Arc<Vec<Work>>>>,
+    prefix: Arc<OnceLock<Arc<Vec<Work>>>>,
 }
 
 impl Region {
-    /// A region with no serial prefix.
+    /// A region with no serial prefix over an explicit work array.
     pub fn new(iter_work: Vec<Work>, policy: Policy) -> Region {
-        Region::shared(std::sync::Arc::new(iter_work), policy)
+        Region::shared(Arc::new(iter_work), policy)
     }
 
-    /// A region sharing an existing work array.
-    pub fn shared(iter_work: std::sync::Arc<Vec<Work>>, policy: Policy) -> Region {
+    /// A region over existing costs (a clone of a handle shares its source).
+    pub fn shared(iter_work: impl Into<Costs>, policy: Policy) -> Region {
         Region {
-            iter_work,
+            iter_work: iter_work.into(),
             policy,
             serial_pre: Work::default(),
             fork: true,
-            prefix: std::sync::Arc::new(std::sync::OnceLock::new()),
+            prefix: Arc::new(OnceLock::new()),
         }
     }
 
     /// The same region under a different scheduling policy (cheap; shares
-    /// both the work array and the prefix-sum cache).
+    /// both the costs and the prefix-sum cache).
     pub fn with_policy(&self, policy: Policy) -> Region {
         Region {
-            iter_work: std::sync::Arc::clone(&self.iter_work),
+            iter_work: self.iter_work.clone(),
             policy,
             serial_pre: self.serial_pre,
             fork: self.fork,
-            prefix: std::sync::Arc::clone(&self.prefix),
+            prefix: Arc::clone(&self.prefix),
         }
     }
 
     /// Prefix sums of `iter_work` (`n + 1` entries, leading zero), built on
     /// first use and cached. Iterations `lo..hi` aggregate in O(1) as
     /// `prefix[hi].sub(&prefix[lo])`.
-    pub fn prefix_sums(&self) -> &std::sync::Arc<Vec<Work>> {
+    pub fn prefix_sums(&self) -> &Arc<Vec<Work>> {
         self.prefix.get_or_init(|| {
-            let mut p = Vec::with_capacity(self.iter_work.len() + 1);
-            p.push(Work::default());
-            for w in self.iter_work.iter() {
-                debug_assert!(w.is_valid(), "invalid Work descriptor");
-                let last = *p.last().unwrap();
-                p.push(last.add(w));
-            }
-            std::sync::Arc::new(p)
+            Arc::new(
+                self.iter_work
+                    .source
+                    .walk(self.iter_work.extra.as_ref(), true),
+            )
         })
     }
 
-    /// Whether `other` is this region again: the same work array (by
+    /// Whether `other` is this region again: the same costs handle (by
     /// identity, not by value), policy, serial prefix and fork flag, so it
     /// simulates to the same cycles on the same machine and thread count.
     pub(crate) fn same_as(&self, other: &Region) -> bool {
-        std::sync::Arc::ptr_eq(&self.iter_work, &other.iter_work)
+        self.iter_work.same_as(&other.iter_work)
             && self.policy == other.policy
             && self.serial_pre == other.serial_pre
             && self.fork == other.fork
@@ -208,11 +355,9 @@ impl Region {
         self.iter_work.is_empty()
     }
 
-    /// Total work across iterations.
+    /// Total work across iterations: the last prefix sum.
     pub fn total(&self) -> Work {
-        self.iter_work
-            .iter()
-            .fold(Work::default(), |acc, w| acc.add(w))
+        self.prefix_sums()[self.len()]
     }
 }
 
@@ -256,7 +401,7 @@ mod tests {
 
     #[test]
     fn a_repeated_region_is_not_simulated_again() {
-        // Two regions over one work array, each with its own prefix cache
+        // Two regions over one costs handle, each with its own prefix cache
         // (as every `PagerankWorkload::regions` call makes them): only the
         // first is run, so only the first ever builds its prefix sums.
         let w = Work {
@@ -265,10 +410,10 @@ mod tests {
             dram: 1.6,
             ..Work::default()
         };
-        let work = std::sync::Arc::new(vec![w; 64]);
+        let work = Costs::from(Arc::new(vec![w; 64]));
         let policy = Policy::OmpDynamic { chunk: 4 };
         let regions = [
-            Region::shared(std::sync::Arc::clone(&work), policy),
+            Region::shared(work.clone(), policy),
             Region::shared(work, policy),
         ];
         let rep = crate::simulate(&Machine::knf(), 8, &regions);
@@ -278,6 +423,69 @@ mod tests {
         );
         assert!(regions[0].prefix.get().is_some());
         assert!(regions[1].prefix.get().is_none());
+    }
+
+    /// A priced view under each pick, with and without an extra, walks
+    /// and prefixes exactly as the explicit array of the same `Work` does.
+    #[test]
+    fn priced_views_match_explicit_arrays() {
+        let items: Arc<Vec<u32>> = Arc::new((0..100).map(|i| (i * 37) % 11).collect());
+        let cost = |&k: &u32| Work {
+            issue: 3.0 + k as f64,
+            dram: 0.6 * k as f64,
+            atomics: 1.8,
+            ..Work::default()
+        };
+        let order: Arc<[u32]> = (0..100).rev().collect::<Vec<_>>().into();
+        let picks = [
+            (Pick::All, (0..100).collect::<Vec<usize>>()),
+            (Pick::Stride(7), (0..100).step_by(7).collect()),
+            (
+                Pick::Listed(Arc::clone(&order), 10..30),
+                (70..90).rev().collect(),
+            ),
+        ];
+        let extra = Work {
+            issue: 2.0,
+            ..Work::default()
+        };
+        let policy = Policy::OmpDynamic { chunk: 4 };
+        for (pick, indices) in picks {
+            let view = Costs::priced(Arc::clone(&items), pick, cost);
+            for (got, extra) in [(view.clone(), None), (view.plus(extra), Some(extra))] {
+                let want: Vec<Work> = indices
+                    .iter()
+                    .map(|&i| cost(&items[i]))
+                    .map(|w| extra.map_or(w, |e| w.add(&e)))
+                    .collect();
+                assert_eq!(got.len(), want.len());
+                assert_eq!(got.to_vec(), want);
+                let want = Region::new(want, policy);
+                let got = Region::shared(got, policy);
+                assert_eq!(got.prefix_sums().as_slice(), want.prefix_sums().as_slice());
+            }
+        }
+    }
+
+    /// Handles compare by identity: clones are the same costs, a second
+    /// view over the same items or the same view plus an extra is not.
+    #[test]
+    fn costs_compare_by_identity() {
+        let items = Arc::new(vec![1.0f64; 8]);
+        let cost = |&x: &f64| Work {
+            issue: x,
+            ..Work::default()
+        };
+        let a = Costs::priced(Arc::clone(&items), Pick::All, cost);
+        let b = Costs::priced(items, Pick::All, cost);
+        let extra = Work {
+            issue: 2.0,
+            ..Work::default()
+        };
+        assert!(a.same_as(&a.clone()));
+        assert!(!a.same_as(&b));
+        assert!(!a.same_as(&a.plus(extra)));
+        assert!(a.plus(extra).same_as(&a.plus(extra)));
     }
 
     #[test]
